@@ -1,12 +1,11 @@
 """Numeric kernels for the channel pole functions.
 
 Every hot loop in the engine (axis scans, Newton polishing, continuation
-correctors, winding contours) bottoms out in the scalar kernels here. The
-kernels are written once as plain functions; when numba is importable and the
-environment variable ``WELLPOLES_NUMBA`` is not set to ``0``, they are wrapped
-with ``numba.njit(cache=True)``. Vectorized numpy twins of the grid drivers
-are always available and become the public grid entry points on the pure
-path, so both paths stay exercised.
+correctors, winding contours) bottoms out in the kernels here. Each formula
+exists twice: a scalar kernel (``trig_scaled``, ``denom_scaled``,
+``newton_pole``) for pointwise work, and a numpy array kernel
+(``denom_scaled_numpy``) behind the grid drivers ``axis_phi`` and
+``grid_denom_dk``.
 
 Scaling convention
 ------------------
@@ -38,28 +37,7 @@ K = 0 one, is even in K, and is entire in k^2.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("WELLPOLES_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "no", "off")
-
-USING_NUMBA = False
-if _want_numba:
-    try:
-        from numba import njit as _njit
-
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
-
-
-def _jit(fn):
-    if USING_NUMBA:
-        return _njit(cache=True)(fn)
-    return fn
-
 
 CH_PLUS = 0
 CH_MINUS = 1
@@ -70,7 +48,6 @@ _SINC_CUT = 1e-4
 _G_CUT = 0.1
 
 
-@_jit
 def trig_scaled(z):
     """Scaled trig blocks at complex z.
 
@@ -104,7 +81,6 @@ def trig_scaled(z):
     return C, S, Z, G, E
 
 
-@_jit
 def denom_scaled(k, gamma, m, a, U, ch):
     """Channel pole function and derivatives, scaled by E = exp(-|Im aK|).
 
@@ -127,7 +103,6 @@ def denom_scaled(k, gamma, m, a, U, ch):
     return d, dk, da, E
 
 
-@_jit
 def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
     """Newton iteration on the channel pole function.
 
@@ -144,38 +119,6 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
         if abs(step) < step_tol * (1.0 + abs(k)):
             return k, it + 1, True
     return k, max_iter, False
-
-
-def _axis_phi_loop(kappas, gamma, m, a, U, ch):
-    """Real pole function along the imaginary axis k = i*kappa, real gamma.
-
-    For the even channel phi = Re(-i * d_plus(i kappa)); for the odd channel
-    phi = Re(d_minus(i kappa)). Both are real-valued up to roundoff when
-    gamma is real. Values carry the scaling factor E (positive), which does
-    not affect sign changes.
-    """
-    n = kappas.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        k = 1j * kappas[i]
-        d, dk, da, E = denom_scaled(k, gamma, m, a, U, ch)
-        if ch == CH_PLUS:
-            out[i] = (-1j * d).real
-        else:
-            out[i] = d.real
-    return out
-
-
-def _grid_denom_dk_loop(ks, gamma, m, a, U, ch):
-    """Scaled pole function and k-derivative on an array of momenta."""
-    n = ks.shape[0]
-    d_out = np.empty(n, dtype=np.complex128)
-    dk_out = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        d, dk, da, E = denom_scaled(ks[i], gamma, m, a, U, ch)
-        d_out[i] = d
-        dk_out[i] = dk
-    return d_out, dk_out
 
 
 def _trig_scaled_numpy(z):
@@ -223,8 +166,14 @@ def denom_scaled_numpy(ks, gamma, m, a, U, ch):
     return d, dk, da, E
 
 
-def axis_phi_numpy(kappas, gamma, m, a, U, ch):
-    """Vectorized twin of the axis driver."""
+def axis_phi(kappas, gamma, m, a, U, ch):
+    """Real pole function along the imaginary axis k = i*kappa, real gamma.
+
+    For the even channel phi = Re(-i * d_plus(i kappa)); for the odd channel
+    phi = Re(d_minus(i kappa)). Both are real-valued up to roundoff when
+    gamma is real. Values carry the scaling factor E (positive), which does
+    not affect sign changes.
+    """
     ks = 1j * np.asarray(kappas, dtype=np.float64)
     d, dk, da, E = denom_scaled_numpy(ks, gamma, m, a, U, ch)
     if ch == CH_PLUS:
@@ -232,22 +181,10 @@ def axis_phi_numpy(kappas, gamma, m, a, U, ch):
     return d.real.copy()
 
 
-def grid_denom_dk_numpy(ks, gamma, m, a, U, ch):
-    """Vectorized twin of the grid driver."""
+def grid_denom_dk(ks, gamma, m, a, U, ch):
+    """Scaled pole function and k-derivative on an array of momenta."""
     d, dk, da, E = denom_scaled_numpy(ks, gamma, m, a, U, ch)
     return d, dk
-
-
-# keep undecorated references for cross-path agreement tests
-axis_phi_loop_py = _axis_phi_loop
-grid_denom_dk_loop_py = _grid_denom_dk_loop
-
-if USING_NUMBA:
-    axis_phi = _jit(_axis_phi_loop)
-    grid_denom_dk = _jit(_grid_denom_dk_loop)
-else:
-    axis_phi = axis_phi_numpy
-    grid_denom_dk = grid_denom_dk_numpy
 
 
 def denom_plain(k, gamma, m, a, U, ch):

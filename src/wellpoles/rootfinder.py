@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _kernels as _k
 from .errors import ConvergedElsewhere, EdgeTooClose, NoConvergence
@@ -127,6 +126,74 @@ def _axis_phi_deriv(kappa: float, gamma: complex, spec: PotentialSpec, ch: int) 
     return -dk.imag
 
 
+def _brentq(
+    f, xa: float, xb: float, xtol: float = 1e-13, rtol: float = 1e-15, maxiter: int = 100
+) -> float:
+    """Root of f in the sign-change bracket [xa, xb] by Brent's method.
+
+    A statement-for-statement port of ``scipy.optimize.brentq`` (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4): the same
+    interpolate, extrapolate and bisect rules and the same stopping test, so
+    it returns the same float bit for bit. Division by an underflowed zero
+    yields inf there, which always fails the short-step test and bisects.
+    Raises ValueError on a NaN value or a same-sign bracket, RuntimeError
+    when maxiter iterations do not converge.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2*delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _scan_segment(
     lo: float,
     hi: float,
@@ -156,7 +223,7 @@ def _scan_segment(
             roots.append(float(kap[i]))
             sign_cells.append(i)
         elif s[i] * s[i + 1] < 0.0:
-            roots.append(float(brentq(phi_at, kap[i], kap[i + 1], xtol=1e-13, rtol=1e-15)))
+            roots.append(_brentq(phi_at, kap[i], kap[i + 1]))
             sign_cells.append(i)
     if s[-1] == 0.0:
         roots.append(float(kap[-1]))

@@ -1,10 +1,6 @@
-"""Kernel-level checks: scaled trig blocks, derivatives, dual execution paths."""
+"""Kernel-level checks: scaled trig blocks, derivatives, scalar and array kernels."""
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -126,33 +122,17 @@ class TestNewton:
         assert not ok
 
 
-class TestDualPaths:
-    def test_grid_paths_agree(self):
-        ks = rand_points(500, 21)
-        for ch in (K.CH_PLUS, K.CH_MINUS):
-            d1, dk1 = K.grid_denom_dk(ks, np.exp(0.4j), M, A, 2.5, ch)
-            d2, dk2 = K.grid_denom_dk_numpy(ks, np.exp(0.4j), M, A, 2.5, ch)
-            np.testing.assert_allclose(d1, d2, rtol=RTOL_PATHS, atol=1e-15)
-            np.testing.assert_allclose(dk1, dk2, rtol=RTOL_PATHS, atol=1e-15)
-
-    def test_axis_paths_agree(self):
-        kap = np.linspace(-7.0, 7.0, 3001)
-        for ch in (K.CH_PLUS, K.CH_MINUS):
-            for g in (1.0 + 0j, -1.0 + 0j):
-                p1 = K.axis_phi(kap, g, M, A, 1.7, ch)
-                p2 = K.axis_phi_numpy(kap, g, M, A, 1.7, ch)
-                np.testing.assert_allclose(p1, p2, rtol=RTOL_PATHS, atol=1e-14)
-
-    def test_loop_reference_agrees_with_dispatch(self):
-        kap = np.linspace(-4.0, 4.0, 501)
-        p_ref = K.axis_phi_loop_py(kap, 1.0 + 0j, M, A, 0.8, K.CH_PLUS)
-        p = K.axis_phi(kap, 1.0 + 0j, M, A, 0.8, K.CH_PLUS)
-        np.testing.assert_allclose(p_ref, p, rtol=RTOL_PATHS, atol=1e-15)
-
-    def test_env_flag_selects_pure_path(self):
-        code = "from wellpoles import _kernels as K; print(K.USING_NUMBA)"
-        env = dict(os.environ, WELLPOLES_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "False"
+class TestScalarArrayAgreement:
+    @pytest.mark.parametrize("ch", [K.CH_PLUS, K.CH_MINUS])
+    def test_scalar_kernel_matches_array_kernel(self, ch):
+        # the scalar kernel serves pointwise Newton work, the array kernel the
+        # grids; both must evaluate one formula, point by point
+        rng = np.random.default_rng(21)
+        ks = rand_points(500, 22)
+        gammas = np.exp(1j * rng.uniform(-np.pi, np.pi, ks.size))
+        Us = rng.uniform(1e-3, 300.0, ks.size)
+        for k, g, U in zip(ks, gammas, Us):
+            scalar = K.denom_scaled(k, g, M, A, U, ch)
+            array = K.denom_scaled_numpy(np.array([k]), g, M, A, U, ch)
+            for s_val, a_val in zip(scalar, array):
+                np.testing.assert_allclose(s_val, a_val[0], rtol=RTOL_PATHS, atol=1e-300)

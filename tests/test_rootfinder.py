@@ -6,17 +6,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import wellpoles as wp
+from wellpoles import _kernels as _k
 from wellpoles import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.rootfinder import (
+    _brentq,
     CountRegion,
     Pole,
     PoleKind,
     classify,
     count_zeros,
     count_zeros_padded,
+    default_kappa_range,
     multiplicity_at,
     newton_refine,
     scan_axis,
@@ -223,3 +228,62 @@ class TestCountZeros:
                 lo=complex(-1.1, lo), hi=complex(1.1, hi), coupling=c, channel=ch
             )
             assert count_zeros(reg, spec(U)) == len(ps)
+
+
+class TestBrentPort:
+    """The axis-root bracket solver is a port of scipy's brentq, bit for bit.
+
+    The bracket root seeds Newton polishing and documents print 17
+    significant digits, so one ulp of difference would change output bytes.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        U=st.floats(1e-3, 300.0),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+        coupling=st.sampled_from([ATT, REP]),
+    )
+    def test_axis_brackets_match_scipy_exactly(self, m, a, U, channel, coupling):
+        sp = PotentialSpec(m, a, U)
+        gamma = coupling.gamma
+        ch = channel.code
+
+        def phi_at(x):
+            return float(_k.axis_phi(np.array([x]), gamma, m, a, U, ch)[0])
+
+        # the segments and the 2000-sample grid of scan_axis
+        lo, hi = default_kappa_range(sp)
+        cuts = [lo, hi]
+        if gamma.real > 0:
+            kb = math.sqrt(2.0 * m * U)
+            cuts += [c for c in (-kb, kb) if lo < c < hi]
+        cuts = sorted(set(cuts))
+        for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
+            kap = np.linspace(seg_lo, seg_hi, 2000)
+            s = np.sign(_k.axis_phi(kap, gamma, m, a, U, ch))
+            for i in np.flatnonzero(s[:-1] * s[1:] < 0.0):
+                ref = brentq(phi_at, kap[i], kap[i + 1], xtol=1e-13, rtol=1e-15)
+                assert _brentq(phi_at, kap[i], kap[i + 1]) == ref
+
+    def test_same_sign_bracket_raises_like_scipy(self):
+        with pytest.raises(ValueError):
+            brentq(math.cos, 2.0, 4.0, xtol=1e-13, rtol=1e-15)
+        with pytest.raises(ValueError):
+            _brentq(math.cos, 2.0, 4.0)
+
+    def test_nonconvergence_raises_like_scipy(self):
+        with pytest.raises(RuntimeError):
+            brentq(math.sin, 2.0, 4.5, xtol=1e-13, rtol=1e-15, maxiter=3)
+        with pytest.raises(RuntimeError):
+            _brentq(math.sin, 2.0, 4.5, maxiter=3)
+
+    def test_underflowing_extrapolation_bisects_like_scipy(self):
+        # the extrapolation denominator underflows to zero; C division gives
+        # inf there, which the port must reproduce rather than raise
+        def f(x):
+            return 1e-200 * (x - 0.5)
+
+        for lo, hi in ((-0.12, 2.18), (-2.12, 2.48), (-0.87, 2.57)):
+            assert _brentq(f, lo, hi) == brentq(f, lo, hi, xtol=1e-13, rtol=1e-15)
