@@ -7,6 +7,12 @@ exists twice: a scalar kernel (``trig_scaled``, ``denom_scaled``,
 (``denom_scaled_numpy``) behind the grid drivers ``axis_phi`` and
 ``grid_denom_dk``.
 
+The scalar kernel runs on ``math``/``cmath`` and Python ``float``/``complex``
+values, never on numpy scalars, which cost several times as much per call.
+The two kernels evaluate the same formulas with the same series cut-offs, so
+they agree to about 1e-13 relative, but not bit for bit: numpy's ``exp`` and
+complex division round differently from ``math.exp`` and CPython's.
+
 Scaling convention
 ------------------
 For complex momentum k the interior phase z = a*K (K the interior momentum)
@@ -19,6 +25,15 @@ computed branch-free from exact half-angle identities, so they never
 overflow. Every returned denominator/derivative here is the true value times
 the same E, which cancels in Newton ratios and winding arguments. ``E`` is
 returned alongside so callers can unscale when the true magnitude is needed.
+
+Non-finite contract
+-------------------
+The kernels return non-finite values where the arithmetic leaves the float
+range; they do not raise. ``E`` underflows to 0 once |Im z| passes about 745,
+and ``unscale`` then gives the overflowed true value (inf, or nan for a zero
+part) where Python's complex division would raise ZeroDivisionError. A
+non-finite argument gives non-finite trig blocks, and a ``newton_pole``
+whose iterate overflows reports ``converged=False``.
 
 Channel conventions
 -------------------
@@ -37,6 +52,9 @@ K = 0 one, is even in K, and is entire in k^2.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 CH_PLUS = 0
@@ -53,20 +71,24 @@ def trig_scaled(z):
 
     Returns (C, S, Z, G, E) where C = cos(z)*E, S = sin(z)*E, Z = sinc(z)*E,
     G = ((cos(z) - sinc(z))/z**2)*E and E = exp(-|Im z|). Exact half-angle
-    forms keep everything finite for arbitrarily large |Im z|.
+    forms keep everything finite for arbitrarily large |Im z|; an infinite
+    or nan z gives nan blocks.
     """
     x = z.real
     y = z.imag
     ay = abs(y)
     sgn = 1.0 if y >= 0.0 else -1.0
-    e2 = np.exp(-2.0 * ay)
+    e2 = math.exp(-2.0 * ay)
     cp = 0.5 * (1.0 + e2)
     cm = 0.5 * (1.0 - e2)
-    cx = np.cos(x)
-    sx = np.sin(x)
+    try:
+        cx = math.cos(x)
+        sx = math.sin(x)
+    except ValueError:  # x = +-inf, where math raises and numpy gives nan
+        cx = sx = math.nan
     C = complex(cx * cp, -sgn * sx * cm)
     S = complex(sx * cp, sgn * cx * cm)
-    E = np.exp(-ay)
+    E = math.exp(-ay)
     az = abs(z)
     if az >= _SINC_CUT:
         Z = S / z
@@ -89,7 +111,7 @@ def denom_scaled(k, gamma, m, a, U, ch):
     carrying the common factor E.
     """
     w = k * k + 2.0 * m * gamma * U
-    z = a * np.sqrt(w)
+    z = a * cmath.sqrt(w)
     C, S, Z, G, E = trig_scaled(z)
     if ch == CH_PLUS:
         d = k * C - 1j * a * w * Z
@@ -103,11 +125,25 @@ def denom_scaled(k, gamma, m, a, U, ch):
     return d, dk, da, E
 
 
+def unscale(v, E):
+    """True value v/E of a scaled kernel output.
+
+    Where E underflowed to 0 the true value overflows: each nonzero part of
+    v goes to +-inf and a zero part to nan, as IEEE division by +0 gives,
+    where Python's complex division would raise ZeroDivisionError.
+    """
+    if E == 0.0:
+        return v * math.inf
+    return v / E
+
+
 def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
     """Newton iteration on the channel pole function.
 
     Stops when |step| < step_tol*(1+|k|). Returns (k, iterations, converged).
-    The ratio d/dk is scale-invariant, so overflow never enters.
+    The ratio d/dk is scale-invariant, so overflow never enters; an iterate
+    that runs off past the float range turns nan and is reported as not
+    converged.
     """
     k = k0
     for it in range(max_iter):
@@ -190,7 +226,8 @@ def grid_denom_dk(ks, gamma, m, a, U, ch):
 def denom_plain(k, gamma, m, a, U, ch):
     """Unscaled channel pole function and k-derivative.
 
-    Overflows to inf when |Im aK| exceeds ~709; use the scaled form there.
+    Overflows to inf or nan when |Im aK| exceeds ~709; use the scaled form
+    there.
     """
     d, dk, da, E = denom_scaled(complex(k), complex(gamma), m, a, U, ch)
-    return d / E, dk / E
+    return unscale(d, E), unscale(dk, E)

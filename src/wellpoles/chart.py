@@ -442,9 +442,9 @@ def _transition_direction(U, gamma, m, a, channel) -> str:
     h = 1e-5
     dp = _k.denom_scaled(kc + h, gamma, m, a, U, channel.code)
     dm = _k.denom_scaled(kc - h, gamma, m, a, U, channel.code)
-    dkk = (dp[1] / dp[3] - dm[1] / dm[3]) / (2.0 * h)
+    dkk = (_k.unscale(dp[1], dp[3]) - _k.unscale(dm[1], dm[3])) / (2.0 * h)
     d0, dk0, da0, E0 = _k.denom_scaled(kc, gamma, m, a, U, channel.code)
-    du = (da0 / E0) / (1j * U)
+    du = _k.unscale(da0, E0) / (1j * U)
     r = -2.0 * du / dkk
     if abs(r.imag) > 1e-6 * abs(r):
         raise ModelInvalid(f"transition ratio not real: {r!r}")

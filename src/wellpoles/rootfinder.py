@@ -194,6 +194,67 @@ def _brentq(
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+def _axis_phi_at(kappa: float, gamma: complex, m: float, a: float, U: float, ch: int) -> float:
+    """Scalar-kernel twin of ``axis_phi`` at one point k = i*kappa.
+
+    Takes the same real part ``axis_phi`` takes; the value agrees with the
+    array kernel to about 1e-13 relative, not bit for bit.
+    """
+    d = _k.denom_scaled(complex(0.0, kappa), gamma, m, a, U, ch)[0]
+    if ch == _k.CH_PLUS:
+        return (-1j * d).real
+    return d.real
+
+
+def _bracket_root(f, xa: float, xb: float) -> float:
+    """Brent root of f on a grid sign-change cell [xa, xb].
+
+    The grid's signs come from the array kernel and f from the scalar one,
+    so an end value within roundoff of zero can show the same sign at both
+    ends; the end with the smaller |f| is then the root. An exactly zero end
+    is returned by ``_brentq`` itself. A NaN value still raises ValueError.
+    """
+    try:
+        return _brentq(f, xa, xb)
+    except ValueError:
+        fa = f(xa)
+        fb = f(xb)
+        if fa != fa or fb != fb or math.copysign(1.0, fa) != math.copysign(1.0, fb):
+            raise
+        return float(xa) if abs(fa) <= abs(fb) else float(xb)
+
+
+def _grid_cells(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Root cells and tangency candidates of one sampled scan segment.
+
+    Returns (cells, exact, dips), all in increasing sample order: ``cells``
+    holds every sample that is an exact zero or starts a sign change, with
+    ``exact`` flagging the exact zeros, and ``dips`` the interior local
+    minima of |phi| (ties count) at most ``_DIP_FRACTION`` of the segment
+    scale and more than two cells from every root cell.
+    """
+    s = np.sign(phi)
+    exact = s == 0.0
+    root_cell = exact.copy()
+    root_cell[:-1] |= s[:-1] * s[1:] < 0.0
+    cells = np.flatnonzero(root_cell)
+    aphi = np.abs(phi)
+    seg_scale = aphi.max()
+    if not seg_scale > 0.0:
+        return cells, exact[cells], cells[:0]
+    near = np.zeros(phi.size + 4, dtype=bool)
+    for off in range(5):
+        near[cells + off] = True
+    mid = aphi[1:-1]
+    dip = (
+        (mid <= aphi[:-2])
+        & (mid <= aphi[2:])
+        & (mid <= _DIP_FRACTION * seg_scale)
+        & ~near[3:-3]
+    )
+    return cells, exact[cells], np.flatnonzero(dip) + 1
+
+
 def _scan_segment(
     lo: float,
     hi: float,
@@ -209,39 +270,18 @@ def _scan_segment(
     """
     gamma = coupling.gamma
     ch = channel.code
+    m, a, U = spec.m, spec.a, spec.U
     kap = np.linspace(lo, hi, samples)
-    phi = _k.axis_phi(kap, gamma, spec.m, spec.a, spec.U, ch)
+    cells, exact, dips = _grid_cells(_k.axis_phi(kap, gamma, m, a, U, ch))
 
-    def phi_at(x: float) -> float:
-        return float(_k.axis_phi(np.array([x]), gamma, spec.m, spec.a, spec.U, ch)[0])
+    def f(x: float) -> float:
+        return _axis_phi_at(x, gamma, m, a, U, ch)
 
-    roots: list[float] = []
-    sign_cells: list[int] = []
-    s = np.sign(phi)
-    for i in range(samples - 1):
-        if s[i] == 0.0:
-            roots.append(float(kap[i]))
-            sign_cells.append(i)
-        elif s[i] * s[i + 1] < 0.0:
-            roots.append(_brentq(phi_at, kap[i], kap[i + 1]))
-            sign_cells.append(i)
-    if s[-1] == 0.0:
-        roots.append(float(kap[-1]))
-        sign_cells.append(samples - 1)
-
-    seg_scale = float(np.abs(phi).max())
-    cand: list[float] = []
-    if seg_scale > 0.0:
-        aphi = np.abs(phi)
-        for i in range(1, samples - 1):
-            if not (aphi[i] <= aphi[i - 1] and aphi[i] <= aphi[i + 1]):
-                continue
-            if aphi[i] > _DIP_FRACTION * seg_scale:
-                continue
-            if any(abs(i - j) <= 2 for j in sign_cells):
-                continue
-            cand.append(float(kap[i]))
-    return roots, cand
+    roots = [
+        float(kap[i]) if zero else _bracket_root(f, kap[i], kap[i + 1])
+        for i, zero in zip(cells.tolist(), exact.tolist())
+    ]
+    return roots, kap[dips].tolist()
 
 
 def _refine_tangency(

@@ -15,6 +15,7 @@ branch model splits them deterministically.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field, replace
@@ -159,8 +160,8 @@ def branch_at_double_zero(
     h = 1e-5
     dkp = _k.denom_scaled(kc + h, gamma_c, spec.m, spec.a, spec.U, ch)
     dkm = _k.denom_scaled(kc - h, gamma_c, spec.m, spec.a, spec.U, ch)
-    dkk = (dkp[1] / dkp[3] - dkm[1] / dkm[3]) / (2.0 * h)
-    da = da0 / E0
+    dkk = (_k.unscale(dkp[1], dkp[3]) - _k.unscale(dkm[1], dkm[3])) / (2.0 * h)
+    da = _k.unscale(da0, E0)
     scale = abs(da) + abs(dkk) + 1.0
     if abs(dkk) < 1e-8 * scale:
         raise ModelInvalid(f"vanishing curvature at collision point, D_kk={dkk!r}")
@@ -169,7 +170,7 @@ def branch_at_double_zero(
 
     alpha_new = alpha_c + direction * delta_alpha
     gamma_new = _phase_to_gamma(alpha_new)
-    root = np.sqrt(-2.0 * da * (direction * delta_alpha) / dkk)
+    root = cmath.sqrt(-2.0 * da * (direction * delta_alpha) / dkk)
     branches = []
     for sgn in (+1.0, -1.0):
         k_est = kc + sgn * root
@@ -246,6 +247,7 @@ def _trace_from_state(
     next_closure = next(closures, None)
 
     alpha = alpha_start
+    gamma = _phase_to_gamma(alpha)
     k = k_start
     h = control.initial
     easy = 0
@@ -269,12 +271,13 @@ def _trace_from_state(
             if next_closure is not None:
                 target = max(target, next_closure[0])
 
-        d, dk, da, E = _k.denom_scaled(k, _phase_to_gamma(alpha), spec.m, spec.a, spec.U, ch)
+        d, dk, da, E = _k.denom_scaled(k, gamma, spec.m, spec.a, spec.U, ch)
         accepted = False
         if dk != 0.0:
             kp = k - (da / dk) * (target - alpha)
+            gamma_target = _phase_to_gamma(target)
             knew, iters, ok = _k.newton_pole(
-                kp, _phase_to_gamma(target), spec.m, spec.a, spec.U, ch,
+                kp, gamma_target, spec.m, spec.a, spec.U, ch,
                 STEP_TOL, control.corrector_iters,
             )
             if ok and abs(knew - k) <= control.displacement_factor * (1.0 + abs(k)):
@@ -293,6 +296,7 @@ def _trace_from_state(
                     collisions.append(event)
                     k = labeled[0][1]
                     alpha = alpha + direction * 1e-3
+                    gamma = _phase_to_gamma(alpha)
                     alphas.append(alpha)
                     ks.append(k)
                     h = control.initial
@@ -315,6 +319,7 @@ def _trace_from_state(
             continue
 
         alpha = target
+        gamma = gamma_target
         k = knew
         alphas.append(alpha)
         ks.append(k)

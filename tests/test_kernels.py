@@ -136,3 +136,75 @@ class TestScalarArrayAgreement:
             array = K.denom_scaled_numpy(np.array([k]), g, M, A, U, ch)
             for s_val, a_val in zip(scalar, array):
                 np.testing.assert_allclose(s_val, a_val[0], rtol=RTOL_PATHS, atol=1e-300)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    """Past the float range the kernels return non-finite values; they never raise.
+
+    At k = 700j and a = 1.5 the scale E = exp(-|Im aK|) underflows to 0, so
+    every unscaled value divides by zero.
+    """
+
+    K_FAR = 700j
+    U = 2.0
+
+    def test_scale_underflows_at_far_point(self):
+        for ch in (K.CH_PLUS, K.CH_MINUS):
+            assert K.denom_scaled(self.K_FAR, 1.0 + 0j, M, A, self.U, ch)[3] == 0.0
+
+    @pytest.mark.parametrize("ch", [K.CH_PLUS, K.CH_MINUS])
+    @pytest.mark.parametrize("gamma", [1.0 + 0j, -1.0 + 0j])
+    @pytest.mark.parametrize("k", [700j, -700j, 500j])
+    def test_denom_plain_overflows_without_raising(self, ch, gamma, k):
+        d, dk = K.denom_plain(k, gamma, M, A, self.U, ch)
+        assert not np.isfinite(d) and not np.isfinite(dk)
+
+    def test_unscale_follows_ieee_division(self):
+        v = K.unscale(complex(2.0, -3.0), 0.0)
+        assert v.real == np.inf and v.imag == -np.inf
+        v = K.unscale(complex(0.0, 1.0), 0.0)
+        assert np.isnan(v.real) and v.imag == np.inf
+        assert K.unscale(complex(2.0, -3.0), 0.5) == complex(4.0, -6.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, np.pi])
+    def test_full_denominator_and_s_matrix(self, alpha):
+        from wellpoles.smatrix import ComplexCoupling, PotentialSpec, denom_full, s_full
+
+        sp = PotentialSpec(M, A, self.U)
+        c = ComplexCoupling(alpha)
+        assert not np.isfinite(denom_full(self.K_FAR, c, sp))
+        s = s_full(self.K_FAR, c, sp)
+        assert not np.isfinite(s.s11) and not np.isfinite(s.s12)
+
+    def test_second_derivative_differences(self):
+        # the D_kk finite differences at k = -i/a divide by E; at this depth
+        # the repulsive E underflows there too
+        from wellpoles.chart import _transition_direction
+        from wellpoles.errors import ModelInvalid
+        from wellpoles.smatrix import Channel, PotentialSpec
+        from wellpoles.trajectory import branch_at_double_zero
+
+        U = 2e5
+        assert K.denom_scaled(-1j / A, -1.0 + 0j, M, A, U, K.CH_PLUS)[3] == 0.0
+        for ch in (Channel.PLUS, Channel.MINUS):
+            assert _transition_direction(U, -1.0 + 0j, M, A, ch) in (
+                "axis_to_plane", "plane_to_axis"
+            )
+            with pytest.raises(ModelInvalid):
+                branch_at_double_zero(np.pi, PotentialSpec(M, A, U), ch, +1)
+
+    @pytest.mark.parametrize(
+        "z",
+        [complex(np.inf, 0.0), complex(-np.inf, 0.5), complex(np.nan, 0.0), complex(0.3, np.nan)],
+    )
+    def test_trig_blocks_of_non_finite_argument(self, z):
+        C, S, Z, G, E = K.trig_scaled(z)
+        for v in (C, S, Z, G):
+            assert not np.isfinite(v)
+
+    @pytest.mark.parametrize("k0", [1e200 + 0j, 1e155 + 1e155j, 1e300j, -1e300j])
+    @pytest.mark.parametrize("ch", [K.CH_PLUS, K.CH_MINUS])
+    def test_newton_iterate_overflow_is_not_converged(self, k0, ch):
+        k, it, ok = K.newton_pole(k0, 1.0 + 0j, M, A, self.U, ch, 1e-12, 50)
+        assert not ok

@@ -13,8 +13,13 @@ from scipy.optimize import brentq
 import wellpoles as wp
 from wellpoles import _kernels as _k
 from wellpoles import Channel, ComplexCoupling, PotentialSpec
+from wellpoles import rootfinder
 from wellpoles.rootfinder import (
+    _DIP_FRACTION,
+    _axis_phi_at,
+    _bracket_root,
     _brentq,
+    _grid_cells,
     CountRegion,
     Pole,
     PoleKind,
@@ -235,6 +240,8 @@ class TestBrentPort:
 
     The bracket root seeds Newton polishing and documents print 17
     significant digits, so one ulp of difference would change output bytes.
+    Both solvers run on ``_axis_phi_at``, the scalar-kernel function
+    ``_scan_segment`` hands to Brent, over the brackets its grid finds.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -251,7 +258,14 @@ class TestBrentPort:
         ch = channel.code
 
         def phi_at(x):
-            return float(_k.axis_phi(np.array([x]), gamma, m, a, U, ch)[0])
+            return _axis_phi_at(x, gamma, m, a, U, ch)
+
+        def outcome(solver, lo, hi, **kw):
+            # a same-sign end pair must fail in both solvers alike
+            try:
+                return solver(phi_at, lo, hi, **kw)
+            except ValueError:
+                return ValueError
 
         # the segments and the 2000-sample grid of scan_axis
         lo, hi = default_kappa_range(sp)
@@ -264,8 +278,8 @@ class TestBrentPort:
             kap = np.linspace(seg_lo, seg_hi, 2000)
             s = np.sign(_k.axis_phi(kap, gamma, m, a, U, ch))
             for i in np.flatnonzero(s[:-1] * s[1:] < 0.0):
-                ref = brentq(phi_at, kap[i], kap[i + 1], xtol=1e-13, rtol=1e-15)
-                assert _brentq(phi_at, kap[i], kap[i + 1]) == ref
+                ref = outcome(brentq, kap[i], kap[i + 1], xtol=1e-13, rtol=1e-15)
+                assert outcome(_brentq, kap[i], kap[i + 1]) == ref
 
     def test_same_sign_bracket_raises_like_scipy(self):
         with pytest.raises(ValueError):
@@ -287,3 +301,131 @@ class TestBrentPort:
 
         for lo, hi in ((-0.12, 2.18), (-2.12, 2.48), (-0.87, 2.57)):
             assert _brentq(f, lo, hi) == brentq(f, lo, hi, xtol=1e-13, rtol=1e-15)
+
+
+class TestScalarAxisFunction:
+    @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
+    @pytest.mark.parametrize("coupling", [ATT, REP])
+    def test_matches_array_axis_phi(self, channel, coupling):
+        kap = np.linspace(-9.0, 9.0, 301)
+        grid = _k.axis_phi(kap, coupling.gamma, M, A, 2.0, channel.code)
+        point = [_axis_phi_at(x, coupling.gamma, M, A, 2.0, channel.code) for x in kap.tolist()]
+        assert all(type(v) is float for v in point)
+        np.testing.assert_allclose(point, grid, rtol=1e-13, atol=1e-13 * np.abs(grid).max())
+
+
+class TestBracketGuard:
+    """Grid signs come from the array kernel, Brent's from the scalar one."""
+
+    def test_same_sign_ends_take_the_smaller_end(self):
+        assert _bracket_root(lambda x: 1.0 + x, 0.0, 1.0) == 0.0
+        assert _bracket_root(lambda x: 2.0 - x, 0.0, 1.0) == 1.0
+        assert _bracket_root(lambda x: -1e-300 - x, 0.0, 1.0) == 0.0
+        assert type(_bracket_root(lambda x: 1.0 + x, np.float64(0.0), np.float64(1.0))) is float
+
+    def test_zero_end_is_the_root(self):
+        assert _bracket_root(lambda x: x, 0.0, 1.0) == 0.0
+        assert _bracket_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_sign_change_is_plain_brent(self):
+        assert _bracket_root(math.cos, 1.0, 2.0) == _brentq(math.cos, 1.0, 2.0)
+
+    def test_nan_still_raises(self):
+        with pytest.raises(ValueError):
+            _bracket_root(lambda x: math.nan, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            _bracket_root(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+
+    def test_scan_survives_disagreeing_end_signs(self, monkeypatch):
+        # a scalar function positive everywhere: every grid sign change
+        # then shows the same sign at both ends of its cell
+        exact = rootfinder._axis_phi_at
+
+        def positive(x, *args):
+            return abs(exact(x, *args)) + 1e-300
+
+        monkeypatch.setattr(rootfinder, "_axis_phi_at", positive)
+        kap = np.linspace(-9.0, 9.0, 2000)
+        roots, _ = rootfinder._scan_segment(-9.0, 9.0, ATT, spec(2.0), Channel.PLUS, 2000)
+        assert len(roots) == 3
+        for r in roots:
+            i = int(np.argmin(np.abs(kap - r)))
+            assert r == kap[i]
+
+
+def _reference_cells(phi):
+    """The per-element grid bookkeeping that _grid_cells replaced."""
+    samples = phi.size
+    s = np.sign(phi)
+    cells, exact = [], []
+    for i in range(samples - 1):
+        if s[i] == 0.0:
+            cells.append(i)
+            exact.append(True)
+        elif s[i] * s[i + 1] < 0.0:
+            cells.append(i)
+            exact.append(False)
+    if s[-1] == 0.0:
+        cells.append(samples - 1)
+        exact.append(True)
+    seg_scale = float(np.abs(phi).max())
+    dips = []
+    if seg_scale > 0.0:
+        aphi = np.abs(phi)
+        for i in range(1, samples - 1):
+            if not (aphi[i] <= aphi[i - 1] and aphi[i] <= aphi[i + 1]):
+                continue
+            if aphi[i] > _DIP_FRACTION * seg_scale:
+                continue
+            if any(abs(i - j) <= 2 for j in cells):
+                continue
+            dips.append(i)
+    return cells, exact, dips
+
+
+# few distinct values, so exact zeros, equal neighbours (the <= ties) and
+# dips next to sign changes are common
+_grid_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 2e-9, 1.0, -1.0, 3.0]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+class TestGridCells:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_grid_values, min_size=2, max_size=40))
+    def test_matches_per_element_loop(self, values):
+        phi = np.array(values)
+        cells, exact, dips = _grid_cells(phi)
+        ref_cells, ref_exact, ref_dips = _reference_cells(phi)
+        assert cells.tolist() == ref_cells
+        assert exact.tolist() == ref_exact
+        assert dips.tolist() == ref_dips
+
+    def test_fixed_cases(self):
+        # zero cells first, last and inside; a dip two cells from a root
+        # cell is dropped, one three cells away is kept
+        phi = np.array([0.0, 1.0, -1.0, 1.0, 1.0, 1e-9, 1.0, 1.0, 1e-9, 1.0, 0.0])
+        cells, exact, dips = _grid_cells(phi)
+        assert cells.tolist() == [0, 1, 2, 10]
+        assert exact.tolist() == [True, False, False, True]
+        assert dips.tolist() == [5]
+        assert _grid_cells(np.zeros(5))[2].tolist() == []
+
+
+class TestWorkCount:
+    """scan_axis evaluates the array kernel once per segment, never per point."""
+
+    @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
+    @pytest.mark.parametrize("coupling, segments", [(ATT, 3), (REP, 1)])
+    def test_one_array_kernel_call_per_segment(self, monkeypatch, channel, coupling, segments):
+        sizes = []
+        array_kernel = _k.denom_scaled_numpy
+
+        def counted(ks, *args):
+            sizes.append(np.size(ks))
+            return array_kernel(ks, *args)
+
+        monkeypatch.setattr(_k, "denom_scaled_numpy", counted)
+        scan_axis(spec(2.0), coupling, channel)
+        assert sizes == [2000] * segments
