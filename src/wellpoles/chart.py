@@ -7,47 +7,35 @@ momentum window against the poles the trajectories deliver back at the
 attractive coupling.
 
 Depth analysis lives here too: the critical depths where an axis pole pair
-coalesces at k = -i/a (solved by bisection of the pole function restricted
-to that point, then verified by a contour count), the closed-form bound
-state thresholds, and sweeps that attribute topology changes between
-consecutive depths to the transition they bracket.
+coalesces at k = -i/a, in closed form from the interior-momentum form of
+the pole condition (see critical_depth) and verified by a contour count;
+the closed-form bound state thresholds; and sweeps that attribute topology
+changes between consecutive depths to the collision they bracket.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels as _k
-from .errors import (
-    EdgeTooClose,
-    ModelInvalid,
-    NoConvergence,
-    NoRootInBracket,
-    StallAtDoubleZero,
-)
+from .errors import EdgeTooClose, NoRootInBracket
 from .rootfinder import (
     CountRegion,
     Pole,
     PoleKind,
+    _brentq,
     count_zeros_padded,
-    newton_refine,
     scan_axis,
 )
-from .smatrix import Channel, ComplexCoupling, PotentialSpec, _phase_to_gamma
+from .smatrix import Channel, ComplexCoupling, PotentialSpec
 from .trajectory import (
-    Closure,
-    ClosureKind,
     CollisionEvent,
     StepControl,
     TraceCaps,
     Trajectory,
     branch_at_double_zero,
     combine,
-    mirror_defect,
     trace,
     trace_branch,
 )
@@ -168,24 +156,20 @@ def _same_event(a: CollisionEvent, b: CollisionEvent) -> bool:
 
 
 def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarning]:
-    """Estimate the distance in depth to the nearest pair collision.
+    """Warn when the depth lies within _CRITICAL_WARN of a pair collision.
 
-    The pole function at k = -i/a vanishes exactly at a critical depth; a
-    first order step gives |U - U*| ~ |D| / |dD/dU| with dD/dU = D_alpha/(iU).
+    The distance min |U - U*| is exact, taken over the closed-form collision
+    depths of each real coupling.
     """
     warnings = []
-    if spec.U == 0.0:
-        return warnings
-    kc = -1j / spec.a
-    for alpha, name in ((0.0, "attractive"), (math.pi, "repulsive")):
-        gamma = _phase_to_gamma(alpha)
-        d, dk, da, E = _k.denom_scaled(
-            kc, gamma, spec.m, spec.a, spec.U, channel.code
+    for attractive, name in ((True, "attractive"), (False, "repulsive")):
+        near = _collisions_between(
+            channel, attractive, spec.m, spec.a,
+            spec.U - _CRITICAL_WARN, spec.U + _CRITICAL_WARN,
         )
-        du = da / (1j * spec.U)
-        if abs(du) == 0.0:
+        if not near:
             continue
-        dist = abs(d) / abs(du)
+        dist = min(abs(spec.U - u_star) for _, u_star in near)
         if dist < _CRITICAL_WARN:
             warnings.append(ChartWarning(
                 code="critical_proximity",
@@ -378,77 +362,71 @@ class CriticalDepth:
     pair_count: int  # contour count around k in a small box, should be 2
 
 
-def _phi_at_collision(U: float, gamma: complex, m: float, a: float, channel: Channel) -> float:
-    """Pole function at k = -i/a, restricted to its nonvanishing part.
-
-    There the even channel value is purely imaginary and the odd channel
-    value purely real, so a single real equation in depth remains.
-    """
-    kc = -1j / a
-    d, dk = _k.denom_plain(kc, gamma, m, a, U, channel.code)
-    return d.imag if channel is Channel.PLUS else d.real
-
-
-def _collision_brackets(gamma, m, a, channel, u_lo, u_hi, samples=2400):
-    us = np.linspace(u_lo, u_hi, samples)
-    phis = np.array([_phi_at_collision(u, gamma, m, a, channel) for u in us])
-    brackets = []
-    for i in range(len(us) - 1):
-        if phis[i] == 0.0:
-            brackets.append((us[max(i - 1, 0)], us[i + 1]))
-        elif phis[i] * phis[i + 1] < 0.0:
-            brackets.append((us[i], us[i + 1]))
-    return brackets
-
-
-def _bisect_collision(gamma, m, a, channel, lo, hi, tol=1e-12, max_iter=200):
-    flo = _phi_at_collision(lo, gamma, m, a, channel)
-    fhi = _phi_at_collision(hi, gamma, m, a, channel)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NoRootInBracket(f"no sign change in ({lo}, {hi})")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = _phi_at_collision(mid, gamma, m, a, channel)
-        if fmid == 0.0 or (hi - lo) < tol * (1.0 + abs(mid)):
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
+def _collision_depth(
+    channel: Channel, attractive: bool, m: float, a: float, index: int
+) -> float:
+    """U* of the index-th pair collision: critical_depth's equation solved on
+    its index-th interval, x tan x = -1 taken as cos x + x sin x = 0."""
+    s = 2.0 * m * a * a
+    if attractive:
+        if channel is Channel.PLUS:
+            x = _brentq(lambda t: math.cos(t) + t * math.sin(t),
+                        (index - 0.5) * math.pi, index * math.pi)
         else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+            x = _brentq(lambda t: math.sin(t) - t * math.cos(t),
+                        index * math.pi, (index + 0.5) * math.pi)
+        return (x * x + 1.0) / s
+    if channel is Channel.PLUS and index == 1:
+        y = _brentq(lambda t: math.cosh(t) - t * math.sinh(t), 1.0, 2.0)
+        return (y * y - 1.0) / s
+    raise NoRootInBracket(f"no pair collision of index {index} at gamma = -1")
 
 
-def _is_double_zero_depth(U, gamma, m, a, channel) -> bool:
-    """A depth root is a pair collision only if the momentum derivative
-    also vanishes at k = -i/a; a simple axis crossing fails this."""
-    kc = -1j / a
-    d, dk = _k.denom_plain(kc, gamma, m, a, U, channel.code)
-    scale = 1.0 + abs(d) + abs(kc)
-    return abs(dk) < 1e-8 * scale
+def _collisions_between(
+    channel: Channel, attractive: bool, m: float, a: float, u_lo: float, u_hi: float
+) -> list[tuple[int, float]]:
+    """(index, U*) of every pair collision with u_lo <= U* <= u_hi.
 
-
-def _transition_direction(U, gamma, m, a, channel) -> str:
-    """Which side of the critical depth keeps the pair on the axis.
-
-    Near the collision, (k - k_c)^2 = r * (U - U*) with
-    r = -2 dD/dU / d2D/dk2; a negative square means the pair sits on the
-    imaginary axis, so r > 0 puts the axis pair below U*.
+    U* rises with the index. Every collision below index floor(x0/pi),
+    x0 = sqrt(2 m a^2 u_lo - 1), has x < x0 and so U* < u_lo (the repulsive
+    one too, as its U* lies below 1/(2 m a^2)); the walk starts there.
     """
+    x0 = math.sqrt(max(2.0 * m * a * a * u_lo - 1.0, 0.0))
+    index = max(1, math.floor(x0 / math.pi))
+    found = []
+    while True:
+        try:
+            u_star = _collision_depth(channel, attractive, m, a, index)
+        except NoRootInBracket:
+            return found
+        if u_star > u_hi:
+            return found
+        if u_star >= u_lo:
+            found.append((index, u_star))
+        index += 1
+
+
+def _verified_critical(channel, attractive, index, u_star, m, a) -> CriticalDepth:
+    """The collision with its contour pair count (-1 if uncountable)."""
     kc = -1j / a
-    h = 1e-5
-    dp = _k.denom_scaled(kc + h, gamma, m, a, U, channel.code)
-    dm = _k.denom_scaled(kc - h, gamma, m, a, U, channel.code)
-    dkk = (_k.unscale(dp[1], dp[3]) - _k.unscale(dm[1], dm[3])) / (2.0 * h)
-    d0, dk0, da0, E0 = _k.denom_scaled(kc, gamma, m, a, U, channel.code)
-    du = _k.unscale(da0, E0) / (1j * U)
-    r = -2.0 * du / dkk
-    if abs(r.imag) > 1e-6 * abs(r):
-        raise ModelInvalid(f"transition ratio not real: {r!r}")
-    return "axis_to_plane" if r.real > 0.0 else "plane_to_axis"
+    region = CountRegion(
+        lo=kc - (1e-3 + 1e-3j), hi=kc + (1e-3 + 1e-3j),
+        coupling=ComplexCoupling(0.0 if attractive else math.pi),
+        channel=channel,
+    )
+    try:
+        pair, _ = count_zeros_padded(region, PotentialSpec(m=m, a=a, U=u_star))
+    except EdgeTooClose:
+        pair = -1
+    return CriticalDepth(
+        U=u_star,
+        k=kc,
+        channel=channel,
+        attractive=attractive,
+        index=index,
+        transition="plane_to_axis" if attractive else "axis_to_plane",
+        pair_count=pair,
+    )
 
 
 def critical_depth(
@@ -457,51 +435,44 @@ def critical_depth(
     m: float = 1.0,
     a: float = 1.5,
     index: int = 1,
-    u_max: float | None = None,
 ) -> CriticalDepth:
     """The index-th depth at which an axis pole pair coalesces at k = -i/a.
 
-    Bisection of the collision-point pole function over depth, filtered to
-    roots where the momentum derivative vanishes too, verified by a contour
-    count of 2 around the collision point.
+    With interior momentum K, a channel pole is exactly g(K)^2 = 2 m U gamma,
+    where g(K) = K / cos(aK) and k = i K tan(aK) in the even channel, and
+    g(K) = K / sin(aK) and k = -i K cot(aK) in the odd one. Pairs collide
+    where g'(K) = 0, which is the point k = -i/a (Nussenzveig, Nucl. Phys. 11
+    (1959) 499). With x = aK and s = 2 m a^2 the index-th collision is
+
+        even, attractive:  x tan x = -1 on ((2i-1) pi/2, i pi),  U* = (x^2 + 1)/s
+        odd, attractive:   tan x = x    on (i pi, (2i+1) pi/2),  U* = (x^2 + 1)/s
+        even, repulsive:   y tanh y = 1 on (1, 2), K = i y/a,    U* = (y^2 - 1)/s
+
+    Each interval holds exactly one root, so the index counts collisions by
+    rising depth. The even repulsive collision is the only one (index 1);
+    the odd repulsive coupling has none and raises NoRootInBracket. K = 0
+    also solves the odd equation, but K and -K give the same k, so its depth
+    1/s is a simple axis crossing and not a collision. The result is
+    verified by a contour count of 2 around k = -i/a.
+
+    The transition label is the sign of (g^2)'' at the collision. Let t run
+    along the line of K through K_c (K = t/a attractive, K = i t/a
+    repulsive), where G(t) = gamma g(K)^2 / (2m) is real, the poles solve
+    G(t) = U, and G''(t_c) = (g^2)''(K_c) / (2 m a^2) in both cases. Near
+    t_c, U - U* = G''(t_c) (t - t_c)^2 / 2. Real t gives an
+    imaginary k, and t_c +- i delta a mirrored pair off the axis. So where
+    G'' > 0 the pair leaves the plane for the axis as U rises, and where
+    G'' < 0 it leaves the axis. The attractive G = x^2/(s cos^2 x) or
+    x^2/(s sin^2 x) grows without bound at both ends of the period cell that
+    holds x_c and has no other critical point there, so U* is a minimum:
+    'plane_to_axis'. The repulsive G = y^2/(s cosh^2 y) rises from 0 at
+    y = 0 and decays to 0, so its one critical point is a maximum:
+    'axis_to_plane'.
     """
     if index < 1:
         raise ValueError("index counts from 1")
-    gamma = 1.0 + 0.0j if attractive else -1.0 + 0.0j
-    if u_max is None:
-        u_max = (((index + 1) * math.pi) ** 2 + 1.0) / (2.0 * m * a * a)
-    found = []
-    for lo, hi in _collision_brackets(gamma, m, a, channel, 1e-6, u_max):
-        try:
-            u_root = _bisect_collision(gamma, m, a, channel, lo, hi)
-        except NoRootInBracket:
-            continue
-        if _is_double_zero_depth(u_root, gamma, m, a, channel):
-            found.append(u_root)
-        if len(found) >= index:
-            break
-    if len(found) < index:
-        raise NoRootInBracket(
-            f"only {len(found)} pair collisions below depth {u_max:.6g}"
-        )
-    u_star = found[index - 1]
-    kc = -1j / a
-    spec = PotentialSpec(m=m, a=a, U=u_star)
-    coupling = ComplexCoupling(0.0 if attractive else math.pi)
-    region = CountRegion(
-        lo=kc - (1e-3 + 1e-3j), hi=kc + (1e-3 + 1e-3j),
-        coupling=coupling, channel=channel,
-    )
-    pair, _ = count_zeros_padded(region, spec)
-    return CriticalDepth(
-        U=u_star,
-        k=kc,
-        channel=channel,
-        attractive=attractive,
-        index=index,
-        transition=_transition_direction(u_star, gamma, m, a, channel),
-        pair_count=pair,
-    )
+    u_star = _collision_depth(channel, attractive, m, a, index)
+    return _verified_critical(channel, attractive, index, u_star, m, a)
 
 
 def bound_threshold(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) -> float:
@@ -578,17 +549,12 @@ class SweepResult:
     transitions: list[SweepTransition]
 
 
-def _nearby_critical(channel, U, m, a):
+def _first_collision(channel, m, a, u_lo, u_hi):
+    """(attractive, index, U*) of the lowest attractive collision in
+    [u_lo, u_hi], else of the repulsive one, else None."""
     for attractive in (True, False):
-        gamma = 1.0 + 0.0j if attractive else -1.0 + 0.0j
-        lo = max(U - 1e-4, 1e-9)
-        for blo, bhi in _collision_brackets(gamma, m, a, channel, lo, U + 1e-4, samples=64):
-            try:
-                u_root = _bisect_collision(gamma, m, a, channel, blo, bhi)
-            except NoRootInBracket:
-                continue
-            if abs(u_root - U) < 1e-6 and _is_double_zero_depth(u_root, gamma, m, a, channel):
-                return u_root
+        for index, u_star in _collisions_between(channel, attractive, m, a, u_lo, u_hi):
+            return attractive, index, u_star
     return None
 
 
@@ -609,8 +575,9 @@ def depth_sweep(
     """
     entries = []
     for U_req in depths:
-        u_star = _nearby_critical(channel, U_req, m, a)
-        if u_star is not None:
+        near = _first_collision(channel, m, a, U_req - 1e-6, U_req + 1e-6)
+        if near is not None:
+            u_star = near[2]
             U_used = u_star + 1e-6 if U_req >= u_star else u_star - 1e-6
             nudged = True
         else:
@@ -630,7 +597,8 @@ def depth_sweep(
     for lo_e, hi_e in zip(entries, entries[1:]):
         if lo_e.topology == hi_e.topology:
             continue
-        crit = _bracketed_critical(channel, lo_e.U_used, hi_e.U_used, m, a)
+        hit = _first_collision(channel, m, a, lo_e.U_used, hi_e.U_used)
+        crit = None if hit is None else _verified_critical(channel, *hit, m, a)
         if crit is not None:
             desc = (
                 f"pair collision at U={crit.U:.9g} "
@@ -645,32 +613,3 @@ def depth_sweep(
         ))
     return SweepResult(channel=channel, entries=entries, transitions=transitions)
 
-
-def _bracketed_critical(channel, u_lo, u_hi, m, a):
-    for attractive in (True, False):
-        gamma = 1.0 + 0.0j if attractive else -1.0 + 0.0j
-        for blo, bhi in _collision_brackets(gamma, m, a, channel, u_lo, u_hi, samples=256):
-            try:
-                u_root = _bisect_collision(gamma, m, a, channel, blo, bhi)
-            except NoRootInBracket:
-                continue
-            if not _is_double_zero_depth(u_root, gamma, m, a, channel):
-                continue
-            kc = -1j / a
-            spec = PotentialSpec(m=m, a=a, U=u_root)
-            coupling = ComplexCoupling(0.0 if attractive else math.pi)
-            region = CountRegion(
-                lo=kc - (1e-3 + 1e-3j), hi=kc + (1e-3 + 1e-3j),
-                coupling=coupling, channel=channel,
-            )
-            try:
-                pair, _ = count_zeros_padded(region, spec)
-            except EdgeTooClose:
-                pair = -1
-            return CriticalDepth(
-                U=u_root, k=kc, channel=channel, attractive=attractive,
-                index=0,
-                transition=_transition_direction(u_root, gamma, m, a, channel),
-                pair_count=pair,
-            )
-    return None

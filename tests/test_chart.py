@@ -1,10 +1,13 @@
 """Chart assembly, depth transitions, completeness certificates."""
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wellpoles.chart import (
@@ -18,7 +21,7 @@ from wellpoles.chart import (
     working_window,
 )
 from wellpoles.errors import NoRootInBracket
-from wellpoles.rootfinder import PoleKind
+from wellpoles.rootfinder import PoleKind, scan_axis
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.trajectory import ClosureKind, mirror_defect
 from wellpoles import _kernels as _k
@@ -31,9 +34,9 @@ def _u_star_plus_rep():
     return (y * y - 1.0) / (2 * M * A * A)
 
 
-def _u_star_plus_att():
+def _u_star_plus_att(index=1):
     x = brentq(lambda t: t * math.tan(t) + 1.0,
-               math.pi / 2 + 1e-9, math.pi - 1e-9, xtol=1e-15)
+               (index - 0.5) * math.pi + 1e-9, index * math.pi - 1e-9, xtol=1e-15)
     return (x * x + 1.0) / (2 * M * A * A)
 
 
@@ -199,6 +202,8 @@ class TestCriticalDepths:
         assert abs(cd.U - U_STAR_PLUS_REP) < 1e-8
         assert cd.pair_count == 2
         assert cd.k == -1j / A
+        with pytest.raises(NoRootInBracket):
+            critical_depth(Channel.PLUS, attractive=False, m=M, a=A, index=2)
 
     def test_even_attractive(self):
         cd = critical_depth(Channel.PLUS, attractive=True, m=M, a=A)
@@ -216,11 +221,8 @@ class TestCriticalDepths:
         assert 4.7 < critical_depth(Channel.MINUS, True, M, A).U < 4.8
 
     def test_second_even_attractive_depth(self):
-        x2 = brentq(lambda t: t * math.tan(t) + 1.0,
-                    1.5 * math.pi + 1e-9, 2 * math.pi - 1e-9, xtol=1e-15)
-        oracle = (x2 * x2 + 1.0) / (2 * M * A * A)
         cd = critical_depth(Channel.PLUS, attractive=True, m=M, a=A, index=2)
-        assert abs(cd.U - oracle) < 1e-8
+        assert abs(cd.U - _u_star_plus_att(2)) < 1e-8
         assert cd.pair_count == 2
 
     def test_odd_repulsive_has_none(self):
@@ -245,6 +247,68 @@ class TestCriticalDepths:
         assert cd.transition == "plane_to_axis"
         cd_rep = critical_depth(Channel.PLUS, attractive=False, m=M, a=A)
         assert cd_rep.transition == "axis_to_plane"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        case=st.sampled_from([
+            (Channel.PLUS, True, (1, 2, 3)),
+            (Channel.MINUS, True, (1, 2, 3)),
+            (Channel.PLUS, False, (1,)),
+        ]),
+    )
+    def test_depths_solve_the_collision_conditions(self, m, a, case):
+        # a pair collision is D = D_k = 0 at k = -i/a; since dD/dU = D_alpha/(iU),
+        # |D|/|D_alpha| is the relative depth error to first order
+        channel, attractive, indices = case
+        gamma = 1.0 + 0.0j if attractive else -1.0 + 0.0j
+        depths = []
+        for index in indices:
+            cd = critical_depth(channel, attractive, m, a, index)
+            d, dk, da, _ = _k.denom_scaled(-1j / a, gamma, m, a, cd.U, channel.code)
+            assert abs(d) < 1e-10 * abs(da)
+            assert abs(dk) < 1e-10 * a * abs(da)
+            assert cd.pair_count == 2
+            depths.append(cd.U)
+        assert all(lo < hi for lo, hi in zip(depths, depths[1:]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        case=st.sampled_from(
+            [(ch, True, i) for ch in (Channel.PLUS, Channel.MINUS) for i in (1, 2, 3)]
+            + [(Channel.PLUS, False, 1)]
+        ),
+    )
+    def test_label_names_the_axis_side(self, m, a, case):
+        # the split pair lies within 0.35/a of -i/a at U*(1 +- 1e-3) for
+        # indices up to 3; every other axis pole is beyond 3.7/a
+        channel, attractive, index = case
+        cd = critical_depth(channel, attractive, m, a, index)
+        coupling = ComplexCoupling(0.0 if attractive else math.pi)
+        below, above = (
+            sum(abs(p.k - cd.k) < 1.0 / a
+                for p in scan_axis(PotentialSpec(m=m, a=a, U=cd.U * f), coupling, channel))
+            for f in (1.0 - 1e-3, 1.0 + 1e-3)
+        )
+        assert (below, above) == ((0, 2) if cd.transition == "plane_to_axis" else (2, 0))
+
+    def test_no_scalar_kernel_calls(self, monkeypatch):
+        # the depth is closed-form; only the contour count touches the kernel
+        calls = Counter()
+        for name in ("denom_plain", "denom_scaled", "grid_denom_dk"):
+            def counted(*args, _name=name, _kernel=getattr(_k, name)):
+                calls[_name] += 1
+                return _kernel(*args)
+            monkeypatch.setattr(_k, name, counted)
+        cases = [(Channel.PLUS, True), (Channel.MINUS, True), (Channel.PLUS, False)]
+        for channel, attractive in cases:
+            critical_depth(channel, attractive, m=M, a=A)
+        assert calls["denom_plain"] == 0
+        assert calls["denom_scaled"] == 0
+        assert calls["grid_denom_dk"] == 4 * len(cases)
 
 
 class TestThresholds:
@@ -290,6 +354,15 @@ class TestDepthSweep:
         assert abs(tr.critical.U - U_STAR_PLUS_ATT) < 1e-8
         assert tr.critical.attractive
         assert tr.critical.pair_count == 2
+        assert tr.critical.index == 1
+
+    def test_second_collision_carries_its_index(self):
+        sweep = depth_sweep(Channel.PLUS, [8.5, 8.6], M, A)
+        assert len(sweep.transitions) == 1
+        crit = sweep.transitions[0].critical
+        assert crit is not None and crit.attractive
+        assert crit.index == 2
+        assert abs(crit.U - _u_star_plus_att(2)) < 1e-8
 
     def test_no_transition_without_change(self):
         sweep = depth_sweep(Channel.PLUS, [1.0, 1.95], M, A)
@@ -300,6 +373,15 @@ class TestDepthSweep:
         entry = sweep.entries[0]
         assert entry.nudged
         assert abs(entry.U_used - U_STAR_PLUS_ATT) == pytest.approx(1e-6, rel=1e-2)
+
+    @pytest.mark.parametrize("channel,u_star", [
+        (Channel.MINUS, U_STAR_MINUS_ATT), (Channel.PLUS, U_STAR_PLUS_REP),
+    ])
+    def test_other_collision_depths_nudged(self, channel, u_star):
+        # the odd collision sits just above x = pi, unlike the even ones
+        entry = depth_sweep(channel, [u_star - 5e-7], M, A).entries[0]
+        assert entry.nudged
+        assert entry.U_used == pytest.approx(u_star - 1e-6, abs=1e-12)
 
     def test_ordinary_depth_not_nudged(self):
         sweep = depth_sweep(Channel.PLUS, [1.0], M, A)
@@ -320,11 +402,21 @@ class TestCriticalChart:
     def test_ordinary_chart_has_no_warning(self):
         assert _chart("plus", 1.0).warnings == []
 
+    def test_odd_simple_crossing_does_not_warn(self):
+        # a lone odd pole passes k = -i/a at U = 1/(2 m a^2); D vanishes
+        # there, but the nearest pair collision lies 4.5 deeper
+        spec = PotentialSpec(m=M, a=A, U=1.0 / (2 * M * A * A))
+        chart = build_chart(spec, Channel.MINUS, certify=False)
+        assert not any(w.code == "critical_proximity" for w in chart.warnings)
+
     def test_rounded_collision_depth_warns(self):
         # 0.0976 is the four-digit rounding of the repulsive collision depth
         chart = build_chart(PotentialSpec(m=M, a=A, U=0.0976), Channel.PLUS,
                             certify=False)
         assert any(w.code == "critical_proximity" for w in chart.warnings)
+        # the warning states the exact distance |U - U*|
+        dist = f"{abs(0.0976 - U_STAR_PLUS_REP):.3e}"
+        assert any(dist in w.message for w in chart.warnings)
 
     def test_near_contact_recorded_above_collision(self):
         spec = PotentialSpec(m=M, a=A, U=U_STAR_PLUS_ATT + 1e-4)
