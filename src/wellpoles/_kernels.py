@@ -1,11 +1,13 @@
 """Numeric kernels for the channel pole functions.
 
-Every hot loop in the engine (axis scans, Newton polishing, continuation
-correctors, winding contours) bottoms out in the kernels here. Each formula
-exists twice: a scalar kernel (``trig_scaled``, ``denom_scaled``,
-``newton_pole``) for pointwise work, and a numpy array kernel
-(``denom_scaled_numpy``) behind the grid drivers ``axis_phi`` and
-``grid_denom_dk``.
+Every hot loop in the engine (Newton polishing, continuation correctors,
+winding contours) bottoms out in the kernels here. Each formula exists
+twice: a scalar kernel (``trig_scaled``, ``denom_scaled``, ``newton_pole``)
+for pointwise work, and a numpy array kernel (``denom_scaled_numpy``)
+behind the grid drivers ``grid_denom_dk``, which the winding contours use,
+and ``axis_phi``. The axis poles are enumerated in closed form
+(``rootfinder.scan_axis``), so ``axis_phi`` is only the sampled reference
+along the imaginary axis that tests count sign changes of.
 
 The scalar kernel runs on ``math``/``cmath`` and Python ``float``/``complex``
 values, never on numpy scalars, which cost several times as much per call.

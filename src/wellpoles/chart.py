@@ -19,12 +19,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EdgeTooClose, NoRootInBracket
+from .errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
 from .rootfinder import (
     CountRegion,
     Pole,
     PoleKind,
-    _brentq,
+    collision_x,
     count_zeros_padded,
     scan_axis,
 )
@@ -281,7 +281,15 @@ def build_chart(
                         spec, caps, control, event=event,
                     ))
             continue
-        raw.append(_trace_both_ways(seed, spec, caps, control))
+        try:
+            raw.append(_trace_both_ways(seed, spec, caps, control))
+        except StallAtDoubleZero as exc:
+            # far virtual poles of shallow narrow wells sit where roundoff in
+            # the pole function exceeds the corrector's step test
+            warnings.append(ChartWarning(
+                code="trace_stalled",
+                message=f"curve from axis pole k={seed.k!r} not traced: {exc}",
+            ))
 
     trajectories = _dedup(raw)
     for traj in trajectories:
@@ -365,21 +373,9 @@ class CriticalDepth:
 def _collision_depth(
     channel: Channel, attractive: bool, m: float, a: float, index: int
 ) -> float:
-    """U* of the index-th pair collision: critical_depth's equation solved on
-    its index-th interval, x tan x = -1 taken as cos x + x sin x = 0."""
-    s = 2.0 * m * a * a
-    if attractive:
-        if channel is Channel.PLUS:
-            x = _brentq(lambda t: math.cos(t) + t * math.sin(t),
-                        (index - 0.5) * math.pi, index * math.pi)
-        else:
-            x = _brentq(lambda t: math.sin(t) - t * math.cos(t),
-                        index * math.pi, (index + 0.5) * math.pi)
-        return (x * x + 1.0) / s
-    if channel is Channel.PLUS and index == 1:
-        y = _brentq(lambda t: math.cosh(t) - t * math.sinh(t), 1.0, 2.0)
-        return (y * y - 1.0) / s
-    raise NoRootInBracket(f"no pair collision of index {index} at gamma = -1")
+    """U* of the index-th pair collision (see critical_depth)."""
+    x = collision_x(channel, attractive, index)
+    return (x * x + (1.0 if attractive else -1.0)) / (2.0 * m * a * a)
 
 
 def _collisions_between(
@@ -442,18 +438,16 @@ def critical_depth(
     where g(K) = K / cos(aK) and k = i K tan(aK) in the even channel, and
     g(K) = K / sin(aK) and k = -i K cot(aK) in the odd one. Pairs collide
     where g'(K) = 0, which is the point k = -i/a (Nussenzveig, Nucl. Phys. 11
-    (1959) 499). With x = aK and s = 2 m a^2 the index-th collision is
+    (1959) 499). With x = a|K_c| from ``collision_x`` and s = 2 m a^2, the
+    index-th collision lies at U* = (x^2 + 1)/s for the attractive coupling
+    and at U* = (x^2 - 1)/s, K_c = i x/a, for the even repulsive one.
 
-        even, attractive:  x tan x = -1 on ((2i-1) pi/2, i pi),  U* = (x^2 + 1)/s
-        odd, attractive:   tan x = x    on (i pi, (2i+1) pi/2),  U* = (x^2 + 1)/s
-        even, repulsive:   y tanh y = 1 on (1, 2), K = i y/a,    U* = (y^2 - 1)/s
-
-    Each interval holds exactly one root, so the index counts collisions by
-    rising depth. The even repulsive collision is the only one (index 1);
-    the odd repulsive coupling has none and raises NoRootInBracket. K = 0
-    also solves the odd equation, but K and -K give the same k, so its depth
-    1/s is a simple axis crossing and not a collision. The result is
-    verified by a contour count of 2 around k = -i/a.
+    The index counts collisions by rising depth. The even repulsive
+    collision is the only one (index 1); the odd repulsive coupling has none
+    and raises NoRootInBracket. K = 0 also solves the odd equation, but K
+    and -K give the same k, so its depth 1/s is a simple axis crossing and
+    not a collision. The result is verified by a contour count of 2 around
+    k = -i/a.
 
     The transition label is the sign of (g^2)'' at the collision. Let t run
     along the line of K through K_c (K = t/a attractive, K = i t/a

@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_axis = sub.add_parser(
         "axis", parents=[common],
-        help="poles on the imaginary momentum axis at a real coupling",
+        help="poles on the imaginary momentum axis at a real coupling, "
+             "enumerated in closed form",
     )
 
     p_chart = sub.add_parser(

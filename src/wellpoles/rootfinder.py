@@ -1,8 +1,14 @@
-"""Locating S-matrix poles: axis scans, Newton polish, winding counts.
+"""Locating S-matrix poles: axis poles, Newton polish, winding counts.
 
 Poles are zeros of the channel pole function (``pole_function``): the even
 denominator, or the reduced odd form for the odd channel. Both are entire in
 k, so the argument principle applies on any rectangle.
+
+On the imaginary axis at a real coupling the poles are known in closed
+form: with x = aK the interior momentum, each solves x/|cos x| = c or
+x/|sin x| = c (y/cosh y or y/sinh y for imaginary K), c = a sqrt(2 m U).
+``scan_axis`` enumerates them cell by cell with exact brackets; nothing
+is sampled.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels as _k
-from .errors import ConvergedElsewhere, EdgeTooClose, NoConvergence
+from .errors import ConvergedElsewhere, EdgeTooClose, NoConvergence, NoRootInBracket
 from .smatrix import Channel, ComplexCoupling, PotentialSpec
 
 TOL_AXIS = 1e-9
@@ -22,10 +28,11 @@ RESIDUAL_TOL = 1e-10
 STEP_TOL = 1e-12
 MAX_NEWTON = 50
 
-# grid |phi| dip below this fraction of the segment scale marks a candidate
-# tangency (double zero); candidates are then refined and value-tested
-_DIP_FRACTION = 1e-4
 _DOUBLE_RADIUS = 1e-3
+# two zeros this close to a candidate are one coalesced pair to
+# multiplicity_at, and an axis cell whose pair is this close to its
+# collision point gives one candidate there
+_PAIR_BALL = 1e-6
 
 
 class PoleKind(enum.Enum):
@@ -112,20 +119,6 @@ def newton_refine(
     )
 
 
-def default_kappa_range(spec: PotentialSpec) -> tuple[float, float]:
-    """Axis scan range wide enough for every on-axis pole of the well."""
-    r = 3.0 * math.sqrt(2.0 * spec.m * spec.U) + 5.0 / spec.a
-    return (-r, r)
-
-
-def _axis_phi_deriv(kappa: float, gamma: complex, spec: PotentialSpec, ch: int) -> float:
-    d, dk, da, E = _k.denom_scaled(1j * kappa, gamma, spec.m, spec.a, spec.U, ch)
-    if ch == _k.CH_PLUS:
-        # phi = Re(-i d(i kappa)) => dphi/dkappa = Re(dk)
-        return dk.real
-    return -dk.imag
-
-
 def _brentq(
     f, xa: float, xb: float, xtol: float = 1e-13, rtol: float = 1e-15, maxiter: int = 100
 ) -> float:
@@ -194,139 +187,142 @@ def _brentq(
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _axis_phi_at(kappa: float, gamma: complex, m: float, a: float, U: float, ch: int) -> float:
-    """Scalar-kernel twin of ``axis_phi`` at one point k = i*kappa.
+def collision_x(channel: Channel, attractive: bool, index: int) -> float:
+    """x_c = a|K_c| of the index-th pair collision on the imaginary k axis.
 
-    Takes the same real part ``axis_phi`` takes; the value agrees with the
-    array kernel to about 1e-13 relative, not bit for bit.
+    A pair collides at k = -i/a where the axis ratio of ``_axis_cells`` is
+    stationary. The index-th stationary point solves
+
+        even, attractive:  x tan x = -1 on ((i - 1/2) pi, i pi), as cos x + x sin x = 0
+        odd, attractive:   tan x = x    on (i pi, (i + 1/2) pi), as sin x - x cos x = 0
+        even, repulsive:   y tanh y = 1 on (1, 2), as cosh y - y sinh y = 0
+
+    Each interval holds exactly one root, so the index counts collisions by
+    rising depth. The even repulsive collision is the only one (index 1);
+    the odd repulsive coupling has none. Both raise NoRootInBracket.
     """
-    d = _k.denom_scaled(complex(0.0, kappa), gamma, m, a, U, ch)[0]
-    if ch == _k.CH_PLUS:
-        return (-1j * d).real
-    return d.real
+    if attractive:
+        if channel is Channel.PLUS:
+            return _brentq(lambda t: math.cos(t) + t * math.sin(t),
+                           (index - 0.5) * math.pi, index * math.pi)
+        return _brentq(lambda t: math.sin(t) - t * math.cos(t),
+                       index * math.pi, (index + 0.5) * math.pi)
+    if channel is Channel.PLUS and index == 1:
+        return _brentq(lambda t: math.cosh(t) - t * math.sinh(t), 1.0, 2.0)
+    raise NoRootInBracket(f"no pair collision of index {index} at gamma = -1")
 
 
-def _bracket_root(f, xa: float, xb: float) -> float:
-    """Brent root of f on a grid sign-change cell [xa, xb].
+# axis ratios x/|cos x|, x/|sin x| (real K) and y/cosh y, y/sinh y (imaginary
+# K), the last two in exp(-y) form so that they never overflow
+def _x_sec(x: float) -> float:
+    return x / abs(math.cos(x))
 
-    The grid's signs come from the array kernel and f from the scalar one,
-    so an end value within roundoff of zero can show the same sign at both
-    ends; the end with the smaller |f| is then the root. An exactly zero end
-    is returned by ``_brentq`` itself. A NaN value still raises ValueError.
+
+def _x_csc(x: float) -> float:
+    return x / abs(math.sin(x)) if x else 1.0
+
+
+def _y_sech(y: float) -> float:
+    e = math.exp(-y)
+    return 2.0 * y * e / (1.0 + e * e)
+
+
+def _y_csch(y: float) -> float:
+    return 2.0 * y * math.exp(-y) / -math.expm1(-2.0 * y) if y else 1.0
+
+
+# a*kappa at a root x of each ratio: k = i K tan(aK) (even), -i K cot(aK) (odd)
+def _x_tan(x: float) -> float:
+    return x * math.tan(x)
+
+
+def _neg_x_cot(x: float) -> float:
+    return -x / math.tan(x) if x else -1.0
+
+
+def _neg_y_tanh(y: float) -> float:
+    return -y * math.tanh(y)
+
+
+def _neg_y_coth(y: float) -> float:
+    return -y / math.tanh(y) if y else -1.0
+
+
+def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
+    """Every cell of x = a|K| that holds axis poles at c = a sqrt(2 m U).
+
+    Entries are (ratio, a_kappa, lo, x_c, hi). The cell's poles solve
+    ratio(x) = c on [lo, hi] and sit at k = i a_kappa(x) / a. x_c is the
+    cell's one stationary point of ratio, where its pair collides; with
+    x_c None, ratio is monotone on the cell and crosses c exactly once.
+
+        even, attractive:  x/|cos x|, cell [0, pi/2], then ((n - 1/2) pi, (n + 1/2) pi)
+        odd, attractive:   y/sinh y for c < 1, else x/|sin x| on [0, pi];
+                           then (n pi, (n + 1) pi)
+        even, repulsive:   y/cosh y, rising to y_c and falling after
+        odd, repulsive:    no cells
+
+    In a cell with a stationary point an attractive ratio stays above
+    sqrt(x_c^2 + 1) > x_c > lo, so the cells stop once lo reaches c.
     """
-    try:
-        return _brentq(f, xa, xb)
-    except ValueError:
-        fa = f(xa)
-        fb = f(xb)
-        if fa != fa or fb != fb or math.copysign(1.0, fa) != math.copysign(1.0, fb):
-            raise
-        return float(xa) if abs(fa) <= abs(fb) else float(xb)
-
-
-def _grid_cells(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Root cells and tangency candidates of one sampled scan segment.
-
-    Returns (cells, exact, dips), all in increasing sample order: ``cells``
-    holds every sample that is an exact zero or starts a sign change, with
-    ``exact`` flagging the exact zeros, and ``dips`` the interior local
-    minima of |phi| (ties count) at most ``_DIP_FRACTION`` of the segment
-    scale and more than two cells from every root cell.
-    """
-    s = np.sign(phi)
-    exact = s == 0.0
-    root_cell = exact.copy()
-    root_cell[:-1] |= s[:-1] * s[1:] < 0.0
-    cells = np.flatnonzero(root_cell)
-    aphi = np.abs(phi)
-    seg_scale = aphi.max()
-    if not seg_scale > 0.0:
-        return cells, exact[cells], cells[:0]
-    near = np.zeros(phi.size + 4, dtype=bool)
-    for off in range(5):
-        near[cells + off] = True
-    mid = aphi[1:-1]
-    dip = (
-        (mid <= aphi[:-2])
-        & (mid <= aphi[2:])
-        & (mid <= _DIP_FRACTION * seg_scale)
-        & ~near[3:-3]
-    )
-    return cells, exact[cells], np.flatnonzero(dip) + 1
-
-
-def _scan_segment(
-    lo: float,
-    hi: float,
-    coupling: ComplexCoupling,
-    spec: PotentialSpec,
-    channel: Channel,
-    samples: int,
-) -> tuple[list[float], list[float]]:
-    """Bracketed sign-change roots and tangency candidates on [lo, hi].
-
-    Returns (roots, candidates); candidates are grid local minima of |phi|
-    that dip far below the segment scale without a sign change nearby.
-    """
-    gamma = coupling.gamma
-    ch = channel.code
-    m, a, U = spec.m, spec.a, spec.U
-    kap = np.linspace(lo, hi, samples)
-    cells, exact, dips = _grid_cells(_k.axis_phi(kap, gamma, m, a, U, ch))
-
-    def f(x: float) -> float:
-        return _axis_phi_at(x, gamma, m, a, U, ch)
-
-    roots = [
-        float(kap[i]) if zero else _bracket_root(f, kap[i], kap[i + 1])
-        for i, zero in zip(cells.tolist(), exact.tolist())
-    ]
-    return roots, kap[dips].tolist()
-
-
-def _refine_tangency(
-    kappa0: float, coupling: ComplexCoupling, spec: PotentialSpec, channel: Channel
-) -> float | None:
-    """Newton on dphi/dkappa toward a stationary point; None if |phi| stays finite there."""
-    gamma = coupling.gamma
-    ch = channel.code
-    kappa = kappa0
-    h = 1e-6
-    for _ in range(60):
-        g = _axis_phi_deriv(kappa, gamma, spec, ch)
-        g2 = (
-            _axis_phi_deriv(kappa + h, gamma, spec, ch)
-            - _axis_phi_deriv(kappa - h, gamma, spec, ch)
-        ) / (2 * h)
-        if g2 == 0.0:
-            return None
-        step = g / g2
-        kappa -= step
-        if abs(step) < 1e-13 * (1.0 + abs(kappa)):
-            break
+    if not attractive:
+        if odd:
+            return []
+        yc = collision_x(Channel.PLUS, False, 1)
+        hi = 2.0 * yc
+        while _y_sech(hi) >= c:
+            hi *= 2.0
+        return [(_y_sech, _neg_y_tanh, 0.0, yc, hi)]
+    if not odd:
+        cells = [(_x_sec, _x_tan, 0.0, None, 0.5 * math.pi)]
+        n = 1
+        while (n - 0.5) * math.pi < c:
+            cells.append((_x_sec, _x_tan, (n - 0.5) * math.pi,
+                          collision_x(Channel.PLUS, True, n), (n + 0.5) * math.pi))
+            n += 1
+        return cells
+    if c < 1.0:
+        hi = 1.0
+        while _y_csch(hi) >= c:
+            hi *= 2.0
+        cells = [(_y_csch, _neg_y_coth, 0.0, None, hi)]
     else:
-        return None
-    d, dk = _k.denom_plain(1j * kappa, gamma, spec.m, spec.a, spec.U, ch)
-    if abs(d) < RESIDUAL_TOL * (1.0 + abs(kappa)):
-        return kappa
-    return None
+        cells = [(_x_csc, _neg_x_cot, 0.0, None, math.pi)]
+    n = 1
+    while n * math.pi < c:
+        cells.append((_x_csc, _neg_x_cot, n * math.pi,
+                      collision_x(Channel.MINUS, True, n), (n + 1) * math.pi))
+        n += 1
+    return cells
 
 
-def scan_axis(
-    spec: PotentialSpec,
-    coupling: ComplexCoupling,
-    channel: Channel,
-    kappa_range: tuple[float, float] | None = None,
-    samples_per_segment: int = 2000,
-) -> list[Pole]:
+def _axis_pole(
+    kappa: float, mult: int, coupling: ComplexCoupling, spec: PotentialSpec, channel: Channel
+) -> Pole:
+    k = 1j * kappa
+    return Pole(
+        k=k,
+        channel=channel,
+        coupling=coupling,
+        kind=classify(k, mult),
+        multiplicity=mult,
+        residual=_residual(k, coupling, spec, channel),
+    )
+
+
+def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) -> list[Pole]:
     """All poles on the imaginary k axis (k = i*kappa) for a real coupling.
 
-    The range splits at the interior-momentum regime boundaries
-    kappa = +-sqrt(2 m gamma U) (attractive coupling only), each segment
-    sampled densely, sign changes bracketed and Newton-polished. Grid
-    tangencies (|phi| dipping to zero without a sign change) are refined to
-    stationary points and reported as multiplicity-2 poles when the value
-    vanishes there: that is a coalesced pole pair sitting on the axis.
+    The poles are enumerated in closed form over the cells of the interior
+    momentum (``_axis_cells``; Nussenzveig, Nucl. Phys. 11 (1959) 499). A
+    cell with a collision point x_c holds 0, 1 or 2 roots, split at x_c, so
+    every root has an exact Brent bracket. Each root is mapped to kappa and
+    Newton-polished in k.
+
+    When the cell's pair lies within ``_PAIR_BALL`` of its collision point
+    k = -i/a (a quadratic model of the ratio at x_c says so), the cell gives
+    one candidate there instead, and ``multiplicity_at`` decides whether it
+    is a coalesced pair, reported as one multiplicity-2 pole.
 
     U = 0 is the free particle: its S-matrix is 1 and has no poles, so the
     scan returns an empty list (the even pole function degenerates to
@@ -336,72 +332,46 @@ def scan_axis(
         raise ValueError("axis scan requires a real coupling (alpha a multiple of pi)")
     if spec.U == 0.0:
         return []
-    lo, hi = kappa_range if kappa_range is not None else default_kappa_range(spec)
-    if not lo < hi:
-        raise ValueError(f"empty scan range ({lo}, {hi})")
-
-    cuts = [lo, hi]
-    if coupling.gamma.real > 0:
-        kb = math.sqrt(2.0 * spec.m * coupling.gamma.real * spec.U)
-        for c in (-kb, kb):
-            if lo < c < hi:
-                cuts.append(c)
-    cuts = sorted(set(cuts))
-
-    roots: list[float] = []
-    cands: list[float] = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        r, c = _scan_segment(a, b, coupling, spec, channel, samples_per_segment)
-        roots.extend(r)
-        cands.extend(c)
-
+    a = spec.a
+    c = a * math.sqrt(2.0 * spec.m * spec.U)
     poles: list[Pole] = []
-    seen: list[float] = []
+    for ratio, a_kappa, lo, xc, hi in _axis_cells(
+        c, coupling.gamma.real > 0, channel is Channel.MINUS
+    ):
+        def f(x: float, ratio=ratio) -> float:
+            return ratio(x) - c
 
-    def _push(kappa: float, mult: int):
-        for s in seen:
-            if abs(s - kappa) < 1e-7:
-                return
-        seen.append(kappa)
-        k = 1j * kappa
-        res = _residual(k, coupling, spec, channel)
-        poles.append(
-            Pole(
-                k=k,
-                channel=channel,
-                coupling=coupling,
-                kind=classify(k, mult),
-                multiplicity=mult,
-                residual=res,
-            )
-        )
-
-    # merge bracketed roots that collapsed to one point: coalesced pair
-    refined: list[float] = []
-    for r in roots:
-        p = newton_refine(1j * r, coupling, spec, channel, trust_radius=0.5)
-        refined.append(p.k.imag)
-    refined.sort()
-    i = 0
-    while i < len(refined):
-        j = i
-        while j + 1 < len(refined) and refined[j + 1] - refined[i] < 1e-7:
-            j += 1
-        kappa = refined[(i + j) // 2]
-        if j > i:
-            _push(kappa, multiplicity_at(1j * kappa, coupling, spec, channel))
+        if xc is None:
+            roots = [_brentq(f, lo, hi)]
         else:
-            _push(kappa, 1)
-        i = j + 1
-
-    for c in cands:
-        kappa = _refine_tangency(c, coupling, spec, channel)
-        if kappa is None:
-            continue
-        mult = multiplicity_at(1j * kappa, coupling, spec, channel)
-        if mult == 2:
-            _push(kappa, 2)
-
+            fc = f(xc)
+            # the ratio's second derivative at x_c is ratio(x_c) and
+            # |d kappa/dx| there is x_c/a, so the pair sits x_c/a *
+            # sqrt(2|fc|/ratio(x_c)) from k = -i/a
+            if xc / a * math.sqrt(2.0 * abs(fc) / ratio(xc)) < _PAIR_BALL:
+                kc = -1.0 / a
+                if multiplicity_at(1j * kc, coupling, spec, channel) == 2:
+                    poles.append(_axis_pole(kc, 2, coupling, spec, channel))
+                    continue
+            if fc == 0.0:
+                roots = [xc]
+            elif (fc > 0.0) != (f(lo) > 0.0):
+                roots = [_brentq(f, lo, xc), _brentq(f, xc, hi)]
+            else:
+                roots = []
+        for x in roots:
+            kappa = a_kappa(x) / a
+            try:
+                kappa = newton_refine(
+                    1j * kappa, coupling, spec, channel, trust_radius=0.5
+                ).k.imag
+            except NoConvergence:
+                # where d's slope is tiny against its terms (a pair next to
+                # its collision, a far virtual pole of a shallow narrow well)
+                # roundoff exceeds Newton's step test; the bracketed root
+                # is the better value
+                pass
+            poles.append(_axis_pole(kappa, 1, coupling, spec, channel))
     poles.sort(key=lambda p: p.k.imag)
     return poles
 
@@ -535,6 +505,6 @@ def multiplicity_at(
         kk, iters, ok = _k.newton_pole(
             k + dk, coupling.gamma, spec.m, spec.a, spec.U, channel.code, STEP_TOL, 80
         )
-        if ok and abs(kk - k) > 1e-6:
+        if ok and abs(kk - k) > _PAIR_BALL:
             return 1
     return 2

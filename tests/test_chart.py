@@ -389,6 +389,54 @@ class TestDepthSweep:
         assert sweep.entries[0].U_used == 1.0
 
 
+class TestShallowNarrowWell:
+    """c = a sqrt(2 m U) = 0.03: each channel has a far virtual pole at
+    a*kappa ~ -5.99, seeded now that the axis scan has no range cap. Its
+    curve stalls in the corrector, which the chart reports and survives."""
+
+    @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
+    def test_stalled_far_seed_is_reported(self, channel):
+        spec = PotentialSpec(m=1.0, a=1.0, U=0.03 ** 2 / 2.0)
+        chart = build_chart(spec, channel)
+        far = [p for p in chart.seeds if p.k.imag < -5.0]
+        assert len(far) == 1 and abs(far[0].k.imag + 5.99) < 0.01
+        assert [w.code for w in chart.warnings] == ["trace_stalled"]
+
+
+class TestNudgedSplitPair:
+    """Just past an odd collision the pair has split on the axis by ~3e-3.
+
+    A sampled axis scan missed that pair, so the nudged chart lost a curve
+    and the sweep reported a topology change with no collision to attribute.
+    """
+
+    M_WELL, A_WELL = 1.2562686549277622, 1.1088252832121954
+    DEPTHS = [5.7383581431507915, 6.85973169365069, 7.981105223856386]
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return depth_sweep(Channel.MINUS, self.DEPTHS, self.M_WELL, self.A_WELL)
+
+    def test_every_transition_is_attributed(self, sweep):
+        assert sweep.entries[1].nudged
+        assert sweep.transitions
+        for tr in sweep.transitions:
+            assert tr.critical is not None
+            assert tr.critical.attractive and tr.critical.index == 1
+
+    def test_nudged_chart_seeds_the_split_pair(self, sweep):
+        u_used = sweep.entries[1].U_used
+        spec = PotentialSpec(m=self.M_WELL, a=self.A_WELL, U=u_used)
+        chart = build_chart(spec, Channel.MINUS, certify=False)
+        kc = -1.0 / self.A_WELL
+        pair = sorted(
+            p.k.imag for p in chart.seeds
+            if p.kind is PoleKind.VIRTUAL and abs(p.k.imag - kc) < 0.01
+        )
+        assert len(pair) == 2
+        assert pair[0] < kc < pair[1]
+
+
 class TestCriticalChart:
     def test_survives_with_warning(self):
         spec = PotentialSpec(m=M, a=A, U=U_STAR_PLUS_ATT)

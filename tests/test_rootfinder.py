@@ -13,20 +13,18 @@ from scipy.optimize import brentq
 import wellpoles as wp
 from wellpoles import _kernels as _k
 from wellpoles import Channel, ComplexCoupling, PotentialSpec
-from wellpoles import rootfinder
+from wellpoles.chart import _collisions_between, bound_count, bound_threshold, threshold_flip
 from wellpoles.rootfinder import (
-    _DIP_FRACTION,
-    _axis_phi_at,
-    _bracket_root,
+    RESIDUAL_TOL,
+    _axis_cells,
     _brentq,
-    _grid_cells,
     CountRegion,
     Pole,
     PoleKind,
     classify,
+    collision_x,
     count_zeros,
     count_zeros_padded,
-    default_kappa_range,
     multiplicity_at,
     newton_refine,
     scan_axis,
@@ -117,13 +115,6 @@ class TestScanInventories:
     def test_requires_real_coupling(self):
         with pytest.raises(ValueError):
             scan_axis(spec(1.0), ComplexCoupling(0.3), Channel.PLUS)
-
-    def test_density_invariance(self):
-        a = scan_axis(spec(3.0), ATT, Channel.PLUS, samples_per_segment=2000)
-        b = scan_axis(spec(3.0), ATT, Channel.PLUS, samples_per_segment=4000)
-        assert len(a) == len(b)
-        for pa, pb in zip(a, b):
-            assert abs(pa.k - pb.k) < 1e-10
 
     def test_residual_invariant(self):
         for U, c, ch in ((3.0, ATT, Channel.PLUS), (5.0, ATT, Channel.MINUS), (0.09, REP, Channel.PLUS)):
@@ -240,8 +231,9 @@ class TestBrentPort:
 
     The bracket root seeds Newton polishing and documents print 17
     significant digits, so one ulp of difference would change output bytes.
-    Both solvers run on ``_axis_phi_at``, the scalar-kernel function
-    ``_scan_segment`` hands to Brent, over the brackets its grid finds.
+    Both solvers run on the brackets ``scan_axis`` solves: every K cell of
+    ``_axis_cells``, split at its collision point, and the collision
+    equations of ``collision_x``.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -253,33 +245,36 @@ class TestBrentPort:
         coupling=st.sampled_from([ATT, REP]),
     )
     def test_axis_brackets_match_scipy_exactly(self, m, a, U, channel, coupling):
-        sp = PotentialSpec(m, a, U)
-        gamma = coupling.gamma
-        ch = channel.code
+        c = a * math.sqrt(2.0 * m * U)
+        brackets = 0
+        for ratio, _, lo, xc, hi in _axis_cells(c, coupling is ATT, channel is Channel.MINUS):
+            def f(x, ratio=ratio):
+                return ratio(x) - c
 
-        def phi_at(x):
-            return _axis_phi_at(x, gamma, m, a, U, ch)
+            spans = [(lo, hi)] if xc is None else [(lo, xc), (xc, hi)]
+            for x0, x1 in spans:
+                if xc is not None and (f(x0) > 0.0) == (f(x1) > 0.0):
+                    continue
+                ref = brentq(f, x0, x1, xtol=1e-13, rtol=1e-15)
+                assert _brentq(f, x0, x1) == ref
+                brackets += 1
+        poles = scan_axis(PotentialSpec(m, a, U), coupling, channel)
+        assert brackets == sum(p.multiplicity for p in poles)
 
-        def outcome(solver, lo, hi, **kw):
-            # a same-sign end pair must fail in both solvers alike
-            try:
-                return solver(phi_at, lo, hi, **kw)
-            except ValueError:
-                return ValueError
-
-        # the segments and the 2000-sample grid of scan_axis
-        lo, hi = default_kappa_range(sp)
-        cuts = [lo, hi]
-        if gamma.real > 0:
-            kb = math.sqrt(2.0 * m * U)
-            cuts += [c for c in (-kb, kb) if lo < c < hi]
-        cuts = sorted(set(cuts))
-        for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
-            kap = np.linspace(seg_lo, seg_hi, 2000)
-            s = np.sign(_k.axis_phi(kap, gamma, m, a, U, ch))
-            for i in np.flatnonzero(s[:-1] * s[1:] < 0.0):
-                ref = outcome(brentq, kap[i], kap[i + 1], xtol=1e-13, rtol=1e-15)
-                assert outcome(_brentq, kap[i], kap[i + 1]) == ref
+    @pytest.mark.parametrize("index", [1, 2, 7, 40])
+    def test_collision_brackets_match_scipy_exactly(self, index):
+        refs = [
+            brentq(lambda t: math.cos(t) + t * math.sin(t), (index - 0.5) * math.pi,
+                   index * math.pi, xtol=1e-13, rtol=1e-15),
+            brentq(lambda t: math.sin(t) - t * math.cos(t), index * math.pi,
+                   (index + 0.5) * math.pi, xtol=1e-13, rtol=1e-15),
+        ]
+        assert collision_x(Channel.PLUS, True, index) == refs[0]
+        assert collision_x(Channel.MINUS, True, index) == refs[1]
+        if index == 1:
+            ref = brentq(lambda t: math.cosh(t) - t * math.sinh(t), 1.0, 2.0,
+                         xtol=1e-13, rtol=1e-15)
+            assert collision_x(Channel.PLUS, False, 1) == ref
 
     def test_same_sign_bracket_raises_like_scipy(self):
         with pytest.raises(ValueError):
@@ -303,129 +298,116 @@ class TestBrentPort:
             assert _brentq(f, lo, hi) == brentq(f, lo, hi, xtol=1e-13, rtol=1e-15)
 
 
+
+
 class TestScalarAxisFunction:
+    """``axis_phi``, the sampled axis reference, against the scalar kernel."""
+
     @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
     @pytest.mark.parametrize("coupling", [ATT, REP])
     def test_matches_array_axis_phi(self, channel, coupling):
         kap = np.linspace(-9.0, 9.0, 301)
         grid = _k.axis_phi(kap, coupling.gamma, M, A, 2.0, channel.code)
-        point = [_axis_phi_at(x, coupling.gamma, M, A, 2.0, channel.code) for x in kap.tolist()]
-        assert all(type(v) is float for v in point)
+        point = []
+        for x in kap.tolist():
+            d = _k.denom_scaled(complex(0.0, x), coupling.gamma, M, A, 2.0, channel.code)[0]
+            point.append((-1j * d).real if channel is Channel.PLUS else d.real)
         np.testing.assert_allclose(point, grid, rtol=1e-13, atol=1e-13 * np.abs(grid).max())
 
 
-class TestBracketGuard:
-    """Grid signs come from the array kernel, Brent's from the scalar one."""
-
-    def test_same_sign_ends_take_the_smaller_end(self):
-        assert _bracket_root(lambda x: 1.0 + x, 0.0, 1.0) == 0.0
-        assert _bracket_root(lambda x: 2.0 - x, 0.0, 1.0) == 1.0
-        assert _bracket_root(lambda x: -1e-300 - x, 0.0, 1.0) == 0.0
-        assert type(_bracket_root(lambda x: 1.0 + x, np.float64(0.0), np.float64(1.0))) is float
-
-    def test_zero_end_is_the_root(self):
-        assert _bracket_root(lambda x: x, 0.0, 1.0) == 0.0
-        assert _bracket_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-
-    def test_sign_change_is_plain_brent(self):
-        assert _bracket_root(math.cos, 1.0, 2.0) == _brentq(math.cos, 1.0, 2.0)
-
-    def test_nan_still_raises(self):
-        with pytest.raises(ValueError):
-            _bracket_root(lambda x: math.nan, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            _bracket_root(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
-
-    def test_scan_survives_disagreeing_end_signs(self, monkeypatch):
-        # a scalar function positive everywhere: every grid sign change
-        # then shows the same sign at both ends of its cell
-        exact = rootfinder._axis_phi_at
-
-        def positive(x, *args):
-            return abs(exact(x, *args)) + 1e-300
-
-        monkeypatch.setattr(rootfinder, "_axis_phi_at", positive)
-        kap = np.linspace(-9.0, 9.0, 2000)
-        roots, _ = rootfinder._scan_segment(-9.0, 9.0, ATT, spec(2.0), Channel.PLUS, 2000)
-        assert len(roots) == 3
-        for r in roots:
-            i = int(np.argmin(np.abs(kap - r)))
-            assert r == kap[i]
-
-
-def _reference_cells(phi):
-    """The per-element grid bookkeeping that _grid_cells replaced."""
-    samples = phi.size
-    s = np.sign(phi)
-    cells, exact = [], []
-    for i in range(samples - 1):
-        if s[i] == 0.0:
-            cells.append(i)
-            exact.append(True)
-        elif s[i] * s[i + 1] < 0.0:
-            cells.append(i)
-            exact.append(False)
-    if s[-1] == 0.0:
-        cells.append(samples - 1)
-        exact.append(True)
-    seg_scale = float(np.abs(phi).max())
-    dips = []
-    if seg_scale > 0.0:
-        aphi = np.abs(phi)
-        for i in range(1, samples - 1):
-            if not (aphi[i] <= aphi[i - 1] and aphi[i] <= aphi[i + 1]):
-                continue
-            if aphi[i] > _DIP_FRACTION * seg_scale:
-                continue
-            if any(abs(i - j) <= 2 for j in cells):
-                continue
-            dips.append(i)
-    return cells, exact, dips
-
-
-# few distinct values, so exact zeros, equal neighbours (the <= ties) and
-# dips next to sign changes are common
-_grid_values = st.one_of(
-    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 2e-9, 1.0, -1.0, 3.0]),
-    st.floats(-10.0, 10.0, allow_nan=False),
-)
-
-
-class TestGridCells:
-    @settings(max_examples=400, deadline=None)
-    @given(st.lists(_grid_values, min_size=2, max_size=40))
-    def test_matches_per_element_loop(self, values):
-        phi = np.array(values)
-        cells, exact, dips = _grid_cells(phi)
-        ref_cells, ref_exact, ref_dips = _reference_cells(phi)
-        assert cells.tolist() == ref_cells
-        assert exact.tolist() == ref_exact
-        assert dips.tolist() == ref_dips
-
-    def test_fixed_cases(self):
-        # zero cells first, last and inside; a dip two cells from a root
-        # cell is dropped, one three cells away is kept
-        phi = np.array([0.0, 1.0, -1.0, 1.0, 1.0, 1e-9, 1.0, 1.0, 1e-9, 1.0, 0.0])
-        cells, exact, dips = _grid_cells(phi)
-        assert cells.tolist() == [0, 1, 2, 10]
-        assert exact.tolist() == [True, False, False, True]
-        assert dips.tolist() == [5]
-        assert _grid_cells(np.zeros(5))[2].tolist() == []
-
-
 class TestWorkCount:
-    """scan_axis evaluates the array kernel once per segment, never per point."""
+    """The axis scan and the threshold search never touch the array kernel."""
 
     @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
-    @pytest.mark.parametrize("coupling, segments", [(ATT, 3), (REP, 1)])
-    def test_one_array_kernel_call_per_segment(self, monkeypatch, channel, coupling, segments):
-        sizes = []
+    @pytest.mark.parametrize("coupling", [ATT, REP])
+    def test_no_array_kernel_calls(self, monkeypatch, channel, coupling):
+        calls = []
         array_kernel = _k.denom_scaled_numpy
 
         def counted(ks, *args):
-            sizes.append(np.size(ks))
+            calls.append(np.size(ks))
             return array_kernel(ks, *args)
 
         monkeypatch.setattr(_k, "denom_scaled_numpy", counted)
-        scan_axis(spec(2.0), coupling, channel)
-        assert sizes == [2000] * segments
+        for U in (0.09, 2.0, 50.0):
+            scan_axis(spec(U), coupling, channel)
+        u_n = bound_threshold(channel, 2, M, A)
+        threshold_flip(channel, 0.9 * u_n, 1.1 * u_n, M, A, tol=1e-6)
+        assert calls == []
+
+
+# two axis poles of a pair this close to its collision depth (relative) may
+# sit closer together than the dense grid below resolves, or a split-off
+# plane pair closer to the axis than the count box half-width
+_COLLISION_MARGIN = 1e-3
+_THRESHOLD_MARGIN = 1e-6
+
+
+def _axis_span(m, a, U):
+    """An imaginary-axis interval holding every axis pole, from bounds alone.
+
+    Real interior momentum gives |kappa| <= c/a, c = a sqrt(2 m U);
+    imaginary interior momentum y gives |kappa| <= (y + 1)/a, and its roots
+    of y/cosh y = c and y/sinh y = c obey y <= 2 ln(3/c) when c < 1.
+    """
+    c = a * math.sqrt(2.0 * m * U)
+    y = 2.0 * math.log(3.0 / c) + 2.0 if c < 1.0 else 0.0
+    return -(max(c, y) + 2.0) / a, (c + 2.0) / a
+
+
+class TestClosedFormScan:
+    """The K-cell enumeration against independent pole counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        U=st.floats(1e-3, 300.0),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+        coupling=st.sampled_from([ATT, REP]),
+    )
+    def test_inventory_matches_independent_counts(self, m, a, U, channel, coupling):
+        sp = PotentialSpec(m, a, U)
+        poles = scan_axis(sp, coupling, channel)
+        for p in poles:
+            assert p.residual < RESIDUAL_TOL * (1.0 + abs(p.k))
+            assert p.k.real == 0.0
+        kappas = [p.k.imag for p in poles]
+        assert kappas == sorted(kappas)
+
+        if coupling is ATT and not any(
+            abs(U / bound_threshold(channel, n, m, a) - 1.0) < _THRESHOLD_MARGIN
+            for n in range(1, 2 + int(a * math.sqrt(2.0 * m * U) / math.pi))
+        ):
+            below = sum(
+                1 for n in range(1, 2 + int(a * math.sqrt(2.0 * m * U) / math.pi))
+                if bound_threshold(channel, n, m, a) < U
+            )
+            assert bound_count(sp, channel) == below + (channel is Channel.PLUS)
+
+        near = _collisions_between(
+            channel, coupling is ATT, m, a,
+            U * (1.0 - _COLLISION_MARGIN), U * (1.0 + _COLLISION_MARGIN),
+        )
+        if near:
+            return
+        lo, hi = _axis_span(m, a, U)
+        assert all(lo < k < hi for k in kappas)
+
+        # one thin box per pole, split at midpoints, so no contour edge
+        # passes more than one pole between samples
+        w = 0.01 / a
+        cuts = [lo] + [0.5 * (p + q) for p, q in zip(kappas, kappas[1:])] + [hi]
+        counts = []
+        for y0, y1 in zip(cuts, cuts[1:]):
+            region = CountRegion(
+                lo=complex(-w, y0), hi=complex(w, y1), coupling=coupling, channel=channel
+            )
+            counts.append(count_zeros_padded(region, sp)[0])
+        assert counts == ([p.multiplicity for p in poles] or [0])
+
+        # sign changes of the sampled axis function on a grid 0.005/a apart
+        grid = np.linspace(lo, hi, int((hi - lo) * a / 0.005) + 2)
+        s = np.sign(_k.axis_phi(grid, coupling.gamma, m, a, U, channel.code))
+        changes = int(np.count_nonzero(s[:-1] * s[1:] < 0.0) + np.count_nonzero(s == 0.0))
+        assert changes == len(poles)
