@@ -116,6 +116,25 @@ class TestScanInventories:
         with pytest.raises(ValueError):
             scan_axis(spec(1.0), ComplexCoupling(0.3), Channel.PLUS)
 
+    def test_density_invariance(self):
+        # the sampled sign-change reference at two grid densities finds
+        # the scan's poles, one per cell, and Newton from each cell's
+        # midpoint lands on the scan's value
+        ps = scan_axis(spec(3.0), ATT, Channel.PLUS)
+        lo, hi = _axis_span(M, A, 3.0)
+        for samples in (2000, 4000):
+            kap = np.linspace(lo, hi, samples)
+            cells, exact = _grid_cells(_k.axis_phi(kap, ATT.gamma, M, A, 3.0, Channel.PLUS.code))
+            assert len(cells) == len(ps)
+            for i, zero, p in zip(cells.tolist(), exact.tolist(), ps):
+                if zero:
+                    assert p.k.imag == kap[i]
+                    continue
+                assert kap[i] < p.k.imag < kap[i + 1]
+                mid = 0.5 * (kap[i] + kap[i + 1])
+                q = newton_refine(1j * mid, ATT, spec(3.0), Channel.PLUS)
+                assert abs(q.k - p.k) < 1e-10
+
     def test_residual_invariant(self):
         for U, c, ch in ((3.0, ATT, Channel.PLUS), (5.0, ATT, Channel.MINUS), (0.09, REP, Channel.PLUS)):
             for p in scan_axis(spec(U), c, ch):
@@ -315,6 +334,66 @@ class TestScalarAxisFunction:
         np.testing.assert_allclose(point, grid, rtol=1e-13, atol=1e-13 * np.abs(grid).max())
 
 
+def _grid_cells(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-change cells of a sampled axis function, the scan's reference.
+
+    Returns (cells, exact) in increasing sample order: ``cells`` holds every
+    sample that is an exact zero or starts a sign change, with ``exact``
+    flagging the exact zeros.
+    """
+    s = np.sign(phi)
+    exact = s == 0.0
+    root_cell = exact.copy()
+    root_cell[:-1] |= s[:-1] * s[1:] < 0.0
+    cells = np.flatnonzero(root_cell)
+    return cells, exact[cells]
+
+
+def _reference_cells(phi):
+    """The per-element loop that _grid_cells vectorizes."""
+    s = np.sign(phi)
+    cells, exact = [], []
+    for i in range(phi.size - 1):
+        if s[i] == 0.0:
+            cells.append(i)
+            exact.append(True)
+        elif s[i] * s[i + 1] < 0.0:
+            cells.append(i)
+            exact.append(False)
+    if s[-1] == 0.0:
+        cells.append(phi.size - 1)
+        exact.append(True)
+    return cells, exact
+
+
+# few distinct values, so exact zeros and signed zeros are common
+_grid_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 2e-9, 1.0, -1.0, 3.0]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+class TestGridCells:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_grid_values, min_size=2, max_size=40))
+    def test_matches_per_element_loop(self, values):
+        phi = np.array(values)
+        cells, exact = _grid_cells(phi)
+        ref_cells, ref_exact = _reference_cells(phi)
+        assert cells.tolist() == ref_cells
+        assert exact.tolist() == ref_exact
+
+    def test_fixed_cases(self):
+        # zero cells first, last and inside; -0.0 is a zero; a zero next
+        # to a sign change is one cell of each kind
+        phi = np.array([0.0, 1.0, -1.0, 1.0, 1.0, -0.0, -1.0, 1.0, 0.0])
+        cells, exact = _grid_cells(phi)
+        assert cells.tolist() == [0, 1, 2, 5, 6, 8]
+        assert exact.tolist() == [True, False, False, True, False, True]
+        assert _grid_cells(np.ones(5))[0].tolist() == []
+        assert _grid_cells(np.zeros(3))[0].tolist() == [0, 1, 2]
+
+
 class TestWorkCount:
     """The axis scan and the threshold search never touch the array kernel."""
 
@@ -408,6 +487,5 @@ class TestClosedFormScan:
 
         # sign changes of the sampled axis function on a grid 0.005/a apart
         grid = np.linspace(lo, hi, int((hi - lo) * a / 0.005) + 2)
-        s = np.sign(_k.axis_phi(grid, coupling.gamma, m, a, U, channel.code))
-        changes = int(np.count_nonzero(s[:-1] * s[1:] < 0.0) + np.count_nonzero(s == 0.0))
-        assert changes == len(poles)
+        cells, _ = _grid_cells(_k.axis_phi(grid, coupling.gamma, m, a, U, channel.code))
+        assert len(cells) == len(poles)
