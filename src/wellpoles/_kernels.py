@@ -1,11 +1,12 @@
 """Numeric kernels for the channel pole functions.
 
 Every hot loop in the engine (Newton polishing, continuation correctors,
-winding contours) bottoms out in the kernels here. Each formula exists
-twice: a scalar kernel (``trig_scaled``, ``denom_scaled``, ``newton_pole``)
-for pointwise work, and a numpy array kernel (``denom_scaled_numpy``)
-behind the grid drivers ``grid_denom_dk``, which the winding contours use,
-and ``axis_phi``. The axis poles are enumerated in closed form
+winding contours) bottoms out in the kernels here: a scalar kernel
+(``trig_scaled``, ``denom_scaled``, ``newton_pole``) for pointwise work, and
+a numpy array kernel (``denom_scaled_numpy``) behind the grid drivers
+``grid_denom_dk``, which the winding contours use, and ``axis_phi``. Only
+the trig blocks exist twice; both call one ``_channel_terms`` for the
+channel algebra. The axis poles are enumerated in closed form
 (``rootfinder.scan_axis``), so ``axis_phi`` is only the sampled reference
 along the imaginary axis that tests count sign changes of.
 
@@ -105,6 +106,20 @@ def trig_scaled(z):
     return C, S, Z, G, E
 
 
+def _channel_terms(k, w, a, C, Z, G, ch):
+    """Scaled d, dd/dk and dd/dw (w = K^2) from the trig blocks at z = aK;
+    k and w are complex scalars or arrays."""
+    if ch == CH_PLUS:
+        d = k * C - 1j * a * w * Z
+        dk = C - (a * a) * (k * k) * Z - 1j * a * k * (Z + C)
+        dw = -0.5 * (a * a) * k * Z - 0.5j * a * (Z + C)
+    else:
+        d = C - 1j * a * k * Z
+        dk = -1j * a * Z - (a * a) * k * Z - 1j * (a * a * a) * (k * k) * G
+        dw = -0.5 * (a * a) * (Z + 1j * a * k * G)
+    return d, dk, dw
+
+
 def denom_scaled(k, gamma, m, a, U, ch):
     """Channel pole function and derivatives, scaled by E = exp(-|Im aK|).
 
@@ -115,16 +130,8 @@ def denom_scaled(k, gamma, m, a, U, ch):
     w = k * k + 2.0 * m * gamma * U
     z = a * cmath.sqrt(w)
     C, S, Z, G, E = trig_scaled(z)
-    if ch == CH_PLUS:
-        d = k * C - 1j * a * w * Z
-        dk = C - (a * a) * (k * k) * Z - 1j * a * k * (Z + C)
-        dw = -0.5 * (a * a) * k * Z - 0.5j * a * (Z + C)
-    else:
-        d = C - 1j * a * k * Z
-        dk = -1j * a * Z - (a * a) * k * Z - 1j * (a * a * a) * (k * k) * G
-        dw = -0.5 * (a * a) * (Z + 1j * a * k * G)
-    da = dw * (2j * m * U * gamma)
-    return d, dk, da, E
+    d, dk, dw = _channel_terms(k, w, a, C, Z, G, ch)
+    return d, dk, dw * (2j * m * U * gamma), E
 
 
 def unscale(v, E):
@@ -192,16 +199,8 @@ def denom_scaled_numpy(ks, gamma, m, a, U, ch):
     w = k * k + 2.0 * m * gamma * U
     z = a * np.sqrt(w)
     C, S, Z, G, E = _trig_scaled_numpy(z)
-    if ch == CH_PLUS:
-        d = k * C - 1j * a * w * Z
-        dk = C - (a * a) * (k * k) * Z - 1j * a * k * (Z + C)
-        dw = -0.5 * (a * a) * k * Z - 0.5j * a * (Z + C)
-    else:
-        d = C - 1j * a * k * Z
-        dk = -1j * a * Z - (a * a) * k * Z - 1j * (a * a * a) * (k * k) * G
-        dw = -0.5 * (a * a) * (Z + 1j * a * k * G)
-    da = dw * (2j * m * U * gamma)
-    return d, dk, da, E
+    d, dk, dw = _channel_terms(k, w, a, C, Z, G, ch)
+    return d, dk, dw * (2j * m * U * gamma), E
 
 
 def axis_phi(kappas, gamma, m, a, U, ch):

@@ -36,6 +36,7 @@ from .trajectory import (
     Trajectory,
     branch_at_double_zero,
     combine,
+    mirror,
     trace,
     trace_branch,
 )
@@ -233,11 +234,12 @@ def _near_contacts(trajectories: list[Trajectory]) -> list[NearContact]:
 
 
 def _trace_both_ways(seed, spec, caps, control):
+    # an axis seed is its own mirror image -conj(k), so the backward half of
+    # its open curve is the mirror of the forward march
     fwd = trace(seed, +1, spec, caps, control)
     if fwd.closure.is_closed:
         return fwd
-    bwd = trace(seed, -1, spec, caps, control)
-    return combine(bwd, fwd)
+    return combine(mirror(fwd), fwd)
 
 
 def build_chart(
@@ -269,17 +271,14 @@ def build_chart(
     for seed in seeds:
         if seed.multiplicity == 2:
             alpha_c = seed.coupling.alpha
-            for direction in (+1, -1):
-                event, branches = branch_at_double_zero(
-                    alpha_c, spec, channel, direction
-                )
-                if not any(_same_event(ev, event) for ev in collisions):
-                    collisions.append(event)
-                for lbl, kb in branches:
-                    raw.append(trace_branch(
-                        seed, kb, alpha_c + direction * 1e-3, direction,
-                        spec, caps, control, event=event,
-                    ))
+            event, branches = branch_at_double_zero(alpha_c, spec, channel, +1)
+            if not any(_same_event(ev, event) for ev in collisions):
+                collisions.append(event)
+            forward = [
+                trace_branch(seed, kb, alpha_c + 1e-3, spec, caps, control, event=event)
+                for _, kb in branches
+            ]
+            raw.extend(forward + [mirror(t) for t in forward])
             continue
         try:
             raw.append(_trace_both_ways(seed, spec, caps, control))
@@ -297,26 +296,24 @@ def build_chart(
             if not any(_same_event(ev, e) for e in collisions):
                 collisions.append(ev)
 
-    topology = dict(Counter(t.closure.kind.value for t in trajectories))
-
-    completeness = None
-    if certify:
-        completeness = _certify(spec, channel, trajectories, collisions, warnings)
-
-    return PoleChart(
+    chart = PoleChart(
         spec=spec,
         channel=channel,
         seeds=seeds,
         trajectories=trajectories,
-        topology=topology,
+        topology=dict(Counter(t.closure.kind.value for t in trajectories)),
         collisions=collisions,
         warnings=warnings,
         near_contacts=_near_contacts(trajectories),
-        completeness=completeness,
+        completeness=None,
     )
+    if certify:
+        chart.completeness = _certify(chart)
+    return chart
 
 
-def _certify(spec, channel, trajectories, collisions, warnings):
+def _certify(chart: PoleChart) -> dict:
+    spec = chart.spec
     window = working_window(spec)
     if spec.U == 0.0:
         return {
@@ -326,23 +323,18 @@ def _certify(spec, channel, trajectories, collisions, warnings):
             "complete": True,
             "note": "zero depth has no poles",
         }
-    chart_like = PoleChart(
-        spec=spec, channel=channel, seeds=[], trajectories=trajectories,
-        topology={}, collisions=collisions, warnings=[], near_contacts=[],
-        completeness=None,
-    )
-    inventory = chart_like.anchor_poles(0, window)
-    traj_count = chart_like.pole_count(0, window)
+    inventory = chart.anchor_poles(0, window)
+    traj_count = chart.pole_count(0, window)
     region = CountRegion(
         lo=complex(-window.re_max, window.im_min),
         hi=complex(window.re_max, window.im_max),
         coupling=ComplexCoupling(0.0),
-        channel=channel,
+        channel=chart.channel,
     )
     try:
         window_count, _ = count_zeros_padded(region, spec)
     except (EdgeTooClose, ValueError) as exc:
-        warnings.append(ChartWarning(
+        chart.warnings.append(ChartWarning(
             code="count_failed",
             message=f"window contour count failed: {exc}",
         ))

@@ -90,7 +90,6 @@ def newton_refine(
     *,
     trust_radius: float | None = None,
     max_iter: int = MAX_NEWTON,
-    with_multiplicity: bool = False,
 ) -> Pole:
     """Polish a pole estimate by complex Newton iteration.
 
@@ -105,16 +104,13 @@ def newton_refine(
         raise NoConvergence(k, iters)
     if trust_radius is not None and abs(k - k0) > trust_radius:
         raise ConvergedElsewhere(k, complex(k0), trust_radius)
-    mult = 1
-    if with_multiplicity:
-        mult = multiplicity_at(k, coupling, spec, channel)
     res = _residual(k, coupling, spec, channel)
     return Pole(
         k=k,
         channel=channel,
         coupling=coupling,
-        kind=classify(k, mult),
-        multiplicity=mult,
+        kind=classify(k),
+        multiplicity=1,
         residual=res,
     )
 

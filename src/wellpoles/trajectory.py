@@ -1,12 +1,18 @@
 """Pole trajectories under rotation of the coupling phase.
 
 A pole k(alpha) of a channel pole function D(k; gamma=e^{i alpha}) is
-continued in alpha by an Euler predictor (dk/dalpha = -D_alpha/D_k) and a
-Newton corrector at the stepped phase. Steps adapt to corrector effort and
-are clipped so the trace lands exactly on every quarter-turn anchor
-alpha = n*(pi/2); anchors are tracked by the integer n, never by comparing
-accumulated floats against multiples of pi, which closure detection needs
-to be exact.
+continued in increasing alpha by an Euler predictor
+(dk/dalpha = -D_alpha/D_k) and a Newton corrector at the stepped phase.
+Steps adapt to corrector effort and are clipped so the trace lands exactly
+on every quarter-turn anchor alpha = n*(pi/2); anchors are tracked by the
+integer n, never by comparing accumulated floats against multiples of pi,
+which closure detection needs to be exact.
+
+The march only ever runs forward. The conjugation relation of the S-matrix,
+S*(-k*, gamma*) = S(k, gamma), maps the pole at (alpha, k) to
+(-alpha, -conj(k)), so about a seed at a real coupling (alpha a multiple of
+pi) the backward half of a curve is the mirror image of the forward march
+from the mirrored seed (see mirror).
 
 Trajectories close after one or two full turns of the coupling or run open
 until a cap; pole pairs coalesce only at k = -i/a, where the quadratic
@@ -29,6 +35,17 @@ from .smatrix import Channel, ComplexCoupling, PotentialSpec, _phase_to_gamma
 
 HALF_PI = math.pi / 2.0
 TWO_PI = 2.0 * math.pi
+
+# corrector budget, largest accepted |dk|/(1+|k|), and the step rules: a
+# step needing more than _EASY_ITERS halves the next, _EASY_STREAK easy
+# steps in a row double it
+_CORRECTOR_ITERS = 8
+_DISPLACEMENT_FACTOR = 0.1
+_EASY_ITERS = 4
+_EASY_STREAK = 5
+# stall-to-collision attribution radius; must exceed the pair splitting
+# scale sqrt(2*h_min*|D_alpha/D_kk|) at the minimum step
+_DOUBLE_ZERO_RADIUS = 1e-2
 
 
 class ClosureKind(enum.Enum):
@@ -82,14 +99,7 @@ class StepControl:
     initial: float = 0.01
     minimum: float = 1e-6
     maximum: float = 0.05
-    displacement_factor: float = 0.1
-    corrector_iters: int = 8
-    easy_iters: int = 4
-    easy_streak: int = 5
     closure_tol: float = 1e-6
-    # stall-to-collision attribution radius; must exceed the pair splitting
-    # scale sqrt(2*h_min*|D_alpha/D_kk|) at the minimum step
-    double_zero_radius: float = 1e-2
 
 
 @dataclass
@@ -110,12 +120,6 @@ class Trajectory:
     @property
     def seed_alpha(self) -> float:
         return self.seed.coupling.alpha
-
-    def k_at_anchor(self, n: int) -> complex | None:
-        for m, k in self.anchors:
-            if m == n:
-                return k
-        return None
 
     def anchor_index_map(self) -> dict[int, complex]:
         return dict(self.anchors)
@@ -204,12 +208,11 @@ def _trace_from_state(
     alpha_start: float,
     seed: Pole,
     spec: PotentialSpec,
-    direction: int,
     caps: TraceCaps,
     control: StepControl,
     prior_collisions: list[CollisionEvent] | None = None,
 ) -> Trajectory:
-    """Predictor-corrector march from (k_start, alpha_start)."""
+    """Predictor-corrector march in increasing alpha from (k_start, alpha_start)."""
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
     k0 = seed.k
@@ -227,9 +230,9 @@ def _trace_from_state(
         crossings.append((alpha_start, k_start))
     if n_start is not None:
         anchors.append((n_start, k_start))
-        next_anchor = n_start + direction
+        next_anchor = n_start + 1
     else:
-        next_anchor = math.floor(alpha_start / HALF_PI) + (1 if direction > 0 else 0)
+        next_anchor = math.floor(alpha_start / HALF_PI) + 1
 
     n_seed = _on_half_grid(alpha0)
 
@@ -238,9 +241,9 @@ def _trace_from_state(
         j = 1
         while j * TWO_PI <= caps.alpha_cap + 1e-9:
             if n_seed is not None:
-                yield (n_seed + direction * 4 * j) * HALF_PI, j
+                yield (n_seed + 4 * j) * HALF_PI, j
             else:
-                yield alpha0 + direction * j * TWO_PI, j
+                yield alpha0 + j * TWO_PI, j
             j += 1
 
     closures = closure_targets()
@@ -259,17 +262,10 @@ def _trace_from_state(
         if halve_next:
             h = max(h * 0.5, control.minimum)
             halve_next = False
-        t_step = alpha + direction * h
         t_anchor = next_anchor * HALF_PI
-        target = t_step
-        if direction > 0:
-            target = min(target, t_anchor)
-            if next_closure is not None:
-                target = min(target, next_closure[0])
-        else:
-            target = max(target, t_anchor)
-            if next_closure is not None:
-                target = max(target, next_closure[0])
+        target = min(alpha + h, t_anchor)
+        if next_closure is not None:
+            target = min(target, next_closure[0])
 
         d, dk, da, E = _k.denom_scaled(k, gamma, spec.m, spec.a, spec.U, ch)
         accepted = False
@@ -278,24 +274,24 @@ def _trace_from_state(
             gamma_target = _phase_to_gamma(target)
             knew, iters, ok = _k.newton_pole(
                 kp, gamma_target, spec.m, spec.a, spec.U, ch,
-                STEP_TOL, control.corrector_iters,
+                STEP_TOL, _CORRECTOR_ITERS,
             )
-            if ok and abs(knew - k) <= control.displacement_factor * (1.0 + abs(k)):
+            if ok and abs(knew - k) <= _DISPLACEMENT_FACTOR * (1.0 + abs(k)):
                 accepted = True
         if not accepted:
             if h <= control.minimum * (1.0 + 1e-12):
-                if abs(k - kc) < control.double_zero_radius:
+                if abs(k - kc) < _DOUBLE_ZERO_RADIUS:
                     # pair coalescing mid-trace: split and continue on the
                     # deterministic branch, recording the event
                     try:
                         event, labeled = branch_at_double_zero(
-                            alpha, spec, seed.channel, direction
+                            alpha, spec, seed.channel, +1
                         )
                     except ModelInvalid as exc:
                         raise StallAtDoubleZero(alpha, k) from exc
                     collisions.append(event)
                     k = labeled[0][1]
-                    alpha = alpha + direction * 1e-3
+                    alpha = alpha + 1e-3
                     gamma = _phase_to_gamma(alpha)
                     alphas.append(alpha)
                     ks.append(k)
@@ -304,14 +300,9 @@ def _trace_from_state(
                     halve_next = False
                     # anchor and closure targets behind the advanced phase
                     # would march the trace back into the collision
-                    if direction > 0:
-                        next_anchor = math.floor(alpha / HALF_PI) + 1
-                        while next_closure is not None and next_closure[0] <= alpha:
-                            next_closure = next(closures, None)
-                    else:
-                        next_anchor = math.ceil(alpha / HALF_PI) - 1
-                        while next_closure is not None and next_closure[0] >= alpha:
-                            next_closure = next(closures, None)
+                    next_anchor = math.floor(alpha / HALF_PI) + 1
+                    while next_closure is not None and next_closure[0] <= alpha:
+                        next_closure = next(closures, None)
                     continue
                 raise StallAtDoubleZero(alpha, k)
             h = max(h * 0.5, control.minimum)
@@ -323,12 +314,12 @@ def _trace_from_state(
         k = knew
         alphas.append(alpha)
         ks.append(k)
-        if iters > control.easy_iters:
+        if iters > _EASY_ITERS:
             halve_next = True
             easy = 0
         else:
             easy += 1
-            if easy >= control.easy_streak:
+            if easy >= _EASY_STREAK:
                 h = min(h * 2.0, control.maximum)
                 easy = 0
 
@@ -336,7 +327,7 @@ def _trace_from_state(
             crossings.append((alpha, k))
         if alpha == t_anchor:
             anchors.append((next_anchor, k))
-            next_anchor += direction
+            next_anchor += 1
         if next_closure is not None and alpha == next_closure[0]:
             j = next_closure[1]
             if abs(k - k0) < control.closure_tol:
@@ -355,24 +346,14 @@ def _trace_from_state(
 
     if closure_kind is not None:
         closure = Closure(kind=closure_kind)
-    elif direction > 0:
-        closure = Closure(kind=ClosureKind.OPEN, forward_reason=reason)
     else:
-        closure = Closure(kind=ClosureKind.OPEN, backward_reason=reason)
-
-    a = np.asarray(alphas, dtype=float)
-    kk = np.asarray(ks, dtype=complex)
-    if direction < 0:
-        a = a[::-1].copy()
-        kk = kk[::-1].copy()
-        anchors.reverse()
-        crossings.reverse()
+        closure = Closure(kind=ClosureKind.OPEN, forward_reason=reason)
     return Trajectory(
         seed=seed,
         channel=seed.channel,
-        direction="forward" if direction > 0 else "backward",
-        alphas=a,
-        ks=kk,
+        direction="forward",
+        alphas=np.asarray(alphas, dtype=float),
+        ks=np.asarray(ks, dtype=complex),
         anchors=anchors,
         axis_crossings=crossings,
         collisions=collisions,
@@ -389,39 +370,42 @@ def trace(
 ) -> Trajectory:
     """Continue a refined pole in the coupling phase, one direction.
 
-    direction is +1 (increasing alpha) or -1. The seed must satisfy the pole
-    residual requirement; a coalesced-pair seed cannot be continued as a
-    single branch and raises StallAtDoubleZero immediately (split it with
+    direction is +1 (increasing alpha) or -1, which mirrors the forward
+    march from the mirrored seed -conj(k) and so needs alpha a multiple of
+    pi (ValueError otherwise). The seed must satisfy the pole residual
+    requirement; a coalesced-pair seed cannot be continued as a single
+    branch and raises StallAtDoubleZero immediately (split it with
     branch_at_double_zero instead).
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
+    if direction < 0:
+        _mirror_index(seed.coupling.alpha)
     caps = caps or TraceCaps()
     control = control or StepControl()
     if not _seed_residual_ok(seed, spec):
         raise SeedNotOnPole(f"seed residual too large at k={seed.k!r}")
     if seed.multiplicity == 2:
         raise StallAtDoubleZero(seed.coupling.alpha, seed.k)
-    return _trace_from_state(
-        seed.k, seed.coupling.alpha, seed, spec, direction, caps, control
-    )
+    start = seed if direction > 0 else _mirror_pole(seed)
+    fwd = _trace_from_state(start.k, start.coupling.alpha, start, spec, caps, control)
+    return fwd if direction > 0 else mirror(fwd)
 
 
 def trace_branch(
     seed: Pole,
     branch_k: complex,
     branch_alpha: float,
-    direction: int,
     spec: PotentialSpec,
     caps: TraceCaps | None = None,
     control: StepControl | None = None,
     event: CollisionEvent | None = None,
 ) -> Trajectory:
-    """Continue one emerging branch of a split coalesced pair."""
+    """Continue one emerging branch of a split coalesced pair forward."""
     caps = caps or TraceCaps()
     control = control or StepControl()
     return _trace_from_state(
-        branch_k, branch_alpha, seed, spec, direction, caps, control,
+        branch_k, branch_alpha, seed, spec, caps, control,
         prior_collisions=[event] if event is not None else None,
     )
 
@@ -477,44 +461,66 @@ def classify_closure(traj: Trajectory, closure_tol: float = 1e-6) -> Closure:
     return traj.closure
 
 
+def _mirror_index(alpha: float) -> int:
+    """Anchor index of alpha; the symmetry alpha -> -alpha reflects only
+    about multiples of pi, so any other phase raises ValueError."""
+    n = _on_half_grid(alpha)
+    if n is None or n % 2:
+        raise ValueError(f"mirroring needs alpha a multiple of pi, got {alpha!r}")
+    return n
+
+
+def _mirror_pole(pole: Pole) -> Pole:
+    k = -pole.k.conjugate()
+    return replace(pole, k=k, kind=classify(k, pole.multiplicity))
+
+
+def _mirror_event(ev: CollisionEvent, a0: float) -> CollisionEvent:
+    ks = [-bk.conjugate() for _, bk in ev.branches]
+    if ev.kind == "axis_pair_to_plane_pair":
+        # k -> -conj(k) puts each branch on the other side of the axis, so
+        # the resonance-side label passes to the partner branch
+        ks.reverse()
+    return replace(
+        ev, alpha=2.0 * a0 - ev.alpha, k=-ev.k.conjugate(),
+        branches=tuple((lbl, bk) for (lbl, _), bk in zip(ev.branches, ks)),
+    )
+
+
 def mirror(traj: Trajectory) -> Trajectory:
     """Reflect a trajectory through its seed axis: (alpha, k) -> (2*alpha_seed - alpha, -conj(k)).
 
-    The reflected path solves the same pole equation, by the conjugation
-    relation of the S-matrix; for a self-symmetric trajectory it retraces
-    the original curve.
+    The reflected path solves the same pole equation by the conjugation
+    relation of the S-matrix, S*(-k*, gamma*) = S(k, gamma), but only when
+    the seed phase is a multiple of pi; at any other seed phase this raises
+    ValueError. A forward trace becomes a backward one with the exit reasons
+    swapped, and split-pair branches keep 'resonance_side' on Re k > 0. For
+    a self-symmetric trajectory it retraces the original curve.
     """
     a0 = traj.seed_alpha
+    n0 = _mirror_index(a0)
     a = (2.0 * a0 - traj.alphas)[::-1].copy()
     k = (-np.conj(traj.ks))[::-1].copy()
-    n0 = _on_half_grid(a0)
-    anchors = []
-    if n0 is not None:
-        for n, kk in traj.anchors:
-            anchors.append((2 * n0 - n, -kk.conjugate()))
-        anchors.reverse()
-    crossings = [(2.0 * a0 - al, -kk.conjugate()) for al, kk in traj.axis_crossings]
-    crossings.reverse()
-    collisions = [
-        replace(ev, alpha=2.0 * a0 - ev.alpha, k=-ev.k.conjugate(),
-                branches=tuple((lbl, -bk.conjugate()) for lbl, bk in ev.branches))
-        for ev in traj.collisions
+    anchors = [(2 * n0 - n, -kk.conjugate()) for n, kk in reversed(traj.anchors)]
+    crossings = [
+        (2.0 * a0 - al, -kk.conjugate()) for al, kk in reversed(traj.axis_crossings)
     ]
-    mirrored_seed = replace(
-        traj.seed,
-        k=-traj.seed.k.conjugate(),
-        kind=classify(-traj.seed.k.conjugate(), traj.seed.multiplicity),
+    closure = Closure(
+        kind=traj.closure.kind,
+        forward_reason=traj.closure.backward_reason,
+        backward_reason=traj.closure.forward_reason,
     )
     return Trajectory(
-        seed=mirrored_seed,
+        seed=_mirror_pole(traj.seed),
         channel=traj.channel,
-        direction=traj.direction,
+        direction={"forward": "backward", "backward": "forward"}.get(
+            traj.direction, traj.direction),
         alphas=a,
         ks=k,
         anchors=anchors,
         axis_crossings=crossings,
-        collisions=collisions,
-        closure=traj.closure,
+        collisions=[_mirror_event(ev, a0) for ev in traj.collisions],
+        closure=closure,
     )
 
 

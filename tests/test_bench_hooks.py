@@ -2,13 +2,16 @@
 
 ``perfbench/tracing.py`` wraps every function in its ``TRACED`` list by
 name. A deleted or renamed function would only surface when a traced
-benchmark run crashes, so the names are checked here.
+benchmark run crashes, so the names are checked here. The span payloads
+read some arguments by position, so those positions are checked too: a
+moved parameter would not crash, it would skew the per-layer metrics.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,20 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(modname), fn_name, None))
     ]
     assert missing == []
+
+
+def _positional(fn) -> list[str]:
+    return [
+        name for name, p in inspect.signature(fn).parameters.items()
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+
+
+def test_payload_argument_positions():
+    from wellpoles import _kernels, trajectory
+
+    # args[1] > 0 marks a forward trace
+    assert _positional(trajectory.trace)[:2] == ["seed", "direction"]
+    # len(args[0]) is the grid size
+    assert _positional(_kernels.axis_phi)[0] == "kappas"
+    assert _positional(_kernels.grid_denom_dk)[0] == "ks"

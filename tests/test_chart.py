@@ -23,7 +23,7 @@ from wellpoles.chart import (
 from wellpoles.errors import NoRootInBracket
 from wellpoles.rootfinder import PoleKind, scan_axis
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
-from wellpoles.trajectory import ClosureKind, mirror_defect
+from wellpoles.trajectory import ClosureKind, branch_at_double_zero, mirror_defect
 from wellpoles import _kernels as _k
 
 M, A = 1.0, 1.5
@@ -471,6 +471,38 @@ class TestCriticalChart:
         chart = build_chart(spec, Channel.PLUS, certify=False)
         assert chart.near_contacts
         assert chart.near_contacts[0].distance < 0.05
+
+
+class TestForwardMarchesOnly:
+    def test_one_forward_trace_per_simple_seed(self, monkeypatch):
+        from wellpoles import chart as chart_module
+
+        directions = []
+        real_trace = chart_module.trace
+
+        def counted(seed, direction, *args):
+            directions.append(direction)
+            return real_trace(seed, direction, *args)
+
+        monkeypatch.setattr(chart_module, "trace", counted)
+        chart = build_chart(PotentialSpec(m=M, a=A, U=0.09), Channel.PLUS)
+        simple = [p for p in chart.seeds if p.multiplicity == 1]
+        assert simple
+        assert directions == [+1] * len(simple)
+
+    def test_split_seed_backward_halves_are_mirrors(self):
+        # at a collision depth the pair splits forward only; the curves
+        # behind the seed phase end on the backward split's branches
+        spec = PotentialSpec(m=M, a=A, U=U_STAR_PLUS_ATT)
+        chart = build_chart(spec, Channel.PLUS, certify=False)
+        _, bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1)
+        behind = [t for t in chart.trajectories if t.alphas[-1] == -1e-3]
+        assert behind
+        for t in behind:
+            assert min(abs(t.ks[-1] - kb) for _, kb in bwd) < 1e-10
+            event = dict(t.collisions[0].branches)
+            for lbl, kb in bwd:
+                assert abs(event[lbl] - kb) < 1e-10
 
 
 class TestDeterminism:

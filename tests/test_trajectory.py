@@ -243,6 +243,49 @@ class TestMirror:
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
         assert mirror(t).closure.kind is t.closure.kind
 
+    def test_split_branch_mirror_keeps_resonance_side(self):
+        spec = _spec(U_CRIT_PLUS_ATT)
+        dz = [p for p in scan_axis(spec, ATT, Channel.PLUS) if p.multiplicity == 2][0]
+        event, branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
+        t = trace_branch(dz, branches[0][1], 1e-3, spec,
+                         caps=TraceCaps(alpha_cap=1.5 * math.pi), event=event)
+        m = mirror(t)
+        assert m.direction == "backward"
+        assert m.closure.forward_reason is t.closure.backward_reason is None
+        assert m.closure.backward_reason is t.closure.forward_reason is ExitReason.ALPHA_CAP
+        mirrored = dict(m.collisions[0].branches)
+        assert mirrored["resonance_side"].real > 0 > mirrored["antiresonance_side"].real
+        # the mirrored event is the split in the backward direction
+        _, bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1)
+        for lbl, kb in bwd:
+            assert abs(mirrored[lbl] - kb) < 1e-10
+
+
+class TestBackwardByMirror:
+    """Backward traces are mirrored forward marches from the mirrored seed."""
+
+    def test_off_axis_seed_backward_trace_lies_on_the_poles(self):
+        spec = _spec(2.0)
+        seed = newton_refine(3.5 - 1.0j, ATT, spec, Channel.PLUS)
+        assert seed.kind is PoleKind.RESONANCE
+        t = trace(seed, -1, spec)
+        assert t.direction == "backward"
+        assert t.seed.k == seed.k
+        assert t.alphas[-1] == 0.0 and t.ks[-1] == seed.k
+        assert np.all(np.diff(t.alphas) > 0)
+        for alpha, k in zip(t.alphas, t.ks):
+            assert abs(point_at(t, alpha, spec) - k) < 1e-10 * (1.0 + abs(k))
+
+    def test_off_real_coupling_seed_refused(self):
+        spec = _spec(2.0)
+        f = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
+        third = ComplexCoupling(math.pi / 3)
+        seed = newton_refine(point_at(f, math.pi / 3, spec), third, spec, Channel.PLUS)
+        with pytest.raises(ValueError):
+            trace(seed, -1, spec)
+        with pytest.raises(ValueError):
+            mirror(trace(seed, +1, spec, caps=TraceCaps(alpha_cap=0.5)))
+
 
 class TestPointAt:
     def test_reproduces_samples(self):
@@ -315,7 +358,7 @@ class TestBranching:
         dz = [p for p in poles if p.multiplicity == 2][0]
         event, branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
         lbl, kb = branches[0]
-        t = trace_branch(dz, kb, 1e-3, +1, spec,
+        t = trace_branch(dz, kb, 1e-3, spec,
                          caps=TraceCaps(alpha_cap=1.5 * math.pi), event=event)
         assert len(t.collisions) == 1
         assert t.collisions[0].kind == "axis_pair_to_plane_pair"
