@@ -1,10 +1,9 @@
 """Pole charts: every trajectory of a well, plus depth transitions.
 
 A chart gathers the axis poles of both real couplings (gamma = +1 and -1),
-continues each through the full phase rotation, removes duplicate curves,
-and certifies completeness by comparing a contour count over the working
-momentum window against the poles the trajectories deliver back at the
-attractive coupling.
+continues each curve once through the full phase rotation, and certifies
+completeness by comparing a contour count over the working momentum window
+against the poles the trajectories deliver back at the attractive coupling.
 
 Depth analysis lives here too: the critical depths where an axis pole pair
 coalesces at k = -i/a, in closed form from the interior-momentum form of
@@ -182,38 +181,20 @@ def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarn
     return warnings
 
 
-def _same_curve(a: Trajectory, b: Trajectory, tol: float = _DEDUP_TOL) -> bool:
-    """Two traces describe one curve when their anchors coincide up to a
-    whole number of coupling turns.
+def _claimed(kept: list[Trajectory], seed: Pole, n: int, k: complex) -> bool:
+    """List seed with the kept curve that delivers pole k at an anchor of
+    index n (mod 4); False when no kept curve does.
 
-    The coupling is periodic in the phase, so a curve reseeded from a pole
-    it reaches after full turns reappears translated by a multiple of four
-    anchor indices; every admissible translation is tried.
+    Away from the double point k = -i/a, a pole at a quarter-turn anchor
+    lies on exactly one curve, so it names that curve; the coupling is
+    periodic in the phase, so anchors a whole number of turns apart match.
     """
-    amap, bmap = a.anchor_index_map(), b.anchor_index_map()
-    if not amap or not bmap:
-        return False
-    lo = min(min(bmap) - max(amap), 0)
-    hi = max(max(bmap) - min(amap), 0)
-    for shift in range(4 * math.ceil(lo / 4), hi + 1, 4):
-        common = [n for n in amap if n + shift in bmap]
-        if len(common) < 2:
-            continue
-        if all(abs(amap[n] - bmap[n + shift]) < tol for n in common):
-            return True
+    for traj in kept:
+        for m, q in traj.anchors:
+            if (m - n) % 4 == 0 and abs(q - k) < _DEDUP_TOL:
+                traj.merged_seeds.append(seed)
+                return True
     return False
-
-
-def _dedup(trajectories: list[Trajectory]) -> list[Trajectory]:
-    kept: list[Trajectory] = []
-    for traj in trajectories:
-        for other in kept:
-            if _same_curve(other, traj):
-                other.merged_seeds.append(traj.seed)
-                break
-        else:
-            kept.append(traj)
-    return kept
 
 
 def _near_contacts(trajectories: list[Trajectory]) -> list[NearContact]:
@@ -252,11 +233,13 @@ def build_chart(
     """Trace every pole trajectory of the well in one channel.
 
     Seeds come from axis scans at both real couplings; coalesced pairs are
-    split into their emerging branches before tracing. Duplicate curves
-    found from different seeds are merged. With certify=True the chart
-    carries a completeness certificate comparing a contour count over the
-    working window against the poles the trajectories return at the
-    attractive coupling.
+    split into their emerging branches before tracing. Each curve is traced
+    once: a seed that a kept curve already delivers at an anchor of its
+    phase, or a split branch whose first anchor one does, is listed in that
+    curve's merged_seeds and not kept. With certify=True the chart carries a
+    completeness certificate comparing a contour count over the working
+    window against the poles the trajectories return at the attractive
+    coupling.
     """
     caps = caps or TraceCaps(alpha_cap=CHART_ALPHA_CAP)
     control = control or StepControl()
@@ -266,7 +249,7 @@ def build_chart(
     for alpha in (0.0, math.pi):
         seeds.extend(scan_axis(spec, ComplexCoupling(alpha), channel))
 
-    raw: list[Trajectory] = []
+    trajectories: list[Trajectory] = []
     collisions: list[CollisionEvent] = []
     for seed in seeds:
         if seed.multiplicity == 2:
@@ -278,10 +261,16 @@ def build_chart(
                 trace_branch(seed, kb, alpha_c + 1e-3, spec, caps, control, event=event)
                 for _, kb in branches
             ]
-            raw.extend(forward + [mirror(t) for t in forward])
+            # a branch is known by its first anchor, which lies off the
+            # double point
+            for traj in forward + [mirror(t) for t in forward]:
+                if not (traj.anchors and _claimed(trajectories, traj.seed, *traj.anchors[0])):
+                    trajectories.append(traj)
+            continue
+        if _claimed(trajectories, seed, round(seed.coupling.alpha / HALF_PI), seed.k):
             continue
         try:
-            raw.append(_trace_both_ways(seed, spec, caps, control))
+            trajectories.append(_trace_both_ways(seed, spec, caps, control))
         except StallAtDoubleZero as exc:
             # far virtual poles of shallow narrow wells sit where roundoff in
             # the pole function exceeds the corrector's step test
@@ -290,7 +279,6 @@ def build_chart(
                 message=f"curve from axis pole k={seed.k!r} not traced: {exc}",
             ))
 
-    trajectories = _dedup(raw)
     for traj in trajectories:
         for ev in traj.collisions:
             if not any(_same_event(ev, e) for e in collisions):

@@ -8,8 +8,6 @@ pipelines can parse them.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from pathlib import Path
 
@@ -26,10 +24,9 @@ from .chart import (
 )
 from .config import RunConfig, load_config_file, merge_config
 from .document import (
-    _fmt_float,
+    axis_poles_csv,
     canonical_dumps,
     chart_document,
-    poles_csv,
     trajectories_csv,
 )
 from .errors import DocumentError, WellpolesError
@@ -162,16 +159,7 @@ def _spec(cfg: RunConfig) -> PotentialSpec:
 def _cmd_axis(cfg: RunConfig) -> int:
     poles = scan_axis(_spec(cfg), ComplexCoupling(cfg.alpha), Channel.parse(cfg.channel))
     if cfg.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["channel", "alpha", "re_k", "im_k", "kind", "multiplicity"])
-        for p in poles:
-            writer.writerow([
-                cfg.channel, _fmt_float(p.coupling.alpha),
-                _fmt_float(p.k.real), _fmt_float(p.k.imag),
-                p.kind.value, p.multiplicity,
-            ])
-        _write(buf.getvalue(), cfg)
+        _write(axis_poles_csv(cfg.channel, poles), cfg)
         return 0
     doc = {
         "schema_version": "1",

@@ -216,16 +216,16 @@ def parse_chart_document(text: str) -> dict:
     return doc
 
 
-def poles_csv(chart: PoleChart) -> str:
-    """Seed pole inventory as CSV."""
+def axis_poles_csv(channel: str, poles) -> str:
+    """Axis poles of one channel as CSV, one row per pole."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["channel", "alpha", "re_k", "im_k", "kind", "multiplicity"]
     )
-    for p in chart.seeds:
+    for p in poles:
         writer.writerow([
-            chart.channel.value,
+            channel,
             _fmt_float(p.coupling.alpha),
             _fmt_float(p.k.real),
             _fmt_float(p.k.imag),
@@ -233,6 +233,11 @@ def poles_csv(chart: PoleChart) -> str:
             p.multiplicity,
         ])
     return buf.getvalue()
+
+
+def poles_csv(chart: PoleChart) -> str:
+    """Seed pole inventory as CSV."""
+    return axis_poles_csv(chart.channel.value, chart.seeds)
 
 
 def trajectories_csv(chart: PoleChart) -> str:

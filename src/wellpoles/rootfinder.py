@@ -399,9 +399,13 @@ def _edge_winding(
 ) -> float:
     """Accumulated argument change of the pole function along segment z0->z1.
 
-    Subdivides until every increment is below pi/2, so full turns cannot
-    hide between samples. Raises EdgeTooClose when the Newton distance
-    estimate |d/d'| drops below the clearance anywhere on the edge.
+    Subdivides until every sampled increment, the principal value of
+    arg(d1/d0) between neighbouring samples, is below pi/2. That bounds
+    only what the samples show: a true increment near a full turn reads as
+    a small principal value, is not refined, and drops out of the sum, so
+    the result can miss whole turns between samples. Raises EdgeTooClose
+    when the Newton distance estimate |d/d'| drops below the clearance at
+    a sample.
     """
     gamma = coupling.gamma
     ch = channel.code

@@ -474,7 +474,7 @@ class TestCriticalChart:
 
 
 class TestForwardMarchesOnly:
-    def test_one_forward_trace_per_simple_seed(self, monkeypatch):
+    def test_one_forward_trace_per_kept_curve(self, monkeypatch):
         from wellpoles import chart as chart_module
 
         directions = []
@@ -488,7 +488,19 @@ class TestForwardMarchesOnly:
         chart = build_chart(PotentialSpec(m=M, a=A, U=0.09), Channel.PLUS)
         simple = [p for p in chart.seeds if p.multiplicity == 1]
         assert simple
-        assert directions == [+1] * len(simple)
+        assert directions == [+1] * len(chart.trajectories)
+        # a seed that is not traced is listed with the curve that delivers it
+        # at an anchor of its phase class; here the repulsive virtual pole
+        # -0.458i lies on the bound state's closed curve
+        untraced = [p for p in simple if not any(t.seed is p for t in chart.trajectories)]
+        assert untraced
+        for p in untraced:
+            n = round(p.coupling.alpha / (math.pi / 2))
+            assert any(
+                any(q is p for q in t.merged_seeds)
+                and any((m - n) % 4 == 0 and abs(k - p.k) < 1e-6 for m, k in t.anchors)
+                for t in chart.trajectories
+            )
 
     def test_split_seed_backward_halves_are_mirrors(self):
         # at a collision depth the pair splits forward only; the curves

@@ -36,6 +36,27 @@ class TestAxis:
         assert lines[0] == "channel,alpha,re_k,im_k,kind,multiplicity"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("argv,expected", [
+        (("--U", "2", "--channel", "plus"),
+         "channel,alpha,re_k,im_k,kind,multiplicity\n"
+         "plus,0.0,0.0,-0.92074323485740017,virtual,1\n"
+         "plus,0.0,0.0,-0.40418151859917956,virtual,1\n"
+         "plus,0.0,0.0,1.8415955596969533,bound,1\n"),
+        (("--U", "5", "--channel", "minus"),
+         "channel,alpha,re_k,im_k,kind,multiplicity\n"
+         "minus,0.0,0.0,-1.3986419695071617,virtual,1\n"
+         "minus,0.0,0.0,0.091785011515097603,bound,1\n"
+         "minus,0.0,0.0,2.6582502745903294,bound,1\n"),
+        (("--U", "0.05", "--gamma", "-1"),
+         "channel,alpha,re_k,im_k,kind,multiplicity\n"
+         "plus,3.1415926535897931,0.0,-1.4519741198194809,virtual,1\n"
+         "plus,3.1415926535897931,0.0,-0.18177894493151284,virtual,1\n"),
+    ])
+    def test_csv_bytes(self, capsys, argv, expected):
+        code, out, err = run(capsys, "axis", *argv, "--format", "csv")
+        assert code == 0 and err == ""
+        assert out == expected
+
     def test_repulsive_side(self, capsys):
         code, out, _ = run(capsys, "axis", "--U", "2", "--gamma", "-1")
         assert code == 0

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from functools import lru_cache
 
 import pytest
 
-from wellpoles.chart import build_chart
+from wellpoles.chart import build_chart, critical_depth
 from wellpoles.config import RunConfig, load_config_file, merge_config
 from wellpoles.document import (
     canonical_dumps,
@@ -106,6 +107,41 @@ class TestChartDocument:
         cert = doc["completeness"]
         assert cert["complete"] is True
         assert cert["window_count"] == cert["trajectory_count"]
+
+
+# SHA-256 of the canonical chart documents at m = 1, a = 1.5, recorded on
+# x86-64 Linux with CPython 3.11 and numpy 2.4; a refactor of the chart
+# assembly must leave every byte of them unchanged. A platform whose libm
+# rounds differently may move the last float digits and so the digests.
+_GOLDEN = {
+    ("plus", 0.09): "84f9d0c7f335b7063d0718a41fb0b18b2d2e25f7c3d4e6677614ff7dd458107a",
+    ("plus", 2.0): "9f794b0f57e54fccf16c8b1d3194f22b0b9cb0c0704cc5871f5ddf356cbf8cd6",
+    ("minus", 5.0): "93607ce3faeaf70f8c26159bf6e1eb75f44c16b19252fcd2a062253bcb363c96",
+}
+# at the pair collision depths the axis scan returns a coalesced seed, so
+# these charts go through the branch split
+_GOLDEN_CRITICAL = {
+    ("plus", True): "0332e1d465f85ac5eb600a53933485794b12c080356ee0c9a495d7494bb481fc",
+    ("plus", False): "beda4157740e437d49cc5f76749f9d0bbcf300e5d0b9c1277a65ff8086592b39",
+    ("minus", True): "d2632de025c596aacd0d09286fd1fc7f80bac3ec5547e93c458e8fc145f18edb",
+}
+
+
+def _digest(chart) -> str:
+    return hashlib.sha256(canonical_dumps(chart_document(chart)).encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("channel,U", sorted(_GOLDEN))
+    def test_chart_bytes_locked(self, channel, U):
+        assert _digest(_chart(channel, U)) == _GOLDEN[(channel, U)]
+
+    @pytest.mark.parametrize("channel,attractive", sorted(_GOLDEN_CRITICAL))
+    def test_critical_chart_bytes_locked(self, channel, attractive):
+        U = critical_depth(Channel.parse(channel), attractive, 1.0, 1.5).U
+        chart = _chart(channel, U)
+        assert any(p.multiplicity == 2 for p in chart.seeds)
+        assert _digest(chart) == _GOLDEN_CRITICAL[(channel, attractive)]
 
 
 class TestStrictParsing:
