@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -63,6 +64,42 @@ class TestAxis:
         doc = json.loads(out)
         assert doc["gamma"] == -1
         assert all(p["kind"] == "virtual" for p in doc["poles"])
+
+
+# SHA-256 of the output of each command, recorded on x86-64 Linux with
+# CPython 3.11 and numpy 2.4; moving the document assembly or the float
+# formatting must leave every byte unchanged
+_GOLDEN_OUTPUT = {
+    ("axis", "--U", "2", "--channel", "plus"):
+        "3e7fac167339adf800c270e20aa254f4a2644795f889815b39d1d363d650a660",
+    ("axis", "--U", "0.05", "--gamma", "-1"):
+        "522c228265095117397efa320e485daa8ebe2b451caf5ed79e94b568554cba5c",
+    ("critical", "--channel", "plus", "--gamma", "+1"):
+        "3df16725a05ba489ea4952046ecc6b102789cce24a26f86a8f95d7c50081ddcd",
+    ("critical", "--channel", "minus", "--gamma", "+1", "--index", "2"):
+        "ecb008a8bee935fe5413155f453488c7f5fd8f67aa23c88afba162595d2018d4",
+    ("threshold", "--channel", "minus", "--n", "1"):
+        "751d98a126e530b962b319bdab7b35915fdfa680bf6273b132936ed9efffb224",
+    ("threshold", "--channel", "minus", "--n", "1", "--check"):
+        "18ded84bea1b36a546591db02735af386ea2cd4077ef3fdd0bef54fc2d9ec905",
+    ("threshold", "--channel", "plus", "--n", "2", "--check"):
+        "7db0436d59ed857bda57c2008abbf4c6856fd7dbde3761c118b0e3af8af75312",
+    ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
+        "dfaaa54d0004a584e7424e17af0e03d632a679bb02171fe19782ff690a36ae85",
+    ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
+        "82262f0ff27021e80a81706da204c2e496f99e75439049beba851efdbda85297",
+    ("verify", "--samples", "60", "--seed", "7"):
+        "a782a4b9f96d0106de7fce87ee84d71e90740c9ada41725644c3b3d0f168b797",
+    ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
+        "c62f37978c1d4e8e23cbc3715568521e99ecd60aee8f0d2be016e16c71e882d3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_GOLDEN_OUTPUT), ids=" ".join)
+def test_output_bytes_locked(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_OUTPUT[argv]
 
 
 class TestChart:

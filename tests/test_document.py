@@ -20,6 +20,7 @@ from wellpoles.document import (
 )
 from wellpoles.errors import DocumentError
 from wellpoles.smatrix import Channel, PotentialSpec
+from wellpoles.svgplot import chart_svg
 
 
 @lru_cache(maxsize=None)
@@ -125,6 +126,16 @@ _GOLDEN_CRITICAL = {
     ("plus", False): "beda4157740e437d49cc5f76749f9d0bbcf300e5d0b9c1277a65ff8086592b39",
     ("minus", True): "d2632de025c596aacd0d09286fd1fc7f80bac3ec5547e93c458e8fc145f18edb",
 }
+# SHA-256 of chart_svg for the same six charts; a critical chart is keyed
+# by the side of the collision it sits at
+_GOLDEN_SVG = {
+    ("plus", 0.09): "ff493b24309bb369a3d6987a907f1e567394f5e7b9b4c92b162f812d678bd8d5",
+    ("plus", 2.0): "c6a2f9f10301918daf2bac4c736884cc1eeb4e8fa436207a6450a2e778581a49",
+    ("minus", 5.0): "d876e1904fbe49e48cd31a24bb017752299c1ad7532c8b36e8203043f248092f",
+    ("plus", "attractive"): "e12ac59e7b493ea2b453a93f0099cc831efea9155ccb876692a0ab85c44c4c1a",
+    ("plus", "repulsive"): "e99e8fc71e9150ffd2659389986e992a341a3049a9508fcf427afc52d7315a1e",
+    ("minus", "attractive"): "8c7c0d36a393cfb1a515f0398abdebe04cab2fc7e39abdef8af552d0f67bdac4",
+}
 
 
 def _digest(chart) -> str:
@@ -142,6 +153,16 @@ class TestGoldenDigests:
         chart = _chart(channel, U)
         assert any(p.multiplicity == 2 for p in chart.seeds)
         assert _digest(chart) == _GOLDEN_CRITICAL[(channel, attractive)]
+
+    @pytest.mark.parametrize("channel,depth", sorted(_GOLDEN_SVG, key=repr))
+    def test_svg_bytes_locked(self, channel, depth):
+        U = depth
+        if isinstance(depth, str):
+            U = critical_depth(
+                Channel.parse(channel), depth == "attractive", 1.0, 1.5
+            ).U
+        digest = hashlib.sha256(chart_svg(_chart(channel, U)).encode()).hexdigest()
+        assert digest == _GOLDEN_SVG[(channel, depth)]
 
 
 class TestStrictParsing:
