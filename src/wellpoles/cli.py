@@ -25,9 +25,14 @@ from .chart import (
 from .config import RunConfig, load_config_file, merge_config
 from .document import (
     axis_poles_csv,
+    axis_poles_document,
+    bound_threshold_document,
     canonical_dumps,
     chart_document,
+    critical_depth_document,
+    depth_sweep_document,
     trajectories_csv,
+    verification_document,
 )
 from .errors import DocumentError, WellpolesError
 from .rootfinder import scan_axis
@@ -161,24 +166,7 @@ def _cmd_axis(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         _write(axis_poles_csv(cfg.channel, poles), cfg)
         return 0
-    doc = {
-        "schema_version": "1",
-        "kind": "axis_poles",
-        "potential": {"m": cfg.m, "a": cfg.a, "U": cfg.U},
-        "channel": cfg.channel,
-        "gamma": cfg.gamma,
-        "poles": [
-            {
-                "k": complex(p.k),
-                "kind": p.kind.value,
-                "multiplicity": p.multiplicity,
-                "residual": float(p.residual),
-            }
-            for p in poles
-        ],
-        "provenance": {"package": "wellpoles", "config": cfg.to_dict()},
-    }
-    _write(canonical_dumps(doc), cfg)
+    _write(canonical_dumps(axis_poles_document(poles, cfg)), cfg)
     return 0
 
 
@@ -212,34 +200,14 @@ def _cmd_critical(cfg: RunConfig) -> int:
         attractive=(cfg.gamma == 1),
         m=cfg.m, a=cfg.a, index=cfg.index,
     )
-    doc = {
-        "schema_version": "1",
-        "kind": "critical_depth",
-        "channel": cd.channel.value,
-        "attractive": cd.attractive,
-        "index": cd.index,
-        "U": cd.U,
-        "k": complex(cd.k),
-        "transition": cd.transition,
-        "pair_count": cd.pair_count,
-        "provenance": {"package": "wellpoles", "config": cfg.to_dict()},
-    }
-    _write(canonical_dumps(doc), cfg)
+    _write(canonical_dumps(critical_depth_document(cd, cfg)), cfg)
     return 0
 
 
 def _cmd_threshold(cfg: RunConfig) -> int:
     channel = Channel.parse(cfg.channel)
     u_n = bound_threshold(channel, cfg.n, m=cfg.m, a=cfg.a)
-    doc = {
-        "schema_version": "1",
-        "kind": "bound_threshold",
-        "channel": cfg.channel,
-        "n": cfg.n,
-        "U": u_n,
-        "provenance": {"package": "wellpoles", "config": cfg.to_dict()},
-    }
-    _write(canonical_dumps(doc), cfg)
+    _write(canonical_dumps(bound_threshold_document(u_n, cfg)), cfg)
     return 0
 
 
@@ -250,16 +218,7 @@ def _cmd_threshold_checked(cfg: RunConfig) -> int:
     flip = threshold_flip(channel, max(u_n - span, 1e-9), u_n + span,
                           m=cfg.m, a=cfg.a, tol=1e-6)
     agree = abs(flip - u_n) < 1e-4
-    doc = {
-        "schema_version": "1",
-        "kind": "bound_threshold",
-        "channel": cfg.channel,
-        "n": cfg.n,
-        "U": u_n,
-        "flip": flip,
-        "flip_agrees": agree,
-        "provenance": {"package": "wellpoles", "config": cfg.to_dict()},
-    }
+    doc = bound_threshold_document(u_n, cfg, flip=flip, flip_agrees=agree)
     _write(canonical_dumps(doc), cfg)
     return 0 if agree else 1
 
@@ -271,41 +230,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         Channel.parse(cfg.channel), list(cfg.depths), m=cfg.m, a=cfg.a,
         certify=cfg.certify,
     )
-    doc = {
-        "schema_version": "1",
-        "kind": "depth_sweep",
-        "channel": cfg.channel,
-        "entries": [
-            {
-                "U_requested": e.U_requested,
-                "U_used": e.U_used,
-                "nudged": e.nudged,
-                "topology": dict(e.topology),
-                "attractive_poles": [complex(k) for k in e.attractive_poles],
-                "warnings": [
-                    {"code": w.code, "message": w.message} for w in e.warnings
-                ],
-            }
-            for e in result.entries
-        ],
-        "transitions": [
-            {
-                "u_below": t.u_below,
-                "u_above": t.u_above,
-                "description": t.description,
-                "critical": None if t.critical is None else {
-                    "U": t.critical.U,
-                    "k": complex(t.critical.k),
-                    "attractive": t.critical.attractive,
-                    "transition": t.critical.transition,
-                    "pair_count": t.critical.pair_count,
-                },
-            }
-            for t in result.transitions
-        ],
-        "provenance": {"package": "wellpoles", "config": cfg.to_dict()},
-    }
-    _write(canonical_dumps(doc), cfg)
+    _write(canonical_dumps(depth_sweep_document(result, cfg)), cfg)
     return 0
 
 
@@ -381,20 +306,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
             max(abs(abs(sp) - 1.0), abs(abs(sm) - 1.0)),
             k, alpha,
         )
-    passed = not failures
-    doc = {
-        "schema_version": "1",
-        "kind": "verification",
-        "passed": passed,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "tolerances": dict(_VERIFY_TOL),
-        "worst_residuals": worst,
-        "failures": failures,
-        "provenance": {"package": "wellpoles", "config": cfg.to_dict()},
-    }
+    doc = verification_document(_VERIFY_TOL, worst, failures, cfg)
     _write(canonical_dumps(doc), cfg)
-    return 0 if passed else 1
+    return 0 if doc["passed"] else 1
 
 
 def _error_json(exc: BaseException) -> str:

@@ -1,9 +1,13 @@
-"""Chart documents: canonical JSON, strict parsing, CSV export.
+"""Output documents of every command: canonical JSON, strict parsing, CSV.
 
 Emission is byte-deterministic: keys are sorted, separators fixed, floats
 written with 17 significant digits (full round-trip precision), complex
 momenta as [re, im] pairs. The stdlib serializer cannot pin float
-formatting, so a small recursive emitter does it here.
+formatting, so a recursive emitter does it here. A list whose items are
+all floats, or all complex numbers, is the bulk of a chart (its sample
+arrays): it is written in one %-template pass over its values, with the
+same bytes the per-value formatter gives. Scalars and mixed lists go
+value by value. The trajectory CSV goes through the same bulk formatter.
 """
 
 from __future__ import annotations
@@ -12,8 +16,11 @@ import csv
 import io
 import json
 import math
+from itertools import compress, count, filterfalse
 
-from .chart import PoleChart, WorkingWindow
+import numpy as np
+
+from .chart import CriticalDepth, PoleChart, SweepResult, WorkingWindow
 from .config import RunConfig
 from .errors import DocumentError
 
@@ -26,6 +33,31 @@ def _fmt_float(x: float) -> str:
     if x == int(x) and abs(x) < 1e16:
         return f"{int(x)}.0"
     return format(x, ".17g")
+
+
+# one %-template per value of a row, each ending in the separator that
+# follows it; an integral value below 1e16 takes the "%.1f" form of its
+# template instead, which prints it as "N.0"
+_FLOAT_ROW = ("%.17g,",)
+_PAIR_ROW = ("[%.17g,", "%.17g],")
+
+
+def _fmt_rows(values: list[float], row: tuple[str, ...]) -> str:
+    """Floats, row-major with len(row) per row, in one %-template pass.
+
+    Each value is written as `_fmt_float` writes it, and a non-finite one
+    raises the same DocumentError.
+    """
+    if not all(map(math.isfinite, values)):
+        _fmt_float(next(filterfalse(math.isfinite, values)))  # raises
+    width = len(row)
+    forms = list(row) * (len(values) // width)
+    values = list(values)
+    for i in compress(count(), map(float.is_integer, values)):
+        if abs(values[i]) < 1e16:
+            forms[i] = row[i % width].replace("%.17g", "%.1f")
+            values[i] += 0.0  # -0.0 becomes 0.0, as int(-0.0) does
+    return "".join(forms) % tuple(values)
 
 
 def _emit(obj, out: list[str]) -> None:
@@ -48,6 +80,14 @@ def _emit(obj, out: list[str]) -> None:
         out.append(_fmt_float(obj.imag))
         out.append("]")
     elif isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            out.append("[" + _fmt_rows(obj, _FLOAT_ROW)[:-1] + "]")
+            return
+        if kinds == {complex}:
+            parts = np.array(obj).view(np.float64).tolist()  # re, im, re, ...
+            out.append("[" + _fmt_rows(parts, _PAIR_ROW)[:-1] + "]")
+            return
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -107,8 +147,8 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
             ),
             "seed": _pole_dict(traj.seed),
             "merged_seeds": [_pole_dict(p) for p in traj.merged_seeds],
-            "alphas": [float(a) for a in traj.alphas],
-            "ks": [complex(k) for k in traj.ks],
+            "alphas": traj.alphas.tolist(),
+            "ks": traj.ks.tolist(),
             "anchors": [{"index": n, "k": complex(k)} for n, k in traj.anchors],
             "axis_crossings": [
                 {"alpha": float(a), "k": complex(k)}
@@ -158,12 +198,122 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
             for c in chart.near_contacts
         ],
         "completeness": completeness,
-        "provenance": {
-            "package": "wellpoles",
-            "config": config.to_dict() if config is not None else None,
-        },
+        "provenance": _provenance(config),
     }
     return doc
+
+
+def _provenance(config: RunConfig | None) -> dict:
+    return {
+        "package": "wellpoles",
+        "config": config.to_dict() if config is not None else None,
+    }
+
+
+def _command_document(kind: str, config: RunConfig, **fields) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        **fields,
+        "provenance": _provenance(config),
+    }
+
+
+def axis_poles_document(poles, config: RunConfig) -> dict:
+    """The axis poles of the configured well, channel and real coupling."""
+    return _command_document(
+        "axis_poles", config,
+        potential={"m": config.m, "a": config.a, "U": config.U},
+        channel=config.channel,
+        gamma=config.gamma,
+        poles=[
+            {
+                "k": complex(p.k),
+                "kind": p.kind.value,
+                "multiplicity": p.multiplicity,
+                "residual": float(p.residual),
+            }
+            for p in poles
+        ],
+    )
+
+
+def _critical_dict(cd: CriticalDepth) -> dict:
+    return {
+        "U": cd.U,
+        "k": complex(cd.k),
+        "attractive": cd.attractive,
+        "transition": cd.transition,
+        "pair_count": cd.pair_count,
+    }
+
+
+def critical_depth_document(cd: CriticalDepth, config: RunConfig) -> dict:
+    """One pair collision depth."""
+    return _command_document(
+        "critical_depth", config,
+        channel=cd.channel.value, index=cd.index, **_critical_dict(cd),
+    )
+
+
+def bound_threshold_document(
+    U: float, config: RunConfig,
+    flip: float | None = None, flip_agrees: bool | None = None,
+) -> dict:
+    """The n-th bound state threshold; with `flip`, the bisected depth at
+    which the bound state count changes and whether the two agree."""
+    checked = {} if flip is None else {"flip": flip, "flip_agrees": flip_agrees}
+    return _command_document(
+        "bound_threshold", config,
+        channel=config.channel, n=config.n, U=U, **checked,
+    )
+
+
+def depth_sweep_document(result: SweepResult, config: RunConfig) -> dict:
+    """Sweep entries and their attributed topology transitions."""
+    return _command_document(
+        "depth_sweep", config,
+        channel=config.channel,
+        entries=[
+            {
+                "U_requested": e.U_requested,
+                "U_used": e.U_used,
+                "nudged": e.nudged,
+                "topology": dict(e.topology),
+                "attractive_poles": [complex(k) for k in e.attractive_poles],
+                "warnings": [
+                    {"code": w.code, "message": w.message} for w in e.warnings
+                ],
+            }
+            for e in result.entries
+        ],
+        transitions=[
+            {
+                "u_below": t.u_below,
+                "u_above": t.u_above,
+                "description": t.description,
+                "critical": (
+                    None if t.critical is None else _critical_dict(t.critical)
+                ),
+            }
+            for t in result.transitions
+        ],
+    )
+
+
+def verification_document(
+    tolerances: dict, worst: dict, failures: list[dict], config: RunConfig,
+) -> dict:
+    """The scattering-identity self-check; it passes with no failures."""
+    return _command_document(
+        "verification", config,
+        passed=not failures,
+        samples=config.samples,
+        seed=config.seed,
+        tolerances=dict(tolerances),
+        worst_residuals=worst,
+        failures=failures,
+    )
 
 
 _TOP_KEYS = {
@@ -242,14 +392,9 @@ def poles_csv(chart: PoleChart) -> str:
 
 def trajectories_csv(chart: PoleChart) -> str:
     """All trajectory samples as CSV, one row per (trajectory, sample)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trajectory", "closure", "alpha", "re_k", "im_k"])
+    parts = ["trajectory,closure,alpha,re_k,im_k\n"]
     for i, traj in enumerate(chart.trajectories):
-        kind = traj.closure.kind.value
-        for a, k in zip(traj.alphas, traj.ks):
-            writer.writerow([
-                i, kind, _fmt_float(float(a)),
-                _fmt_float(k.real), _fmt_float(k.imag),
-            ])
-    return buf.getvalue()
+        rows = np.column_stack((traj.alphas, traj.ks.real, traj.ks.imag))
+        row = (f"{i},{traj.closure.kind.value},%.17g,", "%.17g,", "%.17g\n")
+        parts.append(_fmt_rows(rows.ravel().tolist(), row))
+    return "".join(parts)

@@ -5,11 +5,17 @@ Pure text assembly, deterministic byte-for-byte for a given chart: fixed
 polylines colored by closure kind; anchor markers distinguish the two real
 couplings (filled at the attractive phase, hollow at the repulsive one);
 small triangles show the trace direction; collision points get crosses.
+
+A trajectory's samples are mapped to the screen as whole arrays, by the
+same expressions (so the same IEEE operations in the same order) that map
+a single point, and each polyline is written in one "%.3f,%.3f" pass.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .chart import PoleChart
 
@@ -46,22 +52,21 @@ def _tick_label(value: float) -> str:
 def chart_svg(chart: PoleChart, width: int = 880, height: int = 680) -> str:
     """Render the chart to an SVG string."""
     margin = 52.0
-    pts = [k for t in chart.trajectories for k in t.ks]
-    if not pts:
-        pts = [complex(-1, -1), complex(1, 1)]
-    re_lo = min(p.real for p in pts)
-    re_hi = max(p.real for p in pts)
-    im_lo = min(p.imag for p in pts)
-    im_hi = max(p.imag for p in pts)
+    pts = np.concatenate([t.ks for t in chart.trajectories] or [np.empty(0, complex)])
+    if not pts.size:
+        pts = np.array([complex(-1, -1), complex(1, 1)])
+    re_lo, re_hi = float(pts.real.min()), float(pts.real.max())
+    im_lo, im_hi = float(pts.imag.min()), float(pts.imag.max())
     pad_re = 0.08 * (re_hi - re_lo) or 1.0
     pad_im = 0.08 * (im_hi - im_lo) or 1.0
     re_lo, re_hi = re_lo - pad_re, re_hi + pad_re
     im_lo, im_hi = im_lo - pad_im, im_hi + pad_im
 
-    def sx(re: float) -> float:
+    # both map a float or, elementwise, a float array
+    def sx(re):
         return margin + (re - re_lo) / (re_hi - re_lo) * (width - 2 * margin)
 
-    def sy(im: float) -> float:
+    def sy(im):
         return height - margin - (im - im_lo) / (im_hi - im_lo) * (height - 2 * margin)
 
     parts: list[str] = []
@@ -138,25 +143,24 @@ def chart_svg(chart: PoleChart, width: int = 880, height: int = 680) -> str:
     # trajectories
     for traj in chart.trajectories:
         color = _COLORS.get(traj.closure.kind.value, "#000000")
-        coords = " ".join(
-            f"{_f(sx(k.real))},{_f(sy(k.imag))}" for k in traj.ks
-        )
+        n = len(traj.ks)
+        xy = np.column_stack((sx(traj.ks.real), sy(traj.ks.imag)))
+        coords = ("%.3f,%.3f " * n)[:-1] % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.6"/>'
         )
         # direction markers at two interior samples
-        n = len(traj.ks)
+        xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
         for idx in (n // 3, (2 * n) // 3):
             if not (0 < idx < n - 1):
                 continue
-            k0, k1 = traj.ks[idx - 1], traj.ks[idx + 1]
-            dx = sx(k1.real) - sx(k0.real)
-            dy = sy(k1.imag) - sy(k0.imag)
+            dx = xs[idx + 1] - xs[idx - 1]
+            dy = ys[idx + 1] - ys[idx - 1]
             if dx == 0 and dy == 0:
                 continue
             angle = math.degrees(math.atan2(dy, dx))
-            x, y = sx(traj.ks[idx].real), sy(traj.ks[idx].imag)
+            x, y = xs[idx], ys[idx]
             parts.append(
                 f'<polygon points="-5,-3.5 4,0 -5,3.5" fill="{color}" '
                 f'transform="translate({_f(x)},{_f(y)}) rotate({_f(angle)})"/>'

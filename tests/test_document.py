@@ -7,11 +7,15 @@ import json
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellpoles.chart import build_chart, critical_depth
 from wellpoles.config import RunConfig, load_config_file, merge_config
 from wellpoles.document import (
+    _fmt_float,
     canonical_dumps,
     chart_document,
     parse_chart_document,
@@ -73,6 +77,83 @@ class TestCanonicalEmission:
         text = canonical_dumps({"s": "π"})
         assert "\\u03c0" in text
         assert json.loads(text)["s"] == "π"
+
+
+_BIG = 1e16  # integral floats below it keep their ".0"
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+        _BIG, -_BIG, math.nextafter(_BIG, 0.0), math.nextafter(-_BIG, 0.0),
+        math.nextafter(_BIG, math.inf), math.nextafter(-_BIG, -math.inf),
+    ]),
+    # integral values on both sides of 1e16
+    st.integers(-10**17, 10**17).map(float),
+    # huge and tiny exponents, subnormals included
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 1023)),
+)
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _per_value(xs) -> str:
+    """The per-value writing of a float or complex list, as a reference."""
+    items = [
+        f"[{_fmt_float(x.real)},{_fmt_float(x.imag)}]" if isinstance(x, complex)
+        else _fmt_float(x)
+        for x in xs
+    ]
+    return "[" + ",".join(items) + "]\n"
+
+
+def _raised(write, obj) -> str:
+    with pytest.raises(DocumentError) as info:
+        write(obj)
+    return str(info.value)
+
+
+class TestBulkLists:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FLOATS, max_size=40))
+    def test_float_list_matches_per_value(self, xs):
+        assert canonical_dumps(xs) == _per_value(xs)
+        assert canonical_dumps(tuple(xs)) == _per_value(xs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(complex, _FLOATS, _FLOATS), max_size=40))
+    def test_complex_list_matches_per_value(self, zs):
+        assert canonical_dumps(zs) == _per_value(zs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_FLOATS, max_size=20),
+           st.lists(_NONFINITE, min_size=1, max_size=3), st.data())
+    def test_nonfinite_in_a_float_list_raises(self, xs, bads, data):
+        for bad in bads:
+            xs.insert(data.draw(st.integers(0, len(xs))), bad)
+        assert _raised(canonical_dumps, {"x": xs}) == _raised(_per_value, xs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(complex, _FLOATS, _FLOATS), max_size=20),
+           st.lists(st.tuples(_FLOATS, _NONFINITE, st.booleans()),
+                    min_size=1, max_size=3),
+           st.data())
+    def test_nonfinite_in_a_complex_list_raises(self, zs, bads, data):
+        for x, bad, real_bad in bads:
+            z = complex(bad, x) if real_bad else complex(x, bad)
+            zs.insert(data.draw(st.integers(0, len(zs))), z)
+        assert _raised(canonical_dumps, zs) == _raised(_per_value, zs)
+
+    @pytest.mark.parametrize("obj,text", [
+        ([1, 2.0, True], "[1,2.0,true]"),
+        ([True, False], "[true,false]"),
+        ([2.0, 1.5 - 2.0j], "[2.0,[1.5,-2.0]]"),
+        ([np.float64(-0.0), 1e16, 0.5], "[0.0,10000000000000000,0.5]"),
+        ([-0.0, 1e16, 0.5], "[0.0,10000000000000000,0.5]"),
+        ([[1.0, -0.0], None, "x"], '[[1.0,0.0],null,"x"]'),
+        ([], "[]"),
+    ])
+    def test_mixed_and_edge_lists(self, obj, text):
+        assert canonical_dumps(obj) == text + "\n"
 
 
 class TestChartDocument:
