@@ -2,13 +2,19 @@
 
 Every hot loop in the engine (Newton polishing, continuation correctors,
 winding contours) bottoms out in the kernels here: a scalar kernel
-(``trig_scaled``, ``denom_scaled``, ``newton_pole``) for pointwise work, and
-a numpy array kernel (``denom_scaled_numpy``) behind the grid drivers
-``grid_denom_dk``, which the winding contours use, and ``axis_phi``. Only
-the trig blocks exist twice; both call one ``_channel_terms`` for the
-channel algebra. The axis poles are enumerated in closed form
-(``rootfinder.scan_axis``), so ``axis_phi`` is only the sampled reference
-along the imaginary axis that tests count sign changes of.
+(``trig_scaled``, ``denom_scaled``) for pointwise work, the Newton corrector
+``newton_pole``, and a numpy array kernel (``denom_scaled_numpy``) behind
+the grid drivers ``grid_denom_dk``, which the winding contours use, and
+``axis_phi``. ``denom_scaled`` serves the continuation predictor and single
+evaluations. ``newton_pole`` evaluates d and dd/dk itself, without dd/dw,
+the D_alpha product or, outside the series windows, E; its loop repeats the
+float operations of ``denom_scaled`` in the same order, so it is bit-equal
+to Newton on ``denom_scaled`` by construction, and a test in
+``tests/test_kernels.py`` locks that. The vector trig blocks and
+``denom_scaled`` call one ``_channel_terms`` for the channel algebra. The
+axis poles are enumerated in closed form (``rootfinder.scan_axis``), so
+``axis_phi`` is only the sampled reference along the imaginary axis that
+tests count sign changes of.
 
 The scalar kernel runs on ``math``/``cmath`` and Python ``float``/``complex``
 values, never on numpy scalars, which cost several times as much per call.
@@ -153,10 +159,59 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
     The ratio d/dk is scale-invariant, so overflow never enters; an iterate
     that runs off past the float range turns nan and is reported as not
     converged.
+
+    The loop evaluates d and dd/dk only: ``trig_scaled`` reduced to the
+    blocks the channel reads, then ``_channel_terms`` without dd/dw. Every
+    float operation, its order and its constants are those of
+    ``denom_scaled``, so each iterate is bit-equal to a loop on it; keep
+    ``(-1j * a) * Z``, since ``-(1j * a) * Z`` flips the sign of a zero
+    real part.
     """
+    c = 2.0 * m * gamma * U
+    a2 = a * a
+    ia = 1j * a
+    mia = -1j * a
+    ia3 = 1j * (a2 * a)
+    odd = ch != CH_PLUS
+    sqrt, exp, cos, sin = cmath.sqrt, math.exp, math.cos, math.sin
     k = k0
     for it in range(max_iter):
-        d, dk, da, E = denom_scaled(k, gamma, m, a, U, ch)
+        kk = k * k
+        w = kk + c
+        z = a * sqrt(w)
+        x = z.real
+        y = z.imag
+        ay = abs(y)
+        sgn = 1.0 if y >= 0.0 else -1.0
+        e2 = exp(-2.0 * ay)
+        cp = 0.5 * (1.0 + e2)
+        cm = 0.5 * (1.0 - e2)
+        try:
+            cx = cos(x)
+            sx = sin(x)
+        except ValueError:
+            cx = sx = math.nan
+        C = complex(cx * cp, -sgn * sx * cm)
+        az = abs(z)
+        # E = exp(-|Im z|) is a factor only of the series forms
+        if az >= _SINC_CUT:
+            Z = complex(sx * cp, sgn * cx * cm) / z
+        else:
+            z2 = z * z
+            Z = (1.0 - z2 / 6.0 + z2 * z2 / 120.0) * exp(-ay)
+        if odd:
+            if az >= _G_CUT:
+                G = (C - Z) / (z * z)
+            else:
+                z2 = z * z
+                G = (
+                    -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0
+                ) * exp(-ay)
+            d = C - ia * k * Z
+            dk = mia * Z - a2 * k * Z - ia3 * kk * G
+        else:
+            d = k * C - ia * w * Z
+            dk = C - a2 * kk * Z - ia * k * (Z + C)
         if dk == 0.0:
             return k, it, False
         step = d / dk

@@ -30,13 +30,13 @@ SCHEMA_VERSION = "1"
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise DocumentError(f"cannot serialize non-finite value {x!r}")
-    if x == int(x) and abs(x) < 1e16:
+    if x == int(x) and abs(x) < 1e17:
         return f"{int(x)}.0"
     return format(x, ".17g")
 
 
 # one %-template per value of a row, each ending in the separator that
-# follows it; an integral value below 1e16 takes the "%.1f" form of its
+# follows it; an integral value below 1e17 takes the "%.1f" form of its
 # template instead, which prints it as "N.0"
 _FLOAT_ROW = ("%.17g,",)
 _PAIR_ROW = ("[%.17g,", "%.17g],")
@@ -54,7 +54,7 @@ def _fmt_rows(values: list[float], row: tuple[str, ...]) -> str:
     forms = list(row) * (len(values) // width)
     values = list(values)
     for i in compress(count(), map(float.is_integer, values)):
-        if abs(values[i]) < 1e16:
+        if abs(values[i]) < 1e17:
             forms[i] = row[i % width].replace("%.17g", "%.1f")
             values[i] += 0.0  # -0.0 becomes 0.0, as int(-0.0) does
     return "".join(forms) % tuple(values)

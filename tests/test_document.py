@@ -79,7 +79,9 @@ class TestCanonicalEmission:
         assert json.loads(text)["s"] == "π"
 
 
-_BIG = 1e16  # integral floats below it keep their ".0"
+# integral floats below it keep their ".0"; at and above it "%.17g" writes
+# an exponent, so every float reads back as a float
+_BIG = 1e17
 
 _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -88,8 +90,8 @@ _FLOATS = st.one_of(
         _BIG, -_BIG, math.nextafter(_BIG, 0.0), math.nextafter(-_BIG, 0.0),
         math.nextafter(_BIG, math.inf), math.nextafter(-_BIG, -math.inf),
     ]),
-    # integral values on both sides of 1e16
-    st.integers(-10**17, 10**17).map(float),
+    # integral values on both sides of 1e16 and 1e17
+    st.integers(-10**18, 10**18).map(float),
     # huge and tiny exponents, subnormals included
     st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 1023)),
 )
@@ -147,13 +149,24 @@ class TestBulkLists:
         ([1, 2.0, True], "[1,2.0,true]"),
         ([True, False], "[true,false]"),
         ([2.0, 1.5 - 2.0j], "[2.0,[1.5,-2.0]]"),
-        ([np.float64(-0.0), 1e16, 0.5], "[0.0,10000000000000000,0.5]"),
-        ([-0.0, 1e16, 0.5], "[0.0,10000000000000000,0.5]"),
+        ([np.float64(-0.0), 1e16, 0.5], "[0.0,10000000000000000.0,0.5]"),
+        ([-0.0, 1e16, 0.5], "[0.0,10000000000000000.0,0.5]"),
         ([[1.0, -0.0], None, "x"], '[[1.0,0.0],null,"x"]'),
         ([], "[]"),
+        ([np.float64(1e17), 1e17], "[1e+17,1e+17]"),
     ])
     def test_mixed_and_edge_lists(self, obj, text):
         assert canonical_dumps(obj) == text + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(10**16, 10**17).map(float), st.booleans())
+    def test_large_integral_floats_read_back_as_floats(self, x, negative):
+        x = -x if negative else x
+        # the bulk row writer, the per-value writer and a complex pair
+        for obj in ([x], [x, None], [complex(x, x)]):
+            back = json.loads(canonical_dumps(obj))[0]
+            for v in back if isinstance(back, list) else [back]:
+                assert type(v) is float and v == x
 
 
 class TestChartDocument:

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import cmath
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wellpoles import _kernels as K
+from wellpoles.smatrix import _phase_to_gamma
 
 RTOL_PATHS = 1e-13
 RTOL_MPMATH = 1e-12
@@ -120,6 +127,153 @@ class TestNewton:
     def test_reports_failure_on_tiny_budget(self):
         k, it, ok = K.newton_pole(3.0 + 2.0j, 1.0 + 0j, M, A, 2.0, K.CH_PLUS, 1e-15, 1)
         assert not ok
+
+
+def _reference_newton(k0, gamma, m, a, U, ch, step_tol, max_iter):
+    """Newton on denom_scaled: the loop newton_pole must equal bit for bit."""
+    k = k0
+    for it in range(max_iter):
+        d, dk, da, E = K.denom_scaled(k, gamma, m, a, U, ch)
+        if dk == 0.0:
+            return k, it, False
+        step = d / dk
+        k = k - step
+        if abs(step) < step_tol * (1.0 + abs(k)):
+            return k, it + 1, True
+    return k, max_iter, False
+
+
+_OVERFLOW_STARTS = (1e200 + 0j, 1e155 + 1e155j, 1e300j, -1e300j)
+# start kinds: a generic point, a point on the imaginary axis with either
+# sign of zero (mirror_defect starts at -conj(k)), |aK| inside each series
+# window of trig_scaled, |Im aK| past the underflow of E, and the overflow
+# starts
+_STARTS = ("plane", "axis", "sinc_series", "g_series", "far", "overflow")
+
+
+def _start(kind, c, a, u, v, n):
+    """Start momentum of one kind from draws u, v in [-1, 1] and an index n."""
+    if kind == "plane":
+        return complex(20.0 * u, 20.0 * v)
+    if kind == "axis":
+        return complex(-0.0 if n % 2 else 0.0, 5.0 * v)
+    if kind in ("sinc_series", "g_series"):
+        # K = t/a with |t| in the window, so k = sqrt(K^2 - c)
+        r = 5e-5 * (1.0 + u) / 2.0 if kind == "sinc_series" else 2e-4 + 0.04 * (1.0 + u)
+        t = r * cmath.exp(1j * math.pi * v)
+        return cmath.sqrt((t / a) ** 2 - c)
+    if kind == "far":
+        y = (1000.0 + 500.0 * (1.0 + u)) / a
+        return complex(10.0 * v, y if n % 2 else -y)
+    return _OVERFLOW_STARTS[n % len(_OVERFLOW_STARTS)]
+
+
+@st.composite
+def _newton_cases(draw):
+    m = draw(st.floats(0.2, 10.0))
+    a = draw(st.floats(0.1, 6.0))
+    U = draw(st.floats(1e-3, 300.0))
+    ch = draw(st.sampled_from([K.CH_PLUS, K.CH_MINUS]))
+    alpha = draw(
+        st.one_of(
+            st.integers(-8, 8).map(lambda n: n * (math.pi / 2.0)),
+            st.floats(-4.0 * math.pi, 4.0 * math.pi),
+        )
+    )
+    gamma = _phase_to_gamma(alpha)
+    if draw(st.booleans()):
+        gamma = np.complex128(gamma)
+    kind = draw(st.sampled_from(_STARTS))
+    u = draw(st.floats(-1.0, 1.0))
+    v = draw(st.floats(-1.0, 1.0))
+    n = draw(st.integers(0, 7))
+    k0 = _start(kind, 2.0 * m * gamma * U, a, u, v, n)
+    if draw(st.booleans()):
+        k0 = np.complex128(k0)
+    step_tol = draw(st.sampled_from([1e-12, 1e-15]))
+    max_iter = draw(st.sampled_from([1, 8, 50]))
+    return k0, gamma, m, a, U, ch, step_tol, max_iter
+
+
+class TestNewtonBitEquality:
+    """newton_pole evaluates d and dd/dk inline; every iterate, the iteration
+    count and the converged flag must equal a loop on denom_scaled."""
+
+    @staticmethod
+    def _check(args):
+        assert repr(K.newton_pole(*args)) == repr(_reference_newton(*args))
+
+    @pytest.mark.parametrize("kind", _STARTS)
+    def test_each_start_kind(self, kind):
+        cases = itertools.product(
+            (K.CH_PLUS, K.CH_MINUS),
+            (0.0, 0.7, math.pi / 2.0, math.pi, -3.0 * math.pi / 2.0),
+            ((1.0, 1.5, 2.0), (0.2, 0.1, 1e-3), (10.0, 6.0, 300.0)),
+            enumerate(((0.3, -0.8), (-0.9, 0.1), (0.95, 0.6))),
+        )
+        for ch, alpha, (m, a, U), (n, (u, v)) in cases:
+            gamma = _phase_to_gamma(alpha)
+            c = 2.0 * m * gamma * U
+            k0 = _start(kind, c, a, u, v, n)
+            z = a * cmath.sqrt(k0 * k0 + c)
+            if kind == "sinc_series":
+                assert abs(z) < K._SINC_CUT
+            elif kind == "g_series":
+                assert K._SINC_CUT <= abs(z) < K._G_CUT
+            elif kind == "far":
+                assert abs(z.imag) > 745.0
+                assert K.denom_scaled(k0, gamma, m, a, U, ch)[3] == 0.0
+            for max_iter in (1, 8):
+                self._check((k0, gamma, m, a, U, ch, 1e-12, max_iter))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(_newton_cases())
+    @example((1e200 + 0j, 1.0 + 0j, M, A, 2.0, K.CH_PLUS, 1e-12, 50))
+    @example((np.complex128(1.85j), np.complex128(1.0), M, A, 2.0, K.CH_MINUS, 1e-12, 8))
+    def test_matches_reference_loop(self, args):
+        self._check(args)
+
+
+class TestNewtonWork:
+    """The corrector makes no denom_scaled call; a trace makes one per step."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = [0]
+        fn = getattr(K, name)
+
+        def counted(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(K, name, counted)
+        return calls
+
+    def test_newton_pole_makes_no_denom_call(self, monkeypatch):
+        calls = self._count(monkeypatch, "denom_scaled")
+        for ch in (K.CH_PLUS, K.CH_MINUS):
+            assert K.newton_pole(1.85j, 1.0 + 0j, M, A, 2.0, ch, 1e-12, 50)[1] > 0
+        assert calls[0] == 0
+
+    def test_trace_evaluates_once_per_attempted_step(self, monkeypatch):
+        from wellpoles.rootfinder import scan_axis
+        from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
+        from wellpoles.trajectory import trace
+
+        spec = PotentialSpec(M, A, 2.0)
+        seed = min(
+            scan_axis(spec, ComplexCoupling(0.0), Channel.PLUS),
+            key=lambda p: abs(p.k - 1.841595559696953j),
+        )
+        denom = self._count(monkeypatch, "denom_scaled")
+        plain = self._count(monkeypatch, "denom_plain")
+        steps = self._count(monkeypatch, "newton_pole")
+        t = trace(seed, +1, spec)
+        assert steps[0] >= len(t.alphas) - 1 > 100
+        # the predictor's evaluation per step, plus the seed residual check
+        assert denom[0] == steps[0] + plain[0]
+        assert plain[0] == 1
 
 
 class TestScalarArrayAgreement:
