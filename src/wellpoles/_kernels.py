@@ -1,26 +1,22 @@
 """Numeric kernels for the channel pole functions.
 
 Every hot loop in the engine (Newton polishing, continuation correctors,
-winding contours) bottoms out in the kernels here: a scalar kernel
-(``trig_scaled``, ``denom_scaled``) for pointwise work, the Newton corrector
-``newton_pole``, and a numpy array kernel (``denom_scaled_numpy``) behind
-the grid drivers ``grid_denom_dk``, which the winding contours use, and
-``axis_phi``. ``denom_scaled`` serves the continuation predictor and single
-evaluations. ``newton_pole`` evaluates d and dd/dk itself, without dd/dw,
-the D_alpha product or, outside the series windows, E; its loop repeats the
-float operations of ``denom_scaled`` in the same order, so it is bit-equal
-to Newton on ``denom_scaled`` by construction, and a test in
-``tests/test_kernels.py`` locks that. The vector trig blocks and
-``denom_scaled`` call one ``_channel_terms`` for the channel algebra. The
-axis poles are enumerated in closed form (``rootfinder.scan_axis``), so
-``axis_phi`` is only the sampled reference along the imaginary axis that
-tests count sign changes of.
+winding contours) bottoms out in one scalar kernel: ``trig_scaled`` for the
+trig blocks and ``_channel_terms`` for the channel algebra, composed by
+``denom_scaled``, which serves the continuation predictor and single
+evaluations. The rest repeat its float operations in the same order, so
+their values are bit-equal to it:
 
-The scalar kernel runs on ``math``/``cmath`` and Python ``float``/``complex``
-values, never on numpy scalars, which cost several times as much per call.
-The two kernels evaluate the same formulas with the same series cut-offs, so
-they agree to about 1e-13 relative, but not bit for bit: numpy's ``exp`` and
-complex division round differently from ``math.exp`` and CPython's.
+- ``newton_pole``, the corrector, evaluates d and dd/dk inline, without
+  dd/dw, the D_alpha product or, outside the series windows, E;
+- ``grid_denom_dk`` loops over a list of momenta for the winding contours;
+- ``axis_phi`` loops along the imaginary axis. The axis poles are
+  enumerated in closed form (``rootfinder.scan_axis``), so it is only the
+  sampled reference that tests count sign changes of.
+
+Tests in ``tests/test_kernels.py`` lock the bit-equality. Everything runs
+on ``math``/``cmath`` and Python ``float``/``complex`` values, never on
+numpy scalars, which cost several times as much per call.
 
 Scaling convention
 ------------------
@@ -64,8 +60,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 CH_PLUS = 0
 CH_MINUS = 1
 
@@ -93,7 +87,7 @@ def trig_scaled(z):
     try:
         cx = math.cos(x)
         sx = math.sin(x)
-    except ValueError:  # x = +-inf, where math raises and numpy gives nan
+    except ValueError:  # x = +-inf, where math raises; the blocks are nan
         cx = sx = math.nan
     C = complex(cx * cp, -sgn * sx * cm)
     S = complex(sx * cp, sgn * cx * cm)
@@ -113,8 +107,7 @@ def trig_scaled(z):
 
 
 def _channel_terms(k, w, a, C, Z, G, ch):
-    """Scaled d, dd/dk and dd/dw (w = K^2) from the trig blocks at z = aK;
-    k and w are complex scalars or arrays."""
+    """Scaled d, dd/dk and dd/dw (w = K^2) from the trig blocks at z = aK."""
     if ch == CH_PLUS:
         d = k * C - 1j * a * w * Z
         dk = C - (a * a) * (k * k) * Z - 1j * a * k * (Z + C)
@@ -221,41 +214,22 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
     return k, max_iter, False
 
 
-def _trig_scaled_numpy(z):
-    """Vectorized twin of trig_scaled over a complex array."""
-    x = z.real
-    y = z.imag
-    ay = np.abs(y)
-    sgn = np.where(y >= 0.0, 1.0, -1.0)
-    e2 = np.exp(-2.0 * ay)
-    cp = 0.5 * (1.0 + e2)
-    cm = 0.5 * (1.0 - e2)
-    cx = np.cos(x)
-    sx = np.sin(x)
-    C = cx * cp - 1j * sgn * sx * cm
-    S = sx * cp + 1j * sgn * cx * cm
-    E = np.exp(-ay)
-    az = np.abs(z)
-    zsafe = np.where(az >= _SINC_CUT, z, 1.0)
-    z2 = z * z
-    Z = np.where(az >= _SINC_CUT, S / zsafe, (1.0 - z2 / 6.0 + z2 * z2 / 120.0) * E)
-    zsafe2 = np.where(az >= _G_CUT, z, 1.0)
-    G = np.where(
-        az >= _G_CUT,
-        (C - Z) / (zsafe2 * zsafe2),
-        (-1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0) * E,
-    )
-    return C, S, Z, G, E
+def _grid(ks, gamma, m, a, U, ch):
+    """Scaled d and dd/dk at each Python complex momentum of ks, as two lists.
 
-
-def denom_scaled_numpy(ks, gamma, m, a, U, ch):
-    """Vectorized twin of denom_scaled over an array of momenta."""
-    k = np.asarray(ks, dtype=np.complex128)
-    w = k * k + 2.0 * m * gamma * U
-    z = a * np.sqrt(w)
-    C, S, Z, G, E = _trig_scaled_numpy(z)
-    d, dk, dw = _channel_terms(k, w, a, C, Z, G, ch)
-    return d, dk, dw * (2j * m * U * gamma), E
+    The operations are those of ``denom_scaled``, so every pair is bit-equal
+    to its (d, dk) at the same k and gamma.
+    """
+    c = 2.0 * m * gamma * U
+    sqrt = cmath.sqrt
+    ds, dks = [], []
+    for k in ks:
+        w = k * k + c
+        C, S, Z, G, E = trig_scaled(a * sqrt(w))
+        d, dk, _ = _channel_terms(k, w, a, C, Z, G, ch)
+        ds.append(d)
+        dks.append(dk)
+    return ds, dks
 
 
 def axis_phi(kappas, gamma, m, a, U, ch):
@@ -264,19 +238,20 @@ def axis_phi(kappas, gamma, m, a, U, ch):
     For the even channel phi = Re(-i * d_plus(i kappa)); for the odd channel
     phi = Re(d_minus(i kappa)). Both are real-valued up to roundoff when
     gamma is real. Values carry the scaling factor E (positive), which does
-    not affect sign changes.
+    not affect sign changes. Returns a list of floats.
     """
-    ks = 1j * np.asarray(kappas, dtype=np.float64)
-    d, dk, da, E = denom_scaled_numpy(ks, gamma, m, a, U, ch)
+    ds, _ = _grid([complex(0.0, x) for x in kappas], complex(gamma), m, a, U, ch)
     if ch == CH_PLUS:
-        return (-1j * d).real.copy()
-    return d.real.copy()
+        return [(-1j * d).real for d in ds]
+    return [d.real for d in ds]
 
 
 def grid_denom_dk(ks, gamma, m, a, U, ch):
-    """Scaled pole function and k-derivative on an array of momenta."""
-    d, dk, da, E = denom_scaled_numpy(ks, gamma, m, a, U, ch)
-    return d, dk
+    """Scaled pole function and k-derivative at each momentum of ks.
+
+    Returns two lists (d, dk), each value bit-equal to ``denom_scaled``.
+    """
+    return _grid([complex(k) for k in ks], complex(gamma), m, a, U, ch)
 
 
 def denom_plain(k, gamma, m, a, U, ch):

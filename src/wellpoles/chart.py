@@ -319,14 +319,19 @@ def _certify(chart: PoleChart) -> dict:
         coupling=ComplexCoupling(0.0),
         channel=chart.channel,
     )
+    window_count = None
     try:
-        window_count, _ = count_zeros_padded(region, spec)
+        n, _ = count_zeros_padded(region, spec)
     except (EdgeTooClose, ValueError) as exc:
-        chart.warnings.append(ChartWarning(
-            code="count_failed",
-            message=f"window contour count failed: {exc}",
-        ))
-        window_count = -1
+        failure = f"window contour count failed: {exc}"
+    else:
+        if n >= 0:
+            window_count = n
+        else:
+            # an entire function has no negative zero count
+            failure = f"window contour count {n} is negative: the sampled winding aliased"
+    if window_count is None:
+        chart.warnings.append(ChartWarning(code="count_failed", message=failure))
     return {
         "window": window,
         "window_count": window_count,

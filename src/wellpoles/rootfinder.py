@@ -13,11 +13,10 @@ is sampled.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import _kernels as _k
 from .errors import ConvergedElsewhere, EdgeTooClose, NoConvergence, NoRootInBracket
@@ -409,37 +408,42 @@ def _edge_winding(
     """
     gamma = coupling.gamma
     ch = channel.code
+    dz = z1 - z0
 
-    def evaluate(ts: np.ndarray) -> np.ndarray:
-        ks = z0 + (z1 - z0) * ts
-        d, dk = _k.grid_denom_dk(ks.astype(np.complex128), gamma, spec.m, spec.a, spec.U, ch)
-        bad = np.abs(d) < _EDGE_CLEARANCE * np.abs(dk)
-        if bad.any():
-            raise EdgeTooClose(complex(ks[int(np.argmax(bad))]))
-        return d
+    def evaluate(ts: list[float]) -> list[complex]:
+        ks = [z0 + dz * t for t in ts]
+        ds, dks = _k.grid_denom_dk(ks, gamma, spec.m, spec.a, spec.U, ch)
+        for k, d, dk in zip(ks, ds, dks):
+            if abs(d) < _EDGE_CLEARANCE * abs(dk):
+                raise EdgeTooClose(k)
+        return ds
 
-    ts = np.linspace(0.0, 1.0, 33)
+    ts = [i / 32 for i in range(33)]
     vals = evaluate(ts)
     while True:
-        dargs = np.angle(vals[1:] / vals[:-1])
-        coarse = np.abs(dargs) >= 0.5 * math.pi
-        if not coarse.any():
-            return float(np.sum(dargs))
-        if ts.size > _EDGE_MAX_POINTS:
-            raise EdgeTooClose(z0 + (z1 - z0) * float(ts[int(np.argmax(coarse))]))
-        mids = 0.5 * (ts[:-1][coarse] + ts[1:][coarse])
-        new_vals = evaluate(mids)
-        order = np.argsort(np.concatenate([ts, mids]))
-        ts = np.concatenate([ts, mids])[order]
-        vals = np.concatenate([vals, new_vals])[order]
+        dargs = [cmath.phase(v1 / v0) for v0, v1 in zip(vals, vals[1:])]
+        coarse = [i for i, s in enumerate(dargs) if abs(s) >= 0.5 * math.pi]
+        if not coarse:
+            return sum(dargs)
+        if len(ts) > _EDGE_MAX_POINTS:
+            raise EdgeTooClose(z0 + dz * ts[coarse[0]])
+        mids = [0.5 * (ts[i] + ts[i + 1]) for i in coarse]
+        merged = sorted(zip(ts + mids, vals + evaluate(mids)), key=lambda p: p[0])
+        ts = [t for t, _ in merged]
+        vals = [v for _, v in merged]
 
 
 def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
     """Number of pole-function zeros inside the rectangle, with multiplicity.
 
-    Argument-principle winding along the boundary; the integrand is entire,
-    so the winding is exactly the zero count. Raises EdgeTooClose when a
-    zero sits within ~1e-6 of the contour.
+    Argument-principle winding along the boundary (Delves & Lyness, Math.
+    Comp. 21 (1967) 543). The integrand is entire, so the true winding is
+    the zero count. The sampled winding equals it only under an assumption
+    that ``_edge_winding`` does not check: every sampled argument step below
+    pi/2 is the true step between its samples. Where that fails, whole
+    turns drop out of the sum. An entire function has no negative zero
+    count, so a negative result proves such aliasing. Raises EdgeTooClose
+    when a zero sits within ~1e-6 of the contour.
     """
     c0 = region.lo
     c2 = region.hi

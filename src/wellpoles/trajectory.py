@@ -447,20 +447,6 @@ def combine(first: Trajectory, second: Trajectory) -> Trajectory:
     )
 
 
-def classify_closure(traj: Trajectory, closure_tol: float = 1e-6) -> Closure:
-    """Re-derive the closure label from the recorded anchors."""
-    amap = traj.anchor_index_map()
-    n0 = _on_half_grid(traj.seed_alpha)
-    if n0 is not None and n0 in amap:
-        k0 = amap[n0]
-        for turns, kind in ((1, ClosureKind.CLOSED_2PI), (2, ClosureKind.CLOSED_4PI)):
-            for sgn in (+1, -1):
-                n = n0 + sgn * 4 * turns
-                if n in amap and abs(amap[n] - k0) < closure_tol:
-                    return Closure(kind=kind)
-    return traj.closure
-
-
 def _mirror_index(alpha: float) -> int:
     """Anchor index of alpha; the symmetry alpha -> -alpha reflects only
     about multiples of pi, so any other phase raises ValueError."""

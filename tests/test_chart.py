@@ -20,6 +20,7 @@ from wellpoles.chart import (
     threshold_flip,
     working_window,
 )
+from wellpoles.document import canonical_dumps, chart_document, parse_chart_document
 from wellpoles.errors import NoRootInBracket
 from wellpoles.rootfinder import PoleKind, scan_axis
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
@@ -171,6 +172,20 @@ class TestCompleteness:
             d, dk = _k.denom_plain(k, 1.0 + 0.0j, spec.m, spec.a, spec.U,
                                    chart.channel.code)
             assert abs(d) < 1e-8 * (1.0 + abs(k))
+
+    def test_negative_window_count_fails_loudly(self):
+        # the sampled window winding of this deep wide well reads -5; an
+        # entire function has no negative zero count, so the winding
+        # aliased and the count failed
+        chart = build_chart(PotentialSpec(m=1.0, a=5.0, U=30.0), Channel.PLUS)
+        cert = chart.completeness
+        assert cert["window_count"] is None
+        assert cert["trajectory_count"] == 25
+        assert cert["complete"] is False
+        failed = [w.message for w in chart.warnings if w.code == "count_failed"]
+        assert failed == ["window contour count -5 is negative: the sampled winding aliased"]
+        doc = parse_chart_document(canonical_dumps(chart_document(chart)))
+        assert doc["completeness"]["window_count"] is None
 
     def test_zero_depth_trivial(self):
         chart = build_chart(PotentialSpec(m=M, a=A, U=0.0), Channel.PLUS)

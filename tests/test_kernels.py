@@ -1,4 +1,4 @@
-"""Kernel-level checks: scaled trig blocks, derivatives, scalar and array kernels."""
+"""Kernel-level checks: scaled trig blocks, derivatives, the scalar kernel and its loops."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from wellpoles import _kernels as K
 from wellpoles.smatrix import _phase_to_gamma
 
-RTOL_PATHS = 1e-13
 RTOL_MPMATH = 1e-12
 RTOL_DERIV = 2e-6
 
@@ -276,20 +275,24 @@ class TestNewtonWork:
         assert plain[0] == 1
 
 
-class TestScalarArrayAgreement:
+class TestGridKernel:
     @pytest.mark.parametrize("ch", [K.CH_PLUS, K.CH_MINUS])
-    def test_scalar_kernel_matches_array_kernel(self, ch):
-        # the scalar kernel serves pointwise Newton work, the array kernel the
-        # grids; both must evaluate one formula, point by point
+    def test_grid_matches_scalar_kernel_bit_for_bit(self, ch):
+        # the winding contours use the grid loop and the predictor the
+        # scalar kernel; both must give one value at each point. Ten
+        # draws of (gamma, m, a, U), each on 50 points; half the draws take
+        # |Re k|, |Im k| up to 150, where |Im aK| mostly reaches the hundreds
+        # and only the scaled forms stay finite
         rng = np.random.default_rng(21)
-        ks = rand_points(500, 22)
-        gammas = np.exp(1j * rng.uniform(-np.pi, np.pi, ks.size))
-        Us = rng.uniform(1e-3, 300.0, ks.size)
-        for k, g, U in zip(ks, gammas, Us):
-            scalar = K.denom_scaled(k, g, M, A, U, ch)
-            array = K.denom_scaled_numpy(np.array([k]), g, M, A, U, ch)
-            for s_val, a_val in zip(scalar, array):
-                np.testing.assert_allclose(s_val, a_val[0], rtol=RTOL_PATHS, atol=1e-300)
+        for draw in range(10):
+            g = complex(np.exp(1j * rng.uniform(-np.pi, np.pi)))
+            m, a, U = (float(v) for v in rng.uniform([0.2, 0.1, 1e-3], [10.0, 6.0, 300.0]))
+            ks = [complex(k) for k in rand_points(50, 22 + draw, box=5.0 if draw % 2 else 150.0)]
+            d, dk = K.grid_denom_dk(ks, g, m, a, U, ch)
+            assert len(d) == len(dk) == len(ks)
+            for k, d_k, dk_k in zip(ks, d, dk):
+                ref = K.denom_scaled(k, g, m, a, U, ch)
+                assert (d_k, dk_k) == ref[:2]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

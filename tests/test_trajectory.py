@@ -11,12 +11,13 @@ from wellpoles.errors import NoConvergence, SeedNotOnPole, StallAtDoubleZero
 from wellpoles.rootfinder import Pole, PoleKind, newton_refine, scan_axis
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.trajectory import (
+    Closure,
     ClosureKind,
     ExitReason,
     StepControl,
     TraceCaps,
+    _on_half_grid,
     branch_at_double_zero,
-    classify_closure,
     combine,
     mirror,
     mirror_defect,
@@ -63,6 +64,20 @@ def _seed(U, coupling, channel, k_near):
     best = min(poles, key=lambda p: abs(p.k - k_near))
     assert abs(best.k - k_near) < 1e-6
     return best
+
+
+def classify_closure(traj, closure_tol: float = 1e-6) -> Closure:
+    """Re-derive the closure label from the recorded anchors."""
+    amap = traj.anchor_index_map()
+    n0 = _on_half_grid(traj.seed_alpha)
+    if n0 is not None and n0 in amap:
+        k0 = amap[n0]
+        for turns, kind in ((1, ClosureKind.CLOSED_2PI), (2, ClosureKind.CLOSED_4PI)):
+            for sgn in (+1, -1):
+                n = n0 + sgn * 4 * turns
+                if n in amap and abs(amap[n] - k0) < closure_tol:
+                    return Closure(kind=kind)
+    return traj.closure
 
 
 class TestClosureDetection:
