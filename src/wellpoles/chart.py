@@ -54,6 +54,10 @@ _CRITICAL_WARN = 1e-4
 _NEAR_CONTACT = 0.05
 
 
+def _inventory_key(k: complex) -> tuple[float, float]:
+    return (0.0 if abs(k.real) < _DEDUP_TOL else k.real, k.imag)
+
+
 @dataclass(frozen=True)
 class WorkingWindow:
     re_max: float
@@ -107,7 +111,9 @@ class PoleChart:
 
         phase_class 0 is the attractive coupling, 2 the repulsive one. A
         closed curve revisits its anchors every turn, so matching momenta
-        are merged; the survivors are sorted by (Re, Im).
+        are merged; the survivors are sorted by (Re, Im), with an axis pole
+        (|Re k| < _DEDUP_TOL) taken at Re = 0 so that the sign of its
+        roundoff real part does not decide its place.
         """
         found: list[complex] = []
         for traj in self.trajectories:
@@ -118,7 +124,7 @@ class PoleChart:
                     continue
                 if all(abs(k - q) >= _DEDUP_TOL for q in found):
                     found.append(k)
-        return sorted(found, key=lambda z: (z.real, z.imag))
+        return sorted(found, key=_inventory_key)
 
     def pole_count(self, phase_class: int = 0, window: WorkingWindow | None = None) -> int:
         """Pole count with multiplicity at a real coupling, window-filtered.

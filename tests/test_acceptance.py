@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 
 from wellpoles import cli
 from wellpoles.chart import (
+    _inventory_key,
     bound_threshold,
     build_chart,
     critical_depth,
@@ -321,8 +322,11 @@ def _assert_pole_lists_match(frozen, computed):
 
 
 def _assert_inventory_matches(frozen, computed):
+    # both lists in the chart's canonical order: an axis pole's place must
+    # not hang on the sign of its roundoff real part
     assert len(computed) == len(frozen)
-    for k_ref, k in zip(frozen, computed):
+    for k_ref, k in zip(sorted(frozen, key=_inventory_key),
+                        sorted(computed, key=_inventory_key)):
         assert abs(k - k_ref) < LOCK_TOL
 
 

@@ -87,9 +87,9 @@ _GOLDEN_OUTPUT = {
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
         "7db0436d59ed857bda57c2008abbf4c6856fd7dbde3761c118b0e3af8af75312",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "dfaaa54d0004a584e7424e17af0e03d632a679bb02171fe19782ff690a36ae85",
+        "da80a6bfb9c9807fc85f741f45f353ac34d5450723ed41c285fff97946641348",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "82262f0ff27021e80a81706da204c2e496f99e75439049beba851efdbda85297",
+        "976566a251ea53a2f382e259d6fb8f165bdf92ef59004e89b58d58e3ffe3d178",
     ("verify", "--samples", "60", "--seed", "7"):
         "a782a4b9f96d0106de7fce87ee84d71e90740c9ada41725644c3b3d0f168b797",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
