@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import DocumentError
+from .trajectory import StepControl
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,11 @@ class RunConfig:
     depths: tuple[float, ...] = ()
     alpha_cap: float | None = None
     k_window: float | None = None
-    step_initial: float = 0.01
-    step_minimum: float = 1e-6
-    step_maximum: float = 0.05
-    closure_tol: float = 1e-6
+    # one source for the march: a chart from the CLI steps as build_chart does
+    step_initial: float = StepControl.initial
+    step_minimum: float = StepControl.minimum
+    step_maximum: float = StepControl.maximum
+    closure_tol: float = StepControl.closure_tol
     samples: int = 200
     seed: int = 20260816
     certify: bool = True

@@ -1,12 +1,18 @@
 """Pole trajectories under rotation of the coupling phase.
 
 A pole k(alpha) of a channel pole function D(k; gamma=e^{i alpha}) is
-continued in increasing alpha by an Euler predictor
-(dk/dalpha = -D_alpha/D_k) and a Newton corrector at the stepped phase.
-Steps adapt to corrector effort and are clipped so the trace lands exactly
-on every quarter-turn anchor alpha = n*(pi/2); anchors are tracked by the
-integer n, never by comparing accumulated floats against multiples of pi,
-which closure detection needs to be exact.
+continued in increasing alpha by a cubic Hermite predictor through the last
+two samples of (alpha, k, v = dk/dalpha = -D_alpha/D_k), Euler at a start or
+split, and a Newton corrector at the stepped phase. A step of length h is
+accepted when it moves k little and its local error, the trapezoid defect
+e = |k1 - k0 - h(v0 + v1)/2| of the tangents at both ends, is at most
+tol*(1 + |k0|); the next h is then 0.9*h*(tol/e)^(1/3), at most 2h and the
+maximum, and a rejected h is halved. The test cannot see a swap onto a
+neighbouring curve closer than tol*(1 + |k|); there only a check that each
+anchor pole lies on one curve can. Steps are clipped so the trace lands
+exactly on every quarter-turn anchor alpha = n*(pi/2); anchors are tracked
+by the integer n, never by comparing accumulated floats against multiples
+of pi, which closure detection needs to be exact.
 
 The march only ever runs forward. The conjugation relation of the S-matrix,
 S*(-k*, gamma*) = S(k, gamma), maps the pole at (alpha, k) to
@@ -30,19 +36,17 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import ModelInvalid, NoConvergence, SeedNotOnPole, StallAtDoubleZero
-from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, PoleKind, classify
-from .smatrix import Channel, ComplexCoupling, PotentialSpec, _phase_to_gamma
+from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, classify
+from .smatrix import Channel, PotentialSpec, _phase_to_gamma
 
 HALF_PI = math.pi / 2.0
 TWO_PI = 2.0 * math.pi
 
-# corrector budget, largest accepted |dk|/(1+|k|), and the step rules: a
-# step needing more than _EASY_ITERS halves the next, _EASY_STREAK easy
-# steps in a row double it
+# corrector budget, largest accepted |dk|/(1+|k|), and the largest accepted
+# local error e/(1+|k|) of a step
 _CORRECTOR_ITERS = 8
 _DISPLACEMENT_FACTOR = 0.1
-_EASY_ITERS = 4
-_EASY_STREAK = 5
+_LOCAL_ERROR_TOL = 1e-3
 # stall-to-collision attribution radius; must exceed the pair splitting
 # scale sqrt(2*h_min*|D_alpha/D_kk|) at the minimum step
 _DOUBLE_ZERO_RADIUS = 1e-2
@@ -98,7 +102,7 @@ class TraceCaps:
 class StepControl:
     initial: float = 0.01
     minimum: float = 1e-6
-    maximum: float = 0.05
+    maximum: float = 0.4
     closure_tol: float = 1e-6
 
 
@@ -125,20 +129,9 @@ class Trajectory:
         return dict(self.anchors)
 
 
-def _collision_point(spec: PotentialSpec) -> complex:
-    return -1j / spec.a
-
-
 def _on_half_grid(alpha: float) -> int | None:
     n = round(alpha / HALF_PI)
     return n if alpha == n * HALF_PI else None
-
-
-def _seed_residual_ok(seed: Pole, spec: PotentialSpec) -> bool:
-    d, dk = _k.denom_plain(
-        seed.k, seed.coupling.gamma, spec.m, spec.a, spec.U, seed.channel.code
-    )
-    return abs(d) < RESIDUAL_TOL * (1.0 + abs(seed.k))
 
 
 def branch_at_double_zero(
@@ -157,7 +150,7 @@ def branch_at_double_zero(
     (Re k, Im k), the greater is 'resonance_side' when it leaves the axis,
     otherwise the pair is labeled 'axis_upper'/'axis_lower'.
     """
-    kc = _collision_point(spec)
+    kc = -1j / spec.a
     gamma_c = _phase_to_gamma(alpha_c)
     ch = channel.code
     d0, dk0, da0, E0 = _k.denom_scaled(kc, gamma_c, spec.m, spec.a, spec.U, ch)
@@ -197,10 +190,46 @@ def branch_at_double_zero(
         up, dn = (hi, lo) if hi.imag >= lo.imag else (lo, hi)
         labeled = [("axis_upper", up), ("axis_lower", dn)]
         kind = "plane_pair_to_axis_pair"
-    event = CollisionEvent(
-        alpha=alpha_c, k=kc, kind=kind, branches=tuple(labeled)
+    return CollisionEvent(alpha=alpha_c, k=kc, kind=kind, branches=tuple(labeled)), labeled
+
+
+def _tangent(k: complex, gamma: complex, spec: PotentialSpec, ch: int) -> complex:
+    """dk/dalpha = -D_alpha/D_k at a pole; nan where D_k vanishes."""
+    d, dk, da, E = _k.denom_scaled(k, gamma, spec.m, spec.a, spec.U, ch)
+    return -da / dk if dk != 0.0 else complex(math.nan, math.nan)
+
+
+def _step(alpha, k, v, prev, target, spec, ch):
+    """One checked continuation step from the pole k at alpha, tangent v.
+
+    prev is the accepted sample (alpha, k, v) before this one, or None for
+    an Euler predictor. Returns (k1, v1, r) at the target phase, with r the
+    local error over its bound, or None when the corrector fails, the step
+    moves k too far, or r exceeds 1 (nan counts as a failure).
+    """
+    dt = target - alpha
+    if prev is None:
+        kp = k + v * dt
+    else:
+        # cubic Hermite through prev and (alpha, k, v), expanded about alpha
+        a0, k0, v0 = prev
+        H = alpha - a0
+        slope = (k - k0) / H
+        c2 = (2.0 * v + v0 - 3.0 * slope) / H
+        c3 = (v + v0 - 2.0 * slope) / (H * H)
+        kp = k + dt * (v + dt * (c2 + dt * c3))
+    gamma = _phase_to_gamma(target)
+    k1, iters, ok = _k.newton_pole(
+        kp, gamma, spec.m, spec.a, spec.U, ch, STEP_TOL, _CORRECTOR_ITERS
     )
-    return event, labeled
+    if not ok:
+        return None
+    v1 = _tangent(k1, gamma, spec, ch)
+    scale = 1.0 + abs(k)
+    r = abs(k1 - k - 0.5 * dt * (v + v1)) / (_LOCAL_ERROR_TOL * scale)
+    if not (abs(k1 - k) <= _DISPLACEMENT_FACTOR * scale and r <= 1.0):
+        return None
+    return k1, v1, r
 
 
 def _trace_from_state(
@@ -216,7 +245,7 @@ def _trace_from_state(
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
     k0 = seed.k
-    kc = _collision_point(spec)
+    kc = -1j / spec.a
     window = caps.window(spec)
 
     alphas = [alpha_start]
@@ -234,70 +263,47 @@ def _trace_from_state(
     else:
         next_anchor = math.floor(alpha_start / HALF_PI) + 1
 
+    # phases after one and two turns where |k - k_seed| decides closure
     n_seed = _on_half_grid(alpha0)
-
-    def closure_targets():
-        # alpha values where |k - k_seed| decides closure, in trace order
-        j = 1
-        while j * TWO_PI <= caps.alpha_cap + 1e-9:
-            if n_seed is not None:
-                yield (n_seed + 4 * j) * HALF_PI, j
-            else:
-                yield alpha0 + j * TWO_PI, j
-            j += 1
-
-    closures = closure_targets()
+    closures = iter([
+        ((n_seed + 4 * j) * HALF_PI if n_seed is not None else alpha0 + j * TWO_PI, kind)
+        for j, kind in ((1, ClosureKind.CLOSED_2PI), (2, ClosureKind.CLOSED_4PI))
+        if j * TWO_PI <= caps.alpha_cap + 1e-9
+    ])
     next_closure = next(closures, None)
 
     alpha = alpha_start
-    gamma = _phase_to_gamma(alpha)
     k = k_start
+    v = _tangent(k, _phase_to_gamma(alpha), spec, ch)
+    prev = None
     h = control.initial
-    easy = 0
-    halve_next = False
-    closure_kind: ClosureKind | None = None
+    closure_kind = ClosureKind.OPEN
     reason: ExitReason | None = None
 
     while True:
-        if halve_next:
-            h = max(h * 0.5, control.minimum)
-            halve_next = False
         t_anchor = next_anchor * HALF_PI
         target = min(alpha + h, t_anchor)
         if next_closure is not None:
             target = min(target, next_closure[0])
 
-        d, dk, da, E = _k.denom_scaled(k, gamma, spec.m, spec.a, spec.U, ch)
-        accepted = False
-        if dk != 0.0:
-            kp = k - (da / dk) * (target - alpha)
-            gamma_target = _phase_to_gamma(target)
-            knew, iters, ok = _k.newton_pole(
-                kp, gamma_target, spec.m, spec.a, spec.U, ch,
-                STEP_TOL, _CORRECTOR_ITERS,
-            )
-            if ok and abs(knew - k) <= _DISPLACEMENT_FACTOR * (1.0 + abs(k)):
-                accepted = True
-        if not accepted:
+        step = _step(alpha, k, v, prev, target, spec, ch)
+        if step is None:
             if h <= control.minimum * (1.0 + 1e-12):
                 if abs(k - kc) < _DOUBLE_ZERO_RADIUS:
                     # pair coalescing mid-trace: split and continue on the
                     # deterministic branch, recording the event
                     try:
-                        event, labeled = branch_at_double_zero(
-                            alpha, spec, seed.channel, +1
-                        )
+                        event, labeled = branch_at_double_zero(alpha, spec, seed.channel, +1)
                     except ModelInvalid as exc:
                         raise StallAtDoubleZero(alpha, k) from exc
                     collisions.append(event)
                     k = labeled[0][1]
                     alpha = alpha + 1e-3
-                    gamma = _phase_to_gamma(alpha)
+                    v = _tangent(k, _phase_to_gamma(alpha), spec, ch)
+                    prev = None
                     alphas.append(alpha)
                     ks.append(k)
                     h = control.initial
-                    easy = 0
-                    halve_next = False
                     # anchor and closure targets behind the advanced phase
                     # would march the trace back into the collision
                     next_anchor = math.floor(alpha / HALF_PI) + 1
@@ -305,23 +311,20 @@ def _trace_from_state(
                         next_closure = next(closures, None)
                     continue
                 raise StallAtDoubleZero(alpha, k)
-            h = max(h * 0.5, control.minimum)
-            easy = 0
+            h = max(0.5 * min(h, target - alpha), control.minimum)
             continue
 
-        alpha = target
-        gamma = gamma_target
-        k = knew
+        k1, v1, r = step
+        # resize h only after a step that no anchor or closure target
+        # clipped; compare phases, since alpha + h - alpha need not equal h.
+        # r <= 1 keeps the factor at or above 0.9
+        if not target < alpha + h:
+            grow = 2.0 if r == 0.0 else min(0.9 * r ** (-1.0 / 3.0), 2.0)
+            h = min(h * grow, control.maximum)
+        prev = (alpha, k, v)
+        alpha, k, v = target, k1, v1
         alphas.append(alpha)
         ks.append(k)
-        if iters > _EASY_ITERS:
-            halve_next = True
-            easy = 0
-        else:
-            easy += 1
-            if easy >= _EASY_STREAK:
-                h = min(h * 2.0, control.maximum)
-                easy = 0
 
         if abs(k.real) < TOL_AXIS:
             crossings.append((alpha, k))
@@ -329,13 +332,9 @@ def _trace_from_state(
             anchors.append((next_anchor, k))
             next_anchor += 1
         if next_closure is not None and alpha == next_closure[0]:
-            j = next_closure[1]
             if abs(k - k0) < control.closure_tol:
-                closure_kind = ClosureKind.CLOSED_2PI if j == 1 else (
-                    ClosureKind.CLOSED_4PI if j == 2 else None
-                )
-                if closure_kind is not None:
-                    break
+                closure_kind = next_closure[1]
+                break
             next_closure = next(closures, None)
         if abs(alpha - alpha0) >= caps.alpha_cap - 1e-12:
             reason = ExitReason.ALPHA_CAP
@@ -344,20 +343,11 @@ def _trace_from_state(
             reason = ExitReason.K_WINDOW
             break
 
-    if closure_kind is not None:
-        closure = Closure(kind=closure_kind)
-    else:
-        closure = Closure(kind=ClosureKind.OPEN, forward_reason=reason)
     return Trajectory(
-        seed=seed,
-        channel=seed.channel,
-        direction="forward",
-        alphas=np.asarray(alphas, dtype=float),
-        ks=np.asarray(ks, dtype=complex),
-        anchors=anchors,
-        axis_crossings=crossings,
-        collisions=collisions,
-        closure=closure,
+        seed=seed, channel=seed.channel, direction="forward",
+        alphas=np.asarray(alphas, dtype=float), ks=np.asarray(ks, dtype=complex),
+        anchors=anchors, axis_crossings=crossings, collisions=collisions,
+        closure=Closure(kind=closure_kind, forward_reason=reason),
     )
 
 
@@ -383,7 +373,10 @@ def trace(
         _mirror_index(seed.coupling.alpha)
     caps = caps or TraceCaps()
     control = control or StepControl()
-    if not _seed_residual_ok(seed, spec):
+    d, _ = _k.denom_plain(
+        seed.k, seed.coupling.gamma, spec.m, spec.a, spec.U, seed.channel.code
+    )
+    if not abs(d) < RESIDUAL_TOL * (1.0 + abs(seed.k)):
         raise SeedNotOnPole(f"seed residual too large at k={seed.k!r}")
     if seed.multiplicity == 2:
         raise StallAtDoubleZero(seed.coupling.alpha, seed.k)
@@ -426,11 +419,8 @@ def combine(first: Trajectory, second: Trajectory) -> Trajectory:
     anchors = backward.anchors[:-1] + forward.anchors if (
         backward.anchors and forward.anchors and backward.anchors[-1][0] == forward.anchors[0][0]
     ) else backward.anchors + forward.anchors
-    closure = Closure(
-        kind=ClosureKind.OPEN,
-        forward_reason=forward.closure.forward_reason,
-        backward_reason=backward.closure.backward_reason,
-    )
+    closure = Closure(ClosureKind.OPEN, forward.closure.forward_reason,
+                      backward.closure.backward_reason)
     return Trajectory(
         seed=forward.seed,
         channel=forward.channel,
@@ -491,11 +481,8 @@ def mirror(traj: Trajectory) -> Trajectory:
     crossings = [
         (2.0 * a0 - al, -kk.conjugate()) for al, kk in reversed(traj.axis_crossings)
     ]
-    closure = Closure(
-        kind=traj.closure.kind,
-        forward_reason=traj.closure.backward_reason,
-        backward_reason=traj.closure.forward_reason,
-    )
+    closure = Closure(traj.closure.kind, traj.closure.backward_reason,
+                      traj.closure.forward_reason)
     return Trajectory(
         seed=_mirror_pole(traj.seed),
         channel=traj.channel,
@@ -513,20 +500,30 @@ def mirror(traj: Trajectory) -> Trajectory:
 def point_at(traj: Trajectory, alpha: float, spec: PotentialSpec) -> complex:
     """The trajectory's pole at an arbitrary phase inside its span.
 
-    Correct to Newton tolerance: seeded from the nearest recorded sample and
-    polished at exactly the requested coupling.
+    Continued from the sample at or below alpha with the tracer's checked
+    step, halved on rejection, and exact at a sample. A bare Newton start
+    from a sample up to a whole step away could land on another pole.
     """
     if not (traj.alphas[0] - 1e-12 <= alpha <= traj.alphas[-1] + 1e-12):
         raise ValueError(f"alpha {alpha:.6f} outside trajectory span")
-    i = int(np.argmin(np.abs(traj.alphas - alpha)))
+    i = max(int(np.searchsorted(traj.alphas, alpha, side="right")) - 1, 0)
+    a, k = float(traj.alphas[i]), complex(traj.ks[i])
     ch = traj.channel.code
-    k_seed = traj.ks[i]
-    kk, iters, ok = _k.newton_pole(
-        k_seed, _phase_to_gamma(alpha), spec.m, spec.a, spec.U, ch, STEP_TOL, 50
-    )
-    if not ok:
-        raise NoConvergence(k_seed, 50)
-    return kk
+    v = _tangent(k, _phase_to_gamma(a), spec, ch)
+    prev = None
+    h = alpha - a
+    while a != alpha:
+        target = alpha if abs(alpha - a) <= abs(h) else a + h
+        step = _step(a, k, v, prev, target, spec, ch)
+        if step is None:
+            h *= 0.5
+            if abs(h) < StepControl.minimum:
+                raise NoConvergence(k, _CORRECTOR_ITERS)
+            continue
+        prev = (a, k, v)
+        a = target
+        k, v, _ = step
+    return k
 
 
 def mirror_defect(traj: Trajectory, spec: PotentialSpec) -> float:

@@ -24,7 +24,7 @@ from wellpoles.document import canonical_dumps, chart_document, parse_chart_docu
 from wellpoles.errors import NoRootInBracket
 from wellpoles.rootfinder import PoleKind, scan_axis
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
-from wellpoles.trajectory import ClosureKind, branch_at_double_zero, mirror_defect
+from wellpoles.trajectory import ClosureKind, TraceCaps, branch_at_double_zero, mirror_defect
 from wellpoles import _kernels as _k
 
 M, A = 1.0, 1.5
@@ -450,6 +450,50 @@ class TestNudgedSplitPair:
         )
         assert len(pair) == 2
         assert pair[0] < kc < pair[1]
+
+
+def _anchor_owners(chart) -> list[set[int]]:
+    """For each anchor pole (n mod 4, k), the curves that deliver it."""
+    poles: list[tuple[int, complex, set[int]]] = []
+    for i, traj in enumerate(chart.trajectories):
+        for n, k in traj.anchors:
+            for cls, q, owners in poles:
+                if cls == n % 4 and abs(q - k) < 1e-6:
+                    owners.add(i)
+                    break
+            else:
+                poles.append((n % 4, k, {i}))
+    return [owners for _, _, owners in poles]
+
+
+class TestNoCurveJump:
+    """Cases where a looser step rule left its curve or its branch."""
+
+    def test_deep_wide_chart_anchors_lie_on_one_curve(self):
+        # a pair of curves in near contact at -8.92i and -8.97i; at a 0.2 rad
+        # cap the iteration-count step rule jumped from one to the other
+        # and put 11 anchor poles on two curves
+        spec = PotentialSpec(m=1.6341162632495134, a=4.9991881585654045,
+                             U=24.631932610724895)
+        w = working_window(spec)
+        corner = max(abs(complex(w.re_max, w.im_min)), abs(complex(w.re_max, w.im_max)))
+        caps = TraceCaps(alpha_cap=80 * math.pi, k_window=max(40.0 / spec.a, 1.2 * corner))
+        chart = build_chart(spec, Channel.PLUS, caps=caps, certify=False)
+        assert not chart.collisions
+        owners = _anchor_owners(chart)
+        assert len(owners) > 50
+        assert all(len(o) == 1 for o in owners)
+        assert chart.topology == {"closed_4pi": 14, "open": 1}
+
+    def test_nudged_odd_well_keeps_its_branch(self):
+        # 1e-6 past the odd collision depth the pair passes close to the
+        # double point; a march that stalls there splits onto the wrong
+        # branch and closes after two turns
+        spec = PotentialSpec(m=1.3667562015037729, a=0.9083937711421373,
+                             U=9.394561162029929)
+        chart = build_chart(spec, Channel.MINUS, certify=False)
+        assert chart.topology == {"open": 1}
+        assert chart.collisions == []
 
 
 class TestCriticalChart:

@@ -73,27 +73,27 @@ class TestAxis:
 # formatting must leave every byte unchanged
 _GOLDEN_OUTPUT = {
     ("axis", "--U", "2", "--channel", "plus"):
-        "3e7fac167339adf800c270e20aa254f4a2644795f889815b39d1d363d650a660",
+        "c46bdff83445954d5a2b04d6d66bf112ef3214714b792a4de6f206f8475001d7",
     ("axis", "--U", "0.05", "--gamma", "-1"):
-        "522c228265095117397efa320e485daa8ebe2b451caf5ed79e94b568554cba5c",
+        "ebca12f17d1811fb95307a0cfa314d3cb4111c87274e4ffe30ea02e87af64e8b",
     ("critical", "--channel", "plus", "--gamma", "+1"):
-        "3df16725a05ba489ea4952046ecc6b102789cce24a26f86a8f95d7c50081ddcd",
+        "a903f120439e8489e76db8986621d8026873df06362967e1643a863a03cca17b",
     ("critical", "--channel", "minus", "--gamma", "+1", "--index", "2"):
-        "ecb008a8bee935fe5413155f453488c7f5fd8f67aa23c88afba162595d2018d4",
+        "5b86b4f009589d15b5b04477eb29c511a11bf169250b794faaa0b464c33bb885",
     ("threshold", "--channel", "minus", "--n", "1"):
-        "751d98a126e530b962b319bdab7b35915fdfa680bf6273b132936ed9efffb224",
+        "da95410c9f88498011b3f79d3a67d577ff7da59af605e33e06a57c5a8a8a8450",
     ("threshold", "--channel", "minus", "--n", "1", "--check"):
-        "18ded84bea1b36a546591db02735af386ea2cd4077ef3fdd0bef54fc2d9ec905",
+        "c58aacdb8ac956883e85a45b5c7f06adab81c1e8ae0e52a1b89a80299156e959",
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
-        "7db0436d59ed857bda57c2008abbf4c6856fd7dbde3761c118b0e3af8af75312",
+        "1358abed57bbc323e617c66f057e04080f77a0e0790fcbd06509edebee699147",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "da80a6bfb9c9807fc85f741f45f353ac34d5450723ed41c285fff97946641348",
+        "0e2680d007f15bddfd03509322b5b563f714b641414e172baa0ec888cedb3e6c",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "976566a251ea53a2f382e259d6fb8f165bdf92ef59004e89b58d58e3ffe3d178",
+        "cff030312c4326b773ec6899ddc9924eadff13f48c264227fa8bd10f61c25807",
     ("verify", "--samples", "60", "--seed", "7"):
-        "a782a4b9f96d0106de7fce87ee84d71e90740c9ada41725644c3b3d0f168b797",
+        "3b6b17d998ae0dc03e7b17048453ee701b57f10ec62e6cc4214d03a3c7b10a18",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
-        "c62f37978c1d4e8e23cbc3715568521e99ecd60aee8f0d2be016e16c71e882d3",
+        "e22cb74040801966c0f2b3c413cdf5c2ea15b873744ff47ff4aba90588508e22",
 }
 
 

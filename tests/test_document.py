@@ -25,6 +25,7 @@ from wellpoles.document import (
 from wellpoles.errors import DocumentError
 from wellpoles.smatrix import Channel, PotentialSpec
 from wellpoles.svgplot import chart_svg
+from wellpoles.trajectory import StepControl
 
 
 @lru_cache(maxsize=None)
@@ -209,26 +210,26 @@ class TestChartDocument:
 # assembly must leave every byte of them unchanged. A platform whose libm
 # rounds differently may move the last float digits and so the digests.
 _GOLDEN = {
-    ("plus", 0.09): "84f9d0c7f335b7063d0718a41fb0b18b2d2e25f7c3d4e6677614ff7dd458107a",
-    ("plus", 2.0): "0d9283ee9430c3add2476902187389ad9c191f741bc6cd53b49c78f34abe5723",
-    ("minus", 5.0): "93607ce3faeaf70f8c26159bf6e1eb75f44c16b19252fcd2a062253bcb363c96",
+    ("plus", 0.09): "8d4e30b449d8d7874e912acf5f3ecd2d6941355169b39bcffd2db9ca8c96fb8c",
+    ("plus", 2.0): "773d58de1d310f636f780fc1c77908dbfe529f6347683a72ca705d4df3f8d756",
+    ("minus", 5.0): "add34060e78f6dadebedbb1b7a14b963e3ba23d13b36f7ccd588bd92ef372d9d",
 }
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "0332e1d465f85ac5eb600a53933485794b12c080356ee0c9a495d7494bb481fc",
-    ("plus", False): "beda4157740e437d49cc5f76749f9d0bbcf300e5d0b9c1277a65ff8086592b39",
-    ("minus", True): "d2632de025c596aacd0d09286fd1fc7f80bac3ec5547e93c458e8fc145f18edb",
+    ("plus", True): "6fa7c9e9a9a48d00632ad915c8f4dbaf60f273dfd2247328e0aaa63269aac32e",
+    ("plus", False): "abecd6a5ead191b6b4e989c9f52be48e252abf6815978efd489107a0b445bbbd",
+    ("minus", True): "0a8d088da7b61704be38e84672494ce84e885189d61e9c41f01a45310f01331c",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
 _GOLDEN_SVG = {
-    ("plus", 0.09): "ff493b24309bb369a3d6987a907f1e567394f5e7b9b4c92b162f812d678bd8d5",
-    ("plus", 2.0): "c6a2f9f10301918daf2bac4c736884cc1eeb4e8fa436207a6450a2e778581a49",
-    ("minus", 5.0): "d876e1904fbe49e48cd31a24bb017752299c1ad7532c8b36e8203043f248092f",
-    ("plus", "attractive"): "e12ac59e7b493ea2b453a93f0099cc831efea9155ccb876692a0ab85c44c4c1a",
-    ("plus", "repulsive"): "e99e8fc71e9150ffd2659389986e992a341a3049a9508fcf427afc52d7315a1e",
-    ("minus", "attractive"): "8c7c0d36a393cfb1a515f0398abdebe04cab2fc7e39abdef8af552d0f67bdac4",
+    ("plus", 0.09): "752285c254352ca752b4e944fc862c175c680ef7bc06fab498c39c28e390a2b2",
+    ("plus", 2.0): "2b1b46225980e5d4823dec49a6dac2458773a41f8e5a0d77083411b2193ea329",
+    ("minus", 5.0): "98b27c3b49f8adf168276f50abf77a9d2ee7db192d27aba5ac7d96a0cb6de6ca",
+    ("plus", "attractive"): "31d8f2b6f99762b08bc7f78a5e642a450c2258f3c495b47cb72bdaf7a02f4cb5",
+    ("plus", "repulsive"): "554388f42a4429529fecc1e742a6e7469996ce6660962f3748e7bbcd124e9dfe",
+    ("minus", "attractive"): "d1817df5fc53bfbd00a3d8ef17facd72c80f5b93864628106ab49e639f22df7c",
 }
 
 
@@ -363,6 +364,12 @@ class TestRunConfig:
         assert (cfg.m, cfg.a, cfg.U) == (1.0, 1.5, 1.0)
         assert cfg.channel == "plus" and cfg.gamma == 1
         assert cfg.alpha == 0.0
+
+    def test_step_defaults_are_the_tracers(self):
+        # the CLI chart must march as build_chart does with no control given
+        cfg, ctrl = RunConfig(), StepControl()
+        assert (cfg.step_initial, cfg.step_minimum, cfg.step_maximum, cfg.closure_tol) == (
+            ctrl.initial, ctrl.minimum, ctrl.maximum, ctrl.closure_tol)
 
     def test_repulsive_alpha(self):
         assert RunConfig(gamma=-1).alpha == math.pi

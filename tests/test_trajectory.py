@@ -316,6 +316,20 @@ class TestPointAt:
         k_mid = point_at(t, a_mid, spec)
         assert abs(k_mid - t.ks[3]) < 0.1
 
+    def test_mid_step_matches_a_fine_trace(self):
+        # default steps here run to 0.2 rad; Newton started from the nearest
+        # sample lands on a neighbouring pole at 33 of the 83 mid-step
+        # phases, so point_at must continue from the sample below
+        spec = PotentialSpec(1.558586768171243, 2.492577328251638, 6.3782986596754965)
+        seed = min(scan_axis(spec, ATT, Channel.PLUS),
+                   key=lambda p: abs(p.k - (-4.4048071991275455j)))
+        caps = TraceCaps(alpha_cap=4 * math.pi)
+        t = trace(seed, +1, spec, caps)
+        fine = trace(seed, +1, spec, caps, StepControl(initial=0.005, maximum=0.025))
+        assert np.max(np.diff(t.alphas)) > 0.2
+        for al in 0.5 * (t.alphas[:-1] + t.alphas[1:]):
+            assert abs(point_at(t, al, spec) - point_at(fine, al, spec)) < 1e-8
+
     def test_outside_span_raises(self):
         spec = _spec(0.09)
         t = trace(_seed(0.09, ATT, Channel.PLUS, SHALLOW_BOUND), +1, spec)
