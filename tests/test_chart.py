@@ -486,9 +486,9 @@ class TestNoCurveJump:
         assert chart.topology == {"closed_4pi": 14, "open": 1}
 
     def test_nudged_odd_well_keeps_its_branch(self):
-        # 1e-6 past the odd collision depth the pair passes close to the
-        # double point; a march that stalls there splits onto the wrong
-        # branch and closes after two turns
+        # 1e-6 past the odd collision depth the curve passes close to the
+        # double point; it must step past without stalling, since a split
+        # there records a collision and may continue on the other branch
         spec = PotentialSpec(m=1.3667562015037729, a=0.9083937711421373,
                              U=9.394561162029929)
         chart = build_chart(spec, Channel.MINUS, certify=False)
