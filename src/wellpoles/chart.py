@@ -29,8 +29,8 @@ from .rootfinder import (
 )
 from .smatrix import Channel, ComplexCoupling, PotentialSpec
 from .trajectory import (
+    _SPLIT_STEP,
     CollisionEvent,
-    StepControl,
     TraceCaps,
     Trajectory,
     branch_at_double_zero,
@@ -220,10 +220,10 @@ def _near_contacts(trajectories: list[Trajectory]) -> list[NearContact]:
     return contacts
 
 
-def _trace_both_ways(seed, spec, caps, control):
+def _trace_both_ways(seed, spec, caps):
     # an axis seed is its own mirror image -conj(k), so the backward half of
     # its open curve is the mirror of the forward march
-    fwd = trace(seed, +1, spec, caps, control)
+    fwd = trace(seed, +1, spec, caps)
     if fwd.closure.is_closed:
         return fwd
     return combine(mirror(fwd), fwd)
@@ -233,7 +233,6 @@ def build_chart(
     spec: PotentialSpec,
     channel: Channel,
     caps: TraceCaps | None = None,
-    control: StepControl | None = None,
     certify: bool = True,
 ) -> PoleChart:
     """Trace every pole trajectory of the well in one channel.
@@ -248,7 +247,6 @@ def build_chart(
     coupling.
     """
     caps = caps or TraceCaps(alpha_cap=CHART_ALPHA_CAP)
-    control = control or StepControl()
     warnings = _critical_proximity(spec, channel)
 
     seeds: list[Pole] = []
@@ -264,7 +262,7 @@ def build_chart(
             if not any(_same_event(ev, event) for ev in collisions):
                 collisions.append(event)
             forward = [
-                trace_branch(seed, kb, alpha_c + 1e-3, spec, caps, control, event=event)
+                trace_branch(seed, kb, alpha_c + _SPLIT_STEP, spec, caps, event=event)
                 for _, kb in branches
             ]
             # a branch is known by its first anchor, which lies off the
@@ -276,7 +274,7 @@ def build_chart(
         if _claimed(trajectories, seed, round(seed.coupling.alpha / HALF_PI), seed.k):
             continue
         try:
-            trajectories.append(_trace_both_ways(seed, spec, caps, control))
+            trajectories.append(_trace_both_ways(seed, spec, caps))
         except StallAtDoubleZero as exc:
             # far virtual poles of shallow narrow wells sit where roundoff in
             # the pole function exceeds the corrector's step test
@@ -358,7 +356,9 @@ class CriticalDepth:
     attractive: bool
     index: int
     transition: str  # 'axis_to_plane' or 'plane_to_axis' as U increases
-    pair_count: int  # contour count around k in a small box, should be 2
+    # contour count around k in a small box, should be 2; None when the
+    # count fails
+    pair_count: int | None
 
 
 def _collision_depth(
@@ -394,7 +394,7 @@ def _collisions_between(
 
 
 def _verified_critical(channel, attractive, index, u_star, m, a) -> CriticalDepth:
-    """The collision with its contour pair count (-1 if uncountable)."""
+    """The collision with its contour pair count (None if uncountable)."""
     kc = -1j / a
     region = CountRegion(
         lo=kc - (1e-3 + 1e-3j), hi=kc + (1e-3 + 1e-3j),
@@ -404,7 +404,7 @@ def _verified_critical(channel, attractive, index, u_star, m, a) -> CriticalDept
     try:
         pair, _ = count_zeros_padded(region, PotentialSpec(m=m, a=a, U=u_star))
     except EdgeTooClose:
-        pair = -1
+        pair = None
     return CriticalDepth(
         U=u_star,
         k=kc,
@@ -548,7 +548,6 @@ def depth_sweep(
     depths: list[float],
     m: float = 1.0,
     a: float = 1.5,
-    caps: TraceCaps | None = None,
     certify: bool = False,
 ) -> SweepResult:
     """Charts over a list of depths, with topology changes attributed.
@@ -568,7 +567,7 @@ def depth_sweep(
         else:
             U_used, nudged = U_req, False
         spec = PotentialSpec(m=m, a=a, U=U_used)
-        chart = build_chart(spec, channel, caps=caps, certify=certify)
+        chart = build_chart(spec, channel, certify=certify)
         entries.append(SweepEntry(
             U_requested=U_req,
             U_used=U_used,

@@ -50,7 +50,7 @@ from .smatrix import (
     verify_relations,
 )
 from .svgplot import chart_svg
-from .trajectory import StepControl, TraceCaps
+from .trajectory import TraceCaps
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,15 +175,8 @@ def _cmd_chart(cfg: RunConfig) -> int:
         alpha_cap=cfg.alpha_cap if cfg.alpha_cap is not None else CHART_ALPHA_CAP,
         k_window=cfg.k_window,
     )
-    control = StepControl(
-        initial=cfg.step_initial,
-        minimum=cfg.step_minimum,
-        maximum=cfg.step_maximum,
-        closure_tol=cfg.closure_tol,
-    )
     chart = build_chart(
-        _spec(cfg), Channel.parse(cfg.channel),
-        caps=caps, control=control, certify=cfg.certify,
+        _spec(cfg), Channel.parse(cfg.channel), caps=caps, certify=cfg.certify,
     )
     if cfg.svg:
         Path(cfg.svg).write_text(chart_svg(chart))

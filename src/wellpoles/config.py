@@ -8,7 +8,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import DocumentError
-from .trajectory import StepControl
 
 
 @dataclass(frozen=True)
@@ -29,11 +28,6 @@ class RunConfig:
     depths: tuple[float, ...] = ()
     alpha_cap: float | None = None
     k_window: float | None = None
-    # one source for the march: a chart from the CLI steps as build_chart does
-    step_initial: float = StepControl.initial
-    step_minimum: float = StepControl.minimum
-    step_maximum: float = StepControl.maximum
-    closure_tol: float = StepControl.closure_tol
     samples: int = 200
     seed: int = 20260816
     certify: bool = True

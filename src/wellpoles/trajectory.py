@@ -40,13 +40,20 @@ from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, classify
 from .smatrix import Channel, PotentialSpec, _phase_to_gamma
 
 HALF_PI = math.pi / 2.0
-TWO_PI = 2.0 * math.pi
 
 # corrector budget, largest accepted |dk|/(1+|k|), and the largest accepted
 # local error e/(1+|k|) of a step
 _CORRECTOR_ITERS = 8
 _DISPLACEMENT_FACTOR = 0.1
 _LOCAL_ERROR_TOL = 1e-3
+# the step schedule in alpha: first, smallest and largest step, and the
+# phase offset at which a split pair's branches are resumed
+_STEP_INITIAL = 0.01
+_STEP_MINIMUM = 1e-6
+_STEP_MAXIMUM = 0.4
+_SPLIT_STEP = 1e-3
+# |k - k_seed| at a whole-turn anchor below which a curve is closed
+_CLOSURE_TOL = 1e-6
 # stall-to-collision attribution radius; must exceed the pair splitting
 # scale sqrt(2*h_min*|D_alpha/D_kk|) at the minimum step
 _DOUBLE_ZERO_RADIUS = 1e-2
@@ -98,14 +105,6 @@ class TraceCaps:
         return self.k_window if self.k_window is not None else 40.0 / spec.a
 
 
-@dataclass(frozen=True)
-class StepControl:
-    initial: float = 0.01
-    minimum: float = 1e-6
-    maximum: float = 0.4
-    closure_tol: float = 1e-6
-
-
 @dataclass
 class Trajectory:
     """A continued pole path: samples (alphas[i], ks[i]) with alpha ascending."""
@@ -139,16 +138,16 @@ def branch_at_double_zero(
     spec: PotentialSpec,
     channel: Channel,
     direction: int,
-    delta_alpha: float = 1e-3,
 ) -> tuple[CollisionEvent, list[tuple[str, complex]]]:
     """Split a coalesced pair at k = -i/a into its two emerging branches.
 
     Local model D ~ 0.5*D_kk*(k-k_c)^2 + D_alpha*(alpha-alpha_c) gives
     k branches k_c +- sqrt(-2*D_alpha*sigma*delta/D_kk) at
-    alpha = alpha_c + sigma*delta; each is Newton-polished at the stepped
-    coupling. Branch labels are deterministic: ordered lexicographically by
-    (Re k, Im k), the greater is 'resonance_side' when it leaves the axis,
-    otherwise the pair is labeled 'axis_upper'/'axis_lower'.
+    alpha = alpha_c + sigma*delta, delta = _SPLIT_STEP; each is
+    Newton-polished at the stepped coupling. Branch labels are
+    deterministic: ordered lexicographically by (Re k, Im k), the greater is
+    'resonance_side' when it leaves the axis, otherwise the pair is labeled
+    'axis_upper'/'axis_lower'.
     """
     kc = -1j / spec.a
     gamma_c = _phase_to_gamma(alpha_c)
@@ -165,9 +164,9 @@ def branch_at_double_zero(
     if abs(da) < 1e-12 * scale:
         raise ModelInvalid(f"vanishing coupling derivative at collision point, D_alpha={da!r}")
 
-    alpha_new = alpha_c + direction * delta_alpha
+    alpha_new = alpha_c + direction * _SPLIT_STEP
     gamma_new = _phase_to_gamma(alpha_new)
-    root = cmath.sqrt(-2.0 * da * (direction * delta_alpha) / dkk)
+    root = cmath.sqrt(-2.0 * da * (direction * _SPLIT_STEP) / dkk)
     branches = []
     for sgn in (+1.0, -1.0):
         k_est = kc + sgn * root
@@ -238,12 +237,19 @@ def _trace_from_state(
     seed: Pole,
     spec: PotentialSpec,
     caps: TraceCaps,
-    control: StepControl,
     prior_collisions: list[CollisionEvent] | None = None,
 ) -> Trajectory:
-    """Predictor-corrector march in increasing alpha from (k_start, alpha_start)."""
+    """Predictor-corrector march in increasing alpha from (k_start, alpha_start).
+
+    The seed sits on a quarter-turn anchor n_seed (ValueError otherwise);
+    closure is decided at the anchors one and two turns on, n_seed + 4 and
+    n_seed + 8, by |k - k_seed|.
+    """
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
+    n_seed = _on_half_grid(alpha0)
+    if n_seed is None:
+        raise ValueError(f"a seed must sit on a quarter-turn anchor, got alpha={alpha0!r}")
     k0 = seed.k
     kc = -1j / spec.a
     window = caps.window(spec)
@@ -263,32 +269,21 @@ def _trace_from_state(
     else:
         next_anchor = math.floor(alpha_start / HALF_PI) + 1
 
-    # phases after one and two turns where |k - k_seed| decides closure
-    n_seed = _on_half_grid(alpha0)
-    closures = iter([
-        ((n_seed + 4 * j) * HALF_PI if n_seed is not None else alpha0 + j * TWO_PI, kind)
-        for j, kind in ((1, ClosureKind.CLOSED_2PI), (2, ClosureKind.CLOSED_4PI))
-        if j * TWO_PI <= caps.alpha_cap + 1e-9
-    ])
-    next_closure = next(closures, None)
-
     alpha = alpha_start
     k = k_start
     v = _tangent(k, _phase_to_gamma(alpha), spec, ch)
     prev = None
-    h = control.initial
+    h = _STEP_INITIAL
     closure_kind = ClosureKind.OPEN
     reason: ExitReason | None = None
 
     while True:
         t_anchor = next_anchor * HALF_PI
         target = min(alpha + h, t_anchor)
-        if next_closure is not None:
-            target = min(target, next_closure[0])
 
         step = _step(alpha, k, v, prev, target, spec, ch)
         if step is None:
-            if h <= control.minimum * (1.0 + 1e-12):
+            if h <= _STEP_MINIMUM * (1.0 + 1e-12):
                 if abs(k - kc) < _DOUBLE_ZERO_RADIUS:
                     # pair coalescing mid-trace: split and continue on the
                     # deterministic branch, recording the event
@@ -298,29 +293,27 @@ def _trace_from_state(
                         raise StallAtDoubleZero(alpha, k) from exc
                     collisions.append(event)
                     k = labeled[0][1]
-                    alpha = alpha + 1e-3
+                    alpha = alpha + _SPLIT_STEP
                     v = _tangent(k, _phase_to_gamma(alpha), spec, ch)
                     prev = None
                     alphas.append(alpha)
                     ks.append(k)
-                    h = control.initial
-                    # anchor and closure targets behind the advanced phase
-                    # would march the trace back into the collision
+                    h = _STEP_INITIAL
+                    # an anchor behind the advanced phase would march the
+                    # trace back into the collision
                     next_anchor = math.floor(alpha / HALF_PI) + 1
-                    while next_closure is not None and next_closure[0] <= alpha:
-                        next_closure = next(closures, None)
                     continue
                 raise StallAtDoubleZero(alpha, k)
-            h = max(0.5 * min(h, target - alpha), control.minimum)
+            h = max(0.5 * min(h, target - alpha), _STEP_MINIMUM)
             continue
 
         k1, v1, r = step
-        # resize h only after a step that no anchor or closure target
-        # clipped; compare phases, since alpha + h - alpha need not equal h.
+        # resize h only after a step that no anchor clipped; compare
+        # phases, since alpha + h - alpha need not equal h.
         # r <= 1 keeps the factor at or above 0.9
         if not target < alpha + h:
             grow = 2.0 if r == 0.0 else min(0.9 * r ** (-1.0 / 3.0), 2.0)
-            h = min(h * grow, control.maximum)
+            h = min(h * grow, _STEP_MAXIMUM)
         prev = (alpha, k, v)
         alpha, k, v = target, k1, v1
         alphas.append(alpha)
@@ -330,12 +323,11 @@ def _trace_from_state(
             crossings.append((alpha, k))
         if alpha == t_anchor:
             anchors.append((next_anchor, k))
+            turns = next_anchor - n_seed
             next_anchor += 1
-        if next_closure is not None and alpha == next_closure[0]:
-            if abs(k - k0) < control.closure_tol:
-                closure_kind = next_closure[1]
+            if turns in (4, 8) and abs(k - k0) < _CLOSURE_TOL:
+                closure_kind = ClosureKind.CLOSED_2PI if turns == 4 else ClosureKind.CLOSED_4PI
                 break
-            next_closure = next(closures, None)
         if abs(alpha - alpha0) >= caps.alpha_cap - 1e-12:
             reason = ExitReason.ALPHA_CAP
             break
@@ -356,15 +348,15 @@ def trace(
     direction: int,
     spec: PotentialSpec,
     caps: TraceCaps | None = None,
-    control: StepControl | None = None,
 ) -> Trajectory:
     """Continue a refined pole in the coupling phase, one direction.
 
     direction is +1 (increasing alpha) or -1, which mirrors the forward
     march from the mirrored seed -conj(k) and so needs alpha a multiple of
-    pi (ValueError otherwise). The seed must satisfy the pole residual
-    requirement; a coalesced-pair seed cannot be continued as a single
-    branch and raises StallAtDoubleZero immediately (split it with
+    pi (ValueError otherwise). The seed must sit on a quarter-turn anchor,
+    alpha a multiple of pi/2 (ValueError otherwise), and satisfy the pole
+    residual requirement; a coalesced-pair seed cannot be continued as a
+    single branch and raises StallAtDoubleZero immediately (split it with
     branch_at_double_zero instead).
     """
     if direction not in (+1, -1):
@@ -372,7 +364,6 @@ def trace(
     if direction < 0:
         _mirror_index(seed.coupling.alpha)
     caps = caps or TraceCaps()
-    control = control or StepControl()
     d, _ = _k.denom_plain(
         seed.k, seed.coupling.gamma, spec.m, spec.a, spec.U, seed.channel.code
     )
@@ -381,7 +372,7 @@ def trace(
     if seed.multiplicity == 2:
         raise StallAtDoubleZero(seed.coupling.alpha, seed.k)
     start = seed if direction > 0 else _mirror_pole(seed)
-    fwd = _trace_from_state(start.k, start.coupling.alpha, start, spec, caps, control)
+    fwd = _trace_from_state(start.k, start.coupling.alpha, start, spec, caps)
     return fwd if direction > 0 else mirror(fwd)
 
 
@@ -391,14 +382,14 @@ def trace_branch(
     branch_alpha: float,
     spec: PotentialSpec,
     caps: TraceCaps | None = None,
-    control: StepControl | None = None,
     event: CollisionEvent | None = None,
 ) -> Trajectory:
-    """Continue one emerging branch of a split coalesced pair forward."""
-    caps = caps or TraceCaps()
-    control = control or StepControl()
+    """Continue one emerging branch of a split coalesced pair forward.
+
+    The seed sits on a quarter-turn anchor (ValueError otherwise).
+    """
     return _trace_from_state(
-        branch_k, branch_alpha, seed, spec, caps, control,
+        branch_k, branch_alpha, seed, spec, caps or TraceCaps(),
         prior_collisions=[event] if event is not None else None,
     )
 
@@ -517,7 +508,7 @@ def point_at(traj: Trajectory, alpha: float, spec: PotentialSpec) -> complex:
         step = _step(a, k, v, prev, target, spec, ch)
         if step is None:
             h *= 0.5
-            if abs(h) < StepControl.minimum:
+            if abs(h) < _STEP_MINIMUM:
                 raise NoConvergence(k, _CORRECTOR_ITERS)
             continue
         prev = (a, k, v)

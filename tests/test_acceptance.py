@@ -42,13 +42,8 @@ from wellpoles.smatrix import (
     verify_relations,
     well_layers,
 )
-from wellpoles.trajectory import (
-    StepControl,
-    TraceCaps,
-    mirror_defect,
-    point_at,
-    trace,
-)
+from wellpoles import trajectory
+from wellpoles.trajectory import mirror_defect, point_at, trace
 
 M, A = 1.0, 1.5
 ATT = ComplexCoupling.attractive()
@@ -511,14 +506,17 @@ def test_continuation_robustness():
             chart = _chart(channel, U)
             for traj in chart.trajectories:
                 assert mirror_defect(traj, chart.spec) < 1e-8
-    # halved steps retrace the same curves
-    half = StepControl(initial=0.005, maximum=0.025)
-    caps = TraceCaps()
+    # a finer march (half the initial step, a sixteenth of the step cap)
+    # retraces the same curves
     for channel, U in (("plus", 2.0), ("minus", 5.0)):
         chart = _chart(channel, U)
         spec = chart.spec
         for traj in chart.trajectories:
-            fine = trace(traj.seed, +1, spec, caps, half)
+            # scoped, so that no later chart marches on the finer schedule
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(trajectory, "_STEP_INITIAL", 0.005)
+                mp.setattr(trajectory, "_STEP_MAXIMUM", 0.025)
+                fine = trace(traj.seed, +1, spec)
             coarse_anchors = traj.anchor_index_map()
             fine_anchors = fine.anchor_index_map()
             common = set(coarse_anchors) & set(fine_anchors)

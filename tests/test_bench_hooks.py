@@ -1,10 +1,13 @@
-"""The benchmark's span hooks name functions that exist in the package.
+"""The benchmark's span hooks and ops call the package as it is.
 
 ``perfbench/tracing.py`` wraps every function in its ``TRACED`` list by
 name. A deleted or renamed function would only surface when a traced
 benchmark run crashes, so the names are checked here. The span payloads
 read some arguments by position, so those positions are checked too: a
 moved parameter would not crash, it would skew the per-layer metrics.
+The ops in ``perfbench/workloads.py`` call a few functions with fixed
+argument shapes; a removed parameter would turn every op into a failure,
+so those shapes are bound against the signatures here.
 """
 
 from __future__ import annotations
@@ -53,3 +56,24 @@ def test_payload_argument_positions():
     # len(args[0]) is the grid size
     assert _positional(_kernels.axis_phi)[0] == "kappas"
     assert _positional(_kernels.grid_denom_dk)[0] == "ks"
+
+
+# (function, positional count, keywords) as perfbench/workloads.py calls them
+_WORKLOAD_CALLS = [
+    ("build_chart", 2, ("certify",)),
+    ("depth_sweep", 2, ("m", "a")),
+    ("threshold_flip", 3, ("m", "a", "tol")),
+    ("critical_depth", 1, ("attractive", "m", "a", "index")),
+    ("RunConfig", 0, ("m", "a", "U", "channel", "svg")),
+    ("chart_document", 2, ()),
+]
+
+
+@pytest.mark.parametrize("name,n_args,keywords", _WORKLOAD_CALLS,
+                         ids=[c[0] for c in _WORKLOAD_CALLS])
+def test_workload_call_shapes_bind(name, n_args, keywords):
+    import wellpoles
+
+    # bind raises TypeError for a missing, surplus or unknown argument
+    inspect.signature(getattr(wellpoles, name)).bind(
+        *[None] * n_args, **dict.fromkeys(keywords))

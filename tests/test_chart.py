@@ -21,11 +21,12 @@ from wellpoles.chart import (
     working_window,
 )
 from wellpoles.document import canonical_dumps, chart_document, parse_chart_document
-from wellpoles.errors import NoRootInBracket
+from wellpoles.errors import EdgeTooClose, NoRootInBracket
 from wellpoles.rootfinder import PoleKind, scan_axis
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.trajectory import ClosureKind, TraceCaps, branch_at_double_zero, mirror_defect
 from wellpoles import _kernels as _k
+from wellpoles import chart as chart_module
 
 M, A = 1.0, 1.5
 
@@ -247,6 +248,15 @@ class TestCriticalDepths:
     def test_index_validated(self):
         with pytest.raises(ValueError):
             critical_depth(Channel.PLUS, True, M, A, index=0)
+
+    def test_failed_pair_count_is_none(self, monkeypatch):
+        def edge_too_close(region, spec):
+            raise EdgeTooClose(region.lo)
+
+        monkeypatch.setattr(chart_module, "count_zeros_padded", edge_too_close)
+        cd = critical_depth(Channel.PLUS, attractive=True, m=M, a=A)
+        assert cd.pair_count is None
+        assert abs(cd.U - U_STAR_PLUS_ATT) < 1e-8
 
     def test_odd_simple_crossing_not_counted(self):
         # the odd channel passes k = -i/a with a plain simple zero at

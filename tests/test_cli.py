@@ -11,8 +11,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from wellpoles import cli
+from wellpoles import chart, cli
 from wellpoles.document import parse_chart_document
+from wellpoles.errors import EdgeTooClose
 
 
 def run(capsys, *argv):
@@ -73,25 +74,25 @@ class TestAxis:
 # formatting must leave every byte unchanged
 _GOLDEN_OUTPUT = {
     ("axis", "--U", "2", "--channel", "plus"):
-        "c46bdff83445954d5a2b04d6d66bf112ef3214714b792a4de6f206f8475001d7",
+        "3db4a8fd597a9dfa8c01127977c84a6d148837232751bf4ed05d1df7760810af",
     ("axis", "--U", "0.05", "--gamma", "-1"):
-        "ebca12f17d1811fb95307a0cfa314d3cb4111c87274e4ffe30ea02e87af64e8b",
+        "d24297825738f0ef5ce9035da0949e39c41237a655dc82163c5a6cac13f83b65",
     ("critical", "--channel", "plus", "--gamma", "+1"):
-        "a903f120439e8489e76db8986621d8026873df06362967e1643a863a03cca17b",
+        "390d1fd20ec8b25dc8900fea9dc6c1f62bebdfab054fe35ffdbb8071128b5a2e",
     ("critical", "--channel", "minus", "--gamma", "+1", "--index", "2"):
-        "5b86b4f009589d15b5b04477eb29c511a11bf169250b794faaa0b464c33bb885",
+        "b6141a94a1223bcc6e970519831adc7760db1c1c4de1a4a8ace72b6f4ae8a3f4",
     ("threshold", "--channel", "minus", "--n", "1"):
-        "da95410c9f88498011b3f79d3a67d577ff7da59af605e33e06a57c5a8a8a8450",
+        "7f7fdc4f995d334db4c2b3265b5c8919a5d04e612ed1b2af5c4212081bcfeda4",
     ("threshold", "--channel", "minus", "--n", "1", "--check"):
-        "c58aacdb8ac956883e85a45b5c7f06adab81c1e8ae0e52a1b89a80299156e959",
+        "5262a53629a67fe9277c665a1520c1ff4a0368fd6f59e3cd724202009a10e082",
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
-        "1358abed57bbc323e617c66f057e04080f77a0e0790fcbd06509edebee699147",
+        "38718b5b16b03718f8570765f4a352e31ebdfb19daac59c860c4bc9e35c7a96d",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "0e2680d007f15bddfd03509322b5b563f714b641414e172baa0ec888cedb3e6c",
+        "5010b9c64e5bc2410348a2c8ddf301e77e59dfb1de9135bc9be44f87a8350cd0",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "cff030312c4326b773ec6899ddc9924eadff13f48c264227fa8bd10f61c25807",
+        "dd30525af1a2cf8577f788af08cc393ca79f55cfe5835663e2fc1fbe4265484d",
     ("verify", "--samples", "60", "--seed", "7"):
-        "3b6b17d998ae0dc03e7b17048453ee701b57f10ec62e6cc4214d03a3c7b10a18",
+        "07bec11a4016339c661e894a84c693b79ed13b7ef1a47ced5734e4a26f5394aa",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
         "e22cb74040801966c0f2b3c413cdf5c2ea15b873744ff47ff4aba90588508e22",
 }
@@ -171,6 +172,15 @@ class TestCritical:
         assert abs(doc["U"] - 1.9624365469419596) < 1e-8
         assert doc["transition"] == "plane_to_axis"
         assert doc["pair_count"] == 2
+
+    def test_failed_pair_count_is_null(self, capsys, monkeypatch):
+        def edge_too_close(region, spec):
+            raise EdgeTooClose(region.lo)
+
+        monkeypatch.setattr(chart, "count_zeros_padded", edge_too_close)
+        code, out, err = run(capsys, "critical", "--channel", "plus", "--gamma", "+1")
+        assert code == 0 and err == ""
+        assert json.loads(out)["pair_count"] is None
 
     def test_no_collision_is_numeric_failure(self, capsys):
         code, out, err = run(
@@ -289,6 +299,15 @@ class TestConfigFlag:
         code, _, err = run(capsys, "axis", "--config", str(path))
         assert code == 2
         assert "unknown keys" in json.loads(err)["error"]["message"]
+
+    def test_step_schedule_is_not_a_config_key(self, capsys, tmp_path):
+        # the continuation schedule is internal to the tracer
+        path = tmp_path / "run.json"
+        path.write_text('{"step_maximum": 0.1}')
+        code, out, err = run(capsys, "chart", "--config", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "step_maximum" in json.loads(err)["error"]["message"]
 
     def test_config_can_supply_depths(self, capsys, tmp_path):
         path = tmp_path / "run.json"

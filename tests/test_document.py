@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +26,7 @@ from wellpoles.document import (
 from wellpoles.errors import DocumentError
 from wellpoles.smatrix import Channel, PotentialSpec
 from wellpoles.svgplot import chart_svg
-from wellpoles.trajectory import StepControl
+from wellpoles.trajectory import ClosureKind
 
 
 @lru_cache(maxsize=None)
@@ -259,6 +260,28 @@ class TestGoldenDigests:
         digest = hashlib.sha256(chart_svg(_chart(channel, U)).encode()).hexdigest()
         assert digest == _GOLDEN_SVG[(channel, depth)]
 
+    def test_closed_curves_end_on_whole_turn_anchors(self):
+        # closure is decided only at the anchors one and two turns past the
+        # seed's anchor, so a closed curve's last sample sits on one of them
+        depths = [(channel, U) for channel, U in _GOLDEN] + [
+            (channel, critical_depth(Channel.parse(channel), attractive, 1.0, 1.5).U)
+            for channel, attractive in _GOLDEN_CRITICAL
+        ]
+        kinds = Counter()
+        for channel, U in depths:
+            for traj in _chart(channel, U).trajectories:
+                if not traj.closure.is_closed:
+                    continue
+                kinds[traj.closure.kind] += 1
+                turns = 4 if traj.closure.kind is ClosureKind.CLOSED_2PI else 8
+                n_seed = round(traj.seed_alpha / (math.pi / 2))
+                n_end, k_end = traj.anchors[-1]
+                assert traj.direction == "forward"
+                assert n_end == n_seed + turns
+                assert traj.alphas[-1] == n_end * (math.pi / 2)
+                assert abs(k_end - traj.seed.k) < 1e-6
+        assert kinds[ClosureKind.CLOSED_2PI] and kinds[ClosureKind.CLOSED_4PI]
+
 
 class TestStrictParsing:
     def _doc_text(self, mutate=None):
@@ -364,12 +387,6 @@ class TestRunConfig:
         assert (cfg.m, cfg.a, cfg.U) == (1.0, 1.5, 1.0)
         assert cfg.channel == "plus" and cfg.gamma == 1
         assert cfg.alpha == 0.0
-
-    def test_step_defaults_are_the_tracers(self):
-        # the CLI chart must march as build_chart does with no control given
-        cfg, ctrl = RunConfig(), StepControl()
-        assert (cfg.step_initial, cfg.step_minimum, cfg.step_maximum, cfg.closure_tol) == (
-            ctrl.initial, ctrl.minimum, ctrl.maximum, ctrl.closure_tol)
 
     def test_repulsive_alpha(self):
         assert RunConfig(gamma=-1).alpha == math.pi

@@ -9,12 +9,12 @@ from scipy.optimize import brentq
 
 from wellpoles.errors import NoConvergence, SeedNotOnPole, StallAtDoubleZero
 from wellpoles.rootfinder import Pole, PoleKind, newton_refine, scan_axis
+from wellpoles import trajectory
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.trajectory import (
     Closure,
     ClosureKind,
     ExitReason,
-    StepControl,
     TraceCaps,
     _on_half_grid,
     branch_at_double_zero,
@@ -64,6 +64,16 @@ def _seed(U, coupling, channel, k_near):
     best = min(poles, key=lambda p: abs(p.k - k_near))
     assert abs(best.k - k_near) < 1e-6
     return best
+
+
+def _fine_trace(seed, spec, caps=None):
+    """The forward march at half the initial step and a sixteenth of the
+    step cap, a finer reference for the default schedule."""
+    # scoped, so that no later trace marches on the finer schedule
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajectory, "_STEP_INITIAL", 0.005)
+        mp.setattr(trajectory, "_STEP_MAXIMUM", 0.025)
+        return trace(seed, +1, spec, caps)
 
 
 def classify_closure(traj, closure_tol: float = 1e-6) -> Closure:
@@ -158,11 +168,10 @@ class TestClosureDetection:
 class TestStepControl:
     def test_alpha_strictly_monotone_and_bounded_steps(self):
         spec = _spec(2.0)
-        ctrl = StepControl()
-        t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec, control=ctrl)
+        t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
         da = np.diff(t.alphas)
         assert np.all(da > 0)
-        assert np.max(da) <= ctrl.maximum + 1e-12
+        assert np.max(da) <= trajectory._STEP_MAXIMUM + 1e-12
 
     def test_anchors_hit_exactly(self):
         spec = _spec(2.0)
@@ -175,7 +184,7 @@ class TestStepControl:
         spec = _spec(2.0)
         seed = _seed(2.0, ATT, Channel.PLUS, DEEP_BOUND)
         t = trace(seed, +1, spec)
-        th = trace(seed, +1, spec, control=StepControl(initial=0.005, maximum=0.025))
+        th = _fine_trace(seed, spec)
         worst = 0.0
         for a_, k_ in zip(t.alphas[::5], t.ks[::5]):
             worst = max(worst, abs(point_at(th, a_, spec) - k_))
@@ -325,7 +334,7 @@ class TestPointAt:
                    key=lambda p: abs(p.k - (-4.4048071991275455j)))
         caps = TraceCaps(alpha_cap=4 * math.pi)
         t = trace(seed, +1, spec, caps)
-        fine = trace(seed, +1, spec, caps, StepControl(initial=0.005, maximum=0.025))
+        fine = _fine_trace(seed, spec, caps)
         assert np.max(np.diff(t.alphas)) > 0.2
         for al in 0.5 * (t.alphas[:-1] + t.alphas[1:]):
             assert abs(point_at(t, al, spec) - point_at(fine, al, spec)) < 1e-8
@@ -350,6 +359,15 @@ class TestSeedValidation:
         seed = _seed(0.09, ATT, Channel.PLUS, SHALLOW_BOUND)
         with pytest.raises(ValueError):
             trace(seed, 2, spec)
+
+    def test_seed_off_the_quarter_turn_grid_rejected(self):
+        # closure is decided at whole-turn anchors, so a seed must sit on one
+        spec = _spec(2.0)
+        seed = newton_refine(DEEP_BOUND, ComplexCoupling(0.3), spec, Channel.PLUS)
+        with pytest.raises(ValueError, match="quarter-turn"):
+            trace(seed, +1, spec)
+        with pytest.raises(ValueError, match="quarter-turn"):
+            trace_branch(seed, seed.k, 0.3, spec)
 
 
 class TestBranching:
