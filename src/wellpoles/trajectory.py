@@ -321,6 +321,10 @@ def _trace_from_state(
 
         if abs(k.real) < TOL_AXIS:
             crossings.append((alpha, k))
+        # before the anchor, so no curve carries an anchor past the window
+        if abs(k) > window:
+            reason = ExitReason.K_WINDOW
+            break
         if alpha == t_anchor:
             anchors.append((next_anchor, k))
             turns = next_anchor - n_seed
@@ -330,9 +334,6 @@ def _trace_from_state(
                 break
         if abs(alpha - alpha0) >= caps.alpha_cap - 1e-12:
             reason = ExitReason.ALPHA_CAP
-            break
-        if abs(k) > window:
-            reason = ExitReason.K_WINDOW
             break
 
     return Trajectory(

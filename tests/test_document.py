@@ -212,15 +212,15 @@ class TestChartDocument:
 # rounds differently may move the last float digits and so the digests.
 _GOLDEN = {
     ("plus", 0.09): "8d4e30b449d8d7874e912acf5f3ecd2d6941355169b39bcffd2db9ca8c96fb8c",
-    ("plus", 2.0): "773d58de1d310f636f780fc1c77908dbfe529f6347683a72ca705d4df3f8d756",
-    ("minus", 5.0): "add34060e78f6dadebedbb1b7a14b963e3ba23d13b36f7ccd588bd92ef372d9d",
+    ("plus", 2.0): "6cdbc641d0dcd663834291889d57e2a39a79554f08be4b36991ee27e82561ec8",
+    ("minus", 5.0): "8d404fe35d3565b1f5382b4dc80cc981555ad53a43712f83a388477fe90f728f",
 }
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "6fa7c9e9a9a48d00632ad915c8f4dbaf60f273dfd2247328e0aaa63269aac32e",
+    ("plus", True): "530939936883e16cf48b01a8fa8dd3c83e82ac1c5e7a321e7aa3c20155b807fb",
     ("plus", False): "abecd6a5ead191b6b4e989c9f52be48e252abf6815978efd489107a0b445bbbd",
-    ("minus", True): "0a8d088da7b61704be38e84672494ce84e885189d61e9c41f01a45310f01331c",
+    ("minus", True): "3751a979003d9e8da01dac1c4fe30bb67ff91fa40b309ea2d59843ee3281430a",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from wellpoles.chart import build_chart
 from wellpoles.errors import NoConvergence, SeedNotOnPole, StallAtDoubleZero
 from wellpoles.rootfinder import Pole, PoleKind, newton_refine, scan_axis
 from wellpoles import trajectory
@@ -427,3 +428,14 @@ class TestWindowExit:
         assert t.closure.kind is ClosureKind.OPEN
         assert t.closure.forward_reason is ExitReason.K_WINDOW
         assert abs(t.ks[-1]) > 5.0
+
+    @pytest.mark.parametrize("channel,U", [("plus", 2.0), ("minus", 5.0)])
+    def test_no_anchor_past_the_window(self, channel, U):
+        # an open curve that leaves the window on a step clipped to an
+        # anchor records no anchor there
+        spec = _spec(U)
+        window = TraceCaps().window(spec)
+        chart = build_chart(spec, Channel.parse(channel))
+        assert any(t.closure.forward_reason is ExitReason.K_WINDOW for t in chart.trajectories)
+        for t in chart.trajectories:
+            assert all(abs(k) <= window for _, k in t.anchors)
