@@ -8,7 +8,8 @@ evaluations. The rest repeat its float operations in the same order, so
 their values are bit-equal to it:
 
 - ``newton_pole``, the corrector, evaluates d and dd/dk inline, without
-  dd/dw, the D_alpha product or, outside the series windows, E;
+  dd/dw, the D_alpha product or, outside the series windows, E, and forms
+  dd/dw once, after it converges, for the tangent dk/dalpha it returns;
 - ``grid_denom_dk`` loops over a list of momenta for the winding contours;
 - ``axis_phi`` loops along the imaginary axis. The axis poles are
   enumerated in closed form (``rootfinder.scan_axis``), so it is only the
@@ -67,6 +68,9 @@ CH_MINUS = 1
 # block G below 0.1 (series truncation error ~1e-14 relative)
 _SINC_CUT = 1e-4
 _G_CUT = 0.1
+
+# the tangent newton_pole returns when it does not converge
+_NAN = complex(math.nan, math.nan)
 
 
 def trig_scaled(z):
@@ -148,17 +152,20 @@ def unscale(v, E):
 def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
     """Newton iteration on the channel pole function.
 
-    Stops when |step| < step_tol*(1+|k|). Returns (k, iterations, converged).
-    The ratio d/dk is scale-invariant, so overflow never enters; an iterate
-    that runs off past the float range turns nan and is reported as not
-    converged.
+    Stops when |step| < step_tol*(1+|k|). Returns (k, iterations, converged,
+    v), v = dk/dalpha = -D_alpha/D_k the tangent of the pole curve, or a
+    complex nan when not converged. The ratio d/dk is scale-invariant, so
+    overflow never enters; an iterate that runs off past the float range
+    turns nan and is reported as not converged.
 
     The loop evaluates d and dd/dk only: ``trig_scaled`` reduced to the
     blocks the channel reads, then ``_channel_terms`` without dd/dw. Every
     float operation, its order and its constants are those of
     ``denom_scaled``, so each iterate is bit-equal to a loop on it; keep
     ``(-1j * a) * Z``, since ``-(1j * a) * Z`` flips the sign of a zero
-    real part.
+    real part. Only on convergence does it form dd/dw, from the last
+    iterate's trig blocks, for v; that iterate lies within
+    step_tol*(1+|k|) of the returned k.
     """
     c = 2.0 * m * gamma * U
     a2 = a * a
@@ -206,12 +213,17 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
             d = k * C - ia * w * Z
             dk = C - a2 * kk * Z - ia * k * (Z + C)
         if dk == 0.0:
-            return k, it, False
+            return k, it, False, _NAN
         step = d / dk
-        k = k - step
-        if abs(step) < step_tol * (1.0 + abs(k)):
-            return k, it + 1, True
-    return k, max_iter, False
+        k1 = k - step
+        if abs(step) < step_tol * (1.0 + abs(k1)):
+            if odd:
+                dw = -0.5 * a2 * (Z + ia * k * G)
+            else:
+                dw = -0.5 * a2 * k * Z - 0.5j * a * (Z + C)
+            return k1, it + 1, True, -(dw * (2j * m * U * gamma)) / dk
+        k = k1
+    return k, max_iter, False, _NAN
 
 
 def _grid(ks, gamma, m, a, U, ch):

@@ -17,6 +17,7 @@ import io
 import json
 import math
 from itertools import compress, count, filterfalse
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -72,7 +73,7 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, complex):
         out.append("[")
         out.append(_fmt_float(obj.real))
@@ -101,7 +102,7 @@ def _emit(obj, out: list[str]) -> None:
                 raise DocumentError(f"non-string key {key!r}")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _emit(obj[key], out)
         out.append("}")

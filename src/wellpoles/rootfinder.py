@@ -96,7 +96,7 @@ def newton_refine(
     iteration cap, and ConvergedElsewhere when a trust radius is given and
     the converged point lies outside it.
     """
-    k, iters, ok = _k.newton_pole(
+    k, iters, ok, _ = _k.newton_pole(
         complex(k0), coupling.gamma, spec.m, spec.a, spec.U, channel.code, STEP_TOL, max_iter
     )
     if not ok:
@@ -506,7 +506,7 @@ def multiplicity_at(
     # which stays inside this ball. Restarts that stall (Newton is linear at
     # an exact double zero) are inconclusive and do not veto.
     for dk in (r * 0.3, -r * 0.3, r * 0.3j, -r * 0.3j):
-        kk, iters, ok = _k.newton_pole(
+        kk, iters, ok, _ = _k.newton_pole(
             k + dk, coupling.gamma, spec.m, spec.a, spec.U, channel.code, STEP_TOL, 80
         )
         if ok and abs(kk - k) > _PAIR_BALL:

@@ -2,17 +2,23 @@
 
 A pole k(alpha) of a channel pole function D(k; gamma=e^{i alpha}) is
 continued in increasing alpha by a cubic Hermite predictor through the last
-two samples of (alpha, k, v = dk/dalpha = -D_alpha/D_k), Euler at a start or
-split, and a Newton corrector at the stepped phase. A step of length h is
-accepted when it moves k little and its local error, the trapezoid defect
+two samples of (alpha, k, v = dk/dalpha = -D_alpha/D_k), Euler at a start
+or split, and a Newton corrector at the stepped phase, which returns the
+tangent v1 at the new pole with it, so a step makes no other kernel call.
+A step of length h is accepted when it moves k by at most
+0.1*(1 + |k0|) and its local error, the trapezoid defect
 e = |k1 - k0 - h(v0 + v1)/2| of the tangents at both ends, is at most
 tol*(1 + |k0|); the next h is then 0.9*h*(tol/e)^(1/3), at most 2h and the
-maximum, and a rejected h is halved. The test cannot see a swap onto a
-neighbouring curve closer than tol*(1 + |k|); there only a check that each
-anchor pole lies on one curve can. Steps are clipped so the trace lands
-exactly on every quarter-turn anchor alpha = n*(pi/2); anchors are tracked
-by the integer n, never by comparing accumulated floats against multiples
-of pi, which closure detection needs to be exact.
+maximum, and a rejected h is halved. After every accepted step, clipped or
+not, h is also capped so that the tangent's predicted move h*|v1| stays
+within 0.9 of the displacement bound at k1, though not below the minimum
+step: a step grown into that bound would only be rejected and halved. The
+test cannot see a swap onto a neighbouring curve closer than
+tol*(1 + |k|); there only a check that each anchor pole lies on one curve
+can. Steps are clipped so the trace lands exactly on every quarter-turn
+anchor alpha = n*(pi/2); anchors are tracked by the integer n, never by
+comparing accumulated floats against multiples of pi, which closure
+detection needs to be exact.
 
 The march only ever runs forward. The conjugation relation of the S-matrix,
 S*(-k*, gamma*) = S(k, gamma), maps the pole at (alpha, k) to
@@ -170,7 +176,7 @@ def branch_at_double_zero(
     branches = []
     for sgn in (+1.0, -1.0):
         k_est = kc + sgn * root
-        kk, iters, ok = _k.newton_pole(
+        kk, iters, ok, _ = _k.newton_pole(
             k_est, gamma_new, spec.m, spec.a, spec.U, ch, STEP_TOL, 60
         )
         if not ok or abs(kk - k_est) > 10.0 * abs(root) + 1e-6:
@@ -193,7 +199,11 @@ def branch_at_double_zero(
 
 
 def _tangent(k: complex, gamma: complex, spec: PotentialSpec, ch: int) -> complex:
-    """dk/dalpha = -D_alpha/D_k at a pole; nan where D_k vanishes."""
+    """dk/dalpha = -D_alpha/D_k at a pole; nan where D_k vanishes.
+
+    Only where no corrector has just run: a trace start, a split restart and
+    point_at's start. A step takes the tangent newton_pole returns.
+    """
     d, dk, da, E = _k.denom_scaled(k, gamma, spec.m, spec.a, spec.U, ch)
     return -da / dk if dk != 0.0 else complex(math.nan, math.nan)
 
@@ -217,13 +227,11 @@ def _step(alpha, k, v, prev, target, spec, ch):
         c2 = (2.0 * v + v0 - 3.0 * slope) / H
         c3 = (v + v0 - 2.0 * slope) / (H * H)
         kp = k + dt * (v + dt * (c2 + dt * c3))
-    gamma = _phase_to_gamma(target)
-    k1, iters, ok = _k.newton_pole(
-        kp, gamma, spec.m, spec.a, spec.U, ch, STEP_TOL, _CORRECTOR_ITERS
+    k1, iters, ok, v1 = _k.newton_pole(
+        kp, _phase_to_gamma(target), spec.m, spec.a, spec.U, ch, STEP_TOL, _CORRECTOR_ITERS
     )
     if not ok:
         return None
-    v1 = _tangent(k1, gamma, spec, ch)
     scale = 1.0 + abs(k)
     r = abs(k1 - k - 0.5 * dt * (v + v1)) / (_LOCAL_ERROR_TOL * scale)
     if not (abs(k1 - k) <= _DISPLACEMENT_FACTOR * scale and r <= 1.0):
@@ -316,6 +324,11 @@ def _trace_from_state(
             h = min(h * grow, _STEP_MAXIMUM)
         prev = (alpha, k, v)
         alpha, k, v = target, k1, v1
+        # keep the tangent's predicted move inside the displacement bound
+        # that _step tests, with the growth rule's safety factor
+        reach = 0.9 * _DISPLACEMENT_FACTOR * (1.0 + abs(k))
+        if h * abs(v) > reach:
+            h = max(reach / abs(v), _STEP_MINIMUM)
         alphas.append(alpha)
         ks.append(k)
 
@@ -531,7 +544,7 @@ def mirror_defect(traj: Trajectory, spec: PotentialSpec) -> float:
     for alpha, k in zip(traj.alphas, traj.ks):
         am = 2.0 * a0 - alpha
         km = -np.conj(k)
-        kk, iters, ok = _k.newton_pole(
+        kk, iters, ok, _ = _k.newton_pole(
             km, _phase_to_gamma(am), spec.m, spec.a, spec.U, ch, STEP_TOL, 50
         )
         if not ok:

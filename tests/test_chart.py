@@ -27,6 +27,7 @@ from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.trajectory import ClosureKind, TraceCaps, branch_at_double_zero, mirror_defect
 from wellpoles import _kernels as _k
 from wellpoles import chart as chart_module
+from wellpoles import trajectory
 
 M, A = 1.0, 1.5
 
@@ -504,6 +505,30 @@ class TestNoCurveJump:
         chart = build_chart(spec, Channel.MINUS, certify=False)
         assert chart.topology == {"open": 1}
         assert chart.collisions == []
+
+
+class TestStepRejections:
+    """The step is sized to the displacement bound it is tested against, so
+    few attempted steps are thrown away."""
+
+    @pytest.mark.parametrize("U,share", [(200.0, 0.01), (2.0, 0.10)])
+    def test_rejected_share_of_attempted_steps(self, monkeypatch, U, share):
+        # a deep well once rejected 733 of 1597 attempts: the step grew
+        # until the displacement rule failed, halved, and grew back
+        attempts = rejects = 0
+        step = trajectory._step
+
+        def counted(*args):
+            nonlocal attempts, rejects
+            result = step(*args)
+            attempts += 1
+            rejects += result is None
+            return result
+
+        monkeypatch.setattr(trajectory, "_step", counted)
+        build_chart(PotentialSpec(m=M, a=A, U=U), Channel.PLUS, certify=False)
+        assert attempts > 100
+        assert rejects <= share * attempts
 
 
 class TestCriticalChart:

@@ -88,13 +88,13 @@ _GOLDEN_OUTPUT = {
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
         "38718b5b16b03718f8570765f4a352e31ebdfb19daac59c860c4bc9e35c7a96d",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "5010b9c64e5bc2410348a2c8ddf301e77e59dfb1de9135bc9be44f87a8350cd0",
+        "a3965e23949c3e0e9167b8b01f7be81d7ae4ce329b210c1ce0a17edbe0a61e21",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "dd30525af1a2cf8577f788af08cc393ca79f55cfe5835663e2fc1fbe4265484d",
+        "73c4198e1463e62307dee2269405a6f776242b5bbcc80f1386f7d7c1ef078a7f",
     ("verify", "--samples", "60", "--seed", "7"):
         "07bec11a4016339c661e894a84c693b79ed13b7ef1a47ced5734e4a26f5394aa",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
-        "e22cb74040801966c0f2b3c413cdf5c2ea15b873744ff47ff4aba90588508e22",
+        "c2aa7777a3576ea8ff846dd698e413ad72f56488a2aaf3054cdbc6c28d3ac1bf",
 }
 
 
