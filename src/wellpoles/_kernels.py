@@ -39,7 +39,8 @@ range; they do not raise. ``E`` underflows to 0 once |Im z| passes about 745,
 and ``unscale`` then gives the overflowed true value (inf, or nan for a zero
 part) where Python's complex division would raise ZeroDivisionError. A
 non-finite argument gives non-finite trig blocks, and a ``newton_pole``
-whose iterate overflows reports ``converged=False``.
+whose iterate overflows, or whose step test passes where E underflowed,
+reports ``converged=False``.
 
 Channel conventions
 -------------------
@@ -156,7 +157,10 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
     v), v = dk/dalpha = -D_alpha/D_k the tangent of the pole curve, or a
     complex nan when not converged. The ratio d/dk is scale-invariant, so
     overflow never enters; an iterate that runs off past the float range
-    turns nan and is reported as not converged.
+    turns nan and is reported as not converged. So is a passed step test
+    at an iterate where E = exp(-|Im aK|) underflowed to 0: there the step
+    is roundoff, and the test, relative to |k|, passes at no pole; the
+    iterate k is returned.
 
     The loop evaluates d and dd/dk only: ``trig_scaled`` reduced to the
     blocks the channel reads, then ``_channel_terms`` without dd/dw. Every
@@ -217,6 +221,10 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
         step = d / dk
         k1 = k - step
         if abs(step) < step_tol * (1.0 + abs(k1)):
+            if exp(-ay) == 0.0:
+                # E underflowed: every scaled value is 0 or a rounding
+                # residue, and a step test relative to |k| passes anywhere
+                return k, it + 1, False, _NAN
             if odd:
                 dw = -0.5 * a2 * (Z + ia * k * G)
             else:

@@ -1,9 +1,11 @@
 """Pole charts: every trajectory of a well, plus depth transitions.
 
 A chart gathers the axis poles of both real couplings (gamma = +1 and -1),
-continues each curve once through the full phase rotation, and certifies
-completeness by comparing a contour count over the working momentum window
-against the poles the trajectories deliver back at the attractive coupling.
+continues each curve once through the phase rotation until it closes or
+meets the tracer's stop rule (a phase cap and a k window, both trajectory
+constants), and certifies completeness by comparing a contour count over
+the working momentum window against the poles the trajectories deliver
+back at the attractive coupling.
 
 Depth analysis lives here too: the critical depths where an axis pole pair
 coalesces at k = -i/a, in closed form from the interior-momentum form of
@@ -31,7 +33,6 @@ from .smatrix import Channel, ComplexCoupling, PotentialSpec
 from .trajectory import (
     _SPLIT_STEP,
     CollisionEvent,
-    TraceCaps,
     Trajectory,
     branch_at_double_zero,
     combine,
@@ -42,10 +43,6 @@ from .trajectory import (
 
 HALF_PI = math.pi / 2.0
 TWO_PI = 2.0 * math.pi
-
-# chart traces run further than single-trajectory defaults so that open
-# curves deliver the whole working window before the cap
-CHART_ALPHA_CAP = 40.0 * math.pi
 
 _DEDUP_TOL = 1e-6
 # wide enough to flag a 4-significant-digit rounding of a collision depth,
@@ -220,10 +217,10 @@ def _near_contacts(trajectories: list[Trajectory]) -> list[NearContact]:
     return contacts
 
 
-def _trace_both_ways(seed, spec, caps):
+def _trace_both_ways(seed, spec):
     # an axis seed is its own mirror image -conj(k), so the backward half of
     # its open curve is the mirror of the forward march
-    fwd = trace(seed, +1, spec, caps)
+    fwd = trace(seed, +1, spec)
     if fwd.closure.is_closed:
         return fwd
     return combine(mirror(fwd), fwd)
@@ -232,7 +229,6 @@ def _trace_both_ways(seed, spec, caps):
 def build_chart(
     spec: PotentialSpec,
     channel: Channel,
-    caps: TraceCaps | None = None,
     certify: bool = True,
 ) -> PoleChart:
     """Trace every pole trajectory of the well in one channel.
@@ -246,7 +242,6 @@ def build_chart(
     window against the poles the trajectories return at the attractive
     coupling.
     """
-    caps = caps or TraceCaps(alpha_cap=CHART_ALPHA_CAP)
     warnings = _critical_proximity(spec, channel)
 
     seeds: list[Pole] = []
@@ -262,7 +257,7 @@ def build_chart(
             if not any(_same_event(ev, event) for ev in collisions):
                 collisions.append(event)
             forward = [
-                trace_branch(seed, kb, alpha_c + _SPLIT_STEP, spec, caps, event=event)
+                trace_branch(seed, kb, alpha_c + _SPLIT_STEP, spec, event=event)
                 for _, kb in branches
             ]
             # a branch is known by its first anchor, which lies off the
@@ -274,7 +269,7 @@ def build_chart(
         if _claimed(trajectories, seed, round(seed.coupling.alpha / HALF_PI), seed.k):
             continue
         try:
-            trajectories.append(_trace_both_ways(seed, spec, caps))
+            trajectories.append(_trace_both_ways(seed, spec))
         except StallAtDoubleZero as exc:
             # far virtual poles of shallow narrow wells sit where roundoff in
             # the pole function exceeds the corrector's step test

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .chart import (
-    CHART_ALPHA_CAP,
     bound_threshold,
     build_chart,
     critical_depth,
@@ -50,7 +49,6 @@ from .smatrix import (
     verify_relations,
 )
 from .svgplot import chart_svg
-from .trajectory import TraceCaps
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,10 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "chart", parents=[common],
         help="full trajectory chart under coupling phase rotation",
     )
-    p_chart.add_argument("--alpha-cap", type=float, default=None,
-                         dest="alpha_cap", help="phase rotation cap")
-    p_chart.add_argument("--k-window", type=float, default=None,
-                         dest="k_window", help="momentum escape radius")
     p_chart.add_argument("--svg", default=None, help="also render an SVG here")
     p_chart.add_argument("--no-certify", action="store_true",
                          help="skip the completeness certificate")
@@ -133,7 +127,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else {}
     cli_values = {}
     for key in ("m", "a", "U", "channel", "out", "format", "index", "samples",
-                "seed", "alpha_cap", "k_window", "n", "svg"):
+                "seed", "n", "svg"):
         if hasattr(args, key):
             cli_values[key] = getattr(args, key)
     if getattr(args, "gamma", None) is not None:
@@ -171,13 +165,7 @@ def _cmd_axis(cfg: RunConfig) -> int:
 
 
 def _cmd_chart(cfg: RunConfig) -> int:
-    caps = TraceCaps(
-        alpha_cap=cfg.alpha_cap if cfg.alpha_cap is not None else CHART_ALPHA_CAP,
-        k_window=cfg.k_window,
-    )
-    chart = build_chart(
-        _spec(cfg), Channel.parse(cfg.channel), caps=caps, certify=cfg.certify,
-    )
+    chart = build_chart(_spec(cfg), Channel.parse(cfg.channel), certify=cfg.certify)
     if cfg.svg:
         Path(cfg.svg).write_text(chart_svg(chart))
     if cfg.format == "csv":

@@ -26,8 +26,6 @@ class RunConfig:
     index: int = 1
     n: int = 1
     depths: tuple[float, ...] = ()
-    alpha_cap: float | None = None
-    k_window: float | None = None
     samples: int = 200
     seed: int = 20260816
     certify: bool = True
@@ -46,6 +44,8 @@ class RunConfig:
             raise ValueError("gamma selects a real coupling, +1 or -1")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.samples < 1:
+            raise ValueError("samples must be at least 1")
 
     @property
     def alpha(self) -> float:

@@ -356,16 +356,18 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
                 roots = []
         for x in roots:
             kappa = a_kappa(x) / a
-            try:
-                kappa = newton_refine(
-                    1j * kappa, coupling, spec, channel, trust_radius=0.5
-                ).k.imag
-            except NoConvergence:
-                # where d's slope is tiny against its terms (a pair next to
-                # its collision, a far virtual pole of a shallow narrow well)
-                # roundoff exceeds Newton's step test; the bracketed root
-                # is the better value
-                pass
+            k, _, ok, _ = _k.newton_pole(
+                1j * kappa, coupling.gamma, spec.m, spec.a, spec.U, channel.code,
+                STEP_TOL, MAX_NEWTON,
+            )
+            # without convergence, where d's slope is tiny against its terms
+            # (a pair next to its collision, a far virtual pole of a shallow
+            # narrow well) and roundoff exceeds Newton's step test, the
+            # bracketed root is the better value
+            if ok:
+                if abs(k - 1j * kappa) > 0.5:
+                    raise ConvergedElsewhere(k, 1j * kappa, 0.5)
+                kappa = k.imag
             poles.append(_axis_pole(kappa, 1, coupling, spec, channel))
     poles.sort(key=lambda p: p.k.imag)
     return poles

@@ -27,8 +27,10 @@ pi) the backward half of a curve is the mirror image of the forward march
 from the mirrored seed (see mirror).
 
 Trajectories close after one or two full turns of the coupling or run open
-until a cap; pole pairs coalesce only at k = -i/a, where the quadratic
-branch model splits them deterministically.
+until |alpha - alpha_seed| reaches 40*pi or |k| passes 40/a. Like the step
+schedule, this stop rule is a set of module constants that no caller sets.
+Pole pairs coalesce only at k = -i/a, where the quadratic branch model
+splits them deterministically.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ _STEP_MAXIMUM = 0.4
 _SPLIT_STEP = 1e-3
 # |k - k_seed| at a whole-turn anchor below which a curve is closed
 _CLOSURE_TOL = 1e-6
+# an open curve stops where |alpha - alpha_seed| reaches the cap or |k|
+# passes _WINDOW_A / a; the cap is meant to let open curves cross a chart's
+# whole working window first
+_ALPHA_CAP = 40.0 * math.pi
+_WINDOW_A = 40.0
 # stall-to-collision attribution radius; must exceed the pair splitting
 # scale sqrt(2*h_min*|D_alpha/D_kk|) at the minimum step
 _DOUBLE_ZERO_RADIUS = 1e-2
@@ -95,20 +102,6 @@ class CollisionEvent:
     k: complex
     kind: str  # 'axis_pair_to_plane_pair' or 'plane_pair_to_axis_pair'
     branches: tuple[tuple[str, complex], ...]
-
-
-@dataclass(frozen=True)
-class TraceCaps:
-    """Stop conditions: |alpha - alpha_seed| cap and |k| window radius.
-
-    k_window=None resolves to 40/a at trace time.
-    """
-
-    alpha_cap: float = 8.0 * math.pi
-    k_window: float | None = None
-
-    def window(self, spec: PotentialSpec) -> float:
-        return self.k_window if self.k_window is not None else 40.0 / spec.a
 
 
 @dataclass
@@ -244,14 +237,14 @@ def _trace_from_state(
     alpha_start: float,
     seed: Pole,
     spec: PotentialSpec,
-    caps: TraceCaps,
     prior_collisions: list[CollisionEvent] | None = None,
 ) -> Trajectory:
     """Predictor-corrector march in increasing alpha from (k_start, alpha_start).
 
     The seed sits on a quarter-turn anchor n_seed (ValueError otherwise);
     closure is decided at the anchors one and two turns on, n_seed + 4 and
-    n_seed + 8, by |k - k_seed|.
+    n_seed + 8, by |k - k_seed|. The phase cap counts from the seed's
+    phase, not from alpha_start.
     """
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
@@ -260,7 +253,7 @@ def _trace_from_state(
         raise ValueError(f"a seed must sit on a quarter-turn anchor, got alpha={alpha0!r}")
     k0 = seed.k
     kc = -1j / spec.a
-    window = caps.window(spec)
+    window = _WINDOW_A / spec.a
 
     alphas = [alpha_start]
     ks = [k_start]
@@ -345,7 +338,7 @@ def _trace_from_state(
             if turns in (4, 8) and abs(k - k0) < _CLOSURE_TOL:
                 closure_kind = ClosureKind.CLOSED_2PI if turns == 4 else ClosureKind.CLOSED_4PI
                 break
-        if abs(alpha - alpha0) >= caps.alpha_cap - 1e-12:
+        if abs(alpha - alpha0) >= _ALPHA_CAP - 1e-12:
             reason = ExitReason.ALPHA_CAP
             break
 
@@ -361,7 +354,6 @@ def trace(
     seed: Pole,
     direction: int,
     spec: PotentialSpec,
-    caps: TraceCaps | None = None,
 ) -> Trajectory:
     """Continue a refined pole in the coupling phase, one direction.
 
@@ -377,7 +369,6 @@ def trace(
         raise ValueError("direction must be +1 or -1")
     if direction < 0:
         _mirror_index(seed.coupling.alpha)
-    caps = caps or TraceCaps()
     d, _ = _k.denom_plain(
         seed.k, seed.coupling.gamma, spec.m, spec.a, spec.U, seed.channel.code
     )
@@ -386,7 +377,7 @@ def trace(
     if seed.multiplicity == 2:
         raise StallAtDoubleZero(seed.coupling.alpha, seed.k)
     start = seed if direction > 0 else _mirror_pole(seed)
-    fwd = _trace_from_state(start.k, start.coupling.alpha, start, spec, caps)
+    fwd = _trace_from_state(start.k, start.coupling.alpha, start, spec)
     return fwd if direction > 0 else mirror(fwd)
 
 
@@ -395,7 +386,6 @@ def trace_branch(
     branch_k: complex,
     branch_alpha: float,
     spec: PotentialSpec,
-    caps: TraceCaps | None = None,
     event: CollisionEvent | None = None,
 ) -> Trajectory:
     """Continue one emerging branch of a split coalesced pair forward.
@@ -403,7 +393,7 @@ def trace_branch(
     The seed sits on a quarter-turn anchor (ValueError otherwise).
     """
     return _trace_from_state(
-        branch_k, branch_alpha, seed, spec, caps or TraceCaps(),
+        branch_k, branch_alpha, seed, spec,
         prior_collisions=[event] if event is not None else None,
     )
 

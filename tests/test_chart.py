@@ -24,7 +24,7 @@ from wellpoles.document import canonical_dumps, chart_document, parse_chart_docu
 from wellpoles.errors import EdgeTooClose, NoRootInBracket
 from wellpoles.rootfinder import PoleKind, scan_axis
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
-from wellpoles.trajectory import ClosureKind, TraceCaps, branch_at_double_zero, mirror_defect
+from wellpoles.trajectory import ClosureKind, branch_at_double_zero, mirror_defect
 from wellpoles import _kernels as _k
 from wellpoles import chart as chart_module
 from wellpoles import trajectory
@@ -480,7 +480,7 @@ def _anchor_owners(chart) -> list[set[int]]:
 class TestNoCurveJump:
     """Cases where a looser step rule left its curve or its branch."""
 
-    def test_deep_wide_chart_anchors_lie_on_one_curve(self):
+    def test_deep_wide_chart_anchors_lie_on_one_curve(self, monkeypatch):
         # a pair of curves in near contact at -8.92i and -8.97i; at a 0.2 rad
         # cap the iteration-count step rule jumped from one to the other
         # and put 11 anchor poles on two curves
@@ -488,8 +488,9 @@ class TestNoCurveJump:
                              U=24.631932610724895)
         w = working_window(spec)
         corner = max(abs(complex(w.re_max, w.im_min)), abs(complex(w.re_max, w.im_max)))
-        caps = TraceCaps(alpha_cap=80 * math.pi, k_window=max(40.0 / spec.a, 1.2 * corner))
-        chart = build_chart(spec, Channel.PLUS, caps=caps, certify=False)
+        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 80 * math.pi)
+        monkeypatch.setattr(trajectory, "_WINDOW_A", spec.a * max(40.0 / spec.a, 1.2 * corner))
+        chart = build_chart(spec, Channel.PLUS, certify=False)
         assert not chart.collisions
         owners = _anchor_owners(chart)
         assert len(owners) > 50

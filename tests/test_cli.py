@@ -74,25 +74,25 @@ class TestAxis:
 # formatting must leave every byte unchanged
 _GOLDEN_OUTPUT = {
     ("axis", "--U", "2", "--channel", "plus"):
-        "3db4a8fd597a9dfa8c01127977c84a6d148837232751bf4ed05d1df7760810af",
+        "ccb0827e50da5a69e8915ab04247627840d88db50d4f477660f820a74668c3e1",
     ("axis", "--U", "0.05", "--gamma", "-1"):
-        "d24297825738f0ef5ce9035da0949e39c41237a655dc82163c5a6cac13f83b65",
+        "3cb79cc9522ac80f7f6440585803141c1edfe1010cc198515e0892b289b2143d",
     ("critical", "--channel", "plus", "--gamma", "+1"):
-        "390d1fd20ec8b25dc8900fea9dc6c1f62bebdfab054fe35ffdbb8071128b5a2e",
+        "e988e7bbd243460802b5e682b3facdfe6cc9a851d2d46e890ff975627b6e338f",
     ("critical", "--channel", "minus", "--gamma", "+1", "--index", "2"):
-        "b6141a94a1223bcc6e970519831adc7760db1c1c4de1a4a8ace72b6f4ae8a3f4",
+        "85242abbb681e1a15e360f7a369e1f894a0a35acfe57d0c82db8fe4b47166411",
     ("threshold", "--channel", "minus", "--n", "1"):
-        "7f7fdc4f995d334db4c2b3265b5c8919a5d04e612ed1b2af5c4212081bcfeda4",
+        "65f3e9b84eec53319cac0942d98b166e90e7bf1042d2317b2e785f9584df71a1",
     ("threshold", "--channel", "minus", "--n", "1", "--check"):
-        "5262a53629a67fe9277c665a1520c1ff4a0368fd6f59e3cd724202009a10e082",
+        "9f34ad0fd5b2a50ac56b81318325244d1a93b8f6a5143dcabcf08dda364623ad",
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
-        "38718b5b16b03718f8570765f4a352e31ebdfb19daac59c860c4bc9e35c7a96d",
+        "48bde4f07be999ef52a7ca7d2c56b5d584012ef859659bce5764330ab6c5da53",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "a3965e23949c3e0e9167b8b01f7be81d7ae4ce329b210c1ce0a17edbe0a61e21",
+        "d12c3f69bd5be4e50d7e2beef7c405979b907b18e6b5c4376fd6408282841aa5",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "73c4198e1463e62307dee2269405a6f776242b5bbcc80f1386f7d7c1ef078a7f",
+        "d319558e61f3c73a05d079e09f99399a740c744edf6cb9ff40197e6ee28640fa",
     ("verify", "--samples", "60", "--seed", "7"):
-        "07bec11a4016339c661e894a84c693b79ed13b7ef1a47ced5734e4a26f5394aa",
+        "c8519163228a9da7a4c1500c90b029bacb342cdd2625d93510e29020075223cc",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
         "c2aa7777a3576ea8ff846dd698e413ad72f56488a2aaf3054cdbc6c28d3ac1bf",
 }
@@ -151,17 +151,6 @@ class TestChart:
         )
         assert code == 0
         assert json.loads(out)["completeness"] is None
-
-    def test_alpha_cap_shortens_open_curves(self, capsys):
-        code, out, _ = run(
-            capsys, "chart", "--U", "1", "--alpha-cap", "12.566370614359172"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        spans = [
-            max(t["alphas"]) - min(t["alphas"]) for t in doc["trajectories"]
-        ]
-        assert max(spans) <= 2 * 12.566370614359172 + 1e-6
 
 
 class TestCritical:
@@ -280,6 +269,20 @@ class TestUsageErrors:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("flag", ["--alpha-cap", "--k-window"])
+    def test_stop_rule_is_not_a_flag(self, capsys, flag):
+        # the tracer owns when an open curve stops
+        code, out, _ = run(capsys, "chart", "--U", "2", flag, "1")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_needs_a_sample(self, capsys, samples):
+        # a verdict over no samples would pass without checking anything
+        code, out, err = run(capsys, "verify", "--samples", samples)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "samples" in json.loads(err)["error"]["message"]
+
 
 class TestConfigFlag:
     def test_file_sets_cli_overrides(self, capsys, tmp_path):
@@ -300,14 +303,16 @@ class TestConfigFlag:
         assert code == 2
         assert "unknown keys" in json.loads(err)["error"]["message"]
 
-    def test_step_schedule_is_not_a_config_key(self, capsys, tmp_path):
-        # the continuation schedule is internal to the tracer
+    @pytest.mark.parametrize("key", ["step_maximum", "alpha_cap", "k_window"])
+    def test_step_schedule_is_not_a_config_key(self, capsys, tmp_path, key):
+        # the continuation schedule and the stop rule are internal to the
+        # tracer
         path = tmp_path / "run.json"
-        path.write_text('{"step_maximum": 0.1}')
+        path.write_text(json.dumps({key: 0.1}))
         code, out, err = run(capsys, "chart", "--config", str(path))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
-        assert "step_maximum" in json.loads(err)["error"]["message"]
+        assert key in json.loads(err)["error"]["message"]
 
     def test_config_can_supply_depths(self, capsys, tmp_path):
         path = tmp_path / "run.json"

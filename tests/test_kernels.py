@@ -136,9 +136,10 @@ def _reference_newton(k0, gamma, m, a, U, ch, step_tol, max_iter):
         if dk == 0.0:
             return k, it, False
         step = d / dk
-        k = k - step
-        if abs(step) < step_tol * (1.0 + abs(k)):
-            return k, it + 1, True
+        k1 = k - step
+        if abs(step) < step_tol * (1.0 + abs(k1)):
+            return (k1, it + 1, True) if E != 0.0 else (k, it + 1, False)
+        k = k1
     return k, max_iter, False
 
 
@@ -448,3 +449,19 @@ class TestNonFinite:
     def test_newton_iterate_overflow_is_not_converged(self, k0, ch):
         k, it, ok, v = K.newton_pole(k0, 1.0 + 0j, M, A, self.U, ch, 1e-12, 50)
         assert not ok and cmath.isnan(v)
+
+    def test_newton_step_test_past_the_underflow_is_not_converged(self):
+        # from -2.5i the second iterate lands near 5e15 + 1e15i, where
+        # |Im aK| ~ 4e14 and E = 0; the step of a few units there passes a
+        # test relative to |k|, though no pole is near
+        from wellpoles.errors import NoConvergence
+        from wellpoles.rootfinder import newton_refine
+        from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
+
+        m, a, U, gamma = 0.2, 0.4, 15.18, cmath.exp(-2j)
+        k, it, ok, v = K.newton_pole(-2.5j, gamma, m, a, U, K.CH_PLUS, 1e-12, 50)
+        assert not ok and cmath.isnan(v)
+        assert it == 2 and abs(k) > 1e15
+        assert K.denom_scaled(k, gamma, m, a, U, K.CH_PLUS)[3] == 0.0
+        with pytest.raises(NoConvergence):
+            newton_refine(-2.5j, ComplexCoupling(-2.0), PotentialSpec(m, a, U), Channel.PLUS)

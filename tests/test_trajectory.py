@@ -16,7 +16,6 @@ from wellpoles.trajectory import (
     Closure,
     ClosureKind,
     ExitReason,
-    TraceCaps,
     _on_half_grid,
     branch_at_double_zero,
     combine,
@@ -67,14 +66,14 @@ def _seed(U, coupling, channel, k_near):
     return best
 
 
-def _fine_trace(seed, spec, caps=None):
+def _fine_trace(seed, spec):
     """The forward march at half the initial step and a sixteenth of the
     step cap, a finer reference for the default schedule."""
     # scoped, so that no later trace marches on the finer schedule
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trajectory, "_STEP_INITIAL", 0.005)
         mp.setattr(trajectory, "_STEP_MAXIMUM", 0.025)
-        return trace(seed, +1, spec, caps)
+        return trace(seed, +1, spec)
 
 
 def classify_closure(traj, closure_tol: float = 1e-6) -> Closure:
@@ -112,7 +111,8 @@ class TestClosureDetection:
         assert abs(amap[2] - SHALLOW_LOOP_VIRTUAL) < 1e-8
         assert abs(amap[4] - SHALLOW_BOUND) < 1e-8
 
-    def test_deep_virtual_runs_open_to_cap(self):
+    def test_deep_virtual_runs_open_to_cap(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 8 * math.pi)
         spec = _spec(0.09)
         t = trace(_seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL), +1, spec)
         assert t.closure.kind is ClosureKind.OPEN
@@ -208,7 +208,8 @@ class TestStepControl:
 
 
 class TestCombine:
-    def test_stitches_open_halves(self):
+    def test_stitches_open_halves(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 8 * math.pi)
         spec = _spec(0.09)
         seed = _seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL)
         f = trace(seed, +1, spec)
@@ -268,12 +269,12 @@ class TestMirror:
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
         assert mirror(t).closure.kind is t.closure.kind
 
-    def test_split_branch_mirror_keeps_resonance_side(self):
+    def test_split_branch_mirror_keeps_resonance_side(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 1.5 * math.pi)
         spec = _spec(U_CRIT_PLUS_ATT)
         dz = [p for p in scan_axis(spec, ATT, Channel.PLUS) if p.multiplicity == 2][0]
         event, branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
-        t = trace_branch(dz, branches[0][1], 1e-3, spec,
-                         caps=TraceCaps(alpha_cap=1.5 * math.pi), event=event)
+        t = trace_branch(dz, branches[0][1], 1e-3, spec, event=event)
         m = mirror(t)
         assert m.direction == "backward"
         assert m.closure.forward_reason is t.closure.backward_reason is None
@@ -309,7 +310,7 @@ class TestBackwardByMirror:
         with pytest.raises(ValueError):
             trace(seed, -1, spec)
         with pytest.raises(ValueError):
-            mirror(trace(seed, +1, spec, caps=TraceCaps(alpha_cap=0.5)))
+            mirror(trace(seed, +1, spec))
 
 
 class TestPointAt:
@@ -326,16 +327,16 @@ class TestPointAt:
         k_mid = point_at(t, a_mid, spec)
         assert abs(k_mid - t.ks[3]) < 0.1
 
-    def test_mid_step_matches_a_fine_trace(self):
+    def test_mid_step_matches_a_fine_trace(self, monkeypatch):
         # default steps here run to 0.2 rad; Newton started from the nearest
         # sample lands on a neighbouring pole at 33 of the 83 mid-step
         # phases, so point_at must continue from the sample below
         spec = PotentialSpec(1.558586768171243, 2.492577328251638, 6.3782986596754965)
         seed = min(scan_axis(spec, ATT, Channel.PLUS),
                    key=lambda p: abs(p.k - (-4.4048071991275455j)))
-        caps = TraceCaps(alpha_cap=4 * math.pi)
-        t = trace(seed, +1, spec, caps)
-        fine = _fine_trace(seed, spec, caps)
+        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 4 * math.pi)
+        t = trace(seed, +1, spec)
+        fine = _fine_trace(seed, spec)
         assert np.max(np.diff(t.alphas)) > 0.2
         for al in 0.5 * (t.alphas[:-1] + t.alphas[1:]):
             assert abs(point_at(t, al, spec) - point_at(fine, al, spec)) < 1e-8
@@ -400,14 +401,14 @@ class TestBranching:
         assert abs(b["resonance_side"] - (-f["antiresonance_side"].conjugate())) < 1e-10
         assert abs(b["antiresonance_side"] - (-f["resonance_side"].conjugate())) < 1e-10
 
-    def test_branches_continue_as_trajectories(self):
+    def test_branches_continue_as_trajectories(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 1.5 * math.pi)
         spec = _spec(U_CRIT_PLUS_ATT)
         poles = scan_axis(spec, ATT, Channel.PLUS)
         dz = [p for p in poles if p.multiplicity == 2][0]
         event, branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
         lbl, kb = branches[0]
-        t = trace_branch(dz, kb, 1e-3, spec,
-                         caps=TraceCaps(alpha_cap=1.5 * math.pi), event=event)
+        t = trace_branch(dz, kb, 1e-3, spec, event=event)
         assert len(t.collisions) == 1
         assert t.collisions[0].kind == "axis_pair_to_plane_pair"
         assert len(t.alphas) > 20
@@ -420,11 +421,13 @@ class TestBranching:
 
 
 class TestWindowExit:
-    def test_far_pole_leaves_window(self):
+    def test_far_pole_leaves_window(self, monkeypatch):
         # tight window forces the k-exit branch
         spec = _spec(0.09)
+        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 100 * math.pi)
+        monkeypatch.setattr(trajectory, "_WINDOW_A", 5.0 * spec.a)
         seed = _seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL)
-        t = trace(seed, +1, spec, caps=TraceCaps(alpha_cap=100 * math.pi, k_window=5.0))
+        t = trace(seed, +1, spec)
         assert t.closure.kind is ClosureKind.OPEN
         assert t.closure.forward_reason is ExitReason.K_WINDOW
         assert abs(t.ks[-1]) > 5.0
@@ -434,7 +437,7 @@ class TestWindowExit:
         # an open curve that leaves the window on a step clipped to an
         # anchor records no anchor there
         spec = _spec(U)
-        window = TraceCaps().window(spec)
+        window = trajectory._WINDOW_A / spec.a
         chart = build_chart(spec, Channel.parse(channel))
         assert any(t.closure.forward_reason is ExitReason.K_WINDOW for t in chart.trajectories)
         for t in chart.trajectories:
