@@ -42,7 +42,6 @@ from .trajectory import (
 )
 
 HALF_PI = math.pi / 2.0
-TWO_PI = 2.0 * math.pi
 
 _DEDUP_TOL = 1e-6
 # wide enough to flag a 4-significant-digit rounding of a collision depth,
@@ -126,18 +125,17 @@ class PoleChart:
     def pole_count(self, phase_class: int = 0, window: WorkingWindow | None = None) -> int:
         """Pole count with multiplicity at a real coupling, window-filtered.
 
-        A pair collision sitting at this coupling contributes two. Collision
-        events recorded at every turn refer to the same degenerate pole, so
-        they are merged by momentum before counting; the phase comparison
-        allows the stall offset of a mid-trace split.
+        A pair collision sitting at this coupling contributes two. Every
+        collision event lies on a real-coupling anchor, and the events
+        recorded there at every turn refer to the same degenerate pole, so
+        events whose anchor index is phase_class (mod 4) are merged by
+        momentum before counting.
         """
         singles = self.anchor_poles(phase_class, window)
         count = len(singles)
-        target = phase_class * HALF_PI
         event_ks: list[complex] = []
         for ev in self.collisions:
-            rel = (ev.alpha - target) / TWO_PI
-            if abs(rel - round(rel)) * TWO_PI > 5e-3:
+            if (round(ev.alpha / HALF_PI) - phase_class) % 4:
                 continue
             if window is not None and not window.contains(ev.k):
                 continue
@@ -150,9 +148,8 @@ class PoleChart:
 
 
 def _same_event(a: CollisionEvent, b: CollisionEvent) -> bool:
-    """Stall offsets blur the phase of repeated splits at one collision."""
     return (
-        abs(a.alpha - b.alpha) < 5e-3
+        round(a.alpha / HALF_PI) == round(b.alpha / HALF_PI)
         and abs(a.k - b.k) < _DEDUP_TOL
         and a.kind == b.kind
     )

@@ -10,6 +10,17 @@ from pathlib import Path
 from .errors import DocumentError
 
 
+def _fits(value, annotation: str) -> bool:
+    """Whether a config value has its field's annotated type; an int is
+    accepted for a float, and a bool only for a bool."""
+    if annotation == "tuple[float, ...]":
+        return isinstance(value, tuple) and all(_fits(v, "float") for v in value)
+    if annotation == "str | None":
+        return value is None or isinstance(value, str)
+    kind = {"float": (int, float), "int": int, "str": str, "bool": bool}[annotation]
+    return isinstance(value, kind) and isinstance(value, bool) == (annotation == "bool")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs, resolvable from defaults, file and flags.
@@ -34,6 +45,10 @@ class RunConfig:
     svg: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, f.type):
+                raise ValueError(f"config key {f.name!r} must be {f.type}, got {value!r}")
         if self.m <= 0 or self.a <= 0:
             raise ValueError("mass and half width must be positive")
         if self.U < 0:

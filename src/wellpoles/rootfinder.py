@@ -27,10 +27,8 @@ RESIDUAL_TOL = 1e-10
 STEP_TOL = 1e-12
 MAX_NEWTON = 50
 
-_DOUBLE_RADIUS = 1e-3
-# two zeros this close to a candidate are one coalesced pair to
-# multiplicity_at, and an axis cell whose pair is this close to its
-# collision point gives one candidate there
+# an axis pair this close to its collision point k = -i/a is one coalesced
+# pair there
 _PAIR_BALL = 1e-6
 
 
@@ -291,6 +289,16 @@ def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
     return cells
 
 
+def _pair_offset(xc: float, rc: float, c: float, a: float) -> float:
+    """Distance from k = -i/a of the pair of a cell with collision point x_c.
+
+    rc is the cell's ratio at x_c. There the ratio's second derivative is rc
+    and |d kappa/dx| is x_c/a, so the pair sits x_c/a * sqrt(2|rc - c|/rc)
+    from k = -i/a: on the axis when c passes rc, mirrored off it otherwise.
+    """
+    return xc / a * math.sqrt(2.0 * abs(rc - c) / rc)
+
+
 def _axis_pole(
     kappa: float, mult: int, coupling: ComplexCoupling, spec: PotentialSpec, channel: Channel
 ) -> Pole:
@@ -315,9 +323,8 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
     Newton-polished in k.
 
     When the cell's pair lies within ``_PAIR_BALL`` of its collision point
-    k = -i/a (a quadratic model of the ratio at x_c says so), the cell gives
-    one candidate there instead, and ``multiplicity_at`` decides whether it
-    is a coalesced pair, reported as one multiplicity-2 pole.
+    k = -i/a (``_pair_offset``), the cell gives one coalesced pair there
+    instead, reported as one multiplicity-2 pole.
 
     U = 0 is the free particle: its S-matrix is 1 and has no poles, so the
     scan returns an empty list (the even pole function degenerates to
@@ -339,15 +346,11 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
         if xc is None:
             roots = [_brentq(f, lo, hi)]
         else:
-            fc = f(xc)
-            # the ratio's second derivative at x_c is ratio(x_c) and
-            # |d kappa/dx| there is x_c/a, so the pair sits x_c/a *
-            # sqrt(2|fc|/ratio(x_c)) from k = -i/a
-            if xc / a * math.sqrt(2.0 * abs(fc) / ratio(xc)) < _PAIR_BALL:
-                kc = -1.0 / a
-                if multiplicity_at(1j * kc, coupling, spec, channel) == 2:
-                    poles.append(_axis_pole(kc, 2, coupling, spec, channel))
-                    continue
+            rc = ratio(xc)
+            if _pair_offset(xc, rc, c, a) < _PAIR_BALL:
+                poles.append(_axis_pole(-1.0 / a, 2, coupling, spec, channel))
+                continue
+            fc = rc - c
             if fc == 0.0:
                 roots = [xc]
             elif (fc > 0.0) != (f(lo) > 0.0):
@@ -486,31 +489,19 @@ def count_zeros_padded(
 def multiplicity_at(
     k: complex, coupling: ComplexCoupling, spec: PotentialSpec, channel: Channel
 ) -> int:
-    """Zero multiplicity at a refined pole: 1 (simple) or 2 (coalesced pair).
+    """Zero multiplicity at a pole: 2 (coalesced pair) or 1 (simple).
 
-    Counts zeros on a small box around k; multiplicity 2 requires the count
-    to be 2 while every Newton start around k lands back on the same point,
-    i.e. the two zeros are one coalesced pair, not near neighbours.
+    A pair coalesces only at k = -i/a, at a real coupling, and only at the
+    closed-form collision depths (see ``collision_x``). So multiplicity 2
+    needs a real coupling, k within ``_PAIR_BALL`` of -i/a, and an axis cell
+    whose pair lies within ``_PAIR_BALL`` of that point (``_pair_offset``),
+    the test ``scan_axis`` makes.
     """
-    r = _DOUBLE_RADIUS
-    region = CountRegion(
-        lo=k - r * (1 + 1j), hi=k + r * (1 + 1j), coupling=coupling, channel=channel
-    )
-    try:
-        n, _ = count_zeros_padded(region, spec, tries=4, pad=0.3 * r)
-    except EdgeTooClose:
+    a = spec.a
+    if not coupling.is_real or spec.U == 0.0 or not abs(k + 1j / a) < _PAIR_BALL:
         return 1
-    if n != 2:
-        return 1
-    # distinct-root probe: every converged restart must land within 1e-6 of
-    # the candidate. A pair twice that far apart would be two resolvable
-    # zeros; a coalesced pair can split by ~sqrt(eps) under parameter noise,
-    # which stays inside this ball. Restarts that stall (Newton is linear at
-    # an exact double zero) are inconclusive and do not veto.
-    for dk in (r * 0.3, -r * 0.3, r * 0.3j, -r * 0.3j):
-        kk, iters, ok, _ = _k.newton_pole(
-            k + dk, coupling.gamma, spec.m, spec.a, spec.U, channel.code, STEP_TOL, 80
-        )
-        if ok and abs(kk - k) > _PAIR_BALL:
-            return 1
-    return 2
+    c = a * math.sqrt(2.0 * spec.m * spec.U)
+    for ratio, _, _, xc, _ in _axis_cells(c, coupling.gamma.real > 0, channel is Channel.MINUS):
+        if xc is not None and _pair_offset(xc, ratio(xc), c, a) < _PAIR_BALL:
+            return 2
+    return 1

@@ -29,8 +29,10 @@ from the mirrored seed (see mirror).
 Trajectories close after one or two full turns of the coupling or run open
 until |alpha - alpha_seed| reaches 40*pi or |k| passes 40/a. Like the step
 schedule, this stop rule is a set of module constants that no caller sets.
-Pole pairs coalesce only at k = -i/a, where the quadratic branch model
-splits them deterministically.
+Pole pairs coalesce only at k = -i/a and at a real coupling, so a march
+that stalls next to k = -i/a is split at the anchor ahead of it, with the
+closed-form branches of branch_at_double_zero; where that anchor holds no
+coalesced pair, or the stall lies elsewhere, it raises StallAtDoubleZero.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import ModelInvalid, NoConvergence, SeedNotOnPole, StallAtDoubleZero
-from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, classify
-from .smatrix import Channel, PotentialSpec, _phase_to_gamma
+from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, classify, multiplicity_at
+from .smatrix import Channel, ComplexCoupling, PotentialSpec, _phase_to_gamma
 
 HALF_PI = math.pi / 2.0
 
@@ -68,7 +70,7 @@ _CLOSURE_TOL = 1e-6
 _ALPHA_CAP = 40.0 * math.pi
 _WINDOW_A = 40.0
 # stall-to-collision attribution radius; must exceed the pair splitting
-# scale sqrt(2*h_min*|D_alpha/D_kk|) at the minimum step
+# scale |K_c|*sqrt(h_min) at the minimum step
 _DOUBLE_ZERO_RADIUS = 1e-2
 
 
@@ -140,37 +142,31 @@ def branch_at_double_zero(
 ) -> tuple[CollisionEvent, list[tuple[str, complex]]]:
     """Split a coalesced pair at k = -i/a into its two emerging branches.
 
-    Local model D ~ 0.5*D_kk*(k-k_c)^2 + D_alpha*(alpha-alpha_c) gives
-    k branches k_c +- sqrt(-2*D_alpha*sigma*delta/D_kk) at
-    alpha = alpha_c + sigma*delta, delta = _SPLIT_STEP; each is
-    Newton-polished at the stepped coupling. Branch labels are
+    Raises ModelInvalid unless ``multiplicity_at`` finds a coalesced pair
+    at k_c = -i/a and the coupling e^{i alpha_c}. There the pair sits at a
+    saddle K_c of g (see ``chart.critical_depth``), where in both channels
+    g''(K_c) = a^2 g(K_c) and dk/dK = i a K_c, so g(K)^2 = S^2 e^{i alpha}
+    puts the branches at alpha = alpha_c + sigma*delta, delta = _SPLIT_STEP,
+    at k_c +- i K_c sqrt(i sigma delta), K_c = sqrt(k_c^2 + 2 m U gamma_c).
+    Each is Newton-polished at the stepped coupling. Branch labels are
     deterministic: ordered lexicographically by (Re k, Im k), the greater is
     'resonance_side' when it leaves the axis, otherwise the pair is labeled
     'axis_upper'/'axis_lower'.
     """
     kc = -1j / spec.a
-    gamma_c = _phase_to_gamma(alpha_c)
-    ch = channel.code
-    d0, dk0, da0, E0 = _k.denom_scaled(kc, gamma_c, spec.m, spec.a, spec.U, ch)
-    h = 1e-5
-    dkp = _k.denom_scaled(kc + h, gamma_c, spec.m, spec.a, spec.U, ch)
-    dkm = _k.denom_scaled(kc - h, gamma_c, spec.m, spec.a, spec.U, ch)
-    dkk = (_k.unscale(dkp[1], dkp[3]) - _k.unscale(dkm[1], dkm[3])) / (2.0 * h)
-    da = _k.unscale(da0, E0)
-    scale = abs(da) + abs(dkk) + 1.0
-    if abs(dkk) < 1e-8 * scale:
-        raise ModelInvalid(f"vanishing curvature at collision point, D_kk={dkk!r}")
-    if abs(da) < 1e-12 * scale:
-        raise ModelInvalid(f"vanishing coupling derivative at collision point, D_alpha={da!r}")
-
-    alpha_new = alpha_c + direction * _SPLIT_STEP
+    coupling = ComplexCoupling(alpha_c)
+    if multiplicity_at(kc, coupling, spec, channel) != 2:
+        raise ModelInvalid(f"no coalesced pair at k=-i/a, alpha={alpha_c!r}")
+    step = direction * _SPLIT_STEP
+    alpha_new = alpha_c + step
     gamma_new = _phase_to_gamma(alpha_new)
-    root = cmath.sqrt(-2.0 * da * (direction * _SPLIT_STEP) / dkk)
+    big_k = cmath.sqrt(kc * kc + 2.0 * spec.m * spec.U * coupling.gamma)
+    root = 1j * big_k * cmath.sqrt(1j * step)
     branches = []
     for sgn in (+1.0, -1.0):
         k_est = kc + sgn * root
         kk, iters, ok, _ = _k.newton_pole(
-            k_est, gamma_new, spec.m, spec.a, spec.U, ch, STEP_TOL, 60
+            k_est, gamma_new, spec.m, spec.a, spec.U, channel.code, STEP_TOL, 60
         )
         if not ok or abs(kk - k_est) > 10.0 * abs(root) + 1e-6:
             raise ModelInvalid(
@@ -286,23 +282,22 @@ def _trace_from_state(
         if step is None:
             if h <= _STEP_MINIMUM * (1.0 + 1e-12):
                 if abs(k - kc) < _DOUBLE_ZERO_RADIUS:
-                    # pair coalescing mid-trace: split and continue on the
-                    # deterministic branch, recording the event
+                    # a pair coalescing mid-trace, which happens only at a
+                    # real-coupling anchor: split at the anchor ahead and
+                    # continue on the deterministic branch, recording the event
                     try:
-                        event, labeled = branch_at_double_zero(alpha, spec, seed.channel, +1)
+                        event, labeled = branch_at_double_zero(t_anchor, spec, seed.channel, +1)
                     except ModelInvalid as exc:
                         raise StallAtDoubleZero(alpha, k) from exc
                     collisions.append(event)
                     k = labeled[0][1]
-                    alpha = alpha + _SPLIT_STEP
+                    alpha = t_anchor + _SPLIT_STEP
                     v = _tangent(k, _phase_to_gamma(alpha), spec, ch)
                     prev = None
                     alphas.append(alpha)
                     ks.append(k)
                     h = _STEP_INITIAL
-                    # an anchor behind the advanced phase would march the
-                    # trace back into the collision
-                    next_anchor = math.floor(alpha / HALF_PI) + 1
+                    next_anchor += 1
                     continue
                 raise StallAtDoubleZero(alpha, k)
             h = max(0.5 * min(h, target - alpha), _STEP_MINIMUM)

@@ -189,6 +189,19 @@ class TestCompleteness:
         doc = parse_chart_document(canonical_dumps(chart_document(chart)))
         assert doc["completeness"]["window_count"] is None
 
+    def test_forced_negative_window_count_fails_loudly(self, monkeypatch):
+        # the failure path itself, on a chart whose true count is sound
+        monkeypatch.setattr(chart_module, "count_zeros_padded", lambda region, spec: (-3, region))
+        chart = build_chart(PotentialSpec(m=M, a=A, U=2.0), Channel.PLUS)
+        cert = chart.completeness
+        assert cert["window_count"] is None
+        assert cert["complete"] is False
+        failed = [w.message for w in chart.warnings if w.code == "count_failed"]
+        assert failed == ["window contour count -3 is negative: the sampled winding aliased"]
+        doc = parse_chart_document(canonical_dumps(chart_document(chart)))
+        assert doc["completeness"]["window_count"] is None
+        assert doc["completeness"]["complete"] is False
+
     def test_zero_depth_trivial(self):
         chart = build_chart(PotentialSpec(m=M, a=A, U=0.0), Channel.PLUS)
         assert chart.topology == {}
@@ -541,6 +554,19 @@ class TestCriticalChart:
         ev = chart.collisions[0]
         assert abs(ev.k - (-1j / A)) < 1e-12
         assert ev.kind in ("axis_pair_to_plane_pair", "plane_pair_to_axis_pair")
+
+    @pytest.mark.parametrize("channel,U", [
+        ("plus", U_STAR_PLUS_ATT), ("plus", U_STAR_PLUS_REP), ("minus", U_STAR_MINUS_ATT),
+    ])
+    def test_every_split_sits_on_a_real_coupling_anchor(self, channel, U):
+        # pairs coalesce only at a real coupling, so a march that stalls at
+        # the collision splits at the anchor ahead, not at its stall phase
+        chart = _chart(channel, U)
+        events = chart.collisions + [ev for t in chart.trajectories for ev in t.collisions]
+        assert len(events) > 3
+        for ev in events:
+            n = round(ev.alpha / (math.pi / 2))
+            assert ev.alpha == n * (math.pi / 2) and n % 2 == 0
 
     def test_ordinary_chart_has_no_warning(self):
         assert _chart("plus", 1.0).warnings == []

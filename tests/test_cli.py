@@ -314,6 +314,31 @@ class TestConfigFlag:
         assert len(err.splitlines()) == 1
         assert key in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("command,values", [
+        ("verify", {"samples": 2.5}),
+        ("axis", {"U": "2"}),
+        ("chart", {"certify": "no"}),
+        ("sweep", {"depths": ["a"]}),
+        ("verify", {"samples": True}),
+    ])
+    def test_value_of_the_wrong_type(self, capsys, tmp_path, command, values):
+        # a usage error with the one-line JSON error, not a traceback (exit 1)
+        # or a truthy string taken as true
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(values))
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        [key] = values
+        assert repr(key) in json.loads(err)["error"]["message"]
+
+    def test_int_accepted_for_a_float(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"U": 2, "m": 1}))
+        code, out, _ = run(capsys, "axis", "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["potential"]["U"] == 2.0
+
     def test_config_can_supply_depths(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"depths": [1.0], "channel": "plus"}))

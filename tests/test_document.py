@@ -225,9 +225,9 @@ _GOLDEN = {
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "37948314b9bda1c91c2ce0883d2f0e615ba811e0f0e84fa1565c105d89cd8ff6",
-    ("plus", False): "09f43477491846b7389ee40341ab872269201ff96ad545cf26fd1c25b5e123e3",
-    ("minus", True): "c65b2af5c4746c8d326f879d765cec92cc210c9fb2a3d49c67459e441e188c65",
+    ("plus", True): "c8ca503727a9329a32793c1df8aff96194739e130e8e21c49d3485b9f7ef8ac1",
+    ("plus", False): "166096cbd33f68d58afd1228edf589f77a8fd50547f2de7ae2f8222aaef271b9",
+    ("minus", True): "6fdab903c03a268cf1f5c0802f3c160f6b6293f7bc74c8a79d88b61b89f02b82",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
@@ -235,9 +235,9 @@ _GOLDEN_SVG = {
     ("plus", 0.09): "752285c254352ca752b4e944fc862c175c680ef7bc06fab498c39c28e390a2b2",
     ("plus", 2.0): "c07dc693567aa8a46467060d2855303ba70bba8f2ca62a87baa40fc1f0780af9",
     ("minus", 5.0): "846b8da5e97193c9113c65e8a4f857e9cb9de5368f12c1a5e529ec6e9c7c12f0",
-    ("plus", "attractive"): "e3096bc464da6d404619ad4d8c891a8884a02da62d12f3b0ab9eb700fa86519a",
-    ("plus", "repulsive"): "554388f42a4429529fecc1e742a6e7469996ce6660962f3748e7bbcd124e9dfe",
-    ("minus", "attractive"): "23531cfe72a7e28c8e88b78e877dd98a21c331598772ca0a82c87156ad16ca63",
+    ("plus", "attractive"): "5b89ea62b8dd1dedc2114be70afa9f3ad49fbe5036ff6424e299e06a3abe4e01",
+    ("plus", "repulsive"): "477a47a4e1802942ecb285d782bd1bf5f06a70ab881fef421b8b83f57022403e",
+    ("minus", "attractive"): "05bcae2834e7654f07540d8ae2a4029ff3c0863f96cea5304507b823c89d304c",
 }
 
 

@@ -423,8 +423,10 @@ class TestNonFinite:
         assert not np.isfinite(s.s11) and not np.isfinite(s.s12)
 
     def test_second_derivative_differences(self):
-        # the D_kk finite differences at k = -i/a divide by E; at this depth
-        # the repulsive E underflows there too
+        # the repulsive E underflows at k = -i/a at this depth; the split
+        # there is refused because U = 2e5 at alpha = pi is no pair
+        # collision (the odd channel has none at gamma = -1, the even one
+        # only at U* ~ 0.098)
         from wellpoles.errors import ModelInvalid
         from wellpoles.smatrix import Channel, PotentialSpec
         from wellpoles.trajectory import branch_at_double_zero

@@ -15,6 +15,7 @@ from wellpoles import _kernels as _k
 from wellpoles import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.chart import _collisions_between, bound_count, bound_threshold, threshold_flip
 from wellpoles.rootfinder import (
+    _PAIR_BALL,
     RESIDUAL_TOL,
     _axis_cells,
     _brentq,
@@ -169,6 +170,125 @@ class TestCoalescedPairs:
     def test_multiplicity_query_on_simple_pole(self):
         p = newton_refine(1.84j, ATT, spec(2.0), Channel.PLUS)
         assert multiplicity_at(p.k, ATT, spec(2.0), Channel.PLUS) == 1
+
+
+# (channel, attractive) of every pair collision, the odd repulsive coupling
+# having none
+_COLLISIONS = [(Channel.PLUS, True), (Channel.MINUS, True), (Channel.PLUS, False)]
+_EPSILONS = [0.0] + [s * 10.0 ** -p for s in (1.0, -1.0) for p in range(11, 17)]
+
+
+def _box_and_restarts(k, coupling, spec, channel):
+    """The evidence of the box-count-and-restart multiplicity test.
+
+    The zero count on a box of half-width 1e-3 around k (None when the
+    contour grazes a zero), and where four Newton restarts from 3e-4 away
+    converge, as distances from k (None for a restart that does not
+    converge).
+    """
+    r = 1e-3
+    region = CountRegion(lo=k - r * (1 + 1j), hi=k + r * (1 + 1j),
+                         coupling=coupling, channel=channel)
+    try:
+        n, _ = count_zeros_padded(region, spec, tries=4, pad=0.3 * r)
+    except wp.EdgeTooClose:
+        n = None
+    landings = []
+    for dk in (r * 0.3, -r * 0.3, r * 0.3j, -r * 0.3j):
+        kk, _, ok, _ = _k.newton_pole(
+            k + dk, coupling.gamma, spec.m, spec.a, spec.U, channel.code, 1e-12, 80
+        )
+        landings.append(abs(kk - k) if ok else None)
+    return n, landings
+
+
+def _reference_multiplicity(n, landings):
+    """The box-count-and-restart rule multiplicity_at applied before the
+    closed form: 2 when the box holds two zeros and no converged restart
+    lands farther than the pair ball from k; a restart that does not
+    converge does not veto."""
+    if n != 2:
+        return 1
+    return 1 if any(d is not None and d > _PAIR_BALL for d in landings) else 2
+
+
+def _exact_pair_offset(channel, attractive, m, a, U, xc):
+    """|k - (-i/a)| of the collision's pair, solved in 60-digit arithmetic
+    for the float inputs, through the interior-momentum ratio of the cell."""
+    mp = pytest.importorskip("mpmath")
+    if not attractive:
+        ratio, a_kappa = (lambda y: y / mp.cosh(y)), (lambda y: -y * mp.tanh(y))
+        stationary = lambda y: mp.cosh(y) - y * mp.sinh(y)
+    elif channel is Channel.PLUS:
+        ratio, a_kappa = (lambda x: x / mp.cos(x)), (lambda x: x * mp.tan(x))
+        stationary = lambda x: mp.cos(x) + x * mp.sin(x)
+    else:
+        ratio, a_kappa = (lambda x: x / mp.sin(x)), (lambda x: -x / mp.tan(x))
+        stationary = lambda x: mp.sin(x) - x * mp.cos(x)
+    with mp.workdps(60):
+        x0 = mp.findroot(stationary, mp.mpf(xc))
+        sign = mp.sign(ratio(x0))
+        c = mp.mpf(a) * mp.sqrt(2 * mp.mpf(m) * mp.mpf(U))
+        f = lambda x: sign * ratio(x) - c
+        dx = mp.sqrt(-2 * f(x0) / mp.diff(f, x0, 2))
+        x1 = mp.findroot(f, x0 + dx)
+        return float(abs(1j * a_kappa(x1) / mp.mpf(a) + 1j / mp.mpf(a)))
+
+
+class TestClosedFormMultiplicity:
+    """multiplicity_at is a closed-form test: a real coupling, k within the
+    pair ball of -i/a, and an axis pair within that ball of it."""
+
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        collision=st.sampled_from(_COLLISIONS),
+        index=st.integers(1, 3),
+        eps=st.sampled_from(_EPSILONS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_box_count_and_restarts(self, m, a, collision, index, eps):
+        channel, attractive = collision
+        if not attractive:
+            index = 1
+        xc = collision_x(channel, attractive, index)
+        U = (xc * xc + (1.0 if attractive else -1.0)) / (2.0 * m * a * a) * (1.0 + eps)
+        sp = PotentialSpec(m, a, U)
+        coupling = ATT if attractive else REP
+        kc = -1j / a
+        new = multiplicity_at(kc, coupling, sp, channel)
+        exact = _exact_pair_offset(channel, attractive, m, a, U, xc)
+        # the float c = a sqrt(2 m U) carries a few ulp, which moves the
+        # squared offset by up to (x_c/a)^2 * 4e-15
+        blur = 1e-3 * _PAIR_BALL ** 2 + (xc / a) ** 2 * 4e-15
+        if abs(exact ** 2 - _PAIR_BALL ** 2) > blur:
+            assert new == (2 if exact < _PAIR_BALL else 1)
+        # past x_c/a = 16 that blur alone exceeds the ball, for the restarts
+        # as for the closed form, so neither can referee the other
+        if xc / a >= 16.0:
+            return
+        n, landings = _box_and_restarts(kc, coupling, sp, channel)
+        converged = [d for d in landings if d is not None]
+        # the old rule decides on evidence only where the box does not hold
+        # two zeros or a restart converged clear of the ball's edge; a
+        # restart on a near-double zero often loses its step test to
+        # roundoff, and then the old rule answered 2 by default
+        if n != 2 or (converged and not any(0.5 * _PAIR_BALL < d < 2.0 * _PAIR_BALL
+                                            for d in converged)):
+            assert new == _reference_multiplicity(n, landings)
+
+    @pytest.mark.parametrize("channel,coupling,U", [
+        (Channel.PLUS, ATT, U_COLLIDE_PLUS_ATT),
+        (Channel.MINUS, ATT, U_COLLIDE_MINUS_ATT),
+        (Channel.PLUS, REP, U_COLLIDE_PLUS_REP),
+    ])
+    def test_needs_the_point_and_a_real_coupling(self, channel, coupling, U):
+        kc = -1j / A
+        assert multiplicity_at(kc, coupling, spec(U), channel) == 2
+        assert multiplicity_at(kc + 2e-6j, coupling, spec(U), channel) == 1
+        assert multiplicity_at(kc, ComplexCoupling(coupling.alpha + 1e-9), spec(U), channel) == 1
+        other = REP if coupling is ATT else ATT
+        assert multiplicity_at(kc, other, spec(U), channel) == 1
 
 
 class TestNewtonRefine:

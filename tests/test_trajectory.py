@@ -1,15 +1,18 @@
 """Continuation tracer: closures, anchors, mirroring, pair splitting."""
 
+import cmath
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wellpoles.chart import build_chart
-from wellpoles.errors import NoConvergence, SeedNotOnPole, StallAtDoubleZero
-from wellpoles.rootfinder import Pole, PoleKind, newton_refine, scan_axis
+from wellpoles.errors import ModelInvalid, NoConvergence, SeedNotOnPole, StallAtDoubleZero
+from wellpoles.rootfinder import Pole, PoleKind, multiplicity_at, newton_refine, scan_axis
 from wellpoles import trajectory
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.trajectory import (
@@ -418,6 +421,67 @@ class TestBranching:
         poles = scan_axis(spec, ATT, Channel.PLUS)
         dz = [p for p in poles if p.multiplicity == 2][0]
         assert abs(dz.k - (-1j / A)) < 1e-6
+
+
+def _collision_x(channel, attractive, index):
+    """x_c = a|K_c| of a pair collision, from scipy (see collision_x)."""
+    if not attractive:
+        return brentq(lambda y: y * math.tanh(y) - 1.0, 1.0, 2.0, xtol=1e-15)
+    if channel is Channel.PLUS:
+        return brentq(lambda x: x * math.tan(x) + 1.0, (index - 0.5) * math.pi + 1e-9,
+                      index * math.pi - 1e-9, xtol=1e-15)
+    return brentq(lambda x: math.tan(x) - x, index * math.pi + 1e-9,
+                  (index + 0.5) * math.pi - 1e-9, xtol=1e-15)
+
+
+class TestClosedFormBranches:
+    """At a saddle K_c of g, g'' = a^2 g and dk/dK = i a K_c, so a pair
+    split by a phase step sigma*delta sits at k_c +- i K_c sqrt(i sigma delta)."""
+
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        collision=st.sampled_from([(Channel.PLUS, True), (Channel.MINUS, True),
+                                   (Channel.PLUS, False)]),
+        index=st.integers(1, 3),
+        direction=st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_polished_branches_sit_at_the_formula(self, m, a, collision, index, direction):
+        channel, attractive = collision
+        if not attractive:
+            index = 1
+        x = _collision_x(channel, attractive, index)
+        spec = PotentialSpec(m=m, a=a, U=(x * x + (1.0 if attractive else -1.0)) / (2 * m * a * a))
+        alpha_c = 0.0 if attractive else math.pi
+        kc = -1j / a
+        if multiplicity_at(kc, ComplexCoupling(alpha_c), spec, channel) != 2:
+            # the float depth leaves the pair outside the coalescence ball
+            with pytest.raises(ModelInvalid):
+                branch_at_double_zero(alpha_c, spec, channel, direction)
+            return
+        event, branches = branch_at_double_zero(alpha_c, spec, channel, direction)
+        assert event.alpha == alpha_c
+        step = direction * trajectory._SPLIT_STEP
+        big_k = x / a if attractive else 1j * x / a
+        root = 1j * big_k * cmath.sqrt(1j * step)
+        stepped = ComplexCoupling(alpha_c + step)
+        matched = []
+        for _, kb in branches:
+            est = min((kc + root, kc - root), key=lambda e: abs(e - kb))
+            matched.append(est)
+            assert abs(kb - est) <= 0.02 * abs(kb - kc)
+            assert abs(newton_refine(kb, stepped, spec, channel).k - kb) < 1e-10 * (1 + abs(kb))
+        assert matched[0] != matched[1]
+
+    def test_no_split_off_a_collision(self):
+        # a real-coupling anchor without a coalesced pair, a pair ball
+        # away from the collision depth, and a quarter-turn anchor
+        spec = _spec(U_CRIT_PLUS_ATT)
+        for alpha, sp in ((math.pi, spec), (0.0, _spec(U_CRIT_PLUS_ATT * (1 + 1e-9))),
+                          (HALF_PI, spec)):
+            with pytest.raises(ModelInvalid, match="no coalesced pair"):
+                branch_at_double_zero(alpha, sp, Channel.PLUS, +1)
 
 
 class TestWindowExit:
