@@ -214,6 +214,13 @@ def _near_contacts(trajectories: list[Trajectory]) -> list[NearContact]:
     return contacts
 
 
+def _stalled(start: str, exc: StallAtDoubleZero) -> ChartWarning:
+    # far virtual poles of shallow narrow wells, and pairs next to a
+    # collision, sit where roundoff in the pole function exceeds the
+    # corrector's step test
+    return ChartWarning(code="trace_stalled", message=f"curve from {start} not traced: {exc}")
+
+
 def _trace_both_ways(seed, spec):
     # an axis seed is its own mirror image -conj(k), so the backward half of
     # its open curve is the mirror of the forward march
@@ -253,10 +260,12 @@ def build_chart(
             event, branches = branch_at_double_zero(alpha_c, spec, channel, +1)
             if not any(_same_event(ev, event) for ev in collisions):
                 collisions.append(event)
-            forward = [
-                trace_branch(seed, kb, alpha_c + _SPLIT_STEP, spec, event=event)
-                for _, kb in branches
-            ]
+            forward = []
+            for _, kb in branches:
+                try:
+                    forward.append(trace_branch(seed, kb, alpha_c + _SPLIT_STEP, spec, event=event))
+                except StallAtDoubleZero as exc:
+                    warnings.append(_stalled(f"split branch k={kb!r}", exc))
             # a branch is known by its first anchor, which lies off the
             # double point
             for traj in forward + [mirror(t) for t in forward]:
@@ -268,12 +277,7 @@ def build_chart(
         try:
             trajectories.append(_trace_both_ways(seed, spec))
         except StallAtDoubleZero as exc:
-            # far virtual poles of shallow narrow wells sit where roundoff in
-            # the pole function exceeds the corrector's step test
-            warnings.append(ChartWarning(
-                code="trace_stalled",
-                message=f"curve from axis pole k={seed.k!r} not traced: {exc}",
-            ))
+            warnings.append(_stalled(f"axis pole k={seed.k!r}", exc))
 
     for traj in trajectories:
         for ev in traj.collisions:

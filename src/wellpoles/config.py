@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DocumentError
@@ -25,8 +25,9 @@ def _fits(value, annotation: str) -> bool:
 class RunConfig:
     """Everything a run needs, resolvable from defaults, file and flags.
 
-    The effective values are embedded verbatim in output documents so a
-    result can be reproduced from its own provenance block.
+    The effective values of the keys a command reads are embedded verbatim
+    in its output document, so a result can be reproduced from its own
+    provenance block.
     """
 
     m: float = 1.0
@@ -66,14 +67,9 @@ class RunConfig:
     def alpha(self) -> float:
         return 0.0 if self.gamma == 1 else math.pi
 
-    def to_dict(self) -> dict:
-        # output sinks do not shape the computation; leaving them out keeps
-        # the emitted document byte-identical wherever it is written
-        d = asdict(self)
-        d["depths"] = list(self.depths)
-        del d["out"]
-        del d["svg"]
-        return d
+    def to_dict(self, keys: tuple[str, ...]) -> dict:
+        """The values of the given keys, with depths as a list."""
+        return {key: list(self.depths) if key == "depths" else getattr(self, key) for key in keys}
 
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}

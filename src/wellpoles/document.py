@@ -199,15 +199,28 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
             for c in chart.near_contacts
         ],
         "completeness": completeness,
-        "provenance": _provenance(config),
+        "provenance": _provenance("pole_chart", config),
     }
     return doc
 
 
-def _provenance(config: RunConfig | None) -> dict:
+# the config keys each kind of document's command reads; a key it ignores,
+# or an output sink (out, svg, format), would change its bytes and nothing
+# it computes
+_READS = {
+    "axis_poles": ("m", "a", "U", "channel", "gamma"),
+    "pole_chart": ("m", "a", "U", "channel", "certify"),
+    "critical_depth": ("m", "a", "channel", "gamma", "index"),
+    "bound_threshold": ("m", "a", "channel", "n"),
+    "depth_sweep": ("m", "a", "channel", "depths", "certify"),
+    "verification": ("m", "a", "U", "samples", "seed"),
+}
+
+
+def _provenance(kind: str, config: RunConfig | None) -> dict:
     return {
         "package": "wellpoles",
-        "config": config.to_dict() if config is not None else None,
+        "config": config.to_dict(_READS[kind]) if config is not None else None,
     }
 
 
@@ -216,7 +229,7 @@ def _command_document(kind: str, config: RunConfig, **fields) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         **fields,
-        "provenance": _provenance(config),
+        "provenance": _provenance(kind, config),
     }
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -180,6 +181,7 @@ def _brentq(
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+@functools.lru_cache(maxsize=None)
 def collision_x(channel: Channel, attractive: bool, index: int) -> float:
     """x_c = a|K_c| of the index-th pair collision on the imaginary k axis.
 
@@ -193,6 +195,9 @@ def collision_x(channel: Channel, attractive: bool, index: int) -> float:
     Each interval holds exactly one root, so the index counts collisions by
     rising depth. The even repulsive collision is the only one (index 1);
     the odd repulsive coupling has none. Both raise NoRootInBracket.
+
+    A pure function of its arguments, so each root is solved once per
+    process and cached.
     """
     if attractive:
         if channel is Channel.PLUS:

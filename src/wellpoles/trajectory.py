@@ -17,20 +17,31 @@ test cannot see a swap onto a neighbouring curve closer than
 tol*(1 + |k|); there only a check that each anchor pole lies on one curve
 can. Steps are clipped so the trace lands exactly on every quarter-turn
 anchor alpha = n*(pi/2); anchors are tracked by the integer n, never by
-comparing accumulated floats against multiples of pi, which closure
-detection needs to be exact.
+comparing accumulated floats against multiples of pi, so the half-turn
+stop and the mirror below land exactly on them.
 
 The march only ever runs forward. The conjugation relation of the S-matrix,
 S*(-k*, gamma*) = S(k, gamma), maps the pole at (alpha, k) to
-(-alpha, -conj(k)), so about a seed at a real coupling (alpha a multiple of
-pi) the backward half of a curve is the mirror image of the forward march
-from the mirrored seed (see mirror).
+(-alpha, -conj(k)), and so, the coupling being 2pi-periodic in alpha, to
+(2*alpha0 - alpha, -conj(k)) for alpha0 any multiple of pi. About a seed
+at a real coupling the backward half of a curve is therefore the mirror
+image of the forward march from the mirrored seed (see mirror). And a
+curve that meets the imaginary axis at a real coupling is its own mirror
+image about that point.
 
-Trajectories close after one or two full turns of the coupling or run open
-until |alpha - alpha_seed| reaches 40*pi or |k| passes 40/a. Like the step
-schedule, this stop rule is a set of module constants that no caller sets.
-Pole pairs coalesce only at k = -i/a and at a real coupling, so a march
-that stalls next to k = -i/a is split at the anchor ahead of it, with the
+That fixes the closed loops. A march from an axis seed at a real coupling
+stops at the half-turn anchor n* = n_seed + 2 or n_seed + 4 where its pole
+lies on the axis again (|Re k| < TOL_AXIS), or where it meets the coalesced
+pair at k = -i/a, recorded once as a collision event. The loop is the
+marched half plus its mirror image about alpha* = n*(pi/2), and it is
+closed_2pi or closed_4pi as n* - n_seed is 2 or 4. An open curve meets the
+axis at a real coupling only at its seed, or it would be symmetric about
+two points and so periodic. A march from any other start, a split branch
+or an off-axis seed, is never closed: it runs until |alpha - alpha_seed|
+reaches 40*pi or |k| passes 40/a. Like the step schedule, this stop rule is
+a set of module constants that no caller sets. Pole pairs coalesce only at
+k = -i/a and at a real coupling, so a march that stalls next to k = -i/a
+away from its half-turn is split at the anchor ahead of it, with the
 closed-form branches of branch_at_double_zero; where that anchor holds no
 coalesced pair, or the stall lies elsewhere, it raises StallAtDoubleZero.
 """
@@ -62,8 +73,6 @@ _STEP_INITIAL = 0.01
 _STEP_MINIMUM = 1e-6
 _STEP_MAXIMUM = 0.4
 _SPLIT_STEP = 1e-3
-# |k - k_seed| at a whole-turn anchor below which a curve is closed
-_CLOSURE_TOL = 1e-6
 # an open curve stops where |alpha - alpha_seed| reaches the cap or |k|
 # passes _WINDOW_A / a; the cap is meant to let open curves cross a chart's
 # whole working window first
@@ -237,19 +246,25 @@ def _trace_from_state(
 ) -> Trajectory:
     """Predictor-corrector march in increasing alpha from (k_start, alpha_start).
 
-    The seed sits on a quarter-turn anchor n_seed (ValueError otherwise);
-    closure is decided at the anchors one and two turns on, n_seed + 4 and
-    n_seed + 8, by |k - k_seed|. The phase cap counts from the seed's
-    phase, not from alpha_start.
+    The seed sits on a quarter-turn anchor n_seed (ValueError otherwise).
+    A march that starts at an axis seed at a real coupling stops at its
+    half-turn anchor, n_seed + 2 or n_seed + 4, and returns the closed loop
+    (see _close_loop). The phase cap counts from the seed's phase, not from
+    alpha_start.
     """
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
     n_seed = _on_half_grid(alpha0)
     if n_seed is None:
         raise ValueError(f"a seed must sit on a quarter-turn anchor, got alpha={alpha0!r}")
-    k0 = seed.k
     kc = -1j / spec.a
     window = _WINDOW_A / spec.a
+    # the anchors at which a loop through an axis seed meets the axis again
+    half_turns = (
+        (n_seed + 2, n_seed + 4)
+        if alpha_start == alpha0 and n_seed % 2 == 0 and abs(k_start.real) < TOL_AXIS
+        else ()
+    )
 
     alphas = [alpha_start]
     ks = [k_start]
@@ -271,7 +286,7 @@ def _trace_from_state(
     v = _tangent(k, _phase_to_gamma(alpha), spec, ch)
     prev = None
     h = _STEP_INITIAL
-    closure_kind = ClosureKind.OPEN
+    n_star = None
     reason: ExitReason | None = None
 
     while True:
@@ -283,13 +298,18 @@ def _trace_from_state(
             if h <= _STEP_MINIMUM * (1.0 + 1e-12):
                 if abs(k - kc) < _DOUBLE_ZERO_RADIUS:
                     # a pair coalescing mid-trace, which happens only at a
-                    # real-coupling anchor: split at the anchor ahead and
-                    # continue on the deterministic branch, recording the event
+                    # real-coupling anchor: record the event at the anchor
+                    # ahead; a half-turn ends the march there, any other
+                    # anchor splits it and the march continues on the
+                    # deterministic branch
                     try:
                         event, labeled = branch_at_double_zero(t_anchor, spec, seed.channel, +1)
                     except ModelInvalid as exc:
                         raise StallAtDoubleZero(alpha, k) from exc
                     collisions.append(event)
+                    if next_anchor in half_turns:
+                        n_star = next_anchor
+                        break
                     k = labeled[0][1]
                     alpha = t_anchor + _SPLIT_STEP
                     v = _tangent(k, _phase_to_gamma(alpha), spec, ch)
@@ -328,20 +348,44 @@ def _trace_from_state(
             break
         if alpha == t_anchor:
             anchors.append((next_anchor, k))
-            turns = next_anchor - n_seed
-            next_anchor += 1
-            if turns in (4, 8) and abs(k - k0) < _CLOSURE_TOL:
-                closure_kind = ClosureKind.CLOSED_2PI if turns == 4 else ClosureKind.CLOSED_4PI
+            if next_anchor in half_turns and abs(k.real) < TOL_AXIS:
+                n_star = next_anchor
                 break
+            next_anchor += 1
         if abs(alpha - alpha0) >= _ALPHA_CAP - 1e-12:
             reason = ExitReason.ALPHA_CAP
             break
 
-    return Trajectory(
+    traj = Trajectory(
         seed=seed, channel=seed.channel, direction="forward",
         alphas=np.asarray(alphas, dtype=float), ks=np.asarray(ks, dtype=complex),
         anchors=anchors, axis_crossings=crossings, collisions=collisions,
-        closure=Closure(kind=closure_kind, forward_reason=reason),
+        closure=Closure(kind=ClosureKind.OPEN, forward_reason=reason),
+    )
+    return traj if n_star is None else _close_loop(traj, n_star, n_star - n_seed)
+
+
+def _close_loop(half: Trajectory, n_star: int, turns: int) -> Trajectory:
+    """The loop of a march that ended at its half-turn anchor n_star, turns
+    quarter-turns past its seed: the march, then its mirror image about
+    n_star.
+
+    The march ends on the half-turn sample, its own image, which the loop
+    holds once; a march that stopped at the coalesced pair ends just short
+    of it and holds no anchor or sample there. Its collision event is its
+    own image too and is recorded once.
+    """
+    back = mirror(half, n_star)
+    joint = int(half.alphas[-1] == back.alphas[0])
+    alpha_star = n_star * HALF_PI
+    return replace(
+        half,
+        alphas=np.concatenate([half.alphas, back.alphas[joint:]]),
+        ks=np.concatenate([half.ks, back.ks[joint:]]),
+        anchors=half.anchors + back.anchors[joint:],
+        axis_crossings=half.axis_crossings + back.axis_crossings[joint:],
+        collisions=half.collisions + [ev for ev in back.collisions if ev.alpha != alpha_star],
+        closure=Closure(ClosureKind.CLOSED_2PI if turns == 2 else ClosureKind.CLOSED_4PI),
     )
 
 
@@ -359,11 +403,15 @@ def trace(
     residual requirement; a coalesced-pair seed cannot be continued as a
     single branch and raises StallAtDoubleZero immediately (split it with
     branch_at_double_zero instead).
+
+    From a seed on the imaginary axis at a real coupling, a closed loop is
+    marched only to its half-turn anchor, where it meets the axis again,
+    and the rest is that half's mirror image; the loop comes back closed_2pi
+    or closed_4pi. A curve from any other seed comes back open.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
-    if direction < 0:
-        _mirror_index(seed.coupling.alpha)
+    n0 = _mirror_index(seed.coupling.alpha) if direction < 0 else None
     d, _ = _k.denom_plain(
         seed.k, seed.coupling.gamma, spec.m, spec.a, spec.U, seed.channel.code
     )
@@ -371,7 +419,7 @@ def trace(
         raise SeedNotOnPole(f"seed residual too large at k={seed.k!r}")
     if seed.multiplicity == 2:
         raise StallAtDoubleZero(seed.coupling.alpha, seed.k)
-    start = seed if direction > 0 else _mirror_pole(seed)
+    start = seed if direction > 0 else _mirror_pole(seed, n0)
     fwd = _trace_from_state(start.k, start.coupling.alpha, start, spec)
     return fwd if direction > 0 else mirror(fwd)
 
@@ -385,7 +433,8 @@ def trace_branch(
 ) -> Trajectory:
     """Continue one emerging branch of a split coalesced pair forward.
 
-    The seed sits on a quarter-turn anchor (ValueError otherwise).
+    The seed sits on a quarter-turn anchor (ValueError otherwise). A branch
+    is marched to the window or the phase cap and comes back open.
     """
     return _trace_from_state(
         branch_k, branch_alpha, seed, spec,
@@ -436,53 +485,62 @@ def _mirror_index(alpha: float) -> int:
     return n
 
 
-def _mirror_pole(pole: Pole) -> Pole:
+def _reflect(alpha: float, n0: int) -> float:
+    """2*alpha0 - alpha about alpha0 = n0*(pi/2); an anchor phase n*(pi/2)
+    goes exactly to the anchor phase (2*n0 - n)*(pi/2)."""
+    n = _on_half_grid(alpha)
+    return 2.0 * (n0 * HALF_PI) - alpha if n is None else (2 * n0 - n) * HALF_PI
+
+
+def _mirror_pole(pole: Pole, n0: int) -> Pole:
     k = -pole.k.conjugate()
-    return replace(pole, k=k, kind=classify(k, pole.multiplicity))
+    return replace(pole, k=k, kind=classify(k, pole.multiplicity),
+                   coupling=ComplexCoupling(_reflect(pole.coupling.alpha, n0)))
 
 
-def _mirror_event(ev: CollisionEvent, a0: float) -> CollisionEvent:
+def _mirror_event(ev: CollisionEvent, n0: int) -> CollisionEvent:
     ks = [-bk.conjugate() for _, bk in ev.branches]
     if ev.kind == "axis_pair_to_plane_pair":
         # k -> -conj(k) puts each branch on the other side of the axis, so
         # the resonance-side label passes to the partner branch
         ks.reverse()
     return replace(
-        ev, alpha=2.0 * a0 - ev.alpha, k=-ev.k.conjugate(),
+        ev, alpha=_reflect(ev.alpha, n0), k=-ev.k.conjugate(),
         branches=tuple((lbl, bk) for (lbl, _), bk in zip(ev.branches, ks)),
     )
 
 
-def mirror(traj: Trajectory) -> Trajectory:
-    """Reflect a trajectory through its seed axis: (alpha, k) -> (2*alpha_seed - alpha, -conj(k)).
+def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:
+    """Reflect a trajectory about the anchor n0 = about, by default the
+    seed's: (alpha, k) -> (2*alpha0 - alpha, -conj(k)), alpha0 = n0*(pi/2).
 
     The reflected path solves the same pole equation by the conjugation
     relation of the S-matrix, S*(-k*, gamma*) = S(k, gamma), but only when
-    the seed phase is a multiple of pi; at any other seed phase this raises
-    ValueError. A forward trace becomes a backward one with the exit reasons
+    alpha0 is a multiple of pi; about any other phase this raises
+    ValueError. Anchor phases map exactly onto the quarter-turn grid (see
+    _reflect). A forward trace becomes a backward one with the exit reasons
     swapped, and split-pair branches keep 'resonance_side' on Re k > 0. For
     a self-symmetric trajectory it retraces the original curve.
     """
-    a0 = traj.seed_alpha
-    n0 = _mirror_index(a0)
-    a = (2.0 * a0 - traj.alphas)[::-1].copy()
-    k = (-np.conj(traj.ks))[::-1].copy()
-    anchors = [(2 * n0 - n, -kk.conjugate()) for n, kk in reversed(traj.anchors)]
-    crossings = [
-        (2.0 * a0 - al, -kk.conjugate()) for al, kk in reversed(traj.axis_crossings)
-    ]
+    n0 = _mirror_index(traj.seed_alpha if about is None else about * HALF_PI)
+    # _reflect, elementwise
+    grid = np.round(traj.alphas / HALF_PI)
+    alphas = np.where(traj.alphas == grid * HALF_PI, (2 * n0 - grid) * HALF_PI,
+                      2.0 * (n0 * HALF_PI) - traj.alphas)
     closure = Closure(traj.closure.kind, traj.closure.backward_reason,
                       traj.closure.forward_reason)
     return Trajectory(
-        seed=_mirror_pole(traj.seed),
+        seed=_mirror_pole(traj.seed, n0),
         channel=traj.channel,
         direction={"forward": "backward", "backward": "forward"}.get(
             traj.direction, traj.direction),
-        alphas=a,
-        ks=k,
-        anchors=anchors,
-        axis_crossings=crossings,
-        collisions=[_mirror_event(ev, a0) for ev in traj.collisions],
+        alphas=alphas[::-1].copy(),
+        ks=(-np.conj(traj.ks))[::-1].copy(),
+        anchors=[(2 * n0 - n, -kk.conjugate()) for n, kk in reversed(traj.anchors)],
+        axis_crossings=[
+            (_reflect(al, n0), -kk.conjugate()) for al, kk in reversed(traj.axis_crossings)
+        ],
+        collisions=[_mirror_event(ev, n0) for ev in traj.collisions],
         closure=closure,
     )
 

@@ -217,6 +217,16 @@ class TestChartMirrorSymmetry:
         for traj in chart.trajectories:
             assert mirror_defect(traj, chart.spec) < 1e-8
 
+    @pytest.mark.parametrize("channel", ["plus", "minus"])
+    def test_anchor_phases_on_the_sampled_grid(self, channel):
+        # an anchor n is sampled at exactly n*(pi/2), on the mirrored side
+        # of a seed at pi and of a half-turn too
+        for U in (0.03, 0.09, 0.3, 2.0, 5.0, 12.0):
+            for traj in _chart(channel, U).trajectories:
+                sampled = set(traj.alphas.tolist())
+                for n, _ in traj.anchors:
+                    assert n * (math.pi / 2) in sampled
+
     def test_anchor_sets_closed_under_reflection(self):
         chart = _chart("plus", 2.0)
         for cls in (0, 2):
@@ -567,6 +577,17 @@ class TestCriticalChart:
         for ev in events:
             n = round(ev.alpha / (math.pi / 2))
             assert ev.alpha == n * (math.pi / 2) and n % 2 == 0
+
+    def test_stalled_split_branch_is_reported(self):
+        # in a narrow well at the even repulsive collision depth a branch
+        # of the split pair stalls away from k = -i/a; the chart reports it
+        # as it reports a stalled axis seed, and is not certified
+        U = critical_depth(Channel.PLUS, False, 1.0, 0.12).U
+        assert U == 15.251001385091708
+        chart = build_chart(PotentialSpec(m=1.0, a=0.12, U=U), Channel.PLUS)
+        stalled = [w.message for w in chart.warnings if w.code == "trace_stalled"]
+        assert any(msg.startswith("curve from split branch k=") for msg in stalled)
+        assert chart.collisions and chart.completeness["complete"] is False
 
     def test_ordinary_chart_has_no_warning(self):
         assert _chart("plus", 1.0).warnings == []

@@ -74,27 +74,27 @@ class TestAxis:
 # formatting must leave every byte unchanged
 _GOLDEN_OUTPUT = {
     ("axis", "--U", "2", "--channel", "plus"):
-        "ccb0827e50da5a69e8915ab04247627840d88db50d4f477660f820a74668c3e1",
+        "9a1c7dfa4e2265efbd99500a05f6bfe4e56442896e863493d5621eae2b1e8a4c",
     ("axis", "--U", "0.05", "--gamma", "-1"):
-        "3cb79cc9522ac80f7f6440585803141c1edfe1010cc198515e0892b289b2143d",
+        "5a29da2f333323c345f94f5ec44541e3a31e3009240fd57dfd07b35d85ea840a",
     ("critical", "--channel", "plus", "--gamma", "+1"):
-        "e988e7bbd243460802b5e682b3facdfe6cc9a851d2d46e890ff975627b6e338f",
+        "ead4e211c5342254ae793351001442cb207b0a6eb612b224f706b26947427f6b",
     ("critical", "--channel", "minus", "--gamma", "+1", "--index", "2"):
-        "85242abbb681e1a15e360f7a369e1f894a0a35acfe57d0c82db8fe4b47166411",
+        "04bae62cc74ac1a6d693f8c398fc7058b3c42702c47ae6da8e064fb00bf08f8a",
     ("threshold", "--channel", "minus", "--n", "1"):
-        "65f3e9b84eec53319cac0942d98b166e90e7bf1042d2317b2e785f9584df71a1",
+        "1a2cefa8ec3860526aba15db5fd9f8d222bc73cd6d0abb2474bc0a4d1dd67a21",
     ("threshold", "--channel", "minus", "--n", "1", "--check"):
-        "9f34ad0fd5b2a50ac56b81318325244d1a93b8f6a5143dcabcf08dda364623ad",
+        "8c00ffb08f0b14d4e1550c3758b5b83b0ed8a9b43ba9136ea16740648498d4d2",
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
-        "48bde4f07be999ef52a7ca7d2c56b5d584012ef859659bce5764330ab6c5da53",
+        "1ce416f921444a54dd54aa1ee03b6b628d66d62ed964bcd89582532951d19084",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "d12c3f69bd5be4e50d7e2beef7c405979b907b18e6b5c4376fd6408282841aa5",
+        "f88bd231955ad01e2bfa74672a1ad88277ad1c87b37c43c99b4499ae9d8c5cbe",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "d319558e61f3c73a05d079e09f99399a740c744edf6cb9ff40197e6ee28640fa",
+        "3e8c2e8572ce965703d4e7af7af799a260e756a3a2ecb587185ca823d30e53c8",
     ("verify", "--samples", "60", "--seed", "7"):
-        "c8519163228a9da7a4c1500c90b029bacb342cdd2625d93510e29020075223cc",
+        "efbfa4ce97da9364b8848dcbee8a8947ec052bccbab8af28cb53e516400ca9e3",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
-        "c2aa7777a3576ea8ff846dd698e413ad72f56488a2aaf3054cdbc6c28d3ac1bf",
+        "8ccd244696cef4ba99bd3eb11200dfd5d4619d1cb1d2908f5436b4a03d8b1724",
 }
 
 
@@ -338,6 +338,24 @@ class TestConfigFlag:
         code, out, _ = run(capsys, "axis", "--config", str(path))
         assert code == 0
         assert json.loads(out)["potential"]["U"] == 2.0
+
+    @pytest.mark.parametrize("argv,ignored", [
+        (("axis", "--U", "2"), {"samples": 9, "index": 3, "certify": False}),
+        (("chart", "--U", "0.09"), {"gamma": -1, "seed": 1, "depths": [1.0]}),
+        (("critical", "--channel", "minus"), {"U": 7.0, "n": 2, "certify": False}),
+        (("threshold", "--n", "2"), {"U": 7.0, "gamma": -1, "index": 2}),
+        (("sweep", "--depths", "1,3"), {"U": 7.0, "seed": 1, "samples": 9}),
+        (("verify", "--samples", "5"), {"channel": "minus", "gamma": -1, "n": 2}),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+    def test_key_a_command_ignores_leaves_its_bytes(self, capsys, tmp_path, argv, ignored):
+        # provenance records only the keys the command reads
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(ignored))
+        code, plain, _ = run(capsys, *argv)
+        code_cfg, with_cfg, _ = run(capsys, *argv, "--config", str(path))
+        assert code == code_cfg == 0
+        assert with_cfg == plain
+        assert not set(ignored) & set(json.loads(plain)["provenance"]["config"])
 
     def test_config_can_supply_depths(self, capsys, tmp_path):
         path = tmp_path / "run.json"

@@ -218,25 +218,25 @@ class TestChartDocument:
 # assembly must leave every byte of them unchanged. A platform whose libm
 # rounds differently may move the last float digits and so the digests.
 _GOLDEN = {
-    ("plus", 0.09): "1e3cc222d4a3afc081ccad5fe48ff381950b4da4b3aa0346ab0940ff9dcb9439",
-    ("plus", 2.0): "ff9d34601c7a4fe4895847fc4e6455df5dc0ec66fd123ce122f4129048092429",
-    ("minus", 5.0): "42397aa599aa8059045a8c39d4310693da38b09f77712379c79ad0e98caf3320",
+    ("plus", 0.09): "cb1d3fad99bd0f956edd39e560dc04b995dc5e8aaa98605828ce377c34b97dc6",
+    ("plus", 2.0): "809816881cb8c32655eaded998a3e308c39f5b775c60ecae8e09816aedd59df4",
+    ("minus", 5.0): "018af983d093641aeb990be6b24c0f6f75f4c5ad8f473c93b69a780e0481f224",
 }
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
     ("plus", True): "c8ca503727a9329a32793c1df8aff96194739e130e8e21c49d3485b9f7ef8ac1",
-    ("plus", False): "166096cbd33f68d58afd1228edf589f77a8fd50547f2de7ae2f8222aaef271b9",
+    ("plus", False): "fc5b80f6262718ae6ca322b4ef75c8c7dd6cf819d6a41337fed498f64504e2a1",
     ("minus", True): "6fdab903c03a268cf1f5c0802f3c160f6b6293f7bc74c8a79d88b61b89f02b82",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
 _GOLDEN_SVG = {
-    ("plus", 0.09): "752285c254352ca752b4e944fc862c175c680ef7bc06fab498c39c28e390a2b2",
-    ("plus", 2.0): "c07dc693567aa8a46467060d2855303ba70bba8f2ca62a87baa40fc1f0780af9",
-    ("minus", 5.0): "846b8da5e97193c9113c65e8a4f857e9cb9de5368f12c1a5e529ec6e9c7c12f0",
+    ("plus", 0.09): "64e0cabfcb5db1d37d14d5bc2ac33e281b92e1af57fea1b57f013ad49f2cf92e",
+    ("plus", 2.0): "d7ba2f0c83f20cf5427753815b8f176c47b9a978be4e45c5f1b97b9571f96832",
+    ("minus", 5.0): "9f00c844bf23e40d85b41fe72de95b50653208f3738a23ed81b90e000e74cc90",
     ("plus", "attractive"): "5b89ea62b8dd1dedc2114be70afa9f3ad49fbe5036ff6424e299e06a3abe4e01",
-    ("plus", "repulsive"): "477a47a4e1802942ecb285d782bd1bf5f06a70ab881fef421b8b83f57022403e",
+    ("plus", "repulsive"): "9830914230f33d68660df05987cb17c9cd2a6716386a83e663acdfe75dce3be0",
     ("minus", "attractive"): "05bcae2834e7654f07540d8ae2a4029ff3c0863f96cea5304507b823c89d304c",
 }
 
@@ -268,8 +268,9 @@ class TestGoldenDigests:
         assert digest == _GOLDEN_SVG[(channel, depth)]
 
     def test_closed_curves_end_on_whole_turn_anchors(self):
-        # closure is decided only at the anchors one and two turns past the
-        # seed's anchor, so a closed curve's last sample sits on one of them
+        # a closed loop is its march to the half-turn anchor and that half's
+        # mirror image, so its last sample is the seed's image one or two
+        # turns on
         depths = [(channel, U) for channel, U in _GOLDEN] + [
             (channel, critical_depth(Channel.parse(channel), attractive, 1.0, 1.5).U)
             for channel, attractive in _GOLDEN_CRITICAL
@@ -411,7 +412,7 @@ class TestRunConfig:
             RunConfig(format="yaml")
 
     def test_to_dict_depths_as_list(self):
-        d = RunConfig(depths=(1.0, 2.0)).to_dict()
+        d = RunConfig(depths=(1.0, 2.0)).to_dict(("depths",))
         assert d["depths"] == [1.0, 2.0]
 
 

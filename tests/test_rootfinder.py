@@ -439,6 +439,31 @@ class TestBrentPort:
 
 
 
+class TestCollisionCache:
+    """collision_x depends on (channel, attractive, index) alone, so each
+    collision equation is solved once and cached."""
+
+    def test_cached_root_is_the_solved_root(self):
+        keys = [(Channel.PLUS, False, 1)] + [
+            (channel, True, index) for channel in (Channel.PLUS, Channel.MINUS)
+            for index in range(1, 41)
+        ]
+        for key in keys:
+            assert collision_x(*key) == collision_x.__wrapped__(*key)
+            assert collision_x(*key) == collision_x.__wrapped__(*key)
+
+    def test_repeated_scan_solves_no_equation_twice(self):
+        collision_x.cache_clear()
+        for _ in range(2):
+            for channel in (Channel.PLUS, Channel.MINUS):
+                for coupling in (ATT, REP):
+                    scan_axis(spec(50.0), coupling, channel)
+        info = collision_x.cache_info()
+        # a miss is a solve; every solved key was new
+        assert info.misses == info.currsize > 5
+        assert info.hits >= info.misses
+
+
 class TestScalarAxisFunction:
     """``axis_phi``, the sampled axis reference, against the scalar kernel."""
 

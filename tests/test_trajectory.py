@@ -10,9 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from wellpoles.chart import build_chart
+from wellpoles.chart import build_chart, critical_depth
 from wellpoles.errors import ModelInvalid, NoConvergence, SeedNotOnPole, StallAtDoubleZero
-from wellpoles.rootfinder import Pole, PoleKind, multiplicity_at, newton_refine, scan_axis
+from wellpoles.rootfinder import (
+    TOL_AXIS,
+    Pole,
+    PoleKind,
+    multiplicity_at,
+    newton_refine,
+    scan_axis,
+)
+from wellpoles import _kernels as _k
 from wellpoles import trajectory
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.trajectory import (
@@ -506,3 +514,80 @@ class TestWindowExit:
         assert any(t.closure.forward_reason is ExitReason.K_WINDOW for t in chart.trajectories)
         for t in chart.trajectories:
             assert all(abs(k) <= window for _, k in t.anchors)
+
+
+class TestHalfTurn:
+    """A loop through an axis seed is marched to the half-turn anchor, where
+    it meets the axis again, and mirrored about it for the rest."""
+
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        U=st.floats(1e-3, 300.0),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_half_turn_on_the_axis_and_mirrored_anchors_are_poles(self, m, a, U, channel):
+        spec = PotentialSpec(m=m, a=a, U=U)
+        for t in build_chart(spec, channel, certify=False).trajectories:
+            if not t.closure.is_closed:
+                continue
+            n_seed = _on_half_grid(t.seed_alpha)
+            n_star = n_seed + (2 if t.closure.kind is ClosureKind.CLOSED_2PI else 4)
+            assert t.alphas[-1] == (2 * n_star - n_seed) * HALF_PI
+            amap = t.anchor_index_map()
+            if n_star in amap:
+                assert abs(amap[n_star].real) < TOL_AXIS
+            else:
+                # the march met the coalesced pair at k = -i/a there
+                assert [ev.alpha for ev in t.collisions] == [n_star * HALF_PI]
+            for n, k in t.anchors:
+                if n <= n_star:
+                    continue
+                kk, _, ok, _ = _k.newton_pole(
+                    k, ComplexCoupling(n * HALF_PI).gamma, m, a, U, channel.code, 1e-12, 50
+                )
+                assert ok and abs(kk - k) < 1e-10 * (1.0 + abs(k))
+
+    def test_no_newton_call_past_the_half_turn(self, monkeypatch):
+        # every kernel call of the march takes its coupling from
+        # _phase_to_gamma, so its phases are the phases of the Newton calls
+        spec = _spec(2.0)
+        seed = _seed(2.0, ATT, Channel.PLUS, DEEP_BOUND)
+        phases = []
+        real = trajectory._phase_to_gamma
+
+        def spy(alpha):
+            phases.append(alpha)
+            return real(alpha)
+
+        monkeypatch.setattr(trajectory, "_phase_to_gamma", spy)
+        t = trace(seed, +1, spec)
+        assert t.closure.kind is ClosureKind.CLOSED_4PI
+        assert t.alphas[-1] == 4 * math.pi
+        assert len(phases) > 20 and max(phases) == 2 * math.pi
+
+    def test_loop_samples_mirror_about_the_half_turn(self):
+        spec = _spec(2.0)
+        t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
+        i = int(np.searchsorted(t.alphas, 2 * math.pi))
+        assert t.alphas[i] == 2 * math.pi and len(t.alphas) == 2 * i + 1
+        # the half-turn sample is the march's own, held once
+        assert np.array_equal(t.ks[i + 1:], -np.conj(t.ks[:i])[::-1])
+        assert np.allclose(t.alphas[i:], 4 * math.pi - t.alphas[: i + 1][::-1], rtol=0, atol=1e-14)
+
+    def test_coalesced_half_turn_recorded_once(self):
+        # at the repulsive collision depth the bound state's loop meets the
+        # coalesced pair at k = -i/a half a turn on, at alpha = pi
+        spec = _spec(critical_depth(Channel.PLUS, False, M, A).U)
+        t = trace(_seed(spec.U, ATT, Channel.PLUS, 0.23511203159386854j), +1, spec)
+        assert t.closure.kind is ClosureKind.CLOSED_2PI
+        assert [n for n, _ in t.anchors] == [0, 1, 3, 4]
+        assert [(ev.alpha, ev.k) for ev in t.collisions] == [(math.pi, -1j / A)]
+        assert t.alphas[-1] == 2 * math.pi
+
+    def test_mirror_about_a_quarter_turn_refused(self):
+        spec = _spec(2.0)
+        t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
+        with pytest.raises(ValueError):
+            mirror(t, 3)
