@@ -473,9 +473,45 @@ def bound_threshold(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) ->
     return x * x / (2.0 * m * a * a)
 
 
+def _next_threshold(channel: Channel, u: float, m: float, a: float) -> float:
+    """The first closed-form bound state threshold strictly above depth u."""
+    x = math.sqrt(2.0 * m * a * a * max(u, 0.0)) / math.pi
+    # x_n = n*pi (even) or (n - 1/2)*pi (odd); start one below the estimate
+    # so that rounding cannot skip a threshold
+    n = max(1, math.floor(x + (0.5 if channel is Channel.MINUS else 0.0)) - 1)
+    while (u_n := bound_threshold(channel, n, m, a)) <= u:
+        n += 1
+    return u_n
+
+
 def bound_count(spec: PotentialSpec, channel: Channel) -> int:
+    """Number of bound states (axis poles with Im k > 0) at the attractive
+    coupling, from one ``scan_axis``.
+
+    A pole within TOL_AXIS of k = 0 is classed as a threshold, not a bound
+    state, so at a closed-form threshold depth the count is still the one
+    below it.
+    """
     poles = scan_axis(spec, ComplexCoupling(0.0), channel)
     return sum(1 for p in poles if p.kind is PoleKind.BOUND)
+
+
+def _bisect(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] to width tol, moving lo to a midpoint u where
+    below(u) holds and hi to one where it does not.
+
+    Stops early once the midpoint is not strictly inside (lo, hi), which
+    happens when tol lies below the float spacing of the bracket.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def threshold_flip(
@@ -486,20 +522,43 @@ def threshold_flip(
     a: float = 1.5,
     tol: float = 1e-6,
 ) -> float:
-    """Bisect the depth at which the bound state count increments."""
-    n_lo = bound_count(PotentialSpec(m=m, a=a, U=u_lo), channel)
-    n_hi = bound_count(PotentialSpec(m=m, a=a, U=u_hi), channel)
+    """Bisect the depth at which the bound state count increments.
+
+    The answer is the midpoint of a final bracket [lo, hi], hi - lo <= tol
+    (or no midpoint left between them), certified by two ``bound_count``
+    scans: the count at lo is the count at u_lo, and the count at hi is
+    not. The closed-form threshold (``bound_threshold``) only steers the
+    halving: the first threshold above u_lo decides each midpoint, and no
+    scan runs until the final bracket. Bisection rests on nothing more than
+    those two facts about its final bracket, so where the count rises with
+    U a certified result is the one a scan at every midpoint gives, bit
+    for bit. When the certificate fails, the halving is rerun from the
+    original bracket with a scan at every midpoint.
+
+    Raises NoRootInBracket when the counts at u_lo and u_hi agree, and
+    ValueError unless tol > 0 and u_lo < u_hi.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not u_lo < u_hi:
+        raise ValueError(f"need u_lo < u_hi, got ({u_lo!r}, {u_hi!r})")
+
+    def count(u: float) -> int:
+        return bound_count(PotentialSpec(m=m, a=a, U=u), channel)
+
+    n_lo = count(u_lo)
+    n_hi = count(u_hi)
     if n_lo == n_hi:
         raise NoRootInBracket(
             f"bound count {n_lo} does not change on ({u_lo}, {u_hi})"
         )
-    while u_hi - u_lo > tol:
-        mid = 0.5 * (u_lo + u_hi)
-        if bound_count(PotentialSpec(m=m, a=a, U=mid), channel) == n_lo:
-            u_lo = mid
-        else:
-            u_hi = mid
-    return 0.5 * (u_lo + u_hi)
+    # the scan counts n_lo at the threshold itself, so the guess belongs
+    # below, as it does in the scan-driven halving
+    guess = _next_threshold(channel, u_lo, m, a)
+    lo, hi = _bisect(lambda u: u <= guess, u_lo, u_hi, tol)
+    if not (count(lo) == n_lo and count(hi) != n_lo):
+        lo, hi = _bisect(lambda u: count(u) == n_lo, u_lo, u_hi, tol)
+    return 0.5 * (lo + hi)
 
 
 # -- depth sweeps ------------------------------------------------------------

@@ -78,8 +78,9 @@ _SPLIT_STEP = 1e-3
 # whole working window first
 _ALPHA_CAP = 40.0 * math.pi
 _WINDOW_A = 40.0
-# stall-to-collision attribution radius; must exceed the pair splitting
-# scale |K_c|*sqrt(h_min) at the minimum step
+# stall-to-collision attribution radius, in units of max(1, |K_c|) at the
+# anchor ahead: it must exceed the pair splitting scale |K_c|*sqrt(h_min)
+# at the minimum step, and |K_c| ~ x_c/a grows without bound as a narrows
 _DOUBLE_ZERO_RADIUS = 1e-2
 
 
@@ -296,7 +297,8 @@ def _trace_from_state(
         step = _step(alpha, k, v, prev, target, spec, ch)
         if step is None:
             if h <= _STEP_MINIMUM * (1.0 + 1e-12):
-                if abs(k - kc) < _DOUBLE_ZERO_RADIUS:
+                big_k = cmath.sqrt(kc * kc + 2.0 * spec.m * spec.U * _phase_to_gamma(t_anchor))
+                if abs(k - kc) < _DOUBLE_ZERO_RADIUS * max(1.0, abs(big_k)):
                     # a pair coalescing mid-trace, which happens only at a
                     # real-coupling anchor: record the event at the anchor
                     # ahead; a half-turn ends the march there, any other

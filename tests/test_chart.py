@@ -21,7 +21,7 @@ from wellpoles.chart import (
     working_window,
 )
 from wellpoles.document import canonical_dumps, chart_document, parse_chart_document
-from wellpoles.errors import EdgeTooClose, NoRootInBracket
+from wellpoles.errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
 from wellpoles.rootfinder import PoleKind, scan_axis
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.trajectory import ClosureKind, branch_at_double_zero, mirror_defect
@@ -390,6 +390,134 @@ class TestThresholds:
         with pytest.raises(ValueError):
             bound_threshold(Channel.PLUS, 0)
 
+    @pytest.mark.parametrize("tol,u_lo,u_hi", [
+        (0.0, 2.0, 2.4), (-1e-6, 2.0, 2.4), (math.nan, 2.0, 2.4),
+        (1e-6, 2.4, 2.0), (1e-6, 2.0, 2.0), (1e-6, math.nan, 2.4),
+    ])
+    def test_flip_arguments_validated(self, tol, u_lo, u_hi):
+        with pytest.raises(ValueError):
+            threshold_flip(Channel.PLUS, u_lo, u_hi, M, A, tol=tol)
+
+
+def _scan_bisection(channel, u_lo, u_hi, m, a, tol):
+    """threshold_flip's answer from a bound_count scan at every midpoint."""
+    def count(u):
+        return bound_count(PotentialSpec(m=m, a=a, U=u), channel)
+
+    n_lo = count(u_lo)
+    while u_hi - u_lo > tol:
+        mid = 0.5 * (u_lo + u_hi)
+        if count(mid) == n_lo:
+            u_lo = mid
+        else:
+            u_hi = mid
+    return 0.5 * (u_lo + u_hi)
+
+
+def _count_scans(monkeypatch, limit=200):
+    """Count chart-level scan_axis calls; raise past limit, so a halving
+    that never ends fails instead of hanging."""
+    calls = []
+    real_scan = chart_module.scan_axis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} scan_axis calls")
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(chart_module, "scan_axis", counted)
+    return calls
+
+
+class TestSteeredFlip:
+    """threshold_flip halves by the closed-form threshold and certifies
+    only its final bracket, with the scan-driven halving as fallback."""
+
+    @given(
+        m=st.floats(0.2, 10.0), a=st.floats(0.1, 6.0),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+        n=st.integers(1, 4),
+        below=st.floats(0.05, 0.999), above=st.floats(0.001, 1.5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_scan_driven_bisection(self, m, a, channel, n, below, above):
+        # the bracket holds threshold n and, when above >= 1, threshold n + 1
+        prev = bound_threshold(channel, n - 1, m, a) if n > 1 else 0.0
+        u_n = bound_threshold(channel, n, m, a)
+        u_next = bound_threshold(channel, n + 1, m, a)
+        u_lo = prev + below * (u_n - prev)
+        u_hi = u_n + above * (u_next - u_n)
+        flip = threshold_flip(channel, u_lo, u_hi, m, a, tol=1e-6)
+        assert repr(flip) == repr(_scan_bisection(channel, u_lo, u_hi, m, a, 1e-6))
+
+    def test_wrong_steer_falls_back(self, monkeypatch):
+        # a guess off the true threshold fails the final bracket's
+        # certificate, and the scan-driven halving gives the answer
+        real_threshold = chart_module.bound_threshold
+        monkeypatch.setattr(chart_module, "bound_threshold",
+                            lambda *args: 1.01 * real_threshold(*args))
+        calls = _count_scans(monkeypatch)
+        for channel, u_lo, u_hi in ((Channel.PLUS, 2.0, 2.4), (Channel.MINUS, 0.4, 0.7)):
+            calls.clear()
+            flip = threshold_flip(channel, u_lo, u_hi, M, A, tol=1e-6)
+            assert repr(flip) == repr(_scan_bisection(channel, u_lo, u_hi, M, A, 1e-6))
+            assert len(calls) > 4
+
+    @pytest.mark.parametrize("channel,u_lo,u_hi", [
+        (Channel.MINUS, 0.4, 0.7), (Channel.PLUS, 2.0, 2.4),
+    ])
+    def test_at_most_four_scans(self, monkeypatch, channel, u_lo, u_hi):
+        # two at the ends of the bracket, two on the final bracket
+        calls = _count_scans(monkeypatch)
+        threshold_flip(channel, u_lo, u_hi, M, A, tol=1e-6)
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("channel,n", [
+        (Channel.PLUS, 1), (Channel.PLUS, 2), (Channel.MINUS, 1), (Channel.MINUS, 2),
+    ])
+    def test_centred_bracket_steers_to_the_threshold(self, monkeypatch, channel, n):
+        # the bracket of `threshold --check` has its first midpoint on the
+        # threshold itself, where the scan still counts n_lo
+        u_n = bound_threshold(channel, n, M, A)
+        span = max(0.2 * u_n, 0.05)
+        calls = _count_scans(monkeypatch)
+        flip = threshold_flip(channel, u_n - span, u_n + span, M, A, tol=1e-6)
+        assert len(calls) == 4
+        assert abs(flip - u_n) < 1e-6
+
+    @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
+    @pytest.mark.parametrize("m,a", [(1.0, 1.5), (0.2, 0.1), (10.0, 6.0), (0.7, 2.3)])
+    def test_next_threshold(self, channel, m, a):
+        ts = [bound_threshold(channel, n, m, a) for n in range(1, 40)]
+        assert chart_module._next_threshold(channel, 0.0, m, a) == ts[0]
+        for t, t_next in zip(ts, ts[1:]):
+            assert chart_module._next_threshold(channel, t, m, a) == t_next
+            assert chart_module._next_threshold(channel, math.nextafter(t, 0.0), m, a) == t
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300])
+    def test_tol_below_float_spacing_returns(self, monkeypatch, tol):
+        # below the spacing of the bracket the midpoint settles on an
+        # endpoint; both halvings stop there instead of running forever.
+        # The scan still counts n_lo one float above the closed form
+        # (|k| < TOL_AXIS is a threshold), so the fallback runs too
+        halvings = []
+        real_bisect = chart_module._bisect
+
+        def counted_bisect(below, lo, hi, tol):
+            def counted(u):
+                halvings.append(u)
+                if len(halvings) > 200:
+                    raise AssertionError("more than 200 midpoints")
+                return below(u)
+            return real_bisect(counted, lo, hi, tol)
+
+        monkeypatch.setattr(chart_module, "_bisect", counted_bisect)
+        calls = _count_scans(monkeypatch)
+        flip = threshold_flip(Channel.PLUS, 2.0, 2.4, M, A, tol=tol)
+        assert len(calls) > 4
+        assert abs(flip - bound_threshold(Channel.PLUS, 1, M, A)) < 1e-8
+
 
 class TestDepthSweep:
     def test_transition_attributed(self):
@@ -578,15 +706,31 @@ class TestCriticalChart:
             n = round(ev.alpha / (math.pi / 2))
             assert ev.alpha == n * (math.pi / 2) and n % 2 == 0
 
-    def test_stalled_split_branch_is_reported(self):
-        # in a narrow well at the even repulsive collision depth a branch
-        # of the split pair stalls away from k = -i/a; the chart reports it
-        # as it reports a stalled axis seed, and is not certified
+    def test_narrow_well_at_repulsive_collision_is_complete(self):
+        # |K_c| ~ 10 at a = 0.12, so the pair splits 0.0106 from k = -i/a at
+        # the minimum step; the attribution radius scales with max(1, |K_c|)
+        # and reaches it
         U = critical_depth(Channel.PLUS, False, 1.0, 0.12).U
         assert U == 15.251001385091708
         chart = build_chart(PotentialSpec(m=1.0, a=0.12, U=U), Channel.PLUS)
+        assert not any(w.code == "trace_stalled" for w in chart.warnings)
+        assert chart.topology == {"closed_2pi": 1, "open": 2}
+        assert chart.completeness["window_count"] == 7
+        assert chart.completeness["trajectory_count"] == 7
+        assert chart.completeness["complete"] is True
+
+    def test_stalled_split_branch_is_reported(self, monkeypatch):
+        # a split branch that stalls is reported as a stalled axis seed is,
+        # and the chart is not certified
+        def stall(seed, branch_k, branch_alpha, spec, event=None):
+            raise StallAtDoubleZero(branch_alpha, branch_k)
+
+        monkeypatch.setattr(chart_module, "trace_branch", stall)
+        U = critical_depth(Channel.PLUS, False, 1.0, 0.12).U
+        chart = build_chart(PotentialSpec(m=1.0, a=0.12, U=U), Channel.PLUS)
         stalled = [w.message for w in chart.warnings if w.code == "trace_stalled"]
-        assert any(msg.startswith("curve from split branch k=") for msg in stalled)
+        assert len(stalled) == 2
+        assert all(msg.startswith("curve from split branch k=") for msg in stalled)
         assert chart.collisions and chart.completeness["complete"] is False
 
     def test_ordinary_chart_has_no_warning(self):
