@@ -292,7 +292,9 @@ def _trace_from_state(
 
     while True:
         t_anchor = next_anchor * HALF_PI
-        target = min(alpha + h, t_anchor)
+        # a step that would end within rounding of the anchor ends on it:
+        # the sliver left over would be the next predictor's base H
+        target = t_anchor if t_anchor - (alpha + h) < 1e-9 * h else alpha + h
 
         step = _step(alpha, k, v, prev, target, spec, ch)
         if step is None:

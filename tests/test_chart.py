@@ -567,9 +567,10 @@ class TestDepthSweep:
 
 
 class TestShallowNarrowWell:
-    """c = a sqrt(2 m U) = 0.03: each channel has a far virtual pole at
-    a*kappa ~ -5.99, seeded now that the axis scan has no range cap. Its
-    curve stalls in the corrector, which the chart reports and survives."""
+    """Wells with c = a sqrt(2 m U) below 0.1. At c = 0.03 each channel has
+    a far virtual pole at a*kappa ~ -5.99, seeded now that the axis scan has
+    no range cap. Its curve stalls in the corrector, which the chart reports
+    and survives."""
 
     @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
     def test_stalled_far_seed_is_reported(self, channel):
@@ -579,6 +580,19 @@ class TestShallowNarrowWell:
         assert len(far) == 1 and abs(far[0].k.imag + 5.99) < 0.01
         assert [w.code for w in chart.warnings] == ["trace_stalled"]
 
+
+    @pytest.mark.parametrize("well,channel", [
+        ((2.2964837627841974, 0.8144788695135979, 0.002249719986370223), Channel.PLUS),
+        ((0.9309496044458676, 0.6269348828368322, 0.007496386233066178), Channel.MINUS),
+    ])
+    def test_far_field_open_curve_is_complete(self, well, channel):
+        # c ~ 0.08 and 0.07: the open curve's march once ended a step
+        # 7e-15 short of the anchor at 15.5 pi and 18 pi, and the next
+        # predictor, dividing by that sliver, stalled it there
+        chart = build_chart(PotentialSpec(*well), channel)
+        assert chart.completeness["complete"]
+        assert "trace_stalled" not in [w.code for w in chart.warnings]
+        assert chart.topology["open"] == 1
 
 class TestNudgedSplitPair:
     """Just past an odd collision the pair has split on the axis by ~3e-3.

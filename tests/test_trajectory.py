@@ -185,6 +185,19 @@ class TestStepControl:
         assert np.all(da > 0)
         assert np.max(da) <= trajectory._STEP_MAXIMUM + 1e-12
 
+    @pytest.mark.parametrize("well,k_seed", [
+        ((1.0, 1.5, 0.09), SHALLOW_OPEN_VIRTUAL),
+    ])
+    def test_open_curve_runs_to_the_window_without_a_sliver_step(self, well, k_seed):
+        # a step that would end a rounding residue short of its anchor ends
+        # on it: the sliver left over would divide the next Hermite
+        # predictor, and every later step would be rejected to a stall
+        spec = PotentialSpec(*well)
+        seed = min(scan_axis(spec, REP, Channel.PLUS), key=lambda p: abs(p.k - k_seed))
+        t = trace(seed, +1, spec)
+        assert t.closure.forward_reason is ExitReason.K_WINDOW
+        assert np.min(np.diff(t.alphas)) > 1e-9
+
     def test_anchors_hit_exactly(self):
         spec = _spec(2.0)
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
