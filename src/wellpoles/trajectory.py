@@ -8,17 +8,20 @@ tangent v1 at the new pole with it, so a step makes no other kernel call.
 A step of length h is accepted when it moves k by at most
 0.1*(1 + |k0|) and its local error, the trapezoid defect
 e = |k1 - k0 - h(v0 + v1)/2| of the tangents at both ends, is at most
-tol*(1 + |k0|); the next h is then 0.9*h*(tol/e)^(1/3), at most 2h and the
-maximum, and a rejected h is halved. After every accepted step, clipped or
-not, h is also capped so that the tangent's predicted move h*|v1| stays
-within 0.9 of the displacement bound at k1, though not below the minimum
-step: a step grown into that bound would only be rejected and halved. The
-test cannot see a swap onto a neighbouring curve closer than
-tol*(1 + |k|); there only a check that each anchor pole lies on one curve
-can. Steps are clipped so the trace lands exactly on every quarter-turn
-anchor alpha = n*(pi/2); anchors are tracked by the integer n, never by
-comparing accumulated floats against multiples of pi, so the half-turn
-stop and the mirror below land exactly on them.
+tol*(1 + |k0|); the next h is then 0.9*h*(tol/e)^(1/3), at most 2h, and a
+rejected h is halved. After every accepted step, clipped or not, h is also
+capped so that the tangent's predicted move h*|v1| stays within 0.9 of the
+displacement bound at k1, though not below the minimum step: a step grown
+into that bound would only be rejected and halved. The test cannot see a
+swap onto a neighbouring curve closer than tol*(1 + |k|); there only a
+check that each anchor pole lies on one curve can. Steps are clipped so the
+trace lands exactly on every quarter-turn anchor alpha = n*(pi/2), and a
+step that would end within rounding of one ends on it; so no step is longer
+than pi/2, and there is no other cap on the step: in the far field, where
+|dk/dalpha| tends to 1/(2a), whole quarter turns pass both tests. Anchors
+are tracked by the integer n, never by comparing accumulated floats against
+multiples of pi, so the half-turn stop and the mirror below land exactly on
+them.
 
 The march only ever runs forward. The conjugation relation of the S-matrix,
 S*(-k*, gamma*) = S(k, gamma), maps the pole at (alpha, k) to
@@ -67,11 +70,11 @@ HALF_PI = math.pi / 2.0
 _CORRECTOR_ITERS = 8
 _DISPLACEMENT_FACTOR = 0.1
 _LOCAL_ERROR_TOL = 1e-3
-# the step schedule in alpha: first, smallest and largest step, and the
-# phase offset at which a split pair's branches are resumed
+# the step schedule in alpha: first and smallest step, and the phase
+# offset at which a split pair's branches are resumed; the quarter-turn
+# anchors bound the step from above
 _STEP_INITIAL = 0.01
 _STEP_MINIMUM = 1e-6
-_STEP_MAXIMUM = 0.4
 _SPLIT_STEP = 1e-3
 # an open curve stops where |alpha - alpha_seed| reaches the cap or |k|
 # passes _WINDOW_A / a; the cap is meant to let open curves cross a chart's
@@ -333,7 +336,7 @@ def _trace_from_state(
         # r <= 1 keeps the factor at or above 0.9
         if not target < alpha + h:
             grow = 2.0 if r == 0.0 else min(0.9 * r ** (-1.0 / 3.0), 2.0)
-            h = min(h * grow, _STEP_MAXIMUM)
+            h *= grow
         prev = (alpha, k, v)
         alpha, k, v = target, k1, v1
         # keep the tangent's predicted move inside the displacement bound

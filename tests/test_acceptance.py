@@ -506,8 +506,8 @@ def test_continuation_robustness():
             chart = _chart(channel, U)
             for traj in chart.trajectories:
                 assert mirror_defect(traj, chart.spec) < 1e-8
-    # a finer march (half the initial step, a sixteenth of the step cap)
-    # retraces the same curves
+    # a finer march (half the initial step, 1/4096 of the local error
+    # tolerance, so steps about a sixteenth as long) retraces the same curves
     for channel, U in (("plus", 2.0), ("minus", 5.0)):
         chart = _chart(channel, U)
         spec = chart.spec
@@ -515,7 +515,7 @@ def test_continuation_robustness():
             # scoped, so that no later chart marches on the finer schedule
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(trajectory, "_STEP_INITIAL", 0.005)
-                mp.setattr(trajectory, "_STEP_MAXIMUM", 0.025)
+                mp.setattr(trajectory, "_LOCAL_ERROR_TOL", trajectory._LOCAL_ERROR_TOL / 4096)
                 fine = trace(traj.seed, +1, spec)
             coarse_anchors = traj.anchor_index_map()
             fine_anchors = fine.anchor_index_map()

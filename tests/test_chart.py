@@ -697,6 +697,27 @@ class TestStepRejections:
         assert rejects <= share * attempts
 
 
+
+class TestMarchWork:
+    """The quarter-turn anchors are the only cap on a step, so far from the
+    well, where |dk/dalpha| tends to 1/(2a), an open curve is marched in
+    whole quarter turns."""
+
+    @pytest.mark.parametrize("channel,U,most", [("plus", 2.0, 200), ("minus", 5.0, 215)])
+    def test_newton_calls_per_chart(self, monkeypatch, channel, U, most):
+        # 242 and 240 calls under a 0.4 rad step cap, 168 and 187 without
+        calls = 0
+        newton = _k.newton_pole
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return newton(*args)
+
+        monkeypatch.setattr(_k, "newton_pole", counted)
+        build_chart(PotentialSpec(m=M, a=A, U=U), Channel.parse(channel), certify=False)
+        assert 0 < calls <= most
+
 class TestCriticalChart:
     def test_survives_with_warning(self):
         spec = PotentialSpec(m=M, a=A, U=U_STAR_PLUS_ATT)

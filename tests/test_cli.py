@@ -88,13 +88,13 @@ _GOLDEN_OUTPUT = {
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
         "1ce416f921444a54dd54aa1ee03b6b628d66d62ed964bcd89582532951d19084",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "f88bd231955ad01e2bfa74672a1ad88277ad1c87b37c43c99b4499ae9d8c5cbe",
+        "b487dafb5f8fdaa847f477ab78ffd7dc799749eac52aca5328d7f60ce471529d",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "3e8c2e8572ce965703d4e7af7af799a260e756a3a2ecb587185ca823d30e53c8",
+        "56f6fb4c619110f54697f9adfb263731351bdf4635045c741f52da61972c34c5",
     ("verify", "--samples", "60", "--seed", "7"):
         "efbfa4ce97da9364b8848dcbee8a8947ec052bccbab8af28cb53e516400ca9e3",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
-        "8ccd244696cef4ba99bd3eb11200dfd5d4619d1cb1d2908f5436b4a03d8b1724",
+        "660b274800eec75954fe5294c565eefcf631dd44b733c41f82e8121c1993a6d4",
 }
 
 

@@ -218,26 +218,26 @@ class TestChartDocument:
 # assembly must leave every byte of them unchanged. A platform whose libm
 # rounds differently may move the last float digits and so the digests.
 _GOLDEN = {
-    ("plus", 0.09): "cb1d3fad99bd0f956edd39e560dc04b995dc5e8aaa98605828ce377c34b97dc6",
-    ("plus", 2.0): "809816881cb8c32655eaded998a3e308c39f5b775c60ecae8e09816aedd59df4",
-    ("minus", 5.0): "018af983d093641aeb990be6b24c0f6f75f4c5ad8f473c93b69a780e0481f224",
+    ("plus", 0.09): "b6ee7b72a6078898214478d8828b37d56c7581ce15a12e7aed58751aa4edc81b",
+    ("plus", 2.0): "3de332d2078221ef878696629c992cb0a5806f96a958e282e00cb732d7d90d06",
+    ("minus", 5.0): "64036318b9062510e52474ea2d2e6d3fa8a57a2936b3acd560359131e08a58f2",
 }
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "c8ca503727a9329a32793c1df8aff96194739e130e8e21c49d3485b9f7ef8ac1",
-    ("plus", False): "fc5b80f6262718ae6ca322b4ef75c8c7dd6cf819d6a41337fed498f64504e2a1",
-    ("minus", True): "6fdab903c03a268cf1f5c0802f3c160f6b6293f7bc74c8a79d88b61b89f02b82",
+    ("plus", True): "deb4fbbed8bb07af1ffb7f510ebc9321be9f712bbcbde76cfaffa8d0638826a8",
+    ("plus", False): "b1edc9f7daaae17f60b6c0c3861342f5ee89d0a3c6241a9a67fa8a55fc22cb39",
+    ("minus", True): "f026189c9f72b4592782fb95f56b538ff605fd3a7630bdc6f0405d972aeecab3",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
 _GOLDEN_SVG = {
-    ("plus", 0.09): "64e0cabfcb5db1d37d14d5bc2ac33e281b92e1af57fea1b57f013ad49f2cf92e",
-    ("plus", 2.0): "d7ba2f0c83f20cf5427753815b8f176c47b9a978be4e45c5f1b97b9571f96832",
-    ("minus", 5.0): "9f00c844bf23e40d85b41fe72de95b50653208f3738a23ed81b90e000e74cc90",
-    ("plus", "attractive"): "5b89ea62b8dd1dedc2114be70afa9f3ad49fbe5036ff6424e299e06a3abe4e01",
-    ("plus", "repulsive"): "9830914230f33d68660df05987cb17c9cd2a6716386a83e663acdfe75dce3be0",
-    ("minus", "attractive"): "05bcae2834e7654f07540d8ae2a4029ff3c0863f96cea5304507b823c89d304c",
+    ("plus", 0.09): "ef0c5f46c48442b30ac654e10eaf15f5e3bc0ad48f07b52b98189fd9a5a7671e",
+    ("plus", 2.0): "b08112e17b69f2f6d51dcb913d7c8e6218c41330c0deaf3be5d97fd1ff84fe7a",
+    ("minus", 5.0): "ab89267161b5a24df69dc4abf6a077684cca1dbe9d15616658313fd93d29def6",
+    ("plus", "attractive"): "19786e92bb8ff7b5771cc4ab959349d56a1917b015066903b9b2f3e9a0f209e9",
+    ("plus", "repulsive"): "1400b26cda8128c1937312ad3cd0290d84f14d1cf95b6851697b8110c50980fd",
+    ("minus", "attractive"): "c11df8d86cea40279c8f93ab01775a5d9915519a2ed0eeb9bbc9ff0718bf9f39",
 }
 
 

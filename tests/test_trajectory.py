@@ -78,12 +78,13 @@ def _seed(U, coupling, channel, k_near):
 
 
 def _fine_trace(seed, spec):
-    """The forward march at half the initial step and a sixteenth of the
-    step cap, a finer reference for the default schedule."""
+    """The forward march at half the initial step and 1/4096 of the local
+    error tolerance, which the cubic error test turns into steps about a
+    sixteenth as long: a finer reference for the default schedule."""
     # scoped, so that no later trace marches on the finer schedule
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trajectory, "_STEP_INITIAL", 0.005)
-        mp.setattr(trajectory, "_STEP_MAXIMUM", 0.025)
+        mp.setattr(trajectory, "_LOCAL_ERROR_TOL", trajectory._LOCAL_ERROR_TOL / 4096)
         return trace(seed, +1, spec)
 
 
@@ -183,10 +184,13 @@ class TestStepControl:
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
         da = np.diff(t.alphas)
         assert np.all(da > 0)
-        assert np.max(da) <= trajectory._STEP_MAXIMUM + 1e-12
+        # the quarter-turn anchors are the only cap on a step
+        assert np.max(da) <= HALF_PI + 1e-12
 
     @pytest.mark.parametrize("well,k_seed", [
         ((1.0, 1.5, 0.09), SHALLOW_OPEN_VIRTUAL),
+        # stalled at alpha = 24 pi after a 1.4e-14 rad step
+        ((0.39966547877327313, 1.5381798689847033, 0.0024896980151035975), -3.2354277555653534j),
     ])
     def test_open_curve_runs_to_the_window_without_a_sliver_step(self, well, k_seed):
         # a step that would end a rounding residue short of its anchor ends
