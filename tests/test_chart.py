@@ -580,7 +580,6 @@ class TestShallowNarrowWell:
         assert len(far) == 1 and abs(far[0].k.imag + 5.99) < 0.01
         assert [w.code for w in chart.warnings] == ["trace_stalled"]
 
-
     @pytest.mark.parametrize("well,channel", [
         ((2.2964837627841974, 0.8144788695135979, 0.002249719986370223), Channel.PLUS),
         ((0.9309496044458676, 0.6269348828368322, 0.007496386233066178), Channel.MINUS),
@@ -593,6 +592,7 @@ class TestShallowNarrowWell:
         assert chart.completeness["complete"]
         assert "trace_stalled" not in [w.code for w in chart.warnings]
         assert chart.topology["open"] == 1
+
 
 class TestNudgedSplitPair:
     """Just past an odd collision the pair has split on the axis by ~3e-3.
@@ -697,7 +697,6 @@ class TestStepRejections:
         assert rejects <= share * attempts
 
 
-
 class TestMarchWork:
     """The quarter-turn anchors are the only cap on a step, so far from the
     well, where |dk/dalpha| tends to 1/(2a), an open curve is marched in
@@ -717,6 +716,7 @@ class TestMarchWork:
         monkeypatch.setattr(_k, "newton_pole", counted)
         build_chart(PotentialSpec(m=M, a=A, U=U), Channel.parse(channel), certify=False)
         assert 0 < calls <= most
+
 
 class TestCriticalChart:
     def test_survives_with_warning(self):
