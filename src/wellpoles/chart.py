@@ -32,10 +32,11 @@ from .rootfinder import (
 from .smatrix import Channel, ComplexCoupling, PotentialSpec
 from .trajectory import (
     _SPLIT_STEP,
+    ClosureKind,
     CollisionEvent,
     Trajectory,
+    _join,
     branch_at_double_zero,
-    combine,
     mirror,
     trace,
     trace_branch,
@@ -126,33 +127,22 @@ class PoleChart:
         """Pole count with multiplicity at a real coupling, window-filtered.
 
         A pair collision sitting at this coupling contributes two. Every
-        collision event lies on a real-coupling anchor, and the events
-        recorded there at every turn refer to the same degenerate pole, so
-        events whose anchor index is phase_class (mod 4) are merged by
-        momentum before counting.
+        collision event is the one coalesced pair at k = -i/a, on a
+        real-coupling anchor, so the pair counts once when any event's
+        anchor index is phase_class (mod 4) and the window holds -i/a (a
+        working window always does, as im_min < -1/a).
         """
         singles = self.anchor_poles(phase_class, window)
-        count = len(singles)
-        event_ks: list[complex] = []
-        for ev in self.collisions:
-            if (round(ev.alpha / HALF_PI) - phase_class) % 4:
-                continue
-            if window is not None and not window.contains(ev.k):
-                continue
-            if all(abs(ev.k - q) >= _DEDUP_TOL for q in event_ks):
-                event_ks.append(ev.k)
-        for q in event_ks:
-            near = [s for s in singles if abs(s - q) < _DEDUP_TOL]
-            count += 2 - len(near)
-        return count
+        kc = -1j / self.spec.a
+        if (window is None or window.contains(kc)) and any(
+                (round(ev.alpha / HALF_PI) - phase_class) % 4 == 0 for ev in self.collisions):
+            return len(singles) + 2 - sum(abs(s - kc) < _DEDUP_TOL for s in singles)
+        return len(singles)
 
 
 def _same_event(a: CollisionEvent, b: CollisionEvent) -> bool:
-    return (
-        round(a.alpha / HALF_PI) == round(b.alpha / HALF_PI)
-        and abs(a.k - b.k) < _DEDUP_TOL
-        and a.kind == b.kind
-    )
+    # every event sits at k = -i/a, so its anchor and kind name it
+    return round(a.alpha / HALF_PI) == round(b.alpha / HALF_PI) and a.kind == b.kind
 
 
 def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarning]:
@@ -221,15 +211,6 @@ def _stalled(start: str, exc: StallAtDoubleZero) -> ChartWarning:
     return ChartWarning(code="trace_stalled", message=f"curve from {start} not traced: {exc}")
 
 
-def _trace_both_ways(seed, spec):
-    # an axis seed is its own mirror image -conj(k), so the backward half of
-    # its open curve is the mirror of the forward march
-    fwd = trace(seed, +1, spec)
-    if fwd.closure.is_closed:
-        return fwd
-    return combine(mirror(fwd), fwd)
-
-
 def build_chart(
     spec: PotentialSpec,
     channel: Channel,
@@ -237,11 +218,13 @@ def build_chart(
 ) -> PoleChart:
     """Trace every pole trajectory of the well in one channel.
 
-    Seeds come from axis scans at both real couplings; coalesced pairs are
-    split into their emerging branches before tracing. Each curve is traced
-    once: a seed that a kept curve already delivers at an anchor of its
-    phase, or a split branch whose first anchor one does, is listed in that
-    curve's merged_seeds and not kept. With certify=True the chart carries a
+    Seeds come from axis scans at both real couplings; a coalesced pair is
+    split into its two emerging branches, each traced forward as a seed is.
+    Each curve is traced once: a seed that a kept curve already delivers at
+    an anchor of its phase, or a branch whose first anchor one does, is
+    listed in that curve's merged_seeds and not kept. The backward half of
+    an open curve is the mirror image of its forward march about the seed
+    (across the pair, for a branch). With certify=True the chart carries a
     completeness certificate comparing a contour count over the working
     window against the poles the trajectories return at the attractive
     coupling.
@@ -254,30 +237,32 @@ def build_chart(
 
     trajectories: list[Trajectory] = []
     collisions: list[CollisionEvent] = []
+
+    def keep(start: str, march) -> None:
+        try:
+            traj = march()
+        except StallAtDoubleZero as exc:
+            warnings.append(_stalled(start, exc))
+            return
+        # a curve is known by its first anchor, which for a branch lies off
+        # the double point
+        if traj.anchors and _claimed(trajectories, traj.seed, *traj.anchors[0]):
+            return
+        if not traj.closure.is_closed:
+            traj = _join(traj, mirror(traj), ClosureKind.OPEN)
+        trajectories.append(traj)
+
     for seed in seeds:
+        alpha = seed.coupling.alpha
         if seed.multiplicity == 2:
-            alpha_c = seed.coupling.alpha
-            event, branches = branch_at_double_zero(alpha_c, spec, channel, +1)
+            event, branches = branch_at_double_zero(alpha, spec, channel, +1)
             if not any(_same_event(ev, event) for ev in collisions):
                 collisions.append(event)
-            forward = []
             for _, kb in branches:
-                try:
-                    forward.append(trace_branch(seed, kb, alpha_c + _SPLIT_STEP, spec, event=event))
-                except StallAtDoubleZero as exc:
-                    warnings.append(_stalled(f"split branch k={kb!r}", exc))
-            # a branch is known by its first anchor, which lies off the
-            # double point
-            for traj in forward + [mirror(t) for t in forward]:
-                if not (traj.anchors and _claimed(trajectories, traj.seed, *traj.anchors[0])):
-                    trajectories.append(traj)
-            continue
-        if _claimed(trajectories, seed, round(seed.coupling.alpha / HALF_PI), seed.k):
-            continue
-        try:
-            trajectories.append(_trace_both_ways(seed, spec))
-        except StallAtDoubleZero as exc:
-            warnings.append(_stalled(f"axis pole k={seed.k!r}", exc))
+                keep(f"split branch k={kb!r}", lambda kb=kb: trace_branch(
+                    seed, kb, alpha + _SPLIT_STEP, spec, event=event))
+        elif not _claimed(trajectories, seed, round(alpha / HALF_PI), seed.k):
+            keep(f"axis pole k={seed.k!r}", lambda: trace(seed, +1, spec))
 
     for traj in trajectories:
         for ev in traj.collisions:

@@ -28,8 +28,9 @@ RESIDUAL_TOL = 1e-10
 STEP_TOL = 1e-12
 MAX_NEWTON = 50
 
-# an axis pair this close to its collision point k = -i/a is one coalesced
-# pair there
+# an axis pair this close to its collision point k = -i/a, in units of
+# max(1, x_c/a), is one coalesced pair there: at a float collision depth the
+# pair offset grows as x_c/a, so this is a fixed relative tolerance on depth
 _PAIR_BALL = 1e-6
 
 
@@ -294,6 +295,11 @@ def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
     return cells
 
 
+def _pair_ball(xc: float, a: float) -> float:
+    """The coalescence radius about k = -i/a of a cell with collision point x_c."""
+    return _PAIR_BALL * max(1.0, xc / a)
+
+
 def _pair_offset(xc: float, rc: float, c: float, a: float) -> float:
     """Distance from k = -i/a of the pair of a cell with collision point x_c.
 
@@ -327,7 +333,7 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
     every root has an exact Brent bracket. Each root is mapped to kappa and
     Newton-polished in k.
 
-    When the cell's pair lies within ``_PAIR_BALL`` of its collision point
+    When the cell's pair lies within ``_pair_ball`` of its collision point
     k = -i/a (``_pair_offset``), the cell gives one coalesced pair there
     instead, reported as one multiplicity-2 pole.
 
@@ -352,7 +358,7 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
             roots = [_brentq(f, lo, hi)]
         else:
             rc = ratio(xc)
-            if _pair_offset(xc, rc, c, a) < _PAIR_BALL:
+            if _pair_offset(xc, rc, c, a) < _pair_ball(xc, a):
                 poles.append(_axis_pole(-1.0 / a, 2, coupling, spec, channel))
                 continue
             fc = rc - c
@@ -498,15 +504,17 @@ def multiplicity_at(
 
     A pair coalesces only at k = -i/a, at a real coupling, and only at the
     closed-form collision depths (see ``collision_x``). So multiplicity 2
-    needs a real coupling, k within ``_PAIR_BALL`` of -i/a, and an axis cell
-    whose pair lies within ``_PAIR_BALL`` of that point (``_pair_offset``),
-    the test ``scan_axis`` makes.
+    needs a real coupling and an axis cell whose pair lies within its
+    ``_pair_ball`` of -i/a (``_pair_offset``), the test ``scan_axis``
+    makes, with k inside that ball too.
     """
     a = spec.a
-    if not coupling.is_real or spec.U == 0.0 or not abs(k + 1j / a) < _PAIR_BALL:
+    if not coupling.is_real or spec.U == 0.0:
         return 1
     c = a * math.sqrt(2.0 * spec.m * spec.U)
     for ratio, _, _, xc, _ in _axis_cells(c, coupling.gamma.real > 0, channel is Channel.MINUS):
-        if xc is not None and _pair_offset(xc, ratio(xc), c, a) < _PAIR_BALL:
-            return 2
+        if xc is not None:
+            ball = _pair_ball(xc, a)
+            if abs(k + 1j / a) < ball and _pair_offset(xc, ratio(xc), c, a) < ball:
+                return 2
     return 1

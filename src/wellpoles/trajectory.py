@@ -2,8 +2,8 @@
 
 A pole k(alpha) of a channel pole function D(k; gamma=e^{i alpha}) is
 continued in increasing alpha by a cubic Hermite predictor through the last
-two samples of (alpha, k, v = dk/dalpha = -D_alpha/D_k), Euler at a start
-or split, and a Newton corrector at the stepped phase, which returns the
+two samples of (alpha, k, v = dk/dalpha = -D_alpha/D_k), Euler at a start,
+and a Newton corrector at the stepped phase, which returns the
 tangent v1 at the new pole with it, so a step makes no other kernel call.
 A step of length h is accepted when it moves k by at most
 0.1*(1 + |k0|) and its local error, the trapezoid defect
@@ -32,21 +32,21 @@ image of the forward march from the mirrored seed (see mirror). And a
 curve that meets the imaginary axis at a real coupling is its own mirror
 image about that point.
 
-That fixes the closed loops. A march from an axis seed at a real coupling
+That fixes the closed loops. A march from a seed on the imaginary axis at
+a real coupling, an axis pole or a coalesced pair split into its branches,
 stops at the half-turn anchor n* = n_seed + 2 or n_seed + 4 where its pole
 lies on the axis again (|Re k| < TOL_AXIS), or where it meets the coalesced
 pair at k = -i/a, recorded once as a collision event. The loop is the
 marched half plus its mirror image about alpha* = n*(pi/2), and it is
 closed_2pi or closed_4pi as n* - n_seed is 2 or 4. An open curve meets the
 axis at a real coupling only at its seed, or it would be symmetric about
-two points and so periodic. A march from any other start, a split branch
-or an off-axis seed, is never closed: it runs until |alpha - alpha_seed|
-reaches 40*pi or |k| passes 40/a. Like the step schedule, this stop rule is
-a set of module constants that no caller sets. Pole pairs coalesce only at
-k = -i/a and at a real coupling, so a march that stalls next to k = -i/a
-away from its half-turn is split at the anchor ahead of it, with the
-closed-form branches of branch_at_double_zero; where that anchor holds no
-coalesced pair, or the stall lies elsewhere, it raises StallAtDoubleZero.
+two points and so periodic; it runs until |alpha - alpha_seed| reaches
+40*pi or |k| passes 40/a, and its backward half is the mirror image of
+that march about the seed. Like the step schedule, this stop rule is a set
+of module constants that no caller sets. Pole pairs coalesce only at
+k = -i/a and at a real coupling, where the curve meets the axis, so a
+march meets the pair only at its half-turn; a march that stalls anywhere
+else raises StallAtDoubleZero.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ _CORRECTOR_ITERS = 8
 _DISPLACEMENT_FACTOR = 0.1
 _LOCAL_ERROR_TOL = 1e-3
 # the step schedule in alpha: first and smallest step, and the phase
-# offset at which a split pair's branches are resumed; the quarter-turn
-# anchors bound the step from above
+# offset at which a split pair's branches start; the quarter-turn anchors
+# bound the step from above
 _STEP_INITIAL = 0.01
 _STEP_MINIMUM = 1e-6
 _SPLIT_STEP = 1e-3
@@ -81,9 +81,10 @@ _SPLIT_STEP = 1e-3
 # whole working window first
 _ALPHA_CAP = 40.0 * math.pi
 _WINDOW_A = 40.0
-# stall-to-collision attribution radius, in units of max(1, |K_c|) at the
-# anchor ahead: it must exceed the pair splitting scale |K_c|*sqrt(h_min)
-# at the minimum step, and |K_c| ~ x_c/a grows without bound as a narrows
+# radius, in units of max(1, |K_c|) at the half-turn anchor ahead, within
+# which a stall is the loop meeting the coalesced pair there: it must exceed
+# the pair splitting scale |K_c|*sqrt(h_min) at the minimum step, and
+# |K_c| ~ x_c/a grows without bound as a narrows
 _DOUBLE_ZERO_RADIUS = 1e-2
 
 
@@ -203,8 +204,8 @@ def branch_at_double_zero(
 def _tangent(k: complex, gamma: complex, spec: PotentialSpec, ch: int) -> complex:
     """dk/dalpha = -D_alpha/D_k at a pole; nan where D_k vanishes.
 
-    Only where no corrector has just run: a trace start, a split restart and
-    point_at's start. A step takes the tangent newton_pole returns.
+    Only where no corrector has just run: a trace start and point_at's
+    start. A step takes the tangent newton_pole returns.
     """
     d, dk, da, E = _k.denom_scaled(k, gamma, spec.m, spec.a, spec.U, ch)
     return -da / dk if dk != 0.0 else complex(math.nan, math.nan)
@@ -251,10 +252,10 @@ def _trace_from_state(
     """Predictor-corrector march in increasing alpha from (k_start, alpha_start).
 
     The seed sits on a quarter-turn anchor n_seed (ValueError otherwise).
-    A march that starts at an axis seed at a real coupling stops at its
-    half-turn anchor, n_seed + 2 or n_seed + 4, and returns the closed loop
-    (see _close_loop). The phase cap counts from the seed's phase, not from
-    alpha_start.
+    A march from a seed on the axis at a real coupling, started at the seed
+    or on a branch of it, stops at its half-turn anchor, n_seed + 2 or
+    n_seed + 4, and returns the closed loop (see _close_loop). The phase
+    cap counts from the seed's phase, not from alpha_start.
     """
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
@@ -265,9 +266,7 @@ def _trace_from_state(
     window = _WINDOW_A / spec.a
     # the anchors at which a loop through an axis seed meets the axis again
     half_turns = (
-        (n_seed + 2, n_seed + 4)
-        if alpha_start == alpha0 and n_seed % 2 == 0 and abs(k_start.real) < TOL_AXIS
-        else ()
+        (n_seed + 2, n_seed + 4) if n_seed % 2 == 0 and abs(seed.k.real) < TOL_AXIS else ()
     )
 
     alphas = [alpha_start]
@@ -302,31 +301,19 @@ def _trace_from_state(
         step = _step(alpha, k, v, prev, target, spec, ch)
         if step is None:
             if h <= _STEP_MINIMUM * (1.0 + 1e-12):
+                # a loop meets the coalesced pair at k = -i/a only at its
+                # half-turn: record the event there and end the march
                 big_k = cmath.sqrt(kc * kc + 2.0 * spec.m * spec.U * _phase_to_gamma(t_anchor))
-                if abs(k - kc) < _DOUBLE_ZERO_RADIUS * max(1.0, abs(big_k)):
-                    # a pair coalescing mid-trace, which happens only at a
-                    # real-coupling anchor: record the event at the anchor
-                    # ahead; a half-turn ends the march there, any other
-                    # anchor splits it and the march continues on the
-                    # deterministic branch
-                    try:
-                        event, labeled = branch_at_double_zero(t_anchor, spec, seed.channel, +1)
-                    except ModelInvalid as exc:
-                        raise StallAtDoubleZero(alpha, k) from exc
-                    collisions.append(event)
-                    if next_anchor in half_turns:
-                        n_star = next_anchor
-                        break
-                    k = labeled[0][1]
-                    alpha = t_anchor + _SPLIT_STEP
-                    v = _tangent(k, _phase_to_gamma(alpha), spec, ch)
-                    prev = None
-                    alphas.append(alpha)
-                    ks.append(k)
-                    h = _STEP_INITIAL
-                    next_anchor += 1
-                    continue
-                raise StallAtDoubleZero(alpha, k)
+                if not (next_anchor in half_turns
+                        and abs(k - kc) < _DOUBLE_ZERO_RADIUS * max(1.0, abs(big_k))):
+                    raise StallAtDoubleZero(alpha, k)
+                try:
+                    event, _ = branch_at_double_zero(t_anchor, spec, seed.channel, +1)
+                except ModelInvalid as exc:
+                    raise StallAtDoubleZero(alpha, k) from exc
+                collisions.append(event)
+                n_star = next_anchor
+                break
             h = max(0.5 * min(h, target - alpha), _STEP_MINIMUM)
             continue
 
@@ -377,22 +364,46 @@ def _close_loop(half: Trajectory, n_star: int, turns: int) -> Trajectory:
     quarter-turns past its seed: the march, then its mirror image about
     n_star.
 
-    The march ends on the half-turn sample, its own image, which the loop
-    holds once; a march that stopped at the coalesced pair ends just short
-    of it and holds no anchor or sample there. Its collision event is its
-    own image too and is recorded once.
+    The march ends on the half-turn sample, its own image; a march that
+    stopped at the coalesced pair ends just short of it and holds no anchor
+    or sample there, but its collision event there is its own image too.
     """
-    back = mirror(half, n_star)
-    joint = int(half.alphas[-1] == back.alphas[0])
-    alpha_star = n_star * HALF_PI
-    return replace(
-        half,
-        alphas=np.concatenate([half.alphas, back.alphas[joint:]]),
-        ks=np.concatenate([half.ks, back.ks[joint:]]),
-        anchors=half.anchors + back.anchors[joint:],
-        axis_crossings=half.axis_crossings + back.axis_crossings[joint:],
-        collisions=half.collisions + [ev for ev in back.collisions if ev.alpha != alpha_star],
-        closure=Closure(ClosureKind.CLOSED_2PI if turns == 2 else ClosureKind.CLOSED_4PI),
+    kind = ClosureKind.CLOSED_2PI if turns == 2 else ClosureKind.CLOSED_4PI
+    return _join(half, mirror(half, n_star), kind)
+
+
+def _join(marched: Trajectory, image: Trajectory, kind: ClosureKind) -> Trajectory:
+    """A forward march and its mirror image, joined into one curve.
+
+    The image lies after the march (a loop about its half-turn) or before
+    it (the backward half of an open curve). A sample, anchor or axis
+    crossing that both hold at the joint is kept once, as marched: a
+    mirrored axis pole carries Re k = -0.0. So is an image collision event
+    at the phase of a marched one, the coalesced pair at the mirror point.
+    """
+    before = image.alphas[-1] <= marched.alphas[0]
+    first, second = (image, marched) if before else (marched, image)
+
+    def seam(a: list, b: list, key) -> list:
+        if a and b and key(a[-1]) == key(b[0]):
+            return a[:-1] + b if before else a + b[1:]
+        return a + b
+
+    cut = first.alphas[-1] == second.alphas[0]
+    head = len(first.alphas) - (cut and before)
+    tail = int(cut and not before)
+    phases = {ev.alpha for ev in marched.collisions}
+    images = [ev for ev in image.collisions if ev.alpha not in phases]
+    return Trajectory(
+        seed=marched.seed,
+        channel=marched.channel,
+        direction="both" if kind is ClosureKind.OPEN else marched.direction,
+        alphas=np.concatenate([first.alphas[:head], second.alphas[tail:]]),
+        ks=np.concatenate([first.ks[:head], second.ks[tail:]]),
+        anchors=seam(first.anchors, second.anchors, lambda a: a[0]),
+        axis_crossings=seam(first.axis_crossings, second.axis_crossings, lambda c: c[0]),
+        collisions=images + marched.collisions if before else marched.collisions + images,
+        closure=Closure(kind, second.closure.forward_reason, first.closure.backward_reason),
     )
 
 
@@ -440,8 +451,12 @@ def trace_branch(
 ) -> Trajectory:
     """Continue one emerging branch of a split coalesced pair forward.
 
-    The seed sits on a quarter-turn anchor (ValueError otherwise). A branch
-    is marched to the window or the phase cap and comes back open.
+    The seed, the pair, sits on a quarter-turn anchor (ValueError
+    otherwise). A branch closes as a march from an axis seed does: one that
+    goes round a loop stops where it meets the axis again, at its half-turn,
+    and comes back closed with the rest mirrored (see _close_loop); a branch
+    of an open curve is marched to the window or the phase cap and comes
+    back open.
     """
     return _trace_from_state(
         branch_k, branch_alpha, seed, spec,
@@ -452,7 +467,8 @@ def trace_branch(
 def combine(first: Trajectory, second: Trajectory) -> Trajectory:
     """Stitch a backward and a forward trace from the same seed.
 
-    Accepts the two halves in either order; they must share the seed sample.
+    Accepts the two halves in either order; they must share the seed sample
+    (ValueError otherwise), which is kept as the forward trace holds it.
     """
     if first.alphas[-1] == second.alphas[0]:
         backward, forward = first, second
@@ -460,27 +476,7 @@ def combine(first: Trajectory, second: Trajectory) -> Trajectory:
         backward, forward = second, first
     else:
         raise ValueError("traces do not share the seed sample")
-    a = np.concatenate([backward.alphas[:-1], forward.alphas])
-    k = np.concatenate([backward.ks[:-1], forward.ks])
-    anchors = backward.anchors[:-1] + forward.anchors if (
-        backward.anchors and forward.anchors and backward.anchors[-1][0] == forward.anchors[0][0]
-    ) else backward.anchors + forward.anchors
-    closure = Closure(ClosureKind.OPEN, forward.closure.forward_reason,
-                      backward.closure.backward_reason)
-    return Trajectory(
-        seed=forward.seed,
-        channel=forward.channel,
-        direction="both",
-        alphas=a,
-        ks=k,
-        anchors=anchors,
-        axis_crossings=backward.axis_crossings[:-1] + forward.axis_crossings
-        if backward.axis_crossings and forward.axis_crossings
-        and backward.axis_crossings[-1] == forward.axis_crossings[0]
-        else backward.axis_crossings + forward.axis_crossings,
-        collisions=backward.collisions + forward.collisions,
-        closure=closure,
-    )
+    return _join(forward, backward, ClosureKind.OPEN)
 
 
 def _mirror_index(alpha: float) -> int:

@@ -733,13 +733,17 @@ class TestCriticalChart:
     ])
     def test_every_split_sits_on_a_real_coupling_anchor(self, channel, U):
         # pairs coalesce only at a real coupling, so a march that stalls at
-        # the collision splits at the anchor ahead, not at its stall phase
+        # the collision records it at the anchor ahead, not at its stall phase
         chart = _chart(channel, U)
         events = chart.collisions + [ev for t in chart.trajectories for ev in t.collisions]
-        assert len(events) > 3
         for ev in events:
             n = round(ev.alpha / (math.pi / 2))
             assert ev.alpha == n * (math.pi / 2) and n % 2 == 0
+        if U == U_STAR_PLUS_REP:
+            # the bound state's loop meets the pair half a turn on, at pi
+            (loop,) = [t for t in chart.trajectories if t.closure.kind is ClosureKind.CLOSED_2PI]
+            assert loop.seed.multiplicity == 1 and loop.seed_alpha == 0.0
+            assert [ev.alpha for ev in loop.collisions] == [math.pi]
 
     def test_narrow_well_at_repulsive_collision_is_complete(self):
         # |K_c| ~ 10 at a = 0.12, so the pair splits 0.0106 from k = -i/a at
@@ -749,10 +753,53 @@ class TestCriticalChart:
         assert U == 15.251001385091708
         chart = build_chart(PotentialSpec(m=1.0, a=0.12, U=U), Channel.PLUS)
         assert not any(w.code == "trace_stalled" for w in chart.warnings)
-        assert chart.topology == {"closed_2pi": 1, "open": 2}
+        assert chart.topology == {"closed_2pi": 1, "open": 1}
         assert chart.completeness["window_count"] == 7
         assert chart.completeness["trajectory_count"] == 7
         assert chart.completeness["complete"] is True
+
+    @pytest.mark.parametrize("a", [0.1, 0.08, 0.05])
+    @pytest.mark.parametrize("channel,attractive,topology,count", [
+        ("plus", True, {"closed_4pi": 1, "open": 1}, 9),
+        ("plus", False, {"closed_2pi": 1, "open": 1}, 7),
+        ("minus", True, {"closed_4pi": 1, "open": 1}, 11),
+    ])
+    def test_narrow_well_collision_chart_is_complete(self, a, channel, attractive, topology, count):
+        # the pair offset at a float collision depth grows as x_c/a, and so
+        # does the pair ball; with a fixed ball the scan missed the pair
+        # and all three curves stalled next to it
+        ch = Channel.parse(channel)
+        U = critical_depth(ch, attractive, 1.0, a).U
+        chart = build_chart(PotentialSpec(m=1.0, a=a, U=U), ch)
+        assert any(p.multiplicity == 2 for p in chart.seeds)
+        assert chart.topology == topology
+        assert chart.completeness["window_count"] == count
+        assert chart.completeness["trajectory_count"] == count
+        assert chart.completeness["complete"] is True
+
+    @given(
+        m=st.floats(0.5, 3.0),
+        a=st.floats(0.5, 3.0),
+        collision=st.sampled_from([("plus", True), ("minus", True), ("plus", False)]),
+        index=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_topology_at_a_collision_depth(self, m, a, collision, index):
+        # the loop through the coalesced pair closes at its half-turn like
+        # any loop: the index-j attractive collision closes the j-th
+        # closed_4pi loop, the repulsive one the closed_2pi loop
+        channel, attractive = collision
+        if not attractive:
+            index = 1
+        ch = Channel.parse(channel)
+        U = critical_depth(ch, attractive, m, a, index).U
+        chart = build_chart(PotentialSpec(m=m, a=a, U=U), ch)
+        assert any(p.multiplicity == 2 for p in chart.seeds)
+        assert chart.completeness["complete"] is True
+        if attractive:
+            assert chart.topology == {"closed_4pi": index, "open": 1}
+        else:
+            assert chart.topology == {"closed_2pi": 1, "open": 1}
 
     def test_stalled_split_branch_is_reported(self, monkeypatch):
         # a split branch that stalls is reported as a stalled axis seed is,
@@ -824,18 +871,21 @@ class TestForwardMarchesOnly:
             )
 
     def test_split_seed_backward_halves_are_mirrors(self):
-        # at a collision depth the pair splits forward only; the curves
-        # behind the seed phase end on the backward split's branches
+        # at a collision depth the pair splits forward only; the open curve's
+        # part behind the seed phase is the mirror image of the part after
+        # it, and it ends on a backward split branch
         spec = PotentialSpec(m=M, a=A, U=U_STAR_PLUS_ATT)
         chart = build_chart(spec, Channel.PLUS, certify=False)
         _, bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1)
-        behind = [t for t in chart.trajectories if t.alphas[-1] == -1e-3]
-        assert behind
-        for t in behind:
-            assert min(abs(t.ks[-1] - kb) for _, kb in bwd) < 1e-10
-            event = dict(t.collisions[0].branches)
-            for lbl, kb in bwd:
-                assert abs(event[lbl] - kb) < 1e-10
+        (curve,) = [t for t in chart.trajectories if not t.closure.is_closed]
+        i = int(np.searchsorted(curve.alphas, 0.0))
+        assert len(curve.alphas) == 2 * i
+        assert np.array_equal(curve.alphas[:i], -curve.alphas[i:][::-1])
+        assert np.array_equal(curve.ks[:i], -np.conj(curve.ks[i:])[::-1])
+        assert curve.alphas[i - 1] == -1e-3
+        assert min(abs(curve.ks[i - 1] - kb) for _, kb in bwd) < 1e-10
+        # the pair's event is held once
+        assert [ev.alpha for ev in curve.collisions] == [0.0]
 
 
 class TestDeterminism:

@@ -26,6 +26,7 @@ from wellpoles.document import (
 from wellpoles.errors import DocumentError
 from wellpoles.smatrix import Channel, PotentialSpec
 from wellpoles.svgplot import chart_svg
+from wellpoles import trajectory
 from wellpoles.trajectory import ClosureKind
 
 
@@ -225,9 +226,9 @@ _GOLDEN = {
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "deb4fbbed8bb07af1ffb7f510ebc9321be9f712bbcbde76cfaffa8d0638826a8",
-    ("plus", False): "b1edc9f7daaae17f60b6c0c3861342f5ee89d0a3c6241a9a67fa8a55fc22cb39",
-    ("minus", True): "f026189c9f72b4592782fb95f56b538ff605fd3a7630bdc6f0405d972aeecab3",
+    ("plus", True): "4c3a4ac8bf881a99978e370d9609b9d2a2e012bea26c86ef6ad78dbb81c57ba8",
+    ("plus", False): "e30e412ea2ff60afe72cdb0da78dabd338de8cbb0c3a07cac3a7c1bd7c29972e",
+    ("minus", True): "145515b8fe0b81ea231806a82432116bfc6d5bba1731fbc2c73755d8356849f3",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
@@ -235,9 +236,9 @@ _GOLDEN_SVG = {
     ("plus", 0.09): "ef0c5f46c48442b30ac654e10eaf15f5e3bc0ad48f07b52b98189fd9a5a7671e",
     ("plus", 2.0): "b08112e17b69f2f6d51dcb913d7c8e6218c41330c0deaf3be5d97fd1ff84fe7a",
     ("minus", 5.0): "ab89267161b5a24df69dc4abf6a077684cca1dbe9d15616658313fd93d29def6",
-    ("plus", "attractive"): "19786e92bb8ff7b5771cc4ab959349d56a1917b015066903b9b2f3e9a0f209e9",
-    ("plus", "repulsive"): "1400b26cda8128c1937312ad3cd0290d84f14d1cf95b6851697b8110c50980fd",
-    ("minus", "attractive"): "c11df8d86cea40279c8f93ab01775a5d9915519a2ed0eeb9bbc9ff0718bf9f39",
+    ("plus", "attractive"): "7b8db4df606b25ec29dd0d63836688bb35e2865e63a4171e42716696dc5ee83d",
+    ("plus", "repulsive"): "dd7f908fa86aa7290387661cd819b9cf787ecf933204bb95c83f7be56ea8cb1f",
+    ("minus", "attractive"): "93bc789ce9aa4aa0b39c54ea211f89cfb66ac502b953644d58bbba13905cc044",
 }
 
 
@@ -267,10 +268,26 @@ class TestGoldenDigests:
         digest = hashlib.sha256(chart_svg(_chart(channel, U)).encode()).hexdigest()
         assert digest == _GOLDEN_SVG[(channel, depth)]
 
+    @pytest.mark.parametrize("channel,attractive", sorted(_GOLDEN_CRITICAL))
+    def test_critical_chart_does_not_depend_on_the_alpha_cap(self, monkeypatch, channel, attractive):
+        # every curve through the coalesced pair closes at its half-turn or
+        # leaves the k window, so a longer phase cap traces nothing more
+        ch = Channel.parse(channel)
+        spec = PotentialSpec(m=1.0, a=1.5, U=critical_depth(ch, attractive, 1.0, 1.5).U)
+
+        def outputs():
+            chart = build_chart(spec, ch)
+            return canonical_dumps(chart_document(chart)), chart_svg(chart)
+
+        at_40pi = outputs()
+        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 80 * math.pi)
+        assert outputs() == at_40pi
+
     def test_closed_curves_end_on_whole_turn_anchors(self):
         # a closed loop is its march to the half-turn anchor and that half's
         # mirror image, so its last sample is the seed's image one or two
-        # turns on
+        # turns on; a loop from a coalesced pair starts and ends a split
+        # step off the pair, with every anchor between
         depths = [(channel, U) for channel, U in _GOLDEN] + [
             (channel, critical_depth(Channel.parse(channel), attractive, 1.0, 1.5).U)
             for channel, attractive in _GOLDEN_CRITICAL
@@ -285,6 +302,9 @@ class TestGoldenDigests:
                 n_seed = round(traj.seed_alpha / (math.pi / 2))
                 n_end, k_end = traj.anchors[-1]
                 assert traj.direction == "forward"
+                if traj.seed.multiplicity == 2:
+                    assert [n for n, _ in traj.anchors] == list(range(n_seed + 1, n_seed + turns))
+                    continue
                 assert n_end == n_seed + turns
                 assert traj.alphas[-1] == n_end * (math.pi / 2)
                 assert abs(k_end - traj.seed.k) < 1e-6

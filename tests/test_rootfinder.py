@@ -202,14 +202,20 @@ def _box_and_restarts(k, coupling, spec, channel):
     return n, landings
 
 
-def _reference_multiplicity(n, landings):
+def _reference_multiplicity(n, landings, ball):
     """The box-count-and-restart rule multiplicity_at applied before the
     closed form: 2 when the box holds two zeros and no converged restart
     lands farther than the pair ball from k; a restart that does not
     converge does not veto."""
     if n != 2:
         return 1
-    return 1 if any(d is not None and d > _PAIR_BALL for d in landings) else 2
+    return 1 if any(d is not None and d > ball for d in landings) else 2
+
+
+def _ball(xc, a):
+    """The pair ball of a collision: _PAIR_BALL in units of max(1, x_c/a),
+    the scale of the pair offset at a float collision depth."""
+    return _PAIR_BALL * max(1.0, xc / a)
 
 
 def _exact_pair_offset(channel, attractive, m, a, U, xc):
@@ -237,7 +243,8 @@ def _exact_pair_offset(channel, attractive, m, a, U, xc):
 
 class TestClosedFormMultiplicity:
     """multiplicity_at is a closed-form test: a real coupling, k within the
-    pair ball of -i/a, and an axis pair within that ball of it."""
+    pair ball of -i/a, and an axis pair within that ball of it. The ball is
+    _PAIR_BALL in units of max(1, x_c/a)."""
 
     @given(
         m=st.floats(0.2, 10.0),
@@ -258,24 +265,21 @@ class TestClosedFormMultiplicity:
         kc = -1j / a
         new = multiplicity_at(kc, coupling, sp, channel)
         exact = _exact_pair_offset(channel, attractive, m, a, U, xc)
+        ball = _ball(xc, a)
         # the float c = a sqrt(2 m U) carries a few ulp, which moves the
         # squared offset by up to (x_c/a)^2 * 4e-15
-        blur = 1e-3 * _PAIR_BALL ** 2 + (xc / a) ** 2 * 4e-15
-        if abs(exact ** 2 - _PAIR_BALL ** 2) > blur:
-            assert new == (2 if exact < _PAIR_BALL else 1)
-        # past x_c/a = 16 that blur alone exceeds the ball, for the restarts
-        # as for the closed form, so neither can referee the other
-        if xc / a >= 16.0:
-            return
+        blur = 1e-3 * ball ** 2 + (xc / a) ** 2 * 4e-15
+        if abs(exact ** 2 - ball ** 2) > blur:
+            assert new == (2 if exact < ball else 1)
         n, landings = _box_and_restarts(kc, coupling, sp, channel)
         converged = [d for d in landings if d is not None]
         # the old rule decides on evidence only where the box does not hold
         # two zeros or a restart converged clear of the ball's edge; a
         # restart on a near-double zero often loses its step test to
         # roundoff, and then the old rule answered 2 by default
-        if n != 2 or (converged and not any(0.5 * _PAIR_BALL < d < 2.0 * _PAIR_BALL
+        if n != 2 or (converged and not any(0.5 * ball < d < 2.0 * ball
                                             for d in converged)):
-            assert new == _reference_multiplicity(n, landings)
+            assert new == _reference_multiplicity(n, landings, ball)
 
     @pytest.mark.parametrize("channel,coupling,U", [
         (Channel.PLUS, ATT, U_COLLIDE_PLUS_ATT),
@@ -284,8 +288,9 @@ class TestClosedFormMultiplicity:
     ])
     def test_needs_the_point_and_a_real_coupling(self, channel, coupling, U):
         kc = -1j / A
+        ball = _ball(collision_x(channel, coupling is ATT, 1), A)
         assert multiplicity_at(kc, coupling, spec(U), channel) == 2
-        assert multiplicity_at(kc + 2e-6j, coupling, spec(U), channel) == 1
+        assert multiplicity_at(kc + 2j * ball, coupling, spec(U), channel) == 1
         assert multiplicity_at(kc, ComplexCoupling(coupling.alpha + 1e-9), spec(U), channel) == 1
         other = REP if coupling is ATT else ATT
         assert multiplicity_at(kc, other, spec(U), channel) == 1

@@ -123,6 +123,10 @@ class TestDenominatorIdentities:
         k = 1j * np.sqrt(2 * SPEC.m * SPEC.U)
         assert abs(wp.denom_minus(k, ATT, SPEC)) < 1e-7
         assert abs(wp.denom_minus_reduced(k, ATT, SPEC)) > 0.1
+        # so the odd channel's pole function is the reduced form
+        for kk, c, s in [(k, ATT, SPEC), *random_samples(20, 8)]:
+            assert wp.pole_function(kk, c, s, Channel.PLUS) == wp.denom_plus(kk, c, s)
+            assert wp.pole_function(kk, c, s, Channel.MINUS) == wp.denom_minus_reduced(kk, c, s)
 
     def test_free_particle_plus_denominator(self):
         # at U=0 the even denominator is k*exp(-ika): zeros only at k=0
