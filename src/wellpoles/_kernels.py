@@ -16,8 +16,7 @@ their values are bit-equal to it:
   sampled reference that tests count sign changes of.
 
 Tests in ``tests/test_kernels.py`` lock the bit-equality. Everything runs
-on ``math``/``cmath`` and Python ``float``/``complex`` values, never on
-numpy scalars, which cost several times as much per call.
+on ``math``/``cmath`` and Python ``float``/``complex`` values.
 
 Scaling convention
 ------------------

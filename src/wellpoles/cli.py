@@ -8,10 +8,11 @@ pipelines can parse them.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
+import random
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .chart import (
     bound_threshold,
@@ -227,66 +228,69 @@ _VERIFY_TOL = {
 
 def _cmd_verify(cfg: RunConfig) -> int:
     spec = _spec(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     worst = {name: 0.0 for name in _VERIFY_TOL}
     failures: list[dict] = []
 
-    def record(check: str, residual: float, k: complex, alpha: float) -> None:
-        worst[check] = max(worst[check], float(residual))
-        if residual >= _VERIFY_TOL[check]:
-            failures.append({
-                "check": check,
-                "residual": float(residual),
-                "k": complex(k),
-                "alpha": float(alpha),
-            })
+    def record(check: str, k: complex, alpha: float, *residuals: float) -> None:
+        # the largest residual; a nan one, which max() would skip, an
+        # infinite one and one that overflowed (nan) fail with residual null
+        residual = math.nan if any(map(math.isnan, residuals)) else max(residuals)
+        if math.isfinite(residual):
+            worst[check] = max(worst[check], residual)
+            if residual < _VERIFY_TOL[check]:
+                return
+        failures.append({
+            "check": check,
+            "residual": residual if math.isfinite(residual) else None,
+            "k": k,
+            "alpha": alpha,
+        })
 
     for _ in range(cfg.samples):
         k = complex(rng.uniform(-6, 6), rng.uniform(-3, 3))
-        alpha = rng.uniform(0, 2 * np.pi)
+        alpha = rng.uniform(0, 2 * math.pi)
         coupling = ComplexCoupling(alpha)
         try:
             rel = verify_relations(k, coupling, spec)
         except WellpolesError:
             continue
-        for name in ("transpose_inverse", "hermitian_adjoint", "conjugation"):
-            record(name, rel[name], k, alpha)
+        except OverflowError:
+            rel = dict.fromkeys(("transpose_inverse", "hermitian_adjoint", "conjugation"), math.nan)
+        for name, residual in rel.items():
+            record(name, k, alpha, residual)
         try:
             value = s_full(k, coupling, spec)
             sp = s_plus(k, coupling, spec)
             sm = s_minus(k, coupling, spec)
         except WellpolesError:
             continue
-        hat_p, hat_m = parity_channels(value)
-        record(
-            "diagonalization",
-            max(abs(hat_p - sp) / (1.0 + abs(sp)),
-                abs(hat_m - sm) / (1.0 + abs(sm))),
-            k, alpha,
-        )
-        kk = np.sqrt(k * k + 2 * spec.m * coupling.gamma * spec.U + 0j)
-        df = denom_full(k, coupling, spec)
-        dp = denom_plus(k, coupling, spec)
-        dm = denom_minus(k, coupling, spec)
-        term_scale = 1.0 + 2 * abs(k) * abs(kk) + abs(k) ** 2 + abs(kk) ** 2
-        e2 = np.exp(-2.0 * abs((spec.a * kk).imag))
-        record(
-            "factorization", abs(df - 2 * dp * dm) * e2 / term_scale, k, alpha,
-        )
+        try:
+            hat_p, hat_m = parity_channels(value)
+            diag = (abs(hat_p - sp) / (1.0 + abs(sp)), abs(hat_m - sm) / (1.0 + abs(sm)))
+            kk = cmath.sqrt(k * k + 2 * spec.m * coupling.gamma * spec.U)
+            df = denom_full(k, coupling, spec)
+            dp = denom_plus(k, coupling, spec)
+            dm = denom_minus(k, coupling, spec)
+            term_scale = 1.0 + 2 * abs(k) * abs(kk) + abs(k) ** 2 + abs(kk) ** 2
+            e2 = math.exp(-2.0 * abs((spec.a * kk).imag))
+            fact = abs(df - 2 * dp * dm) * e2 / term_scale
+        except OverflowError:
+            diag, fact = (math.nan,), math.nan
+        record("diagonalization", k, alpha, *diag)
+        record("factorization", k, alpha, fact)
     for _ in range(cfg.samples):
         k = complex(rng.uniform(1e-3, 8.0), 0.0)
-        alpha = 0.0 if rng.uniform() < 0.5 else float(np.pi)
+        alpha = 0.0 if rng.random() < 0.5 else math.pi
         coupling = ComplexCoupling(alpha)
         try:
-            sp = s_plus(k, coupling, spec)
-            sm = s_minus(k, coupling, spec)
+            unitarity = (abs(abs(s_plus(k, coupling, spec)) - 1.0),
+                         abs(abs(s_minus(k, coupling, spec)) - 1.0))
         except WellpolesError:
             continue
-        record(
-            "real_unitarity",
-            max(abs(abs(sp) - 1.0), abs(abs(sm) - 1.0)),
-            k, alpha,
-        )
+        except OverflowError:
+            unitarity = (math.nan,)
+        record("real_unitarity", k, alpha, *unitarity)
     doc = verification_document(_VERIFY_TOL, worst, failures, cfg)
     _write(canonical_dumps(doc), cfg)
     return 0 if doc["passed"] else 1

@@ -5,7 +5,7 @@ written with 17 significant digits (full round-trip precision), complex
 momenta as [re, im] pairs. The stdlib serializer cannot pin float
 formatting, so a recursive emitter does it here. A list whose items are
 all floats, or all complex numbers, is the bulk of a chart (its sample
-arrays): it is written in one %-template pass over its values, with the
+lists): it is written in one %-template pass over its values, with the
 same bytes the per-value formatter gives. Scalars and mixed lists go
 value by value. The trajectory CSV goes through the same bulk formatter.
 """
@@ -18,8 +18,6 @@ import json
 import math
 from itertools import compress, count, filterfalse
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from .chart import CriticalDepth, PoleChart, SweepResult, WorkingWindow
 from .config import RunConfig
@@ -86,7 +84,7 @@ def _emit(obj, out: list[str]) -> None:
             out.append("[" + _fmt_rows(obj, _FLOAT_ROW)[:-1] + "]")
             return
         if kinds == {complex}:
-            parts = np.array(obj).view(np.float64).tolist()  # re, im, re, ...
+            parts = [x for z in obj for x in (z.real, z.imag)]
             out.append("[" + _fmt_rows(parts, _PAIR_ROW)[:-1] + "]")
             return
         out.append("[")
@@ -148,8 +146,8 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
             ),
             "seed": _pole_dict(traj.seed),
             "merged_seeds": [_pole_dict(p) for p in traj.merged_seeds],
-            "alphas": traj.alphas.tolist(),
-            "ks": traj.ks.tolist(),
+            "alphas": traj.alphas,
+            "ks": traj.ks,
             "anchors": [{"index": n, "k": complex(k)} for n, k in traj.anchors],
             "axis_crossings": [
                 {"alpha": float(a), "k": complex(k)}
@@ -408,7 +406,7 @@ def trajectories_csv(chart: PoleChart) -> str:
     """All trajectory samples as CSV, one row per (trajectory, sample)."""
     parts = ["trajectory,closure,alpha,re_k,im_k\n"]
     for i, traj in enumerate(chart.trajectories):
-        rows = np.column_stack((traj.alphas, traj.ks.real, traj.ks.imag))
+        values = [x for al, k in zip(traj.alphas, traj.ks) for x in (al, k.real, k.imag)]
         row = (f"{i},{traj.closure.kind.value},%.17g,", "%.17g,", "%.17g\n")
-        parts.append(_fmt_rows(rows.ravel().tolist(), row))
+        parts.append(_fmt_rows(values, row))
     return "".join(parts)

@@ -12,11 +12,10 @@ denominators, tracked everywhere through the kernels in ``_kernels``.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _kernels as _k
 from .errors import PoleHit
@@ -123,7 +122,7 @@ class InteriorMomentum:
 def interior_momentum(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> InteriorMomentum:
     """Principal-branch interior momentum K = sqrt(k^2 + 2 m gamma U)."""
     w = complex(k) * complex(k) + 2.0 * spec.m * coupling.gamma * spec.U
-    return InteriorMomentum(K=np.sqrt(w), w=w)
+    return InteriorMomentum(K=cmath.sqrt(w), w=w)
 
 
 def denom_plus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> complex:
@@ -172,7 +171,16 @@ def denom_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> co
     Ki = interior_momentum(kc, coupling, spec)
     z2 = 2.0 * spec.a * Ki.K
     C, S, Z, G, E = _k.trig_scaled(z2)
-    return (2.0 * kc * Ki.K * C - 1j * (kc * kc + Ki.K * Ki.K) * S) / E
+    return _k.unscale(2.0 * kc * Ki.K * C - 1j * (kc * kc + Ki.K * Ki.K) * S, E)
+
+
+def _exp(z: complex) -> complex:
+    """e^z; past the float range its nonzero parts are +-inf, as IEEE
+    arithmetic gives (see ``_kernels.unscale``), where cmath.exp raises."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        return _k.unscale(complex(math.cos(z.imag), math.sin(z.imag)), 0.0)
 
 
 def _pole_guard(k: complex, coupling: ComplexCoupling, spec: PotentialSpec, channels, label: str):
@@ -195,7 +203,7 @@ def s_plus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> comple
     C, S, Z, G, E = _k.trig_scaled(z)
     num = kc * C + 1j * spec.a * Ki.w * Z
     den = kc * C - 1j * spec.a * Ki.w * Z
-    return np.exp(-2j * kc * spec.a) * num / den
+    return _exp(-2j * kc * spec.a) * num / den
 
 
 def s_minus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> complex:
@@ -211,7 +219,7 @@ def s_minus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> compl
     C, S, Z, G, E = _k.trig_scaled(z)
     num = C + 1j * spec.a * kc * Z
     den = C - 1j * spec.a * kc * Z
-    return np.exp(-2j * kc * spec.a) * num / den
+    return _exp(-2j * kc * spec.a) * num / den
 
 
 @dataclass(frozen=True)
@@ -227,8 +235,9 @@ class SMatrixValue:
     s12: complex
 
     @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.s11, self.s12], [self.s12, self.s11]], dtype=complex)
+    def matrix(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+        """The matrix as rows ((S11, S12), (S21, S22))."""
+        return ((self.s11, self.s12), (self.s12, self.s11))
 
 
 def s_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> SMatrixValue:
@@ -244,26 +253,36 @@ def s_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> SMatri
     C, S, Z, G, E = _k.trig_scaled(z2)
     # F = D_full / (2K): regular in K, scaled by E like the trig blocks
     F = kc * C - 1j * (kc * kc + Ki.K * Ki.K) * spec.a * Z
-    phase = np.exp(-2j * kc * spec.a)
-    s11 = kc * phase / (F / E)
-    s12 = -1j * (kc * kc - Ki.K * Ki.K) * spec.a * (Z / E) * phase / (F / E)
+    phase = _exp(-2j * kc * spec.a)
+    F_true = _k.unscale(F, E)
+    s11 = kc * phase / F_true
+    s12 = -1j * (kc * kc - Ki.K * Ki.K) * spec.a * _k.unscale(Z, E) * phase / F_true
     return SMatrixValue(k=kc, s11=s11, s12=s12)
 
 
-_PARITY_BASIS = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+def _matmul(A, B):
+    """Product of two 2x2 matrices held as rows ((a, b), (c, d))."""
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+_EYE = ((1.0, 0.0), (0.0, 1.0))
+_R = 1.0 / math.sqrt(2.0)
+_PARITY_BASIS = ((_R, _R), (-_R, _R))
 
 
 def parity_channels(value: SMatrixValue) -> tuple[complex, complex]:
     """Diagonalize a full S value into (s_plus, s_minus) via the parity basis."""
-    hat = _PARITY_BASIS @ value.matrix @ _PARITY_BASIS.T
-    return hat[0, 0], hat[1, 1]
+    hat = _matmul(_matmul(_PARITY_BASIS, value.matrix), tuple(zip(*_PARITY_BASIS)))
+    return hat[0][0], hat[1][1]
 
 
 def _msinc(z: complex) -> complex:
     if abs(z) < 1e-4:
         z2 = z * z
         return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return np.sin(z) / z
+    return cmath.sin(z) / z
 
 
 def well_layers(spec: PotentialSpec) -> list[tuple[float, complex]]:
@@ -292,22 +311,30 @@ def transfer_matrix_s(
         raise ValueError("transfer matrix S undefined at k = 0 (exterior threshold)")
     total = sum(w for w, _ in layers)
     x0 = -0.5 * total
-    P = np.eye(2, dtype=complex)
+    P = _EYE
     for width, value in layers:
         if width <= 0.0:
             raise ValueError(f"layer width must be positive, got {width}")
         q2 = kc * kc - 2.0 * m * coupling.gamma * complex(value)
-        q = np.sqrt(q2)
-        c = np.cos(q * width)
+        q = cmath.sqrt(q2)
+        c = cmath.cos(q * width)
         so = width * _msinc(q * width)  # sin(q w)/q, regular at q = 0
-        P = np.array([[c, so], [-q2 * so, c]], dtype=complex) @ P
+        P = _matmul(((c, so), (-q2 * so, c)), P)
     xN = x0 + total
-    B = np.array([[1.0, 1.0], [1j * kc, -1j * kc]], dtype=complex)
-    M = np.linalg.inv(B) @ P @ B
-    detM = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    s11 = np.exp(1j * kc * (x0 - xN)) * detM / M[1, 1]
-    s12 = M[0, 1] / M[1, 1] * np.exp(-2j * kc * xN)
+    B = ((1.0, 1.0), (1j * kc, -1j * kc))
+    B_inv = ((0.5, -0.5j / kc), (0.5, 0.5j / kc))
+    (m00, m01), (m10, m11) = _matmul(_matmul(B_inv, P), B)
+    detM = m00 * m11 - m01 * m10
+    s11 = _exp(1j * kc * (x0 - xN)) * detM / m11
+    s12 = m01 / m11 * _exp(-2j * kc * xN)
     return SMatrixValue(k=kc, s11=s11, s12=s12)
+
+
+def _deviation(A, B) -> float:
+    """Largest |A_ij - B_ij| of two 2x2 matrices; nan when any is nan,
+    which max() would skip."""
+    devs = [abs(x - y) for ra, rb in zip(A, B) for x, y in zip(ra, rb)]
+    return math.nan if any(map(math.isnan, devs)) else max(devs)
 
 
 def verify_relations(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> dict[str, float]:
@@ -319,16 +346,15 @@ def verify_relations(k: complex, coupling: ComplexCoupling, spec: PotentialSpec)
     """
     kc = complex(k)
     conj = coupling.conjugate()
-    eye = np.eye(2)
     S = s_full(kc, coupling, spec).matrix
     S_mk = s_full(-kc, coupling, spec).matrix
-    S_cc = s_full(np.conj(kc), conj, spec).matrix
-    S_rc = s_full(-np.conj(kc), conj, spec).matrix
-    r_ti = np.abs(S.T @ S_mk - eye).max()
-    r_ha = np.abs(S.conj().T @ S_cc - eye).max()
-    r_cj = np.abs(np.conj(S_rc) - S).max()
+    S_cc = s_full(kc.conjugate(), conj, spec).matrix
+    S_rc = s_full(-kc.conjugate(), conj, spec).matrix
+    S_T = tuple(zip(*S))
+    S_dag = tuple(zip(*((z.conjugate() for z in row) for row in S)))
+    S_rc_conj = tuple(tuple(z.conjugate() for z in row) for row in S_rc)
     return {
-        "transpose_inverse": float(r_ti),
-        "hermitian_adjoint": float(r_ha),
-        "conjugation": float(r_cj),
+        "transpose_inverse": _deviation(_matmul(S_T, S_mk), _EYE),
+        "hermitian_adjoint": _deviation(_matmul(S_dag, S_cc), _EYE),
+        "conjugation": _deviation(S_rc_conj, S),
     }

@@ -6,16 +6,14 @@ polylines colored by closure kind; anchor markers distinguish the two real
 couplings (filled at the attractive phase, hollow at the repulsive one);
 small triangles show the trace direction; collision points get crosses.
 
-A trajectory's samples are mapped to the screen as whole arrays, by the
-same expressions (so the same IEEE operations in the same order) that map
-a single point, and each polyline is written in one "%.3f,%.3f" pass.
+Every point, trajectory samples included, is mapped to the screen by the
+same two functions, and each polyline is written in one "%.3f,%.3f" pass.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from itertools import chain
 
 from .chart import PoleChart
 
@@ -52,17 +50,14 @@ def _tick_label(value: float) -> str:
 def chart_svg(chart: PoleChart, width: int = 880, height: int = 680) -> str:
     """Render the chart to an SVG string."""
     margin = 52.0
-    pts = np.concatenate([t.ks for t in chart.trajectories] or [np.empty(0, complex)])
-    if not pts.size:
-        pts = np.array([complex(-1, -1), complex(1, 1)])
-    re_lo, re_hi = float(pts.real.min()), float(pts.real.max())
-    im_lo, im_hi = float(pts.imag.min()), float(pts.imag.max())
+    pts = [k for t in chart.trajectories for k in t.ks] or [complex(-1, -1), complex(1, 1)]
+    re_lo, re_hi = min(k.real for k in pts), max(k.real for k in pts)
+    im_lo, im_hi = min(k.imag for k in pts), max(k.imag for k in pts)
     pad_re = 0.08 * (re_hi - re_lo) or 1.0
     pad_im = 0.08 * (im_hi - im_lo) or 1.0
     re_lo, re_hi = re_lo - pad_re, re_hi + pad_re
     im_lo, im_hi = im_lo - pad_im, im_hi + pad_im
 
-    # both map a float or, elementwise, a float array
     def sx(re):
         return margin + (re - re_lo) / (re_hi - re_lo) * (width - 2 * margin)
 
@@ -144,14 +139,14 @@ def chart_svg(chart: PoleChart, width: int = 880, height: int = 680) -> str:
     for traj in chart.trajectories:
         color = _COLORS.get(traj.closure.kind.value, "#000000")
         n = len(traj.ks)
-        xy = np.column_stack((sx(traj.ks.real), sy(traj.ks.imag)))
-        coords = ("%.3f,%.3f " * n)[:-1] % tuple(xy.ravel().tolist())
+        xs = [sx(k.real) for k in traj.ks]
+        ys = [sy(k.imag) for k in traj.ks]
+        coords = ("%.3f,%.3f " * n)[:-1] % tuple(chain.from_iterable(zip(xs, ys)))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.6"/>'
         )
         # direction markers at two interior samples
-        xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
         for idx in (n // 3, (2 * n) // 3):
             if not (0 < idx < n - 1):
                 continue

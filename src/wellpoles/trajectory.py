@@ -51,12 +51,11 @@ else raises StallAtDoubleZero.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from . import _kernels as _k
 from .errors import ModelInvalid, NoConvergence, SeedNotOnPole, StallAtDoubleZero
@@ -127,8 +126,8 @@ class Trajectory:
     seed: Pole
     channel: Channel
     direction: str  # 'forward', 'backward' or 'both'
-    alphas: np.ndarray
-    ks: np.ndarray
+    alphas: list[float]
+    ks: list[complex]
     anchors: list[tuple[int, complex]]
     axis_crossings: list[tuple[float, complex]]
     collisions: list[CollisionEvent]
@@ -269,8 +268,8 @@ def _trace_from_state(
         (n_seed + 2, n_seed + 4) if n_seed % 2 == 0 and abs(seed.k.real) < TOL_AXIS else ()
     )
 
-    alphas = [alpha_start]
-    ks = [k_start]
+    alphas = [float(alpha_start)]
+    ks = [complex(k_start)]
     anchors: list[tuple[int, complex]] = []
     crossings: list[tuple[float, complex]] = []
     collisions: list[CollisionEvent] = list(prior_collisions or [])
@@ -352,7 +351,7 @@ def _trace_from_state(
 
     traj = Trajectory(
         seed=seed, channel=seed.channel, direction="forward",
-        alphas=np.asarray(alphas, dtype=float), ks=np.asarray(ks, dtype=complex),
+        alphas=alphas, ks=ks,
         anchors=anchors, axis_crossings=crossings, collisions=collisions,
         closure=Closure(kind=ClosureKind.OPEN, forward_reason=reason),
     )
@@ -398,8 +397,8 @@ def _join(marched: Trajectory, image: Trajectory, kind: ClosureKind) -> Trajecto
         seed=marched.seed,
         channel=marched.channel,
         direction="both" if kind is ClosureKind.OPEN else marched.direction,
-        alphas=np.concatenate([first.alphas[:head], second.alphas[tail:]]),
-        ks=np.concatenate([first.ks[:head], second.ks[tail:]]),
+        alphas=first.alphas[:head] + second.alphas[tail:],
+        ks=first.ks[:head] + second.ks[tail:],
         anchors=seam(first.anchors, second.anchors, lambda a: a[0]),
         axis_crossings=seam(first.axis_crossings, second.axis_crossings, lambda c: c[0]),
         collisions=images + marched.collisions if before else marched.collisions + images,
@@ -526,10 +525,6 @@ def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:
     a self-symmetric trajectory it retraces the original curve.
     """
     n0 = _mirror_index(traj.seed_alpha if about is None else about * HALF_PI)
-    # _reflect, elementwise
-    grid = np.round(traj.alphas / HALF_PI)
-    alphas = np.where(traj.alphas == grid * HALF_PI, (2 * n0 - grid) * HALF_PI,
-                      2.0 * (n0 * HALF_PI) - traj.alphas)
     closure = Closure(traj.closure.kind, traj.closure.backward_reason,
                       traj.closure.forward_reason)
     return Trajectory(
@@ -537,8 +532,8 @@ def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:
         channel=traj.channel,
         direction={"forward": "backward", "backward": "forward"}.get(
             traj.direction, traj.direction),
-        alphas=alphas[::-1].copy(),
-        ks=(-np.conj(traj.ks))[::-1].copy(),
+        alphas=[_reflect(al, n0) for al in reversed(traj.alphas)],
+        ks=[-kk.conjugate() for kk in reversed(traj.ks)],
         anchors=[(2 * n0 - n, -kk.conjugate()) for n, kk in reversed(traj.anchors)],
         axis_crossings=[
             (_reflect(al, n0), -kk.conjugate()) for al, kk in reversed(traj.axis_crossings)
@@ -557,8 +552,8 @@ def point_at(traj: Trajectory, alpha: float, spec: PotentialSpec) -> complex:
     """
     if not (traj.alphas[0] - 1e-12 <= alpha <= traj.alphas[-1] + 1e-12):
         raise ValueError(f"alpha {alpha:.6f} outside trajectory span")
-    i = max(int(np.searchsorted(traj.alphas, alpha, side="right")) - 1, 0)
-    a, k = float(traj.alphas[i]), complex(traj.ks[i])
+    i = max(bisect.bisect_right(traj.alphas, alpha) - 1, 0)
+    a, k = traj.alphas[i], traj.ks[i]
     ch = traj.channel.code
     v = _tangent(k, _phase_to_gamma(a), spec, ch)
     prev = None
@@ -589,7 +584,7 @@ def mirror_defect(traj: Trajectory, spec: PotentialSpec) -> float:
     ch = traj.channel.code
     for alpha, k in zip(traj.alphas, traj.ks):
         am = 2.0 * a0 - alpha
-        km = -np.conj(k)
+        km = -k.conjugate()
         kk, iters, ok, _ = _k.newton_pole(
             km, _phase_to_gamma(am), spec.m, spec.a, spec.U, ch, STEP_TOL, 50
         )

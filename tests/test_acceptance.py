@@ -360,7 +360,7 @@ def test_identity_suite():
         assert rel["hermitian_adjoint"] < 1e-10
         assert rel["conjugation"] < 1e-10
         # transmission symmetry, exact as computed
-        mat = v.matrix
+        mat = np.asarray(v.matrix)
         assert mat[0, 0] == mat[1, 1] and mat[0, 1] == mat[1, 0]
         # parity diagonalization reproduces the channel eigenvalues
         hp, hm = parity_channels(v)

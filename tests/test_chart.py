@@ -223,7 +223,7 @@ class TestChartMirrorSymmetry:
         # of a seed at pi and of a half-turn too
         for U in (0.03, 0.09, 0.3, 2.0, 5.0, 12.0):
             for traj in _chart(channel, U).trajectories:
-                sampled = set(traj.alphas.tolist())
+                sampled = set(traj.alphas)
                 for n, _ in traj.anchors:
                     assert n * (math.pi / 2) in sampled
 
@@ -880,7 +880,7 @@ class TestForwardMarchesOnly:
         (curve,) = [t for t in chart.trajectories if not t.closure.is_closed]
         i = int(np.searchsorted(curve.alphas, 0.0))
         assert len(curve.alphas) == 2 * i
-        assert np.array_equal(curve.alphas[:i], -curve.alphas[i:][::-1])
+        assert np.array_equal(curve.alphas[:i], -np.asarray(curve.alphas[i:])[::-1])
         assert np.array_equal(curve.ks[:i], -np.conj(curve.ks[i:])[::-1])
         assert curve.alphas[i - 1] == -1e-3
         assert min(abs(curve.ks[i - 1] - kb) for _, kb in bwd) < 1e-10

@@ -92,7 +92,7 @@ _GOLDEN_OUTPUT = {
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
         "56f6fb4c619110f54697f9adfb263731351bdf4635045c741f52da61972c34c5",
     ("verify", "--samples", "60", "--seed", "7"):
-        "efbfa4ce97da9364b8848dcbee8a8947ec052bccbab8af28cb53e516400ca9e3",
+        "433217ca678b20fb8de17e912ae6fc2673d373a8f8111996b20a84a6323a1e63",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
         "660b274800eec75954fe5294c565eefcf631dd44b733c41f82e8121c1993a6d4",
 }

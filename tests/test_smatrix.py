@@ -61,7 +61,7 @@ class TestTypes:
 
     def test_full_value_is_symmetric(self):
         v = wp.s_full(1.3 + 0.2j, ATT, SPEC)
-        mat = v.matrix
+        mat = np.asarray(v.matrix)
         assert mat[0, 0] == mat[1, 1]
         assert mat[0, 1] == mat[1, 0]
 
@@ -173,7 +173,7 @@ class TestChannelValues:
             for k in np.linspace(0.1, 5.0, 40):
                 assert abs(abs(wp.s_plus(k, c, s)) - 1.0) < 1e-12
                 assert abs(abs(wp.s_minus(k, c, s)) - 1.0) < 1e-12
-                v = wp.s_full(k, c, s).matrix
+                v = np.asarray(wp.s_full(k, c, s).matrix)
                 assert np.abs(v @ v.conj().T - np.eye(2)).max() < 1e-11
 
 
@@ -213,7 +213,7 @@ class TestTransferOracle:
                 continue
             vt = wp.transfer_matrix_s(k, c, wp.well_layers(s), m=s.m)
             scale = 1.0 + np.abs(va.matrix).max()
-            worst = max(worst, np.abs(va.matrix - vt.matrix).max() / scale)
+            worst = max(worst, np.abs(np.asarray(va.matrix) - vt.matrix).max() / scale)
         assert worst < RTOL_ORACLE
 
     def test_layer_splitting_invariance(self):
@@ -222,7 +222,7 @@ class TestTransferOracle:
         three = wp.transfer_matrix_s(
             k, c, [(s.a / 2, -s.U), (s.a, -s.U), (s.a / 2, -s.U)], m=s.m
         )
-        assert np.abs(one.matrix - three.matrix).max() < 1e-10
+        assert np.abs(np.asarray(one.matrix) - three.matrix).max() < 1e-10
 
     def test_zero_potential_layer_transparent(self):
         v = wp.transfer_matrix_s(1.3, ATT, [(2.0, 0.0)], m=1.0)
@@ -235,7 +235,7 @@ class TestTransferOracle:
         v0 = wp.transfer_matrix_s(k, ATT, layers, m=1.0)
         v1 = wp.transfer_matrix_s(k * (1 + 1e-7), ATT, layers, m=1.0)
         assert np.isfinite(v0.matrix).all()
-        assert np.abs(v0.matrix - v1.matrix).max() < 1e-5
+        assert np.abs(np.asarray(v0.matrix) - v1.matrix).max() < 1e-5
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -205,7 +205,7 @@ class TestStepControl:
     def test_anchors_hit_exactly(self):
         spec = _spec(2.0)
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        sampled = set(t.alphas.tolist())
+        sampled = set(t.alphas)
         for n, _ in t.anchors:
             assert n * HALF_PI in sampled
 
@@ -366,7 +366,8 @@ class TestPointAt:
         t = trace(seed, +1, spec)
         fine = _fine_trace(seed, spec)
         assert np.max(np.diff(t.alphas)) > 0.2
-        for al in 0.5 * (t.alphas[:-1] + t.alphas[1:]):
+        alphas = np.asarray(t.alphas)
+        for al in 0.5 * (alphas[:-1] + alphas[1:]):
             assert abs(point_at(t, al, spec) - point_at(fine, al, spec)) < 1e-8
 
     def test_outside_span_raises(self):
@@ -591,7 +592,8 @@ class TestHalfTurn:
         assert t.alphas[i] == 2 * math.pi and len(t.alphas) == 2 * i + 1
         # the half-turn sample is the march's own, held once
         assert np.array_equal(t.ks[i + 1:], -np.conj(t.ks[:i])[::-1])
-        assert np.allclose(t.alphas[i:], 4 * math.pi - t.alphas[: i + 1][::-1], rtol=0, atol=1e-14)
+        alphas = np.asarray(t.alphas)
+        assert np.allclose(alphas[i:], 4 * math.pi - alphas[: i + 1][::-1], rtol=0, atol=1e-14)
 
     def test_coalesced_half_turn_recorded_once(self):
         # at the repulsive collision depth the bound state's loop meets the
