@@ -463,21 +463,6 @@ def trace_branch(
     )
 
 
-def combine(first: Trajectory, second: Trajectory) -> Trajectory:
-    """Stitch a backward and a forward trace from the same seed.
-
-    Accepts the two halves in either order; they must share the seed sample
-    (ValueError otherwise), which is kept as the forward trace holds it.
-    """
-    if first.alphas[-1] == second.alphas[0]:
-        backward, forward = first, second
-    elif second.alphas[-1] == first.alphas[0]:
-        backward, forward = second, first
-    else:
-        raise ValueError("traces do not share the seed sample")
-    return _join(forward, backward, ClosureKind.OPEN)
-
-
 def _mirror_index(alpha: float) -> int:
     """Anchor index of alpha; the symmetry alpha -> -alpha reflects only
     about multiples of pi, so any other phase raises ValueError."""

@@ -27,9 +27,9 @@ from wellpoles.trajectory import (
     Closure,
     ClosureKind,
     ExitReason,
+    _join,
     _on_half_grid,
     branch_at_double_zero,
-    combine,
     mirror,
     mirror_defect,
     point_at,
@@ -237,33 +237,19 @@ class TestStepControl:
 
 class TestCombine:
     def test_stitches_open_halves(self, monkeypatch):
+        # the join build_chart makes of an open curve's forward march and
+        # its mirror image about the seed
         monkeypatch.setattr(trajectory, "_ALPHA_CAP", 8 * math.pi)
         spec = _spec(0.09)
         seed = _seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL)
         f = trace(seed, +1, spec)
-        b = trace(seed, -1, spec)
-        c = combine(b, f)
+        b = mirror(f)
+        c = _join(f, b, ClosureKind.OPEN)
         assert c.direction == "both"
         assert np.all(np.diff(c.alphas) > 0)
         assert len(c.alphas) == len(f.alphas) + len(b.alphas) - 1
         assert c.closure.forward_reason is ExitReason.ALPHA_CAP
         assert c.closure.backward_reason is ExitReason.ALPHA_CAP
-
-    def test_order_agnostic(self):
-        spec = _spec(0.09)
-        seed = _seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL)
-        f = trace(seed, +1, spec)
-        b = trace(seed, -1, spec)
-        c1, c2 = combine(b, f), combine(f, b)
-        assert np.array_equal(c1.alphas, c2.alphas)
-        assert np.array_equal(c1.ks, c2.ks)
-
-    def test_rejects_unrelated_traces(self):
-        spec = _spec(0.09)
-        f = trace(_seed(0.09, ATT, Channel.PLUS, SHALLOW_BOUND), +1, spec)
-        g = trace(_seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL), +1, spec)
-        with pytest.raises(ValueError):
-            combine(f, g)
 
 
 class TestMirror:
