@@ -317,12 +317,15 @@ def _certify(chart: PoleChart) -> dict:
             failure = f"window contour count {n} is negative: the sampled winding aliased"
     if window_count is None:
         chart.warnings.append(ChartWarning(code="count_failed", message=failure))
+    # a stalled curve is missing from the chart even where it holds no
+    # pole of the window, so the counts cannot speak for it
+    stalled = any(w.code == "trace_stalled" for w in chart.warnings)
     return {
         "window": window,
         "window_count": window_count,
         "trajectory_count": traj_count,
         "inventory": inventory,
-        "complete": window_count == traj_count,
+        "complete": window_count == traj_count and not stalled,
     }
 
 

@@ -580,6 +580,18 @@ class TestShallowNarrowWell:
         assert len(far) == 1 and abs(far[0].k.imag + 5.99) < 0.01
         assert [w.code for w in chart.warnings] == ["trace_stalled"]
 
+    def test_stalled_chart_is_not_complete(self):
+        # the curve of the far virtual pole at k = -23.3i stalls; the window
+        # holds one pole at the attractive coupling, which the closed loop
+        # delivers, so the two counts agree without the missing curve
+        spec = PotentialSpec(1.6170301714729771, 0.25872504383451456, 0.003839639189234336)
+        chart = build_chart(spec, Channel.PLUS)
+        assert chart.topology == {"closed_2pi": 1}
+        assert [w.code for w in chart.warnings] == ["trace_stalled"]
+        cert = chart.completeness
+        assert cert["window_count"] == cert["trajectory_count"] == 1
+        assert cert["complete"] is False
+
     @pytest.mark.parametrize("well,channel", [
         ((2.2964837627841974, 0.8144788695135979, 0.002249719986370223), Channel.PLUS),
         ((0.9309496044458676, 0.6269348828368322, 0.007496386233066178), Channel.MINUS),
