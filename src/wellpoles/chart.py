@@ -141,8 +141,9 @@ class PoleChart:
 
 
 def _same_event(a: CollisionEvent, b: CollisionEvent) -> bool:
-    # every event sits at k = -i/a, so its anchor and kind name it
-    return round(a.alpha / HALF_PI) == round(b.alpha / HALF_PI) and a.kind == b.kind
+    # every event sits at k = -i/a and the coupling is 2pi-periodic, so its
+    # anchor index mod 4 and its kind name it
+    return (round(a.alpha / HALF_PI) - round(b.alpha / HALF_PI)) % 4 == 0 and a.kind == b.kind
 
 
 def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarning]:

@@ -747,6 +747,9 @@ class TestCriticalChart:
         # pairs coalesce only at a real coupling, so a march that stalls at
         # the collision records it at the anchor ahead, not at its stall phase
         chart = _chart(channel, U)
+        # one pair, one event: a 4pi loop meets the pair again two turns on,
+        # at the same coupling
+        assert len(chart.collisions) == 1
         events = chart.collisions + [ev for t in chart.trajectories for ev in t.collisions]
         for ev in events:
             n = round(ev.alpha / (math.pi / 2))

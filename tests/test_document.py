@@ -226,9 +226,9 @@ _GOLDEN = {
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "4c3a4ac8bf881a99978e370d9609b9d2a2e012bea26c86ef6ad78dbb81c57ba8",
+    ("plus", True): "b311717abbf68fed0047ca81f8e5529dfe8a28af86d7aaf0a38b10d3fa079133",
     ("plus", False): "e30e412ea2ff60afe72cdb0da78dabd338de8cbb0c3a07cac3a7c1bd7c29972e",
-    ("minus", True): "145515b8fe0b81ea231806a82432116bfc6d5bba1731fbc2c73755d8356849f3",
+    ("minus", True): "dc6b9c493912ef4d123561da6f5b6305b57a9fc79b8c79ff0a2582e886560eee",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
@@ -236,9 +236,9 @@ _GOLDEN_SVG = {
     ("plus", 0.09): "ef0c5f46c48442b30ac654e10eaf15f5e3bc0ad48f07b52b98189fd9a5a7671e",
     ("plus", 2.0): "b08112e17b69f2f6d51dcb913d7c8e6218c41330c0deaf3be5d97fd1ff84fe7a",
     ("minus", 5.0): "ab89267161b5a24df69dc4abf6a077684cca1dbe9d15616658313fd93d29def6",
-    ("plus", "attractive"): "7b8db4df606b25ec29dd0d63836688bb35e2865e63a4171e42716696dc5ee83d",
+    ("plus", "attractive"): "e28a3d2563071c87b6761a20737c70b3e270facc8b365165aba55f8301a9a78b",
     ("plus", "repulsive"): "dd7f908fa86aa7290387661cd819b9cf787ecf933204bb95c83f7be56ea8cb1f",
-    ("minus", "attractive"): "93bc789ce9aa4aa0b39c54ea211f89cfb66ac502b953644d58bbba13905cc044",
+    ("minus", "attractive"): "b6a5d01c40dd8145b413b9ca521056c63fcb6683134de4d2e615b4c660e53a8d",
 }
 
 
