@@ -243,6 +243,18 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    def test_unevaluable_samples_fail(self):
+        # at a = 300 the S-matrix leaves the float range at most complex
+        # samples; a nan residual, or one that overflows, is a failure
+        proc = subprocess.run(
+            [sys.executable, "-m", "wellpoles.cli", "verify", "--a", "300", "--samples", "20"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["passed"] is False
+        assert any(f["residual"] is None for f in doc["failures"])
+
     def test_seed_changes_samples_not_verdict(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--samples", "40", "--seed", "1")
         code2, out2, _ = run(capsys, "verify", "--samples", "40", "--seed", "2")
