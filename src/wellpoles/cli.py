@@ -233,8 +233,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     failures: list[dict] = []
 
     def record(check: str, k: complex, alpha: float, *residuals: float) -> None:
-        # the largest residual; a nan one, which max() would skip, an
-        # infinite one and one that overflowed (nan) fail with residual null
+        # the largest residual, nan if any is (max() may skip a nan); one
+        # that is not finite, or whose arithmetic overflowed, fails as null
         residual = math.nan if any(map(math.isnan, residuals)) else max(residuals)
         if math.isfinite(residual):
             worst[check] = max(worst[check], residual)
