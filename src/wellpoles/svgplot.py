@@ -51,18 +51,23 @@ def chart_svg(chart: PoleChart, width: int = 880, height: int = 680) -> str:
     """Render the chart to an SVG string."""
     margin = 52.0
     pts = [k for t in chart.trajectories for k in t.ks] or [complex(-1, -1), complex(1, 1)]
-    re_lo, re_hi = min(k.real for k in pts), max(k.real for k in pts)
-    im_lo, im_hi = min(k.imag for k in pts), max(k.imag for k in pts)
+    res, ims = [k.real for k in pts], [k.imag for k in pts]
+    re_lo, re_hi = min(res), max(res)
+    im_lo, im_hi = min(ims), max(ims)
     pad_re = 0.08 * (re_hi - re_lo) or 1.0
     pad_im = 0.08 * (im_hi - im_lo) or 1.0
     re_lo, re_hi = re_lo - pad_re, re_hi + pad_re
     im_lo, im_hi = im_lo - pad_im, im_hi + pad_im
 
+    # the spans, hoisted out of sx and sy, which every point goes through
+    span_re, span_im = re_hi - re_lo, im_hi - im_lo
+    plot_w, plot_h, bottom = width - 2 * margin, height - 2 * margin, height - margin
+
     def sx(re):
-        return margin + (re - re_lo) / (re_hi - re_lo) * (width - 2 * margin)
+        return margin + (re - re_lo) / span_re * plot_w
 
     def sy(im):
-        return height - margin - (im - im_lo) / (im_hi - im_lo) * (height - 2 * margin)
+        return bottom - (im - im_lo) / span_im * plot_h
 
     parts: list[str] = []
     parts.append(
