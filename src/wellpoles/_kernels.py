@@ -10,7 +10,8 @@ their values are bit-equal to it:
 - ``newton_pole``, the corrector, evaluates d and dd/dk inline, without
   dd/dw, the D_alpha product or, outside the series windows, E, and forms
   dd/dw once, after it converges, for the tangent dk/dalpha it returns;
-- ``grid_denom_dk`` loops over a list of momenta for the winding contours;
+- ``grid_denom_dk`` loops over a list of momenta for the winding contours,
+  with the same inline d and dd/dk as ``newton_pole``;
 - ``axis_phi`` loops along the imaginary axis. The axis poles are
   enumerated in closed form (``rootfinder.scan_axis``), so it is only the
   sampled reference that tests count sign changes of.
@@ -236,18 +237,55 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
 def _grid(ks, gamma, m, a, U, ch):
     """Scaled d and dd/dk at each Python complex momentum of ks, as two lists.
 
-    The operations are those of ``denom_scaled``, so every pair is bit-equal
-    to its (d, dk) at the same k and gamma.
+    The loop body is ``newton_pole``'s: ``trig_scaled`` reduced to the
+    blocks the channel reads and ``_channel_terms`` without dd/dw, in the
+    float operations and order of ``denom_scaled``, so every pair is
+    bit-equal to its (d, dk) at the same k and gamma.
     """
     c = 2.0 * m * gamma * U
-    sqrt = cmath.sqrt
+    a2 = a * a
+    ia = 1j * a
+    mia = -1j * a
+    ia3 = 1j * (a2 * a)
+    odd = ch != CH_PLUS
+    sqrt, exp, cos, sin = cmath.sqrt, math.exp, math.cos, math.sin
     ds, dks = [], []
     for k in ks:
-        w = k * k + c
-        C, S, Z, G, E = trig_scaled(a * sqrt(w))
-        d, dk, _ = _channel_terms(k, w, a, C, Z, G, ch)
-        ds.append(d)
-        dks.append(dk)
+        kk = k * k
+        w = kk + c
+        z = a * sqrt(w)
+        x = z.real
+        y = z.imag
+        ay = abs(y)
+        sgn = 1.0 if y >= 0.0 else -1.0
+        e2 = exp(-2.0 * ay)
+        cp = 0.5 * (1.0 + e2)
+        cm = 0.5 * (1.0 - e2)
+        try:
+            cx = cos(x)
+            sx = sin(x)
+        except ValueError:
+            cx = sx = math.nan
+        C = complex(cx * cp, -sgn * sx * cm)
+        az = abs(z)
+        if az >= _SINC_CUT:
+            Z = complex(sx * cp, sgn * cx * cm) / z
+        else:
+            z2 = z * z
+            Z = (1.0 - z2 / 6.0 + z2 * z2 / 120.0) * exp(-ay)
+        if odd:
+            if az >= _G_CUT:
+                G = (C - Z) / (z * z)
+            else:
+                z2 = z * z
+                G = (
+                    -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0
+                ) * exp(-ay)
+            ds.append(C - ia * k * Z)
+            dks.append(mia * Z - a2 * k * Z - ia3 * kk * G)
+        else:
+            ds.append(k * C - ia * w * Z)
+            dks.append(C - a2 * kk * Z - ia * k * (Z + C))
     return ds, dks
 
 

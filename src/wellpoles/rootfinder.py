@@ -403,6 +403,8 @@ class CountRegion:
 
 _EDGE_CLEARANCE = 1e-6
 _EDGE_MAX_POINTS = 20000
+# an edge's base samples, at t = i/32 along it
+_EDGE_TS = tuple(i / 32 for i in range(33))
 
 
 def _edge_winding(
@@ -411,16 +413,19 @@ def _edge_winding(
     coupling: ComplexCoupling,
     spec: PotentialSpec,
     channel: Channel,
+    base: tuple[float, ...] = _EDGE_TS,
 ) -> float:
-    """Accumulated argument change of the pole function along segment z0->z1.
+    """Accumulated argument change of the pole function along z0 + (z1 - z0) t.
 
-    Subdivides until every sampled increment, the principal value of
-    arg(d1/d0) between neighbouring samples, is below pi/2. That bounds
-    only what the samples show: a true increment near a full turn reads as
-    a small principal value, is not refined, and drops out of the sum, so
-    the result can miss whole turns between samples. Raises EdgeTooClose
-    when the Newton distance estimate |d/d'| drops below the clearance at
-    a sample.
+    The walk runs over t from base[0] to base[-1], starting from the base
+    samples: the whole segment by default, one half of it in the half walk
+    of ``count_zeros``. Subdivides until every sampled increment, the
+    principal value of arg(d1/d0) between neighbouring samples, is below
+    pi/2. That bounds only what the samples show: a true increment near a
+    full turn reads as a small principal value, is not refined, and drops
+    out of the sum, so the result can miss whole turns between samples.
+    Raises EdgeTooClose when the Newton distance estimate |d/d'| drops
+    below the clearance at a sample.
     """
     gamma = coupling.gamma
     ch = channel.code
@@ -434,7 +439,7 @@ def _edge_winding(
                 raise EdgeTooClose(k)
         return ds
 
-    ts = [i / 32 for i in range(33)]
+    ts = list(base)
     vals = evaluate(ts)
     while True:
         dargs = [cmath.phase(v1 / v0) for v0, v1 in zip(vals, vals[1:])]
@@ -460,15 +465,31 @@ def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
     turns drop out of the sum. An entire function has no negative zero
     count, so a negative result proves such aliasing. Raises EdgeTooClose
     when a zero sits within ~1e-6 of the contour.
+
+    At a real coupling the pole function obeys d(-conj k) = -conj d(k)
+    (even channel) or +conj d(k) (odd channel). On a rectangle symmetric
+    about the imaginary axis (lo.real == -hi.real) the left half of the
+    boundary is then the mirror image of the right half, walked backward,
+    and winds by exactly as much. So only the right half is walked, from
+    Re k = 0 on the bottom edge, up the right edge and back to Re k = 0 on
+    the top edge, on the right-half samples of the four-edge walk, and its
+    winding is doubled. Any other rectangle, or a complex coupling, is
+    walked along all four edges.
     """
     c0 = region.lo
     c2 = region.hi
     c1 = complex(c2.real, c0.imag)
     c3 = complex(c0.real, c2.imag)
+    if region.coupling.is_real and c0.real == -c2.real:
+        edges = ((c0, c1, _EDGE_TS[16:]), (c1, c2, _EDGE_TS), (c2, c3, _EDGE_TS[:17]))
+        copies = 2.0
+    else:
+        edges = ((c0, c1, _EDGE_TS), (c1, c2, _EDGE_TS), (c2, c3, _EDGE_TS), (c3, c0, _EDGE_TS))
+        copies = 1.0
     total = 0.0
-    for a, b in ((c0, c1), (c1, c2), (c2, c3), (c3, c0)):
-        total += _edge_winding(a, b, region.coupling, spec, region.channel)
-    n = total / (2.0 * math.pi)
+    for a, b, base in edges:
+        total += _edge_winding(a, b, region.coupling, spec, region.channel, base)
+    n = copies * total / (2.0 * math.pi)
     if abs(n - round(n)) > 0.05:
         raise EdgeTooClose(c0, f"ambiguous winding {n:.6f} on {region}")
     return int(round(n))

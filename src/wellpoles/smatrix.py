@@ -184,13 +184,17 @@ def _exp(z: complex) -> complex:
 
 
 def _pole_guard(k: complex, coupling: ComplexCoupling, spec: PotentialSpec, channels, label: str):
-    """Raise PoleHit when any listed channel pole function is at a zero."""
+    """Raise PoleHit when any listed channel pole function is at a zero.
+
+    Compares the scaled |d| with the scale times E = exp(-|Im aK|): the
+    true |d| overflows past |Im aK| ~ 709 where d is no zero.
+    """
     kc = complex(k)
     Ki = interior_momentum(kc, coupling, spec)
     scale = POLE_HIT_SCALE * (1.0 + abs(kc) + abs(Ki.K))
     for ch in channels:
-        d, dk = _k.denom_plain(kc, coupling.gamma, spec.m, spec.a, spec.U, ch.code)
-        if abs(d) < scale:
+        d, _, _, E = _k.denom_scaled(kc, coupling.gamma, spec.m, spec.a, spec.U, ch.code)
+        if abs(d) < scale * E:
             raise PoleHit(kc, label)
 
 

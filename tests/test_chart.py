@@ -189,6 +189,23 @@ class TestCompleteness:
         doc = parse_chart_document(canonical_dumps(chart_document(chart)))
         assert doc["completeness"]["window_count"] is None
 
+    def test_certificate_walks_half_the_window(self, monkeypatch):
+        # the window is symmetric about the imaginary axis and the coupling
+        # real, so the count walks only its right half: 17 + 33 + 17 samples
+        # from Re k = 0 on the bottom edge to Re k = 0 on the top edge
+        chart = build_chart(PotentialSpec(m=1.0, a=1.5, U=2.0), Channel.PLUS, certify=False)
+        grids = []
+        grid = _k.grid_denom_dk
+
+        def counted(ks, *args):
+            grids.append(list(ks))
+            return grid(ks, *args)
+
+        monkeypatch.setattr(_k, "grid_denom_dk", counted)
+        assert chart_module._certify(chart)["complete"]
+        assert [len(ks) for ks in grids] == [17, 33, 17]
+        assert min(k.real for ks in grids for k in ks) == 0.0
+
     def test_forced_negative_window_count_fails_loudly(self, monkeypatch):
         # the failure path itself, on a chart whose true count is sound
         monkeypatch.setattr(chart_module, "count_zeros_padded", lambda region, spec: (-3, region))
@@ -345,7 +362,9 @@ class TestCriticalDepths:
         assert (below, above) == ((0, 2) if cd.transition == "plane_to_axis" else (2, 0))
 
     def test_no_scalar_kernel_calls(self, monkeypatch):
-        # the depth is closed-form; only the contour count touches the kernel
+        # the depth is closed-form; only the contour count touches the
+        # kernel, on one grid per edge of its half walk (the box about
+        # -i/a is symmetric and the coupling real)
         calls = Counter()
         for name in ("denom_plain", "denom_scaled", "grid_denom_dk"):
             def counted(*args, _name=name, _kernel=getattr(_k, name)):
@@ -357,7 +376,7 @@ class TestCriticalDepths:
             critical_depth(channel, attractive, m=M, a=A)
         assert calls["denom_plain"] == 0
         assert calls["denom_scaled"] == 0
-        assert calls["grid_denom_dk"] == 4 * len(cases)
+        assert calls["grid_denom_dk"] == 3 * len(cases)
 
 
 class TestThresholds:

@@ -386,6 +386,33 @@ class TestGridKernel:
                 assert (d_k, dk_k) == ref[:2]
 
 
+class TestConjugationSymmetry:
+    """At a real coupling d(-conj k) = -conj d(k) in the even channel and
+    +conj d(k) in the odd one, bit for bit: the half walk of
+    ``rootfinder.count_zeros`` rests on it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        log_U=st.floats(math.log(1e-3), math.log(300.0)),
+        gamma=st.sampled_from([1.0 + 0j, -1.0 + 0j]),
+        ch=st.sampled_from([K.CH_PLUS, K.CH_MINUS]),
+        x=st.floats(-150.0, 150.0),
+        y=st.floats(-150.0, 150.0),
+    )
+    def test_mirror_point_conjugates_the_pole_function(self, m, a, log_U, gamma, ch, x, y):
+        U = math.exp(log_U)
+        k = complex(x, y)
+        d, dk, _, E = K.denom_scaled(k, gamma, m, a, U, ch)
+        d_m, dk_m, _, E_m = K.denom_scaled(-k.conjugate(), gamma, m, a, U, ch)
+        assert E_m == E
+        if ch == K.CH_PLUS:
+            assert (d_m, dk_m) == (-d.conjugate(), dk.conjugate())
+        else:
+            assert (d_m, dk_m) == (d.conjugate(), -dk.conjugate())
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFinite:
     """Past the float range the kernels return non-finite values; they never raise.

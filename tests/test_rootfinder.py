@@ -6,19 +6,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import wellpoles as wp
 from wellpoles import _kernels as _k
 from wellpoles import Channel, ComplexCoupling, PotentialSpec
-from wellpoles.chart import _collisions_between, bound_count, bound_threshold, threshold_flip
+from wellpoles.chart import (
+    _collisions_between,
+    bound_count,
+    bound_threshold,
+    threshold_flip,
+    working_window,
+)
 from wellpoles.rootfinder import (
     _PAIR_BALL,
     RESIDUAL_TOL,
     _axis_cells,
     _brentq,
+    _edge_winding,
     CountRegion,
     Pole,
     PoleKind,
@@ -368,6 +375,79 @@ class TestCountZeros:
                 lo=complex(-1.1, lo), hi=complex(1.1, hi), coupling=c, channel=ch
             )
             assert count_zeros(reg, spec(U)) == len(ps)
+
+
+def _four_edge_count(region, sp):
+    """The winding over all four edges of the region, in turns."""
+    lo, hi = region.lo, region.hi
+    corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
+    total = sum(
+        _edge_winding(z0, z1, region.coupling, sp, region.channel)
+        for z0, z1 in zip(corners, corners[1:] + corners[:1])
+    )
+    return total / (2.0 * math.pi)
+
+
+class TestHalfWalk:
+    """A region symmetric about the imaginary axis at a real coupling is
+    counted from the right half of its boundary; any other region, or a
+    complex coupling, from all four edges."""
+
+    @staticmethod
+    def _grids(monkeypatch):
+        grids = []
+        grid = _k.grid_denom_dk
+
+        def counted(ks, *args):
+            grids.append(list(ks))
+            return grid(ks, *args)
+
+        monkeypatch.setattr(_k, "grid_denom_dk", counted)
+        return grids
+
+    @pytest.mark.parametrize("lo,hi,coupling,half", [
+        (-3 - 3j, 3 + 3j, ATT, True),
+        (-3 - 3j, 3 + 3j, REP, True),
+        (-2.5 - 3j, 3 + 3j, ATT, False),
+        (-3 - 3j, 3 + 3j, ComplexCoupling(0.3), False),
+    ])
+    def test_walk_follows_region_and_coupling(self, monkeypatch, lo, hi, coupling, half):
+        region = CountRegion(lo=lo, hi=hi, coupling=coupling, channel=Channel.PLUS)
+        ref = _four_edge_count(region, spec(2.0))
+        grids = self._grids(monkeypatch)
+        assert count_zeros(region, spec(2.0)) == round(ref)
+        assert [len(ks) for ks in grids] == ([17, 33, 17] if half else [33] * 4)
+        assert (min(k.real for ks in grids for k in ks) == 0.0) == half
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        log_U=st.floats(math.log(1e-3), math.log(300.0)),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+        coupling=st.sampled_from([ATT, REP]),
+        fx=st.floats(0.05, 1.0),
+        f0=st.floats(0.05, 1.0),
+        f1=st.floats(0.05, 1.0),
+    )
+    def test_symmetric_count_equals_four_edge_walk(
+        self, m, a, log_U, channel, coupling, fx, f0, f1
+    ):
+        # a part of the working window, which is the certificate's region
+        sp = PotentialSpec(m, a, math.exp(log_U))
+        window = working_window(sp)
+        region = CountRegion(
+            lo=complex(-fx * window.re_max, f0 * window.im_min),
+            hi=complex(fx * window.re_max, f1 * window.im_max),
+            coupling=coupling, channel=channel,
+        )
+        try:
+            ref = _four_edge_count(region, sp)
+        except wp.EdgeTooClose:
+            ref = math.nan
+        # a zero on the contour, or an ambiguous winding, is no count
+        assume(abs(ref - round(ref)) <= 0.05 if ref == ref else False)
+        assert count_zeros(region, sp) == round(ref)
 
 
 class TestBrentPort:

@@ -176,6 +176,15 @@ class TestChannelValues:
                 v = np.asarray(wp.s_full(k, c, s).matrix)
                 assert np.abs(v @ v.conj().T - np.eye(2)).max() < 1e-11
 
+    def test_unitary_past_the_unscaled_float_range(self):
+        # |Im aK| = 710.46: the unscaled odd denominator is finite but its
+        # modulus overflows, so the pole test compares scaled values
+        c = ComplexCoupling(np.pi)
+        s = PotentialSpec(1.0, 105.25285033893887, 27.54481086393272)
+        k = 3.086597848979629
+        for value in (wp.s_plus(k, c, s), wp.s_minus(k, c, s)):
+            assert abs(abs(value) - 1.0) < 1e-12
+
 
 class TestPoles:
     def test_pole_hit_raised_at_refined_pole(self):
