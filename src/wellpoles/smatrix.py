@@ -249,6 +249,10 @@ def s_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> SMatri
 
     Regular at the interior branch point K = 0: elements are computed from
     reduced forms that strip the spurious K factor of the raw denominator.
+    Where the unscaled F = D_full/(2K) is not finite (E = exp(-|Im 2aK|)
+    underflows past |Im 2aK| ~ 745), the elements are taken from ratios of
+    the scaled blocks instead, s11 = k*phase*E/F and s12 from Z/F, which
+    stay finite.
     """
     _pole_guard(k, coupling, spec, (Channel.PLUS, Channel.MINUS), "full")
     kc = complex(k)
@@ -259,8 +263,12 @@ def s_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> SMatri
     F = kc * C - 1j * (kc * kc + Ki.K * Ki.K) * spec.a * Z
     phase = _exp(-2j * kc * spec.a)
     F_true = _k.unscale(F, E)
-    s11 = kc * phase / F_true
-    s12 = -1j * (kc * kc - Ki.K * Ki.K) * spec.a * _k.unscale(Z, E) * phase / F_true
+    if cmath.isfinite(F_true):
+        s11 = kc * phase / F_true
+        s12 = -1j * (kc * kc - Ki.K * Ki.K) * spec.a * _k.unscale(Z, E) * phase / F_true
+    else:
+        s11 = kc * phase * E / F
+        s12 = -1j * (kc * kc - Ki.K * Ki.K) * spec.a * Z * phase / F
     return SMatrixValue(k=kc, s11=s11, s12=s12)
 
 

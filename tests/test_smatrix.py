@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,19 @@ class TestChannelValues:
         k = 3.086597848979629
         for value in (wp.s_plus(k, c, s), wp.s_minus(k, c, s)):
             assert abs(abs(value) - 1.0) < 1e-12
+
+    def test_full_matrix_past_the_double_angle_range(self):
+        # |Im 2aK| = 1420.9: E = exp(-|Im 2aK|) underflows to 0, so the
+        # unscaled F is not finite and the elements come from scaled ratios
+        c = ComplexCoupling(np.pi)
+        s = PotentialSpec(1.0, 105.25285033893887, 27.54481086393272)
+        k = 3.086597848979629
+        value = wp.s_full(k, c, s)
+        assert cmath.isfinite(value.s11) and cmath.isfinite(value.s12)
+        assert abs(abs(value.s11) ** 2 + abs(value.s12) ** 2 - 1.0) < 1e-12
+        plus, minus = wp.parity_channels(value)
+        assert abs(plus - wp.s_plus(k, c, s)) < 1e-12
+        assert abs(minus - wp.s_minus(k, c, s)) < 1e-12
 
 
 class TestPoles:
