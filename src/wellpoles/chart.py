@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 from .errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
 from .rootfinder import (
+    TOL_AXIS,
     CountRegion,
     Pole,
-    PoleKind,
+    _axis_roots,
     collision_x,
     count_zeros_padded,
     scan_axis,
@@ -473,16 +474,34 @@ def _next_threshold(channel: Channel, u: float, m: float, a: float) -> float:
     return u_n
 
 
+def _scan_threshold(channel: Channel, u: float, m: float, a: float) -> float:
+    """The first depth above u at which the axis scan shows a new bound state.
+
+    A new state enters at k = 0 at the closed-form depth u_n, but
+    ``classify`` calls it bound only once kappa >= TOL_AXIS. Near x_n the
+    pole condition reads x (x - x_n) ~ a kappa in both channels, and
+    U = (x^2/a^2 + kappa^2)/(2m), so kappa = TOL_AXIS at
+    u_n + TOL_AXIS/(m a) to first order; the neglected terms, of order
+    kappa^2/m, lie below the float spacing of U. The scan's own count
+    changes within a few float spacings of this depth, where roundoff in
+    the polished kappa puts it.
+    """
+    shift = TOL_AXIS / (m * a)
+    return _next_threshold(channel, u - shift, m, a) + shift
+
+
 def bound_count(spec: PotentialSpec, channel: Channel) -> int:
     """Number of bound states (axis poles with Im k > 0) at the attractive
-    coupling, from one ``scan_axis``.
+    coupling, from the axis roots of ``scan_axis``.
 
-    A pole within TOL_AXIS of k = 0 is classed as a threshold, not a bound
+    It counts the simple roots with kappa >= TOL_AXIS, exactly those that
+    ``classify`` calls bound; no residual is evaluated and no ``Pole``
+    built. A root within TOL_AXIS of k = 0 is a threshold, not a bound
     state, so at a closed-form threshold depth the count is still the one
     below it.
     """
-    poles = scan_axis(spec, ComplexCoupling(0.0), channel)
-    return sum(1 for p in poles if p.kind is PoleKind.BOUND)
+    return sum(1 for kappa, mult in _axis_roots(spec, ComplexCoupling(0.0), channel)
+               if mult == 1 and kappa >= TOL_AXIS)
 
 
 def _bisect(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -516,13 +535,18 @@ def threshold_flip(
     The answer is the midpoint of a final bracket [lo, hi], hi - lo <= tol
     (or no midpoint left between them), certified by two ``bound_count``
     scans: the count at lo is the count at u_lo, and the count at hi is
-    not. The closed-form threshold (``bound_threshold``) only steers the
-    halving: the first threshold above u_lo decides each midpoint, and no
-    scan runs until the final bracket. Bisection rests on nothing more than
-    those two facts about its final bracket, so where the count rises with
-    U a certified result is the one a scan at every midpoint gives, bit
-    for bit. When the certificate fails, the halving is rerun from the
-    original bracket with a scan at every midpoint.
+    not. The closed form only steers the halving: the first depth above
+    u_lo at which the scan shows a new bound state (``_scan_threshold``,
+    the threshold ``bound_threshold`` plus TOL_AXIS/(m a), where the
+    entering pole leaves the classifier's threshold band) decides each
+    midpoint, and no scan runs until the final bracket. Bisection rests on
+    nothing more than those two facts about its final bracket, so where the
+    count rises with U a certified result is the one a scan at every
+    midpoint gives, bit for bit. Steering by the scan-visible depth rather
+    than the threshold itself keeps the certificate from failing where the
+    final bracket ends between the two. When the certificate fails, the
+    halving is rerun from the original bracket with a scan at every
+    midpoint.
 
     Raises NoRootInBracket when the counts at u_lo and u_hi agree, and
     ValueError unless tol > 0 and u_lo < u_hi.
@@ -541,9 +565,9 @@ def threshold_flip(
         raise NoRootInBracket(
             f"bound count {n_lo} does not change on ({u_lo}, {u_hi})"
         )
-    # the scan counts n_lo at the threshold itself, so the guess belongs
-    # below, as it does in the scan-driven halving
-    guess = _next_threshold(channel, u_lo, m, a)
+    # a midpoint on the guess goes below; the certificate tells which side
+    # of the scan's flip it really lies on
+    guess = _scan_threshold(channel, u_lo, m, a)
     lo, hi = _bisect(lambda u: u <= guess, u_lo, u_hi, tol)
     if not (count(lo) == n_lo and count(hi) != n_lo):
         lo, hi = _bisect(lambda u: count(u) == n_lo, u_lo, u_hi, tol)

@@ -115,7 +115,8 @@ def newton_refine(
 
 
 def _brentq(
-    f, xa: float, xb: float, xtol: float = 1e-13, rtol: float = 1e-15, maxiter: int = 100
+    f, xa: float, xb: float, xtol: float = 1e-13, rtol: float = 1e-15, maxiter: int = 100,
+    fa: float | None = None, fb: float | None = None,
 ) -> float:
     """Root of f in the sign-change bracket [xa, xb] by Brent's method.
 
@@ -124,20 +125,19 @@ def _brentq(
     interpolate, extrapolate and bisect rules and the same stopping test, so
     it returns the same float bit for bit. Division by an underflowed zero
     yields inf there, which always fails the short-step test and bisects.
-    Raises ValueError on a NaN value or a same-sign bracket, RuntimeError
-    when maxiter iterations do not converge.
+    fa and fb, when given, are f(xa) and f(xb) as the caller already has
+    them; f is then not called at that end, and since f is a function of x
+    alone the iterates are the same. Raises ValueError on a NaN value (a
+    given end value included) or a same-sign bracket, RuntimeError when
+    maxiter iterations do not converge.
     """
-
-    def call(x: float) -> float:
-        fx = f(x)
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
+    fpre = f(xpre) if fa is None else fa
+    fcur = f(xcur) if fb is None else fb
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -178,7 +178,9 @@ def _brentq(
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
@@ -310,35 +312,26 @@ def _pair_offset(xc: float, rc: float, c: float, a: float) -> float:
     return xc / a * math.sqrt(2.0 * abs(rc - c) / rc)
 
 
-def _axis_pole(
-    kappa: float, mult: int, coupling: ComplexCoupling, spec: PotentialSpec, channel: Channel
-) -> Pole:
-    k = 1j * kappa
-    return Pole(
-        k=k,
-        channel=channel,
-        coupling=coupling,
-        kind=classify(k, mult),
-        multiplicity=mult,
-        residual=_residual(k, coupling, spec, channel),
-    )
-
-
-def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) -> list[Pole]:
-    """All poles on the imaginary k axis (k = i*kappa) for a real coupling.
+def _axis_roots(
+    spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel
+) -> list[tuple[float, int]]:
+    """(kappa, multiplicity) of every pole on the imaginary axis k = i*kappa
+    at a real coupling, in cell order; the enumeration behind ``scan_axis``
+    and ``chart.bound_count``.
 
     The poles are enumerated in closed form over the cells of the interior
     momentum (``_axis_cells``; Nussenzveig, Nucl. Phys. 11 (1959) 499). A
     cell with a collision point x_c holds 0, 1 or 2 roots, split at x_c, so
-    every root has an exact Brent bracket. Each root is mapped to kappa and
-    Newton-polished in k.
+    every root has an exact Brent bracket, and Brent reuses the ratio values
+    at lo and x_c that decide the split. Each root is mapped to kappa and
+    Newton-polished in k; the polished kappa is Im k.
 
     When the cell's pair lies within ``_pair_ball`` of its collision point
     k = -i/a (``_pair_offset``), the cell gives one coalesced pair there
-    instead, reported as one multiplicity-2 pole.
+    instead, as kappa = -1/a with multiplicity 2.
 
-    U = 0 is the free particle: its S-matrix is 1 and has no poles, so the
-    scan returns an empty list (the even pole function degenerates to
+    U = 0 is the free particle: its S-matrix is 1 and has no poles, so
+    there are no roots (the even pole function degenerates to
     k*exp(-ika), whose k = 0 zero is removable in S).
     """
     if not coupling.is_real:
@@ -347,7 +340,7 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
         return []
     a = spec.a
     c = a * math.sqrt(2.0 * spec.m * spec.U)
-    poles: list[Pole] = []
+    roots: list[tuple[float, int]] = []
     for ratio, a_kappa, lo, xc, hi in _axis_cells(
         c, coupling.gamma.real > 0, channel is Channel.MINUS
     ):
@@ -355,20 +348,22 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
             return ratio(x) - c
 
         if xc is None:
-            roots = [_brentq(f, lo, hi)]
+            xs = [_brentq(f, lo, hi)]
         else:
             rc = ratio(xc)
             if _pair_offset(xc, rc, c, a) < _pair_ball(xc, a):
-                poles.append(_axis_pole(-1.0 / a, 2, coupling, spec, channel))
+                roots.append((-1.0 / a, 2))
                 continue
             fc = rc - c
             if fc == 0.0:
-                roots = [xc]
-            elif (fc > 0.0) != (f(lo) > 0.0):
-                roots = [_brentq(f, lo, xc), _brentq(f, xc, hi)]
+                xs = [xc]
             else:
-                roots = []
-        for x in roots:
+                flo = f(lo)
+                if (fc > 0.0) != (flo > 0.0):
+                    xs = [_brentq(f, lo, xc, fa=flo, fb=fc), _brentq(f, xc, hi, fa=fc)]
+                else:
+                    xs = []
+        for x in xs:
             kappa = a_kappa(x) / a
             k, _, ok, _ = _k.newton_pole(
                 1j * kappa, coupling.gamma, spec.m, spec.a, spec.U, channel.code,
@@ -382,7 +377,29 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
                 if abs(k - 1j * kappa) > 0.5:
                     raise ConvergedElsewhere(k, 1j * kappa, 0.5)
                 kappa = k.imag
-            poles.append(_axis_pole(kappa, 1, coupling, spec, channel))
+            roots.append((kappa, 1))
+    return roots
+
+
+def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) -> list[Pole]:
+    """All poles on the imaginary k axis (k = i*kappa) for a real coupling.
+
+    Each root of ``_axis_roots`` becomes a ``Pole`` at k = i*kappa with its
+    kind (``classify``) and the residual |d| there; a coalesced pair is one
+    multiplicity-2 pole at k = -i/a. The poles are sorted by kappa; at
+    U = 0 there are none.
+    """
+    poles = []
+    for kappa, mult in _axis_roots(spec, coupling, channel):
+        k = 1j * kappa
+        poles.append(Pole(
+            k=k,
+            channel=channel,
+            coupling=coupling,
+            kind=classify(k, mult),
+            multiplicity=mult,
+            residual=_residual(k, coupling, spec, channel),
+        ))
     poles.sort(key=lambda p: p.k.imag)
     return poles
 

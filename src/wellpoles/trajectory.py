@@ -51,14 +51,13 @@ else raises StallAtDoubleZero.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import enum
 import math
 from dataclasses import dataclass, field, replace
 
 from . import _kernels as _k
-from .errors import ModelInvalid, NoConvergence, SeedNotOnPole, StallAtDoubleZero
+from .errors import ModelInvalid, SeedNotOnPole, StallAtDoubleZero
 from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, classify, multiplicity_at
 from .smatrix import Channel, ComplexCoupling, PotentialSpec, _phase_to_gamma
 
@@ -203,8 +202,8 @@ def branch_at_double_zero(
 def _tangent(k: complex, gamma: complex, spec: PotentialSpec, ch: int) -> complex:
     """dk/dalpha = -D_alpha/D_k at a pole; nan where D_k vanishes.
 
-    Only where no corrector has just run: a trace start and point_at's
-    start. A step takes the tangent newton_pole returns.
+    Only where no corrector has just run, as at a trace start. A step
+    takes the tangent newton_pole returns.
     """
     d, dk, da, E = _k.denom_scaled(k, gamma, spec.m, spec.a, spec.U, ch)
     return -da / dk if dk != 0.0 else complex(math.nan, math.nan)
@@ -526,54 +525,3 @@ def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:
         collisions=[_mirror_event(ev, n0) for ev in traj.collisions],
         closure=closure,
     )
-
-
-def point_at(traj: Trajectory, alpha: float, spec: PotentialSpec) -> complex:
-    """The trajectory's pole at an arbitrary phase inside its span.
-
-    Continued from the sample at or below alpha with the tracer's checked
-    step, halved on rejection, and exact at a sample. A bare Newton start
-    from a sample up to a whole step away could land on another pole.
-    """
-    if not (traj.alphas[0] - 1e-12 <= alpha <= traj.alphas[-1] + 1e-12):
-        raise ValueError(f"alpha {alpha:.6f} outside trajectory span")
-    i = max(bisect.bisect_right(traj.alphas, alpha) - 1, 0)
-    a, k = traj.alphas[i], traj.ks[i]
-    ch = traj.channel.code
-    v = _tangent(k, _phase_to_gamma(a), spec, ch)
-    prev = None
-    h = alpha - a
-    while a != alpha:
-        target = alpha if abs(alpha - a) <= abs(h) else a + h
-        step = _step(a, k, v, prev, target, spec, ch)
-        if step is None:
-            h *= 0.5
-            if abs(h) < _STEP_MINIMUM:
-                raise NoConvergence(k, _CORRECTOR_ITERS)
-            continue
-        prev = (a, k, v)
-        a = target
-        k, v, _ = step
-    return k
-
-
-def mirror_defect(traj: Trajectory, spec: PotentialSpec) -> float:
-    """Largest distance from mirrored samples to the pole manifold.
-
-    Mirror symmetry maps every sample (alpha, k) to (-alpha + 2*alpha_seed,
-    -conj(k)), which must again be a pole at its coupling. The defect is the
-    Newton projection distance, maximal over samples.
-    """
-    a0 = traj.seed_alpha
-    worst = 0.0
-    ch = traj.channel.code
-    for alpha, k in zip(traj.alphas, traj.ks):
-        am = 2.0 * a0 - alpha
-        km = -k.conjugate()
-        kk, iters, ok, _ = _k.newton_pole(
-            km, _phase_to_gamma(am), spec.m, spec.a, spec.U, ch, STEP_TOL, 50
-        )
-        if not ok:
-            return math.inf
-        worst = max(worst, abs(kk - km))
-    return worst

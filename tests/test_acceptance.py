@@ -43,7 +43,9 @@ from wellpoles.smatrix import (
     well_layers,
 )
 from wellpoles import trajectory
-from wellpoles.trajectory import mirror_defect, point_at, trace
+from wellpoles.trajectory import trace
+
+from trajectory_checks import mirror_defect, point_at
 
 M, A = 1.0, 1.5
 ATT = ComplexCoupling.attractive()

@@ -22,12 +22,14 @@ from wellpoles.chart import (
 )
 from wellpoles.document import canonical_dumps, chart_document, parse_chart_document
 from wellpoles.errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
-from wellpoles.rootfinder import PoleKind, scan_axis
+from wellpoles.rootfinder import TOL_AXIS, PoleKind, scan_axis
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
-from wellpoles.trajectory import ClosureKind, branch_at_double_zero, mirror_defect
+from wellpoles.trajectory import ClosureKind, branch_at_double_zero
 from wellpoles import _kernels as _k
 from wellpoles import chart as chart_module
 from wellpoles import trajectory
+
+from trajectory_checks import mirror_defect
 
 M, A = 1.0, 1.5
 
@@ -419,9 +421,11 @@ class TestThresholds:
 
 
 def _scan_bisection(channel, u_lo, u_hi, m, a, tol):
-    """threshold_flip's answer from a bound_count scan at every midpoint."""
+    """threshold_flip's answer from a scan at every midpoint, counting the
+    BOUND poles of scan_axis, so that it does not rest on bound_count."""
     def count(u):
-        return bound_count(PotentialSpec(m=m, a=a, U=u), channel)
+        poles = scan_axis(PotentialSpec(m=m, a=a, U=u), ComplexCoupling(0.0), channel)
+        return sum(p.kind is PoleKind.BOUND for p in poles)
 
     n_lo = count(u_lo)
     while u_hi - u_lo > tol:
@@ -434,19 +438,60 @@ def _scan_bisection(channel, u_lo, u_hi, m, a, tol):
 
 
 def _count_scans(monkeypatch, limit=200):
-    """Count chart-level scan_axis calls; raise past limit, so a halving
+    """Count chart-level bound_count calls; raise past limit, so a halving
     that never ends fails instead of hanging."""
     calls = []
-    real_scan = chart_module.scan_axis
+    real_count = chart_module.bound_count
 
     def counted(*args, **kwargs):
         calls.append(args)
         if len(calls) > limit:
-            raise AssertionError(f"more than {limit} scan_axis calls")
-        return real_scan(*args, **kwargs)
+            raise AssertionError(f"more than {limit} bound_count calls")
+        return real_count(*args, **kwargs)
 
-    monkeypatch.setattr(chart_module, "scan_axis", counted)
+    monkeypatch.setattr(chart_module, "bound_count", counted)
     return calls
+
+
+def _scanned_bound(spec, channel):
+    poles = scan_axis(spec, ComplexCoupling(0.0), channel)
+    return sum(p.kind is PoleKind.BOUND for p in poles)
+
+
+class TestBoundCount:
+    """bound_count counts, from the axis roots alone, the poles that
+    scan_axis classifies as bound."""
+
+    @given(
+        m=st.floats(0.2, 10.0), a=st.floats(0.1, 6.0),
+        log_U=st.floats(math.log(1e-3), math.log(300.0)),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_bound_kinds_of_the_scan(self, m, a, log_U, channel):
+        spec = PotentialSpec(m=m, a=a, U=math.exp(log_U))
+        assert bound_count(spec, channel) == _scanned_bound(spec, channel)
+
+    @given(
+        m=st.floats(0.2, 10.0), a=st.floats(0.1, 6.0),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+        n=st.integers(1, 4), visible=st.booleans(), ulps=st.integers(-3, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_bound_kinds_next_to_a_threshold(self, m, a, channel, n, visible, ulps):
+        # a few float spacings from the closed-form threshold, where the
+        # entering pole sits inside the classifier's threshold band, or from
+        # the depth where it leaves the band (kappa = TOL_AXIS)
+        u = bound_threshold(channel, n, m, a)
+        if visible:
+            u += TOL_AXIS / (m * a)
+        for _ in range(abs(ulps)):
+            u = math.nextafter(u, math.inf if ulps > 0 else 0.0)
+        spec = PotentialSpec(m=m, a=a, U=u)
+        assert bound_count(spec, channel) == _scanned_bound(spec, channel)
+
+    def test_free_particle_binds_nothing(self):
+        assert bound_count(PotentialSpec(m=M, a=A, U=0.0), Channel.PLUS) == 0
 
 
 class TestSteeredFlip:
@@ -505,6 +550,23 @@ class TestSteeredFlip:
         assert len(calls) == 4
         assert abs(flip - u_n) < 1e-6
 
+    @pytest.mark.parametrize("channel,n", [
+        (Channel.PLUS, 1), (Channel.PLUS, 2), (Channel.MINUS, 1), (Channel.MINUS, 2),
+    ])
+    def test_first_midpoint_just_above_the_threshold(self, monkeypatch, channel, n):
+        # one float above u_n the entering pole still lies in the threshold
+        # band (|k| < TOL_AXIS), so the scan counts n_lo there; steering by
+        # u_n itself sent that midpoint above and failed the certificate
+        u_n = bound_threshold(channel, n, M, A)
+        mid = math.nextafter(u_n, math.inf)
+        span = 0.25 * u_n
+        u_lo, u_hi = mid - span, mid + span
+        assert 0.5 * (u_lo + u_hi) == mid
+        calls = _count_scans(monkeypatch)
+        flip = threshold_flip(channel, u_lo, u_hi, M, A, tol=1e-6)
+        assert len(calls) == 4
+        assert repr(flip) == repr(_scan_bisection(channel, u_lo, u_hi, M, A, 1e-6))
+
     @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
     @pytest.mark.parametrize("m,a", [(1.0, 1.5), (0.2, 0.1), (10.0, 6.0), (0.7, 2.3)])
     def test_next_threshold(self, channel, m, a):
@@ -518,8 +580,10 @@ class TestSteeredFlip:
     def test_tol_below_float_spacing_returns(self, monkeypatch, tol):
         # below the spacing of the bracket the midpoint settles on an
         # endpoint; both halvings stop there instead of running forever.
-        # The scan still counts n_lo one float above the closed form
-        # (|k| < TOL_AXIS is a threshold), so the fallback runs too
+        # The steer u_n + TOL_AXIS/(m a) matches the scan's flip only to a
+        # few float spacings: here it lands on the first float that counts
+        # the new state, which the steered halving puts below, so the
+        # certificate fails and the scan-driven fallback runs too
         halvings = []
         real_bisect = chart_module._bisect
 

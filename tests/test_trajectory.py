@@ -31,11 +31,11 @@ from wellpoles.trajectory import (
     _on_half_grid,
     branch_at_double_zero,
     mirror,
-    mirror_defect,
-    point_at,
     trace,
     trace_branch,
 )
+
+from trajectory_checks import mirror_defect, point_at
 
 M, A = 1.0, 1.5
 HALF_PI = math.pi / 2.0
