@@ -495,13 +495,13 @@ def bound_count(spec: PotentialSpec, channel: Channel) -> int:
     coupling, from the axis roots of ``scan_axis``.
 
     It counts the simple roots with kappa >= TOL_AXIS, exactly those that
-    ``classify`` calls bound; no residual is evaluated and no ``Pole``
-    built. A root within TOL_AXIS of k = 0 is a threshold, not a bound
-    state, so at a closed-form threshold depth the count is still the one
-    below it.
+    ``classify`` calls bound. No residual is evaluated, no ``Pole`` built,
+    and no root solved that its cell places at kappa < 0 (``bound_only``).
+    A root within TOL_AXIS of k = 0 is a threshold, not a bound state, so
+    at a closed-form threshold depth the count is still the one below it.
     """
-    return sum(1 for kappa, mult in _axis_roots(spec, ComplexCoupling(0.0), channel)
-               if mult == 1 and kappa >= TOL_AXIS)
+    roots = _axis_roots(spec, ComplexCoupling(0.0), channel, bound_only=True)
+    return sum(1 for kappa, mult in roots if mult == 1 and kappa >= TOL_AXIS)
 
 
 def _bisect(below, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -142,10 +142,12 @@ def _brentq(
         return xpre
     if fcur == 0.0:
         return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    # signs are compared as (f < 0) on values that are neither zero nor
+    # nan, where that is scipy's copysign test
+    if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -154,9 +156,11 @@ def _brentq(
         # the tolerance is 2*delta
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        abis = abs(sbis)
+        if fcur == 0.0 or abis < delta:
             return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        aspre = abs(spre)
+        if aspre > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -166,7 +170,8 @@ def _brentq(
                 dblk = (fblk - fcur) / (xblk - xcur)
                 den = dblk * dpre * (fblk - fpre)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            reach = 3 * abis - delta
+            if 2 * abs(stry) < (reach if reach < aspre else aspre):
                 # good short step
                 spre, scur = scur, stry
             else:
@@ -313,7 +318,7 @@ def _pair_offset(xc: float, rc: float, c: float, a: float) -> float:
 
 
 def _axis_roots(
-    spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel
+    spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel, bound_only: bool = False
 ) -> list[tuple[float, int]]:
     """(kappa, multiplicity) of every pole on the imaginary axis k = i*kappa
     at a real coupling, in cell order; the enumeration behind ``scan_axis``
@@ -333,6 +338,13 @@ def _axis_roots(
     U = 0 is the free particle: its S-matrix is 1 and has no poles, so
     there are no roots (the even pole function degenerates to
     k*exp(-ika), whose k = 0 zero is removable in S).
+
+    With bound_only, the roots that their cell alone places at kappa < 0
+    are not solved, for a count of bound states: every root of an
+    imaginary-K cell (a*kappa = -y coth y or -y tanh y), and the root at or
+    below a collision point x_c, where a*kappa = x tan x or -x cot x rises
+    to -1 at x_c. Newton's polish starts on such a root's bracketed value
+    and converges to it, so it too stays at kappa < 0.
     """
     if not coupling.is_real:
         raise ValueError("axis scan requires a real coupling (alpha a multiple of pi)")
@@ -344,6 +356,9 @@ def _axis_roots(
     for ratio, a_kappa, lo, xc, hi in _axis_cells(
         c, coupling.gamma.real > 0, channel is Channel.MINUS
     ):
+        if bound_only and a_kappa in (_neg_y_coth, _neg_y_tanh):
+            continue
+
         def f(x: float, ratio=ratio) -> float:
             return ratio(x) - c
 
@@ -356,13 +371,15 @@ def _axis_roots(
                 continue
             fc = rc - c
             if fc == 0.0:
-                xs = [xc]
+                xs = [] if bound_only else [xc]
             else:
                 flo = f(lo)
-                if (fc > 0.0) != (flo > 0.0):
-                    xs = [_brentq(f, lo, xc, fa=flo, fb=fc), _brentq(f, xc, hi, fa=fc)]
-                else:
+                if (fc > 0.0) == (flo > 0.0):
                     xs = []
+                elif bound_only:
+                    xs = [_brentq(f, xc, hi, fa=fc)]
+                else:
+                    xs = [_brentq(f, lo, xc, fa=flo, fb=fc), _brentq(f, xc, hi, fa=fc)]
         for x in xs:
             kappa = a_kappa(x) / a
             k, _, ok, _ = _k.newton_pole(

@@ -27,6 +27,7 @@ from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.trajectory import ClosureKind, branch_at_double_zero
 from wellpoles import _kernels as _k
 from wellpoles import chart as chart_module
+from wellpoles import rootfinder
 from wellpoles import trajectory
 
 from trajectory_checks import mirror_defect
@@ -492,6 +493,30 @@ class TestBoundCount:
 
     def test_free_particle_binds_nothing(self):
         assert bound_count(PotentialSpec(m=M, a=A, U=0.0), Channel.PLUS) == 0
+
+    @pytest.mark.parametrize("channel,U,scan_solves,count_solves,bound", [
+        # c = 6.36: a root in [0, pi/2] and a pair in each of the next two
+        # cells, whose lower roots are virtual
+        (Channel.PLUS, 9.0, 5, 3, 3),
+        # c = 0.67 < 1: one root, in the y/sinh y cell, virtual
+        (Channel.MINUS, 0.1, 1, 0, 0),
+    ])
+    def test_solves_no_root_its_cell_places_below_zero(
+            self, monkeypatch, channel, U, scan_solves, count_solves, bound):
+        real_brentq = rootfinder._brentq
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_brentq(*args, **kwargs)
+
+        monkeypatch.setattr(rootfinder, "_brentq", counted)
+        spec = PotentialSpec(m=M, a=A, U=U)
+        assert bound_count(spec, channel) == bound
+        assert len(calls) == count_solves
+        calls.clear()
+        assert _scanned_bound(spec, channel) == bound
+        assert len(calls) == scan_solves
 
 
 class TestSteeredFlip:
