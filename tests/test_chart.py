@@ -421,12 +421,16 @@ class TestThresholds:
             threshold_flip(Channel.PLUS, u_lo, u_hi, M, A, tol=tol)
 
 
+def _scanned_bound(spec, channel):
+    """The BOUND poles of scan_axis, a count that does not rest on bound_count."""
+    poles = scan_axis(spec, ComplexCoupling(0.0), channel)
+    return sum(p.kind is PoleKind.BOUND for p in poles)
+
+
 def _scan_bisection(channel, u_lo, u_hi, m, a, tol):
-    """threshold_flip's answer from a scan at every midpoint, counting the
-    BOUND poles of scan_axis, so that it does not rest on bound_count."""
+    """threshold_flip's answer from a scan at every midpoint."""
     def count(u):
-        poles = scan_axis(PotentialSpec(m=m, a=a, U=u), ComplexCoupling(0.0), channel)
-        return sum(p.kind is PoleKind.BOUND for p in poles)
+        return _scanned_bound(PotentialSpec(m=m, a=a, U=u), channel)
 
     n_lo = count(u_lo)
     while u_hi - u_lo > tol:
@@ -452,11 +456,6 @@ def _count_scans(monkeypatch, limit=200):
 
     monkeypatch.setattr(chart_module, "bound_count", counted)
     return calls
-
-
-def _scanned_bound(spec, channel):
-    poles = scan_axis(spec, ComplexCoupling(0.0), channel)
-    return sum(p.kind is PoleKind.BOUND for p in poles)
 
 
 class TestBoundCount:
@@ -490,9 +489,6 @@ class TestBoundCount:
             u = math.nextafter(u, math.inf if ulps > 0 else 0.0)
         spec = PotentialSpec(m=m, a=a, U=u)
         assert bound_count(spec, channel) == _scanned_bound(spec, channel)
-
-    def test_free_particle_binds_nothing(self):
-        assert bound_count(PotentialSpec(m=M, a=A, U=0.0), Channel.PLUS) == 0
 
     @pytest.mark.parametrize("channel,U,scan_solves,count_solves,bound", [
         # c = 6.36: a root in [0, pi/2] and a pair in each of the next two
