@@ -141,12 +141,6 @@ class PoleChart:
         return len(singles)
 
 
-def _same_event(a: CollisionEvent, b: CollisionEvent) -> bool:
-    # every event sits at k = -i/a and the coupling is 2pi-periodic, so its
-    # anchor index mod 4 and its kind name it
-    return (round(a.alpha / HALF_PI) - round(b.alpha / HALF_PI)) % 4 == 0 and a.kind == b.kind
-
-
 def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarning]:
     """Warn when the depth lies within _CRITICAL_WARN of a pair collision.
 
@@ -221,15 +215,16 @@ def build_chart(
     """Trace every pole trajectory of the well in one channel.
 
     Seeds come from axis scans at both real couplings; a coalesced pair is
-    split into its two emerging branches, each traced forward as a seed is.
-    Each curve is traced once: a seed that a kept curve already delivers at
-    an anchor of its phase, or a branch whose first anchor one does, is
-    listed in that curve's merged_seeds and not kept. The backward half of
-    an open curve is the mirror image of its forward march about the seed
-    (across the pair, for a branch). With certify=True the chart carries a
-    completeness certificate comparing a contour count over the working
-    window against the poles the trajectories return at the attractive
-    coupling.
+    split into its two emerging branches, each traced forward as a seed is,
+    and is the chart's one collision event at its phase (a loop that reaches
+    the pair closes there). Each curve is traced once: a seed that a kept
+    curve already delivers at an anchor of its phase, or a branch whose
+    first anchor one does, is listed in that curve's merged_seeds and not
+    kept. The backward half of an open curve is the mirror image of its
+    forward march about the seed (across the pair, for a branch). With
+    certify=True the chart carries a completeness certificate comparing a
+    contour count over the working window against the poles the
+    trajectories return at the attractive coupling.
     """
     warnings = _critical_proximity(spec, channel)
 
@@ -258,18 +253,12 @@ def build_chart(
         alpha = seed.coupling.alpha
         if seed.multiplicity == 2:
             event, branches = branch_at_double_zero(alpha, spec, channel, +1)
-            if not any(_same_event(ev, event) for ev in collisions):
-                collisions.append(event)
+            collisions.append(event)
             for _, kb in branches:
                 keep(f"split branch k={kb!r}", lambda kb=kb: trace_branch(
-                    seed, kb, alpha + _SPLIT_STEP, spec, event=event))
+                    seed, kb, alpha + _SPLIT_STEP, spec))
         elif not _claimed(trajectories, seed, round(alpha / HALF_PI), seed.k):
             keep(f"axis pole k={seed.k!r}", lambda: trace(seed, +1, spec))
-
-    for traj in trajectories:
-        for ev in traj.collisions:
-            if not any(_same_event(ev, e) for e in collisions):
-                collisions.append(ev)
 
     chart = PoleChart(
         spec=spec,
@@ -485,7 +474,13 @@ def _scan_threshold(channel: Channel, u: float, m: float, a: float) -> float:
     kappa^2/m, lie below the float spacing of U. The scan's own count
     changes within a few float spacings of this depth, where roundoff in
     the polished kappa puts it.
+
+    The even channel's first state enters at U = 0, where x^2 ~ a kappa -
+    (a kappa)^2/3 puts it at TOL_AXIS/(2 m a) + TOL_AXIS^2/(3 m).
     """
+    first = TOL_AXIS / (2.0 * m * a) + TOL_AXIS * TOL_AXIS / (3.0 * m)
+    if channel is Channel.PLUS and u < first:
+        return first
     shift = TOL_AXIS / (m * a)
     return _next_threshold(channel, u - shift, m, a) + shift
 

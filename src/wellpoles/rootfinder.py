@@ -61,17 +61,17 @@ class Pole:
             raise ValueError("kind double_zero exactly when multiplicity is 2")
 
 
-def classify(k: complex, multiplicity: int = 1, tol_axis: float = TOL_AXIS) -> PoleKind:
+def classify(k: complex, multiplicity: int = 1) -> PoleKind:
     """Pole kind from its position in the k plane.
 
-    On-axis kinds apply within tol_axis of the imaginary axis; a coalesced
+    On-axis kinds apply within TOL_AXIS of the imaginary axis; a coalesced
     pair is always kind double_zero regardless of position.
     """
     if multiplicity == 2:
         return PoleKind.DOUBLE_ZERO
-    if abs(k) < tol_axis:
+    if abs(k) < TOL_AXIS:
         return PoleKind.THRESHOLD
-    if abs(k.real) < tol_axis:
+    if abs(k.real) < TOL_AXIS:
         return PoleKind.BOUND if k.imag > 0 else PoleKind.VIRTUAL
     return PoleKind.RESONANCE if k.real > 0 else PoleKind.ANTIRESONANCE
 

@@ -24,6 +24,7 @@ _COLORS = {
 }
 _AXIS = "#9ca3af"
 _TEXT = "#374151"
+_WIDTH, _HEIGHT = 880, 680
 
 
 def _nice_step(span: float) -> float:
@@ -47,9 +48,9 @@ def _tick_label(value: float) -> str:
     return f"{value:.4g}"
 
 
-def chart_svg(chart: PoleChart, width: int = 880, height: int = 680) -> str:
+def chart_svg(chart: PoleChart) -> str:
     """Render the chart to an SVG string."""
-    margin = 52.0
+    width, height, margin = _WIDTH, _HEIGHT, 52.0
     pts = [k for t in chart.trajectories for k in t.ks] or [complex(-1, -1), complex(1, 1)]
     res, ims = [k.real for k in pts], [k.imag for k in pts]
     re_lo, re_hi = min(res), max(res)

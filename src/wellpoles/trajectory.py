@@ -35,18 +35,18 @@ image about that point.
 That fixes the closed loops. A march from a seed on the imaginary axis at
 a real coupling, an axis pole or a coalesced pair split into its branches,
 stops at the half-turn anchor n* = n_seed + 2 or n_seed + 4 where its pole
-lies on the axis again (|Re k| < TOL_AXIS), or where it meets the coalesced
-pair at k = -i/a, recorded once as a collision event. The loop is the
-marched half plus its mirror image about alpha* = n*(pi/2), and it is
-closed_2pi or closed_4pi as n* - n_seed is 2 or 4. An open curve meets the
-axis at a real coupling only at its seed, or it would be symmetric about
-two points and so periodic; it runs until |alpha - alpha_seed| reaches
-40*pi or |k| passes 40/a, and its backward half is the mirror image of
-that march about the seed. Like the step schedule, this stop rule is a set
-of module constants that no caller sets. Pole pairs coalesce only at
-k = -i/a and at a real coupling, where the curve meets the axis, so a
-march meets the pair only at its half-turn; a march that stalls anywhere
-else raises StallAtDoubleZero.
+lies on the axis again (|Re k| < TOL_AXIS), or where it reaches the
+coalesced pair at k = -i/a and closes there (the chart lists the pair's
+collision event). The loop is the marched half plus its mirror image about
+alpha* = n*(pi/2), and it is closed_2pi or closed_4pi as n* - n_seed is 2
+or 4. An open curve meets the axis at a real coupling only at its seed, or
+it would be symmetric about two points and so periodic; it runs until
+|alpha - alpha_seed| reaches 40*pi or |k| passes 40/a, and its backward
+half is the mirror image of that march about the seed. Like the step
+schedule, this stop rule is a set of module constants that no caller sets.
+Pole pairs coalesce only at k = -i/a and at a real coupling, where the
+curve meets the axis, so a march meets the pair only at its half-turn; a
+march that stalls anywhere else raises StallAtDoubleZero.
 """
 
 from __future__ import annotations
@@ -124,12 +124,10 @@ class Trajectory:
 
     seed: Pole
     channel: Channel
-    direction: str  # 'forward', 'backward' or 'both'
     alphas: list[float]
     ks: list[complex]
     anchors: list[tuple[int, complex]]
     axis_crossings: list[tuple[float, complex]]
-    collisions: list[CollisionEvent]
     closure: Closure
     merged_seeds: list[Pole] = field(default_factory=list)
 
@@ -163,7 +161,7 @@ def branch_at_double_zero(
     Each is Newton-polished at the stepped coupling. Branch labels are
     deterministic: ordered lexicographically by (Re k, Im k), the greater is
     'resonance_side' when it leaves the axis, otherwise the pair is labeled
-    'axis_upper'/'axis_lower'.
+    'axis_upper'/'axis_lower'. Its one caller, build_chart, splits axis seeds.
     """
     kc = -1j / spec.a
     coupling = ComplexCoupling(alpha_c)
@@ -245,7 +243,6 @@ def _trace_from_state(
     alpha_start: float,
     seed: Pole,
     spec: PotentialSpec,
-    prior_collisions: list[CollisionEvent] | None = None,
 ) -> Trajectory:
     """Predictor-corrector march in increasing alpha from (k_start, alpha_start).
 
@@ -253,7 +250,8 @@ def _trace_from_state(
     A march from a seed on the axis at a real coupling, started at the seed
     or on a branch of it, stops at its half-turn anchor, n_seed + 2 or
     n_seed + 4, and returns the closed loop (see _close_loop). The phase
-    cap counts from the seed's phase, not from alpha_start.
+    cap counts from the seed's phase, not from alpha_start. A stall ends
+    the march only next to a coalesced pair at its half-turn anchor.
     """
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
@@ -271,7 +269,6 @@ def _trace_from_state(
     ks = [complex(k_start)]
     anchors: list[tuple[int, complex]] = []
     crossings: list[tuple[float, complex]] = []
-    collisions: list[CollisionEvent] = list(prior_collisions or [])
 
     n_start = _on_half_grid(alpha_start)
     if n_start is not None and abs(k_start.real) < TOL_AXIS:
@@ -300,16 +297,13 @@ def _trace_from_state(
         if step is None:
             if h <= _STEP_MINIMUM * (1.0 + 1e-12):
                 # a loop meets the coalesced pair at k = -i/a only at its
-                # half-turn: record the event there and end the march
-                big_k = cmath.sqrt(kc * kc + 2.0 * spec.m * spec.U * _phase_to_gamma(t_anchor))
+                # half-turn: end the march there
+                anchor = ComplexCoupling(t_anchor)
+                big_k = cmath.sqrt(kc * kc + 2.0 * spec.m * spec.U * anchor.gamma)
                 if not (next_anchor in half_turns
-                        and abs(k - kc) < _DOUBLE_ZERO_RADIUS * max(1.0, abs(big_k))):
+                        and abs(k - kc) < _DOUBLE_ZERO_RADIUS * max(1.0, abs(big_k))
+                        and multiplicity_at(kc, anchor, spec, seed.channel) == 2):
                     raise StallAtDoubleZero(alpha, k)
-                try:
-                    event, _ = branch_at_double_zero(t_anchor, spec, seed.channel, +1)
-                except ModelInvalid as exc:
-                    raise StallAtDoubleZero(alpha, k) from exc
-                collisions.append(event)
                 n_star = next_anchor
                 break
             h = max(0.5 * min(h, target - alpha), _STEP_MINIMUM)
@@ -349,9 +343,8 @@ def _trace_from_state(
             break
 
     traj = Trajectory(
-        seed=seed, channel=seed.channel, direction="forward",
-        alphas=alphas, ks=ks,
-        anchors=anchors, axis_crossings=crossings, collisions=collisions,
+        seed=seed, channel=seed.channel, alphas=alphas, ks=ks,
+        anchors=anchors, axis_crossings=crossings,
         closure=Closure(kind=ClosureKind.OPEN, forward_reason=reason),
     )
     return traj if n_star is None else _close_loop(traj, n_star, n_star - n_seed)
@@ -363,8 +356,7 @@ def _close_loop(half: Trajectory, n_star: int, turns: int) -> Trajectory:
     n_star.
 
     The march ends on the half-turn sample, its own image; a march that
-    stopped at the coalesced pair ends just short of it and holds no anchor
-    or sample there, but its collision event there is its own image too.
+    stopped at the coalesced pair ends just short of it, with no sample there.
     """
     kind = ClosureKind.CLOSED_2PI if turns == 2 else ClosureKind.CLOSED_4PI
     return _join(half, mirror(half, n_star), kind)
@@ -376,8 +368,8 @@ def _join(marched: Trajectory, image: Trajectory, kind: ClosureKind) -> Trajecto
     The image lies after the march (a loop about its half-turn) or before
     it (the backward half of an open curve). A sample, anchor or axis
     crossing that both hold at the joint is kept once, as marched: a
-    mirrored axis pole carries Re k = -0.0. So is an image collision event
-    at the phase of a marched one, the coalesced pair at the mirror point.
+    mirrored axis pole carries Re k = -0.0. The closure takes the forward
+    exit reason of the later part and the backward one of the earlier.
     """
     before = image.alphas[-1] <= marched.alphas[0]
     first, second = (image, marched) if before else (marched, image)
@@ -390,17 +382,13 @@ def _join(marched: Trajectory, image: Trajectory, kind: ClosureKind) -> Trajecto
     cut = first.alphas[-1] == second.alphas[0]
     head = len(first.alphas) - (cut and before)
     tail = int(cut and not before)
-    phases = {ev.alpha for ev in marched.collisions}
-    images = [ev for ev in image.collisions if ev.alpha not in phases]
     return Trajectory(
         seed=marched.seed,
         channel=marched.channel,
-        direction="both" if kind is ClosureKind.OPEN else marched.direction,
         alphas=first.alphas[:head] + second.alphas[tail:],
         ks=first.ks[:head] + second.ks[tail:],
         anchors=seam(first.anchors, second.anchors, lambda a: a[0]),
         axis_crossings=seam(first.axis_crossings, second.axis_crossings, lambda c: c[0]),
-        collisions=images + marched.collisions if before else marched.collisions + images,
         closure=Closure(kind, second.closure.forward_reason, first.closure.backward_reason),
     )
 
@@ -445,7 +433,6 @@ def trace_branch(
     branch_k: complex,
     branch_alpha: float,
     spec: PotentialSpec,
-    event: CollisionEvent | None = None,
 ) -> Trajectory:
     """Continue one emerging branch of a split coalesced pair forward.
 
@@ -454,12 +441,9 @@ def trace_branch(
     goes round a loop stops where it meets the axis again, at its half-turn,
     and comes back closed with the rest mirrored (see _close_loop); a branch
     of an open curve is marched to the window or the phase cap and comes
-    back open.
+    back open. The pair's collision event is the chart's, not the branch's.
     """
-    return _trace_from_state(
-        branch_k, branch_alpha, seed, spec,
-        prior_collisions=[event] if event is not None else None,
-    )
+    return _trace_from_state(branch_k, branch_alpha, seed, spec)
 
 
 def _mirror_index(alpha: float) -> int:
@@ -484,18 +468,6 @@ def _mirror_pole(pole: Pole, n0: int) -> Pole:
                    coupling=ComplexCoupling(_reflect(pole.coupling.alpha, n0)))
 
 
-def _mirror_event(ev: CollisionEvent, n0: int) -> CollisionEvent:
-    ks = [-bk.conjugate() for _, bk in ev.branches]
-    if ev.kind == "axis_pair_to_plane_pair":
-        # k -> -conj(k) puts each branch on the other side of the axis, so
-        # the resonance-side label passes to the partner branch
-        ks.reverse()
-    return replace(
-        ev, alpha=_reflect(ev.alpha, n0), k=-ev.k.conjugate(),
-        branches=tuple((lbl, bk) for (lbl, _), bk in zip(ev.branches, ks)),
-    )
-
-
 def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:
     """Reflect a trajectory about the anchor n0 = about, by default the
     seed's: (alpha, k) -> (2*alpha0 - alpha, -conj(k)), alpha0 = n0*(pi/2).
@@ -505,8 +477,7 @@ def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:
     alpha0 is a multiple of pi; about any other phase this raises
     ValueError. Anchor phases map exactly onto the quarter-turn grid (see
     _reflect). A forward trace becomes a backward one with the exit reasons
-    swapped, and split-pair branches keep 'resonance_side' on Re k > 0. For
-    a self-symmetric trajectory it retraces the original curve.
+    swapped. For a self-symmetric trajectory it retraces the original curve.
     """
     n0 = _mirror_index(traj.seed_alpha if about is None else about * HALF_PI)
     closure = Closure(traj.closure.kind, traj.closure.backward_reason,
@@ -514,14 +485,11 @@ def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:
     return Trajectory(
         seed=_mirror_pole(traj.seed, n0),
         channel=traj.channel,
-        direction={"forward": "backward", "backward": "forward"}.get(
-            traj.direction, traj.direction),
         alphas=[_reflect(al, n0) for al in reversed(traj.alphas)],
         ks=[-kk.conjugate() for kk in reversed(traj.ks)],
         anchors=[(2 * n0 - n, -kk.conjugate()) for n, kk in reversed(traj.anchors)],
         axis_crossings=[
             (_reflect(al, n0), -kk.conjugate()) for al, kk in reversed(traj.axis_crossings)
         ],
-        collisions=[_mirror_event(ev, n0) for ev in traj.collisions],
         closure=closure,
     )

@@ -30,7 +30,7 @@ from wellpoles import chart as chart_module
 from wellpoles import rootfinder
 from wellpoles import trajectory
 
-from trajectory_checks import mirror_defect
+from trajectory_checks import meets_pair, mirror_defect
 
 M, A = 1.0, 1.5
 
@@ -588,6 +588,27 @@ class TestSteeredFlip:
         assert len(calls) == 4
         assert repr(flip) == repr(_scan_bisection(channel, u_lo, u_hi, M, A, 1e-6))
 
+    @pytest.mark.parametrize("m,a,u_lo,u_hi,tol", [
+        (1.0, 1.5, 1e-12, 1e-6, 1e-12),
+        (0.7, 2.3, 1e-12, 1e-3, 1e-14),
+        (3.0, 0.8, 1e-10, 0.5, 1e-13),
+    ])
+    def test_first_even_state_steered(self, monkeypatch, m, a, u_lo, u_hi, tol):
+        # the even channel's first bound state enters at U = 0 and shows
+        # at kappa = TOL_AXIS, U ~ TOL_AXIS/(2 m a); steered to the first
+        # closed-form threshold instead, these flips failed the certificate
+        # and took 23, 40 and 46 counts
+        calls = _count_scans(monkeypatch)
+        flip = threshold_flip(Channel.PLUS, u_lo, u_hi, m, a, tol=tol)
+        assert len(calls) == 4
+
+        def scanned(u):
+            return _scanned_bound(PotentialSpec(m=m, a=a, U=u), Channel.PLUS)
+
+        n_lo = scanned(u_lo)
+        lo, hi = chart_module._bisect(lambda u: scanned(u) == n_lo, u_lo, u_hi, tol)
+        assert repr(flip) == repr(0.5 * (lo + hi))
+
     @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
     @pytest.mark.parametrize("m,a", [(1.0, 1.5), (0.2, 0.1), (10.0, 6.0), (0.7, 2.3)])
     def test_next_threshold(self, channel, m, a):
@@ -848,21 +869,19 @@ class TestCriticalChart:
         ("plus", U_STAR_PLUS_ATT), ("plus", U_STAR_PLUS_REP), ("minus", U_STAR_MINUS_ATT),
     ])
     def test_every_split_sits_on_a_real_coupling_anchor(self, channel, U):
-        # pairs coalesce only at a real coupling, so a march that stalls at
-        # the collision records it at the anchor ahead, not at its stall phase
+        # pairs coalesce only at a real coupling, so the one event sits on a
+        # real-coupling anchor: the coalesced seed of an axis scan
         chart = _chart(channel, U)
-        # one pair, one event: a 4pi loop meets the pair again two turns on,
-        # at the same coupling
-        assert len(chart.collisions) == 1
-        events = chart.collisions + [ev for t in chart.trajectories for ev in t.collisions]
-        for ev in events:
-            n = round(ev.alpha / (math.pi / 2))
-            assert ev.alpha == n * (math.pi / 2) and n % 2 == 0
+        (ev,) = chart.collisions
+        n = round(ev.alpha / (math.pi / 2))
+        assert ev.alpha == n * (math.pi / 2) and n % 2 == 0
+        assert [p.coupling.alpha for p in chart.seeds if p.multiplicity == 2] == [ev.alpha]
         if U == U_STAR_PLUS_REP:
-            # the bound state's loop meets the pair half a turn on, at pi
+            # the bound state's loop meets the pair half a turn on, at pi,
+            # and closes there
             (loop,) = [t for t in chart.trajectories if t.closure.kind is ClosureKind.CLOSED_2PI]
             assert loop.seed.multiplicity == 1 and loop.seed_alpha == 0.0
-            assert [ev.alpha for ev in loop.collisions] == [math.pi]
+            assert meets_pair(loop, 2, chart.spec)
 
     def test_narrow_well_at_repulsive_collision_is_complete(self):
         # |K_c| ~ 10 at a = 0.12, so the pair splits 0.0106 from k = -i/a at
@@ -920,10 +939,40 @@ class TestCriticalChart:
         else:
             assert chart.topology == {"closed_2pi": 1, "open": 1}
 
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        collision=st.sampled_from([(Channel.PLUS, True), (Channel.MINUS, True),
+                                   (Channel.PLUS, False)]),
+        index=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_events_are_the_coalesced_seeds(self, m, a, collision, index):
+        # at the float collision depth the chart lists one event per
+        # coalesced seed of its two axis scans, at that seed's phase, and
+        # a loop with no anchor at its half-turn passes the pair there
+        channel, attractive = collision
+        if not attractive:
+            index = 1
+        U = chart_module._collision_depth(channel, attractive, m, a, index)
+        spec = PotentialSpec(m=m, a=a, U=U)
+        chart = build_chart(spec, channel, certify=False)
+        assert not any(w.code == "trace_stalled" for w in chart.warnings)
+        assert [(ev.alpha, ev.k) for ev in chart.collisions] == [
+            (p.coupling.alpha, -1j / a) for p in chart.seeds if p.multiplicity == 2
+        ]
+        for t in chart.trajectories:
+            if not t.closure.is_closed:
+                continue
+            turns = 2 if t.closure.kind is ClosureKind.CLOSED_2PI else 4
+            n_star = round(t.seed_alpha / (math.pi / 2)) + turns
+            if n_star not in t.anchor_index_map():
+                assert meets_pair(t, n_star, spec)
+
     def test_stalled_split_branch_is_reported(self, monkeypatch):
         # a split branch that stalls is reported as a stalled axis seed is,
         # and the chart is not certified
-        def stall(seed, branch_k, branch_alpha, spec, event=None):
+        def stall(seed, branch_k, branch_alpha, spec):
             raise StallAtDoubleZero(branch_alpha, branch_k)
 
         monkeypatch.setattr(chart_module, "trace_branch", stall)
@@ -1003,8 +1052,8 @@ class TestForwardMarchesOnly:
         assert np.array_equal(curve.ks[:i], -np.conj(curve.ks[i:])[::-1])
         assert curve.alphas[i - 1] == -1e-3
         assert min(abs(curve.ks[i - 1] - kb) for _, kb in bwd) < 1e-10
-        # the pair's event is held once
-        assert [ev.alpha for ev in curve.collisions] == [0.0]
+        # the pair's event is the chart's, held once
+        assert [ev.alpha for ev in chart.collisions] == [0.0]
 
 
 class TestDeterminism:

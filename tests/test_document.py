@@ -301,7 +301,10 @@ class TestGoldenDigests:
                 turns = 4 if traj.closure.kind is ClosureKind.CLOSED_2PI else 8
                 n_seed = round(traj.seed_alpha / (math.pi / 2))
                 n_end, k_end = traj.anchors[-1]
-                assert traj.direction == "forward"
+                # marched forward from the seed and mirrored on: ascending
+                # phases, and no exit on either side
+                assert np.all(np.diff(traj.alphas) > 0)
+                assert traj.closure.forward_reason is traj.closure.backward_reason is None
                 if traj.seed.multiplicity == 2:
                     assert [n for n, _ in traj.anchors] == list(range(n_seed + 1, n_seed + turns))
                     continue

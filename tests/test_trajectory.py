@@ -35,7 +35,7 @@ from wellpoles.trajectory import (
     trace_branch,
 )
 
-from trajectory_checks import mirror_defect, point_at
+from trajectory_checks import meets_pair, mirror_defect, point_at
 
 M, A = 1.0, 1.5
 HALF_PI = math.pi / 2.0
@@ -245,8 +245,9 @@ class TestCombine:
         f = trace(seed, +1, spec)
         b = mirror(f)
         c = _join(f, b, ClosureKind.OPEN)
-        assert c.direction == "both"
+        # the backward half, then the forward one, in ascending alpha
         assert np.all(np.diff(c.alphas) > 0)
+        assert c.alphas[0] == b.alphas[0] and c.alphas[-1] == f.alphas[-1]
         assert len(c.alphas) == len(f.alphas) + len(b.alphas) - 1
         assert c.closure.forward_reason is ExitReason.ALPHA_CAP
         assert c.closure.backward_reason is ExitReason.ALPHA_CAP
@@ -287,18 +288,17 @@ class TestMirror:
         monkeypatch.setattr(trajectory, "_ALPHA_CAP", 1.5 * math.pi)
         spec = _spec(U_CRIT_PLUS_ATT)
         dz = [p for p in scan_axis(spec, ATT, Channel.PLUS) if p.multiplicity == 2][0]
-        event, branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
-        t = trace_branch(dz, branches[0][1], 1e-3, spec, event=event)
+        _, branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
+        assert branches[0][0] == "resonance_side"
+        t = trace_branch(dz, branches[0][1], 1e-3, spec)
         m = mirror(t)
-        assert m.direction == "backward"
+        assert np.all(np.diff(m.alphas) > 0) and m.alphas[-1] == -1e-3
         assert m.closure.forward_reason is t.closure.backward_reason is None
         assert m.closure.backward_reason is t.closure.forward_reason is ExitReason.ALPHA_CAP
-        mirrored = dict(m.collisions[0].branches)
-        assert mirrored["resonance_side"].real > 0 > mirrored["antiresonance_side"].real
-        # the mirrored event is the split in the backward direction
+        # k -> -conj(k) takes the resonance-side branch across the axis, onto
+        # the antiresonance-side branch of the backward split
         _, bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1)
-        for lbl, kb in bwd:
-            assert abs(mirrored[lbl] - kb) < 1e-10
+        assert abs(m.ks[-1] - dict(bwd)["antiresonance_side"]) < 1e-10
 
 
 class TestBackwardByMirror:
@@ -309,7 +309,9 @@ class TestBackwardByMirror:
         seed = newton_refine(3.5 - 1.0j, ATT, spec, Channel.PLUS)
         assert seed.kind is PoleKind.RESONANCE
         t = trace(seed, -1, spec)
-        assert t.direction == "backward"
+        # the mirrored forward march: it ends on the seed, and its exit
+        # lies behind the seed
+        assert t.closure.forward_reason is None and t.closure.backward_reason is not None
         assert t.seed.k == seed.k
         assert t.alphas[-1] == 0.0 and t.ks[-1] == seed.k
         assert np.all(np.diff(t.alphas) > 0)
@@ -423,10 +425,16 @@ class TestBranching:
         dz = [p for p in poles if p.multiplicity == 2][0]
         event, branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
         lbl, kb = branches[0]
-        t = trace_branch(dz, kb, 1e-3, spec, event=event)
-        assert len(t.collisions) == 1
-        assert t.collisions[0].kind == "axis_pair_to_plane_pair"
+        t = trace_branch(dz, kb, 1e-3, spec)
+        # a split step past the pair, on to every anchor below the phase cap
+        assert t.seed is dz and (t.alphas[0], t.ks[0]) == (1e-3, kb)
+        assert [n for n, _ in t.anchors] == [1, 2, 3]
+        assert t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
         assert len(t.alphas) > 20
+        # the pair is the chart's one event
+        chart = build_chart(spec, Channel.PLUS, certify=False)
+        assert chart.collisions == [event]
+        assert event.kind == "axis_pair_to_plane_pair"
 
     def test_split_momentum_near_collision_point(self):
         spec = _spec(U_CRIT_PLUS_ATT)
@@ -544,7 +552,7 @@ class TestHalfTurn:
                 assert abs(amap[n_star].real) < TOL_AXIS
             else:
                 # the march met the coalesced pair at k = -i/a there
-                assert [ev.alpha for ev in t.collisions] == [n_star * HALF_PI]
+                assert meets_pair(t, n_star, spec)
             for n, k in t.anchors:
                 if n <= n_star:
                     continue
@@ -583,13 +591,16 @@ class TestHalfTurn:
 
     def test_coalesced_half_turn_recorded_once(self):
         # at the repulsive collision depth the bound state's loop meets the
-        # coalesced pair at k = -i/a half a turn on, at alpha = pi
+        # coalesced pair at k = -i/a half a turn on, at alpha = pi, and
+        # closes there; the chart lists the pair once, from its axis scan
         spec = _spec(critical_depth(Channel.PLUS, False, M, A).U)
         t = trace(_seed(spec.U, ATT, Channel.PLUS, 0.23511203159386854j), +1, spec)
         assert t.closure.kind is ClosureKind.CLOSED_2PI
         assert [n for n, _ in t.anchors] == [0, 1, 3, 4]
-        assert [(ev.alpha, ev.k) for ev in t.collisions] == [(math.pi, -1j / A)]
+        assert meets_pair(t, 2, spec)
         assert t.alphas[-1] == 2 * math.pi
+        chart = build_chart(spec, Channel.PLUS, certify=False)
+        assert [(ev.alpha, ev.k) for ev in chart.collisions] == [(math.pi, -1j / A)]
 
     def test_mirror_about_a_quarter_turn_refused(self):
         spec = _spec(2.0)

@@ -2,19 +2,21 @@
 
 ``point_at`` continues a trajectory to an arbitrary phase inside its span
 with the tracer's own checked step; ``mirror_defect`` measures how far the
-mirror image of every sample lies from the pole manifold.
+mirror image of every sample lies from the pole manifold; ``meets_pair``
+tells whether a loop passes the coalesced pair at a half-turn anchor.
 """
 
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 
 from wellpoles import _kernels as _k
 from wellpoles import trajectory
 from wellpoles.errors import NoConvergence
-from wellpoles.rootfinder import STEP_TOL
-from wellpoles.smatrix import PotentialSpec, _phase_to_gamma
+from wellpoles.rootfinder import STEP_TOL, multiplicity_at
+from wellpoles.smatrix import ComplexCoupling, PotentialSpec, _phase_to_gamma
 from wellpoles.trajectory import Trajectory
 
 
@@ -67,3 +69,23 @@ def mirror_defect(traj: Trajectory, spec: PotentialSpec) -> float:
             return math.inf
         worst = max(worst, abs(kk - km))
     return worst
+
+
+def meets_pair(traj: Trajectory, n: int, spec: PotentialSpec) -> bool:
+    """Whether the curve passes the coalesced pair at the anchor n.
+
+    True when the curve holds no sample at alpha = n*(pi/2) but samples on
+    both sides of it, the last one before it lies within the tracer's pair
+    radius of k = -i/a, and ``multiplicity_at`` finds the pair there at
+    that coupling.
+    """
+    alpha = n * trajectory.HALF_PI
+    i = bisect.bisect_left(traj.alphas, alpha)
+    if not 0 < i < len(traj.alphas) or traj.alphas[i] == alpha:
+        return False
+    kc = -1j / spec.a
+    big_k = cmath.sqrt(kc * kc + 2.0 * spec.m * spec.U * _phase_to_gamma(alpha))
+    return (
+        abs(traj.ks[i - 1] - kc) < trajectory._DOUBLE_ZERO_RADIUS * max(1.0, abs(big_k))
+        and multiplicity_at(kc, ComplexCoupling(alpha), spec, traj.channel) == 2
+    )
