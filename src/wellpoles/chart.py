@@ -124,22 +124,6 @@ class PoleChart:
                     found.append(k)
         return sorted(found, key=_inventory_key)
 
-    def pole_count(self, phase_class: int = 0, window: WorkingWindow | None = None) -> int:
-        """Pole count with multiplicity at a real coupling, window-filtered.
-
-        A pair collision sitting at this coupling contributes two. Every
-        collision event is the one coalesced pair at k = -i/a, on a
-        real-coupling anchor, so the pair counts once when any event's
-        anchor index is phase_class (mod 4) and the window holds -i/a (a
-        working window always does, as im_min < -1/a).
-        """
-        singles = self.anchor_poles(phase_class, window)
-        kc = -1j / self.spec.a
-        if (window is None or window.contains(kc)) and any(
-                (round(ev.alpha / HALF_PI) - phase_class) % 4 == 0 for ev in self.collisions):
-            return len(singles) + 2 - sum(abs(s - kc) < _DEDUP_TOL for s in singles)
-        return len(singles)
-
 
 def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarning]:
     """Warn when the depth lies within _CRITICAL_WARN of a pair collision.
@@ -288,7 +272,12 @@ def _certify(chart: PoleChart) -> dict:
             "note": "zero depth has no poles",
         }
     inventory = chart.anchor_poles(0, window)
-    traj_count = chart.pole_count(0, window)
+    # an event at the attractive coupling is the coalesced pair at -i/a,
+    # inside every working window (im_min < -1/a); it counts twice
+    traj_count = len(inventory)
+    if any(round(ev.alpha / HALF_PI) % 4 == 0 for ev in chart.collisions):
+        kc = -1j / spec.a
+        traj_count += 2 - sum(abs(k - kc) < _DEDUP_TOL for k in inventory)
     region = CountRegion(
         lo=complex(-window.re_max, window.im_min),
         hi=complex(window.re_max, window.im_max),

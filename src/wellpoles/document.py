@@ -134,16 +134,12 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
     """The full chart as a plain dict ready for canonical serialization."""
     trajectories = []
     for traj in chart.trajectories:
+        # both ends of an open curve stop for the one reason its march did
+        reason = traj.closure.reason.value if traj.closure.reason else None
         trajectories.append({
             "closure": traj.closure.kind.value,
-            "exit_forward": (
-                traj.closure.forward_reason.value
-                if traj.closure.forward_reason else None
-            ),
-            "exit_backward": (
-                traj.closure.backward_reason.value
-                if traj.closure.backward_reason else None
-            ),
+            "exit_forward": reason,
+            "exit_backward": reason,
             "seed": _pole_dict(traj.seed),
             "merged_seeds": [_pole_dict(p) for p in traj.merged_seeds],
             "alphas": traj.alphas,

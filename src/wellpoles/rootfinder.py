@@ -45,20 +45,22 @@ class PoleKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Pole:
-    """A refined zero of a channel pole function."""
+    """A refined zero of a channel pole function; its kind is ``classify``'s
+    reading of its position and multiplicity."""
 
     k: complex
     channel: Channel
     coupling: ComplexCoupling
-    kind: PoleKind
     multiplicity: int
     residual: float
 
     def __post_init__(self):
         if self.multiplicity not in (1, 2):
             raise ValueError(f"multiplicity must be 1 or 2, got {self.multiplicity}")
-        if (self.kind is PoleKind.DOUBLE_ZERO) != (self.multiplicity == 2):
-            raise ValueError("kind double_zero exactly when multiplicity is 2")
+
+    @property
+    def kind(self) -> PoleKind:
+        return classify(self.k, self.multiplicity)
 
 
 def classify(k: complex, multiplicity: int = 1) -> PoleKind:
@@ -108,7 +110,6 @@ def newton_refine(
         k=k,
         channel=channel,
         coupling=coupling,
-        kind=classify(k),
         multiplicity=1,
         residual=res,
     )
@@ -401,10 +402,9 @@ def _axis_roots(
 def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) -> list[Pole]:
     """All poles on the imaginary k axis (k = i*kappa) for a real coupling.
 
-    Each root of ``_axis_roots`` becomes a ``Pole`` at k = i*kappa with its
-    kind (``classify``) and the residual |d| there; a coalesced pair is one
-    multiplicity-2 pole at k = -i/a. The poles are sorted by kappa; at
-    U = 0 there are none.
+    Each root of ``_axis_roots`` becomes a ``Pole`` at k = i*kappa with the
+    residual |d| there; a coalesced pair is one multiplicity-2 pole at
+    k = -i/a. The poles are sorted by kappa; at U = 0 there are none.
     """
     poles = []
     for kappa, mult in _axis_roots(spec, coupling, channel):
@@ -413,7 +413,6 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
             k=k,
             channel=channel,
             coupling=coupling,
-            kind=classify(k, mult),
             multiplicity=mult,
             residual=_residual(k, coupling, spec, channel),
         ))

@@ -183,47 +183,39 @@ def _exp(z: complex) -> complex:
         return _k.unscale(complex(math.cos(z.imag), math.sin(z.imag)), 0.0)
 
 
-def _pole_guard(k: complex, coupling: ComplexCoupling, spec: PotentialSpec, channels, label: str):
-    """Raise PoleHit when any listed channel pole function is at a zero.
+def _channel_s(
+    k: complex, coupling: ComplexCoupling, spec: PotentialSpec, channel: Channel, label: str
+) -> complex:
+    """-+e^{-2ika} d(-k)/d(k) of the channel pole function d, minus in the
+    even channel; PoleHit, labeled label, where d(k) is at a zero.
 
-    Compares the scaled |d| with the scale times E = exp(-|Im aK|): the
-    true |d| overflows past |Im aK| ~ 709 where d is no zero.
+    d is even in K, so d(k) and d(-k) share the trig blocks at aK, scaled by
+    E = exp(-|Im aK|). The pole test compares the scaled |d| with the scale
+    times E: the true |d| overflows past |Im aK| ~ 709 where d is no zero.
     """
     kc = complex(k)
     Ki = interior_momentum(kc, coupling, spec)
-    scale = POLE_HIT_SCALE * (1.0 + abs(kc) + abs(Ki.K))
-    for ch in channels:
-        d, _, _, E = _k.denom_scaled(kc, coupling.gamma, spec.m, spec.a, spec.U, ch.code)
-        if abs(d) < scale * E:
-            raise PoleHit(kc, label)
+    C, S, Z, G, E = _k.trig_scaled(spec.a * Ki.K)
+    d, _, _ = _k._channel_terms(kc, Ki.w, spec.a, C, Z, G, channel.code)
+    if abs(d) < POLE_HIT_SCALE * (1.0 + abs(kc) + abs(Ki.K)) * E:
+        raise PoleHit(kc, label)
+    d_neg, _, _ = _k._channel_terms(-kc, Ki.w, spec.a, C, Z, G, channel.code)
+    s = _exp(-2j * kc * spec.a) * d_neg / d
+    return -s if channel is Channel.PLUS else s
 
 
 def s_plus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> complex:
-    """Even-channel S-matrix eigenvalue."""
-    _pole_guard(k, coupling, spec, (Channel.PLUS,), "plus")
-    kc = complex(k)
-    Ki = interior_momentum(kc, coupling, spec)
-    z = spec.a * Ki.K
-    C, S, Z, G, E = _k.trig_scaled(z)
-    num = kc * C + 1j * spec.a * Ki.w * Z
-    den = kc * C - 1j * spec.a * Ki.w * Z
-    return _exp(-2j * kc * spec.a) * num / den
+    """Even-channel S-matrix eigenvalue, -e^{-2ika} d(-k)/d(k) (see _channel_s)."""
+    return _channel_s(k, coupling, spec, Channel.PLUS, "plus")
 
 
 def s_minus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> complex:
-    """Odd-channel S-matrix eigenvalue.
+    """Odd-channel S-matrix eigenvalue, e^{-2ika} d(-k)/d(k) (see _channel_s).
 
-    Evaluated from the reduced (K-free) forms, so the K = 0 branch point is
-    a regular point as it must be.
+    Its d is the reduced (K-free) odd form, so the K = 0 branch point is a
+    regular point as it must be.
     """
-    _pole_guard(k, coupling, spec, (Channel.MINUS,), "minus")
-    kc = complex(k)
-    Ki = interior_momentum(kc, coupling, spec)
-    z = spec.a * Ki.K
-    C, S, Z, G, E = _k.trig_scaled(z)
-    num = C + 1j * spec.a * kc * Z
-    den = C - 1j * spec.a * kc * Z
-    return _exp(-2j * kc * spec.a) * num / den
+    return _channel_s(k, coupling, spec, Channel.MINUS, "minus")
 
 
 @dataclass(frozen=True)
@@ -254,7 +246,9 @@ def s_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> SMatri
     the scaled blocks instead, s11 = k*phase*E/F and s12 from Z/F, which
     stay finite.
     """
-    _pole_guard(k, coupling, spec, (Channel.PLUS, Channel.MINUS), "full")
+    for channel in Channel:
+        # raises PoleHit at a pole of either channel
+        _channel_s(k, coupling, spec, channel, "full")
     kc = complex(k)
     Ki = interior_momentum(kc, coupling, spec)
     z2 = 2.0 * spec.a * Ki.K

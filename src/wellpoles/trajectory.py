@@ -42,8 +42,9 @@ alpha* = n*(pi/2), and it is closed_2pi or closed_4pi as n* - n_seed is 2
 or 4. An open curve meets the axis at a real coupling only at its seed, or
 it would be symmetric about two points and so periodic; it runs until
 |alpha - alpha_seed| reaches 40*pi or |k| passes 40/a, and its backward
-half is the mirror image of that march about the seed. Like the step
-schedule, this stop rule is a set of module constants that no caller sets.
+half is the mirror image of that march about the seed, which stops for the
+same reason. Like the step schedule, this stop rule is a set of module
+constants that no caller sets.
 Pole pairs coalesce only at k = -i/a and at a real coupling, where the
 curve meets the axis, so a march meets the pair only at its half-turn; a
 march that stalls anywhere else raises StallAtDoubleZero.
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field, replace
 
 from . import _kernels as _k
 from .errors import ModelInvalid, SeedNotOnPole, StallAtDoubleZero
-from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, classify, multiplicity_at
+from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, multiplicity_at
 from .smatrix import Channel, ComplexCoupling, PotentialSpec, _phase_to_gamma
 
 HALF_PI = math.pi / 2.0
@@ -99,9 +100,11 @@ class ExitReason(enum.Enum):
 
 @dataclass(frozen=True)
 class Closure:
+    """How a curve ends. An open curve carries the reason its march stopped,
+    which is its mirrored half's too (see mirror); a closed one carries None."""
+
     kind: ClosureKind
-    forward_reason: ExitReason | None = None
-    backward_reason: ExitReason | None = None
+    reason: ExitReason | None = None
 
     @property
     def is_closed(self) -> bool:
@@ -114,26 +117,36 @@ class CollisionEvent:
 
     alpha: float
     k: complex
-    kind: str  # 'axis_pair_to_plane_pair' or 'plane_pair_to_axis_pair'
+    kind: str  # 'axis_pair_to_plane_pair': the branches leave the axis
     branches: tuple[tuple[str, complex], ...]
 
 
 @dataclass
 class Trajectory:
-    """A continued pole path: samples (alphas[i], ks[i]) with alpha ascending."""
+    """A continued pole path: samples (alphas[i], ks[i]) with alpha ascending.
+
+    Its channel is the seed's, and its axis crossings are its on-axis
+    anchors: a curve meets the imaginary axis only at a real coupling.
+    """
 
     seed: Pole
-    channel: Channel
     alphas: list[float]
     ks: list[complex]
     anchors: list[tuple[int, complex]]
-    axis_crossings: list[tuple[float, complex]]
     closure: Closure
     merged_seeds: list[Pole] = field(default_factory=list)
 
     @property
+    def channel(self) -> Channel:
+        return self.seed.channel
+
+    @property
     def seed_alpha(self) -> float:
         return self.seed.coupling.alpha
+
+    @property
+    def axis_crossings(self) -> list[tuple[float, complex]]:
+        return [(n * HALF_PI, k) for n, k in self.anchors if abs(k.real) < TOL_AXIS]
 
     def anchor_index_map(self) -> dict[int, complex]:
         return dict(self.anchors)
@@ -158,10 +171,10 @@ def branch_at_double_zero(
     g''(K_c) = a^2 g(K_c) and dk/dK = i a K_c, so g(K)^2 = S^2 e^{i alpha}
     puts the branches at alpha = alpha_c + sigma*delta, delta = _SPLIT_STEP,
     at k_c +- i K_c sqrt(i sigma delta), K_c = sqrt(k_c^2 + 2 m U gamma_c).
-    Each is Newton-polished at the stepped coupling. Branch labels are
-    deterministic: ordered lexicographically by (Re k, Im k), the greater is
-    'resonance_side' when it leaves the axis, otherwise the pair is labeled
-    'axis_upper'/'axis_lower'. Its one caller, build_chart, splits axis seeds.
+    Each is Newton-polished at the stepped coupling. K_c is real or
+    imaginary, so both sit about |K_c| sqrt(delta/2) off the axis, and the
+    greater in (Re k, Im k) order is 'resonance_side'. Its one caller,
+    build_chart, splits axis seeds.
     """
     kc = -1j / spec.a
     coupling = ComplexCoupling(alpha_c)
@@ -187,14 +200,8 @@ def branch_at_double_zero(
     lo, hi = branches
     if abs(hi - lo) < 1e-12:
         raise ModelInvalid("branches did not separate; step too small")
-    if hi.real > TOL_AXIS:
-        labeled = [("resonance_side", hi), ("antiresonance_side", lo)]
-        kind = "axis_pair_to_plane_pair"
-    else:
-        up, dn = (hi, lo) if hi.imag >= lo.imag else (lo, hi)
-        labeled = [("axis_upper", up), ("axis_lower", dn)]
-        kind = "plane_pair_to_axis_pair"
-    return CollisionEvent(alpha=alpha_c, k=kc, kind=kind, branches=tuple(labeled)), labeled
+    labeled = [("resonance_side", hi), ("antiresonance_side", lo)]
+    return CollisionEvent(alpha_c, kc, "axis_pair_to_plane_pair", tuple(labeled)), labeled
 
 
 def _tangent(k: complex, gamma: complex, spec: PotentialSpec, ch: int) -> complex:
@@ -268,11 +275,8 @@ def _trace_from_state(
     alphas = [float(alpha_start)]
     ks = [complex(k_start)]
     anchors: list[tuple[int, complex]] = []
-    crossings: list[tuple[float, complex]] = []
 
     n_start = _on_half_grid(alpha_start)
-    if n_start is not None and abs(k_start.real) < TOL_AXIS:
-        crossings.append((alpha_start, k_start))
     if n_start is not None:
         anchors.append((n_start, k_start))
         next_anchor = n_start + 1
@@ -326,8 +330,6 @@ def _trace_from_state(
         alphas.append(alpha)
         ks.append(k)
 
-        if abs(k.real) < TOL_AXIS:
-            crossings.append((alpha, k))
         # before the anchor, so no curve carries an anchor past the window
         if abs(k) > window:
             reason = ExitReason.K_WINDOW
@@ -343,9 +345,8 @@ def _trace_from_state(
             break
 
     traj = Trajectory(
-        seed=seed, channel=seed.channel, alphas=alphas, ks=ks,
-        anchors=anchors, axis_crossings=crossings,
-        closure=Closure(kind=ClosureKind.OPEN, forward_reason=reason),
+        seed=seed, alphas=alphas, ks=ks, anchors=anchors,
+        closure=Closure(ClosureKind.OPEN, reason),
     )
     return traj if n_star is None else _close_loop(traj, n_star, n_star - n_seed)
 
@@ -366,30 +367,26 @@ def _join(marched: Trajectory, image: Trajectory, kind: ClosureKind) -> Trajecto
     """A forward march and its mirror image, joined into one curve.
 
     The image lies after the march (a loop about its half-turn) or before
-    it (the backward half of an open curve). A sample, anchor or axis
-    crossing that both hold at the joint is kept once, as marched: a
-    mirrored axis pole carries Re k = -0.0. The closure takes the forward
-    exit reason of the later part and the backward one of the earlier.
+    it (the backward half of an open curve). A sample or anchor that both
+    hold at the joint is kept once, as marched: a mirrored axis pole
+    carries Re k = -0.0. The curve takes kind and the march's exit reason,
+    which is its image's too.
     """
     before = image.alphas[-1] <= marched.alphas[0]
     first, second = (image, marched) if before else (marched, image)
 
-    def seam(a: list, b: list, key) -> list:
-        if a and b and key(a[-1]) == key(b[0]):
-            return a[:-1] + b if before else a + b[1:]
-        return a + b
-
+    anchors = first.anchors + second.anchors
+    if first.anchors and second.anchors and first.anchors[-1][0] == second.anchors[0][0]:
+        del anchors[len(first.anchors) - before]
     cut = first.alphas[-1] == second.alphas[0]
     head = len(first.alphas) - (cut and before)
     tail = int(cut and not before)
     return Trajectory(
         seed=marched.seed,
-        channel=marched.channel,
         alphas=first.alphas[:head] + second.alphas[tail:],
         ks=first.ks[:head] + second.ks[tail:],
-        anchors=seam(first.anchors, second.anchors, lambda a: a[0]),
-        axis_crossings=seam(first.axis_crossings, second.axis_crossings, lambda c: c[0]),
-        closure=Closure(kind, second.closure.forward_reason, first.closure.backward_reason),
+        anchors=anchors,
+        closure=Closure(kind, marched.closure.reason),
     )
 
 
@@ -463,8 +460,7 @@ def _reflect(alpha: float, n0: int) -> float:
 
 
 def _mirror_pole(pole: Pole, n0: int) -> Pole:
-    k = -pole.k.conjugate()
-    return replace(pole, k=k, kind=classify(k, pole.multiplicity),
+    return replace(pole, k=-pole.k.conjugate(),
                    coupling=ComplexCoupling(_reflect(pole.coupling.alpha, n0)))
 
 
@@ -476,20 +472,15 @@ def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:
     relation of the S-matrix, S*(-k*, gamma*) = S(k, gamma), but only when
     alpha0 is a multiple of pi; about any other phase this raises
     ValueError. Anchor phases map exactly onto the quarter-turn grid (see
-    _reflect). A forward trace becomes a backward one with the exit reasons
-    swapped. For a self-symmetric trajectory it retraces the original curve.
+    _reflect). A forward trace becomes a backward one that stops, at its
+    other end, for the same reason, so the closure is unchanged. For a
+    self-symmetric trajectory it retraces the original curve.
     """
     n0 = _mirror_index(traj.seed_alpha if about is None else about * HALF_PI)
-    closure = Closure(traj.closure.kind, traj.closure.backward_reason,
-                      traj.closure.forward_reason)
     return Trajectory(
         seed=_mirror_pole(traj.seed, n0),
-        channel=traj.channel,
         alphas=[_reflect(al, n0) for al in reversed(traj.alphas)],
         ks=[-kk.conjugate() for kk in reversed(traj.ks)],
         anchors=[(2 * n0 - n, -kk.conjugate()) for n, kk in reversed(traj.anchors)],
-        axis_crossings=[
-            (_reflect(al, n0), -kk.conjugate()) for al, kk in reversed(traj.axis_crossings)
-        ],
-        closure=closure,
+        closure=traj.closure,
     )

@@ -7,7 +7,9 @@ read some arguments by position, so those positions are checked too: a
 moved parameter would not crash, it would skew the per-layer metrics.
 The ops in ``perfbench/workloads.py`` call a few functions with fixed
 argument shapes; a removed parameter would turn every op into a failure,
-so those shapes are bound against the signatures here.
+so those shapes are bound against the signatures here. One op of each
+workload is also run with its check, which reads fields of the package's
+results: a reshaped field would otherwise first show as failed checks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -77,3 +80,18 @@ def test_workload_call_shapes_bind(name, n_args, keywords):
     # bind raises TypeError for a missing, surplus or unknown argument
     inspect.signature(getattr(wellpoles, name)).bind(
         *[None] * n_args, **dict.fromkeys(keywords))
+
+
+@pytest.mark.skipif(not (PERFBENCH / "workloads.py").is_file(),
+                    reason="benchmark source not present")
+@pytest.mark.parametrize("name", ["atlas", "deep", "depth-study"])
+def test_first_op_of_each_workload_passes_its_checks(name, monkeypatch):
+    # an op may fail on its own report (an uncertified chart), never on a
+    # check of what it presented as valid
+    import wellpoles
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    inp = workload.panel(1)[0]
+    causes = workload.check(wellpoles, inp, workload.op(wellpoles, inp))
+    assert not [c for c in causes if c.startswith("check:")], causes

@@ -863,7 +863,7 @@ class TestCriticalChart:
         assert len(chart.collisions) >= 1
         ev = chart.collisions[0]
         assert abs(ev.k - (-1j / A)) < 1e-12
-        assert ev.kind in ("axis_pair_to_plane_pair", "plane_pair_to_axis_pair")
+        assert ev.kind == "axis_pair_to_plane_pair"
 
     @pytest.mark.parametrize("channel,U", [
         ("plus", U_STAR_PLUS_ATT), ("plus", U_STAR_PLUS_REP), ("minus", U_STAR_MINUS_ATT),

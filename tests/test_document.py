@@ -304,7 +304,7 @@ class TestGoldenDigests:
                 # marched forward from the seed and mirrored on: ascending
                 # phases, and no exit on either side
                 assert np.all(np.diff(traj.alphas) > 0)
-                assert traj.closure.forward_reason is traj.closure.backward_reason is None
+                assert traj.closure.reason is None
                 if traj.seed.multiplicity == 2:
                     assert [n for n, _ in traj.anchors] == list(range(n_seed + 1, n_seed + turns))
                     continue

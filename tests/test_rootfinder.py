@@ -73,10 +73,11 @@ class TestClassify:
         assert classify(-0.3j, multiplicity=2) is PoleKind.DOUBLE_ZERO
 
     def test_pole_invariant(self):
+        # the kind is read off the multiplicity and position
         with pytest.raises(ValueError):
-            Pole(1j, Channel.PLUS, ATT, PoleKind.DOUBLE_ZERO, 1, 0.0)
-        with pytest.raises(ValueError):
-            Pole(1j, Channel.PLUS, ATT, PoleKind.BOUND, 2, 0.0)
+            Pole(1j, Channel.PLUS, ATT, 3, 0.0)
+        assert Pole(1j, Channel.PLUS, ATT, 2, 0.0).kind is PoleKind.DOUBLE_ZERO
+        assert Pole(1j, Channel.PLUS, ATT, 1, 0.0).kind is PoleKind.BOUND
 
 
 class TestScanInventories:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from wellpoles.chart import build_chart, critical_depth
+from wellpoles.chart import _collision_depth, build_chart, critical_depth
 from wellpoles.errors import ModelInvalid, NoConvergence, SeedNotOnPole, StallAtDoubleZero
 from wellpoles.rootfinder import (
     TOL_AXIS,
@@ -127,8 +127,7 @@ class TestClosureDetection:
         monkeypatch.setattr(trajectory, "_ALPHA_CAP", 8 * math.pi)
         spec = _spec(0.09)
         t = trace(_seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL), +1, spec)
-        assert t.closure.kind is ClosureKind.OPEN
-        assert t.closure.forward_reason is ExitReason.ALPHA_CAP
+        assert t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
         assert abs(t.alphas[-1] - (math.pi + 8 * math.pi)) < 1e-9
 
     def test_deep_bound_closes_in_two_turns(self):
@@ -199,7 +198,7 @@ class TestStepControl:
         spec = PotentialSpec(*well)
         seed = min(scan_axis(spec, REP, Channel.PLUS), key=lambda p: abs(p.k - k_seed))
         t = trace(seed, +1, spec)
-        assert t.closure.forward_reason is ExitReason.K_WINDOW
+        assert t.closure.reason is ExitReason.K_WINDOW
         assert np.min(np.diff(t.alphas)) > 1e-9
 
     def test_anchors_hit_exactly(self):
@@ -249,8 +248,8 @@ class TestCombine:
         assert np.all(np.diff(c.alphas) > 0)
         assert c.alphas[0] == b.alphas[0] and c.alphas[-1] == f.alphas[-1]
         assert len(c.alphas) == len(f.alphas) + len(b.alphas) - 1
-        assert c.closure.forward_reason is ExitReason.ALPHA_CAP
-        assert c.closure.backward_reason is ExitReason.ALPHA_CAP
+        # both halves stop at the phase cap, one on either side of the seed
+        assert b.closure == c.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
 
 
 class TestMirror:
@@ -293,8 +292,8 @@ class TestMirror:
         t = trace_branch(dz, branches[0][1], 1e-3, spec)
         m = mirror(t)
         assert np.all(np.diff(m.alphas) > 0) and m.alphas[-1] == -1e-3
-        assert m.closure.forward_reason is t.closure.backward_reason is None
-        assert m.closure.backward_reason is t.closure.forward_reason is ExitReason.ALPHA_CAP
+        # the image stops at the cap on the far side, for the march's reason
+        assert m.closure == t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
         # k -> -conj(k) takes the resonance-side branch across the axis, onto
         # the antiresonance-side branch of the backward split
         _, bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1)
@@ -309,9 +308,9 @@ class TestBackwardByMirror:
         seed = newton_refine(3.5 - 1.0j, ATT, spec, Channel.PLUS)
         assert seed.kind is PoleKind.RESONANCE
         t = trace(seed, -1, spec)
-        # the mirrored forward march: it ends on the seed, and its exit
-        # lies behind the seed
-        assert t.closure.forward_reason is None and t.closure.backward_reason is not None
+        # the mirrored forward march: it ends on the seed, and the exit it
+        # carries, the march's, lies behind the seed
+        assert t.closure.kind is ClosureKind.OPEN and t.closure.reason is not None
         assert t.seed.k == seed.k
         assert t.alphas[-1] == 0.0 and t.ks[-1] == seed.k
         assert np.all(np.diff(t.alphas) > 0)
@@ -512,8 +511,7 @@ class TestWindowExit:
         monkeypatch.setattr(trajectory, "_WINDOW_A", 5.0 * spec.a)
         seed = _seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL)
         t = trace(seed, +1, spec)
-        assert t.closure.kind is ClosureKind.OPEN
-        assert t.closure.forward_reason is ExitReason.K_WINDOW
+        assert t.closure == Closure(ClosureKind.OPEN, ExitReason.K_WINDOW)
         assert abs(t.ks[-1]) > 5.0
 
     @pytest.mark.parametrize("channel,U", [("plus", 2.0), ("minus", 5.0)])
@@ -523,9 +521,38 @@ class TestWindowExit:
         spec = _spec(U)
         window = trajectory._WINDOW_A / spec.a
         chart = build_chart(spec, Channel.parse(channel))
-        assert any(t.closure.forward_reason is ExitReason.K_WINDOW for t in chart.trajectories)
+        assert any(t.closure.reason is ExitReason.K_WINDOW for t in chart.trajectories)
         for t in chart.trajectories:
             assert all(abs(k) <= window for _, k in t.anchors)
+
+
+class TestAxisCrossings:
+    """A curve meets the imaginary axis only at a real coupling, so on a
+    quarter-turn anchor: its axis crossings are its on-axis anchors."""
+
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        log_u=st.floats(math.log(1e-3), math.log(300.0)),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+        collision=st.none() | st.sampled_from([(True, 1), (True, 2), (True, 3), (False, 1)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_axis_sample_is_an_anchor(self, m, a, log_u, channel, collision):
+        if collision is None:
+            U = math.exp(log_u)
+        else:
+            # at the float collision depth; the odd channel has no
+            # repulsive collision
+            attractive, index = collision
+            U = _collision_depth(channel, attractive or channel is Channel.MINUS, m, a, index)
+        spec = PotentialSpec(m=m, a=a, U=U)
+        for t in build_chart(spec, channel, certify=False).trajectories:
+            anchors = set(t.anchors)
+            for alpha, k in zip(t.alphas, t.ks):
+                if abs(k.real) < TOL_AXIS:
+                    n = _on_half_grid(alpha)
+                    assert n is not None and (n, k) in anchors
 
 
 class TestHalfTurn:
