@@ -94,15 +94,26 @@ class NearContact:
 
 @dataclass
 class PoleChart:
+    """What tracing one well and channel found; the topology and the near
+    contacts are read off the curves."""
+
     spec: PotentialSpec
     channel: Channel
     seeds: list[Pole]
     trajectories: list[Trajectory]
-    topology: dict[str, int]
     collisions: list[CollisionEvent]
     warnings: list[ChartWarning]
-    near_contacts: list[NearContact]
     completeness: dict | None
+
+    @property
+    def topology(self) -> dict[str, int]:
+        """The number of curves of each closure kind."""
+        return dict(Counter(t.closure.kind.value for t in self.trajectories))
+
+    @property
+    def near_contacts(self) -> list[NearContact]:
+        """Pairs of curves closer than _NEAR_CONTACT at a shared anchor."""
+        return _near_contacts(self.trajectories)
 
     def anchor_poles(self, phase_class: int = 0, window: WorkingWindow | None = None) -> list[complex]:
         """Distinct poles delivered at anchors with index = phase_class (mod 4).
@@ -169,10 +180,9 @@ def _claimed(kept: list[Trajectory], seed: Pole, n: int, k: complex) -> bool:
 
 def _near_contacts(trajectories: list[Trajectory]) -> list[NearContact]:
     contacts = []
-    for i, a in enumerate(trajectories):
-        amap = a.anchor_index_map()
-        for b in trajectories[i + 1:]:
-            bmap = b.anchor_index_map()
+    maps = [t.anchor_index_map() for t in trajectories]
+    for i, amap in enumerate(maps):
+        for bmap in maps[i + 1:]:
             for n in set(amap) & set(bmap):
                 dist = abs(amap[n] - bmap[n])
                 if dist < _NEAR_CONTACT:
@@ -199,10 +209,10 @@ def build_chart(
     """Trace every pole trajectory of the well in one channel.
 
     Seeds come from axis scans at both real couplings; a coalesced pair is
-    split into its two emerging branches, each traced forward as a seed is,
-    and is the chart's one collision event at its phase (a loop that reaches
-    the pair closes there). Each curve is traced once: a seed that a kept
-    curve already delivers at an anchor of its phase, or a branch whose
+    split into a collision event, the chart's one event at its phase (a loop
+    that reaches the pair closes there), whose two labelled branches are
+    each traced forward as a seed is. Each curve is traced once: a seed that
+    a kept curve already delivers at an anchor of its phase, or a branch whose
     first anchor one does, is listed in that curve's merged_seeds and not
     kept. The backward half of an open curve is the mirror image of its
     forward march about the seed (across the pair, for a branch). With
@@ -236,9 +246,9 @@ def build_chart(
     for seed in seeds:
         alpha = seed.coupling.alpha
         if seed.multiplicity == 2:
-            event, branches = branch_at_double_zero(alpha, spec, channel, +1)
+            event = branch_at_double_zero(alpha, spec, channel, +1)
             collisions.append(event)
-            for _, kb in branches:
+            for _, kb in event.branches:
                 keep(f"split branch k={kb!r}", lambda kb=kb: trace_branch(
                     seed, kb, alpha + _SPLIT_STEP, spec))
         elif not _claimed(trajectories, seed, round(alpha / HALF_PI), seed.k):
@@ -249,10 +259,8 @@ def build_chart(
         channel=channel,
         seeds=seeds,
         trajectories=trajectories,
-        topology=dict(Counter(t.closure.kind.value for t in trajectories)),
         collisions=collisions,
         warnings=warnings,
-        near_contacts=_near_contacts(trajectories),
         completeness=None,
     )
     if certify:
@@ -263,14 +271,6 @@ def build_chart(
 def _certify(chart: PoleChart) -> dict:
     spec = chart.spec
     window = working_window(spec)
-    if spec.U == 0.0:
-        return {
-            "window": window,
-            "window_count": 0,
-            "trajectory_count": 0,
-            "complete": True,
-            "note": "zero depth has no poles",
-        }
     inventory = chart.anchor_poles(0, window)
     # an event at the attractive coupling is the coalesced pair at -i/a,
     # inside every working window (im_min < -1/a); it counts twice
@@ -286,7 +286,9 @@ def _certify(chart: PoleChart) -> dict:
     )
     window_count = None
     try:
-        n, _ = count_zeros_padded(region, spec)
+        # zero depth has no poles; the even channel's one zero there is the
+        # threshold at k = 0
+        n = 0 if spec.U == 0.0 else count_zeros_padded(region, spec)[0]
     except (EdgeTooClose, ValueError) as exc:
         failure = f"window contour count failed: {exc}"
     else:
@@ -314,15 +316,21 @@ def _certify(chart: PoleChart) -> dict:
 
 @dataclass(frozen=True)
 class CriticalDepth:
+    """A pair collision at k = -i/a; its transition, the way the pair moves
+    as U increases, is read off the coupling (see critical_depth)."""
+
     U: float
     k: complex
     channel: Channel
     attractive: bool
     index: int
-    transition: str  # 'axis_to_plane' or 'plane_to_axis' as U increases
     # contour count around k in a small box, should be 2; None when the
     # count fails
     pair_count: int | None
+
+    @property
+    def transition(self) -> str:
+        return "plane_to_axis" if self.attractive else "axis_to_plane"
 
 
 def _collision_depth(
@@ -375,7 +383,6 @@ def _verified_critical(channel, attractive, index, u_star, m, a) -> CriticalDept
         channel=channel,
         attractive=attractive,
         index=index,
-        transition="plane_to_axis" if attractive else "axis_to_plane",
         pair_count=pair,
     )
 
@@ -573,10 +580,20 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepTransition:
+    """A topology change between two sweep depths and the collision it
+    brackets, if any; the description is read off that collision."""
+
     u_below: float
     u_above: float
     critical: CriticalDepth | None
-    description: str
+
+    @property
+    def description(self) -> str:
+        crit = self.critical
+        if crit is None:
+            return "topology change without a bracketed pair collision"
+        side = "attractive" if crit.attractive else "repulsive"
+        return f"pair collision at U={crit.U:.9g} ({side}, {crit.transition})"
 
 
 @dataclass
@@ -635,17 +652,8 @@ def depth_sweep(
             continue
         hit = _first_collision(channel, m, a, lo_e.U_used, hi_e.U_used)
         crit = None if hit is None else _verified_critical(channel, *hit, m, a)
-        if crit is not None:
-            desc = (
-                f"pair collision at U={crit.U:.9g} "
-                f"({'attractive' if crit.attractive else 'repulsive'}, "
-                f"{crit.transition})"
-            )
-        else:
-            desc = "topology change without a bracketed pair collision"
         transitions.append(SweepTransition(
-            u_below=lo_e.U_used, u_above=hi_e.U_used,
-            critical=crit, description=desc,
+            u_below=lo_e.U_used, u_above=hi_e.U_used, critical=crit,
         ))
     return SweepResult(channel=channel, entries=entries, transitions=transitions)
 

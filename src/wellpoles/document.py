@@ -12,8 +12,6 @@ value by value. The trajectory CSV goes through the same bulk formatter.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from itertools import compress, count, filterfalse
@@ -155,11 +153,9 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
         completeness = {
             "window": _window_dict(chart.completeness["window"]),
             "window_count": chart.completeness["window_count"],
-            "trajectory_count": chart.completeness.get("trajectory_count", 0),
+            "trajectory_count": chart.completeness["trajectory_count"],
             "complete": chart.completeness["complete"],
-            "inventory": [
-                complex(k) for k in chart.completeness.get("inventory", [])
-            ],
+            "inventory": [complex(k) for k in chart.completeness["inventory"]],
         }
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -376,21 +372,13 @@ def parse_chart_document(text: str) -> dict:
 
 def axis_poles_csv(channel: str, poles) -> str:
     """Axis poles of one channel as CSV, one row per pole."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["channel", "alpha", "re_k", "im_k", "kind", "multiplicity"]
-    )
+    # no field holds a comma, quote or newline, so none needs quoting
+    rows = ["channel,alpha,re_k,im_k,kind,multiplicity\n"]
     for p in poles:
-        writer.writerow([
-            channel,
-            _fmt_float(p.coupling.alpha),
-            _fmt_float(p.k.real),
-            _fmt_float(p.k.imag),
-            p.kind.value,
-            p.multiplicity,
-        ])
-    return buf.getvalue()
+        fields = (p.coupling.alpha, p.k.real, p.k.imag)
+        rows.append(f"{channel},{','.join(map(_fmt_float, fields))},"
+                    f"{p.kind.value},{p.multiplicity}\n")
+    return "".join(rows)
 
 
 def poles_csv(chart: PoleChart) -> str:

@@ -190,8 +190,9 @@ def chart_svg(chart: PoleChart) -> str:
 
     # legend
     ly = margin + 8
+    topology = chart.topology
     for kind in ("closed_2pi", "closed_4pi", "open"):
-        count = chart.topology.get(kind, 0)
+        count = topology.get(kind, 0)
         if count == 0:
             continue
         parts.append(

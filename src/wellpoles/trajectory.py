@@ -56,6 +56,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from . import _kernels as _k
 from .errors import ModelInvalid, SeedNotOnPole, StallAtDoubleZero
@@ -113,12 +114,13 @@ class Closure:
 
 @dataclass(frozen=True)
 class CollisionEvent:
-    """A pole pair coalescing at k = -i/a while alpha passes the event."""
+    """A pole pair coalescing at k = -i/a while alpha passes the event, with
+    its two labelled branches; they always leave the axis."""
 
     alpha: float
     k: complex
-    kind: str  # 'axis_pair_to_plane_pair': the branches leave the axis
     branches: tuple[tuple[str, complex], ...]
+    kind: ClassVar[str] = "axis_pair_to_plane_pair"
 
 
 @dataclass
@@ -162,7 +164,7 @@ def branch_at_double_zero(
     spec: PotentialSpec,
     channel: Channel,
     direction: int,
-) -> tuple[CollisionEvent, list[tuple[str, complex]]]:
+) -> CollisionEvent:
     """Split a coalesced pair at k = -i/a into its two emerging branches.
 
     Raises ModelInvalid unless ``multiplicity_at`` finds a coalesced pair
@@ -173,8 +175,8 @@ def branch_at_double_zero(
     at k_c +- i K_c sqrt(i sigma delta), K_c = sqrt(k_c^2 + 2 m U gamma_c).
     Each is Newton-polished at the stepped coupling. K_c is real or
     imaginary, so both sit about |K_c| sqrt(delta/2) off the axis, and the
-    greater in (Re k, Im k) order is 'resonance_side'. Its one caller,
-    build_chart, splits axis seeds.
+    greater in (Re k, Im k) order is 'resonance_side', the event's first
+    branch. sigma is direction; build_chart splits axis seeds with +1.
     """
     kc = -1j / spec.a
     coupling = ComplexCoupling(alpha_c)
@@ -200,8 +202,7 @@ def branch_at_double_zero(
     lo, hi = branches
     if abs(hi - lo) < 1e-12:
         raise ModelInvalid("branches did not separate; step too small")
-    labeled = [("resonance_side", hi), ("antiresonance_side", lo)]
-    return CollisionEvent(alpha_c, kc, "axis_pair_to_plane_pair", tuple(labeled)), labeled
+    return CollisionEvent(alpha_c, kc, (("resonance_side", hi), ("antiresonance_side", lo)))
 
 
 def _tangent(k: complex, gamma: complex, spec: PotentialSpec, ch: int) -> complex:

@@ -8,8 +8,9 @@ moved parameter would not crash, it would skew the per-layer metrics.
 The ops in ``perfbench/workloads.py`` call a few functions with fixed
 argument shapes; a removed parameter would turn every op into a failure,
 so those shapes are bound against the signatures here. One op of each
-workload is also run with its check, which reads fields of the package's
-results: a reshaped field would otherwise first show as failed checks.
+workload is also run with its check and its digest bytes, which read
+fields of the package's results: a reshaped field would otherwise first
+show as failed checks or a crashed benchmark run.
 """
 
 from __future__ import annotations
@@ -87,11 +88,15 @@ def test_workload_call_shapes_bind(name, n_args, keywords):
 @pytest.mark.parametrize("name", ["atlas", "deep", "depth-study"])
 def test_first_op_of_each_workload_passes_its_checks(name, monkeypatch):
     # an op may fail on its own report (an uncertified chart), never on a
-    # check of what it presented as valid
+    # check of what it presented as valid; its digest bytes read further
+    # fields (a depth op's transition labels and descriptions)
     import wellpoles
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workload = importlib.import_module("workloads").WORKLOADS[name]
     inp = workload.panel(1)[0]
-    causes = workload.check(wellpoles, inp, workload.op(wellpoles, inp))
+    out = workload.op(wellpoles, inp)
+    causes = workload.check(wellpoles, inp, out)
     assert not [c for c in causes if c.startswith("check:")], causes
+    data = workload.to_bytes(out)
+    assert isinstance(data, bytes) and data

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -226,6 +226,10 @@ class TestCompleteness:
         chart = build_chart(PotentialSpec(m=M, a=A, U=0.0), Channel.PLUS)
         assert chart.topology == {}
         assert chart.completeness["complete"]
+        # the certificate has the keys of every other chart, with no poles
+        assert set(chart.completeness) == set(_chart("plus", 1.0).completeness)
+        assert (chart.completeness["window_count"], chart.completeness["trajectory_count"],
+                chart.completeness["inventory"]) == (0, 0, [])
 
 
 class TestChartMirrorSymmetry:
@@ -1044,7 +1048,7 @@ class TestForwardMarchesOnly:
         # it, and it ends on a backward split branch
         spec = PotentialSpec(m=M, a=A, U=U_STAR_PLUS_ATT)
         chart = build_chart(spec, Channel.PLUS, certify=False)
-        _, bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1)
+        bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1).branches
         (curve,) = [t for t in chart.trajectories if not t.closure.is_closed]
         i = int(np.searchsorted(curve.alphas, 0.0))
         assert len(curve.alphas) == 2 * i
@@ -1054,6 +1058,31 @@ class TestForwardMarchesOnly:
         assert min(abs(curve.ks[i - 1] - kb) for _, kb in bwd) < 1e-10
         # the pair's event is the chart's, held once
         assert [ev.alpha for ev in chart.collisions] == [0.0]
+
+
+class TestClosedFormTopology:
+    """The topology a chart reads off its curves is the closed-form count:
+    one open curve, a closed_4pi loop per attractive collision below U, and
+    in the even channel a closed_2pi loop below the repulsive collision."""
+
+    @given(
+        m=st.floats(0.5, 2.0), a=st.floats(0.75, 3.0),
+        log_U=st.floats(math.log(0.05), math.log(20.0)),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_topology_matches_the_collision_count(self, m, a, log_U, channel):
+        U = math.exp(log_U)
+        chart = build_chart(PotentialSpec(m=m, a=a, U=U), channel, certify=False)
+        assume(not any(w.code == "critical_proximity" for w in chart.warnings))
+        expected = {"open": 1}
+        loops = len(chart_module._collisions_between(channel, True, m, a, 0.0, U))
+        if loops:
+            expected["closed_4pi"] = loops
+        if channel is Channel.PLUS and U < chart_module._collision_depth(
+                Channel.PLUS, False, m, a, 1):
+            expected["closed_2pi"] = 1
+        assert chart.topology == expected
 
 
 class TestDeterminism:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 from collections import Counter
@@ -17,6 +19,7 @@ from wellpoles.chart import build_chart, critical_depth
 from wellpoles.config import RunConfig, load_config_file, merge_config
 from wellpoles.document import (
     _fmt_float,
+    axis_poles_csv,
     canonical_dumps,
     chart_document,
     parse_chart_document,
@@ -24,7 +27,8 @@ from wellpoles.document import (
     trajectories_csv,
 )
 from wellpoles.errors import DocumentError
-from wellpoles.smatrix import Channel, PotentialSpec
+from wellpoles.rootfinder import scan_axis
+from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.svgplot import chart_svg
 from wellpoles import trajectory
 from wellpoles.trajectory import ClosureKind
@@ -403,6 +407,27 @@ class TestCsvExport:
         total = sum(len(t.alphas) for t in chart.trajectories)
         assert len(lines) == 1 + total
         assert "\r" not in text
+
+    @given(
+        m=st.floats(0.2, 10.0), a=st.floats(0.1, 6.0),
+        log_U=st.floats(math.log(1e-3), math.log(300.0)),
+        channel=st.sampled_from(list(Channel)),
+        alpha=st.sampled_from([0.0, math.pi]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_axis_poles_csv_matches_the_csv_module(self, m, a, log_U, channel, alpha):
+        # the fields hold no comma, quote or newline, so joining them gives
+        # the bytes csv.writer writes
+        poles = scan_axis(PotentialSpec(m=m, a=a, U=math.exp(log_U)),
+                          ComplexCoupling(alpha), channel)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["channel", "alpha", "re_k", "im_k", "kind", "multiplicity"])
+        for p in poles:
+            writer.writerow([channel.value, _fmt_float(p.coupling.alpha),
+                             _fmt_float(p.k.real), _fmt_float(p.k.imag),
+                             p.kind.value, p.multiplicity])
+        assert axis_poles_csv(channel.value, poles) == buf.getvalue()
 
     def test_csv_closure_labels(self):
         chart = _chart("plus", 1.0)

@@ -26,6 +26,7 @@ from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.trajectory import (
     Closure,
     ClosureKind,
+    CollisionEvent,
     ExitReason,
     _join,
     _on_half_grid,
@@ -287,7 +288,7 @@ class TestMirror:
         monkeypatch.setattr(trajectory, "_ALPHA_CAP", 1.5 * math.pi)
         spec = _spec(U_CRIT_PLUS_ATT)
         dz = [p for p in scan_axis(spec, ATT, Channel.PLUS) if p.multiplicity == 2][0]
-        _, branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
+        branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1).branches
         assert branches[0][0] == "resonance_side"
         t = trace_branch(dz, branches[0][1], 1e-3, spec)
         m = mirror(t)
@@ -296,7 +297,7 @@ class TestMirror:
         assert m.closure == t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
         # k -> -conj(k) takes the resonance-side branch across the axis, onto
         # the antiresonance-side branch of the backward split
-        _, bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1)
+        bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1).branches
         assert abs(m.ks[-1] - dict(bwd)["antiresonance_side"]) < 1e-10
 
 
@@ -398,9 +399,10 @@ class TestBranching:
 
     def test_split_produces_residual_clean_branches(self):
         spec = _spec(U_CRIT_PLUS_ATT)
-        event, branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
-        assert event.kind == "axis_pair_to_plane_pair"
-        assert {lbl for lbl, _ in branches} == {"resonance_side", "antiresonance_side"}
+        event = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
+        branches = event.branches
+        assert event.kind == CollisionEvent.kind == "axis_pair_to_plane_pair"
+        assert [lbl for lbl, _ in branches] == ["resonance_side", "antiresonance_side"]
         ks = {lbl: k for lbl, k in branches}
         assert ks["resonance_side"].real > 0 > ks["antiresonance_side"].real
         for _, kb in branches:
@@ -410,8 +412,8 @@ class TestBranching:
 
     def test_forward_backward_splits_mirror(self):
         spec = _spec(U_CRIT_PLUS_ATT)
-        _, fwd = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
-        _, bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1)
+        fwd = branch_at_double_zero(0.0, spec, Channel.PLUS, +1).branches
+        bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1).branches
         f = {lbl: k for lbl, k in fwd}
         b = {lbl: k for lbl, k in bwd}
         assert abs(b["resonance_side"] - (-f["antiresonance_side"].conjugate())) < 1e-10
@@ -422,8 +424,8 @@ class TestBranching:
         spec = _spec(U_CRIT_PLUS_ATT)
         poles = scan_axis(spec, ATT, Channel.PLUS)
         dz = [p for p in poles if p.multiplicity == 2][0]
-        event, branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
-        lbl, kb = branches[0]
+        event = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
+        lbl, kb = event.branches[0]
         t = trace_branch(dz, kb, 1e-3, spec)
         # a split step past the pair, on to every anchor below the phase cap
         assert t.seed is dz and (t.alphas[0], t.ks[0]) == (1e-3, kb)
@@ -479,14 +481,14 @@ class TestClosedFormBranches:
             with pytest.raises(ModelInvalid):
                 branch_at_double_zero(alpha_c, spec, channel, direction)
             return
-        event, branches = branch_at_double_zero(alpha_c, spec, channel, direction)
+        event = branch_at_double_zero(alpha_c, spec, channel, direction)
         assert event.alpha == alpha_c
         step = direction * trajectory._SPLIT_STEP
         big_k = x / a if attractive else 1j * x / a
         root = 1j * big_k * cmath.sqrt(1j * step)
         stepped = ComplexCoupling(alpha_c + step)
         matched = []
-        for _, kb in branches:
+        for _, kb in event.branches:
             est = min((kc + root, kc - root), key=lambda e: abs(e - kb))
             matched.append(est)
             assert abs(kb - est) <= 0.02 * abs(kb - kc)
