@@ -9,7 +9,8 @@ their values are bit-equal to it:
 
 - ``newton_pole``, the corrector, evaluates d and dd/dk inline, without
   dd/dw, the D_alpha product or, outside the series windows, E, and forms
-  dd/dw once, after it converges, for the tangent dk/dalpha it returns;
+  dd/dw once, after it converges, for the tangent dk/dalpha at its last
+  iterate, which it returns;
 - ``grid_denom_dk`` loops over a list of momenta for the winding contours,
   with the same inline d and dd/dk as ``newton_pole``;
 - ``axis_phi`` loops along the imaginary axis. The axis poles are
@@ -39,8 +40,8 @@ range; they do not raise. ``E`` underflows to 0 once |Im z| passes about 745,
 and ``unscale`` then gives the overflowed true value (inf, or nan for a zero
 part) where Python's complex division would raise ZeroDivisionError. A
 non-finite argument gives non-finite trig blocks, and a ``newton_pole``
-whose iterate overflows, or whose step test passes where E underflowed,
-reports ``converged=False``.
+whose iterate overflows, or whose stop rule (any of its exits) passes
+where E underflowed, reports ``converged=False``.
 
 Channel conventions
 -------------------
@@ -69,6 +70,10 @@ CH_MINUS = 1
 # block G below 0.1 (series truncation error ~1e-14 relative)
 _SINC_CUT = 1e-4
 _G_CUT = 0.1
+
+# newton_pole's roundoff exit: d below this many units of double precision
+# of the terms whose difference it is
+_ROUNDOFF = 16.0 * 2.0 ** -52
 
 # the tangent newton_pole returns when it does not converge
 _NAN = complex(math.nan, math.nan)
@@ -153,23 +158,44 @@ def unscale(v, E):
 def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
     """Newton iteration on the channel pole function.
 
-    Stops when |step| < step_tol*(1+|k|). Returns (k, iterations, converged,
-    v), v = dk/dalpha = -D_alpha/D_k the tangent of the pole curve, or a
-    complex nan when not converged. The ratio d/dk is scale-invariant, so
-    overflow never enters; an iterate that runs off past the float range
-    turns nan and is reported as not converged. So is a passed step test
-    at an iterate where E = exp(-|Im aK|) underflowed to 0: there the step
-    is roundoff, and the test, relative to |k|, passes at no pole; the
-    iterate k is returned.
+    With s_n = d/(dd/dk) at k_n the n-th step and k_{n+1} = k_n - s_n, it
+    stops at the first n where one of three exits passes:
+
+    - the step test, |s_n| < step_tol*(1+|k_{n+1}|); it returns k_{n+1};
+    - from the second iteration on, Newton's quadratic error model puts the
+      next step under that bound: |s_n|^3 < step_tol*(1+|k_{n+1}|)*|s_{n-1}|^2.
+      This saves the iteration that would only confirm a converged step.
+      It returns k_{n+1};
+    - from the second iteration on, d = p - q is a rounding residue of its
+      two terms (k*C and i*a*w*Z in the even channel, C and i*a*k*Z in the
+      odd one): |d| < 16*eps*(|p| + |q|). Then k_n is a root to working
+      precision and s_n is noise, so it returns k_n. At the far virtual
+      poles of shallow narrow wells the terms exceed dd/dk so far that
+      every step is noise above the step test's bound, and noise steps
+      need not shrink as the model asks. Next to a near-double zero, where
+      dd/dk nearly vanishes, the noise step can be large, and k_n is the
+      better root. The first iteration skips this test: a corrector seldom
+      starts within roundoff of its pole, and it would cost every call.
+
+    Returns (k, iterations, converged, v), v = dk/dalpha = -D_alpha/D_k
+    the tangent of the pole curve, or a complex nan when not converged. The
+    ratio d/dk is scale-invariant, so overflow never enters; an iterate that
+    runs off past the float range turns nan and is reported as not
+    converged. So is a stop at an iterate where E = exp(-|Im aK|)
+    underflowed to 0: there the step is roundoff, and every exit passes at
+    no pole; the iterate k_n is returned.
 
     The loop evaluates d and dd/dk only: ``trig_scaled`` reduced to the
     blocks the channel reads, then ``_channel_terms`` without dd/dw. Every
     float operation, its order and its constants are those of
     ``denom_scaled``, so each iterate is bit-equal to a loop on it; keep
     ``(-1j * a) * Z``, since ``-(1j * a) * Z`` flips the sign of a zero
-    real part. Only on convergence does it form dd/dw, from the last
-    iterate's trig blocks, for v; that iterate lies within
-    step_tol*(1+|k|) of the returned k.
+    real part. Only on convergence does it form dd/dw, from k_n's trig
+    blocks, for v. So v is the tangent at k_n: at the returned k for the
+    roundoff exit, |s_n| from it for the others, which is under
+    step_tol*(1+|k|) at the step test and under
+    (step_tol*(1+|k|)*|s_{n-1}|^2)^(1/3) at the model's exit; in the
+    continuation corrector that reaches about 1.5e-6*(1+|k|).
     """
     c = 2.0 * m * gamma * U
     a2 = a * a
@@ -211,26 +237,42 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
                 G = (
                     -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0
                 ) * exp(-ay)
-            d = C - ia * k * Z
+            p = C
+            q = ia * k * Z
             dk = mia * Z - a2 * k * Z - ia3 * kk * G
         else:
-            d = k * C - ia * w * Z
+            p = k * C
+            q = ia * w * Z
             dk = C - a2 * kk * Z - ia * k * (Z + C)
+        d = p - q
         if dk == 0.0:
             return k, it, False, _NAN
         step = d / dk
         k1 = k - step
-        if abs(step) < step_tol * (1.0 + abs(k1)):
-            if exp(-ay) == 0.0:
-                # E underflowed: every scaled value is 0 or a rounding
-                # residue, and a step test relative to |k| passes anywhere
-                return k, it + 1, False, _NAN
-            if odd:
-                dw = -0.5 * a2 * (Z + ia * k * G)
-            else:
-                dw = -0.5 * a2 * k * Z - 0.5j * a * (Z + C)
-            return k1, it + 1, True, -(dw * (2j * m * U * gamma)) / dk
-        k = k1
+        s = abs(step)
+        bound = step_tol * (1.0 + abs(k1))
+        # the step passes the test, or, from the second iteration on,
+        # Newton's quadratic model puts the next one under it:
+        # |s_{n+1}| ~ |s_n|^2 / |s_{n-1}|
+        if s < bound or it and s * s * s < bound * s_prev * s_prev:
+            k_root = k1
+        elif it and abs(d) < _ROUNDOFF * (abs(p) + abs(q)):
+            # d is a rounding residue of its two terms: k is a root to
+            # working precision, and the step is noise
+            k_root = k
+        else:
+            k = k1
+            s_prev = s
+            continue
+        if exp(-ay) == 0.0:
+            # E underflowed: every scaled value is 0 or a rounding residue,
+            # and each exit passes anywhere
+            return k, it + 1, False, _NAN
+        if odd:
+            dw = -0.5 * a2 * (Z + ia * k * G)
+        else:
+            dw = -0.5 * a2 * k * Z - 0.5j * a * (Z + C)
+        return k_root, it + 1, True, -(dw * (2j * m * U * gamma)) / dk
     return k, max_iter, False, _NAN
 
 

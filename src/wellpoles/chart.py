@@ -195,9 +195,8 @@ def _near_contacts(trajectories: list[Trajectory]) -> list[NearContact]:
 
 
 def _stalled(start: str, exc: StallAtDoubleZero) -> ChartWarning:
-    # far virtual poles of shallow narrow wells, and pairs next to a
-    # collision, sit where roundoff in the pole function exceeds the
-    # corrector's step test
+    # pairs next to a collision, which the march passes closer than it
+    # resolves at its minimum step
     return ChartWarning(code="trace_stalled", message=f"curve from {start} not traced: {exc}")
 
 

@@ -388,8 +388,7 @@ def _axis_roots(
                 STEP_TOL, MAX_NEWTON,
             )
             # without convergence, where d's slope is tiny against its terms
-            # (a pair next to its collision, a far virtual pole of a shallow
-            # narrow well) and roundoff exceeds Newton's step test, the
+            # (a pair next to its collision) and Newton stalls, the
             # bracketed root is the better value
             if ok:
                 if abs(k - 1j * kappa) > 0.5:

@@ -3,8 +3,12 @@
 A pole k(alpha) of a channel pole function D(k; gamma=e^{i alpha}) is
 continued in increasing alpha by a cubic Hermite predictor through the last
 two samples of (alpha, k, v = dk/dalpha = -D_alpha/D_k), Euler at a start,
-and a Newton corrector at the stepped phase, which returns the
-tangent v1 at the new pole with it, so a step makes no other kernel call.
+and a Newton corrector at the stepped phase. The corrector stops on its
+step test, on Newton's quadratic error model or at the roundoff of the
+pole function (see _kernels.newton_pole), so a sample holds the pole to
+1e-12*(1 + |k|), or to roundoff where that is wider, in about two
+iterations. It returns the tangent v1 at its last iterate, up to about
+1.5e-6*(1 + |k|) from the new pole, so a step makes no other kernel call.
 A step of length h is accepted when it moves k by at most
 0.1*(1 + |k0|) and its local error, the trapezoid defect
 e = |k1 - k0 - h(v0 + v1)/2| of the tangents at both ends, is at most
@@ -17,11 +21,12 @@ swap onto a neighbouring curve closer than tol*(1 + |k|); there only a
 check that each anchor pole lies on one curve can. Steps are clipped so the
 trace lands exactly on every quarter-turn anchor alpha = n*(pi/2), and a
 step that would end within rounding of one ends on it; so no step is longer
-than pi/2, and there is no other cap on the step: in the far field, where
-|dk/dalpha| tends to 1/(2a), whole quarter turns pass both tests. Anchors
-are tracked by the integer n, never by comparing accumulated floats against
-multiples of pi, so the half-turn stop and the mirror below land exactly on
-them.
+than pi/2, and there is no other cap on the step. In the far field, where
+|dk/dalpha| tends to 1/(2a), the error-sized step grows from about 0.4 of a
+quarter turn at |k|a = 10 to 0.94 at |k|a = 40, and the anchor clips the
+rest, about two steps per quarter turn. Anchors are tracked by the integer
+n, never by comparing accumulated floats against multiples of pi, so the
+half-turn stop and the mirror below land exactly on them.
 
 The march only ever runs forward. The conjugation relation of the S-matrix,
 S*(-k*, gamma*) = S(k, gamma), maps the pole at (alpha, k) to

@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` wraps every function in its ``TRACED`` list by
 name. A deleted or renamed function would only surface when a traced
 benchmark run crashes, so the names are checked here. The span payloads
-read some arguments by position, so those positions are checked too: a
-moved parameter would not crash, it would skew the per-layer metrics.
+read some arguments and the corrector's result by position, so those
+positions are checked too: a moved parameter or a reshaped result would
+not crash, it would skew the per-layer metrics.
 The ops in ``perfbench/workloads.py`` call a few functions with fixed
 argument shapes; a removed parameter would turn every op into a failure,
 so those shapes are bound against the signatures here. One op of each
@@ -60,6 +61,21 @@ def test_payload_argument_positions():
     # len(args[0]) is the grid size
     assert _positional(_kernels.axis_phi)[0] == "kappas"
     assert _positional(_kernels.grid_denom_dk)[0] == "ks"
+
+
+def test_newton_pole_result_positions():
+    # result[1] and result[2] are the iteration count and converged flag
+    # behind kernel.newton_pole.iters_per_call and converged_frac; a
+    # reshaped return would skew them without a crash
+    from wellpoles import _kernels
+
+    for max_iter in (50, 1):
+        result = _kernels.newton_pole(1.85j, 1.0 + 0j, 1.0, 1.5, 2.0, _kernels.CH_PLUS,
+                                      1e-12, max_iter)
+        assert isinstance(result, tuple) and len(result) == 4
+        assert type(result[1]) is int and 0 < result[1] <= max_iter
+        assert type(result[2]) is bool
+        assert result[2] is (max_iter == 50)
 
 
 # (function, positional count, keywords) as perfbench/workloads.py calls them

@@ -698,28 +698,68 @@ class TestDepthSweep:
 class TestShallowNarrowWell:
     """Wells with c = a sqrt(2 m U) below 0.1. At c = 0.03 each channel has
     a far virtual pole at a*kappa ~ -5.99, seeded now that the axis scan has
-    no range cap. Its curve stalls in the corrector, which the chart reports
-    and survives."""
+    no range cap. Roundoff there keeps every Newton step above the step
+    test; the corrector stops on its quadratic model or, where the steps are
+    noise of one size, at the roundoff of the pole function, so the curve
+    traces."""
 
     @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
-    def test_stalled_far_seed_is_reported(self, channel):
+    def test_far_seed_is_traced(self, channel):
         spec = PotentialSpec(m=1.0, a=1.0, U=0.03 ** 2 / 2.0)
         chart = build_chart(spec, channel)
         far = [p for p in chart.seeds if p.k.imag < -5.0]
         assert len(far) == 1 and abs(far[0].k.imag + 5.99) < 0.01
-        assert [w.code for w in chart.warnings] == ["trace_stalled"]
+        assert chart.warnings == []
+        if channel is Channel.PLUS:
+            assert chart.topology == {"closed_2pi": 1, "open": 1}
+        else:
+            assert chart.topology == {"open": 1}
+        assert chart.completeness["complete"] is True
 
-    def test_stalled_chart_is_not_complete(self):
-        # the curve of the far virtual pole at k = -23.3i stalls; the window
-        # holds one pole at the attractive coupling, which the closed loop
-        # delivers, so the two counts agree without the missing curve
-        spec = PotentialSpec(1.6170301714729771, 0.25872504383451456, 0.003839639189234336)
-        chart = build_chart(spec, Channel.PLUS)
+    # the far virtual pole lies at k = -23.3i, outside the window, which
+    # holds one pole at the attractive coupling, delivered by the closed loop
+    FAR_POLE_WELL = (1.6170301714729771, 0.25872504383451456, 0.003839639189234336)
+
+    def test_far_pole_curve_completes_the_chart(self):
+        chart = build_chart(PotentialSpec(*self.FAR_POLE_WELL), Channel.PLUS)
+        assert chart.topology == {"closed_2pi": 1, "open": 1}
+        assert chart.warnings == []
+        cert = chart.completeness
+        assert cert["window_count"] == cert["trajectory_count"] == 1
+        assert cert["complete"] is True
+
+    def test_stalled_chart_is_not_complete(self, monkeypatch):
+        # force the far seed's curve to stall: the two counts still agree
+        # without it, and the chart is not complete all the same
+        trace = chart_module.trace
+
+        def stall_far_seed(seed, direction, spec):
+            if seed.k.imag < -20.0:
+                raise StallAtDoubleZero(seed.coupling.alpha, seed.k)
+            return trace(seed, direction, spec)
+
+        monkeypatch.setattr(chart_module, "trace", stall_far_seed)
+        chart = build_chart(PotentialSpec(*self.FAR_POLE_WELL), Channel.PLUS)
         assert chart.topology == {"closed_2pi": 1}
         assert [w.code for w in chart.warnings] == ["trace_stalled"]
         cert = chart.completeness
         assert cert["window_count"] == cert["trajectory_count"] == 1
         assert cert["complete"] is False
+
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        c=st.floats(0.005, 0.07),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shallow_narrow_charts_are_complete(self, m, a, c, channel):
+        # the step test alone stalled 251 of 300 such charts, and the
+        # quadratic model alone 31 of 100 with c in [0.005, 0.007]
+        U = c * c / (2.0 * m * a * a)
+        chart = build_chart(PotentialSpec(m=m, a=a, U=U), channel)
+        assert "trace_stalled" not in [w.code for w in chart.warnings]
+        assert chart.completeness["complete"] is True
 
     @pytest.mark.parametrize("well,channel", [
         ((2.2964837627841974, 0.8144788695135979, 0.002249719986370223), Channel.PLUS),
@@ -839,9 +879,12 @@ class TestStepRejections:
 
 
 class TestMarchWork:
-    """The quarter-turn anchors are the only cap on a step, so far from the
-    well, where |dk/dalpha| tends to 1/(2a), an open curve is marched in
-    whole quarter turns."""
+    """The quarter-turn anchors are the only cap on a step. Far from the
+    well, where |dk/dalpha| tends to 1/(2a), the error-sized step grows
+    from about 0.4 of a quarter turn at |k|a = 10 to 0.94 at |k|a = 40, and
+    the anchor clips the rest, so an open curve takes about two steps per
+    quarter turn. The corrector stops on
+    Newton's quadratic model, about two iterations per step."""
 
     @pytest.mark.parametrize("channel,U,most", [("plus", 2.0, 200), ("minus", 5.0, 215)])
     def test_newton_calls_per_chart(self, monkeypatch, channel, U, most):
@@ -857,6 +900,82 @@ class TestMarchWork:
         monkeypatch.setattr(_k, "newton_pole", counted)
         build_chart(PotentialSpec(m=M, a=A, U=U), Channel.parse(channel), certify=False)
         assert 0 < calls <= most
+
+    @pytest.mark.parametrize("channel,U,most", [("plus", 2.0, 360), ("minus", 5.0, 420)])
+    def test_newton_iterations_per_chart(self, monkeypatch, channel, U, most):
+        # 506 and 580 iterations when the step test alone stops the
+        # corrector, 347 and 406 with the quadratic model's exit
+        iterations = 0
+        newton = _k.newton_pole
+
+        def counted(*args):
+            nonlocal iterations
+            result = newton(*args)
+            iterations += result[1]
+            return result
+
+        monkeypatch.setattr(_k, "newton_pole", counted)
+        build_chart(PotentialSpec(m=M, a=A, U=U), Channel.parse(channel), certify=False)
+        assert 0 < iterations <= most
+
+
+def _mp_root(k, alpha, spec, channel, mp):
+    """The pole near k at phase alpha, by Newton on the channel pole function
+    in 50-digit arithmetic: k cos(aK) - iK sin(aK) in the even channel,
+    cos(aK) - ik sin(aK)/K in the odd one, K^2 = k^2 + 2 m U e^{i alpha}."""
+    m, a, U = spec.m, spec.a, spec.U
+    gamma = mp.expj(mp.mpf(alpha))
+    k = mp.mpc(k.real, k.imag)
+    for _ in range(60):
+        K = mp.sqrt(k * k + 2 * m * U * gamma)
+        c, s = mp.cos(a * K), mp.sin(a * K)
+        if channel is Channel.PLUS:
+            d = k * c - 1j * K * s
+            dk = c - a * k * k / K * s - 1j * k / K * s - 1j * a * k * c
+        else:
+            d = c - 1j * k * s / K
+            dk = -a * k * s / K - 1j * (s / K + k * k / K * (a * c / K - s / K ** 2))
+        step = d / dk
+        k -= step
+        if abs(step) < mp.mpf(10) ** -45 * (1 + abs(k)):
+            return complex(k)
+    raise AssertionError(f"no 50-digit root near {k}")
+
+
+class TestSampleAccuracy:
+    """Traced samples are the poles at their phases to the corrector's
+    tolerance, 1e-12*(1+|k|), or to the roundoff floor where d's terms
+    exceed its slope: checked on every third sample against a 50-digit
+    Newton root."""
+
+    @staticmethod
+    def _worst(spec, channel):
+        mp = pytest.importorskip("mpmath")
+        worst, n = 0.0, 0
+        with mp.workdps(50):
+            for t in build_chart(spec, channel, certify=False).trajectories:
+                for alpha, k in list(zip(t.alphas, t.ks))[::3]:
+                    ref = _mp_root(k, alpha, spec, channel, mp)
+                    worst = max(worst, abs(k - ref) / (1.0 + abs(ref)))
+                    n += 1
+        assert n > 20
+        return worst
+
+    @pytest.mark.parametrize("U,channel", [
+        (2.0, Channel.PLUS), (5.0, Channel.MINUS), (50.0, Channel.PLUS),
+    ])
+    def test_moderate_and_deep_wells(self, U, channel):
+        assert self._worst(PotentialSpec(m=M, a=A, U=U), channel) <= 2e-12
+
+    @pytest.mark.parametrize("well,channel", [
+        ((1.0, 1.0, 0.03 ** 2 / 2.0), Channel.PLUS),
+        ((1.0, 1.0, 0.03 ** 2 / 2.0), Channel.MINUS),
+        (TestShallowNarrowWell.FAR_POLE_WELL, Channel.PLUS),
+    ])
+    def test_shallow_narrow_wells(self, well, channel):
+        # the far virtual poles are roundoff-limited: d's terms exceed its
+        # slope so far that the samples there err by up to about 2e-11
+        assert self._worst(PotentialSpec(*well), channel) <= 5e-11
 
 
 class TestCriticalChart:

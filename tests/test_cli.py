@@ -88,13 +88,13 @@ _GOLDEN_OUTPUT = {
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
         "1ce416f921444a54dd54aa1ee03b6b628d66d62ed964bcd89582532951d19084",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "b487dafb5f8fdaa847f477ab78ffd7dc799749eac52aca5328d7f60ce471529d",
+        "e94888cc8ca7c2a81cf04604238303c3292d4c940ad797e38e0c5cf0ed5e0a16",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "56f6fb4c619110f54697f9adfb263731351bdf4635045c741f52da61972c34c5",
+        "bf90c15a5ada898789a6938d0b4935f406fa13e112b599c54e273df1cb223d41",
     ("verify", "--samples", "60", "--seed", "7"):
         "433217ca678b20fb8de17e912ae6fc2673d373a8f8111996b20a84a6323a1e63",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
-        "660b274800eec75954fe5294c565eefcf631dd44b733c41f82e8121c1993a6d4",
+        "2b2d5192ffa6352490882d709538d5d708a91772fb8e4f2e593750a30d782960",
 }
 
 

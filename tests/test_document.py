@@ -223,26 +223,26 @@ class TestChartDocument:
 # assembly must leave every byte of them unchanged. A platform whose libm
 # rounds differently may move the last float digits and so the digests.
 _GOLDEN = {
-    ("plus", 0.09): "b6ee7b72a6078898214478d8828b37d56c7581ce15a12e7aed58751aa4edc81b",
-    ("plus", 2.0): "3de332d2078221ef878696629c992cb0a5806f96a958e282e00cb732d7d90d06",
-    ("minus", 5.0): "64036318b9062510e52474ea2d2e6d3fa8a57a2936b3acd560359131e08a58f2",
+    ("plus", 0.09): "d494af8852bb378a491583feb49edbd58cd3b78e501eaf985f59477a7ab289e5",
+    ("plus", 2.0): "3e31725d51ecaf0e751668b052f87a4cb31c42f870f973bd10f7c08e9cbd5903",
+    ("minus", 5.0): "9aa12d6d58eb1361b3cf7047965f3ba9c2c9d1d2ad6cbb4312d2153580ba27c9",
 }
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "b311717abbf68fed0047ca81f8e5529dfe8a28af86d7aaf0a38b10d3fa079133",
-    ("plus", False): "e30e412ea2ff60afe72cdb0da78dabd338de8cbb0c3a07cac3a7c1bd7c29972e",
-    ("minus", True): "dc6b9c493912ef4d123561da6f5b6305b57a9fc79b8c79ff0a2582e886560eee",
+    ("plus", True): "a69a8795f1164bf68fed1f0629180f7abaad933eb2af92ecaa162ed9b1108020",
+    ("plus", False): "16bfbe298278d4e018a4028940f2a885dcbd8bd14e8371f9b925b05fdaa666c7",
+    ("minus", True): "2d2609452baf5391ccc9580c114a7d4a76a62fafe1927fed2897db464cc25d30",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
 _GOLDEN_SVG = {
-    ("plus", 0.09): "ef0c5f46c48442b30ac654e10eaf15f5e3bc0ad48f07b52b98189fd9a5a7671e",
-    ("plus", 2.0): "b08112e17b69f2f6d51dcb913d7c8e6218c41330c0deaf3be5d97fd1ff84fe7a",
-    ("minus", 5.0): "ab89267161b5a24df69dc4abf6a077684cca1dbe9d15616658313fd93d29def6",
-    ("plus", "attractive"): "e28a3d2563071c87b6761a20737c70b3e270facc8b365165aba55f8301a9a78b",
-    ("plus", "repulsive"): "dd7f908fa86aa7290387661cd819b9cf787ecf933204bb95c83f7be56ea8cb1f",
-    ("minus", "attractive"): "b6a5d01c40dd8145b413b9ca521056c63fcb6683134de4d2e615b4c660e53a8d",
+    ("plus", 0.09): "da67ce6848ad33ab5d64a9d96f8a389098faa02126b5cc59f1ce6d3f1cda3fcc",
+    ("plus", 2.0): "7044c488c510ef80130bc5c364618a3056edf42b1abc238f277ddf0573f8ae19",
+    ("minus", 5.0): "ed87053644ecda995573df609fd91554fff777d24bacb54cd1781aa6e56f58f4",
+    ("plus", "attractive"): "2ae1c7dff5e75bb7202185eee021f0d9776c573ff8f11b7b6c09f85e497e4d0a",
+    ("plus", "repulsive"): "c6a24ad0dadbda3bd8e634462e66a828e9265844637df2095fdee6ef57b49188",
+    ("minus", "attractive"): "fabfd9e82ed1ab825db5d64427802f29a5f6be66374b2453f989d91aabbdcf64",
 }
 
 

@@ -128,19 +128,55 @@ class TestNewton:
         assert not ok and cmath.isnan(v)
 
 
-def _reference_newton(k0, gamma, m, a, U, ch, step_tol, max_iter):
-    """Newton on denom_scaled: the loop newton_pole must equal bit for bit."""
+def _terms(k, gamma, m, a, U, ch):
+    """|p| + |q| for the channel pole function d = p - q at k."""
+    w = k * k + 2.0 * m * gamma * U
+    C, S, Z, G, E = K.trig_scaled(a * cmath.sqrt(w))
+    if ch == K.CH_PLUS:
+        return abs(k * C) + abs(1j * a * w * Z)
+    return abs(C) + abs(1j * a * k * Z)
+
+
+def _reference_newton(k0, gamma, m, a, U, ch, step_tol, max_iter, new_exits=True):
+    """Newton on denom_scaled: the loop newton_pole must equal bit for bit.
+
+    It stops on the step test or, with new_exits and from the second
+    iteration on, where the quadratic model puts the next step under it or
+    d is a rounding residue of its terms; without, on the step test alone.
+    """
     k = k0
+    s_prev = None
     for it in range(max_iter):
         d, dk, da, E = K.denom_scaled(k, gamma, m, a, U, ch)
         if dk == 0.0:
             return k, it, False
         step = d / dk
         k1 = k - step
-        if abs(step) < step_tol * (1.0 + abs(k1)):
+        s = abs(step)
+        bound = step_tol * (1.0 + abs(k1))
+        if s < bound or new_exits and it and s * s * s < bound * s_prev * s_prev:
             return (k1, it + 1, True) if E != 0.0 else (k, it + 1, False)
+        if new_exits and it and abs(d) < K._ROUNDOFF * _terms(k, gamma, m, a, U, ch):
+            return (k, it + 1, E != 0.0)
         k = k1
+        s_prev = s
     return k, max_iter, False
+
+
+def _roundoff_radius(k, gamma, m, a, U, ch):
+    """How far from k a Newton step still reads roundoff: unit roundoff
+    times the size of d's terms, grown by the argument error of its trig
+    blocks, plus |dd/dw| times the rounding of w = k^2 + 2 m gamma U (which
+    hides k where |k|^2 is small against the coupling), over |dd/dk|.
+    Where it exceeds a step tolerance, the step test passes only on a lucky
+    rounding."""
+    c = 2.0 * m * gamma * U
+    w = k * k + c
+    z = a * cmath.sqrt(w)
+    C, S, Z, G, E = K.trig_scaled(z)
+    d, dk, dw = K._channel_terms(k, w, a, C, Z, G, ch)
+    noise = (1.0 + abs(z)) * _terms(k, gamma, m, a, U, ch) + abs(dw) * (abs(k * k) + abs(c))
+    return 2.0 ** -53 * noise / abs(dk)
 
 
 _OVERFLOW_STARTS = (1e200 + 0j, 1e155 + 1e155j, 1e300j, -1e300j)
@@ -235,6 +271,76 @@ class TestNewtonBitEquality:
         self._check(args)
 
 
+class TestNewtonStopRule:
+    """The quadratic-model and roundoff exits only stop the same iterates
+    earlier: where the step test alone converges, the stop rule converges
+    too, in no more iterations, and within the tolerance of the same root,
+    or within its roundoff radius where that is wider and the step test
+    passed on a lucky rounding."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(_newton_cases())
+    @example((1.85j, 1.0 + 0j, M, A, 2.0, K.CH_PLUS, 1e-12, 50))
+    # |k|^2 is 6e-6 of the coupling, so w's rounding hides steps below
+    # 7e-13: Newton creeps on at rate 1/8 and the model stops 2.3e-14 early
+    @example((0j, 1.0 + 0j, 4.9765625, 3.646484375, 28.359375, K.CH_MINUS, 1e-15, 8))
+    def test_agrees_with_step_test_alone(self, args):
+        k_old, it_old, ok_old = _reference_newton(*args, new_exits=False)
+        if not ok_old:
+            return
+        k, it, ok, _ = K.newton_pole(*args)
+        assert ok and it <= it_old
+        k0, gamma, m, a, U, ch, step_tol, max_iter = args
+        slack = 3.0 * step_tol * (1.0 + abs(k_old))
+        assert abs(k - k_old) <= slack + 16.0 * _roundoff_radius(k_old, gamma, m, a, U, ch)
+
+    @pytest.mark.parametrize("alpha", [10.0, 40.0, 67.435895])
+    def test_stops_at_a_roundoff_limited_root(self, alpha):
+        # the far virtual pole of a well with c = a sqrt(2 m U) = 0.005: d's
+        # terms exceed its slope so far that every step, even from the root
+        # itself, is noise 300 times the tolerance, and the noise steps do
+        # not shrink as the quadratic model needs; only the roundoff exit
+        # stops there, at the iterate whose d is noise
+        U = 0.005 ** 2 / 2.0
+        gamma = _phase_to_gamma(alpha)
+        k0 = complex(-alpha / 2.0, -8.0)
+        k, it, ok, _ = K.newton_pole(k0, gamma, 1.0, 1.0, U, K.CH_PLUS, 1e-12, 50)
+        assert ok and -10.0 < k.imag < -8.0
+        args = (k, gamma, 1.0, 1.0, U, K.CH_PLUS, 1e-12, 8)
+        assert _reference_newton(*args, new_exits=False)[2] is False
+        result = K.newton_pole(*args)
+        assert result[1:3] == (2, True)
+        assert repr(result[:3]) == repr(_reference_newton(*args))
+
+    def test_keeps_the_iterate_next_to_a_near_double_zero(self):
+        # 1e-14 below the even repulsive collision depth the pair sits
+        # 5.8e-8 either side of k = -i/a. Newton halves its way in and can
+        # pass within 8e-10 of -i/a, where dd/dk nearly vanishes and the
+        # next step is 2e-6 of noise; the roundoff exit keeps the iterate
+        from wellpoles.chart import _collision_depth
+        from wellpoles.smatrix import Channel
+
+        m, a = 2.75, 2.875
+        U = _collision_depth(Channel.PLUS, False, m, a, 1) * (1.0 - 1e-14)
+        kc = -1j / a
+        for dk in (3e-4, -3e-4, 3e-4j, -3e-4j):
+            args = (kc + dk, -1.0 + 0j, m, a, U, K.CH_PLUS, 1e-12, 80)
+            k_old, it_old, ok_old = _reference_newton(*args, new_exits=False)
+            k, it, ok, _ = K.newton_pole(*args)
+            assert ok_old and abs(k_old - kc) < 1e-7
+            assert ok and it < it_old and abs(k - kc) < 1e-7
+
+    def test_saves_the_confirming_iteration(self):
+        # the step test needs one step below the tolerance; the model stops
+        # one iteration before it
+        args = (1.85j, 1.0 + 0j, M, A, 2.0, K.CH_PLUS, 1e-12, 50)
+        k_old, it_old, _ = _reference_newton(*args, new_exits=False)
+        k, it, ok, _ = K.newton_pole(*args)
+        assert ok and it == it_old - 1
+        assert abs(k - k_old) < 1e-12 * (1.0 + abs(k))
+
+
 def _window_pole(z, a, ch):
     """The pole k and coupling c = 2*m*gamma*U at which the channel pole
     function vanishes with interior phase a*K = z: d = 0 is linear in k
@@ -280,8 +386,10 @@ def _dk_roundoff(k, gamma, m, a, U, ch):
 
 
 class TestNewtonTangent:
-    """newton_pole returns dk/dalpha from its last iterate, which lies within
-    step_tol*(1+|k|) of the returned k."""
+    """newton_pole returns dk/dalpha at its last iterate k_n, which is the
+    returned k at the roundoff exit and lies |s_n| from it otherwise: under
+    the step test's bound, or under (step_tol*(1+|k|)*|s_{n-1}|^2)^(1/3) at
+    the quadratic model's exit."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=400, deadline=None)
@@ -298,8 +406,15 @@ class TestNewtonTangent:
             return
         # the same operations as denom_scaled at the last iterate
         k_last = K.newton_pole(k0, gamma, m, a, U, ch, 1e-12, it - 1)[0]
-        assert abs(k - k_last) < 1e-12 * (1.0 + abs(k))
         assert v == _tangent(k_last, gamma, spec, ch)
+        # the last step is the one the stop rule accepted: under the step
+        # test's bound or the quadratic model's (none at the roundoff exit)
+        step = abs(k - k_last)
+        bound = 1e-12 * (1.0 + abs(k))
+        if it > 1:
+            s_prev = abs(k_last - K.newton_pole(k0, gamma, m, a, U, ch, 1e-12, it - 2)[0])
+            bound = max(bound, (bound * s_prev * s_prev) ** (1.0 / 3.0))
+        assert step <= bound * (1.0 + 1e-12)
         # at the returned k the reference is no more accurate than the
         # cancellation in dd/dk: at the far poles of a shallow narrow well
         # the terms exceed it 1e7-fold and the tangent scatters by ~1e-9
@@ -310,7 +425,12 @@ class TestNewtonTangent:
             assert K.denom_scaled(k, gamma, m, a, U, ch)[3] == 0.0
             return
         slack = 10.0 * _dk_roundoff(k, gamma, m, a, U, ch)
-        assert abs(v - ref) <= 1e-9 * (1.0 + abs(ref)) + slack * abs(ref)
+        # v is the tangent |k - k_last| away: allow twice the rate a
+        # central difference over 1e-6*(1+|k|) reads
+        h = 1e-6 * (1.0 + abs(k))
+        rate = abs(_tangent(k + h, gamma, spec, ch) - _tangent(k - h, gamma, spec, ch)) / (2.0 * h)
+        drift = 2.0 * rate * step
+        assert abs(v - ref) <= 1e-9 * (1.0 + abs(ref)) + slack * abs(ref) + drift
 
 
 class TestNewtonWork:
