@@ -8,9 +8,8 @@ evaluations. The rest repeat its float operations in the same order, so
 their values are bit-equal to it:
 
 - ``newton_pole``, the corrector, evaluates d and dd/dk inline, without
-  dd/dw, the D_alpha product or, outside the series windows, E, and forms
-  dd/dw once, after it converges, for the tangent dk/dalpha at its last
-  iterate, which it returns;
+  dd/dw or the D_alpha product, and forms dd/dw once, after it converges,
+  for the tangent dk/dalpha at its last iterate, which it returns;
 - ``grid_denom_dk`` loops over a list of momenta for the winding contours,
   with the same inline d and dd/dk as ``newton_pole``;
 - ``axis_phi`` loops along the imaginary axis. The axis poles are
@@ -23,15 +22,25 @@ on ``math``/``cmath`` and Python ``float``/``complex`` values.
 Scaling convention
 ------------------
 For complex momentum k the interior phase z = a*K (K the interior momentum)
-can have |Im z| in the hundreds, where cos/sin overflow. All kernel values
-carry the factor E = exp(-|Im z|):
+can have |Im z| past 710, where cos(z) and sin(z) overflow. All kernel
+values carry the factor E = exp(-|Im z|):
 
     C_s = cos(z) * E,   S_s = sin(z) * E
 
-computed branch-free from exact half-angle identities, so they never
-overflow. Every returned denominator/derivative here is the true value times
-the same E, which cancels in Newton ratios and winding arguments. ``E`` is
-returned alongside so callers can unscale when the true magnitude is needed.
+Below |Im z| = _CMATH_CUT = 700 they are ``cmath.cos(z) * E`` and
+``cmath.sin(z) * E``: cosh(|Im z|) is finite there and E a normal float,
+and each part of C_s and S_s is accurate to a few units of roundoff, also
+next to the real axis. At and above 700 they come from the exact
+half-angle forms of ``_half_angle``, e.g. Re C_s = cos(x)*(1 + e^{-2|y|})/2,
+which never overflow; near the real axis those lose the imaginary parts to
+the cancellation in (1 - e^{-2|y|})/2, so they serve only where that
+cannot matter. The inline loops keep the two cmath calls in the loop body
+and call ``_half_angle`` only above the cut. The sinc and curvature blocks
+Z and G are S_s/z and (C_s - Z)/z^2, or their series times E inside the
+series windows |z| < _SINC_CUT and |z| < _G_CUT. Every returned
+denominator/derivative here is the true value times the same E, which
+cancels in Newton ratios and winding arguments. ``E`` is returned alongside
+so callers can unscale when the true magnitude is needed.
 
 Non-finite contract
 -------------------
@@ -75,18 +84,19 @@ _G_CUT = 0.1
 # of the terms whose difference it is
 _ROUNDOFF = 16.0 * 2.0 ** -52
 
-# the tangent newton_pole returns when it does not converge
+# the tangent newton_pole returns when it does not converge, and the trig
+# blocks at an infinite real part
 _NAN = complex(math.nan, math.nan)
 
+# below this |Im z| the trig blocks are cmath's cos and sin times E: cosh
+# stays finite up to about 710, and E = exp(-|Im z|) is a normal float
+_CMATH_CUT = 700.0
 
-def trig_scaled(z):
-    """Scaled trig blocks at complex z.
 
-    Returns (C, S, Z, G, E) where C = cos(z)*E, S = sin(z)*E, Z = sinc(z)*E,
-    G = ((cos(z) - sinc(z))/z**2)*E and E = exp(-|Im z|). Exact half-angle
-    forms keep everything finite for arbitrarily large |Im z|; an infinite
-    or nan z gives nan blocks.
-    """
+def _half_angle(z):
+    """C = cos(z)*E and S = sin(z)*E, E = exp(-|Im z|), from the exact
+    half-angle forms, finite at any |Im z|; an infinite real part or a nan
+    part gives nan blocks."""
     x = z.real
     y = z.imag
     ay = abs(y)
@@ -99,9 +109,28 @@ def trig_scaled(z):
         sx = math.sin(x)
     except ValueError:  # x = +-inf, where math raises; the blocks are nan
         cx = sx = math.nan
-    C = complex(cx * cp, -sgn * sx * cm)
-    S = complex(sx * cp, sgn * cx * cm)
+    return complex(cx * cp, -sgn * sx * cm), complex(sx * cp, sgn * cx * cm)
+
+
+def trig_scaled(z):
+    """Scaled trig blocks at complex z.
+
+    Returns (C, S, Z, G, E) where C = cos(z)*E, S = sin(z)*E, Z = sinc(z)*E,
+    G = ((cos(z) - sinc(z))/z**2)*E and E = exp(-|Im z|). C and S are the
+    cmath values times E below |Im z| = _CMATH_CUT and the half-angle forms
+    above it, so everything stays finite for arbitrarily large |Im z|; a z
+    with an infinite real part or a nan part gives nan blocks.
+    """
+    ay = abs(z.imag)
     E = math.exp(-ay)
+    if ay < _CMATH_CUT:
+        try:
+            C = cmath.cos(z) * E
+            S = cmath.sin(z) * E
+        except ValueError:  # Re z = +-inf, where cmath raises
+            C = S = _NAN
+    else:
+        C, S = _half_angle(z)
     az = abs(z)
     if az >= _SINC_CUT:
         Z = S / z
@@ -185,8 +214,9 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
     underflowed to 0: there the step is roundoff, and every exit passes at
     no pole; the iterate k_n is returned.
 
-    The loop evaluates d and dd/dk only: ``trig_scaled`` reduced to the
-    blocks the channel reads, then ``_channel_terms`` without dd/dw. Every
+    The loop evaluates d and dd/dk only: ``trig_scaled`` inline (the two
+    cmath calls below _CMATH_CUT, ``_half_angle`` above it) with G only in
+    the odd channel, then ``_channel_terms`` without dd/dw. Every
     float operation, its order and its constants are those of
     ``denom_scaled``, so each iterate is bit-equal to a loop on it; keep
     ``(-1j * a) * Z``, since ``-(1j * a) * Z`` flips the sign of a zero
@@ -203,32 +233,28 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
     mia = -1j * a
     ia3 = 1j * (a2 * a)
     odd = ch != CH_PLUS
-    sqrt, exp, cos, sin = cmath.sqrt, math.exp, math.cos, math.sin
+    sqrt, exp, cos, sin = cmath.sqrt, math.exp, cmath.cos, cmath.sin
     k = k0
     for it in range(max_iter):
         kk = k * k
         w = kk + c
         z = a * sqrt(w)
-        x = z.real
-        y = z.imag
-        ay = abs(y)
-        sgn = 1.0 if y >= 0.0 else -1.0
-        e2 = exp(-2.0 * ay)
-        cp = 0.5 * (1.0 + e2)
-        cm = 0.5 * (1.0 - e2)
-        try:
-            cx = cos(x)
-            sx = sin(x)
-        except ValueError:
-            cx = sx = math.nan
-        C = complex(cx * cp, -sgn * sx * cm)
+        ay = abs(z.imag)
+        E = exp(-ay)
+        if ay < _CMATH_CUT:
+            try:
+                C = cos(z) * E
+                S = sin(z) * E
+            except ValueError:
+                C = S = _NAN
+        else:
+            C, S = _half_angle(z)
         az = abs(z)
-        # E = exp(-|Im z|) is a factor only of the series forms
         if az >= _SINC_CUT:
-            Z = complex(sx * cp, sgn * cx * cm) / z
+            Z = S / z
         else:
             z2 = z * z
-            Z = (1.0 - z2 / 6.0 + z2 * z2 / 120.0) * exp(-ay)
+            Z = (1.0 - z2 / 6.0 + z2 * z2 / 120.0) * E
         if odd:
             if az >= _G_CUT:
                 G = (C - Z) / (z * z)
@@ -236,7 +262,7 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
                 z2 = z * z
                 G = (
                     -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0
-                ) * exp(-ay)
+                ) * E
             p = C
             q = ia * k * Z
             dk = mia * Z - a2 * k * Z - ia3 * kk * G
@@ -264,7 +290,7 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
             k = k1
             s_prev = s
             continue
-        if exp(-ay) == 0.0:
+        if E == 0.0:
             # E underflowed: every scaled value is 0 or a rounding residue,
             # and each exit passes anywhere
             return k, it + 1, False, _NAN
@@ -279,10 +305,11 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
 def _grid(ks, gamma, m, a, U, ch):
     """Scaled d and dd/dk at each Python complex momentum of ks, as two lists.
 
-    The loop body is ``newton_pole``'s: ``trig_scaled`` reduced to the
-    blocks the channel reads and ``_channel_terms`` without dd/dw, in the
-    float operations and order of ``denom_scaled``, so every pair is
-    bit-equal to its (d, dk) at the same k and gamma.
+    The loop body is ``newton_pole``'s: ``trig_scaled`` inline (the two
+    cmath calls below _CMATH_CUT, ``_half_angle`` above it) with G only in
+    the odd channel, and ``_channel_terms`` without dd/dw, in the float
+    operations and order of ``denom_scaled``, so every pair is bit-equal to
+    its (d, dk) at the same k and gamma.
     """
     c = 2.0 * m * gamma * U
     a2 = a * a
@@ -290,31 +317,28 @@ def _grid(ks, gamma, m, a, U, ch):
     mia = -1j * a
     ia3 = 1j * (a2 * a)
     odd = ch != CH_PLUS
-    sqrt, exp, cos, sin = cmath.sqrt, math.exp, math.cos, math.sin
+    sqrt, exp, cos, sin = cmath.sqrt, math.exp, cmath.cos, cmath.sin
     ds, dks = [], []
     for k in ks:
         kk = k * k
         w = kk + c
         z = a * sqrt(w)
-        x = z.real
-        y = z.imag
-        ay = abs(y)
-        sgn = 1.0 if y >= 0.0 else -1.0
-        e2 = exp(-2.0 * ay)
-        cp = 0.5 * (1.0 + e2)
-        cm = 0.5 * (1.0 - e2)
-        try:
-            cx = cos(x)
-            sx = sin(x)
-        except ValueError:
-            cx = sx = math.nan
-        C = complex(cx * cp, -sgn * sx * cm)
+        ay = abs(z.imag)
+        E = exp(-ay)
+        if ay < _CMATH_CUT:
+            try:
+                C = cos(z) * E
+                S = sin(z) * E
+            except ValueError:
+                C = S = _NAN
+        else:
+            C, S = _half_angle(z)
         az = abs(z)
         if az >= _SINC_CUT:
-            Z = complex(sx * cp, sgn * cx * cm) / z
+            Z = S / z
         else:
             z2 = z * z
-            Z = (1.0 - z2 / 6.0 + z2 * z2 / 120.0) * exp(-ay)
+            Z = (1.0 - z2 / 6.0 + z2 * z2 / 120.0) * E
         if odd:
             if az >= _G_CUT:
                 G = (C - Z) / (z * z)
@@ -322,7 +346,7 @@ def _grid(ks, gamma, m, a, U, ch):
                 z2 = z * z
                 G = (
                     -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0
-                ) * exp(-ay)
+                ) * E
             ds.append(C - ia * k * Z)
             dks.append(mia * Z - a2 * k * Z - ia3 * kk * G)
         else:

@@ -51,8 +51,8 @@ class TestAxis:
          "minus,0.0,0.0,2.6582502745903294,bound,1\n"),
         (("--U", "0.05", "--gamma", "-1"),
          "channel,alpha,re_k,im_k,kind,multiplicity\n"
-         "plus,3.1415926535897931,0.0,-1.4519741198194809,virtual,1\n"
-         "plus,3.1415926535897931,0.0,-0.18177894493151284,virtual,1\n"),
+         "plus,3.1415926535897931,0.0,-1.4519741198194769,virtual,1\n"
+         "plus,3.1415926535897931,0.0,-0.18177894493151281,virtual,1\n"),
     ])
     def test_csv_bytes(self, capsys, argv, expected):
         code, out, err = run(capsys, "axis", *argv, "--format", "csv")
@@ -76,7 +76,7 @@ _GOLDEN_OUTPUT = {
     ("axis", "--U", "2", "--channel", "plus"):
         "9a1c7dfa4e2265efbd99500a05f6bfe4e56442896e863493d5621eae2b1e8a4c",
     ("axis", "--U", "0.05", "--gamma", "-1"):
-        "5a29da2f333323c345f94f5ec44541e3a31e3009240fd57dfd07b35d85ea840a",
+        "56e97bcd3f62f09a6f27d4072417e1c6d838d1c622167cdfdce52d28b93ef807",
     ("critical", "--channel", "plus", "--gamma", "+1"):
         "ead4e211c5342254ae793351001442cb207b0a6eb612b224f706b26947427f6b",
     ("critical", "--channel", "minus", "--gamma", "+1", "--index", "2"):
@@ -88,13 +88,13 @@ _GOLDEN_OUTPUT = {
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
         "1ce416f921444a54dd54aa1ee03b6b628d66d62ed964bcd89582532951d19084",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "e94888cc8ca7c2a81cf04604238303c3292d4c940ad797e38e0c5cf0ed5e0a16",
+        "6ad462c837f5defcf309e13df25bd17b0eb37d34d1c58ca441440c8c3f14e6a6",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "bf90c15a5ada898789a6938d0b4935f406fa13e112b599c54e273df1cb223d41",
+        "ff1bb2c67dfda753cbbbd0de7a5120c16b0871c82e07d71c3037133dbbfd0136",
     ("verify", "--samples", "60", "--seed", "7"):
-        "433217ca678b20fb8de17e912ae6fc2673d373a8f8111996b20a84a6323a1e63",
+        "ae0d68ee907e9477bf721721cde48707bd85602e32c5d4152eeafeadbd873672",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
-        "2b2d5192ffa6352490882d709538d5d708a91772fb8e4f2e593750a30d782960",
+        "7a48b9db7572f57cea4d8a5806c44bbe714c2556b4c1414fce23a874ea58f097",
 }
 
 

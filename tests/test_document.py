@@ -223,16 +223,16 @@ class TestChartDocument:
 # assembly must leave every byte of them unchanged. A platform whose libm
 # rounds differently may move the last float digits and so the digests.
 _GOLDEN = {
-    ("plus", 0.09): "d494af8852bb378a491583feb49edbd58cd3b78e501eaf985f59477a7ab289e5",
-    ("plus", 2.0): "3e31725d51ecaf0e751668b052f87a4cb31c42f870f973bd10f7c08e9cbd5903",
-    ("minus", 5.0): "9aa12d6d58eb1361b3cf7047965f3ba9c2c9d1d2ad6cbb4312d2153580ba27c9",
+    ("plus", 0.09): "51532e0fb949107c6c21c0dc39c77107e8e53939b9efdf366f7b6017d50eec6b",
+    ("plus", 2.0): "4e10450b5dda06a257b7495331248e8b0b8aec01aa46f0e26a19f9b01c2d1bc0",
+    ("minus", 5.0): "c3fdd3f5be1a867ddcb42272f296c7d1788ada80f8cec2e84a586536db58e157",
 }
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "a69a8795f1164bf68fed1f0629180f7abaad933eb2af92ecaa162ed9b1108020",
-    ("plus", False): "16bfbe298278d4e018a4028940f2a885dcbd8bd14e8371f9b925b05fdaa666c7",
-    ("minus", True): "2d2609452baf5391ccc9580c114a7d4a76a62fafe1927fed2897db464cc25d30",
+    ("plus", True): "9f910ff15cf37aa389223764a4424047a496c581b712312294892d1ab40c21a7",
+    ("plus", False): "195694927704b5b3114d07a73daa839473c7eb3e6f32100e9f4590499aeeace8",
+    ("minus", True): "966d8cba8ce5b326f2446d79d65fc78182a96cb629e2bb4b586cc44469be7aa5",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at

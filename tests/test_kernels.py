@@ -69,6 +69,41 @@ class TestScaledTrig:
                 assert abs(Z - z_ref) < 1e-13 * abs(z_ref)
                 assert abs(G - g_ref) < 1e-13 * abs(g_ref)
 
+    @pytest.mark.parametrize("y", [
+        math.nextafter(K._CMATH_CUT, 0.0), K._CMATH_CUT, 699.5, 700.5, 709.0,
+    ])
+    def test_both_forms_at_the_cut(self, y):
+        # just below the cut C and S are cmath's, from it on the half-angle
+        # forms'; both match a 40-digit value
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        for x in (0.0, 0.3, -2.9, 17.25, -123.4):
+            for zc in (complex(x, y), complex(x, -y)):
+                C, S, Z, G, E = K.trig_scaled(zc)
+                if abs(zc.imag) >= K._CMATH_CUT:
+                    assert (C, S) == K._half_angle(zc)
+                zm = mp.mpc(zc.real, zc.imag)
+                scale = mp.e ** (-abs(zm.imag))
+                for got, ref in ((C, mp.cos(zm) * scale), (S, mp.sin(zm) * scale)):
+                    assert abs(got - complex(ref)) <= 1e-14 * abs(complex(ref))
+
+    def test_parts_accurate_near_the_real_axis(self):
+        # each part of C and S to roundoff of itself: the half-angle forms
+        # of Im C and Im S carry (1 - e^{-2|y|})/2, which cancels here and
+        # left relative errors up to 2e-5
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            y = math.copysign(10.0 ** rng.uniform(-12.0, -3.0), rng.uniform(-1.0, 1.0))
+            zc = complex(rng.uniform(-6.0, 6.0), y)
+            C, S, Z, G, E = K.trig_scaled(zc)
+            zm = mp.mpc(zc.real, zc.imag)
+            scale = mp.e ** (-abs(zm.imag))
+            for got, ref in ((C, mp.cos(zm) * scale), (S, mp.sin(zm) * scale)):
+                for part, exact in ((got.real, ref.real), (got.imag, ref.imag)):
+                    assert abs(part - float(exact)) <= 1e-14 * abs(float(exact))
+
     def test_sinc_at_zero(self):
         C, S, Z, G, E = K.trig_scaled(0.0 + 0.0j)
         assert Z == 1.0
@@ -182,9 +217,10 @@ def _roundoff_radius(k, gamma, m, a, U, ch):
 _OVERFLOW_STARTS = (1e200 + 0j, 1e155 + 1e155j, 1e300j, -1e300j)
 # start kinds: a generic point, a point on the imaginary axis with either
 # sign of zero (mirror_defect starts at -conj(k)), |aK| inside each series
-# window of trig_scaled, |Im aK| past the underflow of E, and the overflow
+# window of trig_scaled, |Im aK| on either side of the cut between its cmath
+# and half-angle forms, |Im aK| past the underflow of E, and the overflow
 # starts
-_STARTS = ("plane", "axis", "sinc_series", "g_series", "far", "overflow")
+_STARTS = ("plane", "axis", "sinc_series", "g_series", "seam", "far", "overflow")
 
 
 def _start(kind, c, a, u, v, n):
@@ -197,6 +233,10 @@ def _start(kind, c, a, u, v, n):
         # K = t/a with |t| in the window, so k = sqrt(K^2 - c)
         r = 5e-5 * (1.0 + u) / 2.0 if kind == "sinc_series" else 2e-4 + 0.04 * (1.0 + u)
         t = r * cmath.exp(1j * math.pi * v)
+        return cmath.sqrt((t / a) ** 2 - c)
+    if kind == "seam":
+        # K = t/a with |Im t| in [690.5, 709.5]
+        t = complex(10.0 * v, (700.0 + 9.5 * u) * (1.0 if n % 2 else -1.0))
         return cmath.sqrt((t / a) ** 2 - c)
     if kind == "far":
         y = (1000.0 + 500.0 * (1.0 + u)) / a
@@ -256,6 +296,8 @@ class TestNewtonBitEquality:
                 assert abs(z) < K._SINC_CUT
             elif kind == "g_series":
                 assert K._SINC_CUT <= abs(z) < K._G_CUT
+            elif kind == "seam":
+                assert 690.0 < abs(z.imag) < 710.0
             elif kind == "far":
                 assert abs(z.imag) > 745.0
                 assert K.denom_scaled(k0, gamma, m, a, U, ch)[3] == 0.0
@@ -504,6 +546,23 @@ class TestGridKernel:
             for k, d_k, dk_k in zip(ks, d, dk):
                 ref = K.denom_scaled(k, g, m, a, U, ch)
                 assert (d_k, dk_k) == ref[:2]
+
+
+    @pytest.mark.parametrize("kind", _STARTS)
+    @pytest.mark.parametrize("ch", [K.CH_PLUS, K.CH_MINUS])
+    def test_each_start_kind(self, kind, ch):
+        # the series windows, both sides of the cut between the cmath and
+        # half-angle trig forms, the underflow of E and the overflow starts
+        for alpha, (m, a, U) in itertools.product(
+            (0.0, 0.7, math.pi), ((1.0, 1.5, 2.0), (0.2, 0.1, 1e-3), (10.0, 6.0, 300.0)),
+        ):
+            g = _phase_to_gamma(alpha)
+            c = 2.0 * m * g * U
+            ks = [_start(kind, c, a, u, v, n)
+                  for n, (u, v) in enumerate(((0.3, -0.8), (-0.9, 0.1), (0.95, 0.6), (-0.2, 0.4)))]
+            d, dk = K.grid_denom_dk(ks, g, m, a, U, ch)
+            for k, d_k, dk_k in zip(ks, d, dk):
+                assert repr((d_k, dk_k)) == repr(K.denom_scaled(k, g, m, a, U, ch)[:2])
 
 
 class TestConjugationSymmetry:
