@@ -458,11 +458,6 @@ def _next_threshold(channel: Channel, u: float, m: float, a: float) -> float:
     return u_n
 
 
-# how many float spacings either side of the steer the window of
-# threshold_flip's second halving reaches
-_FLIP_SPACINGS = 8.0
-
-
 def _scan_threshold(channel: Channel, u: float, m: float, a: float) -> float:
     """The first depth above u at which the axis scan shows a new bound state.
 
@@ -539,14 +534,9 @@ def threshold_flip(
     count rises with U a certified result is the one a scan at every
     midpoint gives, bit for bit. Steering by the scan-visible depth rather
     than the threshold itself keeps the certificate from failing where the
-    final bracket ends between the two. The scan's flip matches the steer
-    only to a few float spacings, so a tol near the spacing can fail the
-    certificate. Then the halving is rerun from the original bracket with a
-    scan at each midpoint within _FLIP_SPACINGS spacings of the guess, once
-    scans at that window's two ends show the flip inside it; midpoints
-    outside take the side of the window they lie on. Only where that
-    certificate fails too does every midpoint get a scan. Each depth is
-    scanned at most once.
+    final bracket ends between the two. When the certificate fails, the
+    halving is rerun from the original bracket with a scan at every
+    midpoint.
 
     Raises NoRootInBracket when the counts at u_lo and u_hi agree, and
     ValueError unless tol > 0 and u_lo < u_hi.
@@ -556,15 +546,8 @@ def threshold_flip(
     if not u_lo < u_hi:
         raise ValueError(f"need u_lo < u_hi, got ({u_lo!r}, {u_hi!r})")
 
-    counts: dict[float, int] = {}
-
     def count(u: float) -> int:
-        if u not in counts:
-            counts[u] = bound_count(PotentialSpec(m=m, a=a, U=u), channel)
-        return counts[u]
-
-    def certified(lo: float, hi: float) -> bool:
-        return count(lo) == n_lo and count(hi) != n_lo
+        return bound_count(PotentialSpec(m=m, a=a, U=u), channel)
 
     n_lo = count(u_lo)
     n_hi = count(u_hi)
@@ -576,16 +559,7 @@ def threshold_flip(
     # of the scan's flip it really lies on
     guess = _scan_threshold(channel, u_lo, m, a)
     lo, hi = _bisect(lambda u: u <= guess, u_lo, u_hi, tol)
-    if not certified(lo, hi):
-        # the scan's flip lies a few float spacings from the guess: once the
-        # window around it is certified, only midpoints inside it are scanned
-        spread = _FLIP_SPACINGS * math.ulp(guess)
-        w_lo, w_hi = max(u_lo, guess - spread), min(u_hi, guess + spread)
-        if certified(w_lo, w_hi):
-            lo, hi = _bisect(
-                lambda u: u <= w_lo or u < w_hi and count(u) == n_lo, u_lo, u_hi, tol
-            )
-    if not certified(lo, hi):
+    if not (count(lo) == n_lo and count(hi) != n_lo):
         lo, hi = _bisect(lambda u: count(u) == n_lo, u_lo, u_hi, tol)
     return 0.5 * (lo + hi)
 

@@ -483,15 +483,9 @@ def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:
     self-symmetric trajectory it retraces the original curve.
     """
     n0 = _mirror_index(traj.seed_alpha if about is None else about * HALF_PI)
-    # _reflect's float operations, without a call per sample
-    twice = 2.0 * (n0 * HALF_PI)
-    alphas = []
-    for al in reversed(traj.alphas):
-        n = round(al / HALF_PI)
-        alphas.append((2 * n0 - n) * HALF_PI if al == n * HALF_PI else twice - al)
     return Trajectory(
         seed=_mirror_pole(traj.seed, n0),
-        alphas=alphas,
+        alphas=[_reflect(al, n0) for al in reversed(traj.alphas)],
         ks=[-kk.conjugate() for kk in reversed(traj.ks)],
         anchors=[(2 * n0 - n, -kk.conjugate()) for n, kk in reversed(traj.anchors)],
         closure=traj.closure,

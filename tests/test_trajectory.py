@@ -284,16 +284,6 @@ class TestMirror:
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
         assert mirror(t).closure.kind is t.closure.kind
 
-    @pytest.mark.parametrize("about", [None, 2, 4, -2])
-    def test_phases_are_reflect_bit_for_bit(self, about):
-        # mirror repeats _reflect's float operations inline: anchor phases go
-        # exactly onto the quarter-turn grid, the rest to 2*alpha0 - alpha
-        spec = _spec(2.0)
-        t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        n0 = _on_half_grid(t.seed_alpha) if about is None else about
-        ref = [trajectory._reflect(al, n0) for al in reversed(t.alphas)]
-        assert repr(mirror(t, about).alphas) == repr(ref)
-
     def test_split_branch_mirror_keeps_resonance_side(self, monkeypatch):
         monkeypatch.setattr(trajectory, "_ALPHA_CAP", 1.5 * math.pi)
         spec = _spec(U_CRIT_PLUS_ATT)
