@@ -3,18 +3,21 @@
 Emission is byte-deterministic: keys are sorted, separators fixed, floats
 written with 17 significant digits (full round-trip precision), complex
 momenta as [re, im] pairs. The stdlib serializer cannot pin float
-formatting, so a recursive emitter does it here. A list whose items are
-all floats, or all complex numbers, is the bulk of a chart (its sample
-lists): it is written in one %-template pass over its values, with the
-same bytes the per-value formatter gives. Scalars and mixed lists go
-value by value. The trajectory CSV goes through the same bulk formatter.
+formatting, so a recursive emitter does it here. The bulk of a chart is
+written in one %-template pass over its values, with the same bytes the
+per-value formatter gives: a list whose items are all floats or all
+complex numbers (the sample lists), and a list of records, dicts that
+share one key set with each field of one exact type int, float, complex
+or str (anchors, axis crossings, seeds, collision branches, near contacts,
+warnings). Scalars and any other list go value by value. The trajectory
+CSV goes through the same bulk formatter, so one rule writes every float.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import compress, count, filterfalse
+from itertools import chain, compress, count, filterfalse
 from json.encoder import encode_basestring_ascii
 
 from .chart import CriticalDepth, PoleChart, SweepResult, WorkingWindow
@@ -33,28 +36,88 @@ def _fmt_float(x: float) -> str:
 
 
 # one %-template per value of a row, each ending in the separator that
-# follows it; an integral value below 1e17 takes the "%.1f" form of its
-# template instead, which prints it as "N.0"
-_FLOAT_ROW = ("%.17g,",)
-_PAIR_ROW = ("[%.17g,", "%.17g],")
+# follows it; a float goes in through "%.17g", and an integral one below
+# 1e17 takes the "%.1f" form of its template instead, which prints it as
+# "N.0"
+_FLOAT = "%.17g"
+_FLOAT_ROW = (_FLOAT + ",",)
+_PAIR_ROW = ("[" + _FLOAT + ",", _FLOAT + "],")
 
 
-def _fmt_rows(values: list[float], row: tuple[str, ...]) -> str:
-    """Floats, row-major with len(row) per row, in one %-template pass.
+def _fmt_rows(values: list, row: tuple[str, ...]) -> str:
+    """Values, row-major with len(row) per row, in one %-template pass.
 
-    Each value is written as `_fmt_float` writes it, and a non-finite one
-    raises the same DocumentError.
+    Each template of a row holds one %-conversion. A value whose
+    conversion is "%.17g" must be a float, and is written as `_fmt_float`
+    writes it: a non-finite one raises the same DocumentError, the first
+    in row-major order. Any other value goes in as its conversion writes it.
     """
-    if not all(map(math.isfinite, values)):
-        _fmt_float(next(filterfalse(math.isfinite, values)))  # raises
     width = len(row)
-    forms = list(row) * (len(values) // width)
+    rows = len(values) // width
+    forms = list(row) * rows
     values = list(values)
-    for i in compress(count(), map(float.is_integer, values)):
+    is_float = [_FLOAT in form for form in row]
+    if all(is_float):
+        floats, where = values, None
+    else:
+        mask = is_float * rows
+        floats = list(compress(values, mask))
+        where = list(compress(count(), mask))
+    if not all(map(math.isfinite, floats)):
+        _fmt_float(next(filterfalse(math.isfinite, floats)))  # raises
+    for i in compress(count(), map(float.is_integer, floats)):
+        if where is not None:
+            i = where[i]
         if abs(values[i]) < 1e17:
-            forms[i] = row[i % width].replace("%.17g", "%.1f")
+            forms[i] = row[i % width].replace(_FLOAT, "%.1f")
             values[i] += 0.0  # -0.0 becomes 0.0, as int(-0.0) does
     return "".join(forms) % tuple(values)
+
+
+# the conversions of a record field of each type: a complex value is its
+# two parts, a string goes in as its JSON text
+_FIELD_FORMS = {
+    int: ("%d",),
+    float: (_FLOAT,),
+    complex: ("[" + _FLOAT + ",", _FLOAT + "]"),
+    str: ("%s",),
+}
+
+
+def _fmt_records(records: list) -> str | None:
+    """Dicts that share one key set, each field of one exact type int,
+    float, complex or str in every dict, as `_fmt_rows` rows; None for any
+    other list of dicts, which is written value by value instead.
+
+    A key holding "%" is left to the per-value writer, so the only
+    %-sequences in a row are its conversions.
+    """
+    keys = sorted(records[0])
+    if not keys or not all(type(key) is str and "%" not in key for key in keys):
+        return None
+    try:
+        columns = [[rec[key] for rec in records] for key in keys]
+    except KeyError:
+        return None
+    if set(map(len, records)) != {len(keys)}:
+        return None
+    row: list[str] = []
+    flat: list[list] = []
+    for key, column in zip(keys, columns):
+        kinds = set(map(type, column))
+        kind = kinds.pop()
+        if kinds or kind not in _FIELD_FORMS:
+            return None
+        first, *rest = _FIELD_FORMS[kind]
+        row += [("," if row else "{") + encode_basestring_ascii(key) + ":" + first, *rest]
+        if kind is complex:
+            flat += [[z.real for z in column], [z.imag for z in column]]
+        elif kind is str:
+            flat.append(list(map(encode_basestring_ascii, column)))
+        else:
+            flat.append(column)
+    row[-1] += "},"
+    return _fmt_rows(list(chain.from_iterable(zip(*flat))), tuple(row))
 
 
 def _emit(obj, out: list[str]) -> None:
@@ -78,12 +141,15 @@ def _emit(obj, out: list[str]) -> None:
         out.append("]")
     elif isinstance(obj, (list, tuple)):
         kinds = set(map(type, obj))
+        bulk = None
         if kinds == {float}:
-            out.append("[" + _fmt_rows(obj, _FLOAT_ROW)[:-1] + "]")
-            return
-        if kinds == {complex}:
-            parts = [x for z in obj for x in (z.real, z.imag)]
-            out.append("[" + _fmt_rows(parts, _PAIR_ROW)[:-1] + "]")
+            bulk = _fmt_rows(obj, _FLOAT_ROW)
+        elif kinds == {complex}:
+            bulk = _fmt_rows([x for z in obj for x in (z.real, z.imag)], _PAIR_ROW)
+        elif kinds == {dict}:
+            bulk = _fmt_records(obj)
+        if bulk is not None:
+            out.append("[" + bulk[:-1] + "]")
             return
         out.append("[")
         for i, item in enumerate(obj):
@@ -362,12 +428,18 @@ def parse_chart_document(text: str) -> dict:
         _require(not bad, f"trajectory {i} unknown fields: {', '.join(sorted(bad))}")
         miss = _TRAJ_KEYS - set(traj)
         _require(not miss, f"trajectory {i} missing fields: {', '.join(sorted(miss))}")
+        for key in ("alphas", "ks"):
+            _require(isinstance(traj[key], list), f"trajectory {i} {key} must be a list")
         _require(len(traj["alphas"]) == len(traj["ks"]),
                  f"trajectory {i} sample arrays disagree")
         for k in traj["ks"]:
-            _require(isinstance(k, list) and len(k) == 2,
-                     f"trajectory {i} momenta must be [re, im] pairs")
+            _require(isinstance(k, list) and len(k) == 2 and all(map(_is_number, k)),
+                     f"trajectory {i} momenta must be [re, im] pairs of numbers")
     return doc
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def axis_poles_csv(channel: str, poles) -> str:

@@ -6,8 +6,9 @@ polylines colored by closure kind; anchor markers distinguish the two real
 couplings (filled at the attractive phase, hollow at the repulsive one);
 small triangles show the trace direction; collision points get crosses.
 
-Every point, trajectory samples included, is mapped to the screen by the
-same two functions, and each polyline is written in one "%.3f,%.3f" pass.
+Every point is mapped to the screen by one function of a list of points,
+with no call per point, and each polyline and each curve's set of anchor
+markers is written in one %-template pass.
 """
 
 from __future__ import annotations
@@ -60,15 +61,15 @@ def chart_svg(chart: PoleChart) -> str:
     re_lo, re_hi = re_lo - pad_re, re_hi + pad_re
     im_lo, im_hi = im_lo - pad_im, im_hi + pad_im
 
-    # the spans, hoisted out of sx and sy, which every point goes through
     span_re, span_im = re_hi - re_lo, im_hi - im_lo
     plot_w, plot_h, bottom = width - 2 * margin, height - 2 * margin, height - margin
 
-    def sx(re):
-        return margin + (re - re_lo) / span_re * plot_w
-
-    def sy(im):
-        return bottom - (im - im_lo) / span_im * plot_h
+    def screen(points):
+        """Screen x and y of complex points, without a call per point."""
+        return (
+            [margin + (z.real - re_lo) / span_re * plot_w for z in points],
+            [bottom - (z.imag - im_lo) / span_im * plot_h for z in points],
+        )
 
     parts: list[str] = []
     parts.append(
@@ -90,7 +91,7 @@ def chart_svg(chart: PoleChart) -> str:
     step = _nice_step(re_hi - re_lo)
     tick = math.ceil(re_lo / step) * step
     while tick <= re_hi:
-        x = sx(tick)
+        (x,), _ = screen([complex(tick, 0.0)])
         parts.append(
             f'<line x1="{_f(x)}" y1="{_f(height - margin)}" x2="{_f(x)}" '
             f'y2="{_f(height - margin + 5)}" stroke="{_AXIS}" stroke-width="1"/>'
@@ -104,7 +105,7 @@ def chart_svg(chart: PoleChart) -> str:
     step = _nice_step(im_hi - im_lo)
     tick = math.ceil(im_lo / step) * step
     while tick <= im_hi:
-        y = sy(tick)
+        _, (y,) = screen([complex(0.0, tick)])
         parts.append(
             f'<line x1="{_f(margin - 5)}" y1="{_f(y)}" x2="{_f(margin)}" '
             f'y2="{_f(y)}" stroke="{_AXIS}" stroke-width="1"/>'
@@ -117,15 +118,14 @@ def chart_svg(chart: PoleChart) -> str:
         tick += step
 
     # coordinate axes where they cross the view
+    (x0,), (y0,) = screen([0j])
     if re_lo < 0 < re_hi:
-        x0 = sx(0.0)
         parts.append(
             f'<line x1="{_f(x0)}" y1="{_f(margin)}" x2="{_f(x0)}" '
             f'y2="{_f(height - margin)}" stroke="{_AXIS}" '
             f'stroke-width="1" stroke-dasharray="4,4"/>'
         )
     if im_lo < 0 < im_hi:
-        y0 = sy(0.0)
         parts.append(
             f'<line x1="{_f(margin)}" y1="{_f(y0)}" x2="{_f(width - margin)}" '
             f'y2="{_f(y0)}" stroke="{_AXIS}" '
@@ -145,8 +145,7 @@ def chart_svg(chart: PoleChart) -> str:
     for traj in chart.trajectories:
         color = _COLORS.get(traj.closure.kind.value, "#000000")
         n = len(traj.ks)
-        xs = [sx(k.real) for k in traj.ks]
-        ys = [sy(k.imag) for k in traj.ks]
+        xs, ys = screen(traj.ks)
         coords = ("%.3f,%.3f " * n)[:-1] % tuple(chain.from_iterable(zip(xs, ys)))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -167,21 +166,19 @@ def chart_svg(chart: PoleChart) -> str:
                 f'transform="translate({_f(x)},{_f(y)}) rotate({_f(angle)})"/>'
             )
         # anchors: filled at the attractive coupling, hollow at the repulsive
-        for n_idx, k in traj.anchors:
-            if n_idx % 4 == 0:
-                parts.append(
-                    f'<circle cx="{_f(sx(k.real))}" cy="{_f(sy(k.imag))}" '
-                    f'r="4" fill="{color}" stroke="#ffffff" stroke-width="1"/>'
-                )
-            elif n_idx % 4 == 2:
-                parts.append(
-                    f'<circle cx="{_f(sx(k.real))}" cy="{_f(sy(k.imag))}" '
-                    f'r="4" fill="#ffffff" stroke="{color}" stroke-width="1.5"/>'
-                )
+        real = [(n_idx, k) for n_idx, k in traj.anchors if n_idx % 2 == 0]
+        if real:
+            filled = (f'<circle cx="%.3f" cy="%.3f" r="4" fill="{color}" '
+                      f'stroke="#ffffff" stroke-width="1"/>')
+            hollow = (f'<circle cx="%.3f" cy="%.3f" r="4" fill="#ffffff" '
+                      f'stroke="{color}" stroke-width="1.5"/>')
+            forms = "\n".join([filled if n_idx % 4 == 0 else hollow for n_idx, _ in real])
+            mx, my = screen([k for _, k in real])
+            parts.append(forms % tuple(chain.from_iterable(zip(mx, my))))
 
     # collisions
-    for ev in chart.collisions:
-        x, y = sx(ev.k.real), sy(ev.k.imag)
+    cx, cy = screen([ev.k for ev in chart.collisions])
+    for x, y in zip(cx, cy):
         parts.append(
             f'<path d="M {_f(x - 5)} {_f(y - 5)} L {_f(x + 5)} {_f(y + 5)} '
             f'M {_f(x - 5)} {_f(y + 5)} L {_f(x + 5)} {_f(y - 5)}" '

@@ -3,12 +3,15 @@
 A pole k(alpha) of a channel pole function D(k; gamma=e^{i alpha}) is
 continued in increasing alpha by a cubic Hermite predictor through the last
 two samples of (alpha, k, v = dk/dalpha = -D_alpha/D_k), Euler at a start,
-and a Newton corrector at the stepped phase. The corrector stops on its
-step test, on Newton's quadratic error model or at the roundoff of the
-pole function (see _kernels.newton_pole), so a sample holds the pole to
-1e-12*(1 + |k|), or to roundoff where that is wider, in about two
-iterations. It returns the tangent v1 at its last iterate, up to about
-1.5e-6*(1 + |k|) from the new pole, so a step makes no other kernel call.
+and a Newton corrector at the stepped phase, whose coupling the march
+supplies: the exact axis value at an anchor, cos + i sin at any other
+phase, which lies strictly between two anchors (both as _phase_to_gamma
+gives them). The corrector stops on its step test, on Newton's quadratic
+error model or at the roundoff of the pole function (see
+_kernels.newton_pole), so a sample holds the pole to 1e-12*(1 + |k|), or
+to roundoff where that is wider, in about two iterations. It returns the
+tangent v1 at its last iterate, up to about 1.5e-6*(1 + |k|) from the new
+pole, so a step makes no other kernel call.
 A step of length h is accepted when it moves k by at most
 0.1*(1 + |k0|) and its local error, the trapezoid defect
 e = |k1 - k0 - h(v0 + v1)/2| of the tangents at both ends, is at most
@@ -69,6 +72,9 @@ from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, multiplicity_at
 from .smatrix import Channel, ComplexCoupling, PotentialSpec, _phase_to_gamma
 
 HALF_PI = math.pi / 2.0
+# the coupling e^{i n pi/2} at the anchor n, by n % 4, as _phase_to_gamma
+# gives it
+_ANCHOR_GAMMA = tuple(_phase_to_gamma(n * HALF_PI) for n in range(4))
 
 # corrector budget, largest accepted |dk|/(1+|k|), and the largest accepted
 # local error e/(1+|k|) of a step
@@ -220,13 +226,14 @@ def _tangent(k: complex, gamma: complex, spec: PotentialSpec, ch: int) -> comple
     return -da / dk if dk != 0.0 else complex(math.nan, math.nan)
 
 
-def _step(alpha, k, v, prev, target, spec, ch):
+def _step(alpha, k, v, prev, target, gamma, spec, ch):
     """One checked continuation step from the pole k at alpha, tangent v.
 
     prev is the accepted sample (alpha, k, v) before this one, or None for
-    an Euler predictor. Returns (k1, v1, r) at the target phase, with r the
-    local error over its bound, or None when the corrector fails, the step
-    moves k too far, or r exceeds 1 (nan counts as a failure).
+    an Euler predictor. The caller supplies the corrector's coupling gamma,
+    _phase_to_gamma(target). Returns (k1, v1, r) at the target phase, with
+    r the local error over its bound, or None when the corrector fails, the
+    step moves k too far, or r exceeds 1 (nan counts as a failure).
     """
     dt = target - alpha
     if prev is None:
@@ -240,7 +247,7 @@ def _step(alpha, k, v, prev, target, spec, ch):
         c3 = (v + v0 - 2.0 * slope) / (H * H)
         kp = k + dt * (v + dt * (c2 + dt * c3))
     k1, iters, ok, v1 = _k.newton_pole(
-        kp, _phase_to_gamma(target), spec.m, spec.a, spec.U, ch, STEP_TOL, _CORRECTOR_ITERS
+        kp, gamma, spec.m, spec.a, spec.U, ch, STEP_TOL, _CORRECTOR_ITERS
     )
     if not ok:
         return None
@@ -296,16 +303,26 @@ def _trace_from_state(
     h = _STEP_INITIAL
     n_star = None
     reason: ExitReason | None = None
+    h_floor = _STEP_MINIMUM * (1.0 + 1e-12)
+    reach_factor = 0.9 * _DISPLACEMENT_FACTOR
+    cap = _ALPHA_CAP - 1e-12
+    cos, sin = math.cos, math.sin
+    t_anchor = next_anchor * HALF_PI
 
     while True:
-        t_anchor = next_anchor * HALF_PI
         # a step that would end within rounding of the anchor ends on it:
-        # the sliver left over would be the next predictor's base H
-        target = t_anchor if t_anchor - (alpha + h) < 1e-9 * h else alpha + h
+        # the sliver left over would be the next predictor's base H. Any
+        # other target lies strictly between two anchors, where
+        # _phase_to_gamma is cos + i sin
+        if t_anchor - (alpha + h) < 1e-9 * h:
+            target, gamma = t_anchor, _ANCHOR_GAMMA[next_anchor % 4]
+        else:
+            target = alpha + h
+            gamma = complex(cos(target), sin(target))
 
-        step = _step(alpha, k, v, prev, target, spec, ch)
+        step = _step(alpha, k, v, prev, target, gamma, spec, ch)
         if step is None:
-            if h <= _STEP_MINIMUM * (1.0 + 1e-12):
+            if h <= h_floor:
                 # a loop meets the coalesced pair at k = -i/a only at its
                 # half-turn: end the march there
                 anchor = ComplexCoupling(t_anchor)
@@ -330,14 +347,15 @@ def _trace_from_state(
         alpha, k, v = target, k1, v1
         # keep the tangent's predicted move inside the displacement bound
         # that _step tests, with the growth rule's safety factor
-        reach = 0.9 * _DISPLACEMENT_FACTOR * (1.0 + abs(k))
-        if h * abs(v) > reach:
-            h = max(reach / abs(v), _STEP_MINIMUM)
+        abs_k, abs_v = abs(k), abs(v)
+        reach = reach_factor * (1.0 + abs_k)
+        if h * abs_v > reach:
+            h = max(reach / abs_v, _STEP_MINIMUM)
         alphas.append(alpha)
         ks.append(k)
 
         # before the anchor, so no curve carries an anchor past the window
-        if abs(k) > window:
+        if abs_k > window:
             reason = ExitReason.K_WINDOW
             break
         if alpha == t_anchor:
@@ -346,7 +364,8 @@ def _trace_from_state(
                 n_star = next_anchor
                 break
             next_anchor += 1
-        if abs(alpha - alpha0) >= _ALPHA_CAP - 1e-12:
+            t_anchor = next_anchor * HALF_PI
+        if abs(alpha - alpha0) >= cap:
             reason = ExitReason.ALPHA_CAP
             break
 

@@ -19,6 +19,7 @@ from wellpoles.chart import build_chart, critical_depth
 from wellpoles.config import RunConfig, load_config_file, merge_config
 from wellpoles.document import (
     _fmt_float,
+    _fmt_records,
     axis_poles_csv,
     canonical_dumps,
     chart_document,
@@ -128,6 +129,37 @@ def _raised(write, obj) -> str:
     return str(info.value)
 
 
+def _records_per_value(records) -> str:
+    """A list of dicts, each written by the per-value dict writer, as a
+    reference for the record rows."""
+    return "[" + ",".join(canonical_dumps(rec)[:-1] for rec in records) + "]\n"
+
+
+# a record field of each type the record rows take
+_FIELDS = {
+    int: st.integers(-10**20, 10**20),
+    float: _FLOATS,
+    complex: st.builds(complex, _FLOATS, _FLOATS),
+    str: st.text(max_size=8),
+}
+# keys without "%", which the record rows leave to the per-value writer
+_KEYS = st.text(st.characters(blacklist_characters="%"), max_size=6)
+
+
+@st.composite
+def _records(draw):
+    """Dicts with one key set, each field of one type in every dict."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=5, unique=True))
+    kinds = [draw(st.sampled_from(list(_FIELDS))) for _ in keys]
+    rows = draw(st.integers(1, 12))
+    return [{key: draw(_FIELDS[kind]) for key, kind in zip(keys, kinds)}
+            for _ in range(rows)]
+
+
+class _Int(int):
+    pass
+
+
 class TestBulkLists:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_FLOATS, max_size=40))
@@ -181,6 +213,74 @@ class TestBulkLists:
             back = json.loads(canonical_dumps(obj))[0]
             for v in back if isinstance(back, list) else [back]:
                 assert type(v) is float and v == x
+
+    # a list of flat dicts with one key set is written in one pass, with
+    # the bytes and errors of the per-value writer
+    @settings(max_examples=300, deadline=None)
+    @given(_records())
+    def test_record_list_matches_per_value(self, records):
+        assert _fmt_records(records) is not None
+        assert canonical_dumps(records) == _records_per_value(records)
+        assert canonical_dumps({"x": records}) == (
+            '{"x":' + _records_per_value(records)[:-1] + "}\n"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_records(), st.lists(st.tuples(st.integers(0), st.integers(0), _NONFINITE,
+                                          st.booleans()), min_size=1, max_size=3))
+    def test_first_nonfinite_raises_as_per_value(self, records, bads):
+        keys = sorted(records[0])
+        numeric = [key for key in keys if type(records[0][key]) in (float, complex)]
+        if not numeric:
+            numeric = [keys[0]]
+            for rec in records:
+                rec[keys[0]] = 0.5
+        for row, col, bad, real_bad in bads:
+            rec = records[row % len(records)]
+            key = numeric[col % len(numeric)]
+            if type(rec[key]) is complex:
+                z = rec[key]
+                rec[key] = complex(bad, z.imag) if real_bad else complex(z.real, bad)
+            else:
+                rec[key] = bad
+        assert _raised(canonical_dumps, records) == _raised(_records_per_value, records)
+
+    @pytest.mark.parametrize("records", [
+        [{"a": True}, {"a": False}],
+        [{"a": None, "b": 1.0}, {"a": None, "b": 2.0}],
+        [{"a": np.float64(-0.0)}, {"a": np.float64(1.5)}],
+        [{"a": np.float64(2.0)}, {"a": 2.5}],
+        [{"a": _Int(3), "b": 1.0}],
+        [{"a": 1}, {"a": 1.0}],
+        [{"a": 1.0}, {"b": 1.0}],
+        [{"a": 1.0}, {"a": 2.0, "b": 1.0}],
+        [{"a": 1.0, "b": 2.0}, {"a": 1.0}],
+        [{"a": [1.0, -0.0]}, {"a": [2.0]}],
+        [{"a": {"b": 1.0}}],
+        [{"a": 1.0}, 2.0],
+        [{"%.17g": 1.0, "b": "%d"}, {"%.17g": -0.0, "b": "%s"}],
+        [{}, {}],
+        [],
+    ])
+    def test_other_lists_keep_the_per_value_bytes(self, records):
+        assert canonical_dumps(records) == "[" + ",".join(
+            canonical_dumps(item)[:-1] for item in records
+        ) + "]\n"
+
+    def test_other_lists_written_as_before(self):
+        assert canonical_dumps([{"a": True, "b": None}, {"a": np.float64(-0.0), "b": 1}]) == (
+            '[{"a":true,"b":null},{"a":0.0,"b":1}]\n'
+        )
+        assert canonical_dumps([{"%.17g": 1.0}]) == '[{"%.17g":1.0}]\n'
+
+    @pytest.mark.parametrize("records", [
+        [{1: 1.0}, {1: 2.0}],
+        [{"a": 1.0}, {1: 2.0}],
+        [{(1, 2): "x"}],
+    ])
+    def test_non_string_key_rejected(self, records):
+        with pytest.raises(DocumentError, match="non-string key"):
+            canonical_dumps(records)
 
 
 class TestChartDocument:
@@ -378,6 +478,29 @@ class TestStrictParsing:
             d["trajectories"][0]["ks"][0] = 1.0
         with pytest.raises(DocumentError, match="pairs"):
             parse_chart_document(self._doc_text(mutate))
+
+    @pytest.mark.parametrize("key", ["alphas", "ks"])
+    @pytest.mark.parametrize("value", [1, None, "x", {"0": 1.0}])
+    def test_sample_array_not_a_list_rejected(self, key, value):
+        text = self._doc_text(lambda d: d["trajectories"][0].__setitem__(key, value))
+        with pytest.raises(DocumentError, match=f"{key} must be a list"):
+            parse_chart_document(text)
+
+    @pytest.mark.parametrize("pair", [
+        [1.0, "a"], ["1.0", 2.0], [None, 0.0], [True, 0.0], [0.0, False], [[1.0], 2.0],
+    ])
+    def test_momentum_pair_entries_must_be_numbers(self, pair):
+        def mutate(d):
+            d["trajectories"][0]["ks"][0] = pair
+        with pytest.raises(DocumentError, match="pairs of numbers"):
+            parse_chart_document(self._doc_text(mutate))
+
+    def test_integer_pair_entries_accepted(self):
+        # an integral float is written "N.0", but a hand-made document may
+        # hold an int, which is a number
+        def mutate(d):
+            d["trajectories"][0]["ks"][0] = [0, -1]
+        assert parse_chart_document(self._doc_text(mutate))["trajectories"][0]["ks"][0] == [0, -1]
 
     def test_invalid_json_rejected(self):
         with pytest.raises(DocumentError, match="not valid JSON"):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from wellpoles.rootfinder import (
 )
 from wellpoles import _kernels as _k
 from wellpoles import trajectory
-from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
+from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec, _phase_to_gamma
 from wellpoles.trajectory import (
     Closure,
     ClosureKind,
@@ -557,6 +558,46 @@ class TestAxisCrossings:
                     assert n is not None and (n, k) in anchors
 
 
+class TestCorrectorCoupling:
+    """The march hands each corrector call the coupling of its target
+    phase: the exact axis value at an anchor, cos + i sin between two."""
+
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        U=st.floats(1e-3, 300.0),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_coupling_is_phase_to_gamma_bit_for_bit(self, m, a, U, channel):
+        calls = []
+        targets = []
+        step, newton = trajectory._step, _k.newton_pole
+
+        def step_spy(alpha, k, v, prev, target, *rest):
+            targets.append(target)
+            try:
+                return step(alpha, k, v, prev, target, *rest)
+            finally:
+                targets.pop()
+
+        def newton_spy(k, gamma, *rest):
+            if targets:
+                calls.append((targets[-1], gamma))
+            return newton(k, gamma, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trajectory, "_step", step_spy)
+            mp.setattr(_k, "newton_pole", newton_spy)
+            build_chart(PotentialSpec(m=m, a=a, U=U), channel, certify=False)
+        assert calls
+        for target, gamma in calls:
+            ref = _phase_to_gamma(target)
+            assert struct.pack("<dd", gamma.real, gamma.imag) == struct.pack(
+                "<dd", ref.real, ref.imag
+            ), (target, gamma, ref)
+
+
 class TestHalfTurn:
     """A loop through an axis seed is marched to the half-turn anchor, where
     it meets the axis again, and mirrored about it for the rest."""
@@ -591,18 +632,18 @@ class TestHalfTurn:
                 assert ok and abs(kk - k) < 1e-10 * (1.0 + abs(k))
 
     def test_no_newton_call_past_the_half_turn(self, monkeypatch):
-        # every kernel call of the march takes its coupling from
-        # _phase_to_gamma, so its phases are the phases of the Newton calls
+        # every corrector call of the march is at the target phase of its
+        # step, so the step targets are the phases of the Newton calls
         spec = _spec(2.0)
         seed = _seed(2.0, ATT, Channel.PLUS, DEEP_BOUND)
         phases = []
-        real = trajectory._phase_to_gamma
+        real = trajectory._step
 
-        def spy(alpha):
-            phases.append(alpha)
-            return real(alpha)
+        def spy(alpha, k, v, prev, target, *rest):
+            phases.append(target)
+            return real(alpha, k, v, prev, target, *rest)
 
-        monkeypatch.setattr(trajectory, "_phase_to_gamma", spy)
+        monkeypatch.setattr(trajectory, "_step", spy)
         t = trace(seed, +1, spec)
         assert t.closure.kind is ClosureKind.CLOSED_4PI
         assert t.alphas[-1] == 4 * math.pi

@@ -37,7 +37,7 @@ def point_at(traj: Trajectory, alpha: float, spec: PotentialSpec) -> complex:
     h = alpha - a
     while a != alpha:
         target = alpha if abs(alpha - a) <= abs(h) else a + h
-        step = trajectory._step(a, k, v, prev, target, spec, ch)
+        step = trajectory._step(a, k, v, prev, target, _phase_to_gamma(target), spec, ch)
         if step is None:
             h *= 0.5
             if abs(h) < trajectory._STEP_MINIMUM:
