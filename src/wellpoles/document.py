@@ -35,10 +35,9 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-# one %-template per value of a row, each ending in the separator that
-# follows it; a float goes in through "%.17g", and an integral one below
-# 1e17 takes the "%.1f" form of its template instead, which prints it as
-# "N.0"
+# one %-template per value of a row, with the text around the value; a
+# float goes in through "%.17g", and an integral one below 1e17 takes the
+# "%.1f" form of its template instead, which prints it as "N.0"
 _FLOAT = "%.17g"
 _FLOAT_ROW = (_FLOAT + ",",)
 _PAIR_ROW = ("[" + _FLOAT + ",", _FLOAT + "],")

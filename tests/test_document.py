@@ -200,6 +200,9 @@ class TestBulkLists:
         ([[1.0, -0.0], None, "x"], '[[1.0,0.0],null,"x"]'),
         ([], "[]"),
         ([np.float64(1e17), 1e17], "[1e+17,1e+17]"),
+        ([{"a": True, "b": None}, {"a": np.float64(-0.0), "b": 1}],
+         '[{"a":true,"b":null},{"a":0.0,"b":1}]'),
+        ([{"%.17g": -0.0, "b": "%d"}], '[{"%.17g":0.0,"b":"%d"}]'),
     ])
     def test_mixed_and_edge_lists(self, obj, text):
         assert canonical_dumps(obj) == text + "\n"
@@ -266,12 +269,6 @@ class TestBulkLists:
         assert canonical_dumps(records) == "[" + ",".join(
             canonical_dumps(item)[:-1] for item in records
         ) + "]\n"
-
-    def test_other_lists_written_as_before(self):
-        assert canonical_dumps([{"a": True, "b": None}, {"a": np.float64(-0.0), "b": 1}]) == (
-            '[{"a":true,"b":null},{"a":0.0,"b":1}]\n'
-        )
-        assert canonical_dumps([{"%.17g": 1.0}]) == '[{"%.17g":1.0}]\n'
 
     @pytest.mark.parametrize("records", [
         [{1: 1.0}, {1: 2.0}],
