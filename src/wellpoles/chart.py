@@ -25,7 +25,9 @@ from .rootfinder import (
     TOL_AXIS,
     CountRegion,
     Pole,
-    _axis_roots,
+    _axis_cells,
+    _cell_roots,
+    _neg_y_coth,
     collision_x,
     count_zeros_padded,
     scan_axis,
@@ -480,18 +482,62 @@ def _scan_threshold(channel: Channel, u: float, m: float, a: float) -> float:
     return _next_threshold(channel, u - shift, m, a) + shift
 
 
+# bound_count's reach in x on either side of a cell's threshold point, and
+# the multiple of a*TOL_AXIS that a*kappa must reach at x_n + reach for a
+# root above it to count unsolved: no polish moves a root that far
+_THRESHOLD_DX = 1e-2
+_BOUND_MARGIN = 1e3
+
+
 def bound_count(spec: PotentialSpec, channel: Channel) -> int:
     """Number of bound states (axis poles with Im k > 0) at the attractive
-    coupling, from the axis roots of ``scan_axis``.
+    coupling: the simple axis roots with kappa >= TOL_AXIS, exactly those
+    that ``scan_axis`` calls bound.
 
-    It counts the simple roots with kappa >= TOL_AXIS, exactly those that
-    ``classify`` calls bound. No residual is evaluated, no ``Pole`` built,
-    and no root solved that its cell places at kappa < 0 (``bound_only``).
-    A root within TOL_AXIS of k = 0 is a threshold, not a bound state, so
-    at a closed-form threshold depth the count is still the one below it.
+    Each real-K cell of ``_axis_cells`` holds at most one root that can be
+    bound, on its rising branch, where a*kappa rises through 0 at the
+    cell's threshold point x_n. With the cells numbered from n = 0, x_n is
+    n*pi in the even channel and (n + 1/2)*pi in the odd one: where the
+    states of ``bound_threshold`` enter at k = 0 (the even channel's first
+    at U = 0). The ratio is evaluated once on each side of x_n, at
+    x = x_n -/+ _THRESHOLD_DX:
+
+    - ratio(x_n + dx) < c: the root lies above x_n + dx, where kappa is
+      far above TOL_AXIS (``_BOUND_MARGIN``), so it counts unsolved;
+    - ratio(x_n - dx) > c, with x_n - dx above the cell's collision point:
+      any rising-branch root lies below x_n - dx, at kappa < 0, and does
+      not count.
+
+    Only a cell between the two, in practice the top cell next to a
+    threshold, has its rising-branch root Brent-solved and
+    Newton-polished by the scan's own ``_cell_roots``. A root within
+    TOL_AXIS of k = 0 is a threshold, not a bound state, so at a
+    closed-form threshold depth the count is still the one below it.
+    Imaginary-K cells (a*kappa = -y coth y) and coalesced pairs
+    (kappa = -1/a) hold no bound state.
     """
-    roots = _axis_roots(spec, ComplexCoupling(0.0), channel, bound_only=True)
-    return sum(1 for kappa, mult in roots if mult == 1 and kappa >= TOL_AXIS)
+    if spec.U == 0.0:
+        return 0
+    a = spec.a
+    c = a * math.sqrt(2.0 * spec.m * spec.U)
+    odd = channel is Channel.MINUS
+    count = 0
+    for n, cell in enumerate(_axis_cells(c, True, odd)):
+        ratio, a_kappa, lo, xc, _ = cell
+        if a_kappa is _neg_y_coth:
+            continue
+        x_n = (n + 0.5) * math.pi if odd else n * math.pi
+        above = x_n + _THRESHOLD_DX
+        if ratio(above) < c and a_kappa(above) >= _BOUND_MARGIN * a * TOL_AXIS:
+            count += 1
+            continue
+        below = x_n - _THRESHOLD_DX
+        if below > (lo if xc is None else xc) and ratio(below) > c:
+            continue
+        kappa, mult = next(_cell_roots(cell, c, spec, ComplexCoupling(0.0), channel), (0.0, 0))
+        if mult == 1 and kappa >= TOL_AXIS:
+            count += 1
+    return count
 
 
 def _bisect(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -537,6 +583,12 @@ def threshold_flip(
     final bracket ends between the two. When the certificate fails, the
     halving is rerun from the original bracket with a scan at every
     midpoint.
+
+    Each count places most cells in closed form (``bound_count``). On a
+    final bracket next to the threshold the entering state's root lies
+    within _THRESHOLD_DX of its cell's threshold point, so each of the two
+    certifying counts solves that one root as ``scan_axis`` does, and the
+    certificate rests on the scan's own polished kappa.
 
     Raises NoRootInBracket when the counts at u_lo and u_hi agree, and
     ValueError unless tol > 0 and u_lo < u_hi.

@@ -402,7 +402,13 @@ def _require(cond: bool, message: str) -> None:
 
 
 def parse_chart_document(text: str) -> dict:
-    """Parse and validate a chart document; unknown fields are an error."""
+    """Parse and validate a chart document.
+
+    Raises DocumentError on unknown or missing fields and on fields of the
+    wrong type: the potential, the phases and the momentum pairs hold
+    numbers (never bools), the topology maps to ints, every record list
+    holds objects, and the completeness block is null or an object.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -418,8 +424,16 @@ def parse_chart_document(text: str) -> dict:
     pot = doc["potential"]
     _require(isinstance(pot, dict) and set(pot) == {"m", "a", "U"},
              "potential must hold exactly m, a, U")
+    _require(all(map(_is_number, pot.values())), "potential values must be numbers")
     _require(doc["channel"] in ("plus", "minus"),
              f"unknown channel {doc['channel']!r}")
+    topology = doc["topology"]
+    _require(isinstance(topology, dict) and all(map(_is_int, topology.values())),
+             "topology must be an object of ints")
+    for key in ("seeds", "collisions", "warnings", "near_contacts"):
+        _require(_is_object_list(doc[key]), f"{key} must be a list of objects")
+    _require(doc["completeness"] is None or isinstance(doc["completeness"], dict),
+             "completeness must be null or an object")
     _require(isinstance(doc["trajectories"], list), "trajectories must be a list")
     for i, traj in enumerate(doc["trajectories"]):
         _require(isinstance(traj, dict), f"trajectory {i} must be an object")
@@ -427,10 +441,14 @@ def parse_chart_document(text: str) -> dict:
         _require(not bad, f"trajectory {i} unknown fields: {', '.join(sorted(bad))}")
         miss = _TRAJ_KEYS - set(traj)
         _require(not miss, f"trajectory {i} missing fields: {', '.join(sorted(miss))}")
+        for key in ("merged_seeds", "anchors", "axis_crossings"):
+            _require(_is_object_list(traj[key]), f"trajectory {i} {key} must be a list of objects")
         for key in ("alphas", "ks"):
             _require(isinstance(traj[key], list), f"trajectory {i} {key} must be a list")
         _require(len(traj["alphas"]) == len(traj["ks"]),
                  f"trajectory {i} sample arrays disagree")
+        _require(all(map(_is_number, traj["alphas"])),
+                 f"trajectory {i} phases must be numbers")
         for k in traj["ks"]:
             _require(isinstance(k, list) and len(k) == 2 and all(map(_is_number, k)),
                      f"trajectory {i} momenta must be [re, im] pairs of numbers")
@@ -439,6 +457,14 @@ def parse_chart_document(text: str) -> dict:
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_object_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(e, dict) for e in x)
 
 
 def axis_poles_csv(channel: str, poles) -> str:

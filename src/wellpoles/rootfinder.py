@@ -8,7 +8,9 @@ On the imaginary axis at a real coupling the poles are known in closed
 form: with x = aK the interior momentum, each solves x/|cos x| = c or
 x/|sin x| = c (y/cosh y or y/sinh y for imaginary K), c = a sqrt(2 m U).
 ``scan_axis`` enumerates them cell by cell with exact brackets; nothing
-is sampled.
+is sampled. ``chart.bound_count`` reads most cells' bound roots off the
+same cells without a solve, and draws the one root it cannot place from
+the scan's own per-cell solver, ``_cell_roots``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import cmath
 import enum
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from . import _kernels as _k
@@ -318,83 +321,84 @@ def _pair_offset(xc: float, rc: float, c: float, a: float) -> float:
     return xc / a * math.sqrt(2.0 * abs(rc - c) / rc)
 
 
+def _cell_roots(
+    cell: tuple, c: float, spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel
+) -> Iterator[tuple[float, int]]:
+    """(kappa, multiplicity) of the poles of one cell of ``_axis_cells`` at
+    c, each solved only when it is drawn: the root above the collision
+    point x_c first (the cell's one root when x_c is None), then the one
+    below it. Above x_c an attractive ratio rises toward hi and a*kappa
+    rises through 0; below x_c a*kappa < -1. So the first root is the only
+    one of an attractive cell that can be bound, and ``chart.bound_count``
+    draws no other.
+
+    A cell with x_c holds 0, 1 or 2 roots, split at x_c, so every root has
+    an exact Brent bracket, and Brent reuses the ratio values at lo and x_c
+    that decide the split. Each root is mapped to kappa and
+    Newton-polished in k; the polished kappa is Im k. When the cell's pair
+    lies within ``_pair_ball`` of its collision point k = -i/a
+    (``_pair_offset``), the cell gives one coalesced pair there instead,
+    as kappa = -1/a with multiplicity 2.
+    """
+    ratio, a_kappa, lo, xc, hi = cell
+    a = spec.a
+
+    def f(x: float) -> float:
+        return ratio(x) - c
+
+    def polished(x: float) -> tuple[float, int]:
+        kappa = a_kappa(x) / a
+        k, _, ok, _ = _k.newton_pole(
+            1j * kappa, coupling.gamma, spec.m, a, spec.U, channel.code, STEP_TOL, MAX_NEWTON,
+        )
+        # without convergence, where d's slope is tiny against its terms
+        # (a pair next to its collision) and Newton stalls, the bracketed
+        # root is the better value
+        if ok:
+            if abs(k - 1j * kappa) > 0.5:
+                raise ConvergedElsewhere(k, 1j * kappa, 0.5)
+            kappa = k.imag
+        return kappa, 1
+
+    if xc is None:
+        yield polished(_brentq(f, lo, hi))
+        return
+    rc = ratio(xc)
+    if _pair_offset(xc, rc, c, a) < _pair_ball(xc, a):
+        yield -1.0 / a, 2
+        return
+    fc = rc - c
+    if fc == 0.0:
+        yield polished(xc)
+        return
+    flo = f(lo)
+    if (fc > 0.0) != (flo > 0.0):
+        yield polished(_brentq(f, xc, hi, fa=fc))
+        yield polished(_brentq(f, lo, xc, fa=flo, fb=fc))
+
+
 def _axis_roots(
-    spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel, bound_only: bool = False
+    spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel
 ) -> list[tuple[float, int]]:
     """(kappa, multiplicity) of every pole on the imaginary axis k = i*kappa
-    at a real coupling, in cell order; the enumeration behind ``scan_axis``
-    and ``chart.bound_count``.
+    at a real coupling, cell by cell; the enumeration behind ``scan_axis``.
 
     The poles are enumerated in closed form over the cells of the interior
-    momentum (``_axis_cells``; Nussenzveig, Nucl. Phys. 11 (1959) 499). A
-    cell with a collision point x_c holds 0, 1 or 2 roots, split at x_c, so
-    every root has an exact Brent bracket, and Brent reuses the ratio values
-    at lo and x_c that decide the split. Each root is mapped to kappa and
-    Newton-polished in k; the polished kappa is Im k.
-
-    When the cell's pair lies within ``_pair_ball`` of its collision point
-    k = -i/a (``_pair_offset``), the cell gives one coalesced pair there
-    instead, as kappa = -1/a with multiplicity 2.
+    momentum (``_axis_cells``; Nussenzveig, Nucl. Phys. 11 (1959) 499),
+    each cell's by ``_cell_roots``.
 
     U = 0 is the free particle: its S-matrix is 1 and has no poles, so
     there are no roots (the even pole function degenerates to
     k*exp(-ika), whose k = 0 zero is removable in S).
-
-    With bound_only, the roots that their cell alone places at kappa < 0
-    are not solved, for a count of bound states: every root of an
-    imaginary-K cell (a*kappa = -y coth y or -y tanh y), and the root at or
-    below a collision point x_c, where a*kappa = x tan x or -x cot x rises
-    to -1 at x_c. Newton's polish starts on such a root's bracketed value
-    and converges to it, so it too stays at kappa < 0.
     """
     if not coupling.is_real:
         raise ValueError("axis scan requires a real coupling (alpha a multiple of pi)")
     if spec.U == 0.0:
         return []
-    a = spec.a
-    c = a * math.sqrt(2.0 * spec.m * spec.U)
+    c = spec.a * math.sqrt(2.0 * spec.m * spec.U)
     roots: list[tuple[float, int]] = []
-    for ratio, a_kappa, lo, xc, hi in _axis_cells(
-        c, coupling.gamma.real > 0, channel is Channel.MINUS
-    ):
-        if bound_only and a_kappa in (_neg_y_coth, _neg_y_tanh):
-            continue
-
-        def f(x: float, ratio=ratio) -> float:
-            return ratio(x) - c
-
-        if xc is None:
-            xs = [_brentq(f, lo, hi)]
-        else:
-            rc = ratio(xc)
-            if _pair_offset(xc, rc, c, a) < _pair_ball(xc, a):
-                roots.append((-1.0 / a, 2))
-                continue
-            fc = rc - c
-            if fc == 0.0:
-                xs = [] if bound_only else [xc]
-            else:
-                flo = f(lo)
-                if (fc > 0.0) == (flo > 0.0):
-                    xs = []
-                elif bound_only:
-                    xs = [_brentq(f, xc, hi, fa=fc)]
-                else:
-                    xs = [_brentq(f, lo, xc, fa=flo, fb=fc), _brentq(f, xc, hi, fa=fc)]
-        for x in xs:
-            kappa = a_kappa(x) / a
-            k, _, ok, _ = _k.newton_pole(
-                1j * kappa, coupling.gamma, spec.m, spec.a, spec.U, channel.code,
-                STEP_TOL, MAX_NEWTON,
-            )
-            # without convergence, where d's slope is tiny against its terms
-            # (a pair next to its collision) and Newton stalls, the
-            # bracketed root is the better value
-            if ok:
-                if abs(k - 1j * kappa) > 0.5:
-                    raise ConvergedElsewhere(k, 1j * kappa, 0.5)
-                kappa = k.imag
-            roots.append((kappa, 1))
+    for cell in _axis_cells(c, coupling.gamma.real > 0, channel is Channel.MINUS):
+        roots.extend(_cell_roots(cell, c, spec, coupling, channel))
     return roots
 
 

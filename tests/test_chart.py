@@ -432,13 +432,16 @@ def _scanned_bound(spec, channel):
 
 
 def _scan_bisection(channel, u_lo, u_hi, m, a, tol):
-    """threshold_flip's answer from a scan at every midpoint."""
+    """threshold_flip's answer from a scan at every midpoint; like the
+    flip, it stops once no midpoint lies strictly inside the bracket."""
     def count(u):
         return _scanned_bound(PotentialSpec(m=m, a=a, U=u), channel)
 
     n_lo = count(u_lo)
     while u_hi - u_lo > tol:
         mid = 0.5 * (u_lo + u_hi)
+        if not u_lo < mid < u_hi:
+            break
         if count(mid) == n_lo:
             u_lo = mid
         else:
@@ -460,6 +463,42 @@ def _count_scans(monkeypatch, limit=200):
 
     monkeypatch.setattr(chart_module, "bound_count", counted)
     return calls
+
+
+def _count_solves(monkeypatch):
+    """Record every Brent solve from here on. ``collision_x`` solves each
+    collision point once per process, so a test scans its well before it
+    counts."""
+    calls = []
+    real_brentq = rootfinder._brentq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_brentq(*args, **kwargs)
+
+    monkeypatch.setattr(rootfinder, "_brentq", counted)
+    return calls
+
+
+def _threshold_x(channel, n):
+    """bound_count's threshold point of the cell holding state n + 1 (even,
+    n >= 0) or state n (odd, n >= 1): n*pi or (n - 1/2)*pi."""
+    return n * math.pi if channel is Channel.PLUS else (n - 0.5) * math.pi
+
+
+def _depth_of(c, m, a):
+    """The depth at which a*sqrt(2 m U) = c."""
+    return (c / a) ** 2 / (2.0 * m)
+
+
+def _nudged(u, ulps):
+    for _ in range(abs(ulps)):
+        u = math.nextafter(u, math.inf if ulps > 0 else 0.0)
+    return u
+
+
+_WELL = dict(m=st.floats(0.2, 10.0), a=st.floats(0.1, 6.0),
+             channel=st.sampled_from([Channel.PLUS, Channel.MINUS]))
 
 
 class TestBoundCount:
@@ -494,29 +533,125 @@ class TestBoundCount:
         spec = PotentialSpec(m=m, a=a, U=u)
         assert bound_count(spec, channel) == _scanned_bound(spec, channel)
 
-    @pytest.mark.parametrize("channel,U,scan_solves,count_solves,bound", [
+    @pytest.mark.parametrize("channel,U,scan_solves,bound,count_solves", [
         # c = 6.36: a root in [0, pi/2] and a pair in each of the next two
-        # cells, whose lower roots are virtual
-        (Channel.PLUS, 9.0, 5, 3, 3),
+        # cells, whose lower roots are virtual; every upper root lies above
+        # its cell's threshold point by more than _THRESHOLD_DX
+        (Channel.PLUS, 9.0, 5, 3, 0),
         # c = 0.67 < 1: one root, in the y/sinh y cell, virtual
         (Channel.MINUS, 0.1, 1, 0, 0),
     ])
     def test_solves_no_root_its_cell_places_below_zero(
-            self, monkeypatch, channel, U, scan_solves, count_solves, bound):
-        real_brentq = rootfinder._brentq
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real_brentq(*args, **kwargs)
-
-        monkeypatch.setattr(rootfinder, "_brentq", counted)
+            self, monkeypatch, channel, U, scan_solves, bound, count_solves):
         spec = PotentialSpec(m=M, a=A, U=U)
+        assert _scanned_bound(spec, channel) == bound
+        calls = _count_solves(monkeypatch)
         assert bound_count(spec, channel) == bound
         assert len(calls) == count_solves
         calls.clear()
         assert _scanned_bound(spec, channel) == bound
         assert len(calls) == scan_solves
+
+    @pytest.mark.parametrize("channel,n", [
+        (Channel.PLUS, 1), (Channel.PLUS, 2), (Channel.MINUS, 1), (Channel.MINUS, 2),
+    ])
+    @pytest.mark.parametrize("visible", [False, True])
+    def test_solves_one_root_next_to_a_threshold(self, monkeypatch, channel, n, visible):
+        # at the closed-form threshold, with the new state inside the
+        # threshold band, and just past where it leaves the band, the top
+        # cell's upper root lies within _THRESHOLD_DX of its threshold
+        # point: that root alone is solved, and every other cell is placed
+        u = bound_threshold(channel, n, M, A)
+        if visible:
+            u += 2.0 * TOL_AXIS / (M * A)
+        # the even channel's first state binds from U = 0
+        bound = n - (channel is Channel.MINUS) + visible
+        spec = PotentialSpec(m=M, a=A, U=u)
+        assert _scanned_bound(spec, channel) == bound
+        calls = _count_solves(monkeypatch)
+        assert bound_count(spec, channel) == bound
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
+    @pytest.mark.parametrize("n", [40, 100])
+    @pytest.mark.parametrize("visible", [False, True])
+    def test_reach_below_the_collision_point(self, monkeypatch, channel, n, visible):
+        # from n ~ 1/(pi dx) on, x_n - dx lies below the cell's collision
+        # point, on the falling branch, where ratio > c says nothing about
+        # the rising-branch root: the top cell is solved
+        u = bound_threshold(channel, n, M, A)
+        if visible:
+            u += 2.0 * TOL_AXIS / (M * A)
+        x_n = math.sqrt(2.0 * M * u) * A
+        xc = rootfinder.collision_x(channel, True, n if channel is Channel.PLUS else n - 1)
+        assert x_n - chart_module._THRESHOLD_DX < xc < x_n
+        bound = n - (channel is Channel.MINUS) + visible
+        spec = PotentialSpec(m=M, a=A, U=u)
+        assert _scanned_bound(spec, channel) == bound
+        calls = _count_solves(monkeypatch)
+        assert bound_count(spec, channel) == bound
+        assert len(calls) == 1
+
+    @given(**_WELL, n=st.integers(0, 4), side=st.sampled_from([-1, 1]),
+           ulps=st.integers(-4, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_scan_on_the_decision_boundary(self, m, a, channel, n, side, ulps):
+        # ratio(x_n -/+ dx) = c to a few float spacings in U: the cell is
+        # placed on one side of the boundary and solved on the other
+        assume(channel is Channel.PLUS or n >= 1)
+        assume(side > 0 or n >= 1)
+        x = _threshold_x(channel, n) + side * chart_module._THRESHOLD_DX
+        ratio = rootfinder._x_sec if channel is Channel.PLUS else rootfinder._x_csc
+        spec = PotentialSpec(m=m, a=a, U=_nudged(_depth_of(ratio(x), m, a), ulps))
+        assert bound_count(spec, channel) == _scanned_bound(spec, channel)
+
+    @given(**_WELL, log_U=st.floats(math.log(1e-9), math.log(1e-2)))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_scan_in_the_first_even_cell(self, m, a, channel, log_U):
+        # the even channel's first state binds from U = 0; until
+        # ratio(dx) < c its root sits within dx of x = 0 and is solved
+        spec = PotentialSpec(m=m, a=a, U=math.exp(log_U))
+        assert bound_count(spec, channel) == _scanned_bound(spec, channel)
+
+    @given(**_WELL, index=st.integers(1, 4), ulps=st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_scan_at_collision_depths(self, m, a, channel, index, ulps):
+        # at an attractive collision depth the cell's pair lies in its pair
+        # ball, a coalesced pair at kappa = -1/a that is not bound
+        u = chart_module._collision_depth(channel, True, m, a, index)
+        spec = PotentialSpec(m=m, a=a, U=_nudged(u, ulps))
+        assert bound_count(spec, channel) == _scanned_bound(spec, channel)
+
+    @given(**_WELL, log_U=st.floats(math.log(1e-3), math.log(300.0)),
+           n=st.integers(1, 4), near=st.booleans(), ulps=st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_no_count_rests_on_the_reach(self, m, a, channel, log_U, n, near, ulps):
+        # a hundredth of the reach places fewer cells and solves more, and
+        # counts the same, in the box and next to a threshold
+        u = math.exp(log_U)
+        if near:
+            u = _nudged(bound_threshold(channel, n, m, a) + TOL_AXIS / (m * a), ulps)
+        spec = PotentialSpec(m=m, a=a, U=u)
+        count = bound_count(spec, channel)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chart_module, "_THRESHOLD_DX", chart_module._THRESHOLD_DX / 100)
+            assert bound_count(spec, channel) == count
+        assert count == _scanned_bound(spec, channel)
+
+    @pytest.mark.parametrize("channel,n,a", [(Channel.PLUS, 0, 1e6), (Channel.MINUS, 1, 1e9)])
+    def test_margin_solves_a_root_in_the_threshold_band(self, monkeypatch, channel, n, a):
+        # in a wide enough well a root at x_n + 2 dx still has
+        # kappa < TOL_AXIS; a*kappa(x_n + dx) lies below _BOUND_MARGIN * a *
+        # TOL_AXIS there, so the root is solved and read as a threshold
+        x = _threshold_x(channel, n) + 2.0 * chart_module._THRESHOLD_DX
+        ratio = rootfinder._x_sec if channel is Channel.PLUS else rootfinder._x_csc
+        spec = PotentialSpec(m=1.0, a=a, U=_depth_of(ratio(x), 1.0, a))
+        assert _scanned_bound(spec, channel) == 0
+        calls = _count_solves(monkeypatch)
+        assert bound_count(spec, channel) == 0
+        assert len(calls) == 1
+        monkeypatch.setattr(chart_module, "_BOUND_MARGIN", 0.0)
+        assert bound_count(spec, channel) == 1
 
 
 class TestSteeredFlip:
@@ -646,6 +781,34 @@ class TestSteeredFlip:
         flip = threshold_flip(Channel.PLUS, 2.0, 2.4, M, A, tol=tol)
         assert len(calls) > 4
         assert abs(flip - bound_threshold(Channel.PLUS, 1, M, A)) < 1e-8
+        # the fallback scans every midpoint with bound_count, and counts as
+        # scan_axis does at each of them
+        assert repr(flip) == repr(_scan_bisection(Channel.PLUS, 2.0, 2.4, M, A, tol))
+
+    @given(m=st.floats(0.5, 2.0), a=st.floats(0.75, 3.0),
+           channel=st.sampled_from([Channel.PLUS, Channel.MINUS]), n=st.integers(1, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_certificate_solves_one_root_per_count(self, m, a, channel, n):
+        # the brackets of the bench's depth panel: each count of the final
+        # bracket solves the one root next to the threshold, so the
+        # certificate rests on the scan's own polished kappa
+        u_n = bound_threshold(channel, n, m, a)
+        span = max(0.2 * u_n, 0.05)
+        solves = []
+        with pytest.MonkeyPatch.context() as mp:
+            brent = _count_solves(mp)
+            real_count = chart_module.bound_count
+
+            def counted(*args):
+                before = len(brent)
+                result = real_count(*args)
+                solves.append(len(brent) - before)
+                return result
+
+            mp.setattr(chart_module, "bound_count", counted)
+            threshold_flip(channel, max(u_n - span, 1e-9), u_n + span, m, a, tol=1e-6)
+        assert len(solves) == 4
+        assert solves[2:] == [1, 1]
 
 
 class TestDepthSweep:

@@ -499,6 +499,60 @@ class TestStrictParsing:
             d["trajectories"][0]["ks"][0] = [0, -1]
         assert parse_chart_document(self._doc_text(mutate))["trajectories"][0]["ks"][0] == [0, -1]
 
+    @pytest.mark.parametrize("value", ["a", None, True, [1.0]])
+    def test_phases_must_be_numbers(self, value):
+        def mutate(d):
+            d["trajectories"][0]["alphas"][0] = value
+        with pytest.raises(DocumentError, match="phases must be numbers"):
+            parse_chart_document(self._doc_text(mutate))
+
+    @pytest.mark.parametrize("key", ["m", "a", "U"])
+    @pytest.mark.parametrize("value", ["deep", None, False, [2.0]])
+    def test_potential_values_must_be_numbers(self, key, value):
+        text = self._doc_text(lambda d: d["potential"].__setitem__(key, value))
+        with pytest.raises(DocumentError, match="potential values must be numbers"):
+            parse_chart_document(text)
+
+    @pytest.mark.parametrize("key", ["seeds", "collisions", "warnings", "near_contacts"])
+    @pytest.mark.parametrize("value", [None, 7, {"0": {}}, [1.0], [{}, "x"]])
+    def test_record_lists_must_hold_objects(self, key, value):
+        text = self._doc_text(lambda d: d.__setitem__(key, value))
+        with pytest.raises(DocumentError, match=f"{key} must be a list of objects"):
+            parse_chart_document(text)
+
+    @pytest.mark.parametrize("key", ["merged_seeds", "anchors", "axis_crossings"])
+    @pytest.mark.parametrize("value", [None, 7, {"0": {}}, [1.0], [{}, "x"]])
+    def test_trajectory_record_lists_must_hold_objects(self, key, value):
+        text = self._doc_text(lambda d: d["trajectories"][0].__setitem__(key, value))
+        with pytest.raises(DocumentError, match=f"{key} must be a list of objects"):
+            parse_chart_document(text)
+
+    @pytest.mark.parametrize("value", [
+        None, [], 3, {"open": 1.0}, {"open": "1"}, {"open": True}, {"open": None},
+    ])
+    def test_topology_must_map_to_ints(self, value):
+        text = self._doc_text(lambda d: d.__setitem__("topology", value))
+        with pytest.raises(DocumentError, match="topology must be an object of ints"):
+            parse_chart_document(text)
+
+    @pytest.mark.parametrize("value", [[], 0, "complete", True])
+    def test_completeness_must_be_null_or_an_object(self, value):
+        text = self._doc_text(lambda d: d.__setitem__("completeness", value))
+        with pytest.raises(DocumentError, match="completeness must be null or an object"):
+            parse_chart_document(text)
+
+    def test_uncertified_chart_parses(self):
+        text = self._doc_text(lambda d: d.__setitem__("completeness", None))
+        assert parse_chart_document(text)["completeness"] is None
+
+    @pytest.mark.parametrize("channel,depth", sorted(_GOLDEN_SVG, key=repr))
+    def test_golden_documents_round_trip(self, channel, depth):
+        U = depth
+        if isinstance(depth, str):
+            U = critical_depth(Channel.parse(channel), depth == "attractive", 1.0, 1.5).U
+        text = canonical_dumps(chart_document(_chart(channel, U)))
+        assert parse_chart_document(text) == json.loads(text)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(DocumentError, match="not valid JSON"):
             parse_chart_document("{nope")
