@@ -7,23 +7,31 @@ trig blocks and ``_channel_terms`` for the channel algebra, composed by
 evaluations. The rest repeat its float operations in the same order, so
 their values are bit-equal to it:
 
-- ``newton_pole``, the corrector, evaluates d and dd/dk inline, without
+- ``newton_pole``, the corrector, evaluates d and dd/dq inline, without
   dd/dw or the D_alpha product, and forms dd/dw once, after it converges,
-  for the tangent dk/dalpha at its last iterate, which it returns;
+  for the tangent dq/dalpha at its last iterate, which it returns;
 - ``grid_denom_dk`` loops over a list of momenta for the winding contours,
-  with the same inline d and dd/dk as ``newton_pole``;
-- ``axis_phi`` loops along the imaginary axis. The axis poles are
-  enumerated in closed form (``rootfinder.scan_axis``), so it is only the
-  sampled reference that tests count sign changes of.
+  with the same inline d and dd/dq as ``newton_pole``;
+- ``axis_phi`` reads ``grid_denom_dk`` along the imaginary axis. The axis
+  poles are enumerated in closed form (``rootfinder.scan_axis``), so it is
+  only the sampled reference that tests count sign changes of.
 
 Tests in ``tests/test_kernels.py`` lock the bit-equality. Everything runs
 on ``math``/``cmath`` and Python ``float``/``complex`` values.
 
+Units
+-----
+The kernels see no mass, width or depth. A well of mass m, half-width a
+and depth U enters only through c = a*sqrt(2 m U): with the scaled
+momentum q = k*a, the scaled coupling s = c^2 * gamma and the interior
+phase z = a*K = sqrt(q^2 + s), the pole condition is (z/cos z)^2 = s in
+the even channel and (z/sin z)^2 = s in the odd one. Every kernel takes
+(q, s, ch) and returns values in q units; the caller forms k = q/a.
+
 Scaling convention
 ------------------
-For complex momentum k the interior phase z = a*K (K the interior momentum)
-can have |Im z| past 710, where cos(z) and sin(z) overflow. All kernel
-values carry the factor E = exp(-|Im z|):
+For complex q the interior phase z can have |Im z| past 710, where cos(z)
+and sin(z) overflow. All kernel values carry the factor E = exp(-|Im z|):
 
     C_s = cos(z) * E,   S_s = sin(z) * E
 
@@ -54,17 +62,17 @@ where E underflowed, reports ``converged=False``.
 
 Channel conventions
 -------------------
-ch = 0 selects the even channel denominator
+ch = 0 selects the even channel denominator, times a,
 
-    d_plus(k) = k*cos(aK) - i*K*sin(aK)
+    d_plus(q) = q*cos(z) - i*z*sin(z)
 
-written in the manifestly even-in-K form k*C - i*a*w*Z with w = K^2 and
-Z = sinc(aK). ch = 1 selects the *regularized* odd channel pole function
+written in the manifestly even-in-z form q*C - i*w*Z with w = z^2 and
+Z = sinc(z). ch = 1 selects the *regularized* odd channel pole function
 
-    d_minus(k) = cos(aK) - i*a*k*sinc(aK)  =  (K*cos(aK) - i*k*sin(aK)) / K
+    d_minus(q) = cos(z) - i*q*sinc(z)  =  (z*cos(z) - i*q*sin(z)) / z
 
 which shares the zeros of the literal odd denominator except the spurious
-K = 0 one, is even in K, and is entire in k^2.
+z = 0 one, is even in z, and is entire in q^2.
 """
 
 from __future__ import annotations
@@ -145,31 +153,30 @@ def trig_scaled(z):
     return C, S, Z, G, E
 
 
-def _channel_terms(k, w, a, C, Z, G, ch):
-    """Scaled d, dd/dk and dd/dw (w = K^2) from the trig blocks at z = aK."""
+def _channel_terms(q, w, C, Z, G, ch):
+    """Scaled d, dd/dq and dd/dw (w = z^2 = q^2 + s) from the trig blocks at z."""
     if ch == CH_PLUS:
-        d = k * C - 1j * a * w * Z
-        dk = C - (a * a) * (k * k) * Z - 1j * a * k * (Z + C)
-        dw = -0.5 * (a * a) * k * Z - 0.5j * a * (Z + C)
+        d = q * C - 1j * w * Z
+        dq = C - (q * q) * Z - 1j * q * (Z + C)
+        dw = -0.5 * q * Z - 0.5j * (Z + C)
     else:
-        d = C - 1j * a * k * Z
-        dk = -1j * a * Z - (a * a) * k * Z - 1j * (a * a * a) * (k * k) * G
-        dw = -0.5 * (a * a) * (Z + 1j * a * k * G)
-    return d, dk, dw
+        d = C - 1j * q * Z
+        dq = -1j * Z - q * Z - 1j * (q * q) * G
+        dw = -0.5 * (Z + 1j * q * G)
+    return d, dq, dw
 
 
-def denom_scaled(k, gamma, m, a, U, ch):
-    """Channel pole function and derivatives, scaled by E = exp(-|Im aK|).
+def denom_scaled(q, s, ch):
+    """Channel pole function and derivatives, scaled by E = exp(-|Im z|).
 
-    Returns (d, dk, da, E): the pole function, its k-derivative, and its
-    derivative along the coupling phase alpha (gamma = e^{i alpha}), all
-    carrying the common factor E.
+    Returns (d, dq, da, E): the pole function, its q-derivative, and its
+    derivative along the coupling phase alpha (s = c^2 e^{i alpha}, so
+    ds/dalpha = i*s), all carrying the common factor E.
     """
-    w = k * k + 2.0 * m * gamma * U
-    z = a * cmath.sqrt(w)
-    C, S, Z, G, E = trig_scaled(z)
-    d, dk, dw = _channel_terms(k, w, a, C, Z, G, ch)
-    return d, dk, dw * (2j * m * U * gamma), E
+    w = q * q + s
+    C, S, Z, G, E = trig_scaled(cmath.sqrt(w))
+    d, dq, dw = _channel_terms(q, w, C, Z, G, ch)
+    return d, dq, dw * (1j * s), E
 
 
 def unscale(v, E):
@@ -184,61 +191,54 @@ def unscale(v, E):
     return v / E
 
 
-def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
+def newton_pole(q0, s, ch, step_tol, max_iter):
     """Newton iteration on the channel pole function.
 
-    With s_n = d/(dd/dk) at k_n the n-th step and k_{n+1} = k_n - s_n, it
+    With t_n = d/(dd/dq) at q_n the n-th step and q_{n+1} = q_n - t_n, it
     stops at the first n where one of three exits passes:
 
-    - the step test, |s_n| < step_tol*(1+|k_{n+1}|); it returns k_{n+1};
+    - the step test, |t_n| < step_tol*(1+|q_{n+1}|); it returns q_{n+1};
     - from the second iteration on, Newton's quadratic error model puts the
-      next step under that bound: |s_n|^3 < step_tol*(1+|k_{n+1}|)*|s_{n-1}|^2.
+      next step under that bound: |t_n|^3 < step_tol*(1+|q_{n+1}|)*|t_{n-1}|^2.
       This saves the iteration that would only confirm a converged step.
-      It returns k_{n+1};
-    - from the second iteration on, d = p - q is a rounding residue of its
-      two terms (k*C and i*a*w*Z in the even channel, C and i*a*k*Z in the
-      odd one): |d| < 16*eps*(|p| + |q|). Then k_n is a root to working
-      precision and s_n is noise, so it returns k_n. At the far virtual
-      poles of shallow narrow wells the terms exceed dd/dk so far that
+      It returns q_{n+1};
+    - from the second iteration on, d = p - r is a rounding residue of its
+      two terms (q*C and i*w*Z in the even channel, C and i*q*Z in the
+      odd one): |d| < 16*eps*(|p| + |r|). Then q_n is a root to working
+      precision and t_n is noise, so it returns q_n. At the far virtual
+      poles of shallow narrow wells the terms exceed dd/dq so far that
       every step is noise above the step test's bound, and noise steps
       need not shrink as the model asks. Next to a near-double zero, where
-      dd/dk nearly vanishes, the noise step can be large, and k_n is the
+      dd/dq nearly vanishes, the noise step can be large, and q_n is the
       better root. The first iteration skips this test: a corrector seldom
       starts within roundoff of its pole, and it would cost every call.
 
-    Returns (k, iterations, converged, v), v = dk/dalpha = -D_alpha/D_k
-    the tangent of the pole curve, or a complex nan when not converged. The
-    ratio d/dk is scale-invariant, so overflow never enters; an iterate that
+    Returns (q, iterations, converged, v), v = dq/dalpha = -D_alpha/D_q the
+    tangent of the pole curve, or a complex nan when not converged. The
+    ratio d/dq is scale-invariant, so overflow never enters; an iterate that
     runs off past the float range turns nan and is reported as not
-    converged. So is a stop at an iterate where E = exp(-|Im aK|)
+    converged. So is a stop at an iterate where E = exp(-|Im z|)
     underflowed to 0: there the step is roundoff, and every exit passes at
-    no pole; the iterate k_n is returned.
+    no pole; the iterate q_n is returned.
 
-    The loop evaluates d and dd/dk only: ``trig_scaled`` inline (the two
+    The loop evaluates d and dd/dq only: ``trig_scaled`` inline (the two
     cmath calls below _CMATH_CUT, ``_half_angle`` above it) with G only in
     the odd channel, then ``_channel_terms`` without dd/dw. Every
     float operation, its order and its constants are those of
-    ``denom_scaled``, so each iterate is bit-equal to a loop on it; keep
-    ``(-1j * a) * Z``, since ``-(1j * a) * Z`` flips the sign of a zero
-    real part. Only on convergence does it form dd/dw, from k_n's trig
-    blocks, for v. So v is the tangent at k_n: at the returned k for the
-    roundoff exit, |s_n| from it for the others, which is under
-    step_tol*(1+|k|) at the step test and under
-    (step_tol*(1+|k|)*|s_{n-1}|^2)^(1/3) at the model's exit; in the
-    continuation corrector that reaches about 1.5e-6*(1+|k|).
+    ``denom_scaled``, so each iterate is bit-equal to a loop on it. Only on
+    convergence does it form dd/dw, from q_n's trig blocks, for v. So v is
+    the tangent at q_n: at the returned q for the roundoff exit, |t_n| from
+    it for the others, which is under step_tol*(1+|q|) at the step test and
+    under (step_tol*(1+|q|)*|t_{n-1}|^2)^(1/3) at the model's exit; in the
+    continuation corrector that reaches about 1.5e-6*(1+|q|).
     """
-    c = 2.0 * m * gamma * U
-    a2 = a * a
-    ia = 1j * a
-    mia = -1j * a
-    ia3 = 1j * (a2 * a)
     odd = ch != CH_PLUS
     sqrt, exp, cos, sin = cmath.sqrt, math.exp, cmath.cos, cmath.sin
-    k = k0
+    q = q0
     for it in range(max_iter):
-        kk = k * k
-        w = kk + c
-        z = a * sqrt(w)
+        qq = q * q
+        w = qq + s
+        z = sqrt(w)
         ay = abs(z.imag)
         E = exp(-ay)
         if ay < _CMATH_CUT:
@@ -264,65 +264,62 @@ def newton_pole(k0, gamma, m, a, U, ch, step_tol, max_iter):
                     -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0
                 ) * E
             p = C
-            q = ia * k * Z
-            dk = mia * Z - a2 * k * Z - ia3 * kk * G
+            r = 1j * q * Z
+            dq = -1j * Z - q * Z - 1j * qq * G
         else:
-            p = k * C
-            q = ia * w * Z
-            dk = C - a2 * kk * Z - ia * k * (Z + C)
-        d = p - q
-        if dk == 0.0:
-            return k, it, False, _NAN
-        step = d / dk
-        k1 = k - step
-        s = abs(step)
-        bound = step_tol * (1.0 + abs(k1))
+            p = q * C
+            r = 1j * w * Z
+            dq = C - qq * Z - 1j * q * (Z + C)
+        d = p - r
+        if dq == 0.0:
+            return q, it, False, _NAN
+        step = d / dq
+        q1 = q - step
+        size = abs(step)
+        bound = step_tol * (1.0 + abs(q1))
         # the step passes the test, or, from the second iteration on,
         # Newton's quadratic model puts the next one under it:
-        # |s_{n+1}| ~ |s_n|^2 / |s_{n-1}|
-        if s < bound or it and s * s * s < bound * s_prev * s_prev:
-            k_root = k1
-        elif it and abs(d) < _ROUNDOFF * (abs(p) + abs(q)):
-            # d is a rounding residue of its two terms: k is a root to
+        # |t_{n+1}| ~ |t_n|^2 / |t_{n-1}|
+        if size < bound or it and size * size * size < bound * size_prev * size_prev:
+            q_root = q1
+        elif it and abs(d) < _ROUNDOFF * (abs(p) + abs(r)):
+            # d is a rounding residue of its two terms: q is a root to
             # working precision, and the step is noise
-            k_root = k
+            q_root = q
         else:
-            k = k1
-            s_prev = s
+            q = q1
+            size_prev = size
             continue
         if E == 0.0:
             # E underflowed: every scaled value is 0 or a rounding residue,
             # and each exit passes anywhere
-            return k, it + 1, False, _NAN
+            return q, it + 1, False, _NAN
         if odd:
-            dw = -0.5 * a2 * (Z + ia * k * G)
+            dw = -0.5 * (Z + 1j * q * G)
         else:
-            dw = -0.5 * a2 * k * Z - 0.5j * a * (Z + C)
-        return k_root, it + 1, True, -(dw * (2j * m * U * gamma)) / dk
-    return k, max_iter, False, _NAN
+            dw = -0.5 * q * Z - 0.5j * (Z + C)
+        return q_root, it + 1, True, -(dw * (1j * s)) / dq
+    return q, max_iter, False, _NAN
 
 
-def _grid(ks, gamma, m, a, U, ch):
-    """Scaled d and dd/dk at each Python complex momentum of ks, as two lists.
+def grid_denom_dk(ks, s, ch):
+    """Scaled d and dd/dq at each scaled momentum q = k*a of ks, as two lists.
 
     The loop body is ``newton_pole``'s: ``trig_scaled`` inline (the two
     cmath calls below _CMATH_CUT, ``_half_angle`` above it) with G only in
     the odd channel, and ``_channel_terms`` without dd/dw, in the float
     operations and order of ``denom_scaled``, so every pair is bit-equal to
-    its (d, dk) at the same k and gamma.
+    its (d, dq) at the same q and s.
     """
-    c = 2.0 * m * gamma * U
-    a2 = a * a
-    ia = 1j * a
-    mia = -1j * a
-    ia3 = 1j * (a2 * a)
+    s = complex(s)
     odd = ch != CH_PLUS
     sqrt, exp, cos, sin = cmath.sqrt, math.exp, cmath.cos, cmath.sin
-    ds, dks = [], []
-    for k in ks:
-        kk = k * k
-        w = kk + c
-        z = a * sqrt(w)
+    ds, dqs = [], []
+    for q in ks:
+        q = complex(q)
+        qq = q * q
+        w = qq + s
+        z = sqrt(w)
         ay = abs(z.imag)
         E = exp(-ay)
         if ay < _CMATH_CUT:
@@ -347,41 +344,34 @@ def _grid(ks, gamma, m, a, U, ch):
                 G = (
                     -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0
                 ) * E
-            ds.append(C - ia * k * Z)
-            dks.append(mia * Z - a2 * k * Z - ia3 * kk * G)
+            ds.append(C - 1j * q * Z)
+            dqs.append(-1j * Z - q * Z - 1j * qq * G)
         else:
-            ds.append(k * C - ia * w * Z)
-            dks.append(C - a2 * kk * Z - ia * k * (Z + C))
-    return ds, dks
+            ds.append(q * C - 1j * w * Z)
+            dqs.append(C - qq * Z - 1j * q * (Z + C))
+    return ds, dqs
 
 
-def axis_phi(kappas, gamma, m, a, U, ch):
-    """Real pole function along the imaginary axis k = i*kappa, real gamma.
+def axis_phi(kappas, s, ch):
+    """Real pole function along the imaginary axis q = i*kappa, real s.
 
-    For the even channel phi = Re(-i * d_plus(i kappa)); for the odd channel
+    kappas are scaled, a times the momentum's imaginary part. For the even
+    channel phi = Re(-i * d_plus(i kappa)); for the odd channel
     phi = Re(d_minus(i kappa)). Both are real-valued up to roundoff when
-    gamma is real. Values carry the scaling factor E (positive), which does
+    s is real. Values carry the scaling factor E (positive), which does
     not affect sign changes. Returns a list of floats.
     """
-    ds, _ = _grid([complex(0.0, x) for x in kappas], complex(gamma), m, a, U, ch)
+    ds, _ = grid_denom_dk([complex(0.0, x) for x in kappas], s, ch)
     if ch == CH_PLUS:
         return [(-1j * d).real for d in ds]
     return [d.real for d in ds]
 
 
-def grid_denom_dk(ks, gamma, m, a, U, ch):
-    """Scaled pole function and k-derivative at each momentum of ks.
+def denom_plain(q, s, ch):
+    """Unscaled channel pole function and q-derivative.
 
-    Returns two lists (d, dk), each value bit-equal to ``denom_scaled``.
-    """
-    return _grid([complex(k) for k in ks], complex(gamma), m, a, U, ch)
-
-
-def denom_plain(k, gamma, m, a, U, ch):
-    """Unscaled channel pole function and k-derivative.
-
-    Overflows to inf or nan when |Im aK| exceeds ~709; use the scaled form
+    Overflows to inf or nan when |Im z| exceeds ~709; use the scaled form
     there.
     """
-    d, dk, da, E = denom_scaled(complex(k), complex(gamma), m, a, U, ch)
-    return unscale(d, E), unscale(dk, E)
+    d, dq, da, E = denom_scaled(complex(q), complex(s), ch)
+    return unscale(d, E), unscale(dq, E)

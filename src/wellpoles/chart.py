@@ -12,6 +12,10 @@ coalesces at k = -i/a, in closed form from the interior-momentum form of
 the pole condition (see critical_depth) and verified by a contour count;
 the closed-form bound state thresholds; and sweeps that attribute topology
 changes between consecutive depths to the collision they bracket.
+
+A chart in q = k*a depends on c = a sqrt(2 m U) alone (see _kernels), so
+every tolerance here is stated in q or c, and every depth tolerance relative
+to the collision depth U*; the results keep k and (m, a, U).
 """
 
 from __future__ import annotations
@@ -48,14 +52,17 @@ from .trajectory import (
 HALF_PI = math.pi / 2.0
 
 _DEDUP_TOL = 1e-6
-# wide enough to flag a 4-significant-digit rounding of a collision depth,
-# narrow enough to stay quiet at every chart depth of interest (>= 2e-3 away)
+# relative to U*: wide enough to flag a 4-significant-digit rounding of a
+# collision depth, narrow enough to stay quiet at every chart depth of
+# interest (>= 2e-3 away)
 _CRITICAL_WARN = 1e-4
+# relative to U*: a sweep depth this close to it is nudged
+_NUDGE = 1e-6
 _NEAR_CONTACT = 0.05
 
 
-def _inventory_key(k: complex) -> tuple[float, float]:
-    return (0.0 if abs(k.real) < _DEDUP_TOL else k.real, k.imag)
+def _inventory_key(q: complex) -> tuple[float, float]:
+    return (0.0 if abs(q.real) < _DEDUP_TOL else q.real, q.imag)
 
 
 @dataclass(frozen=True)
@@ -72,11 +79,13 @@ class WorkingWindow:
 
 
 def working_window(spec: PotentialSpec) -> WorkingWindow:
-    reach = 2.0 * math.sqrt(2.0 * spec.m * spec.U)
+    """The certificate's window: |Re q| <= 8 + 2c, -(6 + 2c) <= Im q <= 2 + 2c
+    in q = k*a, given in k."""
+    a, reach = spec.a, 2.0 * spec.c
     return WorkingWindow(
-        re_max=8.0 / spec.a + reach,
-        im_min=-(6.0 / spec.a + reach),
-        im_max=reach + 2.0 / spec.a,
+        re_max=(8.0 + reach) / a,
+        im_min=-(6.0 + reach) / a,
+        im_max=(2.0 + reach) / a,
     )
 
 
@@ -114,18 +123,19 @@ class PoleChart:
 
     @property
     def near_contacts(self) -> list[NearContact]:
-        """Pairs of curves closer than _NEAR_CONTACT at a shared anchor."""
-        return _near_contacts(self.trajectories)
+        """Pairs of curves closer than _NEAR_CONTACT in q at a shared anchor."""
+        return _near_contacts(self.trajectories, self.spec.a)
 
     def anchor_poles(self, phase_class: int = 0, window: WorkingWindow | None = None) -> list[complex]:
         """Distinct poles delivered at anchors with index = phase_class (mod 4).
 
         phase_class 0 is the attractive coupling, 2 the repulsive one. A
-        closed curve revisits its anchors every turn, so matching momenta
-        are merged; the survivors are sorted by (Re, Im), with an axis pole
-        (|Re k| < _DEDUP_TOL) taken at Re = 0 so that the sign of its
-        roundoff real part does not decide its place.
+        closed curve revisits its anchors every turn, so momenta within
+        _DEDUP_TOL of each other in q are merged; the survivors are sorted
+        by (Re, Im), with an axis pole (|Re q| < _DEDUP_TOL) taken at Re = 0
+        so that the sign of its roundoff real part does not decide its place.
         """
+        a = self.spec.a
         found: list[complex] = []
         for traj in self.trajectories:
             for n, k in traj.anchors:
@@ -133,31 +143,30 @@ class PoleChart:
                     continue
                 if window is not None and not window.contains(k):
                     continue
-                if all(abs(k - q) >= _DEDUP_TOL for q in found):
+                if all(a * abs(k - p) >= _DEDUP_TOL for p in found):
                     found.append(k)
-        return sorted(found, key=_inventory_key)
+        return sorted(found, key=lambda k: _inventory_key(a * k))
 
 
 def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarning]:
-    """Warn when the depth lies within _CRITICAL_WARN of a pair collision.
+    """Warn when the depth lies within _CRITICAL_WARN*U* of a pair collision
+    depth U*.
 
     The distance min |U - U*| is exact, taken over the closed-form collision
     depths of each real coupling.
     """
     warnings = []
+    U = spec.U
     for attractive, name in ((True, "attractive"), (False, "repulsive")):
-        near = _collisions_between(
+        near = [abs(U - u_star) for _, u_star in _collisions_between(
             channel, attractive, spec.m, spec.a,
-            spec.U - _CRITICAL_WARN, spec.U + _CRITICAL_WARN,
-        )
-        if not near:
-            continue
-        dist = min(abs(spec.U - u_star) for _, u_star in near)
-        if dist < _CRITICAL_WARN:
+            U / (1.0 + _CRITICAL_WARN), U / (1.0 - _CRITICAL_WARN),
+        ) if abs(U - u_star) < _CRITICAL_WARN * u_star]
+        if near:
             warnings.append(ChartWarning(
                 code="critical_proximity",
                 message=(
-                    f"{name} coupling sits within {dist:.3e} of a pair "
+                    f"{name} coupling sits within {min(near):.3e} of a pair "
                     f"collision depth; trajectories may stall at k=-i/a"
                 ),
             ))
@@ -166,28 +175,29 @@ def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarn
 
 def _claimed(kept: list[Trajectory], seed: Pole, n: int, k: complex) -> bool:
     """List seed with the kept curve that delivers pole k at an anchor of
-    index n (mod 4); False when no kept curve does.
+    index n (mod 4), within _DEDUP_TOL in q; False when no kept curve does.
 
     Away from the double point k = -i/a, a pole at a quarter-turn anchor
     lies on exactly one curve, so it names that curve; the coupling is
     periodic in the phase, so anchors a whole number of turns apart match.
     """
+    a = seed.a
     for traj in kept:
-        for m, q in traj.anchors:
-            if (m - n) % 4 == 0 and abs(q - k) < _DEDUP_TOL:
+        for m, p in traj.anchors:
+            if (m - n) % 4 == 0 and a * abs(p - k) < _DEDUP_TOL:
                 traj.merged_seeds.append(seed)
                 return True
     return False
 
 
-def _near_contacts(trajectories: list[Trajectory]) -> list[NearContact]:
+def _near_contacts(trajectories: list[Trajectory], a: float) -> list[NearContact]:
     contacts = []
     maps = [t.anchor_index_map() for t in trajectories]
     for i, amap in enumerate(maps):
         for bmap in maps[i + 1:]:
             for n in set(amap) & set(bmap):
                 dist = abs(amap[n] - bmap[n])
-                if dist < _NEAR_CONTACT:
+                if a * dist < _NEAR_CONTACT:
                     contacts.append(NearContact(
                         alpha_index=n, k_first=amap[n],
                         k_second=bmap[n], distance=dist,
@@ -277,8 +287,8 @@ def _certify(chart: PoleChart) -> dict:
     # inside every working window (im_min < -1/a); it counts twice
     traj_count = len(inventory)
     if any(round(ev.alpha / HALF_PI) % 4 == 0 for ev in chart.collisions):
-        kc = -1j / spec.a
-        traj_count += 2 - sum(abs(k - kc) < _DEDUP_TOL for k in inventory)
+        a = spec.a
+        traj_count += 2 - sum(abs(a * k + 1j) < _DEDUP_TOL for k in inventory)
     region = CountRegion(
         lo=complex(-window.re_max, window.im_min),
         hi=complex(window.re_max, window.im_max),
@@ -367,10 +377,12 @@ def _collisions_between(
 
 
 def _verified_critical(channel, attractive, index, u_star, m, a) -> CriticalDepth:
-    """The collision with its contour pair count (None if uncountable)."""
+    """The collision with its pair count in a square of half-side 1e-3 about
+    q = -i (None if uncountable)."""
     kc = -1j / a
+    corner = 1e-3 * (1 + 1j) / a
     region = CountRegion(
-        lo=kc - (1e-3 + 1e-3j), hi=kc + (1e-3 + 1e-3j),
+        lo=kc - corner, hi=kc + corner,
         coupling=ComplexCoupling(0.0 if attractive else math.pi),
         channel=channel,
     )
@@ -464,34 +476,32 @@ def _scan_threshold(channel: Channel, u: float, m: float, a: float) -> float:
     """The first depth above u at which the axis scan shows a new bound state.
 
     A new state enters at k = 0 at the closed-form depth u_n, but
-    ``classify`` calls it bound only once kappa >= TOL_AXIS. Near x_n the
+    ``classify`` calls it bound only once a*kappa >= TOL_AXIS. Near x_n the
     pole condition reads x (x - x_n) ~ a kappa in both channels, and
-    U = (x^2/a^2 + kappa^2)/(2m), so kappa = TOL_AXIS at
-    u_n + TOL_AXIS/(m a) to first order; the neglected terms, of order
-    kappa^2/m, lie below the float spacing of U. The scan's own count
-    changes within a few float spacings of this depth, where roundoff in
-    the polished kappa puts it.
+    U = (x^2 + (a kappa)^2)/(2 m a^2), so a*kappa = TOL_AXIS at
+    u_n + TOL_AXIS/(m a^2) to first order; the neglected terms, of order
+    TOL_AXIS^2/(m a^2), lie below the float spacing of U. The scan's own
+    count changes within a few float spacings of this depth, where roundoff
+    in the polished kappa puts it.
 
     The even channel's first state enters at U = 0, where x^2 ~ a kappa -
-    (a kappa)^2/3 puts it at TOL_AXIS/(2 m a) + TOL_AXIS^2/(3 m).
+    (a kappa)^2/3 puts it at (TOL_AXIS/2 + TOL_AXIS^2/3)/(m a^2).
     """
-    first = TOL_AXIS / (2.0 * m * a) + TOL_AXIS * TOL_AXIS / (3.0 * m)
+    ma2 = m * a * a
+    first = (0.5 * TOL_AXIS + TOL_AXIS * TOL_AXIS / 3.0) / ma2
     if channel is Channel.PLUS and u < first:
         return first
-    shift = TOL_AXIS / (m * a)
+    shift = TOL_AXIS / ma2
     return _next_threshold(channel, u - shift, m, a) + shift
 
 
-# bound_count's reach in x on either side of a cell's threshold point, and
-# the multiple of a*TOL_AXIS that a*kappa must reach at x_n + reach for a
-# root above it to count unsolved: no polish moves a root that far
+# bound_count's reach in x on either side of a cell's threshold point
 _THRESHOLD_DX = 1e-2
-_BOUND_MARGIN = 1e3
 
 
 def bound_count(spec: PotentialSpec, channel: Channel) -> int:
     """Number of bound states (axis poles with Im k > 0) at the attractive
-    coupling: the simple axis roots with kappa >= TOL_AXIS, exactly those
+    coupling: the simple axis roots with a*kappa >= TOL_AXIS, exactly those
     that ``scan_axis`` calls bound.
 
     Each real-K cell of ``_axis_cells`` holds at most one root that can be
@@ -502,24 +512,23 @@ def bound_count(spec: PotentialSpec, channel: Channel) -> int:
     at U = 0). The ratio is evaluated once on each side of x_n, at
     x = x_n -/+ _THRESHOLD_DX:
 
-    - ratio(x_n + dx) < c: the root lies above x_n + dx, where kappa is
-      far above TOL_AXIS (``_BOUND_MARGIN``), so it counts unsolved;
+    - ratio(x_n + dx) < c: the root lies above x_n + dx, where a*kappa is
+      at least 1e-4, far above TOL_AXIS, so it counts unsolved;
     - ratio(x_n - dx) > c, with x_n - dx above the cell's collision point:
       any rising-branch root lies below x_n - dx, at kappa < 0, and does
       not count.
 
     Only a cell between the two, in practice the top cell next to a
     threshold, has its rising-branch root Brent-solved and
-    Newton-polished by the scan's own ``_cell_roots``. A root within
-    TOL_AXIS of k = 0 is a threshold, not a bound state, so at a
+    Newton-polished by the scan's own ``_cell_roots``. A root with
+    a*kappa within TOL_AXIS of 0 is a threshold, not a bound state, so at a
     closed-form threshold depth the count is still the one below it.
     Imaginary-K cells (a*kappa = -y coth y) and coalesced pairs
-    (kappa = -1/a) hold no bound state.
+    (a*kappa = -1) hold no bound state.
     """
-    if spec.U == 0.0:
+    c = spec.c
+    if c == 0.0:
         return 0
-    a = spec.a
-    c = a * math.sqrt(2.0 * spec.m * spec.U)
     odd = channel is Channel.MINUS
     count = 0
     for n, cell in enumerate(_axis_cells(c, True, odd)):
@@ -527,14 +536,13 @@ def bound_count(spec: PotentialSpec, channel: Channel) -> int:
         if a_kappa is _neg_y_coth:
             continue
         x_n = (n + 0.5) * math.pi if odd else n * math.pi
-        above = x_n + _THRESHOLD_DX
-        if ratio(above) < c and a_kappa(above) >= _BOUND_MARGIN * a * TOL_AXIS:
+        if ratio(x_n + _THRESHOLD_DX) < c:
             count += 1
             continue
         below = x_n - _THRESHOLD_DX
         if below > (lo if xc is None else xc) and ratio(below) > c:
             continue
-        kappa, mult = next(_cell_roots(cell, c, spec, ComplexCoupling(0.0), channel), (0.0, 0))
+        kappa, mult = next(_cell_roots(cell, c, c * c, channel.code), (0.0, 0))
         if mult == 1 and kappa >= TOL_AXIS:
             count += 1
     return count
@@ -573,7 +581,7 @@ def threshold_flip(
     scans: the count at lo is the count at u_lo, and the count at hi is
     not. The closed form only steers the halving: the first depth above
     u_lo at which the scan shows a new bound state (``_scan_threshold``,
-    the threshold ``bound_threshold`` plus TOL_AXIS/(m a), where the
+    the threshold ``bound_threshold`` plus TOL_AXIS/(m a^2), where the
     entering pole leaves the classifier's threshold band) decides each
     midpoint, and no scan runs until the final bracket. Bisection rests on
     nothing more than those two facts about its final bracket, so where the
@@ -672,17 +680,17 @@ def depth_sweep(
 ) -> SweepResult:
     """Charts over a list of depths, with topology changes attributed.
 
-    A requested depth within 1e-6 of a pair collision is nudged just past
-    it (recorded on the entry) so trajectories do not stall at the
-    degenerate point. Between consecutive depths whose topology differs,
-    the bracketed critical depth is solved and attached.
+    A requested depth within _NUDGE*U* of a pair collision depth U* is
+    nudged just past it (recorded on the entry) so trajectories do not stall
+    at the degenerate point. Between consecutive depths whose topology
+    differs, the bracketed critical depth is solved and attached.
     """
     entries = []
     for U_req in depths:
-        near = _first_collision(channel, m, a, U_req - 1e-6, U_req + 1e-6)
+        near = _first_collision(channel, m, a, U_req / (1.0 + _NUDGE), U_req / (1.0 - _NUDGE))
         if near is not None:
             u_star = near[2]
-            U_used = u_star + 1e-6 if U_req >= u_star else u_star - 1e-6
+            U_used = u_star * (1.0 + _NUDGE if U_req >= u_star else 1.0 - _NUDGE)
             nudged = True
         else:
             U_used, nudged = U_req, False

@@ -4,9 +4,13 @@ Poles are zeros of the channel pole function (``pole_function``): the even
 denominator, or the reduced odd form for the odd channel. Both are entire in
 k, so the argument principle applies on any rectangle.
 
+Below the public functions everything runs in q = k*a at the strength
+c = a sqrt(2 m U) (see ``_kernels``), with every tolerance in q: TOL_AXIS
+bounds a*kappa and a*|Re k|. The public functions take and return k.
+
 On the imaginary axis at a real coupling the poles are known in closed
 form: with x = aK the interior momentum, each solves x/|cos x| = c or
-x/|sin x| = c (y/cosh y or y/sinh y for imaginary K), c = a sqrt(2 m U).
+x/|sin x| = c (y/cosh y or y/sinh y for imaginary K).
 ``scan_axis`` enumerates them cell by cell with exact brackets; nothing
 is sampled. ``chart.bound_count`` reads most cells' bound roots off the
 same cells without a solve, and draws the one root it cannot place from
@@ -31,9 +35,9 @@ RESIDUAL_TOL = 1e-10
 STEP_TOL = 1e-12
 MAX_NEWTON = 50
 
-# an axis pair this close to its collision point k = -i/a, in units of
-# max(1, x_c/a), is one coalesced pair there: at a float collision depth the
-# pair offset grows as x_c/a, so this is a fixed relative tolerance on depth
+# an axis pair this close to its collision point q = -i, in units of x_c,
+# is one coalesced pair there: at a float collision depth the pair offset
+# grows as x_c, so this is a fixed relative tolerance on depth
 _PAIR_BALL = 1e-6
 
 
@@ -48,14 +52,16 @@ class PoleKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Pole:
-    """A refined zero of a channel pole function; its kind is ``classify``'s
-    reading of its position and multiplicity."""
+    """A refined zero k of a channel pole function in a well of half-width a;
+    its kind is ``classify``'s reading of a*k and its multiplicity, and its
+    residual |d| that of ``_kernels``' pole function."""
 
     k: complex
     channel: Channel
     coupling: ComplexCoupling
     multiplicity: int
     residual: float
+    a: float
 
     def __post_init__(self):
         if self.multiplicity not in (1, 2):
@@ -63,27 +69,30 @@ class Pole:
 
     @property
     def kind(self) -> PoleKind:
-        return classify(self.k, self.multiplicity)
+        return classify(self.a * self.k, self.multiplicity)
 
 
-def classify(k: complex, multiplicity: int = 1) -> PoleKind:
-    """Pole kind from its position in the k plane.
+def classify(q: complex, multiplicity: int = 1) -> PoleKind:
+    """Pole kind from its scaled position q = k*a.
 
     On-axis kinds apply within TOL_AXIS of the imaginary axis; a coalesced
     pair is always kind double_zero regardless of position.
     """
     if multiplicity == 2:
         return PoleKind.DOUBLE_ZERO
-    if abs(k) < TOL_AXIS:
+    if abs(q) < TOL_AXIS:
         return PoleKind.THRESHOLD
-    if abs(k.real) < TOL_AXIS:
-        return PoleKind.BOUND if k.imag > 0 else PoleKind.VIRTUAL
-    return PoleKind.RESONANCE if k.real > 0 else PoleKind.ANTIRESONANCE
+    if abs(q.real) < TOL_AXIS:
+        return PoleKind.BOUND if q.imag > 0 else PoleKind.VIRTUAL
+    return PoleKind.RESONANCE if q.real > 0 else PoleKind.ANTIRESONANCE
 
 
-def _residual(k: complex, coupling: ComplexCoupling, spec: PotentialSpec, channel: Channel) -> float:
-    d, dk = _k.denom_plain(k, coupling.gamma, spec.m, spec.a, spec.U, channel.code)
-    return abs(d)
+def _pole(q: complex, s: complex, coupling: ComplexCoupling, channel: Channel,
+          a: float, multiplicity: int = 1) -> Pole:
+    """The pole at scaled momentum q, as k = q/a, with its residual |d(q)|."""
+    d, _ = _k.denom_plain(q, s, channel.code)
+    return Pole(k=q / a, channel=channel, coupling=coupling,
+                multiplicity=multiplicity, residual=abs(d), a=a)
 
 
 def newton_refine(
@@ -95,27 +104,21 @@ def newton_refine(
     trust_radius: float | None = None,
     max_iter: int = MAX_NEWTON,
 ) -> Pole:
-    """Polish a pole estimate by complex Newton iteration.
+    """Polish a pole estimate by complex Newton iteration in q = k*a.
 
     Raises NoConvergence when the step tolerance is not met within the
     iteration cap, and ConvergedElsewhere when a trust radius is given and
     the converged point lies outside it.
     """
-    k, iters, ok, _ = _k.newton_pole(
-        complex(k0), coupling.gamma, spec.m, spec.a, spec.U, channel.code, STEP_TOL, max_iter
-    )
+    a, c = spec.a, spec.c
+    s = c * c * coupling.gamma
+    q, iters, ok, _ = _k.newton_pole(a * complex(k0), s, channel.code, STEP_TOL, max_iter)
     if not ok:
-        raise NoConvergence(k, iters)
-    if trust_radius is not None and abs(k - k0) > trust_radius:
-        raise ConvergedElsewhere(k, complex(k0), trust_radius)
-    res = _residual(k, coupling, spec, channel)
-    return Pole(
-        k=k,
-        channel=channel,
-        coupling=coupling,
-        multiplicity=1,
-        residual=res,
-    )
+        raise NoConvergence(q / a, iters)
+    pole = _pole(q, s, coupling, channel, a)
+    if trust_radius is not None and abs(pole.k - k0) > trust_radius:
+        raise ConvergedElsewhere(pole.k, complex(k0), trust_radius)
+    return pole
 
 
 def _brentq(
@@ -262,7 +265,7 @@ def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
     """Every cell of x = a|K| that holds axis poles at c = a sqrt(2 m U).
 
     Entries are (ratio, a_kappa, lo, x_c, hi). The cell's poles solve
-    ratio(x) = c on [lo, hi] and sit at k = i a_kappa(x) / a. x_c is the
+    ratio(x) = c on [lo, hi] and sit at q = i a_kappa(x). x_c is the
     cell's one stationary point of ratio, where its pair collides; with
     x_c None, ratio is monotone on the cell and crosses c exactly once.
 
@@ -306,66 +309,57 @@ def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
     return cells
 
 
-def _pair_ball(xc: float, a: float) -> float:
-    """The coalescence radius about k = -i/a of a cell with collision point x_c."""
-    return _PAIR_BALL * max(1.0, xc / a)
-
-
-def _pair_offset(xc: float, rc: float, c: float, a: float) -> float:
-    """Distance from k = -i/a of the pair of a cell with collision point x_c.
+def _pair_offset(rc: float, c: float) -> float:
+    """Distance from q = -i, in units of x_c, of the pair of a cell with
+    collision point x_c.
 
     rc is the cell's ratio at x_c. There the ratio's second derivative is rc
-    and |d kappa/dx| is x_c/a, so the pair sits x_c/a * sqrt(2|rc - c|/rc)
-    from k = -i/a: on the axis when c passes rc, mirrored off it otherwise.
+    and |d(a kappa)/dx| is x_c, so the pair sits x_c * sqrt(2|rc - c|/rc)
+    from q = -i: on the axis when c passes rc, mirrored off it otherwise.
     """
-    return xc / a * math.sqrt(2.0 * abs(rc - c) / rc)
+    return math.sqrt(2.0 * abs(rc - c) / rc)
 
 
-def _cell_roots(
-    cell: tuple, c: float, spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel
-) -> Iterator[tuple[float, int]]:
-    """(kappa, multiplicity) of the poles of one cell of ``_axis_cells`` at
-    c, each solved only when it is drawn: the root above the collision
-    point x_c first (the cell's one root when x_c is None), then the one
-    below it. Above x_c an attractive ratio rises toward hi and a*kappa
-    rises through 0; below x_c a*kappa < -1. So the first root is the only
-    one of an attractive cell that can be bound, and ``chart.bound_count``
-    draws no other.
+def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[float, int]]:
+    """(a*kappa, multiplicity) of the poles of one cell of ``_axis_cells``
+    at c and s = +-c^2, each solved only when it is drawn: the root above
+    the collision point x_c first (the cell's one root when x_c is None),
+    then the one below it. Above x_c an attractive ratio rises toward hi and
+    a*kappa rises through 0; below x_c a*kappa < -1. So the first root is
+    the only one of an attractive cell that can be bound, and
+    ``chart.bound_count`` draws no other.
 
     A cell with x_c holds 0, 1 or 2 roots, split at x_c, so every root has
     an exact Brent bracket, and Brent reuses the ratio values at lo and x_c
-    that decide the split. Each root is mapped to kappa and
-    Newton-polished in k; the polished kappa is Im k. When the cell's pair
-    lies within ``_pair_ball`` of its collision point k = -i/a
+    that decide the split. Each root is mapped to a*kappa and
+    Newton-polished in q; the polished a*kappa is Im q. When the cell's pair
+    lies within _PAIR_BALL*x_c of its collision point q = -i
     (``_pair_offset``), the cell gives one coalesced pair there instead,
-    as kappa = -1/a with multiplicity 2.
+    as a*kappa = -1 with multiplicity 2.
     """
     ratio, a_kappa, lo, xc, hi = cell
-    a = spec.a
 
     def f(x: float) -> float:
         return ratio(x) - c
 
     def polished(x: float) -> tuple[float, int]:
-        kappa = a_kappa(x) / a
-        k, _, ok, _ = _k.newton_pole(
-            1j * kappa, coupling.gamma, spec.m, a, spec.U, channel.code, STEP_TOL, MAX_NEWTON,
-        )
+        kappa = a_kappa(x)
+        q, _, ok, _ = _k.newton_pole(1j * kappa, s, ch, STEP_TOL, MAX_NEWTON)
         # without convergence, where d's slope is tiny against its terms
         # (a pair next to its collision) and Newton stalls, the bracketed
         # root is the better value
         if ok:
-            if abs(k - 1j * kappa) > 0.5:
-                raise ConvergedElsewhere(k, 1j * kappa, 0.5)
-            kappa = k.imag
+            if abs(q - 1j * kappa) > 0.5:
+                raise ConvergedElsewhere(q, 1j * kappa, 0.5)
+            kappa = q.imag
         return kappa, 1
 
     if xc is None:
         yield polished(_brentq(f, lo, hi))
         return
     rc = ratio(xc)
-    if _pair_offset(xc, rc, c, a) < _pair_ball(xc, a):
-        yield -1.0 / a, 2
+    if _pair_offset(rc, c) < _PAIR_BALL:
+        yield -1.0, 2
         return
     fc = rc - c
     if fc == 0.0:
@@ -377,48 +371,26 @@ def _cell_roots(
         yield polished(_brentq(f, lo, xc, fa=flo, fb=fc))
 
 
-def _axis_roots(
-    spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel
-) -> list[tuple[float, int]]:
-    """(kappa, multiplicity) of every pole on the imaginary axis k = i*kappa
-    at a real coupling, cell by cell; the enumeration behind ``scan_axis``.
-
-    The poles are enumerated in closed form over the cells of the interior
-    momentum (``_axis_cells``; Nussenzveig, Nucl. Phys. 11 (1959) 499),
-    each cell's by ``_cell_roots``.
-
-    U = 0 is the free particle: its S-matrix is 1 and has no poles, so
-    there are no roots (the even pole function degenerates to
-    k*exp(-ika), whose k = 0 zero is removable in S).
-    """
-    if not coupling.is_real:
-        raise ValueError("axis scan requires a real coupling (alpha a multiple of pi)")
-    if spec.U == 0.0:
-        return []
-    c = spec.a * math.sqrt(2.0 * spec.m * spec.U)
-    roots: list[tuple[float, int]] = []
-    for cell in _axis_cells(c, coupling.gamma.real > 0, channel is Channel.MINUS):
-        roots.extend(_cell_roots(cell, c, spec, coupling, channel))
-    return roots
-
-
 def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) -> list[Pole]:
     """All poles on the imaginary k axis (k = i*kappa) for a real coupling.
 
-    Each root of ``_axis_roots`` becomes a ``Pole`` at k = i*kappa with the
-    residual |d| there; a coalesced pair is one multiplicity-2 pole at
-    k = -i/a. The poles are sorted by kappa; at U = 0 there are none.
+    The poles are enumerated in closed form over the cells of the interior
+    momentum (``_axis_cells``; Nussenzveig, Nucl. Phys. 11 (1959) 499),
+    each cell's by ``_cell_roots`` as a*kappa, and each becomes a ``Pole``
+    at k = i*a*kappa/a with the residual |d| there; a coalesced pair is one
+    multiplicity-2 pole at k = -i/a. The poles are sorted by kappa.
+
+    U = 0 is the free particle: its S-matrix is 1 and has no poles (the even
+    pole function degenerates to q*exp(-iq), whose q = 0 zero is removable
+    in S).
     """
-    poles = []
-    for kappa, mult in _axis_roots(spec, coupling, channel):
-        k = 1j * kappa
-        poles.append(Pole(
-            k=k,
-            channel=channel,
-            coupling=coupling,
-            multiplicity=mult,
-            residual=_residual(k, coupling, spec, channel),
-        ))
+    if not coupling.is_real:
+        raise ValueError("axis scan requires a real coupling (alpha a multiple of pi)")
+    c = spec.c
+    s = c * c * coupling.gamma.real
+    cells = _axis_cells(c, s > 0.0, channel is Channel.MINUS) if c else []
+    poles = [_pole(1j * kappa, s, coupling, channel, spec.a, mult)
+             for cell in cells for kappa, mult in _cell_roots(cell, c, s, channel.code)]
     poles.sort(key=lambda p: p.k.imag)
     return poles
 
@@ -444,14 +416,10 @@ _EDGE_TS = tuple(i / 32 for i in range(33))
 
 
 def _edge_winding(
-    z0: complex,
-    z1: complex,
-    coupling: ComplexCoupling,
-    spec: PotentialSpec,
-    channel: Channel,
-    base: tuple[float, ...] = _EDGE_TS,
+    z0: complex, z1: complex, s: complex, ch: int, base: tuple[float, ...] = _EDGE_TS
 ) -> float:
-    """Accumulated argument change of the pole function along z0 + (z1 - z0) t.
+    """Accumulated argument change of the pole function along z0 + (z1 - z0) t
+    in the q plane.
 
     The walk runs over t from base[0] to base[-1], starting from the base
     samples: the whole segment by default, one half of it in the half walk
@@ -460,19 +428,17 @@ def _edge_winding(
     pi/2. That bounds only what the samples show: a true increment near a
     full turn reads as a small principal value, is not refined, and drops
     out of the sum, so the result can miss whole turns between samples.
-    Raises EdgeTooClose when the Newton distance estimate |d/d'| drops
-    below the clearance at a sample.
+    Raises EdgeTooClose, at q, when the Newton distance estimate |d/d'|
+    drops below the clearance at a sample q.
     """
-    gamma = coupling.gamma
-    ch = channel.code
     dz = z1 - z0
 
     def evaluate(ts: list[float]) -> list[complex]:
-        ks = [z0 + dz * t for t in ts]
-        ds, dks = _k.grid_denom_dk(ks, gamma, spec.m, spec.a, spec.U, ch)
-        for k, d, dk in zip(ks, ds, dks):
-            if abs(d) < _EDGE_CLEARANCE * abs(dk):
-                raise EdgeTooClose(k)
+        qs = [z0 + dz * t for t in ts]
+        ds, dqs = _k.grid_denom_dk(qs, s, ch)
+        for q, d, dq in zip(qs, ds, dqs):
+            if abs(d) < _EDGE_CLEARANCE * abs(dq):
+                raise EdgeTooClose(q)
         return ds
 
     ts = list(base)
@@ -499,8 +465,9 @@ def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
     that ``_edge_winding`` does not check: every sampled argument step below
     pi/2 is the true step between its samples. Where that fails, whole
     turns drop out of the sum. An entire function has no negative zero
-    count, so a negative result proves such aliasing. Raises EdgeTooClose
-    when a zero sits within ~1e-6 of the contour.
+    count, so a negative result proves such aliasing. The walk runs on the
+    rectangle's image in q = k*a, and raises EdgeTooClose when a zero sits
+    within ~1e-6 of it there.
 
     At a real coupling the pole function obeys d(-conj k) = -conj d(k)
     (even channel) or +conj d(k) (odd channel). On a rectangle symmetric
@@ -512,8 +479,10 @@ def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
     winding is doubled. Any other rectangle, or a complex coupling, is
     walked along all four edges.
     """
-    c0 = region.lo
-    c2 = region.hi
+    a, c = spec.a, spec.c
+    s = c * c * region.coupling.gamma
+    c0 = a * region.lo
+    c2 = a * region.hi
     c1 = complex(c2.real, c0.imag)
     c3 = complex(c0.real, c2.imag)
     if region.coupling.is_real and c0.real == -c2.real:
@@ -523,11 +492,14 @@ def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
         edges = ((c0, c1, _EDGE_TS), (c1, c2, _EDGE_TS), (c2, c3, _EDGE_TS), (c3, c0, _EDGE_TS))
         copies = 1.0
     total = 0.0
-    for a, b, base in edges:
-        total += _edge_winding(a, b, region.coupling, spec, region.channel, base)
+    try:
+        for z0, z1, base in edges:
+            total += _edge_winding(z0, z1, s, region.channel.code, base)
+    except EdgeTooClose as exc:
+        raise EdgeTooClose(exc.where / a) from None
     n = copies * total / (2.0 * math.pi)
     if abs(n - round(n)) > 0.05:
-        raise EdgeTooClose(c0, f"ambiguous winding {n:.6f} on {region}")
+        raise EdgeTooClose(region.lo, f"ambiguous winding {n:.6f} on {region}")
     return int(round(n))
 
 
@@ -561,17 +533,16 @@ def multiplicity_at(
 
     A pair coalesces only at k = -i/a, at a real coupling, and only at the
     closed-form collision depths (see ``collision_x``). So multiplicity 2
-    needs a real coupling and an axis cell whose pair lies within its
-    ``_pair_ball`` of -i/a (``_pair_offset``), the test ``scan_axis``
-    makes, with k inside that ball too.
+    needs a real coupling and an axis cell whose pair lies within
+    _PAIR_BALL*x_c of q = -i (``_pair_offset``), the test ``scan_axis``
+    makes, with q = k*a inside that ball too.
     """
-    a = spec.a
-    if not coupling.is_real or spec.U == 0.0:
+    c = spec.c
+    if not coupling.is_real or c == 0.0:
         return 1
-    c = a * math.sqrt(2.0 * spec.m * spec.U)
+    q = spec.a * k
     for ratio, _, _, xc, _ in _axis_cells(c, coupling.gamma.real > 0, channel is Channel.MINUS):
         if xc is not None:
-            ball = _pair_ball(xc, a)
-            if abs(k + 1j / a) < ball and _pair_offset(xc, ratio(xc), c, a) < ball:
+            if abs(q + 1j) < _PAIR_BALL * xc and _pair_offset(ratio(xc), c) < _PAIR_BALL:
                 return 2
     return 1

@@ -55,6 +55,11 @@ class PotentialSpec:
         if not (self.U >= 0.0 and math.isfinite(self.U)):
             raise ValueError(f"depth must be nonnegative and finite, got {self.U}")
 
+    @property
+    def c(self) -> float:
+        """c = a*sqrt(2 m U), the one strength the poles in q = k*a depend on."""
+        return self.a * math.sqrt(2.0 * self.m * self.U)
+
 
 def _phase_to_gamma(alpha: float) -> complex:
     """e^{i alpha}, exact at multiples of pi/2 built as n*(pi/2) products.
@@ -130,8 +135,9 @@ def denom_plus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> co
 
     Even under K -> -K, entire in k. Its zeros are the even-channel S poles.
     """
-    d, dk = _k.denom_plain(k, coupling.gamma, spec.m, spec.a, spec.U, _k.CH_PLUS)
-    return d
+    c = spec.c
+    d, dq = _k.denom_plain(spec.a * k, c * c * coupling.gamma, _k.CH_PLUS)
+    return d / spec.a
 
 
 def denom_minus_reduced(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> complex:
@@ -140,7 +146,8 @@ def denom_minus_reduced(k: complex, coupling: ComplexCoupling, spec: PotentialSp
     Equals the literal odd denominator divided by K; even under K -> -K and
     free of the spurious K = 0 zero. All odd-channel root finding uses this.
     """
-    d, dk = _k.denom_plain(k, coupling.gamma, spec.m, spec.a, spec.U, _k.CH_MINUS)
+    c = spec.c
+    d, dq = _k.denom_plain(spec.a * k, c * c * coupling.gamma, _k.CH_MINUS)
     return d
 
 
@@ -189,18 +196,22 @@ def _channel_s(
     """-+e^{-2ika} d(-k)/d(k) of the channel pole function d, minus in the
     even channel; PoleHit, labeled label, where d(k) is at a zero.
 
-    d is even in K, so d(k) and d(-k) share the trig blocks at aK, scaled by
-    E = exp(-|Im aK|). The pole test compares the scaled |d| with the scale
-    times E: the true |d| overflows past |Im aK| ~ 709 where d is no zero.
+    d is even in K, so d(k) and d(-k), taken in q = +-ka, share the trig
+    blocks at z = aK, scaled by E = exp(-|Im z|). The pole test compares the
+    scaled |d| with (1 + |q| + |z|)*E: the true |d| overflows past
+    |Im z| ~ 709 where d is no zero.
     """
     kc = complex(k)
-    Ki = interior_momentum(kc, coupling, spec)
-    C, S, Z, G, E = _k.trig_scaled(spec.a * Ki.K)
-    d, _, _ = _k._channel_terms(kc, Ki.w, spec.a, C, Z, G, channel.code)
-    if abs(d) < POLE_HIT_SCALE * (1.0 + abs(kc) + abs(Ki.K)) * E:
+    q = spec.a * kc
+    c = spec.c
+    w = q * q + c * c * coupling.gamma
+    z = cmath.sqrt(w)
+    C, S, Z, G, E = _k.trig_scaled(z)
+    d, _, _ = _k._channel_terms(q, w, C, Z, G, channel.code)
+    if abs(d) < POLE_HIT_SCALE * (1.0 + abs(q) + abs(z)) * E:
         raise PoleHit(kc, label)
-    d_neg, _, _ = _k._channel_terms(-kc, Ki.w, spec.a, C, Z, G, channel.code)
-    s = _exp(-2j * kc * spec.a) * d_neg / d
+    d_neg, _, _ = _k._channel_terms(-q, w, C, Z, G, channel.code)
+    s = _exp(-2j * q) * d_neg / d
     return -s if channel is Channel.PLUS else s
 
 

@@ -1,32 +1,36 @@
 """Pole trajectories under rotation of the coupling phase.
 
-A pole k(alpha) of a channel pole function D(k; gamma=e^{i alpha}) is
+The march runs in q = k*a at the strength c = a sqrt(2 m U) (see _kernels),
+and every tolerance below is stated in q; samples, anchors and collision
+events are given in k = q/a.
+
+A pole q(alpha) of a channel pole function D(q; s = c^2 e^{i alpha}) is
 continued in increasing alpha by a cubic Hermite predictor through the last
-two samples of (alpha, k, v = dk/dalpha = -D_alpha/D_k), Euler at a start,
+two samples of (alpha, q, v = dq/dalpha = -D_alpha/D_q), Euler at a start,
 and a Newton corrector at the stepped phase, whose coupling the march
 supplies: the exact axis value at an anchor, cos + i sin at any other
 phase, which lies strictly between two anchors (both as _phase_to_gamma
 gives them). The corrector stops on its step test, on Newton's quadratic
 error model or at the roundoff of the pole function (see
-_kernels.newton_pole), so a sample holds the pole to 1e-12*(1 + |k|), or
+_kernels.newton_pole), so a sample holds the pole to 1e-12*(1 + |q|), or
 to roundoff where that is wider, in about two iterations. It returns the
-tangent v1 at its last iterate, up to about 1.5e-6*(1 + |k|) from the new
+tangent v1 at its last iterate, up to about 1.5e-6*(1 + |q|) from the new
 pole, so a step makes no other kernel call.
-A step of length h is accepted when it moves k by at most
-0.1*(1 + |k0|) and its local error, the trapezoid defect
-e = |k1 - k0 - h(v0 + v1)/2| of the tangents at both ends, is at most
-tol*(1 + |k0|); the next h is then 0.9*h*(tol/e)^(1/3), at most 2h, and a
+A step of length h is accepted when it moves q by at most
+0.1*(1 + |q0|) and its local error, the trapezoid defect
+e = |q1 - q0 - h(v0 + v1)/2| of the tangents at both ends, is at most
+tol*(1 + |q0|); the next h is then 0.9*h*(tol/e)^(1/3), at most 2h, and a
 rejected h is halved. After every accepted step, clipped or not, h is also
 capped so that the tangent's predicted move h*|v1| stays within 0.9 of the
 displacement bound at k1, though not below the minimum step: a step grown
 into that bound would only be rejected and halved. The test cannot see a
-swap onto a neighbouring curve closer than tol*(1 + |k|); there only a
+swap onto a neighbouring curve closer than tol*(1 + |q|); there only a
 check that each anchor pole lies on one curve can. Steps are clipped so the
 trace lands exactly on every quarter-turn anchor alpha = n*(pi/2), and a
 step that would end within rounding of one ends on it; so no step is longer
 than pi/2, and there is no other cap on the step. In the far field, where
-|dk/dalpha| tends to 1/(2a), the error-sized step grows from about 0.4 of a
-quarter turn at |k|a = 10 to 0.94 at |k|a = 40, and the anchor clips the
+|dq/dalpha| tends to 1/2, the error-sized step grows from about 0.4 of a
+quarter turn at |q| = 10 to 0.94 at |q| = 40, and the anchor clips the
 rest, about two steps per quarter turn. Anchors are tracked by the integer
 n, never by comparing accumulated floats against multiples of pi, so the
 half-turn stop and the mirror below land exactly on them.
@@ -43,13 +47,13 @@ image about that point.
 That fixes the closed loops. A march from a seed on the imaginary axis at
 a real coupling, an axis pole or a coalesced pair split into its branches,
 stops at the half-turn anchor n* = n_seed + 2 or n_seed + 4 where its pole
-lies on the axis again (|Re k| < TOL_AXIS), or where it reaches the
-coalesced pair at k = -i/a and closes there (the chart lists the pair's
+lies on the axis again (|Re q| < TOL_AXIS), or where it reaches the
+coalesced pair at q = -i and closes there (the chart lists the pair's
 collision event). The loop is the marched half plus its mirror image about
 alpha* = n*(pi/2), and it is closed_2pi or closed_4pi as n* - n_seed is 2
 or 4. An open curve meets the axis at a real coupling only at its seed, or
 it would be symmetric about two points and so periodic; it runs until
-|alpha - alpha_seed| reaches 40*pi or |k| passes 40/a, and its backward
+|alpha - alpha_seed| reaches 40*pi or |q| passes 40, and its backward
 half is the mirror image of that march about the seed, which stops for the
 same reason. Like the step schedule, this stop rule is a set of module
 constants that no caller sets.
@@ -76,8 +80,8 @@ HALF_PI = math.pi / 2.0
 # gives it
 _ANCHOR_GAMMA = tuple(_phase_to_gamma(n * HALF_PI) for n in range(4))
 
-# corrector budget, largest accepted |dk|/(1+|k|), and the largest accepted
-# local error e/(1+|k|) of a step
+# corrector budget, largest accepted |dq|/(1+|q|), and the largest accepted
+# local error e/(1+|q|) of a step
 _CORRECTOR_ITERS = 8
 _DISPLACEMENT_FACTOR = 0.1
 _LOCAL_ERROR_TOL = 1e-3
@@ -87,15 +91,14 @@ _LOCAL_ERROR_TOL = 1e-3
 _STEP_INITIAL = 0.01
 _STEP_MINIMUM = 1e-6
 _SPLIT_STEP = 1e-3
-# an open curve stops where |alpha - alpha_seed| reaches the cap or |k|
-# passes _WINDOW_A / a; the cap is meant to let open curves cross a chart's
+# an open curve stops where |alpha - alpha_seed| reaches the cap or |q|
+# passes _WINDOW_A; the cap is meant to let open curves cross a chart's
 # whole working window first
 _ALPHA_CAP = 40.0 * math.pi
 _WINDOW_A = 40.0
-# radius, in units of max(1, |K_c|) at the half-turn anchor ahead, within
+# radius, in units of x_c = |aK_c| at the half-turn anchor ahead, within
 # which a stall is the loop meeting the coalesced pair there: it must exceed
-# the pair splitting scale |K_c|*sqrt(h_min) at the minimum step, and
-# |K_c| ~ x_c/a grows without bound as a narrows
+# the pair splitting scale x_c*sqrt(h_min) at the minimum step
 _DOUBLE_ZERO_RADIUS = 1e-2
 
 
@@ -159,7 +162,8 @@ class Trajectory:
 
     @property
     def axis_crossings(self) -> list[tuple[float, complex]]:
-        return [(n * HALF_PI, k) for n, k in self.anchors if abs(k.real) < TOL_AXIS]
+        a = self.seed.a
+        return [(n * HALF_PI, k) for n, k in self.anchors if abs(a * k.real) < TOL_AXIS]
 
     def anchor_index_map(self) -> dict[int, complex]:
         return dict(self.anchors)
@@ -180,82 +184,81 @@ def branch_at_double_zero(
 
     Raises ModelInvalid unless ``multiplicity_at`` finds a coalesced pair
     at k_c = -i/a and the coupling e^{i alpha_c}. There the pair sits at a
-    saddle K_c of g (see ``chart.critical_depth``), where in both channels
-    g''(K_c) = a^2 g(K_c) and dk/dK = i a K_c, so g(K)^2 = S^2 e^{i alpha}
-    puts the branches at alpha = alpha_c + sigma*delta, delta = _SPLIT_STEP,
-    at k_c +- i K_c sqrt(i sigma delta), K_c = sqrt(k_c^2 + 2 m U gamma_c).
-    Each is Newton-polished at the stepped coupling. K_c is real or
-    imaginary, so both sit about |K_c| sqrt(delta/2) off the axis, and the
+    saddle z_c = aK_c of g (see ``chart.critical_depth``), where in both
+    channels, in q = k*a, g''(z_c) = g(z_c) and dq/dz = i z_c, so
+    g(z)^2 = c^2 e^{i alpha} puts the branches at
+    alpha = alpha_c + sigma*delta, delta = _SPLIT_STEP, at
+    q_c +- i z_c sqrt(i sigma delta), q_c = -i, z_c = sqrt(q_c^2 + c^2 gamma_c).
+    Each is Newton-polished at the stepped coupling. z_c is real or
+    imaginary, so both sit about |z_c| sqrt(delta/2) off the axis, and the
     greater in (Re k, Im k) order is 'resonance_side', the event's first
     branch. sigma is direction; build_chart splits axis seeds with +1.
     """
-    kc = -1j / spec.a
+    a, c = spec.a, spec.c
+    kc = -1j / a
     coupling = ComplexCoupling(alpha_c)
     if multiplicity_at(kc, coupling, spec, channel) != 2:
         raise ModelInvalid(f"no coalesced pair at k=-i/a, alpha={alpha_c!r}")
     step = direction * _SPLIT_STEP
     alpha_new = alpha_c + step
-    gamma_new = _phase_to_gamma(alpha_new)
-    big_k = cmath.sqrt(kc * kc + 2.0 * spec.m * spec.U * coupling.gamma)
-    root = 1j * big_k * cmath.sqrt(1j * step)
+    s_new = c * c * _phase_to_gamma(alpha_new)
+    root = 1j * cmath.sqrt(-1.0 + c * c * coupling.gamma) * cmath.sqrt(1j * step)
     branches = []
     for sgn in (+1.0, -1.0):
-        k_est = kc + sgn * root
-        kk, iters, ok, _ = _k.newton_pole(
-            k_est, gamma_new, spec.m, spec.a, spec.U, channel.code, STEP_TOL, 60
-        )
-        if not ok or abs(kk - k_est) > 10.0 * abs(root) + 1e-6:
+        q_est = -1j + sgn * root
+        q, iters, ok, _ = _k.newton_pole(q_est, s_new, channel.code, STEP_TOL, 60)
+        if not ok or abs(q - q_est) > 10.0 * abs(root) + 1e-6:
             raise ModelInvalid(
-                f"branch polish failed from {k_est!r} at alpha={alpha_new:.6f}"
+                f"branch polish failed from {q_est / a!r} at alpha={alpha_new:.6f}"
             )
-        branches.append(kk)
+        branches.append(q)
     branches.sort(key=lambda z: (z.real, z.imag))
     lo, hi = branches
     if abs(hi - lo) < 1e-12:
         raise ModelInvalid("branches did not separate; step too small")
-    return CollisionEvent(alpha_c, kc, (("resonance_side", hi), ("antiresonance_side", lo)))
+    return CollisionEvent(
+        alpha_c, kc, (("resonance_side", hi / a), ("antiresonance_side", lo / a))
+    )
 
 
-def _tangent(k: complex, gamma: complex, spec: PotentialSpec, ch: int) -> complex:
-    """dk/dalpha = -D_alpha/D_k at a pole; nan where D_k vanishes.
+def _tangent(q: complex, s: complex, ch: int) -> complex:
+    """dq/dalpha = -D_alpha/D_q at a pole; nan where D_q vanishes.
 
     Only where no corrector has just run, as at a trace start. A step
     takes the tangent newton_pole returns.
     """
-    d, dk, da, E = _k.denom_scaled(k, gamma, spec.m, spec.a, spec.U, ch)
-    return -da / dk if dk != 0.0 else complex(math.nan, math.nan)
+    d, dq, da, E = _k.denom_scaled(q, s, ch)
+    return -da / dq if dq != 0.0 else complex(math.nan, math.nan)
 
 
-def _step(alpha, k, v, prev, target, gamma, spec, ch):
-    """One checked continuation step from the pole k at alpha, tangent v.
+def _step(alpha, q, v, prev, target, s, ch):
+    """One checked continuation step from the pole q at alpha, tangent v.
 
-    prev is the accepted sample (alpha, k, v) before this one, or None for
-    an Euler predictor. The caller supplies the corrector's coupling gamma,
-    _phase_to_gamma(target). Returns (k1, v1, r) at the target phase, with
-    r the local error over its bound, or None when the corrector fails, the
-    step moves k too far, or r exceeds 1 (nan counts as a failure).
+    prev is the accepted sample (alpha, q, v) before this one, or None for
+    an Euler predictor. The caller supplies the corrector's coupling s, c^2
+    times _phase_to_gamma(target). Returns (q1, v1, r) at the target phase,
+    with r the local error over its bound, or None when the corrector fails,
+    the step moves q too far, or r exceeds 1 (nan counts as a failure).
     """
     dt = target - alpha
     if prev is None:
-        kp = k + v * dt
+        qp = q + v * dt
     else:
-        # cubic Hermite through prev and (alpha, k, v), expanded about alpha
-        a0, k0, v0 = prev
+        # cubic Hermite through prev and (alpha, q, v), expanded about alpha
+        a0, q0, v0 = prev
         H = alpha - a0
-        slope = (k - k0) / H
+        slope = (q - q0) / H
         c2 = (2.0 * v + v0 - 3.0 * slope) / H
         c3 = (v + v0 - 2.0 * slope) / (H * H)
-        kp = k + dt * (v + dt * (c2 + dt * c3))
-    k1, iters, ok, v1 = _k.newton_pole(
-        kp, gamma, spec.m, spec.a, spec.U, ch, STEP_TOL, _CORRECTOR_ITERS
-    )
+        qp = q + dt * (v + dt * (c2 + dt * c3))
+    q1, iters, ok, v1 = _k.newton_pole(qp, s, ch, STEP_TOL, _CORRECTOR_ITERS)
     if not ok:
         return None
-    scale = 1.0 + abs(k)
-    r = abs(k1 - k - 0.5 * dt * (v + v1)) / (_LOCAL_ERROR_TOL * scale)
-    if not (abs(k1 - k) <= _DISPLACEMENT_FACTOR * scale and r <= 1.0):
+    scale = 1.0 + abs(q)
+    r = abs(q1 - q - 0.5 * dt * (v + v1)) / (_LOCAL_ERROR_TOL * scale)
+    if not (abs(q1 - q) <= _DISPLACEMENT_FACTOR * scale and r <= 1.0):
         return None
-    return k1, v1, r
+    return q1, v1, r
 
 
 def _trace_from_state(
@@ -271,34 +274,36 @@ def _trace_from_state(
     or on a branch of it, stops at its half-turn anchor, n_seed + 2 or
     n_seed + 4, and returns the closed loop (see _close_loop). The phase
     cap counts from the seed's phase, not from alpha_start. A stall ends
-    the march only next to a coalesced pair at its half-turn anchor.
+    the march only next to a coalesced pair at its half-turn anchor. The
+    march runs in q = k*a; its samples and anchors are k = q/a.
     """
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
     n_seed = _on_half_grid(alpha0)
     if n_seed is None:
         raise ValueError(f"a seed must sit on a quarter-turn anchor, got alpha={alpha0!r}")
-    kc = -1j / spec.a
-    window = _WINDOW_A / spec.a
+    a, c = spec.a, spec.c
+    c2 = c * c
     # the anchors at which a loop through an axis seed meets the axis again
     half_turns = (
-        (n_seed + 2, n_seed + 4) if n_seed % 2 == 0 and abs(seed.k.real) < TOL_AXIS else ()
+        (n_seed + 2, n_seed + 4)
+        if n_seed % 2 == 0 and abs(a * seed.k.real) < TOL_AXIS else ()
     )
 
+    q = a * complex(k_start)
     alphas = [float(alpha_start)]
-    ks = [complex(k_start)]
+    qs = [q]
     anchors: list[tuple[int, complex]] = []
 
     n_start = _on_half_grid(alpha_start)
     if n_start is not None:
-        anchors.append((n_start, k_start))
+        anchors.append((n_start, q))
         next_anchor = n_start + 1
     else:
         next_anchor = math.floor(alpha_start / HALF_PI) + 1
 
     alpha = alpha_start
-    k = k_start
-    v = _tangent(k, _phase_to_gamma(alpha), spec, ch)
+    v = _tangent(q, c2 * _phase_to_gamma(alpha), ch)
     prev = None
     h = _STEP_INITIAL
     n_star = None
@@ -320,47 +325,47 @@ def _trace_from_state(
             target = alpha + h
             gamma = complex(cos(target), sin(target))
 
-        step = _step(alpha, k, v, prev, target, gamma, spec, ch)
+        step = _step(alpha, q, v, prev, target, c2 * gamma, ch)
         if step is None:
             if h <= h_floor:
-                # a loop meets the coalesced pair at k = -i/a only at its
+                # a loop meets the coalesced pair at q = -i only at its
                 # half-turn: end the march there
                 anchor = ComplexCoupling(t_anchor)
-                big_k = cmath.sqrt(kc * kc + 2.0 * spec.m * spec.U * anchor.gamma)
+                zc = cmath.sqrt(-1.0 + c2 * anchor.gamma)
                 if not (next_anchor in half_turns
-                        and abs(k - kc) < _DOUBLE_ZERO_RADIUS * max(1.0, abs(big_k))
-                        and multiplicity_at(kc, anchor, spec, seed.channel) == 2):
-                    raise StallAtDoubleZero(alpha, k)
+                        and abs(q + 1j) < _DOUBLE_ZERO_RADIUS * abs(zc)
+                        and multiplicity_at(-1j / a, anchor, spec, seed.channel) == 2):
+                    raise StallAtDoubleZero(alpha, q / a)
                 n_star = next_anchor
                 break
             h = max(0.5 * min(h, target - alpha), _STEP_MINIMUM)
             continue
 
-        k1, v1, r = step
+        q1, v1, r = step
         # resize h only after a step that no anchor clipped; compare
         # phases, since alpha + h - alpha need not equal h.
         # r <= 1 keeps the factor at or above 0.9
         if not target < alpha + h:
             grow = 2.0 if r == 0.0 else min(0.9 * r ** (-1.0 / 3.0), 2.0)
             h *= grow
-        prev = (alpha, k, v)
-        alpha, k, v = target, k1, v1
+        prev = (alpha, q, v)
+        alpha, q, v = target, q1, v1
         # keep the tangent's predicted move inside the displacement bound
         # that _step tests, with the growth rule's safety factor
-        abs_k, abs_v = abs(k), abs(v)
-        reach = reach_factor * (1.0 + abs_k)
+        abs_q, abs_v = abs(q), abs(v)
+        reach = reach_factor * (1.0 + abs_q)
         if h * abs_v > reach:
             h = max(reach / abs_v, _STEP_MINIMUM)
         alphas.append(alpha)
-        ks.append(k)
+        qs.append(q)
 
         # before the anchor, so no curve carries an anchor past the window
-        if abs_k > window:
+        if abs_q > _WINDOW_A:
             reason = ExitReason.K_WINDOW
             break
         if alpha == t_anchor:
-            anchors.append((next_anchor, k))
-            if next_anchor in half_turns and abs(k.real) < TOL_AXIS:
+            anchors.append((next_anchor, q))
+            if next_anchor in half_turns and abs(q.real) < TOL_AXIS:
                 n_star = next_anchor
                 break
             next_anchor += 1
@@ -370,7 +375,8 @@ def _trace_from_state(
             break
 
     traj = Trajectory(
-        seed=seed, alphas=alphas, ks=ks, anchors=anchors,
+        seed=seed, alphas=alphas, ks=[q / a for q in qs],
+        anchors=[(n, q / a) for n, q in anchors],
         closure=Closure(ClosureKind.OPEN, reason),
     )
     return traj if n_star is None else _close_loop(traj, n_star, n_star - n_seed)
@@ -426,9 +432,10 @@ def trace(
     march from the mirrored seed -conj(k) and so needs alpha a multiple of
     pi (ValueError otherwise). The seed must sit on a quarter-turn anchor,
     alpha a multiple of pi/2 (ValueError otherwise), and satisfy the pole
-    residual requirement; a coalesced-pair seed cannot be continued as a
-    single branch and raises StallAtDoubleZero immediately (split it with
-    branch_at_double_zero instead).
+    residual requirement |d(q)| < RESIDUAL_TOL*(1 + |q|), q = k*a; a
+    coalesced-pair seed cannot be continued as a single branch and raises
+    StallAtDoubleZero immediately (split it with branch_at_double_zero
+    instead).
 
     From a seed on the imaginary axis at a real coupling, a closed loop is
     marched only to its half-turn anchor, where it meets the axis again,
@@ -438,10 +445,9 @@ def trace(
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
     n0 = _mirror_index(seed.coupling.alpha) if direction < 0 else None
-    d, _ = _k.denom_plain(
-        seed.k, seed.coupling.gamma, spec.m, spec.a, spec.U, seed.channel.code
-    )
-    if not abs(d) < RESIDUAL_TOL * (1.0 + abs(seed.k)):
+    q, c = spec.a * seed.k, spec.c
+    d, _ = _k.denom_plain(q, c * c * seed.coupling.gamma, seed.channel.code)
+    if not abs(d) < RESIDUAL_TOL * (1.0 + abs(q)):
         raise SeedNotOnPole(f"seed residual too large at k={seed.k!r}")
     if seed.multiplicity == 2:
         raise StallAtDoubleZero(seed.coupling.alpha, seed.k)

@@ -70,8 +70,8 @@ def test_newton_pole_result_positions():
     from wellpoles import _kernels
 
     for max_iter in (50, 1):
-        result = _kernels.newton_pole(1.85j, 1.0 + 0j, 1.0, 1.5, 2.0, _kernels.CH_PLUS,
-                                      1e-12, max_iter)
+        # the well (m, a, U) = (1, 1.5, 2): q = 1.5 k, s = 2 m a^2 U = 9
+        result = _kernels.newton_pole(1.5 * 1.85j, 9.0 + 0j, _kernels.CH_PLUS, 1e-12, max_iter)
         assert isinstance(result, tuple) and len(result) == 4
         assert type(result[1]) is int and 0 < result[1] <= max_iter
         assert type(result[2]) is bool

@@ -173,9 +173,9 @@ class TestCompleteness:
     def test_inventory_members_are_poles(self):
         chart = _chart("plus", 2.0)
         spec = chart.spec
+        c = spec.c
         for k in chart.completeness["inventory"]:
-            d, dk = _k.denom_plain(k, 1.0 + 0.0j, spec.m, spec.a, spec.U,
-                                   chart.channel.code)
+            d, dk = _k.denom_plain(spec.a * k, c * c + 0.0j, chart.channel.code)
             assert abs(d) < 1e-8 * (1.0 + abs(k))
 
     def test_negative_window_count_fails_loudly(self):
@@ -332,16 +332,18 @@ class TestCriticalDepths:
         ]),
     )
     def test_depths_solve_the_collision_conditions(self, m, a, case):
-        # a pair collision is D = D_k = 0 at k = -i/a; since dD/dU = D_alpha/(iU),
-        # |D|/|D_alpha| is the relative depth error to first order
+        # a pair collision is D = D_q = 0 at q = ka = -i; since
+        # dD/dU = D_alpha/(iU), |D|/|D_alpha| is the relative depth error to
+        # first order, and |D_q|/|D_alpha| the slope's
         channel, attractive, indices = case
         gamma = 1.0 + 0.0j if attractive else -1.0 + 0.0j
         depths = []
         for index in indices:
             cd = critical_depth(channel, attractive, m, a, index)
-            d, dk, da, _ = _k.denom_scaled(-1j / a, gamma, m, a, cd.U, channel.code)
+            c = PotentialSpec(m, a, cd.U).c
+            d, dk, da, _ = _k.denom_scaled(-1j, c * c * gamma, channel.code)
             assert abs(d) < 1e-10 * abs(da)
-            assert abs(dk) < 1e-10 * a * abs(da)
+            assert abs(dk) < 1e-10 * abs(da)
             assert cd.pair_count == 2
             depths.append(cd.U)
         assert all(lo < hi for lo, hi in zip(depths, depths[1:]))
@@ -524,10 +526,10 @@ class TestBoundCount:
     def test_equals_bound_kinds_next_to_a_threshold(self, m, a, channel, n, visible, ulps):
         # a few float spacings from the closed-form threshold, where the
         # entering pole sits inside the classifier's threshold band, or from
-        # the depth where it leaves the band (kappa = TOL_AXIS)
+        # the depth where it leaves the band (a*kappa = TOL_AXIS)
         u = bound_threshold(channel, n, m, a)
         if visible:
-            u += TOL_AXIS / (m * a)
+            u += TOL_AXIS / (m * a * a)
         for _ in range(abs(ulps)):
             u = math.nextafter(u, math.inf if ulps > 0 else 0.0)
         spec = PotentialSpec(m=m, a=a, U=u)
@@ -563,7 +565,7 @@ class TestBoundCount:
         # point: that root alone is solved, and every other cell is placed
         u = bound_threshold(channel, n, M, A)
         if visible:
-            u += 2.0 * TOL_AXIS / (M * A)
+            u += 2.0 * TOL_AXIS / (M * A * A)
         # the even channel's first state binds from U = 0
         bound = n - (channel is Channel.MINUS) + visible
         spec = PotentialSpec(m=M, a=A, U=u)
@@ -581,7 +583,7 @@ class TestBoundCount:
         # the rising-branch root: the top cell is solved
         u = bound_threshold(channel, n, M, A)
         if visible:
-            u += 2.0 * TOL_AXIS / (M * A)
+            u += 2.0 * TOL_AXIS / (M * A * A)
         x_n = math.sqrt(2.0 * M * u) * A
         xc = rootfinder.collision_x(channel, True, n if channel is Channel.PLUS else n - 1)
         assert x_n - chart_module._THRESHOLD_DX < xc < x_n
@@ -630,7 +632,7 @@ class TestBoundCount:
         # counts the same, in the box and next to a threshold
         u = math.exp(log_U)
         if near:
-            u = _nudged(bound_threshold(channel, n, m, a) + TOL_AXIS / (m * a), ulps)
+            u = _nudged(bound_threshold(channel, n, m, a) + TOL_AXIS / (m * a * a), ulps)
         spec = PotentialSpec(m=m, a=a, U=u)
         count = bound_count(spec, channel)
         with pytest.MonkeyPatch.context() as mp:
@@ -640,18 +642,17 @@ class TestBoundCount:
 
     @pytest.mark.parametrize("channel,n,a", [(Channel.PLUS, 0, 1e6), (Channel.MINUS, 1, 1e9)])
     def test_margin_solves_a_root_in_the_threshold_band(self, monkeypatch, channel, n, a):
-        # in a wide enough well a root at x_n + 2 dx still has
-        # kappa < TOL_AXIS; a*kappa(x_n + dx) lies below _BOUND_MARGIN * a *
-        # TOL_AXIS there, so the root is solved and read as a threshold
+        # TOL_AXIS bounds a*kappa, so at any width a root at x_n + 2 dx has
+        # a*kappa >= 4e-4, far out of the threshold band: the cell counts it
+        # bound without a solve, as the scan does. Read in k, TOL_AXIS once
+        # made these roots thresholds (a*kappa = 0.03 at a = 1e9)
         x = _threshold_x(channel, n) + 2.0 * chart_module._THRESHOLD_DX
         ratio = rootfinder._x_sec if channel is Channel.PLUS else rootfinder._x_csc
         spec = PotentialSpec(m=1.0, a=a, U=_depth_of(ratio(x), 1.0, a))
-        assert _scanned_bound(spec, channel) == 0
+        assert _scanned_bound(spec, channel) == 1
         calls = _count_solves(monkeypatch)
-        assert bound_count(spec, channel) == 0
-        assert len(calls) == 1
-        monkeypatch.setattr(chart_module, "_BOUND_MARGIN", 0.0)
         assert bound_count(spec, channel) == 1
+        assert len(calls) == 0
 
 
 class TestSteeredFlip:
@@ -761,10 +762,10 @@ class TestSteeredFlip:
     def test_tol_below_float_spacing_returns(self, monkeypatch, tol):
         # below the spacing of the bracket the midpoint settles on an
         # endpoint; both halvings stop there instead of running forever.
-        # The steer u_n + TOL_AXIS/(m a) matches the scan's flip only to a
-        # few float spacings: here it lands on the first float that counts
-        # the new state, which the steered halving puts below, so the
-        # certificate fails and the scan-driven fallback runs too
+        # The steer u_n + TOL_AXIS/(m a^2) matches the scan's flip only to
+        # a few float spacings: here it lands on the first float that
+        # counts the new state, which the steered halving puts below, so
+        # the certificate fails and the scan-driven fallback runs too
         halvings = []
         real_bisect = chart_module._bisect
 
@@ -778,12 +779,12 @@ class TestSteeredFlip:
 
         monkeypatch.setattr(chart_module, "_bisect", counted_bisect)
         calls = _count_scans(monkeypatch)
-        flip = threshold_flip(Channel.PLUS, 2.0, 2.4, M, A, tol=tol)
+        flip = threshold_flip(Channel.MINUS, 0.4, 0.7, M, A, tol=tol)
         assert len(calls) > 4
-        assert abs(flip - bound_threshold(Channel.PLUS, 1, M, A)) < 1e-8
+        assert abs(flip - bound_threshold(Channel.MINUS, 1, M, A)) < 1e-8
         # the fallback scans every midpoint with bound_count, and counts as
         # scan_axis does at each of them
-        assert repr(flip) == repr(_scan_bisection(Channel.PLUS, 2.0, 2.4, M, A, tol))
+        assert repr(flip) == repr(_scan_bisection(Channel.MINUS, 0.4, 0.7, M, A, tol))
 
     @given(m=st.floats(0.5, 2.0), a=st.floats(0.75, 3.0),
            channel=st.sampled_from([Channel.PLUS, Channel.MINUS]), n=st.integers(1, 2))
@@ -841,16 +842,17 @@ class TestDepthSweep:
         sweep = depth_sweep(Channel.PLUS, [U_STAR_PLUS_ATT], M, A)
         entry = sweep.entries[0]
         assert entry.nudged
-        assert abs(entry.U_used - U_STAR_PLUS_ATT) == pytest.approx(1e-6, rel=1e-2)
+        # the nudge is relative to the collision depth
+        assert abs(entry.U_used - U_STAR_PLUS_ATT) == pytest.approx(1e-6 * U_STAR_PLUS_ATT, rel=1e-2)
 
     @pytest.mark.parametrize("channel,u_star", [
         (Channel.MINUS, U_STAR_MINUS_ATT), (Channel.PLUS, U_STAR_PLUS_REP),
     ])
     def test_other_collision_depths_nudged(self, channel, u_star):
         # the odd collision sits just above x = pi, unlike the even ones
-        entry = depth_sweep(channel, [u_star - 5e-7], M, A).entries[0]
+        entry = depth_sweep(channel, [u_star * (1.0 - 5e-7)], M, A).entries[0]
         assert entry.nudged
-        assert entry.U_used == pytest.approx(u_star - 1e-6, abs=1e-12)
+        assert entry.U_used == pytest.approx(u_star * (1.0 - 1e-6), abs=1e-12)
 
     def test_ordinary_depth_not_nudged(self):
         sweep = depth_sweep(Channel.PLUS, [1.0], M, A)
@@ -1376,3 +1378,91 @@ class TestDeterminism:
         for t1, t2 in zip(c1.trajectories, c2.trajectories):
             assert np.array_equal(t1.alphas, t2.alphas)
             assert np.array_equal(t1.ks, t2.ks)
+
+
+def _reduced_spec(spec):
+    """The well (1, 1, c^2/2) of the same c: its chart in k is spec's in q = k*a."""
+    c = spec.c
+    return PotentialSpec(m=1.0, a=1.0, U=c * c / 2.0)
+
+
+def _assert_scaled_chart(chart, ref, a):
+    """chart equals ref with every sample, anchor and inventory pole times a:
+    the counts, completeness and topology exactly, the phases and momenta to
+    1e-9 relative. The step sizes follow the corrector's roundoff, which
+    sets phases apart by up to about 1e-12 at the far poles of shallow wells."""
+    def close(ks, qs, scale=a):
+        assert len(ks) == len(qs)
+        for k, q in zip(ks, qs):
+            assert abs(scale * k - q) <= 1e-9 * (1.0 + abs(q)), (k, q)
+
+    assert chart.topology == ref.topology
+    assert [w.code for w in chart.warnings] == [w.code for w in ref.warnings]
+    cert, cert_ref = chart.completeness, ref.completeness
+    for key in ("complete", "window_count", "trajectory_count"):
+        assert cert[key] == cert_ref[key], key
+    close(cert["inventory"], cert_ref["inventory"])
+    close([p.k for p in chart.seeds], [p.k for p in ref.seeds])
+    assert len(chart.trajectories) == len(ref.trajectories)
+    for t, t_ref in zip(chart.trajectories, ref.trajectories):
+        assert t.closure == t_ref.closure
+        close(t.alphas, t_ref.alphas, 1.0)
+        close(t.ks, t_ref.ks)
+        assert [n for n, _ in t.anchors] == [n for n, _ in t_ref.anchors]
+        close([k for _, k in t.anchors], [k for _, k in t_ref.anchors])
+
+
+class TestScaleInvariance:
+    """Below the API the chart depends on c = a sqrt(2 m U) alone: the chart
+    of (m, a, U) is the chart of (1, 1, c^2/2) with k scaled by 1/a."""
+
+    @pytest.mark.parametrize("a", [1e-6, 1.0, 1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("c", [0.5, 3.0, 8.0])
+    @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
+    def test_fixed_grid(self, channel, c, a):
+        spec = PotentialSpec(m=1.0, a=a, U=_depth_of(c, 1.0, a))
+        ref = build_chart(_reduced_spec(spec), channel)
+        assert ref.completeness["complete"]
+        _assert_scaled_chart(build_chart(spec, channel), ref, a)
+
+    @given(
+        m=st.floats(0.2, 10.0),
+        c=st.floats(0.05, 12.0),
+        log_a=st.floats(math.log(1e-6), math.log(1e9)),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chart_depends_on_c_alone(self, m, c, log_a, channel):
+        a = math.exp(log_a)
+        spec = PotentialSpec(m=m, a=a, U=_depth_of(c, m, a))
+        ref = build_chart(_reduced_spec(spec), channel)
+        _assert_scaled_chart(build_chart(spec, channel), ref, a)
+
+    def test_wide_pair_off_its_collision_is_not_coalesced(self):
+        # at 1.05 U* the pair sits 0.55 from q = -i; a pair ball of 1e-6 in
+        # k once took it for the coalesced pair at a = 1e6
+        kinds = [PoleKind.VIRTUAL, PoleKind.VIRTUAL, PoleKind.BOUND]
+        qs = []
+        for a in (1e5, 1e6):
+            u_star = chart_module._collision_depth(Channel.PLUS, True, 1.0, a, 1)
+            poles = scan_axis(PotentialSpec(m=1.0, a=a, U=1.05 * u_star),
+                              ComplexCoupling(0.0), Channel.PLUS)
+            assert [p.kind for p in poles] == kinds
+            qs.append([a * p.k for p in poles])
+        assert np.allclose(qs[0], qs[1], rtol=1e-12, atol=0.0)
+
+    def test_wide_shallow_chart_builds(self):
+        # plus channel, c = 0.5, a = 1e6: the pair ball in k once read a
+        # simple pole as coalesced and the split raised ModelInvalid
+        a = 1e6
+        chart = build_chart(PotentialSpec(m=1.0, a=a, U=_depth_of(0.5, 1.0, a)), Channel.PLUS)
+        assert chart.completeness["complete"]
+        assert chart.collisions == []
+
+    @pytest.mark.parametrize("a", [1e-4, 1e4, 1e6])
+    @pytest.mark.parametrize("channel,attractive", [
+        (Channel.PLUS, True), (Channel.MINUS, True), (Channel.PLUS, False),
+    ])
+    def test_critical_pair_count_at_any_width(self, channel, attractive, a):
+        # the counting box is 1e-3 about q = -i, not about k = -i/a
+        assert critical_depth(channel, attractive, 1.0, a).pair_count == 2

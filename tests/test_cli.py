@@ -42,17 +42,17 @@ class TestAxis:
         (("--U", "2", "--channel", "plus"),
          "channel,alpha,re_k,im_k,kind,multiplicity\n"
          "plus,0.0,0.0,-0.92074323485740017,virtual,1\n"
-         "plus,0.0,0.0,-0.40418151859917956,virtual,1\n"
+         "plus,0.0,0.0,-0.40418151859917933,virtual,1\n"
          "plus,0.0,0.0,1.8415955596969533,bound,1\n"),
         (("--U", "5", "--channel", "minus"),
          "channel,alpha,re_k,im_k,kind,multiplicity\n"
-         "minus,0.0,0.0,-1.3986419695071617,virtual,1\n"
+         "minus,0.0,0.0,-1.3986419695071615,virtual,1\n"
          "minus,0.0,0.0,0.091785011515097603,bound,1\n"
          "minus,0.0,0.0,2.6582502745903294,bound,1\n"),
         (("--U", "0.05", "--gamma", "-1"),
          "channel,alpha,re_k,im_k,kind,multiplicity\n"
-         "plus,3.1415926535897931,0.0,-1.4519741198194769,virtual,1\n"
-         "plus,3.1415926535897931,0.0,-0.18177894493151281,virtual,1\n"),
+         "plus,3.1415926535897931,0.0,-1.4519741198194851,virtual,1\n"
+         "plus,3.1415926535897931,0.0,-0.18177894493151273,virtual,1\n"),
     ])
     def test_csv_bytes(self, capsys, argv, expected):
         code, out, err = run(capsys, "axis", *argv, "--format", "csv")
@@ -74,9 +74,9 @@ class TestAxis:
 # formatting must leave every byte unchanged
 _GOLDEN_OUTPUT = {
     ("axis", "--U", "2", "--channel", "plus"):
-        "9a1c7dfa4e2265efbd99500a05f6bfe4e56442896e863493d5621eae2b1e8a4c",
+        "61343f513598d62c9eaa1cf8934f198327efacf4d3c2ba7ada5d9617d119f566",
     ("axis", "--U", "0.05", "--gamma", "-1"):
-        "56e97bcd3f62f09a6f27d4072417e1c6d838d1c622167cdfdce52d28b93ef807",
+        "356416a053583afcc1aa6af9af79378b640adc193931b0cac1e0affcceafc996",
     ("critical", "--channel", "plus", "--gamma", "+1"):
         "ead4e211c5342254ae793351001442cb207b0a6eb612b224f706b26947427f6b",
     ("critical", "--channel", "minus", "--gamma", "+1", "--index", "2"):
@@ -88,13 +88,13 @@ _GOLDEN_OUTPUT = {
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
         "1ce416f921444a54dd54aa1ee03b6b628d66d62ed964bcd89582532951d19084",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "6ad462c837f5defcf309e13df25bd17b0eb37d34d1c58ca441440c8c3f14e6a6",
+        "08b62850abdab6ace2dd318fd964aa22e61c8156526ee5cf244cda293538cdaf",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "ff1bb2c67dfda753cbbbd0de7a5120c16b0871c82e07d71c3037133dbbfd0136",
+        "02e2a618839a7c3f5d9e64b509fb602610eb570d893973cf5a4073547f32cc29",
     ("verify", "--samples", "60", "--seed", "7"):
-        "ae0d68ee907e9477bf721721cde48707bd85602e32c5d4152eeafeadbd873672",
+        "f44c759cd467c184d14b7578443c2714312625382ea055dfc99c4d2318c86906",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
-        "7a48b9db7572f57cea4d8a5806c44bbe714c2556b4c1414fce23a874ea58f097",
+        "a947eb35f772edece0ab040b8d6a7f52c2515f6f665853cdc33bbdaedf575b5f",
 }
 
 

@@ -320,26 +320,26 @@ class TestChartDocument:
 # assembly must leave every byte of them unchanged. A platform whose libm
 # rounds differently may move the last float digits and so the digests.
 _GOLDEN = {
-    ("plus", 0.09): "51532e0fb949107c6c21c0dc39c77107e8e53939b9efdf366f7b6017d50eec6b",
-    ("plus", 2.0): "4e10450b5dda06a257b7495331248e8b0b8aec01aa46f0e26a19f9b01c2d1bc0",
-    ("minus", 5.0): "c3fdd3f5be1a867ddcb42272f296c7d1788ada80f8cec2e84a586536db58e157",
+    ("plus", 0.09): "123e1f5fd1b80617ac9636a7214450e98a80272a581c87672593da335bfffa8d",
+    ("plus", 2.0): "d687183f12a2da592897942a1f187a6617ccc3051ce6cf87cc3c751206c8959d",
+    ("minus", 5.0): "b52875254b80d083dc0fb6b375f51256e38fa9e0ee2d0e0c88cc7dd0fb698703",
 }
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "9f910ff15cf37aa389223764a4424047a496c581b712312294892d1ab40c21a7",
-    ("plus", False): "195694927704b5b3114d07a73daa839473c7eb3e6f32100e9f4590499aeeace8",
-    ("minus", True): "966d8cba8ce5b326f2446d79d65fc78182a96cb629e2bb4b586cc44469be7aa5",
+    ("plus", True): "9141731feb3715a782948b4490da5a910d28fce1f56f0d0106525bd877dfbb34",
+    ("plus", False): "2bff2f0e63222a66f868f8b658ce4712a5520285d39d7ce74a10eba625cd5811",
+    ("minus", True): "ac18cf9d408fb95f559b3024dbbaf0776cbc771aa5b20179df9e4c59e7351aa0",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
 _GOLDEN_SVG = {
-    ("plus", 0.09): "da67ce6848ad33ab5d64a9d96f8a389098faa02126b5cc59f1ce6d3f1cda3fcc",
-    ("plus", 2.0): "7044c488c510ef80130bc5c364618a3056edf42b1abc238f277ddf0573f8ae19",
-    ("minus", 5.0): "ed87053644ecda995573df609fd91554fff777d24bacb54cd1781aa6e56f58f4",
-    ("plus", "attractive"): "2ae1c7dff5e75bb7202185eee021f0d9776c573ff8f11b7b6c09f85e497e4d0a",
-    ("plus", "repulsive"): "c6a24ad0dadbda3bd8e634462e66a828e9265844637df2095fdee6ef57b49188",
-    ("minus", "attractive"): "fabfd9e82ed1ab825db5d64427802f29a5f6be66374b2453f989d91aabbdcf64",
+    ("plus", 0.09): "5afd0f5a0c4206a97b57fe708b8dd3d8f0a7a1564022afe8956725d2f98f8840",
+    ("plus", 2.0): "4f61e0eb0a0282a70b97facc8db7d152c337a176aea2ef880e15a0211d8a9a8b",
+    ("minus", 5.0): "03a2c6392a9ecc3dde6fb149bbc1571102c42eb093253dc44cd245dbbc8241cc",
+    ("plus", "attractive"): "43f912dc30b7cef5194a4620d2f3be3c5b3b5dca6bdad971b41ec3230cd410ff",
+    ("plus", "repulsive"): "507b8d9a6d203ce16ba52a02bc979db6f5a5ebca21b3cd82abeb49644e339e71",
+    ("minus", "attractive"): "54ea5140c68bac79a388f9576448da30c0d68ec7cb763cb0cf489dde4138d91c",
 }
 
 

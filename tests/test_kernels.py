@@ -20,9 +20,24 @@ RTOL_DERIV = 2e-6
 M, A = 1.0, 1.5
 
 
+def _s(gamma, m, a, U):
+    """The kernels' coupling s = c^2 gamma of the well (m, a, U), c^2 = 2 m a^2 U."""
+    return 2.0 * m * a * a * gamma * U
+
+
 def rand_points(n, seed, box=5.0):
     rng = np.random.default_rng(seed)
     return rng.uniform(-box, box, n) + 1j * rng.uniform(-box, box, n)
+
+
+def test_no_kernel_takes_a_well_parameter():
+    # the kernels see the well only through q = k*a and s = c^2 gamma
+    import inspect
+
+    for name, fn in vars(K).items():
+        if inspect.isfunction(fn) and fn.__module__ == K.__name__:
+            params = set(inspect.signature(fn).parameters)
+            assert not params & {"m", "a", "U"}, name
 
 
 class TestScaledTrig:
@@ -119,10 +134,10 @@ class TestDenomDerivatives:
         for _ in range(60):
             k = complex(rng.uniform(-4, 4), rng.uniform(-3, 3))
             g = np.exp(1j * rng.uniform(-np.pi, np.pi))
-            U = rng.uniform(0.05, 5.0)
-            d, dk, da, E = K.denom_scaled(k, g, M, A, U, ch)
-            dp = K.denom_scaled(k + h, g, M, A, U, ch)
-            dm = K.denom_scaled(k - h, g, M, A, U, ch)
+            s = _s(g, M, A, rng.uniform(0.05, 5.0))
+            d, dk, da, E = K.denom_scaled(k, s, ch)
+            dp = K.denom_scaled(k + h, s, ch)
+            dm = K.denom_scaled(k - h, s, ch)
             # remove the scaling mismatch between neighbouring points
             num = (dp[0] / dp[3] - dm[0] / dm[3]) / (2 * h)
             assert abs(num - dk / E) < RTOL_DERIV * (1.0 + abs(dk / E))
@@ -135,44 +150,45 @@ class TestDenomDerivatives:
             k = complex(rng.uniform(-4, 4), rng.uniform(-3, 3))
             al = rng.uniform(-np.pi, np.pi)
             U = rng.uniform(0.05, 5.0)
-            d, dk, da, E = K.denom_scaled(k, np.exp(1j * al), M, A, U, ch)
-            dp = K.denom_scaled(k, np.exp(1j * (al + h)), M, A, U, ch)
-            dm = K.denom_scaled(k, np.exp(1j * (al - h)), M, A, U, ch)
+            d, dk, da, E = K.denom_scaled(k, _s(np.exp(1j * al), M, A, U), ch)
+            dp = K.denom_scaled(k, _s(np.exp(1j * (al + h)), M, A, U), ch)
+            dm = K.denom_scaled(k, _s(np.exp(1j * (al - h)), M, A, U), ch)
             num = (dp[0] / dp[3] - dm[0] / dm[3]) / (2 * h)
             assert abs(num - da / E) < RTOL_DERIV * (1.0 + abs(da / E))
 
     def test_plus_k_derivative_vanishes_at_collision_point(self):
-        # d(d_plus)/dk == 0 at k = -i/a identically in (gamma, U)
+        # d(d_plus)/dq == 0 at q = ka = -i identically in (gamma, U)
         rng = np.random.default_rng(13)
-        kc = -1j / A
+        kc = -1j
         for _ in range(40):
             g = np.exp(1j * rng.uniform(-np.pi, np.pi))
             U = rng.uniform(0.01, 8.0)
-            d, dk, da, E = K.denom_scaled(kc, g, M, A, U, K.CH_PLUS)
+            d, dk, da, E = K.denom_scaled(kc, _s(g, M, A, U), K.CH_PLUS)
             assert abs(dk) < 1e-13
 
 
 class TestNewton:
     def test_converges_to_known_zero(self):
-        k, it, ok, _ = K.newton_pole(1.85j, 1.0 + 0j, M, A, 2.0, K.CH_PLUS, 1e-12, 50)
+        q, it, ok, _ = K.newton_pole(A * 1.85j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 1e-12, 50)
+        k = q / A
         assert ok and it <= 10
         assert abs(k - 1.841595559696953j) < 1e-12
 
     def test_reports_failure_on_tiny_budget(self):
-        k, it, ok, v = K.newton_pole(3.0 + 2.0j, 1.0 + 0j, M, A, 2.0, K.CH_PLUS, 1e-15, 1)
+        k, it, ok, v = K.newton_pole(3.0 + 2.0j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 1e-15, 1)
         assert not ok and cmath.isnan(v)
 
 
-def _terms(k, gamma, m, a, U, ch):
-    """|p| + |q| for the channel pole function d = p - q at k."""
-    w = k * k + 2.0 * m * gamma * U
-    C, S, Z, G, E = K.trig_scaled(a * cmath.sqrt(w))
+def _terms(k, s, ch):
+    """|p| + |r| for the channel pole function d = p - r at q = k."""
+    w = k * k + s
+    C, S, Z, G, E = K.trig_scaled(cmath.sqrt(w))
     if ch == K.CH_PLUS:
-        return abs(k * C) + abs(1j * a * w * Z)
-    return abs(C) + abs(1j * a * k * Z)
+        return abs(k * C) + abs(1j * w * Z)
+    return abs(C) + abs(1j * k * Z)
 
 
-def _reference_newton(k0, gamma, m, a, U, ch, step_tol, max_iter, new_exits=True):
+def _reference_newton(k0, s, ch, step_tol, max_iter, new_exits=True):
     """Newton on denom_scaled: the loop newton_pole must equal bit for bit.
 
     It stops on the step test or, with new_exits and from the second
@@ -182,64 +198,63 @@ def _reference_newton(k0, gamma, m, a, U, ch, step_tol, max_iter, new_exits=True
     k = k0
     s_prev = None
     for it in range(max_iter):
-        d, dk, da, E = K.denom_scaled(k, gamma, m, a, U, ch)
+        d, dk, da, E = K.denom_scaled(k, s, ch)
         if dk == 0.0:
             return k, it, False
         step = d / dk
         k1 = k - step
-        s = abs(step)
+        size = abs(step)
         bound = step_tol * (1.0 + abs(k1))
-        if s < bound or new_exits and it and s * s * s < bound * s_prev * s_prev:
+        if size < bound or new_exits and it and size * size * size < bound * s_prev * s_prev:
             return (k1, it + 1, True) if E != 0.0 else (k, it + 1, False)
-        if new_exits and it and abs(d) < K._ROUNDOFF * _terms(k, gamma, m, a, U, ch):
+        if new_exits and it and abs(d) < K._ROUNDOFF * _terms(k, s, ch):
             return (k, it + 1, E != 0.0)
         k = k1
-        s_prev = s
+        s_prev = size
     return k, max_iter, False
 
 
-def _roundoff_radius(k, gamma, m, a, U, ch):
-    """How far from k a Newton step still reads roundoff: unit roundoff
+def _roundoff_radius(k, s, ch):
+    """How far from q = k a Newton step still reads roundoff: unit roundoff
     times the size of d's terms, grown by the argument error of its trig
-    blocks, plus |dd/dw| times the rounding of w = k^2 + 2 m gamma U (which
-    hides k where |k|^2 is small against the coupling), over |dd/dk|.
+    blocks, plus |dd/dw| times the rounding of w = q^2 + s (which hides q
+    where |q|^2 is small against the coupling), over |dd/dq|.
     Where it exceeds a step tolerance, the step test passes only on a lucky
     rounding."""
-    c = 2.0 * m * gamma * U
-    w = k * k + c
-    z = a * cmath.sqrt(w)
+    w = k * k + s
+    z = cmath.sqrt(w)
     C, S, Z, G, E = K.trig_scaled(z)
-    d, dk, dw = K._channel_terms(k, w, a, C, Z, G, ch)
-    noise = (1.0 + abs(z)) * _terms(k, gamma, m, a, U, ch) + abs(dw) * (abs(k * k) + abs(c))
+    d, dk, dw = K._channel_terms(k, w, C, Z, G, ch)
+    noise = (1.0 + abs(z)) * _terms(k, s, ch) + abs(dw) * (abs(k * k) + abs(s))
     return 2.0 ** -53 * noise / abs(dk)
 
 
 _OVERFLOW_STARTS = (1e200 + 0j, 1e155 + 1e155j, 1e300j, -1e300j)
 # start kinds: a generic point, a point on the imaginary axis with either
-# sign of zero (mirror_defect starts at -conj(k)), |aK| inside each series
-# window of trig_scaled, |Im aK| on either side of the cut between its cmath
-# and half-angle forms, |Im aK| past the underflow of E, and the overflow
+# sign of zero (mirror_defect starts at -conj(k)), |z| inside each series
+# window of trig_scaled, |Im z| on either side of the cut between its cmath
+# and half-angle forms, |Im z| past the underflow of E, and the overflow
 # starts
 _STARTS = ("plane", "axis", "sinc_series", "g_series", "seam", "far", "overflow")
 
 
-def _start(kind, c, a, u, v, n):
-    """Start momentum of one kind from draws u, v in [-1, 1] and an index n."""
+def _start(kind, s, u, v, n):
+    """Start q of one kind from draws u, v in [-1, 1] and an index n."""
     if kind == "plane":
         return complex(20.0 * u, 20.0 * v)
     if kind == "axis":
         return complex(-0.0 if n % 2 else 0.0, 5.0 * v)
     if kind in ("sinc_series", "g_series"):
-        # K = t/a with |t| in the window, so k = sqrt(K^2 - c)
+        # z = t with |t| in the window, so q = sqrt(t^2 - s)
         r = 5e-5 * (1.0 + u) / 2.0 if kind == "sinc_series" else 2e-4 + 0.04 * (1.0 + u)
         t = r * cmath.exp(1j * math.pi * v)
-        return cmath.sqrt((t / a) ** 2 - c)
+        return cmath.sqrt(t ** 2 - s)
     if kind == "seam":
-        # K = t/a with |Im t| in [690.5, 709.5]
+        # z = t with |Im t| in [690.5, 709.5]
         t = complex(10.0 * v, (700.0 + 9.5 * u) * (1.0 if n % 2 else -1.0))
-        return cmath.sqrt((t / a) ** 2 - c)
+        return cmath.sqrt(t ** 2 - s)
     if kind == "far":
-        y = (1000.0 + 500.0 * (1.0 + u)) / a
+        y = 1000.0 + 500.0 * (1.0 + u)
         return complex(10.0 * v, y if n % 2 else -y)
     return _OVERFLOW_STARTS[n % len(_OVERFLOW_STARTS)]
 
@@ -263,12 +278,13 @@ def _newton_cases(draw):
     u = draw(st.floats(-1.0, 1.0))
     v = draw(st.floats(-1.0, 1.0))
     n = draw(st.integers(0, 7))
-    k0 = _start(kind, 2.0 * m * gamma * U, a, u, v, n)
+    s = _s(gamma, m, a, U)
+    k0 = _start(kind, s, u, v, n)
     if draw(st.booleans()):
         k0 = np.complex128(k0)
     step_tol = draw(st.sampled_from([1e-12, 1e-15]))
     max_iter = draw(st.sampled_from([1, 8, 50]))
-    return k0, gamma, m, a, U, ch, step_tol, max_iter
+    return k0, s, ch, step_tol, max_iter
 
 
 class TestNewtonBitEquality:
@@ -288,10 +304,9 @@ class TestNewtonBitEquality:
             enumerate(((0.3, -0.8), (-0.9, 0.1), (0.95, 0.6))),
         )
         for ch, alpha, (m, a, U), (n, (u, v)) in cases:
-            gamma = _phase_to_gamma(alpha)
-            c = 2.0 * m * gamma * U
-            k0 = _start(kind, c, a, u, v, n)
-            z = a * cmath.sqrt(k0 * k0 + c)
+            s = _s(_phase_to_gamma(alpha), m, a, U)
+            k0 = _start(kind, s, u, v, n)
+            z = cmath.sqrt(k0 * k0 + s)
             if kind == "sinc_series":
                 assert abs(z) < K._SINC_CUT
             elif kind == "g_series":
@@ -300,15 +315,15 @@ class TestNewtonBitEquality:
                 assert 690.0 < abs(z.imag) < 710.0
             elif kind == "far":
                 assert abs(z.imag) > 745.0
-                assert K.denom_scaled(k0, gamma, m, a, U, ch)[3] == 0.0
+                assert K.denom_scaled(k0, s, ch)[3] == 0.0
             for max_iter in (1, 8):
-                self._check((k0, gamma, m, a, U, ch, 1e-12, max_iter))
+                self._check((k0, s, ch, 1e-12, max_iter))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=400, deadline=None)
     @given(_newton_cases())
-    @example((1e200 + 0j, 1.0 + 0j, M, A, 2.0, K.CH_PLUS, 1e-12, 50))
-    @example((np.complex128(1.85j), np.complex128(1.0), M, A, 2.0, K.CH_MINUS, 1e-12, 8))
+    @example((1e200 + 0j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 1e-12, 50))
+    @example((np.complex128(A * 1.85j), _s(np.complex128(1.0), M, A, 2.0), K.CH_MINUS, 1e-12, 8))
     def test_matches_reference_loop(self, args):
         self._check(args)
 
@@ -323,19 +338,19 @@ class TestNewtonStopRule:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=400, deadline=None)
     @given(_newton_cases())
-    @example((1.85j, 1.0 + 0j, M, A, 2.0, K.CH_PLUS, 1e-12, 50))
-    # |k|^2 is 6e-6 of the coupling, so w's rounding hides steps below
+    @example((A * 1.85j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 1e-12, 50))
+    # |q|^2 is 6e-6 of the coupling, so w's rounding hides steps below
     # 7e-13: Newton creeps on at rate 1/8 and the model stops 2.3e-14 early
-    @example((0j, 1.0 + 0j, 4.9765625, 3.646484375, 28.359375, K.CH_MINUS, 1e-15, 8))
+    @example((0j, _s(1.0 + 0j, 4.9765625, 3.646484375, 28.359375), K.CH_MINUS, 1e-15, 8))
     def test_agrees_with_step_test_alone(self, args):
         k_old, it_old, ok_old = _reference_newton(*args, new_exits=False)
         if not ok_old:
             return
         k, it, ok, _ = K.newton_pole(*args)
         assert ok and it <= it_old
-        k0, gamma, m, a, U, ch, step_tol, max_iter = args
+        k0, s, ch, step_tol, max_iter = args
         slack = 3.0 * step_tol * (1.0 + abs(k_old))
-        assert abs(k - k_old) <= slack + 16.0 * _roundoff_radius(k_old, gamma, m, a, U, ch)
+        assert abs(k - k_old) <= slack + 16.0 * _roundoff_radius(k_old, s, ch)
 
     @pytest.mark.parametrize("alpha", [10.0, 40.0, 67.435895])
     def test_stops_at_a_roundoff_limited_root(self, alpha):
@@ -345,11 +360,11 @@ class TestNewtonStopRule:
         # not shrink as the quadratic model needs; only the roundoff exit
         # stops there, at the iterate whose d is noise
         U = 0.005 ** 2 / 2.0
-        gamma = _phase_to_gamma(alpha)
+        s = _s(_phase_to_gamma(alpha), 1.0, 1.0, U)
         k0 = complex(-alpha / 2.0, -8.0)
-        k, it, ok, _ = K.newton_pole(k0, gamma, 1.0, 1.0, U, K.CH_PLUS, 1e-12, 50)
+        k, it, ok, _ = K.newton_pole(k0, s, K.CH_PLUS, 1e-12, 50)
         assert ok and -10.0 < k.imag < -8.0
-        args = (k, gamma, 1.0, 1.0, U, K.CH_PLUS, 1e-12, 8)
+        args = (k, s, K.CH_PLUS, 1e-12, 8)
         assert _reference_newton(*args, new_exits=False)[2] is False
         result = K.newton_pole(*args)
         assert result[1:3] == (2, True)
@@ -367,29 +382,30 @@ class TestNewtonStopRule:
         U = _collision_depth(Channel.PLUS, False, m, a, 1) * (1.0 - 1e-14)
         kc = -1j / a
         for dk in (3e-4, -3e-4, 3e-4j, -3e-4j):
-            args = (kc + dk, -1.0 + 0j, m, a, U, K.CH_PLUS, 1e-12, 80)
-            k_old, it_old, ok_old = _reference_newton(*args, new_exits=False)
-            k, it, ok, _ = K.newton_pole(*args)
+            args = (a * (kc + dk), _s(-1.0 + 0j, m, a, U), K.CH_PLUS, 1e-12, 80)
+            q_old, it_old, ok_old = _reference_newton(*args, new_exits=False)
+            q, it, ok, _ = K.newton_pole(*args)
+            k_old, k = q_old / a, q / a
             assert ok_old and abs(k_old - kc) < 1e-7
             assert ok and it < it_old and abs(k - kc) < 1e-7
 
     def test_saves_the_confirming_iteration(self):
         # the step test needs one step below the tolerance; the model stops
         # one iteration before it
-        args = (1.85j, 1.0 + 0j, M, A, 2.0, K.CH_PLUS, 1e-12, 50)
+        args = (A * 1.85j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 1e-12, 50)
         k_old, it_old, _ = _reference_newton(*args, new_exits=False)
         k, it, ok, _ = K.newton_pole(*args)
         assert ok and it == it_old - 1
         assert abs(k - k_old) < 1e-12 * (1.0 + abs(k))
 
 
-def _window_pole(z, a, ch):
-    """The pole k and coupling c = 2*m*gamma*U at which the channel pole
-    function vanishes with interior phase a*K = z: d = 0 is linear in k
-    once z is fixed, and c = K^2 - k^2."""
+def _window_pole(z, ch):
+    """The pole q and coupling s at which the channel pole function
+    vanishes with interior phase z: d = 0 is linear in q once z is fixed,
+    and s = z^2 - q^2."""
     C, S, Z, G, E = K.trig_scaled(z)
-    w = (z / a) ** 2
-    k = 1j * a * w * Z / C if ch == K.CH_PLUS else C / (1j * a * Z)
+    w = z ** 2
+    k = 1j * w * Z / C if ch == K.CH_PLUS else C / (1j * Z)
     return k, w - k * k
 
 
@@ -404,26 +420,27 @@ def _tangent_cases(draw):
     if kind in ("plane", "axis"):
         U = draw(st.floats(1e-3, 300.0))
         gamma = _phase_to_gamma(draw(st.floats(-4.0 * math.pi, 4.0 * math.pi)))
-        return _start(kind, 2.0 * m * gamma * U, a, u, v, 0), gamma, m, a, U, ch
+        s = _s(gamma, m, a, U)
+        return _start(kind, s, u, v, 0), s, ch
     # a pole whose interior phase lies in a series window fixes the
-    # coupling, so U and gamma follow from it; start Newton just off it
+    # coupling s; start Newton just off it
     lo, hi = (0.0, K._SINC_CUT) if kind == "sinc_series" else (K._SINC_CUT, K._G_CUT)
     z = (lo + (0.05 + 0.45 * (1.0 + u)) * (hi - lo)) * cmath.exp(1j * math.pi * v)
-    k, c = _window_pole(z, a, ch)
-    assert lo <= abs(a * cmath.sqrt(k * k + c)) < hi
-    return k * (1.0 + 1e-10j), c / abs(c), m, a, abs(c) / (2.0 * m), ch
+    k, s = _window_pole(z, ch)
+    assert lo <= abs(cmath.sqrt(k * k + s)) < hi
+    return k * (1.0 + 1e-10j), s, ch
 
 
-def _dk_roundoff(k, gamma, m, a, U, ch):
-    """Unit roundoff times the sum of |terms| of dd/dk over |dd/dk|: the
+def _dk_roundoff(k, s, ch):
+    """Unit roundoff times the sum of |terms| of dd/dq over |dd/dq|: the
     relative scatter of the tangent where its terms cancel."""
-    w = k * k + 2.0 * m * gamma * U
-    C, S, Z, G, E = K.trig_scaled(a * cmath.sqrt(w))
+    w = k * k + s
+    C, S, Z, G, E = K.trig_scaled(cmath.sqrt(w))
     if ch == K.CH_PLUS:
-        terms = (C, a * a * k * k * Z, a * k * Z, a * k * C)
+        terms = (C, k * k * Z, k * Z, k * C)
     else:
-        terms = (a * Z, a * a * k * Z, a ** 3 * k * k * G)
-    dk = K._channel_terms(k, w, a, C, Z, G, ch)[1]
+        terms = (Z, k * Z, k * k * G)
+    dk = K._channel_terms(k, w, C, Z, G, ch)[1]
     return 2.0 ** -53 * sum(map(abs, terms)) / abs(dk)
 
 
@@ -437,40 +454,38 @@ class TestNewtonTangent:
     @settings(max_examples=400, deadline=None)
     @given(_tangent_cases())
     def test_matches_denom_tangent(self, case):
-        from wellpoles.smatrix import PotentialSpec
         from wellpoles.trajectory import _tangent
 
-        k0, gamma, m, a, U, ch = case
-        spec = PotentialSpec(m, a, U)
-        k, it, ok, v = K.newton_pole(k0, gamma, m, a, U, ch, 1e-12, 50)
+        k0, s, ch = case
+        k, it, ok, v = K.newton_pole(k0, s, ch, 1e-12, 50)
         if not ok:
             assert cmath.isnan(v)
             return
         # the same operations as denom_scaled at the last iterate
-        k_last = K.newton_pole(k0, gamma, m, a, U, ch, 1e-12, it - 1)[0]
-        assert v == _tangent(k_last, gamma, spec, ch)
+        k_last = K.newton_pole(k0, s, ch, 1e-12, it - 1)[0]
+        assert v == _tangent(k_last, s, ch)
         # the last step is the one the stop rule accepted: under the step
         # test's bound or the quadratic model's (none at the roundoff exit)
         step = abs(k - k_last)
         bound = 1e-12 * (1.0 + abs(k))
         if it > 1:
-            s_prev = abs(k_last - K.newton_pole(k0, gamma, m, a, U, ch, 1e-12, it - 2)[0])
+            s_prev = abs(k_last - K.newton_pole(k0, s, ch, 1e-12, it - 2)[0])
             bound = max(bound, (bound * s_prev * s_prev) ** (1.0 / 3.0))
         assert step <= bound * (1.0 + 1e-12)
         # at the returned k the reference is no more accurate than the
         # cancellation in dd/dk: at the far poles of a shallow narrow well
         # the terms exceed it 1e7-fold and the tangent scatters by ~1e-9
         # over 1e-11 in k
-        ref = _tangent(k, gamma, spec, ch)
+        ref = _tangent(k, s, ch)
         if cmath.isnan(ref):
             # k ran past the underflow of E, where every scaled value is 0
-            assert K.denom_scaled(k, gamma, m, a, U, ch)[3] == 0.0
+            assert K.denom_scaled(k, s, ch)[3] == 0.0
             return
-        slack = 10.0 * _dk_roundoff(k, gamma, m, a, U, ch)
+        slack = 10.0 * _dk_roundoff(k, s, ch)
         # v is the tangent |k - k_last| away: allow twice the rate a
         # central difference over 1e-6*(1+|k|) reads
         h = 1e-6 * (1.0 + abs(k))
-        rate = abs(_tangent(k + h, gamma, spec, ch) - _tangent(k - h, gamma, spec, ch)) / (2.0 * h)
+        rate = abs(_tangent(k + h, s, ch) - _tangent(k - h, s, ch)) / (2.0 * h)
         drift = 2.0 * rate * step
         assert abs(v - ref) <= 1e-9 * (1.0 + abs(ref)) + slack * abs(ref) + drift
 
@@ -494,7 +509,7 @@ class TestNewtonWork:
     def test_newton_pole_makes_no_denom_call(self, monkeypatch):
         calls = self._count(monkeypatch, "denom_scaled")
         for ch in (K.CH_PLUS, K.CH_MINUS):
-            assert K.newton_pole(1.85j, 1.0 + 0j, M, A, 2.0, ch, 1e-12, 50)[1] > 0
+            assert K.newton_pole(A * 1.85j, _s(1.0 + 0j, M, A, 2.0), ch, 1e-12, 50)[1] > 0
         assert calls[0] == 0
 
     def test_trace_makes_no_denom_call_per_step(self, monkeypatch):
@@ -533,18 +548,20 @@ class TestGridKernel:
     def test_grid_matches_scalar_kernel_bit_for_bit(self, ch):
         # the winding contours use the grid loop and the predictor the
         # scalar kernel; both must give one value at each point. Ten
-        # draws of (gamma, m, a, U), each on 50 points; half the draws take
-        # |Re k|, |Im k| up to 150, where |Im aK| mostly reaches the hundreds
-        # and only the scaled forms stay finite
+        # draws of (gamma, m, a, U), each on 50 points q = k*a; half the
+        # draws take |Re k|, |Im k| up to 150, where |Im z| mostly reaches
+        # the hundreds and only the scaled forms stay finite
         rng = np.random.default_rng(21)
         for draw in range(10):
             g = complex(np.exp(1j * rng.uniform(-np.pi, np.pi)))
             m, a, U = (float(v) for v in rng.uniform([0.2, 0.1, 1e-3], [10.0, 6.0, 300.0]))
-            ks = [complex(k) for k in rand_points(50, 22 + draw, box=5.0 if draw % 2 else 150.0)]
-            d, dk = K.grid_denom_dk(ks, g, m, a, U, ch)
+            s = _s(g, m, a, U)
+            ks = [a * complex(k)
+                  for k in rand_points(50, 22 + draw, box=5.0 if draw % 2 else 150.0)]
+            d, dk = K.grid_denom_dk(ks, s, ch)
             assert len(d) == len(dk) == len(ks)
             for k, d_k, dk_k in zip(ks, d, dk):
-                ref = K.denom_scaled(k, g, m, a, U, ch)
+                ref = K.denom_scaled(k, s, ch)
                 assert (d_k, dk_k) == ref[:2]
 
 
@@ -556,13 +573,12 @@ class TestGridKernel:
         for alpha, (m, a, U) in itertools.product(
             (0.0, 0.7, math.pi), ((1.0, 1.5, 2.0), (0.2, 0.1, 1e-3), (10.0, 6.0, 300.0)),
         ):
-            g = _phase_to_gamma(alpha)
-            c = 2.0 * m * g * U
-            ks = [_start(kind, c, a, u, v, n)
+            s = _s(_phase_to_gamma(alpha), m, a, U)
+            ks = [_start(kind, s, u, v, n)
                   for n, (u, v) in enumerate(((0.3, -0.8), (-0.9, 0.1), (0.95, 0.6), (-0.2, 0.4)))]
-            d, dk = K.grid_denom_dk(ks, g, m, a, U, ch)
+            d, dk = K.grid_denom_dk(ks, s, ch)
             for k, d_k, dk_k in zip(ks, d, dk):
-                assert repr((d_k, dk_k)) == repr(K.denom_scaled(k, g, m, a, U, ch)[:2])
+                assert repr((d_k, dk_k)) == repr(K.denom_scaled(k, s, ch)[:2])
 
 
 class TestConjugationSymmetry:
@@ -581,10 +597,10 @@ class TestConjugationSymmetry:
         y=st.floats(-150.0, 150.0),
     )
     def test_mirror_point_conjugates_the_pole_function(self, m, a, log_U, gamma, ch, x, y):
-        U = math.exp(log_U)
-        k = complex(x, y)
-        d, dk, _, E = K.denom_scaled(k, gamma, m, a, U, ch)
-        d_m, dk_m, _, E_m = K.denom_scaled(-k.conjugate(), gamma, m, a, U, ch)
+        s = _s(gamma, m, a, math.exp(log_U))
+        k = a * complex(x, y)
+        d, dk, _, E = K.denom_scaled(k, s, ch)
+        d_m, dk_m, _, E_m = K.denom_scaled(-k.conjugate(), s, ch)
         assert E_m == E
         if ch == K.CH_PLUS:
             assert (d_m, dk_m) == (-d.conjugate(), dk.conjugate())
@@ -605,13 +621,13 @@ class TestNonFinite:
 
     def test_scale_underflows_at_far_point(self):
         for ch in (K.CH_PLUS, K.CH_MINUS):
-            assert K.denom_scaled(self.K_FAR, 1.0 + 0j, M, A, self.U, ch)[3] == 0.0
+            assert K.denom_scaled(A * self.K_FAR, _s(1.0 + 0j, M, A, self.U), ch)[3] == 0.0
 
     @pytest.mark.parametrize("ch", [K.CH_PLUS, K.CH_MINUS])
     @pytest.mark.parametrize("gamma", [1.0 + 0j, -1.0 + 0j])
     @pytest.mark.parametrize("k", [700j, -700j, 500j])
     def test_denom_plain_overflows_without_raising(self, ch, gamma, k):
-        d, dk = K.denom_plain(k, gamma, M, A, self.U, ch)
+        d, dk = K.denom_plain(A * k, _s(gamma, M, A, self.U), ch)
         assert not np.isfinite(d) and not np.isfinite(dk)
 
     def test_unscale_follows_ieee_division(self):
@@ -641,7 +657,7 @@ class TestNonFinite:
         from wellpoles.trajectory import branch_at_double_zero
 
         U = 2e5
-        assert K.denom_scaled(-1j / A, -1.0 + 0j, M, A, U, K.CH_PLUS)[3] == 0.0
+        assert K.denom_scaled(-1j, _s(-1.0 + 0j, M, A, U), K.CH_PLUS)[3] == 0.0
         for ch in (Channel.PLUS, Channel.MINUS):
             with pytest.raises(ModelInvalid):
                 branch_at_double_zero(np.pi, PotentialSpec(M, A, U), ch, +1)
@@ -658,21 +674,25 @@ class TestNonFinite:
     @pytest.mark.parametrize("k0", [1e200 + 0j, 1e155 + 1e155j, 1e300j, -1e300j])
     @pytest.mark.parametrize("ch", [K.CH_PLUS, K.CH_MINUS])
     def test_newton_iterate_overflow_is_not_converged(self, k0, ch):
-        k, it, ok, v = K.newton_pole(k0, 1.0 + 0j, M, A, self.U, ch, 1e-12, 50)
+        k, it, ok, v = K.newton_pole(k0, _s(1.0 + 0j, M, A, self.U), ch, 1e-12, 50)
         assert not ok and cmath.isnan(v)
 
     def test_newton_step_test_past_the_underflow_is_not_converged(self):
-        # from -2.5i the second iterate lands near 5e15 + 1e15i, where
-        # |Im aK| ~ 4e14 and E = 0; the step of a few units there passes a
-        # test relative to |k|, though no pole is near
+        # k = -2.5i is q = -i, where dd/dq of the even channel vanishes;
+        # from one float spacing below it the second iterate lands near
+        # k = 5e15i, where |Im z| ~ 2e15 and E = 0; the step of a few units
+        # there passes a test relative to |q|, though no pole is near
         from wellpoles.errors import NoConvergence
         from wellpoles.rootfinder import newton_refine
         from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
 
         m, a, U, gamma = 0.2, 0.4, 15.18, cmath.exp(-2j)
-        k, it, ok, v = K.newton_pole(-2.5j, gamma, m, a, U, K.CH_PLUS, 1e-12, 50)
+        s = _s(gamma, m, a, U)
+        q0 = complex(0.0, math.nextafter(-1.0, -2.0))
+        q, it, ok, v = K.newton_pole(q0, s, K.CH_PLUS, 1e-12, 50)
+        k = q / a
         assert not ok and cmath.isnan(v)
         assert it == 2 and abs(k) > 1e15
-        assert K.denom_scaled(k, gamma, m, a, U, K.CH_PLUS)[3] == 0.0
+        assert K.denom_scaled(q, s, K.CH_PLUS)[3] == 0.0
         with pytest.raises(NoConvergence):
             newton_refine(-2.5j, ComplexCoupling(-2.0), PotentialSpec(m, a, U), Channel.PLUS)

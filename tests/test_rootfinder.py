@@ -55,6 +55,11 @@ def spec(U: float) -> PotentialSpec:
     return PotentialSpec(M, A, U)
 
 
+def _axis_phi(kappas, coupling, sp, channel):
+    """The kernel's axis function at k = i*kappa of the well sp, in q = k*a."""
+    return _k.axis_phi([sp.a * x for x in kappas], sp.c ** 2 * coupling.gamma.real, channel.code)
+
+
 def kappas(poles):
     return [round(p.k.imag, 6) for p in poles]
 
@@ -75,9 +80,9 @@ class TestClassify:
     def test_pole_invariant(self):
         # the kind is read off the multiplicity and position
         with pytest.raises(ValueError):
-            Pole(1j, Channel.PLUS, ATT, 3, 0.0)
-        assert Pole(1j, Channel.PLUS, ATT, 2, 0.0).kind is PoleKind.DOUBLE_ZERO
-        assert Pole(1j, Channel.PLUS, ATT, 1, 0.0).kind is PoleKind.BOUND
+            Pole(1j, Channel.PLUS, ATT, 3, 0.0, A)
+        assert Pole(1j, Channel.PLUS, ATT, 2, 0.0, A).kind is PoleKind.DOUBLE_ZERO
+        assert Pole(1j, Channel.PLUS, ATT, 1, 0.0, A).kind is PoleKind.BOUND
 
 
 class TestScanInventories:
@@ -133,7 +138,7 @@ class TestScanInventories:
         lo, hi = _axis_span(M, A, 3.0)
         for samples in (2000, 4000):
             kap = np.linspace(lo, hi, samples)
-            cells, exact = _grid_cells(_k.axis_phi(kap, ATT.gamma, M, A, 3.0, Channel.PLUS.code))
+            cells, exact = _grid_cells(_axis_phi(kap, ATT, spec(3.0), Channel.PLUS))
             assert len(cells) == len(ps)
             for i, zero, p in zip(cells.tolist(), exact.tolist(), ps):
                 if zero:
@@ -203,10 +208,10 @@ def _box_and_restarts(k, coupling, spec, channel):
         n = None
     landings = []
     for dk in (r * 0.3, -r * 0.3, r * 0.3j, -r * 0.3j):
-        kk, _, ok, _ = _k.newton_pole(
-            k + dk, coupling.gamma, spec.m, spec.a, spec.U, channel.code, 1e-12, 80
+        q, _, ok, _ = _k.newton_pole(
+            spec.a * (k + dk), spec.c ** 2 * coupling.gamma, channel.code, 1e-12, 80
         )
-        landings.append(abs(kk - k) if ok else None)
+        landings.append(abs(q / spec.a - k) if ok else None)
     return n, landings
 
 
@@ -221,9 +226,9 @@ def _reference_multiplicity(n, landings, ball):
 
 
 def _ball(xc, a):
-    """The pair ball of a collision: _PAIR_BALL in units of max(1, x_c/a),
-    the scale of the pair offset at a float collision depth."""
-    return _PAIR_BALL * max(1.0, xc / a)
+    """The pair ball of a collision in k: _PAIR_BALL in units of x_c/a, the
+    scale of the pair offset at a float collision depth."""
+    return _PAIR_BALL * xc / a
 
 
 def _exact_pair_offset(channel, attractive, m, a, U, xc):
@@ -252,7 +257,7 @@ def _exact_pair_offset(channel, attractive, m, a, U, xc):
 class TestClosedFormMultiplicity:
     """multiplicity_at is a closed-form test: a real coupling, k within the
     pair ball of -i/a, and an axis pair within that ball of it. The ball is
-    _PAIR_BALL in units of max(1, x_c/a)."""
+    _PAIR_BALL in units of x_c/a."""
 
     @given(
         m=st.floats(0.2, 10.0),
@@ -380,10 +385,11 @@ class TestCountZeros:
 
 def _four_edge_count(region, sp):
     """The winding over all four edges of the region, in turns."""
-    lo, hi = region.lo, region.hi
+    lo, hi = sp.a * region.lo, sp.a * region.hi
     corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
+    s = sp.c ** 2 * region.coupling.gamma
     total = sum(
-        _edge_winding(z0, z1, region.coupling, sp, region.channel)
+        _edge_winding(z0, z1, s, region.channel.code)
         for z0, z1 in zip(corners, corners[1:] + corners[:1])
     )
     return total / (2.0 * math.pi)
@@ -557,10 +563,11 @@ class TestScalarAxisFunction:
     @pytest.mark.parametrize("coupling", [ATT, REP])
     def test_matches_array_axis_phi(self, channel, coupling):
         kap = np.linspace(-9.0, 9.0, 301)
-        grid = _k.axis_phi(kap, coupling.gamma, M, A, 2.0, channel.code)
+        s = spec(2.0).c ** 2 * coupling.gamma
+        grid = _k.axis_phi(kap, s.real, channel.code)
         point = []
         for x in kap.tolist():
-            d = _k.denom_scaled(complex(0.0, x), coupling.gamma, M, A, 2.0, channel.code)[0]
+            d = _k.denom_scaled(complex(0.0, x), s, channel.code)[0]
             point.append((-1j * d).real if channel is Channel.PLUS else d.real)
         assert grid == point
 
@@ -717,5 +724,5 @@ class TestClosedFormScan:
 
         # sign changes of the sampled axis function on a grid 0.005/a apart
         grid = np.linspace(lo, hi, int((hi - lo) * a / 0.005) + 2)
-        cells, _ = _grid_cells(_k.axis_phi(grid, coupling.gamma, m, a, U, channel.code))
+        cells, _ = _grid_cells(_axis_phi(grid, coupling, sp, channel))
         assert len(cells) == len(poles)

@@ -553,7 +553,7 @@ class TestAxisCrossings:
         for t in build_chart(spec, channel, certify=False).trajectories:
             anchors = set(t.anchors)
             for alpha, k in zip(t.alphas, t.ks):
-                if abs(k.real) < TOL_AXIS:
+                if abs(a * k.real) < TOL_AXIS:
                     n = _on_half_grid(alpha)
                     assert n is not None and (n, k) in anchors
 
@@ -581,18 +581,21 @@ class TestCorrectorCoupling:
             finally:
                 targets.pop()
 
-        def newton_spy(k, gamma, *rest):
+        def newton_spy(k, s, *rest):
             if targets:
-                calls.append((targets[-1], gamma))
-            return newton(k, gamma, *rest)
+                calls.append((targets[-1], s))
+            return newton(k, s, *rest)
 
+        spec = PotentialSpec(m=m, a=a, U=U)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trajectory, "_step", step_spy)
             mp.setattr(_k, "newton_pole", newton_spy)
-            build_chart(PotentialSpec(m=m, a=a, U=U), channel, certify=False)
+            build_chart(spec, channel, certify=False)
         assert calls
+        # the kernels take the coupling as s = c^2 gamma
+        c = spec.c
         for target, gamma in calls:
-            ref = _phase_to_gamma(target)
+            ref = c * c * _phase_to_gamma(target)
             assert struct.pack("<dd", gamma.real, gamma.imag) == struct.pack(
                 "<dd", ref.real, ref.imag
             ), (target, gamma, ref)
@@ -619,17 +622,18 @@ class TestHalfTurn:
             assert t.alphas[-1] == (2 * n_star - n_seed) * HALF_PI
             amap = t.anchor_index_map()
             if n_star in amap:
-                assert abs(amap[n_star].real) < TOL_AXIS
+                assert abs(a * amap[n_star].real) < TOL_AXIS
             else:
                 # the march met the coalesced pair at k = -i/a there
                 assert meets_pair(t, n_star, spec)
             for n, k in t.anchors:
                 if n <= n_star:
                     continue
-                kk, _, ok, _ = _k.newton_pole(
-                    k, ComplexCoupling(n * HALF_PI).gamma, m, a, U, channel.code, 1e-12, 50
+                q, _, ok, _ = _k.newton_pole(
+                    a * k, spec.c * spec.c * ComplexCoupling(n * HALF_PI).gamma, channel.code,
+                    1e-12, 50,
                 )
-                assert ok and abs(kk - k) < 1e-10 * (1.0 + abs(k))
+                assert ok and abs(q / a - k) < 1e-10 * (1.0 + abs(k))
 
     def test_no_newton_call_past_the_half_turn(self, monkeypatch):
         # every corrector call of the march is at the target phase of its

@@ -31,22 +31,27 @@ def point_at(traj: Trajectory, alpha: float, spec: PotentialSpec) -> complex:
         raise ValueError(f"alpha {alpha:.6f} outside trajectory span")
     i = max(bisect.bisect_right(traj.alphas, alpha) - 1, 0)
     a, k = traj.alphas[i], traj.ks[i]
+    if a == alpha:
+        return k
+    # the tracer steps in q = k*a with s = c^2 gamma
+    c2 = spec.c ** 2
+    q = spec.a * k
     ch = traj.channel.code
-    v = trajectory._tangent(k, _phase_to_gamma(a), spec, ch)
+    v = trajectory._tangent(q, c2 * _phase_to_gamma(a), ch)
     prev = None
     h = alpha - a
     while a != alpha:
         target = alpha if abs(alpha - a) <= abs(h) else a + h
-        step = trajectory._step(a, k, v, prev, target, _phase_to_gamma(target), spec, ch)
+        step = trajectory._step(a, q, v, prev, target, c2 * _phase_to_gamma(target), ch)
         if step is None:
             h *= 0.5
             if abs(h) < trajectory._STEP_MINIMUM:
-                raise NoConvergence(k, trajectory._CORRECTOR_ITERS)
+                raise NoConvergence(q / spec.a, trajectory._CORRECTOR_ITERS)
             continue
-        prev = (a, k, v)
+        prev = (a, q, v)
         a = target
-        k, v, _ = step
-    return k
+        q, v, _ = step
+    return q / spec.a
 
 
 def mirror_defect(traj: Trajectory, spec: PotentialSpec) -> float:
@@ -59,15 +64,14 @@ def mirror_defect(traj: Trajectory, spec: PotentialSpec) -> float:
     a0 = traj.seed_alpha
     worst = 0.0
     ch = traj.channel.code
+    a, c2 = spec.a, spec.c ** 2
     for alpha, k in zip(traj.alphas, traj.ks):
         am = 2.0 * a0 - alpha
         km = -k.conjugate()
-        kk, iters, ok, _ = _k.newton_pole(
-            km, _phase_to_gamma(am), spec.m, spec.a, spec.U, ch, STEP_TOL, 50
-        )
+        q, iters, ok, _ = _k.newton_pole(a * km, c2 * _phase_to_gamma(am), ch, STEP_TOL, 50)
         if not ok:
             return math.inf
-        worst = max(worst, abs(kk - km))
+        worst = max(worst, abs(q / a - km))
     return worst
 
 
@@ -83,9 +87,9 @@ def meets_pair(traj: Trajectory, n: int, spec: PotentialSpec) -> bool:
     i = bisect.bisect_left(traj.alphas, alpha)
     if not 0 < i < len(traj.alphas) or traj.alphas[i] == alpha:
         return False
-    kc = -1j / spec.a
-    big_k = cmath.sqrt(kc * kc + 2.0 * spec.m * spec.U * _phase_to_gamma(alpha))
+    a = spec.a
+    zc = cmath.sqrt(-1.0 + spec.c ** 2 * _phase_to_gamma(alpha))
     return (
-        abs(traj.ks[i - 1] - kc) < trajectory._DOUBLE_ZERO_RADIUS * max(1.0, abs(big_k))
-        and multiplicity_at(kc, ComplexCoupling(alpha), spec, traj.channel) == 2
+        abs(a * traj.ks[i - 1] + 1j) < trajectory._DOUBLE_ZERO_RADIUS * abs(zc)
+        and multiplicity_at(-1j / a, ComplexCoupling(alpha), spec, traj.channel) == 2
     )
