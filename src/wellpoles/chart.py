@@ -10,8 +10,10 @@ back at the attractive coupling.
 Depth analysis lives here too: the critical depths where an axis pole pair
 coalesces at k = -i/a, in closed form from the interior-momentum form of
 the pole condition (see critical_depth) and verified by a contour count;
-the closed-form bound state thresholds; and sweeps that attribute topology
-changes between consecutive depths to the collision they bracket.
+the depth at which the bound state count steps, bisected by the
+closed-form thresholds and bound counts of ``rootfinder``; and sweeps that
+attribute topology changes between consecutive depths to the collision
+they bracket.
 
 A chart in q = k*a depends on c = a sqrt(2 m U) alone (see _kernels), so
 every tolerance here is stated in q or c, and every depth tolerance relative
@@ -29,14 +31,13 @@ from .rootfinder import (
     TOL_AXIS,
     CountRegion,
     Pole,
-    _axis_cells,
-    _cell_roots,
-    _neg_y_coth,
+    bound_count,
+    bound_threshold,
     collision_x,
     count_zeros_padded,
     scan_axis,
 )
-from .smatrix import Channel, ComplexCoupling, PotentialSpec
+from .smatrix import Channel, ComplexCoupling, PotentialSpec, _anchor_index
 from .trajectory import (
     _SPLIT_STEP,
     ClosureKind,
@@ -48,8 +49,6 @@ from .trajectory import (
     trace,
     trace_branch,
 )
-
-HALF_PI = math.pi / 2.0
 
 _DEDUP_TOL = 1e-6
 # relative to U*: wide enough to flag a 4-significant-digit rounding of a
@@ -262,7 +261,7 @@ def build_chart(
             for _, kb in event.branches:
                 keep(f"split branch k={kb!r}", lambda kb=kb: trace_branch(
                     seed, kb, alpha + _SPLIT_STEP, spec))
-        elif not _claimed(trajectories, seed, round(alpha / HALF_PI), seed.k):
+        elif not _claimed(trajectories, seed, _anchor_index(alpha), seed.k):
             keep(f"axis pole k={seed.k!r}", lambda: trace(seed, +1, spec))
 
     chart = PoleChart(
@@ -286,7 +285,7 @@ def _certify(chart: PoleChart) -> dict:
     # an event at the attractive coupling is the coalesced pair at -i/a,
     # inside every working window (im_min < -1/a); it counts twice
     traj_count = len(inventory)
-    if any(round(ev.alpha / HALF_PI) % 4 == 0 for ev in chart.collisions):
+    if any(_anchor_index(ev.alpha) % 4 == 0 for ev in chart.collisions):
         a = spec.a
         traj_count += 2 - sum(abs(a * k + 1j) < _DEDUP_TOL for k in inventory)
     region = CountRegion(
@@ -444,110 +443,6 @@ def critical_depth(
     return _verified_critical(channel, attractive, index, u_star, m, a)
 
 
-def bound_threshold(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) -> float:
-    """Depth at which the n-th bound state of a channel appears (n >= 1).
-
-    New bound states enter at k = 0, where the quantization closes in
-    closed form: the even channel binds from zero depth, gaining its next
-    state at (n*pi)^2/(2 m a^2); the odd channel needs
-    ((2n-1)*pi/2)^2/(2 m a^2).
-    """
-    if n < 1:
-        raise ValueError("threshold index counts from 1")
-    if channel is Channel.MINUS:
-        x = (2 * n - 1) * math.pi / 2.0
-    else:
-        x = n * math.pi
-    return x * x / (2.0 * m * a * a)
-
-
-def _next_threshold(channel: Channel, u: float, m: float, a: float) -> float:
-    """The first closed-form bound state threshold strictly above depth u."""
-    x = math.sqrt(2.0 * m * a * a * max(u, 0.0)) / math.pi
-    # x_n = n*pi (even) or (n - 1/2)*pi (odd); start one below the estimate
-    # so that rounding cannot skip a threshold
-    n = max(1, math.floor(x + (0.5 if channel is Channel.MINUS else 0.0)) - 1)
-    while (u_n := bound_threshold(channel, n, m, a)) <= u:
-        n += 1
-    return u_n
-
-
-def _scan_threshold(channel: Channel, u: float, m: float, a: float) -> float:
-    """The first depth above u at which the axis scan shows a new bound state.
-
-    A new state enters at k = 0 at the closed-form depth u_n, but
-    ``classify`` calls it bound only once a*kappa >= TOL_AXIS. Near x_n the
-    pole condition reads x (x - x_n) ~ a kappa in both channels, and
-    U = (x^2 + (a kappa)^2)/(2 m a^2), so a*kappa = TOL_AXIS at
-    u_n + TOL_AXIS/(m a^2) to first order; the neglected terms, of order
-    TOL_AXIS^2/(m a^2), lie below the float spacing of U. The scan's own
-    count changes within a few float spacings of this depth, where roundoff
-    in the polished kappa puts it.
-
-    The even channel's first state enters at U = 0, where x^2 ~ a kappa -
-    (a kappa)^2/3 puts it at (TOL_AXIS/2 + TOL_AXIS^2/3)/(m a^2).
-    """
-    ma2 = m * a * a
-    first = (0.5 * TOL_AXIS + TOL_AXIS * TOL_AXIS / 3.0) / ma2
-    if channel is Channel.PLUS and u < first:
-        return first
-    shift = TOL_AXIS / ma2
-    return _next_threshold(channel, u - shift, m, a) + shift
-
-
-# bound_count's reach in x on either side of a cell's threshold point
-_THRESHOLD_DX = 1e-2
-
-
-def bound_count(spec: PotentialSpec, channel: Channel) -> int:
-    """Number of bound states (axis poles with Im k > 0) at the attractive
-    coupling: the simple axis roots with a*kappa >= TOL_AXIS, exactly those
-    that ``scan_axis`` calls bound.
-
-    Each real-K cell of ``_axis_cells`` holds at most one root that can be
-    bound, on its rising branch, where a*kappa rises through 0 at the
-    cell's threshold point x_n. With the cells numbered from n = 0, x_n is
-    n*pi in the even channel and (n + 1/2)*pi in the odd one: where the
-    states of ``bound_threshold`` enter at k = 0 (the even channel's first
-    at U = 0). The ratio is evaluated once on each side of x_n, at
-    x = x_n -/+ _THRESHOLD_DX:
-
-    - ratio(x_n + dx) < c: the root lies above x_n + dx, where a*kappa is
-      at least 1e-4, far above TOL_AXIS, so it counts unsolved;
-    - ratio(x_n - dx) > c, with x_n - dx above the cell's collision point:
-      any rising-branch root lies below x_n - dx, at kappa < 0, and does
-      not count.
-
-    Only a cell between the two, in practice the top cell next to a
-    threshold, has its rising-branch root Brent-solved and
-    Newton-polished by the scan's own ``_cell_roots``. A root with
-    a*kappa within TOL_AXIS of 0 is a threshold, not a bound state, so at a
-    closed-form threshold depth the count is still the one below it.
-    Imaginary-K cells (a*kappa = -y coth y) and coalesced pairs
-    (a*kappa = -1) hold no bound state.
-    """
-    c = spec.c
-    if c == 0.0:
-        return 0
-    odd = channel is Channel.MINUS
-    count = 0
-    for n, cell in enumerate(_axis_cells(c, True, odd)):
-        ratio, a_kappa, lo, xc, _ = cell
-        if a_kappa is _neg_y_coth:
-            continue
-        x_n = (n + 0.5) * math.pi if odd else n * math.pi
-        if ratio(x_n + _THRESHOLD_DX) < c:
-            count += 1
-            continue
-        below = x_n - _THRESHOLD_DX
-        if below > (lo if xc is None else xc) and ratio(below) > c:
-            continue
-        kappa, mult = next(_cell_roots(cell, c, c * c, channel.code), (0.0, 0))
-        if mult == 1 and kappa >= TOL_AXIS:
-            count += 1
-    return count
-
-
 def _bisect(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Halve [lo, hi] to width tol, moving lo to a midpoint u where
     below(u) holds and hi to one where it does not.
@@ -579,24 +474,22 @@ def threshold_flip(
     The answer is the midpoint of a final bracket [lo, hi], hi - lo <= tol
     (or no midpoint left between them), certified by two ``bound_count``
     scans: the count at lo is the count at u_lo, and the count at hi is
-    not. The closed form only steers the halving: the first depth above
-    u_lo at which the scan shows a new bound state (``_scan_threshold``,
-    the threshold ``bound_threshold`` plus TOL_AXIS/(m a^2), where the
-    entering pole leaves the classifier's threshold band) decides each
-    midpoint, and no scan runs until the final bracket. Bisection rests on
-    nothing more than those two facts about its final bracket, so where the
-    count rises with U a certified result is the one a scan at every
-    midpoint gives, bit for bit. Steering by the scan-visible depth rather
-    than the threshold itself keeps the certificate from failing where the
-    final bracket ends between the two. When the certificate fails, the
-    halving is rerun from the original bracket with a scan at every
-    midpoint.
+    not. The closed form only steers the halving: the depth at which the
+    scan shows the state that enters next, the one the count at u_lo
+    names, decides each midpoint, and no scan runs until the final
+    bracket. Bisection rests on nothing more than those two facts about its
+    final bracket, so where the count rises with U a certified result is
+    the one a scan at every midpoint gives, bit for bit. Steering by the
+    scan-visible depth rather than the threshold itself keeps the
+    certificate from failing where the final bracket ends between the two.
+    When the certificate fails, the halving is rerun from the original
+    bracket with a scan at every midpoint.
 
     Each count places most cells in closed form (``bound_count``). On a
     final bracket next to the threshold the entering state's root lies
-    within _THRESHOLD_DX of its cell's threshold point, so each of the two
-    certifying counts solves that one root as ``scan_axis`` does, and the
-    certificate rests on the scan's own polished kappa.
+    within bound_count's reach of its cell's threshold point, so each of
+    the two certifying counts solves that one root as ``scan_axis`` does,
+    and the certificate rests on the scan's own polished kappa.
 
     Raises NoRootInBracket when the counts at u_lo and u_hi agree, and
     ValueError unless tol > 0 and u_lo < u_hi.
@@ -615,9 +508,25 @@ def threshold_flip(
         raise NoRootInBracket(
             f"bound count {n_lo} does not change on ({u_lo}, {u_hi})"
         )
-    # a midpoint on the guess goes below; the certificate tells which side
-    # of the scan's flip it really lies on
-    guess = _scan_threshold(channel, u_lo, m, a)
+    # with n_lo states bound at u_lo, the next enters at k = 0 at the
+    # closed-form bound_threshold(n_lo + odd), but classify calls it bound
+    # only once a*kappa >= TOL_AXIS. Near the threshold point x_n the pole
+    # condition reads x (x - x_n) ~ a kappa in both channels, and
+    # U = (x^2 + (a kappa)^2)/(2 m a^2), so the scan shows it at
+    # bound_threshold + TOL_AXIS/(m a^2) to first order; the neglected
+    # terms, of order TOL_AXIS^2/(m a^2), lie below the float spacing of U,
+    # and roundoff in the polished kappa puts the scan's own flip within a
+    # few float spacings of this depth. The even channel's first state
+    # enters at U = 0, where x^2 ~ a kappa - (a kappa)^2/3 puts it at
+    # (TOL_AXIS/2 + TOL_AXIS^2/3)/(m a^2). A midpoint on the guess goes
+    # below; the certificate tells which side of the scan's flip it really
+    # lies on
+    ma2 = m * a * a
+    odd = channel is Channel.MINUS
+    if odd or n_lo:
+        guess = bound_threshold(channel, n_lo + odd, m, a) + TOL_AXIS / ma2
+    else:
+        guess = (0.5 * TOL_AXIS + TOL_AXIS * TOL_AXIS / 3.0) / ma2
     lo, hi = _bisect(lambda u: u <= guess, u_lo, u_hi, tol)
     if not (count(lo) == n_lo and count(hi) != n_lo):
         lo, hi = _bisect(lambda u: count(u) == n_lo, u_lo, u_hi, tol)

@@ -196,10 +196,13 @@ def _cmd_threshold(cfg: RunConfig) -> int:
 def _cmd_threshold_checked(cfg: RunConfig) -> int:
     channel = Channel.parse(cfg.channel)
     u_n = bound_threshold(channel, cfg.n, m=cfg.m, a=cfg.a)
-    span = max(0.2 * u_n, 0.05)
-    flip = threshold_flip(channel, max(u_n - span, 1e-9), u_n + span,
-                          m=cfg.m, a=cfg.a, tol=1e-6)
-    agree = abs(flip - u_n) < 1e-4
+    # halfway to the neighbouring thresholds (0 below the first), with the
+    # tolerance and the agreement test relative to u_n
+    below = bound_threshold(channel, cfg.n - 1, m=cfg.m, a=cfg.a) if cfg.n > 1 else 0.0
+    above = bound_threshold(channel, cfg.n + 1, m=cfg.m, a=cfg.a)
+    flip = threshold_flip(channel, 0.5 * (below + u_n), 0.5 * (u_n + above),
+                          m=cfg.m, a=cfg.a, tol=1e-6 * u_n)
+    agree = abs(flip - u_n) < 1e-4 * u_n
     doc = bound_threshold_document(u_n, cfg, flip=flip, flip_agrees=agree)
     _write(canonical_dumps(doc), cfg)
     return 0 if agree else 1

@@ -12,9 +12,10 @@ On the imaginary axis at a real coupling the poles are known in closed
 form: with x = aK the interior momentum, each solves x/|cos x| = c or
 x/|sin x| = c (y/cosh y or y/sinh y for imaginary K).
 ``scan_axis`` enumerates them cell by cell with exact brackets; nothing
-is sampled. ``chart.bound_count`` reads most cells' bound roots off the
-same cells without a solve, and draws the one root it cannot place from
-the scan's own per-cell solver, ``_cell_roots``.
+is sampled. The bound states enter at k = 0 at closed-form threshold
+points of the same cells (``bound_threshold``), and ``bound_count`` reads
+most cells' bound roots off those points without a solve, drawing the one
+root it cannot place from the scan's own per-cell solver, ``_cell_roots``.
 """
 
 from __future__ import annotations
@@ -327,7 +328,7 @@ def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[floa
     then the one below it. Above x_c an attractive ratio rises toward hi and
     a*kappa rises through 0; below x_c a*kappa < -1. So the first root is
     the only one of an attractive cell that can be bound, and
-    ``chart.bound_count`` draws no other.
+    ``bound_count`` draws no other.
 
     A cell with x_c holds 0, 1 or 2 roots, split at x_c, so every root has
     an exact Brent bracket, and Brent reuses the ratio values at lo and x_c
@@ -393,6 +394,81 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
              for cell in cells for kappa, mult in _cell_roots(cell, c, s, channel.code)]
     poles.sort(key=lambda p: p.k.imag)
     return poles
+
+
+def _threshold_x(odd: bool, j: int) -> float:
+    """x_j = j*pi (even) or (j + 1/2)*pi (odd), j >= 0: the threshold point
+    of the j-th real-K cell of ``_axis_cells``, where its rising root
+    passes a*kappa = 0 and a bound state enters at k = 0."""
+    return (j + 0.5) * math.pi if odd else j * math.pi
+
+
+def bound_threshold(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) -> float:
+    """Depth at which the n-th bound state of a channel appears (n >= 1).
+
+    New bound states enter at k = 0, where the quantization closes in
+    closed form: the even channel binds from zero depth, gaining its next
+    state at (n*pi)^2/(2 m a^2); the odd channel needs
+    ((2n-1)*pi/2)^2/(2 m a^2). Both are x_j^2/(2 m a^2) at the threshold
+    point x_j of ``_threshold_x``, j = n (even) or n - 1 (odd).
+    """
+    if n < 1:
+        raise ValueError("threshold index counts from 1")
+    odd = channel is Channel.MINUS
+    x = _threshold_x(odd, n - odd)
+    return x * x / (2.0 * m * a * a)
+
+
+# bound_count's reach in x on either side of a cell's threshold point
+_THRESHOLD_DX = 1e-2
+
+
+def bound_count(spec: PotentialSpec, channel: Channel) -> int:
+    """Number of bound states (axis poles with Im k > 0) at the attractive
+    coupling: the simple axis roots with a*kappa >= TOL_AXIS, exactly those
+    that ``scan_axis`` calls bound.
+
+    Each real-K cell of ``_axis_cells`` holds at most one root that can be
+    bound, on its rising branch, where a*kappa rises through 0 at the
+    cell's threshold point x_n (``_threshold_x``, with the cells numbered
+    from n = 0): where the states of ``bound_threshold`` enter at k = 0
+    (the even channel's first at U = 0). The ratio is evaluated once on
+    each side of x_n, at x = x_n -/+ _THRESHOLD_DX:
+
+    - ratio(x_n + dx) < c: the root lies above x_n + dx, where a*kappa is
+      at least 1e-4, far above TOL_AXIS, so it counts unsolved;
+    - ratio(x_n - dx) > c, with x_n - dx above the cell's collision point:
+      any rising-branch root lies below x_n - dx, at kappa < 0, and does
+      not count.
+
+    Only a cell between the two, in practice the top cell next to a
+    threshold, has its rising-branch root Brent-solved and
+    Newton-polished by the scan's own ``_cell_roots``. A root with
+    a*kappa within TOL_AXIS of 0 is a threshold, not a bound state, so at a
+    closed-form threshold depth the count is still the one below it.
+    Imaginary-K cells (a*kappa = -y coth y) and coalesced pairs
+    (a*kappa = -1) hold no bound state.
+    """
+    c = spec.c
+    if c == 0.0:
+        return 0
+    odd = channel is Channel.MINUS
+    count = 0
+    for n, cell in enumerate(_axis_cells(c, True, odd)):
+        ratio, a_kappa, lo, xc, _ = cell
+        if a_kappa is _neg_y_coth:
+            continue
+        x_n = _threshold_x(odd, n)
+        if ratio(x_n + _THRESHOLD_DX) < c:
+            count += 1
+            continue
+        below = x_n - _THRESHOLD_DX
+        if below > (lo if xc is None else xc) and ratio(below) > c:
+            continue
+        kappa, mult = next(_cell_roots(cell, c, c * c, channel.code), (0.0, 0))
+        if mult == 1 and kappa >= TOL_AXIS:
+            count += 1
+    return count
 
 
 @dataclass(frozen=True)

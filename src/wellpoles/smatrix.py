@@ -61,25 +61,29 @@ class PotentialSpec:
         return self.a * math.sqrt(2.0 * self.m * self.U)
 
 
+HALF_PI = math.pi / 2.0
+# the coupling e^{i n pi/2} at the anchor n, by n % 4
+_ANCHOR_GAMMA = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
+
+
+def _anchor_index(alpha: float) -> int | None:
+    """n where alpha is exactly the anchor phase n*(pi/2), built as the
+    product n*HALF_PI; None at any other phase."""
+    n = round(alpha / HALF_PI)
+    return n if alpha == n * HALF_PI else None
+
+
 def _phase_to_gamma(alpha: float) -> complex:
-    """e^{i alpha}, exact at multiples of pi/2 built as n*(pi/2) products.
+    """e^{i alpha}, exact at the anchor phases of ``_anchor_index``.
 
     Exactness at the axes matters: anchor couplings at alpha = n*pi/2 must
     reduce to gamma in {1, i, -1, -i} so on-axis pole conditions coincide
     bit-for-bit with the real-coupling scan.
     """
-    half = math.pi / 2.0
-    n = round(alpha / half)
-    if alpha == n * half:
-        r = n % 4
-        if r == 0:
-            return 1.0 + 0.0j
-        if r == 1:
-            return 0.0 + 1.0j
-        if r == 2:
-            return -1.0 + 0.0j
-        return 0.0 - 1.0j
-    return complex(math.cos(alpha), math.sin(alpha))
+    n = _anchor_index(alpha)
+    if n is None:
+        return complex(math.cos(alpha), math.sin(alpha))
+    return _ANCHOR_GAMMA[n % 4]
 
 
 @dataclass(frozen=True)

@@ -73,12 +73,15 @@ from typing import ClassVar
 from . import _kernels as _k
 from .errors import ModelInvalid, SeedNotOnPole, StallAtDoubleZero
 from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, multiplicity_at
-from .smatrix import Channel, ComplexCoupling, PotentialSpec, _phase_to_gamma
-
-HALF_PI = math.pi / 2.0
-# the coupling e^{i n pi/2} at the anchor n, by n % 4, as _phase_to_gamma
-# gives it
-_ANCHOR_GAMMA = tuple(_phase_to_gamma(n * HALF_PI) for n in range(4))
+from .smatrix import (
+    HALF_PI,
+    _ANCHOR_GAMMA,
+    Channel,
+    ComplexCoupling,
+    PotentialSpec,
+    _anchor_index,
+    _phase_to_gamma,
+)
 
 # corrector budget, largest accepted |dq|/(1+|q|), and the largest accepted
 # local error e/(1+|q|) of a step
@@ -167,11 +170,6 @@ class Trajectory:
 
     def anchor_index_map(self) -> dict[int, complex]:
         return dict(self.anchors)
-
-
-def _on_half_grid(alpha: float) -> int | None:
-    n = round(alpha / HALF_PI)
-    return n if alpha == n * HALF_PI else None
 
 
 def branch_at_double_zero(
@@ -279,7 +277,7 @@ def _trace_from_state(
     """
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
-    n_seed = _on_half_grid(alpha0)
+    n_seed = _anchor_index(alpha0)
     if n_seed is None:
         raise ValueError(f"a seed must sit on a quarter-turn anchor, got alpha={alpha0!r}")
     a, c = spec.a, spec.c
@@ -295,7 +293,7 @@ def _trace_from_state(
     qs = [q]
     anchors: list[tuple[int, complex]] = []
 
-    n_start = _on_half_grid(alpha_start)
+    n_start = _anchor_index(alpha_start)
     if n_start is not None:
         anchors.append((n_start, q))
         next_anchor = n_start + 1
@@ -477,7 +475,7 @@ def trace_branch(
 def _mirror_index(alpha: float) -> int:
     """Anchor index of alpha; the symmetry alpha -> -alpha reflects only
     about multiples of pi, so any other phase raises ValueError."""
-    n = _on_half_grid(alpha)
+    n = _anchor_index(alpha)
     if n is None or n % 2:
         raise ValueError(f"mirroring needs alpha a multiple of pi, got {alpha!r}")
     return n
@@ -486,7 +484,7 @@ def _mirror_index(alpha: float) -> int:
 def _reflect(alpha: float, n0: int) -> float:
     """2*alpha0 - alpha about alpha0 = n0*(pi/2); an anchor phase n*(pi/2)
     goes exactly to the anchor phase (2*n0 - n)*(pi/2)."""
-    n = _on_half_grid(alpha)
+    n = _anchor_index(alpha)
     return 2.0 * (n0 * HALF_PI) - alpha if n is None else (2 * n0 - n) * HALF_PI
 
 

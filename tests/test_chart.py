@@ -507,6 +507,11 @@ class TestBoundCount:
     """bound_count counts, from the axis roots alone, the poles that
     scan_axis classifies as bound."""
 
+    def test_chart_uses_the_rootfinder_count(self):
+        import wellpoles
+
+        assert wellpoles.chart.bound_count is wellpoles.rootfinder.bound_count
+
     @given(
         m=st.floats(0.2, 10.0), a=st.floats(0.1, 6.0),
         log_U=st.floats(math.log(1e-3), math.log(300.0)),
@@ -586,7 +591,7 @@ class TestBoundCount:
             u += 2.0 * TOL_AXIS / (M * A * A)
         x_n = math.sqrt(2.0 * M * u) * A
         xc = rootfinder.collision_x(channel, True, n if channel is Channel.PLUS else n - 1)
-        assert x_n - chart_module._THRESHOLD_DX < xc < x_n
+        assert x_n - rootfinder._THRESHOLD_DX < xc < x_n
         bound = n - (channel is Channel.MINUS) + visible
         spec = PotentialSpec(m=M, a=A, U=u)
         assert _scanned_bound(spec, channel) == bound
@@ -602,7 +607,7 @@ class TestBoundCount:
         # placed on one side of the boundary and solved on the other
         assume(channel is Channel.PLUS or n >= 1)
         assume(side > 0 or n >= 1)
-        x = _threshold_x(channel, n) + side * chart_module._THRESHOLD_DX
+        x = _threshold_x(channel, n) + side * rootfinder._THRESHOLD_DX
         ratio = rootfinder._x_sec if channel is Channel.PLUS else rootfinder._x_csc
         spec = PotentialSpec(m=m, a=a, U=_nudged(_depth_of(ratio(x), m, a), ulps))
         assert bound_count(spec, channel) == _scanned_bound(spec, channel)
@@ -636,7 +641,7 @@ class TestBoundCount:
         spec = PotentialSpec(m=m, a=a, U=u)
         count = bound_count(spec, channel)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chart_module, "_THRESHOLD_DX", chart_module._THRESHOLD_DX / 100)
+            mp.setattr(rootfinder, "_THRESHOLD_DX", rootfinder._THRESHOLD_DX / 100)
             assert bound_count(spec, channel) == count
         assert count == _scanned_bound(spec, channel)
 
@@ -646,7 +651,7 @@ class TestBoundCount:
         # a*kappa >= 4e-4, far out of the threshold band: the cell counts it
         # bound without a solve, as the scan does. Read in k, TOL_AXIS once
         # made these roots thresholds (a*kappa = 0.03 at a = 1e9)
-        x = _threshold_x(channel, n) + 2.0 * chart_module._THRESHOLD_DX
+        x = _threshold_x(channel, n) + 2.0 * rootfinder._THRESHOLD_DX
         ratio = rootfinder._x_sec if channel is Channel.PLUS else rootfinder._x_csc
         spec = PotentialSpec(m=1.0, a=a, U=_depth_of(ratio(x), 1.0, a))
         assert _scanned_bound(spec, channel) == 1
@@ -662,19 +667,20 @@ class TestSteeredFlip:
     @given(
         m=st.floats(0.2, 10.0), a=st.floats(0.1, 6.0),
         channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
-        n=st.integers(1, 4),
+        n=st.integers(1, 8),
         below=st.floats(0.05, 0.999), above=st.floats(0.001, 1.5),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-14]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_equals_scan_driven_bisection(self, m, a, channel, n, below, above):
+    def test_equals_scan_driven_bisection(self, m, a, channel, n, below, above, tol):
         # the bracket holds threshold n and, when above >= 1, threshold n + 1
         prev = bound_threshold(channel, n - 1, m, a) if n > 1 else 0.0
         u_n = bound_threshold(channel, n, m, a)
         u_next = bound_threshold(channel, n + 1, m, a)
         u_lo = prev + below * (u_n - prev)
         u_hi = u_n + above * (u_next - u_n)
-        flip = threshold_flip(channel, u_lo, u_hi, m, a, tol=1e-6)
-        assert repr(flip) == repr(_scan_bisection(channel, u_lo, u_hi, m, a, 1e-6))
+        flip = threshold_flip(channel, u_lo, u_hi, m, a, tol=tol)
+        assert repr(flip) == repr(_scan_bisection(channel, u_lo, u_hi, m, a, tol))
 
     def test_wrong_steer_falls_back(self, monkeypatch):
         # a guess off the true threshold fails the final bracket's
@@ -702,8 +708,8 @@ class TestSteeredFlip:
         (Channel.PLUS, 1), (Channel.PLUS, 2), (Channel.MINUS, 1), (Channel.MINUS, 2),
     ])
     def test_centred_bracket_steers_to_the_threshold(self, monkeypatch, channel, n):
-        # the bracket of `threshold --check` has its first midpoint on the
-        # threshold itself, where the scan still counts n_lo
+        # the bracket of the bench's depth panel has its first midpoint on
+        # the threshold itself, where the scan still counts n_lo
         u_n = bound_threshold(channel, n, M, A)
         span = max(0.2 * u_n, 0.05)
         calls = _count_scans(monkeypatch)
@@ -751,12 +757,19 @@ class TestSteeredFlip:
 
     @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
     @pytest.mark.parametrize("m,a", [(1.0, 1.5), (0.2, 0.1), (10.0, 6.0), (0.7, 2.3)])
-    def test_next_threshold(self, channel, m, a):
-        ts = [bound_threshold(channel, n, m, a) for n in range(1, 40)]
-        assert chart_module._next_threshold(channel, 0.0, m, a) == ts[0]
+    def test_steers_by_the_count_at_the_lower_end(self, monkeypatch, channel, m, a):
+        # u_lo on a closed-form threshold, where the entering state is not
+        # yet bound, or one float below it: the count at u_lo names that
+        # state, the steer lands on its flip and the four counts certify it
+        ts = [bound_threshold(channel, n, m, a) for n in range(1, 14)]
+        calls = _count_scans(monkeypatch)
         for t, t_next in zip(ts, ts[1:]):
-            assert chart_module._next_threshold(channel, t, m, a) == t_next
-            assert chart_module._next_threshold(channel, math.nextafter(t, 0.0), m, a) == t
+            u_hi = 0.5 * (t + t_next)
+            for u_lo in (t, math.nextafter(t, 0.0)):
+                calls.clear()
+                flip = threshold_flip(channel, u_lo, u_hi, m, a, tol=1e-6)
+                assert len(calls) == 4
+                assert repr(flip) == repr(_scan_bisection(channel, u_lo, u_hi, m, a, 1e-6))
 
     @pytest.mark.parametrize("tol", [1e-17, 1e-300])
     def test_tol_below_float_spacing_returns(self, monkeypatch, tol):

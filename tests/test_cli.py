@@ -84,9 +84,9 @@ _GOLDEN_OUTPUT = {
     ("threshold", "--channel", "minus", "--n", "1"):
         "1a2cefa8ec3860526aba15db5fd9f8d222bc73cd6d0abb2474bc0a4d1dd67a21",
     ("threshold", "--channel", "minus", "--n", "1", "--check"):
-        "8c00ffb08f0b14d4e1550c3758b5b83b0ed8a9b43ba9136ea16740648498d4d2",
+        "867d18a5f25b576b5d566dbb21e8c488f2e7f5f42491f7a6213afd87380de9e0",
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
-        "1ce416f921444a54dd54aa1ee03b6b628d66d62ed964bcd89582532951d19084",
+        "3cf7005c6d8de1dfacb1b7c21cae6a7dbe547dbaedcb0e7536c7d7e8660b4982",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
         "08b62850abdab6ace2dd318fd964aa22e61c8156526ee5cf244cda293538cdaf",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
@@ -195,6 +195,19 @@ class TestThreshold:
         doc = json.loads(out)
         assert doc["flip_agrees"] is True
         assert abs(doc["flip"] - doc["U"]) < 1e-4
+
+    @pytest.mark.parametrize("m,a", [("1", "1.5"), ("1", "1e6"), ("1e6", "1.5"), ("1", "1e-3")])
+    @pytest.mark.parametrize("channel", ["plus", "minus"])
+    def test_check_agrees_at_any_index_and_scale(self, capsys, channel, m, a):
+        # the bracket reaches halfway to the neighbouring thresholds, and
+        # the tolerance and the agreement test are relative to u_n
+        for n in range(1, 31):
+            code, out, _ = run(capsys, "threshold", "--channel", channel, "--n", str(n),
+                               "--m", m, "--a", a, "--check")
+            doc = json.loads(out)
+            assert code == 0, (n, doc)
+            assert doc["flip_agrees"] is True
+            assert abs(doc["flip"] - doc["U"]) < 1e-4 * doc["U"], (n, doc)
 
 
 class TestSweep:

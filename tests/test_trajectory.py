@@ -23,14 +23,19 @@ from wellpoles.rootfinder import (
 )
 from wellpoles import _kernels as _k
 from wellpoles import trajectory
-from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec, _phase_to_gamma
+from wellpoles.smatrix import (
+    Channel,
+    ComplexCoupling,
+    PotentialSpec,
+    _anchor_index,
+    _phase_to_gamma,
+)
 from wellpoles.trajectory import (
     Closure,
     ClosureKind,
     CollisionEvent,
     ExitReason,
     _join,
-    _on_half_grid,
     branch_at_double_zero,
     mirror,
     trace,
@@ -93,7 +98,7 @@ def _fine_trace(seed, spec):
 def classify_closure(traj, closure_tol: float = 1e-6) -> Closure:
     """Re-derive the closure label from the recorded anchors."""
     amap = traj.anchor_index_map()
-    n0 = _on_half_grid(traj.seed_alpha)
+    n0 = _anchor_index(traj.seed_alpha)
     if n0 is not None and n0 in amap:
         k0 = amap[n0]
         for turns, kind in ((1, ClosureKind.CLOSED_2PI), (2, ClosureKind.CLOSED_4PI)):
@@ -554,7 +559,7 @@ class TestAxisCrossings:
             anchors = set(t.anchors)
             for alpha, k in zip(t.alphas, t.ks):
                 if abs(a * k.real) < TOL_AXIS:
-                    n = _on_half_grid(alpha)
+                    n = _anchor_index(alpha)
                     assert n is not None and (n, k) in anchors
 
 
@@ -617,7 +622,7 @@ class TestHalfTurn:
         for t in build_chart(spec, channel, certify=False).trajectories:
             if not t.closure.is_closed:
                 continue
-            n_seed = _on_half_grid(t.seed_alpha)
+            n_seed = _anchor_index(t.seed_alpha)
             n_star = n_seed + (2 if t.closure.kind is ClosureKind.CLOSED_2PI else 4)
             assert t.alphas[-1] == (2 * n_star - n_seed) * HALF_PI
             amap = t.anchor_index_map()
