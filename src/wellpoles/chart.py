@@ -2,10 +2,10 @@
 
 A chart gathers the axis poles of both real couplings (gamma = +1 and -1),
 continues each curve once through the phase rotation until it closes or
-meets the tracer's stop rule (a phase cap and a k window, both trajectory
-constants), and certifies completeness by comparing a contour count over
-the working momentum window against the poles the trajectories deliver
-back at the attractive coupling.
+meets the tracer's stop rule (a phase cap, and a k window just past the
+working window's corners), and certifies completeness by comparing a
+contour count over the working momentum window against the poles the
+trajectories deliver back at the attractive coupling.
 
 Depth analysis lives here too: the critical depths where an axis pole pair
 coalesces at k = -i/a, in closed form from the interior-momentum form of
@@ -48,6 +48,7 @@ from .trajectory import (
     mirror,
     trace,
     trace_branch,
+    window_extents,
 )
 
 _DEDUP_TOL = 1e-6
@@ -78,14 +79,11 @@ class WorkingWindow:
 
 
 def working_window(spec: PotentialSpec) -> WorkingWindow:
-    """The certificate's window: |Re q| <= 8 + 2c, -(6 + 2c) <= Im q <= 2 + 2c
-    in q = k*a, given in k."""
-    a, reach = spec.a, 2.0 * spec.c
-    return WorkingWindow(
-        re_max=(8.0 + reach) / a,
-        im_min=-(6.0 + reach) / a,
-        im_max=(2.0 + reach) / a,
-    )
+    """The certificate's window, trajectory.window_extents in q = k*a, given
+    in k."""
+    a = spec.a
+    re_max, im_depth, im_max = window_extents(spec.c)
+    return WorkingWindow(re_max=re_max / a, im_min=-im_depth / a, im_max=im_max / a)
 
 
 @dataclass(frozen=True)

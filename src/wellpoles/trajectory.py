@@ -19,16 +19,20 @@ pole, so a step makes no other kernel call.
 A step of length h is accepted when it moves q by at most
 0.1*(1 + |q0|) and its local error, the trapezoid defect
 e = |q1 - q0 - h(v0 + v1)/2| of the tangents at both ends, is at most
-tol*(1 + |q0|); the next h is then 0.9*h*(tol/e)^(1/3), at most 2h, and a
-rejected h is halved. After every accepted step, clipped or not, h is also
-capped so that the tangent's predicted move h*|v1| stays within 0.9 of the
-displacement bound at k1, though not below the minimum step: a step grown
-into that bound would only be rejected and halved. The test cannot see a
-swap onto a neighbouring curve closer than tol*(1 + |q|); there only a
-check that each anchor pole lies on one curve can. Steps are clipped so the
-trace lands exactly on every quarter-turn anchor alpha = n*(pi/2), and a
-step that would end within rounding of one ends on it; so no step is longer
-than pi/2, and there is no other cap on the step. In the far field, where
+tol*(1 + |q0|); the next h is then 0.9*h*(tol*(1 + m)/e)^(1/3), at most
+2h, where m is the smaller of |q1| and the tangent's estimate of |q| where
+the step grown by the plain factor 0.9*(tol*(1 + |q0|)/e)^(1/3) would end,
+so a curve that turns inward does not outgrow its tolerance; a rejected h
+is halved. Before the first step and after every accepted step, clipped or
+not, h is also capped so that the tangent's predicted move h*|v| stays
+within 0.9 of the displacement bound at its start, though not below the
+minimum step: a step grown into that bound would only be rejected and
+halved. The test cannot see a swap onto a neighbouring curve closer than
+tol*(1 + |q|); there only a check that each anchor pole lies on one curve
+can. Steps are clipped so the trace lands exactly on every quarter-turn
+anchor alpha = n*(pi/2), and a step that would end within rounding of one
+ends on it; so no step is longer than pi/2, and there is no other cap on
+the step. In the far field, where
 |dq/dalpha| tends to 1/2, the error-sized step grows from about 0.4 of a
 quarter turn at |q| = 10 to 0.94 at |q| = 40, and the anchor clips the
 rest, about two steps per quarter turn. Anchors are tracked by the integer
@@ -53,10 +57,14 @@ collision event). The loop is the marched half plus its mirror image about
 alpha* = n*(pi/2), and it is closed_2pi or closed_4pi as n* - n_seed is 2
 or 4. An open curve meets the axis at a real coupling only at its seed, or
 it would be symmetric about two points and so periodic; it runs until
-|alpha - alpha_seed| reaches 40*pi or |q| passes 40, and its backward
-half is the mirror image of that march about the seed, which stops for the
-same reason. Like the step schedule, this stop rule is a set of module
-constants that no caller sets.
+|alpha - alpha_seed| reaches 40*pi or |q| passes the trace window,
+_WINDOW_MARGIN = 1.2 times the corner radius of the chart's working window
+(window_extents), and its backward half is the mirror image of that march
+about the seed, which stops for the same reason. The window grows with c,
+so the loops of deep and wide wells, which reach past any fixed radius,
+close inside it, and the curves of a shallow well stop soon after they
+leave the region the certificate counts. Like the step schedule, this stop
+rule is fixed in this module, and no caller sets it.
 Pole pairs coalesce only at k = -i/a and at a real coupling, where the
 curve meets the axis, so a march meets the pair only at its half-turn; a
 march that stalls anywhere else raises StallAtDoubleZero.
@@ -95,14 +103,30 @@ _STEP_INITIAL = 0.01
 _STEP_MINIMUM = 1e-6
 _SPLIT_STEP = 1e-3
 # an open curve stops where |alpha - alpha_seed| reaches the cap or |q|
-# passes _WINDOW_A; the cap is meant to let open curves cross a chart's
-# whole working window first
+# passes _trace_window(c). The open curve needs a phase that grows with c
+# to reach the window, so the cap stops it first above c of about 21
 _ALPHA_CAP = 40.0 * math.pi
-_WINDOW_A = 40.0
+# how far past the corner of the working window a march runs
+_WINDOW_MARGIN = 1.2
 # radius, in units of x_c = |aK_c| at the half-turn anchor ahead, within
 # which a stall is the loop meeting the coalesced pair there: it must exceed
 # the pair splitting scale x_c*sqrt(h_min) at the minimum step
 _DOUBLE_ZERO_RADIUS = 1e-2
+
+
+def window_extents(c: float) -> tuple[float, float, float]:
+    """The working window of a chart's certificate in q = k*a, as
+    (re_max, -im_min, im_max): |Re q| <= 8 + 2c, -(6 + 2c) <= Im q <= 2 + 2c."""
+    reach = 2.0 * c
+    return 8.0 + reach, 6.0 + reach, 2.0 + reach
+
+
+def _trace_window(c: float) -> float:
+    """The radius in q past which a march stops: _WINDOW_MARGIN times the
+    working window's corner radius, so every curve crosses the whole window
+    the certificate counts in, and no curve is marched far beyond it."""
+    re_max, im_depth, _ = window_extents(c)
+    return _WINDOW_MARGIN * math.hypot(re_max, im_depth)
 
 
 class ClosureKind(enum.Enum):
@@ -229,6 +253,12 @@ def _tangent(q: complex, s: complex, ch: int) -> complex:
     return -da / dq if dq != 0.0 else complex(math.nan, math.nan)
 
 
+def _growth(r: float) -> float:
+    """The factor on h after a step whose local error is r times its bound:
+    0.9*r^(-1/3), at most 2."""
+    return 2.0 if r == 0.0 else min(0.9 * r ** (-1.0 / 3.0), 2.0)
+
+
 def _step(alpha, q, v, prev, target, s, ch):
     """One checked continuation step from the pole q at alpha, tangent v.
 
@@ -303,12 +333,17 @@ def _trace_from_state(
     alpha = alpha_start
     v = _tangent(q, c2 * _phase_to_gamma(alpha), ch)
     prev = None
+    reach_factor = 0.9 * _DISPLACEMENT_FACTOR
+    # the first step obeys the tangent-reach cap every later step obeys
     h = _STEP_INITIAL
+    reach = reach_factor * (1.0 + abs(q))
+    if h * abs(v) > reach:
+        h = max(reach / abs(v), _STEP_MINIMUM)
     n_star = None
     reason: ExitReason | None = None
     h_floor = _STEP_MINIMUM * (1.0 + 1e-12)
-    reach_factor = 0.9 * _DISPLACEMENT_FACTOR
     cap = _ALPHA_CAP - 1e-12
+    window = _trace_window(c)
     cos, sin = math.cos, math.sin
     t_anchor = next_anchor * HALF_PI
 
@@ -341,11 +376,13 @@ def _trace_from_state(
 
         q1, v1, r = step
         # resize h only after a step that no anchor clipped; compare
-        # phases, since alpha + h - alpha need not equal h.
-        # r <= 1 keeps the factor at or above 0.9
+        # phases, since alpha + h - alpha need not equal h. r is the error
+        # over its bound at q0; measured against the bound at q1, or where
+        # the grown step would end when that lies nearer q = 0, a curve
+        # that turns inward does not outgrow its tolerance
         if not target < alpha + h:
-            grow = 2.0 if r == 0.0 else min(0.9 * r ** (-1.0 / 3.0), 2.0)
-            h *= grow
+            q_end = q1 + v1 * h * _growth(r)
+            h *= _growth(r * ((1.0 + abs(q)) / (1.0 + min(abs(q1), abs(q_end)))))
         prev = (alpha, q, v)
         alpha, q, v = target, q1, v1
         # keep the tangent's predicted move inside the displacement bound
@@ -358,7 +395,7 @@ def _trace_from_state(
         qs.append(q)
 
         # before the anchor, so no curve carries an anchor past the window
-        if abs_q > _WINDOW_A:
+        if abs_q > window:
             reason = ExitReason.K_WINDOW
             break
         if alpha == t_anchor:

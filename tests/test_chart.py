@@ -181,11 +181,12 @@ class TestCompleteness:
     def test_negative_window_count_fails_loudly(self):
         # the sampled window winding of this deep wide well reads -5; an
         # entire function has no negative zero count, so the winding
-        # aliased and the count failed
+        # aliased and the count failed. The curves are the closed form's
         chart = build_chart(PotentialSpec(m=1.0, a=5.0, U=30.0), Channel.PLUS)
+        assert chart.topology == {"closed_4pi": 12, "open": 1}
         cert = chart.completeness
         assert cert["window_count"] is None
-        assert cert["trajectory_count"] == 25
+        assert cert["trajectory_count"] == 59
         assert cert["complete"] is False
         failed = [w.message for w in chart.warnings if w.code == "count_failed"]
         assert failed == ["window contour count -5 is negative: the sampled winding aliased"]
@@ -1010,10 +1011,7 @@ class TestNoCurveJump:
         # and put 11 anchor poles on two curves
         spec = PotentialSpec(m=1.6341162632495134, a=4.9991881585654045,
                              U=24.631932610724895)
-        w = working_window(spec)
-        corner = max(abs(complex(w.re_max, w.im_min)), abs(complex(w.re_max, w.im_max)))
         monkeypatch.setattr(trajectory, "_ALPHA_CAP", 80 * math.pi)
-        monkeypatch.setattr(trajectory, "_WINDOW_A", spec.a * max(40.0 / spec.a, 1.2 * corner))
         chart = build_chart(spec, Channel.PLUS, certify=False)
         assert not chart.collisions
         owners = _anchor_owners(chart)
@@ -1061,12 +1059,14 @@ class TestMarchWork:
     well, where |dk/dalpha| tends to 1/(2a), the error-sized step grows
     from about 0.4 of a quarter turn at |k|a = 10 to 0.94 at |k|a = 40, and
     the anchor clips the rest, so an open curve takes about two steps per
-    quarter turn. The corrector stops on
-    Newton's quadratic model, about two iterations per step."""
+    quarter turn there; these wells' curves stop at |k|a = 22 and 28. The
+    corrector stops on Newton's quadratic model, about two iterations per
+    step."""
 
     @pytest.mark.parametrize("channel,U,most", [("plus", 2.0, 200), ("minus", 5.0, 215)])
     def test_newton_calls_per_chart(self, monkeypatch, channel, U, most):
-        # 242 and 240 calls under a 0.4 rad step cap, 168 and 187 without
+        # 242 and 240 calls under a 0.4 rad step cap, 168 and 187 without,
+        # 131 and 160 with curves stopped past the working window, not at 40
         calls = 0
         newton = _k.newton_pole
 
@@ -1082,7 +1082,8 @@ class TestMarchWork:
     @pytest.mark.parametrize("channel,U,most", [("plus", 2.0, 360), ("minus", 5.0, 420)])
     def test_newton_iterations_per_chart(self, monkeypatch, channel, U, most):
         # 506 and 580 iterations when the step test alone stops the
-        # corrector, 347 and 406 with the quadratic model's exit
+        # corrector, 347 and 406 with the quadratic model's exit, 272 and
+        # 336 with curves stopped past the working window, not at 40
         iterations = 0
         newton = _k.newton_pole
 
@@ -1123,8 +1124,8 @@ def _mp_root(k, alpha, spec, channel, mp):
 class TestSampleAccuracy:
     """Traced samples are the poles at their phases to the corrector's
     tolerance, 1e-12*(1+|k|), or to the roundoff floor where d's terms
-    exceed its slope: checked on every third sample against a 50-digit
-    Newton root."""
+    exceed its slope: checked on every sample against a 50-digit Newton
+    root."""
 
     @staticmethod
     def _worst(spec, channel):
@@ -1132,7 +1133,7 @@ class TestSampleAccuracy:
         worst, n = 0.0, 0
         with mp.workdps(50):
             for t in build_chart(spec, channel, certify=False).trajectories:
-                for alpha, k in list(zip(t.alphas, t.ks))[::3]:
+                for alpha, k in zip(t.alphas, t.ks):
                     ref = _mp_root(k, alpha, spec, channel, mp)
                     worst = max(worst, abs(k - ref) / (1.0 + abs(ref)))
                     n += 1
@@ -1380,6 +1381,45 @@ class TestClosedFormTopology:
                 Channel.PLUS, False, m, a, 1):
             expected["closed_2pi"] = 1
         assert chart.topology == expected
+
+
+class TestTraceWindow:
+    """A march stops at 1.2 times the working window's corner radius in q,
+    so a deep or wide well's loops close inside it, and a shallow well's
+    curves stop short of the |q| = 40 a fixed stop once marched them to."""
+
+    def test_deep_loops_close(self):
+        # c = 15: stopped at |q| = 40, the loops delivered 25 of the window's
+        # 27 poles
+        chart = build_chart(PotentialSpec(m=1.0, a=1.5, U=50.0), Channel.PLUS)
+        assert chart.topology == {"closed_4pi": 4, "open": 1}
+        cert = chart.completeness
+        assert (cert["window_count"], cert["trajectory_count"], cert["complete"]) == (27, 27, True)
+
+    @pytest.mark.parametrize("m,a,U", [
+        (9.70536719026983, 2.3247365462895067, 9.594244587988069),
+        (1.892878895756028, 5.330958004233473, 9.381690677687718),
+    ])
+    def test_aliased_window_count_is_not_certified(self, m, a, U):
+        # c = 31.7: the window walk aliases 28 of the window's 49 poles and
+        # reads 21. Stopped at |q| = 40, the curves delivered 21 too, and
+        # the chart was certified complete
+        chart = build_chart(PotentialSpec(m=m, a=a, U=U), Channel.PLUS)
+        assert chart.topology == {"closed_4pi": 10, "open": 1}
+        cert = chart.completeness
+        assert (cert["window_count"], cert["trajectory_count"], cert["complete"]) == (21, 49, False)
+
+    @given(c=st.floats(0.05, 8.0), **_WELL)
+    @settings(max_examples=40, deadline=None)
+    def test_certificate_as_traced_to_forty(self, c, m, a, channel):
+        # below c = 8.27 the trace window lies inside |q| = 40, and the
+        # curves it cuts short hold no pole of the working window
+        spec = PotentialSpec(m=m, a=a, U=_depth_of(c, m, a))
+        chart = build_chart(spec, channel)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trajectory, "_trace_window", lambda c: 40.0)
+            ref = build_chart(spec, channel)
+        assert chart.completeness == ref.completeness
 
 
 class TestDeterminism:

@@ -88,13 +88,13 @@ _GOLDEN_OUTPUT = {
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
         "3cf7005c6d8de1dfacb1b7c21cae6a7dbe547dbaedcb0e7536c7d7e8660b4982",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "08b62850abdab6ace2dd318fd964aa22e61c8156526ee5cf244cda293538cdaf",
+        "3184f0413e15cc68d857b0e1280c63cadf881021a6a900162c7acb4a4ba516c0",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "02e2a618839a7c3f5d9e64b509fb602610eb570d893973cf5a4073547f32cc29",
+        "1fe75d53bf7bd4cdab89e0f8002d2428e40da14ba102aa4fd716c58a4ff792d6",
     ("verify", "--samples", "60", "--seed", "7"):
         "f44c759cd467c184d14b7578443c2714312625382ea055dfc99c4d2318c86906",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
-        "a947eb35f772edece0ab040b8d6a7f52c2515f6f665853cdc33bbdaedf575b5f",
+        "ebf6cf366dadb5cc3b9003c0642c63b60381bdbb26dac30eb5c2c212d885c921",
 }
 
 

@@ -320,26 +320,26 @@ class TestChartDocument:
 # assembly must leave every byte of them unchanged. A platform whose libm
 # rounds differently may move the last float digits and so the digests.
 _GOLDEN = {
-    ("plus", 0.09): "123e1f5fd1b80617ac9636a7214450e98a80272a581c87672593da335bfffa8d",
-    ("plus", 2.0): "d687183f12a2da592897942a1f187a6617ccc3051ce6cf87cc3c751206c8959d",
-    ("minus", 5.0): "b52875254b80d083dc0fb6b375f51256e38fa9e0ee2d0e0c88cc7dd0fb698703",
+    ("plus", 0.09): "2440cf2d6239ccf4685d7b634644a98692b37d837fb5dd0ff954cceb50d0ef95",
+    ("plus", 2.0): "8c3b44ce78850017b19f29b38914bf68cd0b6c032d180d3db545e26eb9d30720",
+    ("minus", 5.0): "159378e22f7a66f350107b5d922a45150f89452895dc995fed54ece3e8e7e385",
 }
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "9141731feb3715a782948b4490da5a910d28fce1f56f0d0106525bd877dfbb34",
-    ("plus", False): "2bff2f0e63222a66f868f8b658ce4712a5520285d39d7ce74a10eba625cd5811",
-    ("minus", True): "ac18cf9d408fb95f559b3024dbbaf0776cbc771aa5b20179df9e4c59e7351aa0",
+    ("plus", True): "ddd68fd30f91856cb1830b53164444d7a9817d9d7c24b01459e2f706eb0c2688",
+    ("plus", False): "5f88d09d9d600b018d954694333c64d82af5587fe921c5780064c9d949e1b3a9",
+    ("minus", True): "f6f596ed631d4d97aca81020f946265580d2bf5d43e39352649c7b64c7c31181",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
 _GOLDEN_SVG = {
-    ("plus", 0.09): "5afd0f5a0c4206a97b57fe708b8dd3d8f0a7a1564022afe8956725d2f98f8840",
-    ("plus", 2.0): "4f61e0eb0a0282a70b97facc8db7d152c337a176aea2ef880e15a0211d8a9a8b",
-    ("minus", 5.0): "03a2c6392a9ecc3dde6fb149bbc1571102c42eb093253dc44cd245dbbc8241cc",
-    ("plus", "attractive"): "43f912dc30b7cef5194a4620d2f3be3c5b3b5dca6bdad971b41ec3230cd410ff",
-    ("plus", "repulsive"): "507b8d9a6d203ce16ba52a02bc979db6f5a5ebca21b3cd82abeb49644e339e71",
-    ("minus", "attractive"): "54ea5140c68bac79a388f9576448da30c0d68ec7cb763cb0cf489dde4138d91c",
+    ("plus", 0.09): "d3c3bb084b161d9df2861e0a1fd7418cba1ed25bebc833edd8ceb3da9c032167",
+    ("plus", 2.0): "9faf00279d2aec07a858afa17a9b634db0e9e983ae9dec9c895c0f5fd7b8550d",
+    ("minus", 5.0): "17879940ec36e862860dce459675cc38ffdf179a5e405f80734f7dd595754aff",
+    ("plus", "attractive"): "f1587ce9e9b306fd0ab6f1fcda717f2a85688d083951c8b7017b71e53326fbb6",
+    ("plus", "repulsive"): "745f0fe2e982c2b54244da1901aa2e21a34fb694d3d60b07a08fa86c3c16901e",
+    ("minus", "attractive"): "77e302f4224500e76ce36b520ae4a6a729a9add49d4b566837720273d1aec6f7",
 }
 
 

@@ -3,8 +3,10 @@
 The bound-state thresholds and counts live in ``rootfinder``, next to the
 axis cells they read, and ``chart`` reaches them only through public
 names. The anchor phases n*(pi/2) and their exact test live in
-``smatrix``. These checks read the package source, so a second copy of
-either rule fails here before it drifts from the first.
+``smatrix``. The working window's extents and the margin past its corners
+at which a march stops live in ``trajectory``, which ``chart`` imports.
+These checks read the package source, so a second copy of any of these
+rules fails here before it drifts from the first.
 """
 
 from __future__ import annotations
@@ -49,3 +51,28 @@ def _assigns(tree: ast.Module, name: str) -> bool:
 def test_only_smatrix_assigns_half_pi():
     owners = sorted(p.name for p in SRC.glob("*.py") if _assigns(_tree(p.name), "HALF_PI"))
     assert owners == ["smatrix.py"]
+
+
+def _states_window_extents(tree: ast.Module) -> bool:
+    """Whether the module adds both 8 and 6 to one expression, as the
+    working window's extents 8 + 2c and 6 + 2c do."""
+    offsets: dict[str, set] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            for const, other in ((node.left, node.right), (node.right, node.left)):
+                if (isinstance(const, ast.Constant) and const.value in (6, 8)
+                        and not isinstance(other, ast.Constant)):
+                    offsets.setdefault(ast.dump(other), set()).add(const.value)
+    return any(len(found) == 2 for found in offsets.values())
+
+
+def _states_window_margin(tree: ast.Module) -> bool:
+    return any(isinstance(node, ast.Constant) and node.value == 1.2 for node in ast.walk(tree))
+
+
+def test_only_trajectory_states_the_window_rule():
+    trees = {p.name: _tree(p.name) for p in SRC.glob("*.py")}
+    assert sorted(name for name, tree in trees.items() if _states_window_extents(tree)) == [
+        "trajectory.py"]
+    assert sorted(name for name, tree in trees.items() if _states_window_margin(tree)) == [
+        "trajectory.py"]

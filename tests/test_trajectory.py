@@ -131,7 +131,9 @@ class TestClosureDetection:
         assert abs(amap[4] - SHALLOW_BOUND) < 1e-8
 
     def test_deep_virtual_runs_open_to_cap(self, monkeypatch):
+        # the window at |q| = 40 lets the 8 pi cap stop the march first
         monkeypatch.setattr(trajectory, "_ALPHA_CAP", 8 * math.pi)
+        monkeypatch.setattr(trajectory, "_trace_window", lambda c: 40.0)
         spec = _spec(0.09)
         t = trace(_seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL), +1, spec)
         assert t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
@@ -246,6 +248,7 @@ class TestCombine:
         # the join build_chart makes of an open curve's forward march and
         # its mirror image about the seed
         monkeypatch.setattr(trajectory, "_ALPHA_CAP", 8 * math.pi)
+        monkeypatch.setattr(trajectory, "_trace_window", lambda c: 40.0)
         spec = _spec(0.09)
         seed = _seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL)
         f = trace(seed, +1, spec)
@@ -516,7 +519,7 @@ class TestWindowExit:
         # tight window forces the k-exit branch
         spec = _spec(0.09)
         monkeypatch.setattr(trajectory, "_ALPHA_CAP", 100 * math.pi)
-        monkeypatch.setattr(trajectory, "_WINDOW_A", 5.0 * spec.a)
+        monkeypatch.setattr(trajectory, "_trace_window", lambda c: 5.0 * spec.a)
         seed = _seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL)
         t = trace(seed, +1, spec)
         assert t.closure == Closure(ClosureKind.OPEN, ExitReason.K_WINDOW)
@@ -527,7 +530,7 @@ class TestWindowExit:
         # an open curve that leaves the window on a step clipped to an
         # anchor records no anchor there
         spec = _spec(U)
-        window = trajectory._WINDOW_A / spec.a
+        window = trajectory._trace_window(spec.c) / spec.a
         chart = build_chart(spec, Channel.parse(channel))
         assert any(t.closure.reason is ExitReason.K_WINDOW for t in chart.trajectories)
         for t in chart.trajectories:
