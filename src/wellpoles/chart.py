@@ -2,10 +2,11 @@
 
 A chart gathers the axis poles of both real couplings (gamma = +1 and -1),
 continues each curve once through the phase rotation until it closes or
-meets the tracer's stop rule (a phase cap, and a k window just past the
-working window's corners), and certifies completeness by comparing a
-contour count over the working momentum window against the poles the
-trajectories deliver back at the attractive coupling.
+leaves a k window just past the working window's corners, and certifies
+completeness by comparing a contour count over the working momentum window
+against the poles the trajectories deliver back at the attractive coupling.
+A curve that reaches the tracer's runaway phase guard instead fails the
+certificate.
 
 Depth analysis lives here too: the critical depths where an axis pole pair
 coalesces at k = -i/a, in closed form from the interior-momentum form of
@@ -42,6 +43,7 @@ from .trajectory import (
     _SPLIT_STEP,
     ClosureKind,
     CollisionEvent,
+    ExitReason,
     Trajectory,
     _join,
     branch_at_double_zero,
@@ -307,9 +309,18 @@ def _certify(chart: PoleChart) -> dict:
             failure = f"window contour count {n} is negative: the sampled winding aliased"
     if window_count is None:
         chart.warnings.append(ChartWarning(code="count_failed", message=failure))
-    # a stalled curve is missing from the chart even where it holds no
-    # pole of the window, so the counts cannot speak for it
-    stalled = any(w.code == "trace_stalled" for w in chart.warnings)
+    # a curve stopped by the runaway guard never left the window, so it may
+    # hold window poles that no anchor delivered
+    for traj in chart.trajectories:
+        if traj.closure.reason is ExitReason.ALPHA_CAP:
+            chart.warnings.append(ChartWarning(
+                code="phase_guard",
+                message=(f"curve from k={traj.seed.k!r} at alpha={traj.seed_alpha!r} "
+                         f"reached the phase guard inside the trace window"),
+            ))
+    # a stalled or runaway curve is missing from the chart even where it
+    # holds no pole of the window, so the counts cannot speak for it
+    stalled = any(w.code in ("trace_stalled", "phase_guard") for w in chart.warnings)
     return {
         "window": window,
         "window_count": window_count,

@@ -487,7 +487,8 @@ class CountRegion:
 
 _EDGE_CLEARANCE = 1e-6
 _EDGE_MAX_POINTS = 20000
-# an edge's base samples, at t = i/32 along it
+# an edge's base samples, at t = i/32 along it; an odd count, so the half
+# walk of count_zeros starts on the middle one
 _EDGE_TS = tuple(i / 32 for i in range(33))
 
 
@@ -499,37 +500,52 @@ def _edge_winding(
 
     The walk runs over t from base[0] to base[-1], starting from the base
     samples: the whole segment by default, one half of it in the half walk
-    of ``count_zeros``. Subdivides until every sampled increment, the
-    principal value of arg(d1/d0) between neighbouring samples, is below
-    pi/2. That bounds only what the samples show: a true increment near a
-    full turn reads as a small principal value, is not refined, and drops
-    out of the sum, so the result can miss whole turns between samples.
-    Raises EdgeTooClose, at q, when the Newton distance estimate |d/d'|
+    of ``count_zeros``. Subdivides a cell until its sampled increment, the
+    principal value of arg(d1/d0) between its two samples, is below pi/2,
+    and so is max(|d'/d|) over its two samples times its length |dq|: the
+    argument of d turns at most |d'/d| per unit length, so a cell that
+    passes both tests turns by its sampled increment, not by that plus
+    whole turns. The second test assumes that |d'/d| between the two
+    samples stays below its larger sampled value. That is not a bound: a
+    zero close to the middle of a cell, and far from both its ends, can
+    still turn the argument by a whole turn unseen. The test itself makes
+    no kernel call, since ``grid_denom_dk`` returns d' with d. Raises EdgeTooClose, at q, when the Newton distance estimate |d/d'|
     drops below the clearance at a sample q.
     """
     dz = z1 - z0
+    length = abs(dz)
 
-    def evaluate(ts: list[float]) -> list[complex]:
+    def evaluate(ts: list[float]) -> tuple[list[complex], list[float]]:
         qs = [z0 + dz * t for t in ts]
         ds, dqs = _k.grid_denom_dk(qs, s, ch)
+        # |d'/d| per unit t
+        rates = []
         for q, d, dq in zip(qs, ds, dqs):
-            if abs(d) < _EDGE_CLEARANCE * abs(dq):
+            ad, adq = abs(d), abs(dq)
+            if ad < _EDGE_CLEARANCE * adq:
                 raise EdgeTooClose(q)
-        return ds
+            rates.append(adq / ad * length if ad else math.inf)
+        return ds, rates
 
     ts = list(base)
-    vals = evaluate(ts)
+    vals, rates = evaluate(ts)
+    quarter = 0.5 * math.pi
     while True:
         dargs = [cmath.phase(v1 / v0) for v0, v1 in zip(vals, vals[1:])]
-        coarse = [i for i, s in enumerate(dargs) if abs(s) >= 0.5 * math.pi]
+        coarse = [
+            i for i, (step, r0, r1, t0, t1) in enumerate(zip(dargs, rates, rates[1:], ts, ts[1:]))
+            if abs(step) >= quarter or (r0 if r0 > r1 else r1) * (t1 - t0) >= quarter
+        ]
         if not coarse:
             return sum(dargs)
         if len(ts) > _EDGE_MAX_POINTS:
             raise EdgeTooClose(z0 + dz * ts[coarse[0]])
         mids = [0.5 * (ts[i] + ts[i + 1]) for i in coarse]
-        merged = sorted(zip(ts + mids, vals + evaluate(mids)), key=lambda p: p[0])
-        ts = [t for t, _ in merged]
-        vals = [v for _, v in merged]
+        mid_vals, mid_rates = evaluate(mids)
+        merged = sorted(zip(ts + mids, vals + mid_vals, rates + mid_rates), key=lambda p: p[0])
+        ts = [t for t, _, _ in merged]
+        vals = [v for _, v, _ in merged]
+        rates = [r for _, _, r in merged]
 
 
 def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
@@ -537,11 +553,13 @@ def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
 
     Argument-principle winding along the boundary (Delves & Lyness, Math.
     Comp. 21 (1967) 543). The integrand is entire, so the true winding is
-    the zero count. The sampled winding equals it only under an assumption
-    that ``_edge_winding`` does not check: every sampled argument step below
-    pi/2 is the true step between its samples. Where that fails, whole
-    turns drop out of the sum. An entire function has no negative zero
-    count, so a negative result proves such aliasing. The walk runs on the
+    the zero count. ``_edge_winding`` refines each edge until every cell's
+    sampled argument step and its sampled |d'/d| times its length are both
+    below pi/2. The sampled winding then equals the true one under an
+    assumption it does not check: |d'/d| inside a cell stays below the
+    larger of its two sampled values. Where that fails, whole turns drop
+    out of the sum. An entire function has no negative zero count, so a
+    negative result proves such aliasing. The walk runs on the
     rectangle's image in q = k*a, and raises EdgeTooClose when a zero sits
     within ~1e-6 of it there.
 
@@ -561,11 +579,13 @@ def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
     c2 = a * region.hi
     c1 = complex(c2.real, c0.imag)
     c3 = complex(c0.real, c2.imag)
+    base = _EDGE_TS
     if region.coupling.is_real and c0.real == -c2.real:
-        edges = ((c0, c1, _EDGE_TS[16:]), (c1, c2, _EDGE_TS), (c2, c3, _EDGE_TS[:17]))
+        mid = len(base) // 2
+        edges = ((c0, c1, base[mid:]), (c1, c2, base), (c2, c3, base[:mid + 1]))
         copies = 2.0
     else:
-        edges = ((c0, c1, _EDGE_TS), (c1, c2, _EDGE_TS), (c2, c3, _EDGE_TS), (c3, c0, _EDGE_TS))
+        edges = ((c0, c1, base), (c1, c2, base), (c2, c3, base), (c3, c0, base))
         copies = 1.0
     total = 0.0
     try:

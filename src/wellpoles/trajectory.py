@@ -56,15 +56,19 @@ coalesced pair at q = -i and closes there (the chart lists the pair's
 collision event). The loop is the marched half plus its mirror image about
 alpha* = n*(pi/2), and it is closed_2pi or closed_4pi as n* - n_seed is 2
 or 4. An open curve meets the axis at a real coupling only at its seed, or
-it would be symmetric about two points and so periodic; it runs until
-|alpha - alpha_seed| reaches 40*pi or |q| passes the trace window,
-_WINDOW_MARGIN = 1.2 times the corner radius of the chart's working window
-(window_extents), and its backward half is the mirror image of that march
-about the seed, which stops for the same reason. The window grows with c,
-so the loops of deep and wide wells, which reach past any fixed radius,
-close inside it, and the curves of a shallow well stop soon after they
-leave the region the certificate counts. Like the step schedule, this stop
-rule is fixed in this module, and no caller sets it.
+it would be symmetric about two points and so periodic; the open component
+is unbounded, so the curve leaves every window, and it runs until |q|
+passes the trace window, _WINDOW_MARGIN = 1.2 times the corner radius of
+the chart's working window (window_extents). Its backward half is the
+mirror image of that march about the seed, which stops for the same reason.
+The window grows with c, so the loops of deep and wide wells, which reach
+past any fixed radius, close inside it, the open curve, which needs about
+1.5*c*pi of phase to leave it, is followed all the way across, and the
+curves of a shallow well stop soon after they leave the region the
+certificate counts. A march still inside the window at (40 + 2c)*pi from
+its seed (_alpha_guard) stops there as a runaway, with ExitReason.ALPHA_CAP,
+and fails the chart's certificate. Like the step schedule, this stop rule
+is fixed in this module, and no caller sets it.
 Pole pairs coalesce only at k = -i/a and at a real coupling, where the
 curve meets the axis, so a march meets the pair only at its half-turn; a
 march that stalls anywhere else raises StallAtDoubleZero.
@@ -102,10 +106,6 @@ _LOCAL_ERROR_TOL = 1e-3
 _STEP_INITIAL = 0.01
 _STEP_MINIMUM = 1e-6
 _SPLIT_STEP = 1e-3
-# an open curve stops where |alpha - alpha_seed| reaches the cap or |q|
-# passes _trace_window(c). The open curve needs a phase that grows with c
-# to reach the window, so the cap stops it first above c of about 21
-_ALPHA_CAP = 40.0 * math.pi
 # how far past the corner of the working window a march runs
 _WINDOW_MARGIN = 1.2
 # radius, in units of x_c = |aK_c| at the half-turn anchor ahead, within
@@ -127,6 +127,15 @@ def _trace_window(c: float) -> float:
     the certificate counts in, and no curve is marched far beyond it."""
     re_max, im_depth, _ = window_extents(c)
     return _WINDOW_MARGIN * math.hypot(re_max, im_depth)
+
+
+def _alpha_guard(c: float) -> float:
+    """The phase from the seed at which a march that has not left the trace
+    window stops, (40 + 2c)*pi: a runaway guard, not a stop rule. The open
+    curve leaves the window after about 1.5*c*pi of phase, so no curve of a
+    sound march reaches it; one that does ends with ExitReason.ALPHA_CAP,
+    and the chart's certificate fails on it."""
+    return (40.0 + 2.0 * c) * math.pi
 
 
 class ClosureKind(enum.Enum):
@@ -300,10 +309,12 @@ def _trace_from_state(
     The seed sits on a quarter-turn anchor n_seed (ValueError otherwise).
     A march from a seed on the axis at a real coupling, started at the seed
     or on a branch of it, stops at its half-turn anchor, n_seed + 2 or
-    n_seed + 4, and returns the closed loop (see _close_loop). The phase
-    cap counts from the seed's phase, not from alpha_start. A stall ends
-    the march only next to a coalesced pair at its half-turn anchor. The
-    march runs in q = k*a; its samples and anchors are k = q/a.
+    n_seed + 4, and returns the closed loop (see _close_loop). Any other
+    march stops where |q| passes _trace_window(c), or at the runaway guard
+    _alpha_guard(c), which counts from the seed's phase, not from
+    alpha_start. A stall ends the march only next to a coalesced pair at
+    its half-turn anchor. The march runs in q = k*a; its samples and
+    anchors are k = q/a.
     """
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
@@ -342,7 +353,7 @@ def _trace_from_state(
     n_star = None
     reason: ExitReason | None = None
     h_floor = _STEP_MINIMUM * (1.0 + 1e-12)
-    cap = _ALPHA_CAP - 1e-12
+    guard = _alpha_guard(c) - 1e-12
     window = _trace_window(c)
     cos, sin = math.cos, math.sin
     t_anchor = next_anchor * HALF_PI
@@ -405,7 +416,7 @@ def _trace_from_state(
                 break
             next_anchor += 1
             t_anchor = next_anchor * HALF_PI
-        if abs(alpha - alpha0) >= cap:
+        if abs(alpha - alpha0) >= guard:
             reason = ExitReason.ALPHA_CAP
             break
 
@@ -503,8 +514,9 @@ def trace_branch(
     otherwise). A branch closes as a march from an axis seed does: one that
     goes round a loop stops where it meets the axis again, at its half-turn,
     and comes back closed with the rest mirrored (see _close_loop); a branch
-    of an open curve is marched to the window or the phase cap and comes
-    back open. The pair's collision event is the chart's, not the branch's.
+    of an open curve is marched to the window, or to the runaway guard,
+    and comes back open. The pair's collision event is the chart's, not
+    the branch's.
     """
     return _trace_from_state(branch_k, branch_alpha, seed, spec)
 

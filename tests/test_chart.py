@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +25,7 @@ from wellpoles.document import canonical_dumps, chart_document, parse_chart_docu
 from wellpoles.errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
 from wellpoles.rootfinder import TOL_AXIS, PoleKind, scan_axis
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
-from wellpoles.trajectory import ClosureKind, branch_at_double_zero
+from wellpoles.trajectory import ClosureKind, ExitReason, branch_at_double_zero
 from wellpoles import _kernels as _k
 from wellpoles import chart as chart_module
 from wellpoles import rootfinder
@@ -179,19 +180,35 @@ class TestCompleteness:
             assert abs(d) < 1e-8 * (1.0 + abs(k))
 
     def test_negative_window_count_fails_loudly(self):
-        # the sampled window winding of this deep wide well reads -5; an
-        # entire function has no negative zero count, so the winding
-        # aliased and the count failed. The curves are the closed form's
+        # the window winding of this deep wide well once read -5, on a walk
+        # refined by the sampled argument step alone; refined by |d'/d| too
+        # it reads the 59 poles the curves deliver. The failure path stays
+        # covered by test_forced_negative_window_count_fails_loudly
         chart = build_chart(PotentialSpec(m=1.0, a=5.0, U=30.0), Channel.PLUS)
         assert chart.topology == {"closed_4pi": 12, "open": 1}
         cert = chart.completeness
-        assert cert["window_count"] is None
-        assert cert["trajectory_count"] == 59
-        assert cert["complete"] is False
-        failed = [w.message for w in chart.warnings if w.code == "count_failed"]
-        assert failed == ["window contour count -5 is negative: the sampled winding aliased"]
+        assert (cert["window_count"], cert["trajectory_count"], cert["complete"]) == (59, 59, True)
+        assert chart.warnings == []
         doc = parse_chart_document(canonical_dumps(chart_document(chart)))
-        assert doc["completeness"]["window_count"] is None
+        assert doc["completeness"]["window_count"] == 59
+
+    def test_phase_guard_fails_loudly(self, monkeypatch):
+        # at 8 pi from its seed the open curve of this c = 30 well is still
+        # inside the trace window: it needs about 1.5*c*pi to leave it
+        monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 8 * math.pi)
+        chart = build_chart(PotentialSpec(m=1.0, a=1.5, U=200.0), Channel.PLUS)
+        runaway = [t for t in chart.trajectories if t.closure.reason is ExitReason.ALPHA_CAP]
+        assert len(runaway) == 1
+        assert chart.completeness["complete"] is False
+        guarded = [w.message for w in chart.warnings if w.code == "phase_guard"]
+        seed = runaway[0].seed
+        assert guarded == [f"curve from k={seed.k!r} at alpha={seed.coupling.alpha!r} "
+                           f"reached the phase guard inside the trace window"]
+        text = canonical_dumps(chart_document(chart))
+        doc = parse_chart_document(text)
+        assert canonical_dumps(doc) == text
+        assert doc["completeness"]["complete"] is False
+        assert [w["code"] for w in doc["warnings"]] == ["phase_guard"]
 
     def test_certificate_walks_half_the_window(self, monkeypatch):
         # the window is symmetric about the imaginary axis and the coupling
@@ -1011,7 +1028,8 @@ class TestNoCurveJump:
         # and put 11 anchor poles on two curves
         spec = PotentialSpec(m=1.6341162632495134, a=4.9991881585654045,
                              U=24.631932610724895)
-        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 80 * math.pi)
+        guard = trajectory._alpha_guard
+        monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 2.0 * guard(c))
         chart = build_chart(spec, Channel.PLUS, certify=False)
         assert not chart.collisions
         owners = _anchor_owners(chart)
@@ -1358,6 +1376,19 @@ class TestForwardMarchesOnly:
         assert [ev.alpha for ev in chart.collisions] == [0.0]
 
 
+def _closed_form_topology(spec, channel):
+    """One open curve, a closed_4pi loop per attractive collision below U,
+    and in the even channel a closed_2pi loop below the repulsive one."""
+    expected = {"open": 1}
+    loops = len(chart_module._collisions_between(channel, True, spec.m, spec.a, 0.0, spec.U))
+    if loops:
+        expected["closed_4pi"] = loops
+    if channel is Channel.PLUS and spec.U < chart_module._collision_depth(
+            Channel.PLUS, False, spec.m, spec.a, 1):
+        expected["closed_2pi"] = 1
+    return expected
+
+
 class TestClosedFormTopology:
     """The topology a chart reads off its curves is the closed-form count:
     one open curve, a closed_4pi loop per attractive collision below U, and
@@ -1370,17 +1401,10 @@ class TestClosedFormTopology:
     )
     @settings(max_examples=60, deadline=None)
     def test_topology_matches_the_collision_count(self, m, a, log_U, channel):
-        U = math.exp(log_U)
-        chart = build_chart(PotentialSpec(m=m, a=a, U=U), channel, certify=False)
+        spec = PotentialSpec(m=m, a=a, U=math.exp(log_U))
+        chart = build_chart(spec, channel, certify=False)
         assume(not any(w.code == "critical_proximity" for w in chart.warnings))
-        expected = {"open": 1}
-        loops = len(chart_module._collisions_between(channel, True, m, a, 0.0, U))
-        if loops:
-            expected["closed_4pi"] = loops
-        if channel is Channel.PLUS and U < chart_module._collision_depth(
-                Channel.PLUS, False, m, a, 1):
-            expected["closed_2pi"] = 1
-        assert chart.topology == expected
+        assert chart.topology == _closed_form_topology(spec, channel)
 
 
 class TestTraceWindow:
@@ -1401,13 +1425,13 @@ class TestTraceWindow:
         (1.892878895756028, 5.330958004233473, 9.381690677687718),
     ])
     def test_aliased_window_count_is_not_certified(self, m, a, U):
-        # c = 31.7: the window walk aliases 28 of the window's 49 poles and
-        # reads 21. Stopped at |q| = 40, the curves delivered 21 too, and
-        # the chart was certified complete
+        # c = 31.7: a walk refined by the sampled argument step alone aliased
+        # 28 of the window's 49 poles and read 21, which the curves stopped
+        # at |q| = 40 matched. Refined by |d'/d| too, it reads all 49
         chart = build_chart(PotentialSpec(m=m, a=a, U=U), Channel.PLUS)
         assert chart.topology == {"closed_4pi": 10, "open": 1}
         cert = chart.completeness
-        assert (cert["window_count"], cert["trajectory_count"], cert["complete"]) == (21, 49, False)
+        assert (cert["window_count"], cert["trajectory_count"], cert["complete"]) == (49, 49, True)
 
     @given(c=st.floats(0.05, 8.0), **_WELL)
     @settings(max_examples=40, deadline=None)
@@ -1420,6 +1444,53 @@ class TestTraceWindow:
             patch.setattr(trajectory, "_trace_window", lambda c: 40.0)
             ref = build_chart(spec, channel)
         assert chart.completeness == ref.completeness
+
+
+class TestDeepCharts:
+    """Deep and wide wells chart complete: the window walk refines by
+    |d'/d| as well as by the sampled argument step, and the open curve is
+    marched until it leaves the trace window, which takes it past any fixed
+    phase cap once c passes about 21."""
+
+    # the bench's other two fixed deep wells, (1, 1.5, 50) and (1, 5, 30),
+    # are locked in TestTraceWindow and TestCompleteness
+    @pytest.mark.parametrize("m,a,U,channel,poles", [
+        (1.0, 1.5, 200.0, Channel.PLUS, 47),
+        # c from 46 to 56: the open curve ran past 40 pi inside the window
+        (1.965819987330742, 1.6734226553187055, 194.7147898656838, Channel.PLUS, 71),
+        (1.5517925587874022, 5.383483876938411, 25.30596134884754, Channel.MINUS, 71),
+        (1.7755538115836154, 1.5344095539152651, 266.0174035487473, Channel.MINUS, 71),
+        (1.787817253567816, 5.763633630193004, 25.95777531976154, Channel.PLUS, 83),
+        (1.6397486943166335, 5.5620590798648335, 26.473626032984583, Channel.MINUS, 77),
+    ])
+    def test_deep_chart_is_certified(self, m, a, U, channel, poles):
+        spec = PotentialSpec(m=m, a=a, U=U)
+        chart = build_chart(spec, channel)
+        cert = chart.completeness
+        assert (cert["window_count"], cert["trajectory_count"], cert["complete"]) == (
+            poles, poles, True)
+        assert chart.topology == _closed_form_topology(spec, channel)
+        assert not any(t.closure.reason is ExitReason.ALPHA_CAP for t in chart.trajectories)
+
+    @given(
+        m=st.floats(0.2, 10.0), a=st.floats(0.1, 6.0),
+        log_U=st.floats(math.log(1e-3), math.log(300.0)),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_box_chart_is_certified_or_fails_loudly(self, m, a, log_U, channel):
+        chart = build_chart(PotentialSpec(m=m, a=a, U=math.exp(log_U)), channel)
+        cert = chart.completeness
+        assert cert["complete"] or chart.warnings
+        count = cert["window_count"]
+        if count is None:
+            return
+        assert count >= 0
+        # the same count from a base of 65 points per edge
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rootfinder, "_EDGE_TS", tuple(i / 64 for i in range(65)))
+            finer = chart_module._certify(replace(chart, warnings=[]))
+        assert finer["window_count"] == count
 
 
 class TestDeterminism:

@@ -372,7 +372,7 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("channel,attractive", sorted(_GOLDEN_CRITICAL))
     def test_critical_chart_does_not_depend_on_the_alpha_cap(self, monkeypatch, channel, attractive):
         # every curve through the coalesced pair closes at its half-turn or
-        # leaves the k window, so a longer phase cap traces nothing more
+        # leaves the k window, so a longer phase guard traces nothing more
         ch = Channel.parse(channel)
         spec = PotentialSpec(m=1.0, a=1.5, U=critical_depth(ch, attractive, 1.0, 1.5).U)
 
@@ -380,9 +380,10 @@ class TestGoldenDigests:
             chart = build_chart(spec, ch)
             return canonical_dumps(chart_document(chart)), chart_svg(chart)
 
-        at_40pi = outputs()
-        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 80 * math.pi)
-        assert outputs() == at_40pi
+        as_guarded = outputs()
+        guard = trajectory._alpha_guard
+        monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 2.0 * guard(c))
+        assert outputs() == as_guarded
 
     def test_closed_curves_end_on_whole_turn_anchors(self):
         # a closed loop is its march to the half-turn anchor and that half's

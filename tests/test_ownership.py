@@ -3,8 +3,9 @@
 The bound-state thresholds and counts live in ``rootfinder``, next to the
 axis cells they read, and ``chart`` reaches them only through public
 names. The anchor phases n*(pi/2) and their exact test live in
-``smatrix``. The working window's extents and the margin past its corners
-at which a march stops live in ``trajectory``, which ``chart`` imports.
+``smatrix``. The working window's extents, the margin past its corners
+at which a march stops and the runaway phase guard (40 + 2c)*pi live in
+``trajectory``, which ``chart`` imports.
 These checks read the package source, so a second copy of any of these
 rules fails here before it drifts from the first.
 """
@@ -76,3 +77,30 @@ def test_only_trajectory_states_the_window_rule():
         "trajectory.py"]
     assert sorted(name for name, tree in trees.items() if _states_window_margin(tree)) == [
         "trajectory.py"]
+
+
+def _states_phase_guard(tree: ast.Module) -> bool:
+    """Whether the module adds 40 to a product with 2, as the guard
+    (40 + 2c)*pi does, or multiplies 40 by pi, as a fixed phase cap would."""
+    def is_const(node, value):
+        return isinstance(node, ast.Constant) and node.value == value
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.BinOp):
+            continue
+        for const, other in ((node.left, node.right), (node.right, node.left)):
+            if not is_const(const, 40):
+                continue
+            if (isinstance(node.op, ast.Add) and isinstance(other, ast.BinOp)
+                    and isinstance(other.op, ast.Mult)
+                    and (is_const(other.left, 2) or is_const(other.right, 2))):
+                return True
+            if (isinstance(node.op, ast.Mult) and isinstance(other, ast.Attribute)
+                    and other.attr == "pi"):
+                return True
+    return False
+
+
+def test_only_trajectory_states_the_phase_guard():
+    owners = sorted(p.name for p in SRC.glob("*.py") if _states_phase_guard(_tree(p.name)))
+    assert owners == ["trajectory.py"]

@@ -131,8 +131,8 @@ class TestClosureDetection:
         assert abs(amap[4] - SHALLOW_BOUND) < 1e-8
 
     def test_deep_virtual_runs_open_to_cap(self, monkeypatch):
-        # the window at |q| = 40 lets the 8 pi cap stop the march first
-        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 8 * math.pi)
+        # the window at |q| = 40 lets a guard patched to 8 pi stop the march first
+        monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 8 * math.pi)
         monkeypatch.setattr(trajectory, "_trace_window", lambda c: 40.0)
         spec = _spec(0.09)
         t = trace(_seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL), +1, spec)
@@ -247,7 +247,7 @@ class TestCombine:
     def test_stitches_open_halves(self, monkeypatch):
         # the join build_chart makes of an open curve's forward march and
         # its mirror image about the seed
-        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 8 * math.pi)
+        monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 8 * math.pi)
         monkeypatch.setattr(trajectory, "_trace_window", lambda c: 40.0)
         spec = _spec(0.09)
         seed = _seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL)
@@ -258,7 +258,7 @@ class TestCombine:
         assert np.all(np.diff(c.alphas) > 0)
         assert c.alphas[0] == b.alphas[0] and c.alphas[-1] == f.alphas[-1]
         assert len(c.alphas) == len(f.alphas) + len(b.alphas) - 1
-        # both halves stop at the phase cap, one on either side of the seed
+        # both halves stop at the phase guard, one on either side of the seed
         assert b.closure == c.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
 
 
@@ -294,7 +294,7 @@ class TestMirror:
         assert mirror(t).closure.kind is t.closure.kind
 
     def test_split_branch_mirror_keeps_resonance_side(self, monkeypatch):
-        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 1.5 * math.pi)
+        monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 1.5 * math.pi)
         spec = _spec(U_CRIT_PLUS_ATT)
         dz = [p for p in scan_axis(spec, ATT, Channel.PLUS) if p.multiplicity == 2][0]
         branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1).branches
@@ -302,7 +302,7 @@ class TestMirror:
         t = trace_branch(dz, branches[0][1], 1e-3, spec)
         m = mirror(t)
         assert np.all(np.diff(m.alphas) > 0) and m.alphas[-1] == -1e-3
-        # the image stops at the cap on the far side, for the march's reason
+        # the image stops at the guard on the far side, for the march's reason
         assert m.closure == t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
         # k -> -conj(k) takes the resonance-side branch across the axis, onto
         # the antiresonance-side branch of the backward split
@@ -359,7 +359,7 @@ class TestPointAt:
         spec = PotentialSpec(1.558586768171243, 2.492577328251638, 6.3782986596754965)
         seed = min(scan_axis(spec, ATT, Channel.PLUS),
                    key=lambda p: abs(p.k - (-4.4048071991275455j)))
-        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 4 * math.pi)
+        monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 4 * math.pi)
         t = trace(seed, +1, spec)
         fine = _fine_trace(seed, spec)
         assert np.max(np.diff(t.alphas)) > 0.2
@@ -429,14 +429,14 @@ class TestBranching:
         assert abs(b["antiresonance_side"] - (-f["resonance_side"].conjugate())) < 1e-10
 
     def test_branches_continue_as_trajectories(self, monkeypatch):
-        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 1.5 * math.pi)
+        monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 1.5 * math.pi)
         spec = _spec(U_CRIT_PLUS_ATT)
         poles = scan_axis(spec, ATT, Channel.PLUS)
         dz = [p for p in poles if p.multiplicity == 2][0]
         event = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
         lbl, kb = event.branches[0]
         t = trace_branch(dz, kb, 1e-3, spec)
-        # a split step past the pair, on to every anchor below the phase cap
+        # a split step past the pair, on to every anchor below the phase guard
         assert t.seed is dz and (t.alphas[0], t.ks[0]) == (1e-3, kb)
         assert [n for n, _ in t.anchors] == [1, 2, 3]
         assert t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
@@ -518,7 +518,7 @@ class TestWindowExit:
     def test_far_pole_leaves_window(self, monkeypatch):
         # tight window forces the k-exit branch
         spec = _spec(0.09)
-        monkeypatch.setattr(trajectory, "_ALPHA_CAP", 100 * math.pi)
+        monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 100 * math.pi)
         monkeypatch.setattr(trajectory, "_trace_window", lambda c: 5.0 * spec.a)
         seed = _seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL)
         t = trace(seed, +1, spec)
