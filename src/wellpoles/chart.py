@@ -10,11 +10,12 @@ certificate.
 
 Depth analysis lives here too: the critical depths where an axis pole pair
 coalesces at k = -i/a, in closed form from the interior-momentum form of
-the pole condition (see critical_depth) and verified by a contour count;
-the depth at which the bound state count steps, bisected by the
+the pole condition (see critical_depth) and verified by the pair count
+that ``rootfinder.collision_pair_count`` takes once per collision and
+process; the depth at which the bound state count steps, bisected by the
 closed-form thresholds and bound counts of ``rootfinder``; and sweeps that
 attribute topology changes between consecutive depths to the collision
-they bracket.
+they bracket, with the same cached count.
 
 A chart in q = k*a depends on c = a sqrt(2 m U) alone (see _kernels), so
 every tolerance here is stated in q or c, and every depth tolerance relative
@@ -34,7 +35,8 @@ from .rootfinder import (
     Pole,
     bound_count,
     bound_threshold,
-    collision_x,
+    collision_depth,
+    collision_pair_count,
     count_zeros_padded,
     scan_axis,
 )
@@ -352,14 +354,6 @@ class CriticalDepth:
         return "plane_to_axis" if self.attractive else "axis_to_plane"
 
 
-def _collision_depth(
-    channel: Channel, attractive: bool, m: float, a: float, index: int
-) -> float:
-    """U* of the index-th pair collision (see critical_depth)."""
-    x = collision_x(channel, attractive, index)
-    return (x * x + (1.0 if attractive else -1.0)) / (2.0 * m * a * a)
-
-
 def _collisions_between(
     channel: Channel, attractive: bool, m: float, a: float, u_lo: float, u_hi: float
 ) -> list[tuple[int, float]]:
@@ -374,7 +368,7 @@ def _collisions_between(
     found = []
     while True:
         try:
-            u_star = _collision_depth(channel, attractive, m, a, index)
+            u_star = collision_depth(channel, attractive, m, a, index)
         except NoRootInBracket:
             return found
         if u_star > u_hi:
@@ -385,26 +379,17 @@ def _collisions_between(
 
 
 def _verified_critical(channel, attractive, index, u_star, m, a) -> CriticalDepth:
-    """The collision with its pair count in a square of half-side 1e-3 about
-    q = -i (None if uncountable)."""
-    kc = -1j / a
-    corner = 1e-3 * (1 + 1j) / a
-    region = CountRegion(
-        lo=kc - corner, hi=kc + corner,
-        coupling=ComplexCoupling(0.0 if attractive else math.pi),
-        channel=channel,
-    )
-    try:
-        pair, _ = count_zeros_padded(region, PotentialSpec(m=m, a=a, U=u_star))
-    except EdgeTooClose:
-        pair = None
+    """The collision with its pair count, the one ``collision_pair_count``
+    takes once per collision and process (None if uncountable)."""
+    # a depth that overflows to inf raises here, as for any well
+    PotentialSpec(m=m, a=a, U=u_star)
     return CriticalDepth(
         U=u_star,
-        k=kc,
+        k=-1j / a,
         channel=channel,
         attractive=attractive,
         index=index,
-        pair_count=pair,
+        pair_count=collision_pair_count(channel, attractive, index),
     )
 
 
@@ -430,7 +415,10 @@ def critical_depth(
     and raises NoRootInBracket. K = 0 also solves the odd equation, but K
     and -K give the same k, so its depth 1/s is a simple axis crossing and
     not a collision. The result is verified by a contour count of 2 around
-    k = -i/a.
+    k = -i/a: ``collision_pair_count``, taken in q at c*^2 = x^2 +- 1,
+    which is every well's count at its U* since the pole function in q
+    depends on c alone. It is counted on the first request for each
+    collision in a process and read from the cache after that.
 
     The transition label is the sign of (g^2)'' at the collision. Let t run
     along the line of K through K_c (K = t/a attractive, K = i t/a
@@ -448,7 +436,7 @@ def critical_depth(
     """
     if index < 1:
         raise ValueError("index counts from 1")
-    u_star = _collision_depth(channel, attractive, m, a, index)
+    u_star = collision_depth(channel, attractive, m, a, index)
     return _verified_critical(channel, attractive, index, u_star, m, a)
 
 
@@ -601,7 +589,8 @@ def depth_sweep(
     A requested depth within _NUDGE*U* of a pair collision depth U* is
     nudged just past it (recorded on the entry) so trajectories do not stall
     at the degenerate point. Between consecutive depths whose topology
-    differs, the bracketed critical depth is solved and attached.
+    differs, the bracketed critical depth is solved and attached, with the
+    pair count ``critical_depth`` reads (counted once per collision).
     """
     entries = []
     for U_req in depths:

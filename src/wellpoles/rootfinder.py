@@ -16,6 +16,10 @@ is sampled. The bound states enter at k = 0 at closed-form threshold
 points of the same cells (``bound_threshold``), and ``bound_count`` reads
 most cells' bound roots off those points without a solve, drawing the one
 root it cannot place from the scan's own per-cell solver, ``_cell_roots``.
+The pairs collide at q = -i at closed-form strengths c*^2 = x_c^2 +- 1
+(``collision_x``, ``collision_depth``), so each collision's pair count
+depends on (channel, coupling, index) alone and is counted once per
+process (``collision_pair_count``).
 """
 
 from __future__ import annotations
@@ -224,6 +228,46 @@ def collision_x(channel: Channel, attractive: bool, index: int) -> float:
     if channel is Channel.PLUS and index == 1:
         return _brentq(lambda t: math.cosh(t) - t * math.sinh(t), 1.0, 2.0)
     raise NoRootInBracket(f"no pair collision of index {index} at gamma = -1")
+
+
+def collision_depth(channel: Channel, attractive: bool, m: float, a: float, index: int) -> float:
+    """U* of the index-th pair collision: (x_c^2 + 1)/(2 m a^2) attractive,
+    (x_c^2 - 1)/(2 m a^2) repulsive, with x_c from ``collision_x``; so
+    c*^2 = 2 m a^2 U* = x_c^2 +- 1 depends on (channel, attractive, index)
+    alone (see ``chart.critical_depth``)."""
+    x = collision_x(channel, attractive, index)
+    return (x * x + (1.0 if attractive else -1.0)) / (2.0 * m * a * a)
+
+
+# half-side, in q, of the square about the collision point q = -i in which
+# a collision's pair is counted
+_PAIR_BOX = 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def collision_pair_count(channel: Channel, attractive: bool, index: int) -> int | None:
+    """Zeros of the pole function in the square of half-side _PAIR_BOX about
+    q = -i at the index-th pair collision: 2, the coalesced pair; None when
+    the walk fails (EdgeTooClose).
+
+    The count is taken at the collision's own strength c*, in the well
+    m = 1/2, a = 1, U = c*^2, where k = q, by the half walk of
+    ``count_zeros_padded``. In q the pole function depends on c alone, and
+    every well (m, a) at its collision depth has the same c*, so this is
+    every such well's count in the square about its k = -i/a. A pure
+    function of its arguments, cached per process like ``collision_x``.
+    """
+    spec = PotentialSpec(m=0.5, a=1.0, U=collision_depth(channel, attractive, 0.5, 1.0, index))
+    corner = _PAIR_BOX * (1 + 1j)
+    region = CountRegion(
+        lo=-1j - corner, hi=-1j + corner,
+        coupling=ComplexCoupling(0.0 if attractive else math.pi),
+        channel=channel,
+    )
+    try:
+        return count_zeros_padded(region, spec)[0]
+    except EdgeTooClose:
+        return None
 
 
 # axis ratios x/|cos x|, x/|sin x| (real K) and y/cosh y, y/sinh y (imaginary

@@ -27,10 +27,14 @@ is halved. Before the first step and after every accepted step, clipped or
 not, h is also capped so that the tangent's predicted move h*|v| stays
 within 0.9 of the displacement bound at its start, though not below the
 minimum step: a step grown into that bound would only be rejected and
-halved. The test cannot see a swap onto a neighbouring curve closer than
-tol*(1 + |q|); there only a check that each anchor pole lies on one curve
-can. Steps are clipped so the trace lands exactly on every quarter-turn
-anchor alpha = n*(pi/2), and a step that would end within rounding of one
+halved. A march that starts within _DOUBLE_ZERO_RADIUS*|z_c| of the
+coalesced pair at q = -i, z_c = sqrt(-1 + c^2 gamma) at the seed's anchor,
+as at a sweep depth nudged next to a collision, moves as the square root
+of the phase from a branch point |q + i|^2/|z_c|^2 away, so its first
+step is also capped at half that phase scale. The test cannot see a swap
+onto a neighbouring curve closer than tol*(1 + |q|); there only a check
+that each anchor pole lies on one curve can. Steps are clipped so the
+trace lands exactly on every quarter-turn anchor alpha = n*(pi/2), and a step that would end within rounding of one
 ends on it; so no step is longer than pi/2, and there is no other cap on
 the step. In the far field, where
 |dq/dalpha| tends to 1/2, the error-sized step grows from about 0.4 of a
@@ -112,6 +116,9 @@ _WINDOW_MARGIN = 1.2
 # which a stall is the loop meeting the coalesced pair there: it must exceed
 # the pair splitting scale x_c*sqrt(h_min) at the minimum step
 _DOUBLE_ZERO_RADIUS = 1e-2
+# the first step of a march that starts inside that radius, in units of
+# the pair's phase scale |q + i|^2/|z_c|^2
+_PAIR_STEP_FRACTION = 0.5
 
 
 def window_extents(c: float) -> tuple[float, float, float]:
@@ -350,6 +357,13 @@ def _trace_from_state(
     reach = reach_factor * (1.0 + abs(q))
     if h * abs(v) > reach:
         h = max(reach / abs(v), _STEP_MINIMUM)
+    # next to the coalesced pair at q = -i a pole moves as the square root
+    # of the phase from its branch point, which lies |q + i|^2/|z_c|^2
+    # away; a first step much longer than that would only be halved
+    zc2 = abs(-1.0 + c2 * seed.coupling.gamma)
+    w2 = abs(q + 1j) ** 2
+    if w2 < _DOUBLE_ZERO_RADIUS ** 2 * zc2:
+        h = max(min(h, _PAIR_STEP_FRACTION * w2 / zc2), _STEP_MINIMUM)
     n_star = None
     reason: ExitReason | None = None
     h_floor = _STEP_MINIMUM * (1.0 + 1e-12)

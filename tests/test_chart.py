@@ -319,7 +319,7 @@ class TestCriticalDepths:
         def edge_too_close(region, spec):
             raise EdgeTooClose(region.lo)
 
-        monkeypatch.setattr(chart_module, "count_zeros_padded", edge_too_close)
+        monkeypatch.setattr(rootfinder, "count_zeros_padded", edge_too_close)
         cd = critical_depth(Channel.PLUS, attractive=True, m=M, a=A)
         assert cd.pair_count is None
         assert abs(cd.U - U_STAR_PLUS_ATT) < 1e-8
@@ -389,9 +389,10 @@ class TestCriticalDepths:
         assert (below, above) == ((0, 2) if cd.transition == "plane_to_axis" else (2, 0))
 
     def test_no_scalar_kernel_calls(self, monkeypatch):
-        # the depth is closed-form; only the contour count touches the
-        # kernel, on one grid per edge of its half walk (the box about
-        # -i/a is symmetric and the coupling real)
+        # the depth is closed-form; only the pair count touches the kernel,
+        # on one grid per edge of its half walk (the box about q = -i is
+        # symmetric and the coupling real), and only on the first request
+        # for each collision: a repeat, in any well, reads the cached count
         calls = Counter()
         for name in ("denom_plain", "denom_scaled", "grid_denom_dk"):
             def counted(*args, _name=name, _kernel=getattr(_k, name)):
@@ -404,6 +405,10 @@ class TestCriticalDepths:
         assert calls["denom_plain"] == 0
         assert calls["denom_scaled"] == 0
         assert calls["grid_denom_dk"] == 3 * len(cases)
+        for channel, attractive in cases:
+            assert critical_depth(channel, attractive, m=M, a=A).pair_count == 2
+            assert critical_depth(channel, attractive, m=0.3, a=40.0).pair_count == 2
+        assert calls == {"grid_denom_dk": 3 * len(cases)}
 
 
 class TestThresholds:
@@ -643,7 +648,7 @@ class TestBoundCount:
     def test_equals_the_scan_at_collision_depths(self, m, a, channel, index, ulps):
         # at an attractive collision depth the cell's pair lies in its pair
         # ball, a coalesced pair at kappa = -1/a that is not bound
-        u = chart_module._collision_depth(channel, True, m, a, index)
+        u = rootfinder.collision_depth(channel, True, m, a, index)
         spec = PotentialSpec(m=m, a=a, U=_nudged(u, ulps))
         assert bound_count(spec, channel) == _scanned_bound(spec, channel)
 
@@ -1071,6 +1076,32 @@ class TestStepRejections:
         assert attempts > 100
         assert rejects <= share * attempts
 
+    @pytest.mark.parametrize("channel,attractive,side", [
+        (Channel.PLUS, True, 1.0 + 1e-6), (Channel.MINUS, True, 1.0 + 1e-6),
+        (Channel.PLUS, False, 1.0 - 1e-6)])
+    def test_first_step_next_to_the_pair(self, monkeypatch, channel, attractive, side):
+        # at a sweep's nudged depth U*(1 +- 1e-6) on the side where the pair
+        # lies on the axis, its axis seeds sit 1e-3*|z_c| from q = -i, and
+        # each pole moves as the square root of the phase over about 1e-6
+        # rad; a first step sized by the tangent alone was halved five
+        # times before one was accepted
+        first = []
+        step = trajectory._step
+
+        def counted(alpha, q, v, prev, *rest):
+            result = step(alpha, q, v, prev, *rest)
+            if prev is None and abs(q + 1j) < 0.05:
+                first.append(result is not None)
+            return result
+
+        monkeypatch.setattr(trajectory, "_step", counted)
+        u_star = critical_depth(channel, attractive, M, A).U
+        for m, a in ((M, A), (0.3, 40.0)):
+            build_chart(PotentialSpec(m=m, a=a, U=u_star * side * M * A * A / (m * a * a)),
+                        channel, certify=False)
+        assert first.count(False) == 0
+        assert first, "no march started next to the pair"
+
 
 class TestMarchWork:
     """The quarter-turn anchors are the only cap on a step. Far from the
@@ -1274,7 +1305,7 @@ class TestCriticalChart:
         channel, attractive = collision
         if not attractive:
             index = 1
-        U = chart_module._collision_depth(channel, attractive, m, a, index)
+        U = rootfinder.collision_depth(channel, attractive, m, a, index)
         spec = PotentialSpec(m=m, a=a, U=U)
         chart = build_chart(spec, channel, certify=False)
         assert not any(w.code == "trace_stalled" for w in chart.warnings)
@@ -1383,7 +1414,7 @@ def _closed_form_topology(spec, channel):
     loops = len(chart_module._collisions_between(channel, True, spec.m, spec.a, 0.0, spec.U))
     if loops:
         expected["closed_4pi"] = loops
-    if channel is Channel.PLUS and spec.U < chart_module._collision_depth(
+    if channel is Channel.PLUS and spec.U < rootfinder.collision_depth(
             Channel.PLUS, False, spec.m, spec.a, 1):
         expected["closed_2pi"] = 1
     return expected
@@ -1568,7 +1599,7 @@ class TestScaleInvariance:
         kinds = [PoleKind.VIRTUAL, PoleKind.VIRTUAL, PoleKind.BOUND]
         qs = []
         for a in (1e5, 1e6):
-            u_star = chart_module._collision_depth(Channel.PLUS, True, 1.0, a, 1)
+            u_star = rootfinder.collision_depth(Channel.PLUS, True, 1.0, a, 1)
             poles = scan_axis(PotentialSpec(m=1.0, a=a, U=1.05 * u_star),
                               ComplexCoupling(0.0), Channel.PLUS)
             assert [p.kind for p in poles] == kinds

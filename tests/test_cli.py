@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from wellpoles import chart, cli
+from wellpoles import cli, rootfinder
 from wellpoles.document import parse_chart_document
 from wellpoles.errors import EdgeTooClose
 
@@ -166,10 +166,22 @@ class TestCritical:
         def edge_too_close(region, spec):
             raise EdgeTooClose(region.lo)
 
-        monkeypatch.setattr(chart, "count_zeros_padded", edge_too_close)
+        monkeypatch.setattr(rootfinder, "count_zeros_padded", edge_too_close)
         code, out, err = run(capsys, "critical", "--channel", "plus", "--gamma", "+1")
         assert code == 0 and err == ""
         assert json.loads(out)["pair_count"] is None
+
+    def test_counts_its_pair_once(self, capsys, monkeypatch):
+        walks = []
+
+        def counted(region, spec, _walk=rootfinder.count_zeros_padded):
+            walks.append(region)
+            return _walk(region, spec)
+
+        monkeypatch.setattr(rootfinder, "count_zeros_padded", counted)
+        code, out, _ = run(capsys, "critical", "--channel", "minus", "--gamma", "+1")
+        assert code == 0 and json.loads(out)["pair_count"] == 2
+        assert len(walks) == 1
 
     def test_no_collision_is_numeric_failure(self, capsys):
         code, out, err = run(

@@ -375,11 +375,11 @@ class TestNewtonStopRule:
         # 5.8e-8 either side of k = -i/a. Newton halves its way in and can
         # pass within 8e-10 of -i/a, where dd/dk nearly vanishes and the
         # next step is 2e-6 of noise; the roundoff exit keeps the iterate
-        from wellpoles.chart import _collision_depth
+        from wellpoles.rootfinder import collision_depth
         from wellpoles.smatrix import Channel
 
         m, a = 2.75, 2.875
-        U = _collision_depth(Channel.PLUS, False, m, a, 1) * (1.0 - 1e-14)
+        U = collision_depth(Channel.PLUS, False, m, a, 1) * (1.0 - 1e-14)
         kc = -1j / a
         for dk in (3e-4, -3e-4, 3e-4j, -3e-4j):
             args = (a * (kc + dk), _s(-1.0 + 0j, m, a, U), K.CH_PLUS, 1e-12, 80)

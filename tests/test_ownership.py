@@ -1,8 +1,8 @@
 """Each closed-form rule has one owning module.
 
 The bound-state thresholds and counts live in ``rootfinder``, next to the
-axis cells they read, and ``chart`` reaches them only through public
-names. The anchor phases n*(pi/2) and their exact test live in
+axis cells they read, and so do a pair collision's depth U* and the box
+its pair is counted in; ``chart`` reaches them only through public names. The anchor phases n*(pi/2) and their exact test live in
 ``smatrix``. The working window's extents, the margin past its corners
 at which a march stops and the runaway phase guard (40 + 2c)*pi live in
 ``trajectory``, which ``chart`` imports.
@@ -104,3 +104,74 @@ def _states_phase_guard(tree: ast.Module) -> bool:
 def test_only_trajectory_states_the_phase_guard():
     owners = sorted(p.name for p in SRC.glob("*.py") if _states_phase_guard(_tree(p.name)))
     assert owners == ["trajectory.py"]
+
+
+def _module_constants(tree: ast.Module) -> dict[str, object]:
+    return {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _states_pair_box(tree: ast.Module) -> bool:
+    """Whether the module multiplies 1e-3, as a literal or a module constant,
+    by an expression holding 1j, as the pair box's corner 1e-3*(1 + 1j) is."""
+    consts = _module_constants(tree)
+
+    def value(node):
+        if isinstance(node, ast.Constant):
+            return node.value
+        if isinstance(node, ast.Name):
+            return consts.get(node.id)
+        return None
+
+    def holds_1j(node):
+        return any(isinstance(n, ast.Constant) and n.value == 1j for n in ast.walk(node))
+
+    return any(
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and any(value(side) == 1e-3 and holds_1j(other)
+                for side, other in ((node.left, node.right), (node.right, node.left)))
+        for node in ast.walk(tree)
+    )
+
+
+def _states_collision_depth(tree: ast.Module) -> bool:
+    """Whether the module divides a square plus or minus 1 by a product of
+    m and a, as U* = (x^2 +- 1)/(2 m a^2) does."""
+    def is_unit(node):
+        if isinstance(node, ast.IfExp):
+            return is_unit(node.body) and is_unit(node.orelse)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return is_unit(node.operand)
+        return isinstance(node, ast.Constant) and node.value == 1
+
+    def is_square(node):
+        if not isinstance(node, ast.BinOp):
+            return False
+        if isinstance(node.op, ast.Pow):
+            return isinstance(node.right, ast.Constant) and node.right.value == 2
+        return isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right)
+
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+            continue
+        num, den = node.left, node.right
+        if {n.id for n in ast.walk(den) if isinstance(n, ast.Name)} != {"m", "a"}:
+            continue
+        if isinstance(num, ast.BinOp) and isinstance(num.op, (ast.Add, ast.Sub)) and any(
+                is_unit(one) and is_square(sq)
+                for one, sq in ((num.left, num.right), (num.right, num.left))):
+            return True
+    return False
+
+
+def test_only_rootfinder_states_the_collision_rules():
+    trees = {p.name: _tree(p.name) for p in SRC.glob("*.py")}
+    assert sorted(name for name, tree in trees.items() if _states_pair_box(tree)) == [
+        "rootfinder.py"]
+    assert sorted(name for name, tree in trees.items() if _states_collision_depth(tree)) == [
+        "rootfinder.py"]

@@ -30,6 +30,8 @@ from wellpoles.rootfinder import (
     Pole,
     PoleKind,
     classify,
+    collision_depth,
+    collision_pair_count,
     collision_x,
     count_zeros,
     count_zeros_padded,
@@ -554,6 +556,54 @@ class TestCollisionCache:
         # a miss is a solve; every solved key was new
         assert info.misses == info.currsize > 5
         assert info.hits >= info.misses
+
+
+_PAIR_COLLISIONS = [
+    (channel, True, index) for channel in (Channel.PLUS, Channel.MINUS) for index in range(1, 5)
+] + [(Channel.PLUS, False, 1)]
+
+
+def _well_pair_count(channel, attractive, index, m, a):
+    """The pair count of one well at its collision depth, walked in the k
+    plane over the square of half-side 1e-3/a about k = -i/a; None when the
+    walk fails."""
+    kc = -1j / a
+    corner = 1e-3 * (1 + 1j) / a
+    region = CountRegion(
+        lo=kc - corner, hi=kc + corner,
+        coupling=ComplexCoupling(0.0 if attractive else math.pi), channel=channel,
+    )
+    u_star = collision_depth(channel, attractive, m, a, index)
+    try:
+        return count_zeros_padded(region, PotentialSpec(m=m, a=a, U=u_star))[0]
+    except wp.EdgeTooClose:
+        return None
+
+
+class TestCollisionPairCount:
+    """collision_pair_count counts a collision's pair once, in q, at c*; each
+    well's own count about its k = -i/a is the oracle."""
+
+    @pytest.mark.parametrize("m", [0.2, 1.0, 10.0])
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 1.5, 1e3, 1e9])
+    def test_equals_every_wells_count(self, m, a):
+        for key in _PAIR_COLLISIONS:
+            assert _well_pair_count(*key, m, a) == collision_pair_count(*key) == 2
+
+    def test_counted_once_per_collision(self, monkeypatch):
+        walks = []
+
+        def counted(region, sp, _walk=count_zeros_padded):
+            walks.append((region.channel, region.coupling.alpha))
+            return _walk(region, sp)
+
+        monkeypatch.setattr(wp.rootfinder, "count_zeros_padded", counted)
+        for _ in range(3):
+            for key in _PAIR_COLLISIONS:
+                assert collision_pair_count(*key) == 2
+        assert len(walks) == len(_PAIR_COLLISIONS)
+        info = collision_pair_count.cache_info()
+        assert (info.misses, info.hits) == (len(_PAIR_COLLISIONS), 2 * len(_PAIR_COLLISIONS))
 
 
 class TestScalarAxisFunction:

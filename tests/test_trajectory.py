@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from wellpoles.chart import _collision_depth, build_chart, critical_depth
+from wellpoles.chart import build_chart, critical_depth
 from wellpoles.errors import ModelInvalid, NoConvergence, SeedNotOnPole, StallAtDoubleZero
 from wellpoles.rootfinder import (
     TOL_AXIS,
     Pole,
     PoleKind,
+    collision_depth,
     multiplicity_at,
     newton_refine,
     scan_axis,
@@ -556,7 +557,7 @@ class TestAxisCrossings:
             # at the float collision depth; the odd channel has no
             # repulsive collision
             attractive, index = collision
-            U = _collision_depth(channel, attractive or channel is Channel.MINUS, m, a, index)
+            U = collision_depth(channel, attractive or channel is Channel.MINUS, m, a, index)
         spec = PotentialSpec(m=m, a=a, U=U)
         for t in build_chart(spec, channel, certify=False).trajectories:
             anchors = set(t.anchors)
