@@ -9,9 +9,10 @@ their values are bit-equal to it:
 
 - ``newton_pole``, the corrector, evaluates d and dd/dq inline, without
   dd/dw or the D_alpha product, and forms dd/dw once, after it converges,
-  for the tangent dq/dalpha at its last iterate, which it returns;
+  for the tangent dq/dalpha at its last iterate, which it returns. As the
+  corrector's hot loop, it alone repeats ``trig_scaled`` inline;
 - ``grid_denom_dk`` loops over a list of momenta for the winding contours,
-  with the same inline d and dd/dq as ``newton_pole``;
+  with ``trig_scaled`` and the d and dd/dq of ``newton_pole``;
 - ``axis_phi`` reads ``grid_denom_dk`` along the imaginary axis. The axis
   poles are enumerated in closed form (``rootfinder.scan_axis``), so it is
   only the sampled reference that tests count sign changes of.
@@ -42,10 +43,10 @@ next to the real axis. At and above 700 they come from the exact
 half-angle forms of ``_half_angle``, e.g. Re C_s = cos(x)*(1 + e^{-2|y|})/2,
 which never overflow; near the real axis those lose the imaginary parts to
 the cancellation in (1 - e^{-2|y|})/2, so they serve only where that
-cannot matter. The inline loops keep the two cmath calls in the loop body
-and call ``_half_angle`` only above the cut. The sinc and curvature blocks
-Z and G are S_s/z and (C_s - Z)/z^2, or their series times E inside the
-series windows |z| < _SINC_CUT and |z| < _G_CUT. Every returned
+cannot matter. The inline loop of ``newton_pole`` keeps the two cmath
+calls in its body and calls ``_half_angle`` only above the cut. The sinc
+and curvature blocks Z and G are S_s/z and (C_s - Z)/z^2, or their series
+times E inside the series windows |z| < _SINC_CUT and |z| < _G_CUT. Every returned
 denominator/derivative here is the true value times the same E, which
 cancels in Newton ratios and winding arguments. ``E`` is returned alongside
 so callers can unscale when the true magnitude is needed.
@@ -305,45 +306,21 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
 def grid_denom_dk(ks, s, ch):
     """Scaled d and dd/dq at each scaled momentum q = k*a of ks, as two lists.
 
-    The loop body is ``newton_pole``'s: ``trig_scaled`` inline (the two
-    cmath calls below _CMATH_CUT, ``_half_angle`` above it) with G only in
-    the odd channel, and ``_channel_terms`` without dd/dw, in the float
-    operations and order of ``denom_scaled``, so every pair is bit-equal to
-    its (d, dq) at the same q and s.
+    The trig blocks come from ``trig_scaled``, and the channel algebra
+    repeats ``_channel_terms`` without dd/dw, in the float operations and
+    order of ``denom_scaled``, so every pair is bit-equal to its (d, dq) at
+    the same q and s.
     """
     s = complex(s)
     odd = ch != CH_PLUS
-    sqrt, exp, cos, sin = cmath.sqrt, math.exp, cmath.cos, cmath.sin
+    sqrt, trig = cmath.sqrt, trig_scaled
     ds, dqs = [], []
     for q in ks:
         q = complex(q)
         qq = q * q
         w = qq + s
-        z = sqrt(w)
-        ay = abs(z.imag)
-        E = exp(-ay)
-        if ay < _CMATH_CUT:
-            try:
-                C = cos(z) * E
-                S = sin(z) * E
-            except ValueError:
-                C = S = _NAN
-        else:
-            C, S = _half_angle(z)
-        az = abs(z)
-        if az >= _SINC_CUT:
-            Z = S / z
-        else:
-            z2 = z * z
-            Z = (1.0 - z2 / 6.0 + z2 * z2 / 120.0) * E
+        C, _, Z, G, _ = trig(sqrt(w))
         if odd:
-            if az >= _G_CUT:
-                G = (C - Z) / (z * z)
-            else:
-                z2 = z * z
-                G = (
-                    -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0
-                ) * E
             ds.append(C - 1j * q * Z)
             dqs.append(-1j * Z - q * Z - 1j * qq * G)
         else:

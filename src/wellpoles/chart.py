@@ -8,14 +8,14 @@ against the poles the trajectories deliver back at the attractive coupling.
 A curve that reaches the tracer's runaway phase guard instead fails the
 certificate.
 
-Depth analysis lives here too: the critical depths where an axis pole pair
-coalesces at k = -i/a, in closed form from the interior-momentum form of
-the pole condition (see critical_depth) and verified by the pair count
-that ``rootfinder.collision_pair_count`` takes once per collision and
-process; the depth at which the bound state count steps, bisected by the
-closed-form thresholds and bound counts of ``rootfinder``; and sweeps that
-attribute topology changes between consecutive depths to the collision
-they bracket, with the same cached count.
+Depth analysis lives here too, on closed forms that ``rootfinder`` alone
+states: the critical depths where an axis pole pair coalesces at k = -i/a
+(``collision_depth``; see critical_depth), verified by the pair count that
+``collision_pair_count`` takes once per collision and process; the depth
+at which the bound state count steps, bisected with ``bound_count`` and
+steered by ``count_step_depth``; and sweeps that attribute topology
+changes between consecutive depths to the collision they bracket, found
+by ``collisions_between``, with the same cached count.
 
 A chart in q = k*a depends on c = a sqrt(2 m U) alone (see _kernels), so
 every tolerance here is stated in q or c, and every depth tolerance relative
@@ -30,13 +30,14 @@ from dataclasses import dataclass
 
 from .errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
 from .rootfinder import (
-    TOL_AXIS,
     CountRegion,
     Pole,
     bound_count,
     bound_threshold,
     collision_depth,
     collision_pair_count,
+    collisions_between,
+    count_step_depth,
     count_zeros_padded,
     scan_axis,
 )
@@ -158,11 +159,11 @@ def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarn
     """
     warnings = []
     U = spec.U
+    hits = collisions_between(
+        channel, spec.m, spec.a, U / (1.0 + _CRITICAL_WARN), U / (1.0 - _CRITICAL_WARN))
     for attractive, name in ((True, "attractive"), (False, "repulsive")):
-        near = [abs(U - u_star) for _, u_star in _collisions_between(
-            channel, attractive, spec.m, spec.a,
-            U / (1.0 + _CRITICAL_WARN), U / (1.0 - _CRITICAL_WARN),
-        ) if abs(U - u_star) < _CRITICAL_WARN * u_star]
+        near = [abs(U - u_star) for att, _, u_star in hits
+                if att is attractive and abs(U - u_star) < _CRITICAL_WARN * u_star]
         if near:
             warnings.append(ChartWarning(
                 code="critical_proximity",
@@ -354,30 +355,6 @@ class CriticalDepth:
         return "plane_to_axis" if self.attractive else "axis_to_plane"
 
 
-def _collisions_between(
-    channel: Channel, attractive: bool, m: float, a: float, u_lo: float, u_hi: float
-) -> list[tuple[int, float]]:
-    """(index, U*) of every pair collision with u_lo <= U* <= u_hi.
-
-    U* rises with the index. Every collision below index floor(x0/pi),
-    x0 = sqrt(2 m a^2 u_lo - 1), has x < x0 and so U* < u_lo (the repulsive
-    one too, as its U* lies below 1/(2 m a^2)); the walk starts there.
-    """
-    x0 = math.sqrt(max(2.0 * m * a * a * u_lo - 1.0, 0.0))
-    index = max(1, math.floor(x0 / math.pi))
-    found = []
-    while True:
-        try:
-            u_star = collision_depth(channel, attractive, m, a, index)
-        except NoRootInBracket:
-            return found
-        if u_star > u_hi:
-            return found
-        if u_star >= u_lo:
-            found.append((index, u_star))
-        index += 1
-
-
 def _verified_critical(channel, attractive, index, u_star, m, a) -> CriticalDepth:
     """The collision with its pair count, the one ``collision_pair_count``
     takes once per collision and process (None if uncountable)."""
@@ -505,25 +482,10 @@ def threshold_flip(
         raise NoRootInBracket(
             f"bound count {n_lo} does not change on ({u_lo}, {u_hi})"
         )
-    # with n_lo states bound at u_lo, the next enters at k = 0 at the
-    # closed-form bound_threshold(n_lo + odd), but classify calls it bound
-    # only once a*kappa >= TOL_AXIS. Near the threshold point x_n the pole
-    # condition reads x (x - x_n) ~ a kappa in both channels, and
-    # U = (x^2 + (a kappa)^2)/(2 m a^2), so the scan shows it at
-    # bound_threshold + TOL_AXIS/(m a^2) to first order; the neglected
-    # terms, of order TOL_AXIS^2/(m a^2), lie below the float spacing of U,
-    # and roundoff in the polished kappa puts the scan's own flip within a
-    # few float spacings of this depth. The even channel's first state
-    # enters at U = 0, where x^2 ~ a kappa - (a kappa)^2/3 puts it at
-    # (TOL_AXIS/2 + TOL_AXIS^2/3)/(m a^2). A midpoint on the guess goes
-    # below; the certificate tells which side of the scan's flip it really
-    # lies on
-    ma2 = m * a * a
-    odd = channel is Channel.MINUS
-    if odd or n_lo:
-        guess = bound_threshold(channel, n_lo + odd, m, a) + TOL_AXIS / ma2
-    else:
-        guess = (0.5 * TOL_AXIS + TOL_AXIS * TOL_AXIS / 3.0) / ma2
+    # the depth at which the scan's count steps from n_lo; a midpoint on it
+    # goes below, and the certificate tells which side of the scan's flip
+    # it really lies on
+    guess = count_step_depth(channel, n_lo, m, a)
     lo, hi = _bisect(lambda u: u <= guess, u_lo, u_hi, tol)
     if not (count(lo) == n_lo and count(hi) != n_lo):
         lo, hi = _bisect(lambda u: count(u) == n_lo, u_lo, u_hi, tol)
@@ -568,13 +530,12 @@ class SweepResult:
     transitions: list[SweepTransition]
 
 
-def _first_collision(channel, m, a, u_lo, u_hi):
-    """(attractive, index, U*) of the lowest attractive collision in
-    [u_lo, u_hi], else of the repulsive one, else None."""
-    for attractive in (True, False):
-        for index, u_star in _collisions_between(channel, attractive, m, a, u_lo, u_hi):
-            return attractive, index, u_star
-    return None
+def _count_mismatch(cert: dict | None) -> list[ChartWarning]:
+    """An ``incomplete`` warning when a certified chart's two counts disagree."""
+    if cert is None or cert["window_count"] in (None, cert["trajectory_count"]):
+        return []
+    return [ChartWarning("incomplete", f"window contour count {cert['window_count']} "
+                                       f"against {cert['trajectory_count']} traced poles")]
 
 
 def depth_sweep(
@@ -590,17 +551,17 @@ def depth_sweep(
     nudged just past it (recorded on the entry) so trajectories do not stall
     at the degenerate point. Between consecutive depths whose topology
     differs, the bracketed critical depth is solved and attached, with the
-    pair count ``critical_depth`` reads (counted once per collision).
+    pair count ``critical_depth`` reads (counted once per collision). With
+    certify=True an entry whose chart's window count disagrees with its
+    traced poles, which no chart warning reports, gets an ``incomplete`` one.
     """
     entries = []
     for U_req in depths:
-        near = _first_collision(channel, m, a, U_req / (1.0 + _NUDGE), U_req / (1.0 - _NUDGE))
-        if near is not None:
-            u_star = near[2]
+        near = collisions_between(channel, m, a, U_req / (1.0 + _NUDGE), U_req / (1.0 - _NUDGE))
+        U_used, nudged = U_req, bool(near)
+        if near:
+            u_star = near[0][2]
             U_used = u_star * (1.0 + _NUDGE if U_req >= u_star else 1.0 - _NUDGE)
-            nudged = True
-        else:
-            U_used, nudged = U_req, False
         spec = PotentialSpec(m=m, a=a, U=U_used)
         chart = build_chart(spec, channel, certify=certify)
         entries.append(SweepEntry(
@@ -609,15 +570,15 @@ def depth_sweep(
             nudged=nudged,
             topology=chart.topology,
             attractive_poles=chart.anchor_poles(0, working_window(spec)),
-            warnings=chart.warnings,
+            warnings=chart.warnings + _count_mismatch(chart.completeness),
         ))
 
     transitions = []
     for lo_e, hi_e in zip(entries, entries[1:]):
         if lo_e.topology == hi_e.topology:
             continue
-        hit = _first_collision(channel, m, a, lo_e.U_used, hi_e.U_used)
-        crit = None if hit is None else _verified_critical(channel, *hit, m, a)
+        hits = collisions_between(channel, m, a, lo_e.U_used, hi_e.U_used)
+        crit = _verified_critical(channel, *hits[0], m, a) if hits else None
         transitions.append(SweepTransition(
             u_below=lo_e.U_used, u_above=hi_e.U_used, critical=crit,
         ))

@@ -8,7 +8,6 @@ pipelines can parse them.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import random
 import sys
@@ -43,6 +42,7 @@ from .smatrix import (
     denom_full,
     denom_minus,
     denom_plus,
+    interior_momentum,
     parity_channels,
     s_full,
     s_minus,
@@ -271,7 +271,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         try:
             hat_p, hat_m = parity_channels(value)
             diag = (abs(hat_p - sp) / (1.0 + abs(sp)), abs(hat_m - sm) / (1.0 + abs(sm)))
-            kk = cmath.sqrt(k * k + 2 * spec.m * coupling.gamma * spec.U)
+            kk = interior_momentum(k, coupling, spec).K
             df = denom_full(k, coupling, spec)
             dp = denom_plus(k, coupling, spec)
             dm = denom_minus(k, coupling, spec)

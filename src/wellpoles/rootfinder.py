@@ -6,7 +6,8 @@ k, so the argument principle applies on any rectangle.
 
 Below the public functions everything runs in q = k*a at the strength
 c = a sqrt(2 m U) (see ``_kernels``), with every tolerance in q: TOL_AXIS
-bounds a*kappa and a*|Re k|. The public functions take and return k.
+bounds a*kappa and a*|Re k| (``on_axis``), and no other module reads it.
+The public functions take and return k.
 
 On the imaginary axis at a real coupling the poles are known in closed
 form: with x = aK the interior momentum, each solves x/|cos x| = c or
@@ -15,9 +16,11 @@ x/|sin x| = c (y/cosh y or y/sinh y for imaginary K).
 is sampled. The bound states enter at k = 0 at closed-form threshold
 points of the same cells (``bound_threshold``), and ``bound_count`` reads
 most cells' bound roots off those points without a solve, drawing the one
-root it cannot place from the scan's own per-cell solver, ``_cell_roots``.
-The pairs collide at q = -i at closed-form strengths c*^2 = x_c^2 +- 1
-(``collision_x``, ``collision_depth``), so each collision's pair count
+root it cannot place from the scan's own per-cell solver, ``_cell_roots``;
+the scan shows a new state a TOL_AXIS band past its threshold
+(``count_step_depth``). The pairs collide at q = -i at closed-form
+strengths c*^2 = x_c^2 +- 1 (``collision_x``, ``collision_depth``, and in
+a depth band ``collisions_between``), so each collision's pair count
 depends on (channel, coupling, index) alone and is counted once per
 process (``collision_pair_count``).
 """
@@ -80,16 +83,22 @@ class Pole:
 def classify(q: complex, multiplicity: int = 1) -> PoleKind:
     """Pole kind from its scaled position q = k*a.
 
-    On-axis kinds apply within TOL_AXIS of the imaginary axis; a coalesced
-    pair is always kind double_zero regardless of position.
+    On-axis kinds apply within TOL_AXIS of the imaginary axis (``on_axis``);
+    a coalesced pair is always kind double_zero regardless of position.
     """
     if multiplicity == 2:
         return PoleKind.DOUBLE_ZERO
     if abs(q) < TOL_AXIS:
         return PoleKind.THRESHOLD
-    if abs(q.real) < TOL_AXIS:
+    if on_axis(q):
         return PoleKind.BOUND if q.imag > 0 else PoleKind.VIRTUAL
     return PoleKind.RESONANCE if q.real > 0 else PoleKind.ANTIRESONANCE
+
+
+def on_axis(q: complex) -> bool:
+    """Whether q = k*a lies in the band |Re q| < TOL_AXIS about the
+    imaginary axis, where ``classify`` reads a pole as bound or virtual."""
+    return abs(q.real) < TOL_AXIS
 
 
 def _pole(q: complex, s: complex, coupling: ComplexCoupling, channel: Channel,
@@ -237,6 +246,36 @@ def collision_depth(channel: Channel, attractive: bool, m: float, a: float, inde
     alone (see ``chart.critical_depth``)."""
     x = collision_x(channel, attractive, index)
     return (x * x + (1.0 if attractive else -1.0)) / (2.0 * m * a * a)
+
+
+def collisions_between(
+    channel: Channel, m: float, a: float, u_lo: float, u_hi: float
+) -> list[tuple[bool, int, float]]:
+    """(attractive, index, U*) of every pair collision with u_lo <= U* <= u_hi:
+    the attractive ones by rising index, then the even repulsive one (the
+    odd repulsive coupling has none).
+
+    U* >= u_lo needs x_c >= x0 = sqrt(2 m a^2 u_lo - 1), and the index-th
+    attractive x_c lies in its bracket of ``collision_x``, below the
+    threshold point ``_threshold_x(odd, index)``. The walk starts at the
+    first index whose threshold point lies above x0.
+    """
+    odd = channel is Channel.MINUS
+    x0 = math.sqrt(max(2.0 * m * a * a * u_lo - 1.0, 0.0))
+    index = max(1, math.floor(x0 / math.pi - 0.5 * odd) + 1)
+    found = []
+    while True:
+        u_star = collision_depth(channel, True, m, a, index)
+        if u_star > u_hi:
+            break
+        if u_star >= u_lo:
+            found.append((True, index, u_star))
+        index += 1
+    if not odd:
+        u_star = collision_depth(channel, False, m, a, 1)
+        if u_lo <= u_star <= u_hi:
+            found.append((False, 1, u_star))
+    return found
 
 
 # half-side, in q, of the square about the collision point q = -i in which
@@ -513,6 +552,28 @@ def bound_count(spec: PotentialSpec, channel: Channel) -> int:
         if mult == 1 and kappa >= TOL_AXIS:
             count += 1
     return count
+
+
+def count_step_depth(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) -> float:
+    """The depth at which ``bound_count`` steps from n to n + 1 (n >= 0).
+
+    The next state enters at k = 0 at bound_threshold(n + odd), but
+    ``classify`` calls it bound only once a*kappa >= TOL_AXIS. Near the
+    threshold point x_n the pole condition reads x (x - x_n) ~ a kappa in
+    both channels, and U = (x^2 + (a kappa)^2)/(2 m a^2), so the scan shows
+    it at bound_threshold + TOL_AXIS/(m a^2) to first order; the neglected
+    terms, of order TOL_AXIS^2/(m a^2), lie below the float spacing of U.
+    The even channel's first state enters at U = 0, where x^2 ~ a kappa -
+    (a kappa)^2/3 puts it at (TOL_AXIS/2 + TOL_AXIS^2/3)/(m a^2).
+    Roundoff in the polished kappa moves the count's own step: over 800
+    random wells (m in [0.2, 10], a in [0.1, 6], n = 0...8, either channel)
+    it lay from 3 float spacings below this depth to 4 above it.
+    """
+    ma2 = m * a * a
+    odd = channel is Channel.MINUS
+    if odd or n:
+        return bound_threshold(channel, n + odd, m, a) + TOL_AXIS / ma2
+    return (0.5 * TOL_AXIS + TOL_AXIS * TOL_AXIS / 3.0) / ma2
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ image about that point.
 That fixes the closed loops. A march from a seed on the imaginary axis at
 a real coupling, an axis pole or a coalesced pair split into its branches,
 stops at the half-turn anchor n* = n_seed + 2 or n_seed + 4 where its pole
-lies on the axis again (|Re q| < TOL_AXIS), or where it reaches the
+lies on the axis again (``on_axis``), or where it reaches the
 coalesced pair at q = -i and closes there (the chart lists the pair's
 collision event). The loop is the marched half plus its mirror image about
 alpha* = n*(pi/2), and it is closed_2pi or closed_4pi as n* - n_seed is 2
@@ -88,7 +88,7 @@ from typing import ClassVar
 
 from . import _kernels as _k
 from .errors import ModelInvalid, SeedNotOnPole, StallAtDoubleZero
-from .rootfinder import RESIDUAL_TOL, STEP_TOL, TOL_AXIS, Pole, multiplicity_at
+from .rootfinder import RESIDUAL_TOL, STEP_TOL, Pole, multiplicity_at, on_axis
 from .smatrix import (
     HALF_PI,
     _ANCHOR_GAMMA,
@@ -206,7 +206,7 @@ class Trajectory:
     @property
     def axis_crossings(self) -> list[tuple[float, complex]]:
         a = self.seed.a
-        return [(n * HALF_PI, k) for n, k in self.anchors if abs(a * k.real) < TOL_AXIS]
+        return [(n * HALF_PI, k) for n, k in self.anchors if on_axis(a * k)]
 
     def anchor_index_map(self) -> dict[int, complex]:
         return dict(self.anchors)
@@ -333,7 +333,7 @@ def _trace_from_state(
     # the anchors at which a loop through an axis seed meets the axis again
     half_turns = (
         (n_seed + 2, n_seed + 4)
-        if n_seed % 2 == 0 and abs(a * seed.k.real) < TOL_AXIS else ()
+        if n_seed % 2 == 0 and on_axis(a * seed.k) else ()
     )
 
     q = a * complex(k_start)
@@ -425,7 +425,7 @@ def _trace_from_state(
             break
         if alpha == t_anchor:
             anchors.append((next_anchor, q))
-            if next_anchor in half_turns and abs(q.real) < TOL_AXIS:
+            if next_anchor in half_turns and on_axis(q):
                 n_star = next_anchor
                 break
             next_anchor += 1

@@ -708,9 +708,9 @@ class TestSteeredFlip:
     def test_wrong_steer_falls_back(self, monkeypatch):
         # a guess off the true threshold fails the final bracket's
         # certificate, and the scan-driven halving gives the answer
-        real_threshold = chart_module.bound_threshold
-        monkeypatch.setattr(chart_module, "bound_threshold",
-                            lambda *args: 1.01 * real_threshold(*args))
+        real_steer = chart_module.count_step_depth
+        monkeypatch.setattr(chart_module, "count_step_depth",
+                            lambda *args: 1.01 * real_steer(*args))
         calls = _count_scans(monkeypatch)
         for channel, u_lo, u_hi in ((Channel.PLUS, 2.0, 2.4), (Channel.MINUS, 0.4, 0.7)):
             calls.clear()
@@ -894,6 +894,23 @@ class TestDepthSweep:
         sweep = depth_sweep(Channel.PLUS, [1.0], M, A)
         assert not sweep.entries[0].nudged
         assert sweep.entries[0].U_used == 1.0
+
+    def test_certified_entry_keeps_the_verdict(self, monkeypatch):
+        # a window count one above the traced poles, with no stall and no
+        # count failure: the chart reads incomplete, and so must its entry
+        real_count = chart_module.count_zeros_padded
+        monkeypatch.setattr(chart_module, "count_zeros_padded",
+                            lambda region, spec: (real_count(region, spec)[0] + 1, region))
+        sweep = depth_sweep(Channel.PLUS, [1.0, 3.0], M, A, certify=True)
+        for entry in sweep.entries:
+            chart = build_chart(PotentialSpec(m=M, a=A, U=entry.U_used), Channel.PLUS)
+            cert = chart.completeness
+            assert cert["complete"] is False and chart.warnings == []
+            assert [(w.code, w.message) for w in entry.warnings] == [(
+                "incomplete",
+                f"window contour count {cert['window_count']} against "
+                f"{cert['trajectory_count']} traced poles",
+            )]
 
 
 class TestShallowNarrowWell:
@@ -1411,7 +1428,8 @@ def _closed_form_topology(spec, channel):
     """One open curve, a closed_4pi loop per attractive collision below U,
     and in the even channel a closed_2pi loop below the repulsive one."""
     expected = {"open": 1}
-    loops = len(chart_module._collisions_between(channel, True, spec.m, spec.a, 0.0, spec.U))
+    loops = sum(att for att, _, _ in rootfinder.collisions_between(
+        channel, spec.m, spec.a, 0.0, spec.U))
     if loops:
         expected["closed_4pi"] = loops
     if channel is Channel.PLUS and spec.U < rootfinder.collision_depth(

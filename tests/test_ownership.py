@@ -1,9 +1,12 @@
 """Each closed-form rule has one owning module.
 
 The bound-state thresholds and counts live in ``rootfinder``, next to the
-axis cells they read, and so do a pair collision's depth U* and the box
-its pair is counted in; ``chart`` reaches them only through public names. The anchor phases n*(pi/2) and their exact test live in
-``smatrix``. The working window's extents, the margin past its corners
+axis cells they read, and so do the axis band TOL_AXIS, the depth at which
+the scan's count steps, a pair collision's depth U* in both directions and
+the box its pair is counted in; ``chart`` and ``trajectory`` reach them
+only through public names. The anchor phases n*(pi/2) and their exact test
+live in ``smatrix``. The trig blocks are stated by ``_kernels.trig_scaled``,
+which the winding grid calls. The working window's extents, the margin past its corners
 at which a march stops and the runaway phase guard (40 + 2c)*pi live in
 ``trajectory``, which ``chart`` imports.
 These checks read the package source, so a second copy of any of these
@@ -169,9 +172,57 @@ def _states_collision_depth(tree: ast.Module) -> bool:
     return False
 
 
+def _states_inverse_collision_depth(tree: ast.Module) -> bool:
+    """Whether the module subtracts 1 from a product of m and a with a third
+    factor, as the inverse x^2 = 2 m a^2 u - 1 of U* does."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+            continue
+        if not (isinstance(node.right, ast.Constant) and node.right.value == 1):
+            continue
+        prod = node.left
+        if not (isinstance(prod, ast.BinOp) and isinstance(prod.op, ast.Mult)):
+            continue
+        names = {n.id for n in ast.walk(prod) if isinstance(n, ast.Name)}
+        if {"m", "a"} < names:
+            return True
+    return False
+
+
 def test_only_rootfinder_states_the_collision_rules():
     trees = {p.name: _tree(p.name) for p in SRC.glob("*.py")}
     assert sorted(name for name, tree in trees.items() if _states_pair_box(tree)) == [
         "rootfinder.py"]
     assert sorted(name for name, tree in trees.items() if _states_collision_depth(tree)) == [
         "rootfinder.py"]
+    assert sorted(
+        name for name, tree in trees.items() if _states_inverse_collision_depth(tree)
+    ) == ["rootfinder.py"]
+
+
+def _reads_tol_axis(tree: ast.Module) -> bool:
+    """Whether the module names TOL_AXIS in code: as a name, an attribute
+    or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "TOL_AXIS":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "TOL_AXIS":
+            return True
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name == "TOL_AXIS" for alias in node.names):
+            return True
+    return False
+
+
+def test_only_rootfinder_reads_the_axis_band():
+    owners = sorted(p.name for p in SRC.glob("*.py") if _reads_tol_axis(_tree(p.name)))
+    assert owners == ["rootfinder.py"]
+
+
+def test_winding_grid_states_no_trig_block():
+    (grid,) = [node for node in _tree("_kernels.py").body
+               if isinstance(node, ast.FunctionDef) and node.name == "grid_denom_dk"]
+    named = {node.id for node in ast.walk(grid) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(grid) if isinstance(node, ast.Attribute)}
+    assert "trig_scaled" in named
+    assert named.isdisjoint({"cos", "sin", "exp", "_half_angle"})

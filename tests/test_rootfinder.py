@@ -13,8 +13,8 @@ from scipy.optimize import brentq
 import wellpoles as wp
 from wellpoles import _kernels as _k
 from wellpoles import Channel, ComplexCoupling, PotentialSpec
+from wellpoles.errors import NoRootInBracket
 from wellpoles.chart import (
-    _collisions_between,
     bound_count,
     bound_threshold,
     threshold_flip,
@@ -33,6 +33,8 @@ from wellpoles.rootfinder import (
     collision_depth,
     collision_pair_count,
     collision_x,
+    collisions_between,
+    count_step_depth,
     count_zeros,
     count_zeros_padded,
     multiplicity_at,
@@ -606,6 +608,95 @@ class TestCollisionPairCount:
         assert (info.misses, info.hits) == (len(_PAIR_COLLISIONS), 2 * len(_PAIR_COLLISIONS))
 
 
+def _walked_collisions(channel, m, a, u_lo, u_hi):
+    """(attractive, index, U*) in [u_lo, u_hi]: each coupling walked from
+    index 1 until its collisions run out or pass u_hi."""
+    found = []
+    for attractive in (True, False):
+        index = 1
+        while True:
+            try:
+                u_star = collision_depth(channel, attractive, m, a, index)
+            except NoRootInBracket:
+                break
+            if u_star > u_hi:
+                break
+            if u_star >= u_lo:
+                found.append((attractive, index, u_star))
+            index += 1
+    return found
+
+
+def _band_end(channel, m, a, end):
+    """A band end: a float, or (index, ulps) for that many float spacings
+    from the index-th attractive U* (index >= 1), the even repulsive U*
+    (index -1) or zero depth (index 0)."""
+    if isinstance(end, float):
+        return end
+    index, ulps = end
+    if index == 0:
+        return 0.0
+    u = collision_depth(Channel.PLUS, False, m, a, 1) if index < 0 else collision_depth(
+        channel, True, m, a, index)
+    for _ in range(abs(ulps)):
+        u = math.nextafter(u, math.inf if ulps > 0 else 0.0)
+    return u
+
+
+_BAND_END = st.one_of(
+    st.floats(0.0, 300.0),
+    st.tuples(st.integers(-1, 12), st.integers(-1, 1)),
+)
+
+
+class TestCollisionsBetween:
+    """collisions_between starts its walk past every index its brackets put
+    below the band, and states the repulsive collisions directly."""
+
+    @given(m=st.floats(0.2, 10.0), a=st.floats(0.1, 6.0),
+           channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+           lo=_BAND_END, hi=_BAND_END)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_walk_from_index_one(self, m, a, channel, lo, hi):
+        u_lo, u_hi = sorted((_band_end(channel, m, a, lo), _band_end(channel, m, a, hi)))
+        assert collisions_between(channel, m, a, u_lo, u_hi) == _walked_collisions(
+            channel, m, a, u_lo, u_hi)
+
+    @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
+    @pytest.mark.parametrize("index", [1, 2, 7, 40])
+    def test_band_on_one_depth(self, channel, index):
+        u_star = collision_depth(channel, True, M, A, index)
+        assert collisions_between(channel, M, A, u_star, u_star) == [(True, index, u_star)]
+        # a band ending one float below it holds the index - 1 below
+        below = [i for att, i, _ in collisions_between(
+            channel, M, A, 0.0, math.nextafter(u_star, 0.0)) if att]
+        assert below == list(range(1, index))
+
+    def test_repulsive_collisions(self):
+        u_rep = collision_depth(Channel.PLUS, False, M, A, 1)
+        assert collisions_between(Channel.PLUS, M, A, u_rep, u_rep) == [(False, 1, u_rep)]
+        # the odd repulsive coupling has none, whatever the band
+        assert all(att for att, _, _ in collisions_between(Channel.MINUS, M, A, 0.0, 300.0))
+
+
+class TestCountStepDepth:
+    """count_step_depth is the depth at which bound_count steps from n."""
+
+    @given(m=st.floats(0.2, 10.0), a=st.floats(0.1, 6.0),
+           channel=st.sampled_from([Channel.PLUS, Channel.MINUS]), n=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_count_steps_once_within_eight_spacings(self, m, a, channel, n):
+        u = count_step_depth(channel, n, m, a)
+        for _ in range(8):
+            u = math.nextafter(u, 0.0)
+        us = [u]
+        for _ in range(16):
+            us.append(math.nextafter(us[-1], math.inf))
+        counts = [bound_count(PotentialSpec(m, a, u), channel) for u in us]
+        assert (counts[0], counts[-1]) == (n, n + 1)
+        assert sum(c0 != c1 for c0, c1 in zip(counts, counts[1:])) == 1
+
+
 class TestScalarAxisFunction:
     """``axis_phi``, the sampled axis reference, against the scalar kernel."""
 
@@ -751,10 +842,11 @@ class TestClosedFormScan:
             )
             assert bound_count(sp, channel) == below + (channel is Channel.PLUS)
 
-        near = _collisions_between(
-            channel, coupling is ATT, m, a,
-            U * (1.0 - _COLLISION_MARGIN), U * (1.0 + _COLLISION_MARGIN),
-        )
+        near = [
+            hit for hit in collisions_between(
+                channel, m, a, U * (1.0 - _COLLISION_MARGIN), U * (1.0 + _COLLISION_MARGIN))
+            if hit[0] is (coupling is ATT)
+        ]
         if near:
             return
         lo, hi = _axis_span(m, a, U)
