@@ -202,7 +202,10 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
     - from the second iteration on, Newton's quadratic error model puts the
       next step under that bound: |t_n|^3 < step_tol*(1+|q_{n+1}|)*|t_{n-1}|^2.
       This saves the iteration that would only confirm a converged step.
-      It returns q_{n+1};
+      From the third iteration on it needs the previous step to have
+      contracted, |t_{n-1}| < |t_{n-2}|: after a step that grew, Newton is
+      not yet in its quadratic regime and the model's constant means
+      nothing. It returns q_{n+1};
     - from the second iteration on, d = p - r is a rounding residue of its
       two terms (q*C and i*w*Z in the even channel, C and i*q*Z in the
       odd one): |d| < 16*eps*(|p| + |r|). Then q_n is a root to working
@@ -236,6 +239,7 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
     odd = ch != CH_PLUS
     sqrt, exp, cos, sin = cmath.sqrt, math.exp, cmath.cos, cmath.sin
     q = q0
+    size_prev = math.inf
     for it in range(max_iter):
         qq = q * q
         w = qq + s
@@ -280,8 +284,9 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
         bound = step_tol * (1.0 + abs(q1))
         # the step passes the test, or, from the second iteration on,
         # Newton's quadratic model puts the next one under it:
-        # |t_{n+1}| ~ |t_n|^2 / |t_{n-1}|
-        if size < bound or it and size * size * size < bound * size_prev * size_prev:
+        # |t_{n+1}| ~ |t_n|^2 / |t_{n-1}|, after a step that contracted
+        if size < bound or (it and contracted
+                            and size * size * size < bound * size_prev * size_prev):
             q_root = q1
         elif it and abs(d) < _ROUNDOFF * (abs(p) + abs(r)):
             # d is a rounding residue of its two terms: q is a root to
@@ -289,6 +294,7 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
             q_root = q
         else:
             q = q1
+            contracted = size < size_prev
             size_prev = size
             continue
         if E == 0.0:

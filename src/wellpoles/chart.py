@@ -15,7 +15,11 @@ states: the critical depths where an axis pole pair coalesces at k = -i/a
 at which the bound state count steps, bisected with ``bound_count`` and
 steered by ``count_step_depth``; and sweeps that attribute topology
 changes between consecutive depths to the collision they bracket, found
-by ``collisions_between``, with the same cached count.
+by ``collisions_between``, with the same cached count. A sweep traces no
+curve by default: each entry's topology is the closed-form count of
+``collisions_between``, and its attractive poles are ``scan_axis``'s and
+``off_axis_poles``' inside the working window. A certified sweep traces
+each chart and checks it against that closed form.
 
 A chart in q = k*a depends on c = a sqrt(2 m U) alone (see _kernels), so
 every tolerance here is stated in q or c, and every depth tolerance relative
@@ -39,6 +43,7 @@ from .rootfinder import (
     collisions_between,
     count_step_depth,
     count_zeros_padded,
+    off_axis_poles,
     scan_axis,
 )
 from .smatrix import Channel, ComplexCoupling, PotentialSpec, _anchor_index
@@ -64,6 +69,9 @@ _CRITICAL_WARN = 1e-4
 # relative to U*: a sweep depth this close to it is nudged
 _NUDGE = 1e-6
 _NEAR_CONTACT = 0.05
+# relative, in q: how far a traced attractive pole may lie from its closed
+# form before a certified sweep entry warns
+_CLOSED_FORM_TOL = 1e-10
 
 
 def _inventory_key(q: complex) -> tuple[float, float]:
@@ -538,6 +546,55 @@ def _count_mismatch(cert: dict | None) -> list[ChartWarning]:
                                        f"against {cert['trajectory_count']} traced poles")]
 
 
+def _closed_form_topology(spec: PotentialSpec, channel: Channel) -> dict[str, int]:
+    """A chart's topology without a curve: one open curve, a closed_4pi loop
+    per attractive collision at or below U, and in the even channel a
+    closed_2pi loop while U is below the repulsive collision. Zero depth
+    has no poles and no curves."""
+    if spec.c == 0.0:
+        return {}
+    hits = collisions_between(channel, spec.m, spec.a, 0.0, spec.U)
+    topology = {"open": 1}
+    loops = sum(att for att, _, _ in hits)
+    if loops:
+        topology["closed_4pi"] = loops
+    if channel is Channel.PLUS and all(att for att, _, _ in hits):
+        topology["closed_2pi"] = 1
+    return topology
+
+
+def _closed_form_inventory(spec: PotentialSpec, channel: Channel,
+                           window: WorkingWindow) -> list[complex]:
+    """A chart's anchor_poles(0, window) without a curve: the attractive
+    coupling's axis poles (``scan_axis``) and plane pairs
+    (``off_axis_poles``) inside the window, in anchor_poles' order."""
+    poles = [p.k for p in scan_axis(spec, ComplexCoupling(0.0), channel)]
+    poles += off_axis_poles(spec, channel, window.re_max)
+    a = spec.a
+    return sorted((k for k in poles if window.contains(k)), key=lambda k: _inventory_key(a * k))
+
+
+def _closed_form_mismatch(topology: dict[str, int], poles: list[complex],
+                          closed_topology: dict[str, int], closed_poles: list[complex],
+                          a: float) -> list[ChartWarning]:
+    """A ``closed_form_mismatch`` warning when a chart's traced topology or
+    attractive inventory disagrees with the closed form: in a count, or by
+    more than _CLOSED_FORM_TOL*(1 + |q|) in a pole."""
+    if topology != closed_topology:
+        message = (f"traced topology {sorted(topology.items())} against "
+                   f"{sorted(closed_topology.items())} in closed form")
+    elif len(poles) != len(closed_poles):
+        message = (f"{len(poles)} traced attractive poles against "
+                   f"{len(closed_poles)} in closed form")
+    else:
+        gaps = [(abs(a * (k - p)) / (1.0 + abs(a * p)), k, p) for k, p in zip(poles, closed_poles)]
+        gap, k, p = max(gaps, default=(0.0, 0j, 0j), key=lambda g: g[0])
+        if gap <= _CLOSED_FORM_TOL:
+            return []
+        message = f"traced attractive pole k={k!r} lies {gap:.3e} from its closed form k={p!r}"
+    return [ChartWarning("closed_form_mismatch", message)]
+
+
 def depth_sweep(
     channel: Channel,
     depths: list[float],
@@ -545,15 +602,27 @@ def depth_sweep(
     a: float = 1.5,
     certify: bool = False,
 ) -> SweepResult:
-    """Charts over a list of depths, with topology changes attributed.
+    """Topology and attractive poles over a list of depths, with topology
+    changes attributed.
 
     A requested depth within _NUDGE*U* of a pair collision depth U* is
-    nudged just past it (recorded on the entry) so trajectories do not stall
-    at the degenerate point. Between consecutive depths whose topology
-    differs, the bracketed critical depth is solved and attached, with the
-    pair count ``critical_depth`` reads (counted once per collision). With
-    certify=True an entry whose chart's window count disagrees with its
-    traced poles, which no chart warning reports, gets an ``incomplete`` one.
+    nudged just past it (recorded on the entry), off the degenerate point.
+    Each entry holds a chart's topology and its anchor_poles(0) in the
+    working window, in closed form: one open curve, a closed_4pi loop per
+    attractive collision below the depth and, in the even channel, a
+    closed_2pi loop while the depth is below the repulsive one; the axis
+    poles of ``scan_axis`` and one Newton solve per cell whose pair is off
+    the axis (``off_axis_poles``). No curve is traced, and an entry's one possible
+    warning is the chart's ``critical_proximity``. Between consecutive
+    depths whose topology differs, the bracketed critical depth is solved
+    and attached, with the pair count ``critical_depth`` reads (counted once
+    per collision).
+
+    With certify=True each entry is a certified chart's instead, traced,
+    with its warnings; one whose window count disagrees with its traced
+    poles, which no chart warning reports, gets an ``incomplete`` warning,
+    and one whose traced topology or inventory disagrees with the closed
+    form a ``closed_form_mismatch`` one.
     """
     entries = []
     for U_req in depths:
@@ -563,14 +632,24 @@ def depth_sweep(
             u_star = near[0][2]
             U_used = u_star * (1.0 + _NUDGE if U_req >= u_star else 1.0 - _NUDGE)
         spec = PotentialSpec(m=m, a=a, U=U_used)
-        chart = build_chart(spec, channel, certify=certify)
+        window = working_window(spec)
+        topology = _closed_form_topology(spec, channel)
+        poles = _closed_form_inventory(spec, channel, window)
+        if certify:
+            chart = build_chart(spec, channel)
+            traced = chart.anchor_poles(0, window)
+            warnings = (chart.warnings + _count_mismatch(chart.completeness)
+                        + _closed_form_mismatch(chart.topology, traced, topology, poles, a))
+            topology, poles = chart.topology, traced
+        else:
+            warnings = _critical_proximity(spec, channel)
         entries.append(SweepEntry(
             U_requested=U_req,
             U_used=U_used,
             nudged=nudged,
-            topology=chart.topology,
-            attractive_poles=chart.anchor_poles(0, working_window(spec)),
-            warnings=chart.warnings + _count_mismatch(chart.completeness),
+            topology=topology,
+            attractive_poles=poles,
+            warnings=warnings,
         ))
 
     transitions = []

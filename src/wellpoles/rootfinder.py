@@ -22,7 +22,9 @@ the scan shows a new state a TOL_AXIS band past its threshold
 strengths c*^2 = x_c^2 +- 1 (``collision_x``, ``collision_depth``, and in
 a depth band ``collisions_between``), so each collision's pair count
 depends on (channel, coupling, index) alone and is counted once per
-process (``collision_pair_count``).
+process (``collision_pair_count``). Below its collision strength a cell's
+pair lies off the axis, and ``off_axis_poles`` finds it at the attractive
+coupling with one Newton solve per cell.
 """
 
 from __future__ import annotations
@@ -477,6 +479,53 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
              for cell in cells for kappa, mult in _cell_roots(cell, c, s, channel.code)]
     poles.sort(key=lambda p: p.k.imag)
     return poles
+
+
+def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list[complex]:
+    """The poles k off the imaginary axis at the attractive coupling, up to
+    the first pair past |Re k| = re_max: the mirrored pair k, -conj(k) of
+    every collision cell whose pair has left the axis.
+
+    The n-th cell's pair collides at x_c = ``collision_x`` (n), where the
+    axis ratio is r_c = sqrt(x_c^2 + 1); below it, c < r_c, the pair lies
+    off the axis, unless it sits within _PAIR_BALL*x_c of q = -i
+    (``_pair_offset``), where ``scan_axis`` gives it as one coalesced pair.
+    One Newton solve in q finds one pole of each such pair, seeded at
+    q0 = i x0 tan x0 (even) or -i x0 cot x0 (odd) with the interior phase
+    x0 = x_c + i w, w = max(pair offset, acosh(max(1, x_c/c))): the first
+    places a pair near its collision, the second one the far plane poles
+    of a shallow well, whose interior phase runs off by acosh(x_c/c). The
+    walk stops at the first pole with |Re q| > a*re_max whose cell lies
+    past x_c = a*re_max + pi. The cells with x_c below c hold axis poles,
+    which ``scan_axis`` gives, and so do the cells without a collision.
+
+    Raises NoConvergence when a solve does not converge. U = 0 has no
+    poles.
+    """
+    a, c = spec.a, spec.c
+    if c == 0.0:
+        return []
+    odd = channel is Channel.MINUS
+    q_max = a * re_max
+    poles = []
+    n = 1
+    while True:
+        xc = collision_x(channel, True, n)
+        n += 1
+        rc = math.sqrt(xc * xc + 1.0)
+        if rc <= c:
+            continue
+        offset = _pair_offset(rc, c)
+        if offset < _PAIR_BALL:
+            continue
+        x0 = complex(xc, max(offset, math.acosh(max(1.0, xc / c))))
+        q0 = -1j * x0 / cmath.tan(x0) if odd else 1j * x0 * cmath.tan(x0)
+        q, iters, ok, _ = _k.newton_pole(q0, c * c, channel.code, STEP_TOL, MAX_NEWTON)
+        if not ok:
+            raise NoConvergence(q / a, iters)
+        if abs(q.real) > q_max and xc > q_max + math.pi:
+            return poles
+        poles.extend((q / a, -q.conjugate() / a))
 
 
 def _threshold_x(odd: bool, j: int) -> float:

@@ -1456,6 +1456,97 @@ class TestClosedFormTopology:
         assert chart.topology == _closed_form_topology(spec, channel)
 
 
+@st.composite
+def _sweep_depths(draw):
+    """(m, a, channel, depth): a box well, a shallow one with c < 0.2, or a
+    depth 5e-7 U* to either side of a collision depth U*, which the sweep
+    nudges."""
+    m = draw(st.floats(0.2, 10.0))
+    a = draw(st.floats(0.1, 6.0))
+    channel = draw(st.sampled_from([Channel.PLUS, Channel.MINUS]))
+    kind = draw(st.sampled_from(("box", "shallow", "collision")))
+    if kind == "box":
+        U = math.exp(draw(st.floats(math.log(1e-3), math.log(300.0))))
+    elif kind == "shallow":
+        U = draw(st.floats(1e-3, 0.2)) ** 2 / (2.0 * m * a * a)
+    else:
+        attractive = channel is Channel.MINUS or draw(st.booleans())
+        index = draw(st.integers(1, 3)) if attractive else 1
+        side = draw(st.sampled_from((-5e-7, 5e-7)))
+        U = rootfinder.collision_depth(channel, attractive, m, a, index) * (1.0 + side)
+    return m, a, channel, U
+
+
+class TestMarchFreeSweep:
+    """The default sweep reads each entry's topology and attractive
+    inventory off closed forms and one Newton solve per off-axis cell; a
+    certified sweep traces the chart and checks it against them."""
+
+    @given(_sweep_depths())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_certified_sweep(self, well):
+        m, a, channel, U = well
+        fast = depth_sweep(channel, [U], m, a)
+        traced = depth_sweep(channel, [U], m, a, certify=True)
+        (entry,), (ref,) = fast.entries, traced.entries
+        codes = [w.code for w in ref.warnings]
+        # a curve that stalls or a chart that fails its certificate is the
+        # tracer's error, which the certified sweep reports; at (10, 6, 300),
+        # plus channel, two curves stall and the chart loses two loops
+        assume(not {"trace_stalled", "phase_guard", "incomplete", "count_failed"} & set(codes))
+        assert entry.U_used == ref.U_used
+        assert entry.topology == ref.topology
+        assert len(entry.attractive_poles) == len(ref.attractive_poles)
+        for k, k_ref in zip(entry.attractive_poles, ref.attractive_poles):
+            assert a * abs(k - k_ref) <= 1e-10 * (1.0 + a * abs(k_ref))
+        assert "closed_form_mismatch" not in codes
+
+    def test_builds_and_traces_no_chart(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default sweep marched")
+
+        for name in ("build_chart", "trace", "trace_branch"):
+            monkeypatch.setattr(chart_module, name, refuse)
+        sweep = depth_sweep(Channel.PLUS, [0.09, 1.95, U_STAR_PLUS_ATT, 3.0], M, A)
+        assert [e.topology for e in sweep.entries] == [
+            {"open": 1, "closed_2pi": 1}, {"open": 1}, {"open": 1, "closed_4pi": 1},
+            {"open": 1, "closed_4pi": 1},
+        ]
+        assert [tr.critical.U for tr in sweep.transitions] == [
+            pytest.approx(U_STAR_PLUS_REP), pytest.approx(U_STAR_PLUS_ATT)]
+
+    def test_default_entry_warns_only_of_a_collision(self):
+        # 0.0976 is the four-digit rounding of the repulsive collision depth
+        (entry,) = depth_sweep(Channel.PLUS, [0.0976], M, A).entries
+        assert not entry.nudged
+        assert [w.code for w in entry.warnings] == ["critical_proximity"]
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_zero_depth(self, certify):
+        (entry,) = depth_sweep(Channel.PLUS, [0.0], M, A, certify=certify).entries
+        assert entry.topology == {} and entry.attractive_poles == []
+
+    def test_certified_entry_reports_a_dropped_pole(self, monkeypatch):
+        inventory = chart_module._closed_form_inventory
+        monkeypatch.setattr(chart_module, "_closed_form_inventory",
+                            lambda *args: inventory(*args)[1:])
+        (entry,) = depth_sweep(Channel.MINUS, [5.0], M, A, certify=True).entries
+        assert [w.code for w in entry.warnings] == ["closed_form_mismatch"]
+        traced = build_chart(PotentialSpec(m=M, a=A, U=5.0), Channel.MINUS)
+        window = working_window(traced.spec)
+        assert entry.attractive_poles == traced.anchor_poles(0, window)
+        n = len(entry.attractive_poles)
+        assert entry.warnings[0].message == (
+            f"{n} traced attractive poles against {n - 1} in closed form")
+
+    def test_certified_entry_reports_a_moved_pole(self, monkeypatch):
+        inventory = chart_module._closed_form_inventory
+        monkeypatch.setattr(chart_module, "_closed_form_inventory",
+                            lambda *args: [k * (1.0 + 1e-9) for k in inventory(*args)])
+        (entry,) = depth_sweep(Channel.PLUS, [2.0], M, A, certify=True).entries
+        assert [w.code for w in entry.warnings] == ["closed_form_mismatch"]
+
+
 class TestTraceWindow:
     """A march stops at 1.2 times the working window's corner radius in q,
     so a deep or wide well's loops close inside it, and a shallow well's

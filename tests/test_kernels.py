@@ -192,11 +192,12 @@ def _reference_newton(k0, s, ch, step_tol, max_iter, new_exits=True):
     """Newton on denom_scaled: the loop newton_pole must equal bit for bit.
 
     It stops on the step test or, with new_exits and from the second
-    iteration on, where the quadratic model puts the next step under it or
-    d is a rounding residue of its terms; without, on the step test alone.
+    iteration on, where the quadratic model puts the next step under it
+    after a step that contracted or d is a rounding residue of its terms;
+    without, on the step test alone.
     """
     k = k0
-    s_prev = None
+    s_prev = math.inf
     for it in range(max_iter):
         d, dk, da, E = K.denom_scaled(k, s, ch)
         if dk == 0.0:
@@ -205,11 +206,13 @@ def _reference_newton(k0, s, ch, step_tol, max_iter, new_exits=True):
         k1 = k - step
         size = abs(step)
         bound = step_tol * (1.0 + abs(k1))
-        if size < bound or new_exits and it and size * size * size < bound * s_prev * s_prev:
+        if size < bound or (new_exits and it and contracted
+                            and size * size * size < bound * s_prev * s_prev):
             return (k1, it + 1, True) if E != 0.0 else (k, it + 1, False)
         if new_exits and it and abs(d) < K._ROUNDOFF * _terms(k, s, ch):
             return (k, it + 1, E != 0.0)
         k = k1
+        contracted = size < s_prev
         s_prev = size
     return k, max_iter, False
 
@@ -324,6 +327,8 @@ class TestNewtonBitEquality:
     @given(_newton_cases())
     @example((1e200 + 0j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 1e-12, 50))
     @example((np.complex128(A * 1.85j), _s(np.complex128(1.0), M, A, 2.0), K.CH_MINUS, 1e-12, 8))
+    # a grown second step, after which the quadratic model may not exit
+    @example((1.7402331821066375j, 21921.30814383263, K.CH_PLUS, 1e-12, 8))
     def test_matches_reference_loop(self, args):
         self._check(args)
 
@@ -342,6 +347,9 @@ class TestNewtonStopRule:
     # |q|^2 is 6e-6 of the coupling, so w's rounding hides steps below
     # 7e-13: Newton creeps on at rate 1/8 and the model stops 2.3e-14 early
     @example((0j, _s(1.0 + 0j, 4.9765625, 3.646484375, 28.359375), K.CH_MINUS, 1e-15, 8))
+    # the steps run 21.7, 122.8, 1.2e-4: after the grown second step the
+    # model's constant means nothing, and its exit stopped 2e-9 early
+    @example((1.7402331821066375j, 21921.30814383263, K.CH_PLUS, 1e-12, 8))
     def test_agrees_with_step_test_alone(self, args):
         k_old, it_old, ok_old = _reference_newton(*args, new_exits=False)
         if not ok_old:

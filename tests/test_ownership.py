@@ -2,9 +2,10 @@
 
 The bound-state thresholds and counts live in ``rootfinder``, next to the
 axis cells they read, and so do the axis band TOL_AXIS, the depth at which
-the scan's count steps, a pair collision's depth U* in both directions and
-the box its pair is counted in; ``chart`` and ``trajectory`` reach them
-only through public names. The anchor phases n*(pi/2) and their exact test
+the scan's count steps, a pair collision's depth U* in both directions,
+the box its pair is counted in and the walk that solves the pair of each
+cell off the axis; ``chart`` and ``trajectory`` reach them only through
+public names. The anchor phases n*(pi/2) and their exact test
 live in ``smatrix``. The trig blocks are stated by ``_kernels.trig_scaled``,
 which the winding grid calls. The working window's extents, the margin past its corners
 at which a march stops and the runaway phase guard (40 + 2c)*pi live in
@@ -226,3 +227,27 @@ def test_winding_grid_states_no_trig_block():
     named |= {node.attr for node in ast.walk(grid) if isinstance(node, ast.Attribute)}
     assert "trig_scaled" in named
     assert named.isdisjoint({"cos", "sin", "exp", "_half_angle"})
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name the code under node reads, sets, imports or takes as an
+    attribute."""
+    named = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            named.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            named.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            named |= {alias.name for alias in sub.names}
+    return named
+
+
+def test_only_rootfinder_walks_the_off_axis_cells():
+    # the sweep's plane poles come from one cell walk, which seeds a Newton
+    # solve per cell whose pair has left the axis
+    cell_rules = {"newton_pole", "_PAIR_BALL", "_pair_offset"}
+    assert _names(_tree("chart.py")).isdisjoint(cell_rules)
+    (walk,) = [node for node in _tree("rootfinder.py").body
+               if isinstance(node, ast.FunctionDef) and node.name == "off_axis_poles"]
+    assert cell_rules <= _names(walk)
