@@ -1491,8 +1491,8 @@ class TestMarchFreeSweep:
         (entry,), (ref,) = fast.entries, traced.entries
         codes = [w.code for w in ref.warnings]
         # a curve that stalls or a chart that fails its certificate is the
-        # tracer's error, which the certified sweep reports; at (10, 6, 300),
-        # plus channel, two curves stall and the chart loses two loops
+        # tracer's error, which the certified sweep reports (see
+        # test_certified_entry_reports_a_stalled_chart)
         assume(not {"trace_stalled", "phase_guard", "incomplete", "count_failed"} & set(codes))
         assert entry.U_used == ref.U_used
         assert entry.topology == ref.topology
@@ -1538,6 +1538,17 @@ class TestMarchFreeSweep:
         n = len(entry.attractive_poles)
         assert entry.warnings[0].message == (
             f"{n} traced attractive poles against {n - 1} in closed form")
+
+    def test_certified_entry_reports_a_stalled_chart(self):
+        # c = 464.8, where the contour count finds 667 window poles. Four
+        # curves stall there, and the traced chart has lost two of its 147
+        # loops and four of the poles; the certified entry says so
+        (entry,) = depth_sweep(Channel.PLUS, [300.0], 10.0, 6.0).entries
+        (ref,) = depth_sweep(Channel.PLUS, [300.0], 10.0, 6.0, certify=True).entries
+        assert entry.topology == {"open": 1, "closed_4pi": 147}
+        assert len(entry.attractive_poles) == 667
+        lost = ref.topology != entry.topology or len(ref.attractive_poles) != 667
+        assert lost == ("closed_form_mismatch" in [w.code for w in ref.warnings])
 
     def test_certified_entry_reports_a_moved_pole(self, monkeypatch):
         inventory = chart_module._closed_form_inventory
