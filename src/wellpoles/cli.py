@@ -1,8 +1,13 @@
 """Command line interface.
 
+One table, `_COMMANDS`, names each subcommand's document kind, handler,
+output flags and help. A subcommand takes --config, --out, a flag for each
+config key its document records (`document._READS`) and its output flags,
+and no other: a flag it would not read is a usage error.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 numerical failure. Errors go to stderr as one-line JSON so shell
-pipelines can parse them.
+error, 3 numerical failure. Errors, usage errors included, go to stderr as
+one-line JSON so shell pipelines can parse them.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import argparse
 import math
 import random
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .chart import (
@@ -23,6 +29,7 @@ from .chart import (
 )
 from .config import RunConfig, load_config_file, merge_config
 from .document import (
+    _READS,
     axis_poles_csv,
     axis_poles_document,
     bound_threshold_document,
@@ -50,99 +57,6 @@ from .smatrix import (
     verify_relations,
 )
 from .svgplot import chart_svg
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wellpoles",
-        description=(
-            "Pole spectrum and coupling-rotation trajectories of the "
-            "symmetric rectangular well"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", type=float, default=None, help="particle mass")
-    common.add_argument("--a", type=float, default=None, help="half width of the well")
-    common.add_argument("--U", type=float, default=None, help="well depth (positive)")
-    common.add_argument("--channel", choices=("plus", "minus"), default=None,
-                        help="parity channel")
-    common.add_argument("--gamma", choices=("+1", "-1"), default=None,
-                        help="real coupling sign")
-    common.add_argument("--config", default=None, help="JSON config file")
-    common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format")
-
-    p_axis = sub.add_parser(
-        "axis", parents=[common],
-        help="poles on the imaginary momentum axis at a real coupling, "
-             "enumerated in closed form",
-    )
-
-    p_chart = sub.add_parser(
-        "chart", parents=[common],
-        help="full trajectory chart under coupling phase rotation",
-    )
-    p_chart.add_argument("--svg", default=None, help="also render an SVG here")
-    p_chart.add_argument("--no-certify", action="store_true",
-                         help="skip the completeness certificate")
-
-    p_critical = sub.add_parser(
-        "critical", parents=[common],
-        help="depth at which an axis pole pair coalesces at k = -i/a",
-    )
-    p_critical.add_argument("--index", type=int, default=None,
-                            help="which collision, counting from 1 in depth")
-
-    p_threshold = sub.add_parser(
-        "threshold", parents=[common],
-        help="depth at which the n-th bound state appears",
-    )
-    p_threshold.add_argument("--n", type=int, default=None,
-                             help="bound state index, from 1")
-    p_threshold.add_argument("--check", action="store_true",
-                             help="verify by bisecting the bound state count")
-
-    p_sweep = sub.add_parser(
-        "sweep", parents=[common],
-        help="charts over a list of depths with transition attribution",
-    )
-    p_sweep.add_argument("--depths", default=None,
-                         help="comma separated depth list")
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common],
-        help="self-check of the scattering identities on random samples",
-    )
-    p_verify.add_argument("--samples", type=int, default=None,
-                          help="number of random samples")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="random generator seed")
-
-    return parser
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = load_config_file(args.config) if args.config else {}
-    cli_values = {}
-    for key in ("m", "a", "U", "channel", "out", "format", "index", "samples",
-                "seed", "n", "svg"):
-        if hasattr(args, key):
-            cli_values[key] = getattr(args, key)
-    if getattr(args, "gamma", None) is not None:
-        cli_values["gamma"] = int(args.gamma)
-    if getattr(args, "no_certify", False):
-        cli_values["certify"] = False
-    if getattr(args, "depths", None) is not None:
-        try:
-            cli_values["depths"] = tuple(
-                float(part) for part in args.depths.split(",") if part.strip()
-            )
-        except ValueError as exc:
-            raise DocumentError(f"bad --depths list: {exc}") from exc
-    return merge_config(file_values, cli_values)
 
 
 def _write(text: str, cfg: RunConfig) -> None:
@@ -186,26 +100,21 @@ def _cmd_critical(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_threshold(cfg: RunConfig) -> int:
+def _cmd_threshold(cfg: RunConfig, check: bool | None = None) -> int:
     channel = Channel.parse(cfg.channel)
     u_n = bound_threshold(channel, cfg.n, m=cfg.m, a=cfg.a)
-    _write(canonical_dumps(bound_threshold_document(u_n, cfg)), cfg)
-    return 0
-
-
-def _cmd_threshold_checked(cfg: RunConfig) -> int:
-    channel = Channel.parse(cfg.channel)
-    u_n = bound_threshold(channel, cfg.n, m=cfg.m, a=cfg.a)
-    # halfway to the neighbouring thresholds (0 below the first), with the
-    # tolerance and the agreement test relative to u_n
-    below = bound_threshold(channel, cfg.n - 1, m=cfg.m, a=cfg.a) if cfg.n > 1 else 0.0
-    above = bound_threshold(channel, cfg.n + 1, m=cfg.m, a=cfg.a)
-    flip = threshold_flip(channel, 0.5 * (below + u_n), 0.5 * (u_n + above),
-                          m=cfg.m, a=cfg.a, tol=1e-6 * u_n)
-    agree = abs(flip - u_n) < 1e-4 * u_n
+    flip = agree = None
+    if check:
+        # halfway to the neighbouring thresholds (0 below the first), with
+        # the tolerance and the agreement test relative to u_n
+        below = bound_threshold(channel, cfg.n - 1, m=cfg.m, a=cfg.a) if cfg.n > 1 else 0.0
+        above = bound_threshold(channel, cfg.n + 1, m=cfg.m, a=cfg.a)
+        flip = threshold_flip(channel, 0.5 * (below + u_n), 0.5 * (u_n + above),
+                              m=cfg.m, a=cfg.a, tol=1e-6 * u_n)
+        agree = abs(flip - u_n) < 1e-4 * u_n
     doc = bound_threshold_document(u_n, cfg, flip=flip, flip_agrees=agree)
     _write(canonical_dumps(doc), cfg)
-    return 0 if agree else 1
+    return 1 if agree is False else 0
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -299,6 +208,86 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if doc["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a DocumentError, which `main` writes as the
+    one-line JSON of every other error, instead of printing usage text."""
+
+    def error(self, message: str):
+        raise DocumentError(message)
+
+
+def _depth_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad depth list: {exc}") from exc
+
+
+# the flag of each key a command can take: its argparse keywords, for
+# --key, or --no-key for a switch that stores False. Every flag defaults to
+# None, so a key left off the command line keeps its value from the config
+# file or RunConfig; RunConfig alone checks the values of channel, gamma and
+# format
+_FLAGS = {
+    "m": {"type": float, "help": "particle mass"},
+    "a": {"type": float, "help": "half width of the well"},
+    "U": {"type": float, "help": "well depth (positive)"},
+    "channel": {"help": "parity channel: plus or minus"},
+    "gamma": {"type": int, "help": "real coupling sign: +1 or -1"},
+    "certify": {"action": "store_false", "help": "skip the completeness certificate"},
+    "index": {"type": int, "help": "which collision, counting from 1 in depth"},
+    "n": {"type": int, "help": "bound state index, from 1"},
+    "depths": {"type": _depth_list, "help": "comma separated depth list"},
+    "samples": {"type": int, "help": "number of random samples"},
+    "seed": {"type": int, "help": "random generator seed"},
+    "config": {"help": "JSON config file"},
+    "out": {"help": "output file (default stdout)"},
+    "format": {"help": "output format: json or csv"},
+    "svg": {"help": "also render an SVG here"},
+    "check": {"action": "store_true", "help": "verify by bisecting the bound state count"},
+}
+
+
+# each command: the kind of document it writes, whose `_READS` are its
+# config flags; its handler; its output flags besides --out; its help
+_COMMANDS = {
+    "axis": ("axis_poles", _cmd_axis, ("format",),
+             "poles on the imaginary momentum axis at a real coupling, "
+             "enumerated in closed form"),
+    "chart": ("pole_chart", _cmd_chart, ("format", "svg"),
+              "full trajectory chart under coupling phase rotation"),
+    "critical": ("critical_depth", _cmd_critical, (),
+                 "depth at which an axis pole pair coalesces at k = -i/a"),
+    "threshold": ("bound_threshold", _cmd_threshold, ("check",),
+                  "depth at which the n-th bound state appears"),
+    "sweep": ("depth_sweep", _cmd_sweep, (),
+              "charts over a list of depths with transition attribution"),
+    "verify": ("verification", _cmd_verify, (),
+               "self-check of the scattering identities on random samples"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="wellpoles",
+        description=(
+            "Pole spectrum and coupling-rotation trajectories of the "
+            "symmetric rectangular well"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (kind, _, sinks, text) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for key in (*_READS[kind], "config", "out", *sinks):
+            spec = _FLAGS[key]
+            prefix = "--no-" if spec.get("action") == "store_false" else "--"
+            command.add_argument(prefix + key, dest=key, default=None, **spec)
+    return parser
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+
+
 def _error_json(exc: BaseException) -> str:
     return canonical_dumps(
         {"error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -306,32 +295,20 @@ def _error_json(exc: BaseException) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        flags = vars(_build_parser().parse_args(argv))
+        handler = _COMMANDS[flags.pop("command")][1]
+        path = flags.pop("config")
+        # a flag that is no config key, such as --check, goes to the handler
+        options = {key: flags.pop(key) for key in set(flags) - _CONFIG_KEYS}
+        cfg = merge_config(load_config_file(path) if path else {}, flags)
+    except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 2
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        cfg = _resolve_config(args)
     except (DocumentError, ValueError) as exc:
         sys.stderr.write(_error_json(exc))
         return 2
-    handler = {
-        "axis": _cmd_axis,
-        "chart": _cmd_chart,
-        "critical": _cmd_critical,
-        "threshold": (
-            _cmd_threshold_checked if getattr(args, "check", False)
-            else _cmd_threshold
-        ),
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-    }[args.command]
     try:
-        return handler(cfg)
+        return handler(cfg, **options)
     except (DocumentError, ValueError) as exc:
         sys.stderr.write(_error_json(exc))
         return 2

@@ -11,8 +11,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from wellpoles import cli, rootfinder
-from wellpoles.document import parse_chart_document
+from wellpoles import chart, cli, rootfinder
+from wellpoles.document import _READS, parse_chart_document
 from wellpoles.errors import EdgeTooClose
 
 
@@ -312,6 +312,51 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "chart", "--U", "2", flag, "1")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("argv,kind", [
+        (("axis", "--channel", "bogus"), "ValueError"),
+        (("axis", "--gamma", "2"), "ValueError"),
+        (("chart", "--format", "xml"), "ValueError"),
+        (("axis", "--U", "abc"), "DocumentError"),
+        (("threshold", "--n", "two"), "DocumentError"),
+        (("axis", "--bogus", "1"), "DocumentError"),
+        (("sweep", "--depths", "1.0,zap"), "DocumentError"),
+        ((), "DocumentError"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_one_json_line(self, capsys, argv, kind):
+        # a usage error goes the way of every other error: exit 2, nothing
+        # on stdout and one JSON line on stderr, not argparse's usage text
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == kind and error["message"]
+
+    def test_help_prints_help(self, capsys):
+        code, out, err = run(capsys, "chart", "--help")
+        assert code == 0 and err == ""
+        assert "--no-certify" in out and "--gamma" not in out
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("chart", "--gamma", "-1"),
+        ("critical", "--U", "2"),
+        ("critical", "--format", "csv"),
+        ("threshold", "--U", "2"),
+        ("threshold", "--gamma", "-1"),
+        ("threshold", "--format", "csv"),
+        ("sweep", "--U", "2"),
+        ("sweep", "--gamma", "-1"),
+        ("sweep", "--format", "csv"),
+        ("verify", "--channel", "minus"),
+        ("verify", "--gamma", "-1"),
+        ("verify", "--format", "csv"),
+    ])
+    def test_flag_the_command_ignores(self, capsys, command, flag, value):
+        # a flag the command would not read is refused, not silently dropped
+        code, out, err = run(capsys, command, flag, value)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert flag in json.loads(err)["error"]["message"]
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_verify_needs_a_sample(self, capsys, samples):
         # a verdict over no samples would pass without checking anything
@@ -319,6 +364,10 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert "samples" in json.loads(err)["error"]["message"]
+
+
+def _no_chart(*args, **kwargs):
+    raise AssertionError("an uncertified sweep traces no chart")
 
 
 class TestConfigFlag:
@@ -394,12 +443,58 @@ class TestConfigFlag:
         assert with_cfg == plain
         assert not set(ignored) & set(json.loads(plain)["provenance"]["config"])
 
+    def test_sweep_no_certify_equals_its_config_key(self, capsys, tmp_path, monkeypatch):
+        # with no switch on the command line the file's value stands, as
+        # the switch defaults to None, not to True
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"certify": False}))
+        monkeypatch.setattr(chart, "build_chart", _no_chart)
+        code, flag, _ = run(capsys, "sweep", "--depths", "1,3", "--no-certify")
+        code_cfg, with_cfg, _ = run(capsys, "sweep", "--depths", "1,3", "--config", str(path))
+        assert code == code_cfg == 0
+        assert flag == with_cfg
+        assert json.loads(flag)["provenance"]["config"]["certify"] is False
+
+    def test_chart_certify_from_the_file(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"certify": False}))
+        code, out, _ = run(capsys, "chart", "--U", "1", "--config", str(path))
+        assert code == 0 and json.loads(out)["completeness"] is None
+
     def test_config_can_supply_depths(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"depths": [1.0], "channel": "plus"}))
         code, out, _ = run(capsys, "sweep", "--config", str(path))
         assert code == 0
         assert len(json.loads(out)["entries"]) == 1
+
+
+# the document kind and the output flags besides --out of each command
+_SINKS = {
+    "axis": ("axis_poles", {"format"}),
+    "chart": ("pole_chart", {"format", "svg"}),
+    "critical": ("critical_depth", set()),
+    "threshold": ("bound_threshold", {"check"}),
+    "sweep": ("depth_sweep", set()),
+    "verify": ("verification", set()),
+}
+
+
+def test_flags_are_the_keys_each_command_reads():
+    # every flag of a command is a key its document records, --config,
+    # --out or one of its output flags: none is taken and then ignored
+    (sub,) = (
+        action for action in cli._build_parser()._actions
+        if action.dest == "command"
+    )
+    assert set(sub.choices) == set(_SINKS)
+    slots = 0
+    for name, parser in sub.choices.items():
+        kind, sinks = _SINKS[name]
+        flags = {action.dest for action in parser._actions} - {"help"}
+        assert flags == {"config", "out"} | set(_READS[kind]) | sinks, name
+        slots += len(flags)
+    assert slots == 45
 
 
 class TestEntryPoint:

@@ -45,3 +45,10 @@ def test_runtime_leaves_numpy_unloaded(code, tmp_path):
     # numpy is a test-only dependency: the package computes on math/cmath
     # scalars and Python lists, and importing numpy would double a cold start
     assert _loaded(code, "numpy", cwd=tmp_path) == "[]"
+
+
+def test_import_leaves_the_command_line_unloaded():
+    # the command table and argparse belong to the entry point; `import
+    # wellpoles` is what a library caller pays for at start-up
+    assert "wellpoles.cli" not in _loaded("import wellpoles", "wellpoles")
+    assert _loaded("import wellpoles", "argparse") == "[]"
