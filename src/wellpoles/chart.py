@@ -16,10 +16,11 @@ at which the bound state count steps, bisected with ``bound_count`` and
 steered by ``count_step_depth``; and sweeps that attribute topology
 changes between consecutive depths to the collision they bracket, found
 by ``collisions_between``, with the same cached count. A sweep traces no
-curve by default: each entry's topology is the closed-form count of
+curve: each entry's topology is the closed-form count of
 ``collisions_between``, and its attractive poles are ``scan_axis``'s and
-``off_axis_poles``' inside the working window. A certified sweep traces
-each chart and checks it against that closed form.
+``off_axis_poles``' inside the working window. A certified sweep checks
+them with the chart's own window count and the residual bound a traced
+seed must meet.
 
 A chart in q = k*a depends on c = a sqrt(2 m U) alone (see _kernels), so
 every tolerance here is stated in q or c, and every depth tolerance relative
@@ -44,6 +45,7 @@ from .rootfinder import (
     count_step_depth,
     count_zeros_padded,
     off_axis_poles,
+    residual_ratio,
     scan_axis,
 )
 from .smatrix import Channel, ComplexCoupling, PotentialSpec, _anchor_index
@@ -69,13 +71,22 @@ _CRITICAL_WARN = 1e-4
 # relative to U*: a sweep depth this close to it is nudged
 _NUDGE = 1e-6
 _NEAR_CONTACT = 0.05
-# relative, in q: how far a traced attractive pole may lie from its closed
-# form before a certified sweep entry warns
-_CLOSED_FORM_TOL = 1e-10
 
 
 def _inventory_key(q: complex) -> tuple[float, float]:
     return (0.0 if abs(q.real) < _DEDUP_TOL else q.real, q.imag)
+
+
+def _distinct(poles, a: float) -> list[complex]:
+    """The poles k with those within _DEDUP_TOL of an earlier one in q
+    merged into it, sorted by (Re, Im), with an axis pole (|Re q| <
+    _DEDUP_TOL) taken at Re = 0 so that the sign of its roundoff real part
+    does not decide its place."""
+    found: list[complex] = []
+    for k in poles:
+        if all(a * abs(k - p) >= _DEDUP_TOL for p in found):
+            found.append(k)
+    return sorted(found, key=lambda k: _inventory_key(a * k))
 
 
 @dataclass(frozen=True)
@@ -140,22 +151,12 @@ class PoleChart:
         """Distinct poles delivered at anchors with index = phase_class (mod 4).
 
         phase_class 0 is the attractive coupling, 2 the repulsive one. A
-        closed curve revisits its anchors every turn, so momenta within
-        _DEDUP_TOL of each other in q are merged; the survivors are sorted
-        by (Re, Im), with an axis pole (|Re q| < _DEDUP_TOL) taken at Re = 0
-        so that the sign of its roundoff real part does not decide its place.
+        closed curve revisits its anchors every turn, so they are merged as
+        ``_distinct`` merges poles.
         """
-        a = self.spec.a
-        found: list[complex] = []
-        for traj in self.trajectories:
-            for n, k in traj.anchors:
-                if (n - phase_class) % 4 != 0:
-                    continue
-                if window is not None and not window.contains(k):
-                    continue
-                if all(a * abs(k - p) >= _DEDUP_TOL for p in found):
-                    found.append(k)
-        return sorted(found, key=lambda k: _inventory_key(a * k))
+        return _distinct((k for traj in self.trajectories for n, k in traj.anchors
+                          if (n - phase_class) % 4 == 0
+                          and (window is None or window.contains(k))), self.spec.a)
 
 
 def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarning]:
@@ -289,6 +290,30 @@ def build_chart(
     return chart
 
 
+def _window_count(spec: PotentialSpec, channel: Channel,
+                  window: WorkingWindow) -> tuple[int | None, list[ChartWarning]]:
+    """The contour count of the attractive coupling's poles in the working
+    window, or None with a ``count_failed`` warning that says why."""
+    region = CountRegion(
+        lo=complex(-window.re_max, window.im_min),
+        hi=complex(window.re_max, window.im_max),
+        coupling=ComplexCoupling(0.0),
+        channel=channel,
+    )
+    try:
+        # zero depth has no poles; the even channel's one zero there is the
+        # threshold at k = 0
+        n = 0 if spec.U == 0.0 else count_zeros_padded(region, spec)[0]
+    except (EdgeTooClose, ValueError) as exc:
+        failure = f"window contour count failed: {exc}"
+    else:
+        if n >= 0:
+            return n, []
+        # an entire function has no negative zero count
+        failure = f"window contour count {n} is negative: the sampled winding aliased"
+    return None, [ChartWarning(code="count_failed", message=failure)]
+
+
 def _certify(chart: PoleChart) -> dict:
     spec = chart.spec
     window = working_window(spec)
@@ -299,27 +324,8 @@ def _certify(chart: PoleChart) -> dict:
     if any(_anchor_index(ev.alpha) % 4 == 0 for ev in chart.collisions):
         a = spec.a
         traj_count += 2 - sum(abs(a * k + 1j) < _DEDUP_TOL for k in inventory)
-    region = CountRegion(
-        lo=complex(-window.re_max, window.im_min),
-        hi=complex(window.re_max, window.im_max),
-        coupling=ComplexCoupling(0.0),
-        channel=chart.channel,
-    )
-    window_count = None
-    try:
-        # zero depth has no poles; the even channel's one zero there is the
-        # threshold at k = 0
-        n = 0 if spec.U == 0.0 else count_zeros_padded(region, spec)[0]
-    except (EdgeTooClose, ValueError) as exc:
-        failure = f"window contour count failed: {exc}"
-    else:
-        if n >= 0:
-            window_count = n
-        else:
-            # an entire function has no negative zero count
-            failure = f"window contour count {n} is negative: the sampled winding aliased"
-    if window_count is None:
-        chart.warnings.append(ChartWarning(code="count_failed", message=failure))
+    window_count, failed = _window_count(spec, chart.channel, window)
+    chart.warnings.extend(failed)
     # a curve stopped by the runaway guard never left the window, so it may
     # hold window poles that no anchor delivered
     for traj in chart.trajectories:
@@ -515,8 +521,9 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepTransition:
-    """A topology change between two sweep depths and the collision it
-    brackets, if any; the description is read off that collision."""
+    """A topology change between two consecutive sweep depths, the lower
+    and the upper, and the collision they bracket, if any; the description
+    is read off that collision."""
 
     u_below: float
     u_above: float
@@ -536,14 +543,6 @@ class SweepResult:
     channel: Channel
     entries: list[SweepEntry]
     transitions: list[SweepTransition]
-
-
-def _count_mismatch(cert: dict | None) -> list[ChartWarning]:
-    """An ``incomplete`` warning when a certified chart's two counts disagree."""
-    if cert is None or cert["window_count"] in (None, cert["trajectory_count"]):
-        return []
-    return [ChartWarning("incomplete", f"window contour count {cert['window_count']} "
-                                       f"against {cert['trajectory_count']} traced poles")]
 
 
 def _closed_form_topology(spec: PotentialSpec, channel: Channel) -> dict[str, int]:
@@ -574,25 +573,26 @@ def _closed_form_inventory(spec: PotentialSpec, channel: Channel,
     return sorted((k for k in poles if window.contains(k)), key=lambda k: _inventory_key(a * k))
 
 
-def _closed_form_mismatch(topology: dict[str, int], poles: list[complex],
-                          closed_topology: dict[str, int], closed_poles: list[complex],
-                          a: float) -> list[ChartWarning]:
-    """A ``closed_form_mismatch`` warning when a chart's traced topology or
-    attractive inventory disagrees with the closed form: in a count, or by
-    more than _CLOSED_FORM_TOL*(1 + |q|) in a pole."""
-    if topology != closed_topology:
-        message = (f"traced topology {sorted(topology.items())} against "
-                   f"{sorted(closed_topology.items())} in closed form")
-    elif len(poles) != len(closed_poles):
-        message = (f"{len(poles)} traced attractive poles against "
-                   f"{len(closed_poles)} in closed form")
-    else:
-        gaps = [(abs(a * (k - p)) / (1.0 + abs(a * p)), k, p) for k, p in zip(poles, closed_poles)]
-        gap, k, p = max(gaps, default=(0.0, 0j, 0j), key=lambda g: g[0])
-        if gap <= _CLOSED_FORM_TOL:
-            return []
-        message = f"traced attractive pole k={k!r} lies {gap:.3e} from its closed form k={p!r}"
-    return [ChartWarning("closed_form_mismatch", message)]
+def _closed_form_certificate(spec: PotentialSpec, channel: Channel, window: WorkingWindow,
+                              poles: list[complex]) -> list[ChartWarning]:
+    """What keeps a sweep entry's closed-form poles from being certified:
+    a window count that fails or differs from their number, merged as
+    anchor_poles merges, or poles above the residual bound that a traced
+    seed must meet (one ``pole_residual`` warning for all of them)."""
+    count, warnings = _window_count(spec, channel, window)
+    distinct = len(_distinct(poles, spec.a))
+    if count is not None and count != distinct:
+        warnings.append(ChartWarning(
+            "incomplete", f"window contour count {count} against {distinct} closed-form poles"))
+    c = spec.c
+    ratios = [(residual_ratio(spec.a * k, c * c, channel), k) for k in poles]
+    failing = [r for r in ratios if not r[0] < 1.0]
+    if failing:
+        ratio, k = max(failing, key=lambda r: r[0])
+        warnings.append(ChartWarning("pole_residual", (
+            f"{len(failing)} of {len(poles)} closed-form poles miss the residual bound; "
+            f"the worst, k={k!r}, by a factor {ratio:.3e}")))
+    return warnings
 
 
 def depth_sweep(
@@ -612,54 +612,50 @@ def depth_sweep(
     attractive collision below the depth and, in the even channel, a
     closed_2pi loop while the depth is below the repulsive one; the axis
     poles of ``scan_axis`` and one Newton solve per cell whose pair is off
-    the axis (``off_axis_poles``). No curve is traced, and an entry's one possible
-    warning is the chart's ``critical_proximity``. Between consecutive
-    depths whose topology differs, the bracketed critical depth is solved
-    and attached, with the pair count ``critical_depth`` reads (counted once
-    per collision).
+    the axis (``off_axis_poles``). No curve is traced. Between consecutive
+    depths whose topology differs, in either order, the collision depth
+    they bracket is attached, with the pair count ``critical_depth`` reads
+    (counted once per collision).
 
-    With certify=True each entry is a certified chart's instead, traced,
-    with its warnings; one whose window count disagrees with its traced
-    poles, which no chart warning reports, gets an ``incomplete`` warning,
-    and one whose traced topology or inventory disagrees with the closed
-    form a ``closed_form_mismatch`` one.
+    An entry's one possible warning is the chart's ``critical_proximity``.
+    With certify=True it is also certified, with the same values: the
+    window count that certifies a chart must equal the number of distinct
+    closed-form poles (``incomplete`` otherwise, ``count_failed`` where the
+    count fails), and each pole must meet the residual bound that ``trace``
+    demands of a seed (``pole_residual``).
+
+    A depth no well has (negative, not finite, or so deep that c
+    overflows) raises ValueError before any collision lookup.
     """
     entries = []
     for U_req in depths:
+        spec = PotentialSpec(m=m, a=a, U=U_req)
         near = collisions_between(channel, m, a, U_req / (1.0 + _NUDGE), U_req / (1.0 - _NUDGE))
         U_used, nudged = U_req, bool(near)
         if near:
             u_star = near[0][2]
             U_used = u_star * (1.0 + _NUDGE if U_req >= u_star else 1.0 - _NUDGE)
-        spec = PotentialSpec(m=m, a=a, U=U_used)
+            spec = PotentialSpec(m=m, a=a, U=U_used)
         window = working_window(spec)
-        topology = _closed_form_topology(spec, channel)
         poles = _closed_form_inventory(spec, channel, window)
+        warnings = _critical_proximity(spec, channel)
         if certify:
-            chart = build_chart(spec, channel)
-            traced = chart.anchor_poles(0, window)
-            warnings = (chart.warnings + _count_mismatch(chart.completeness)
-                        + _closed_form_mismatch(chart.topology, traced, topology, poles, a))
-            topology, poles = chart.topology, traced
-        else:
-            warnings = _critical_proximity(spec, channel)
+            warnings += _closed_form_certificate(spec, channel, window, poles)
         entries.append(SweepEntry(
             U_requested=U_req,
             U_used=U_used,
             nudged=nudged,
-            topology=topology,
+            topology=_closed_form_topology(spec, channel),
             attractive_poles=poles,
             warnings=warnings,
         ))
 
     transitions = []
-    for lo_e, hi_e in zip(entries, entries[1:]):
-        if lo_e.topology == hi_e.topology:
+    for prev, entry in zip(entries, entries[1:]):
+        if prev.topology == entry.topology:
             continue
-        hits = collisions_between(channel, m, a, lo_e.U_used, hi_e.U_used)
+        u_below, u_above = sorted((prev.U_used, entry.U_used))
+        hits = collisions_between(channel, m, a, u_below, u_above)
         crit = _verified_critical(channel, *hits[0], m, a) if hits else None
-        transitions.append(SweepTransition(
-            u_below=lo_e.U_used, u_above=hi_e.U_used, critical=crit,
-        ))
+        transitions.append(SweepTransition(u_below=u_below, u_above=u_above, critical=crit))
     return SweepResult(channel=channel, entries=entries, transitions=transitions)
-

@@ -16,7 +16,6 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .chart import (
@@ -27,7 +26,7 @@ from .chart import (
     threshold_flip,
     working_window,
 )
-from .config import RunConfig, load_config_file, merge_config
+from .config import _FIELD_NAMES, RunConfig, load_config_file, merge_config
 from .document import (
     _READS,
     axis_poles_csv,
@@ -285,9 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-
-
 def _error_json(exc: BaseException) -> str:
     return canonical_dumps(
         {"error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -300,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         handler = _COMMANDS[flags.pop("command")][1]
         path = flags.pop("config")
         # a flag that is no config key, such as --check, goes to the handler
-        options = {key: flags.pop(key) for key in set(flags) - _CONFIG_KEYS}
+        options = {key: flags.pop(key) for key in set(flags) - _FIELD_NAMES}
         cfg = merge_config(load_config_file(path) if path else {}, flags)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 2

@@ -103,6 +103,14 @@ def on_axis(q: complex) -> bool:
     return abs(q.real) < TOL_AXIS
 
 
+def residual_ratio(q: complex, s: complex, channel: Channel) -> float:
+    """|d(q)| of the pole function at q = k*a and coupling s = c^2*gamma,
+    over the pole residual bound RESIDUAL_TOL*(1 + |q|): below 1 on a pole.
+    A traced seed and every pole of a certified sweep must meet it."""
+    d, _ = _k.denom_plain(q, s, channel.code)
+    return abs(d) / (RESIDUAL_TOL * (1.0 + abs(q)))
+
+
 def _pole(q: complex, s: complex, coupling: ComplexCoupling, channel: Channel,
           a: float, multiplicity: int = 1) -> Pole:
     """The pole at scaled momentum q, as k = q/a, with its residual |d(q)|."""

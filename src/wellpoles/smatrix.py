@@ -54,6 +54,9 @@ class PotentialSpec:
             raise ValueError(f"half-width must be positive and finite, got {self.a}")
         if not (self.U >= 0.0 and math.isfinite(self.U)):
             raise ValueError(f"depth must be nonnegative and finite, got {self.U}")
+        if not math.isfinite(self.c):
+            raise ValueError(
+                f"strength c = a*sqrt(2 m U) overflows at m={self.m}, a={self.a}, U={self.U}")
 
     @property
     def c(self) -> float:

@@ -88,7 +88,7 @@ from typing import ClassVar
 
 from . import _kernels as _k
 from .errors import ModelInvalid, SeedNotOnPole, StallAtDoubleZero
-from .rootfinder import RESIDUAL_TOL, STEP_TOL, Pole, multiplicity_at, on_axis
+from .rootfinder import STEP_TOL, Pole, multiplicity_at, on_axis, residual_ratio
 from .smatrix import (
     HALF_PI,
     _ANCHOR_GAMMA,
@@ -491,11 +491,11 @@ def trace(
     direction is +1 (increasing alpha) or -1, which mirrors the forward
     march from the mirrored seed -conj(k) and so needs alpha a multiple of
     pi (ValueError otherwise). The seed must sit on a quarter-turn anchor,
-    alpha a multiple of pi/2 (ValueError otherwise), and satisfy the pole
-    residual requirement |d(q)| < RESIDUAL_TOL*(1 + |q|), q = k*a; a
-    coalesced-pair seed cannot be continued as a single branch and raises
-    StallAtDoubleZero immediately (split it with branch_at_double_zero
-    instead).
+    alpha a multiple of pi/2 (ValueError otherwise), and meet the pole
+    residual bound |d(q)| < RESIDUAL_TOL*(1 + |q|), q = k*a, of
+    ``residual_ratio``; a coalesced-pair seed cannot be continued as a
+    single branch and raises StallAtDoubleZero immediately (split it with
+    branch_at_double_zero instead).
 
     From a seed on the imaginary axis at a real coupling, a closed loop is
     marched only to its half-turn anchor, where it meets the axis again,
@@ -505,9 +505,8 @@ def trace(
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
     n0 = _mirror_index(seed.coupling.alpha) if direction < 0 else None
-    q, c = spec.a * seed.k, spec.c
-    d, _ = _k.denom_plain(q, c * c * seed.coupling.gamma, seed.channel.code)
-    if not abs(d) < RESIDUAL_TOL * (1.0 + abs(q)):
+    c = spec.c
+    if not residual_ratio(spec.a * seed.k, c * c * seed.coupling.gamma, seed.channel) < 1.0:
         raise SeedNotOnPole(f"seed residual too large at k={seed.k!r}")
     if seed.multiplicity == 2:
         raise StallAtDoubleZero(seed.coupling.alpha, seed.k)

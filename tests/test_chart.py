@@ -896,8 +896,9 @@ class TestDepthSweep:
         assert sweep.entries[0].U_used == 1.0
 
     def test_certified_entry_keeps_the_verdict(self, monkeypatch):
-        # a window count one above the traced poles, with no stall and no
-        # count failure: the chart reads incomplete, and so must its entry
+        # a window count one above the poles, with no count failure: the
+        # chart reads incomplete, and so must its entry, which takes the
+        # chart's count
         real_count = chart_module.count_zeros_padded
         monkeypatch.setattr(chart_module, "count_zeros_padded",
                             lambda region, spec: (real_count(region, spec)[0] + 1, region))
@@ -906,11 +907,10 @@ class TestDepthSweep:
             chart = build_chart(PotentialSpec(m=M, a=A, U=entry.U_used), Channel.PLUS)
             cert = chart.completeness
             assert cert["complete"] is False and chart.warnings == []
+            n = len(entry.attractive_poles)
+            assert cert["window_count"] == n + 1
             assert [(w.code, w.message) for w in entry.warnings] == [(
-                "incomplete",
-                f"window contour count {cert['window_count']} against "
-                f"{cert['trajectory_count']} traced poles",
-            )]
+                "incomplete", f"window contour count {n + 1} against {n} closed-form poles")]
 
 
 class TestShallowNarrowWell:
@@ -1478,42 +1478,42 @@ def _sweep_depths(draw):
 
 
 class TestMarchFreeSweep:
-    """The default sweep reads each entry's topology and attractive
-    inventory off closed forms and one Newton solve per off-axis cell; a
-    certified sweep traces the chart and checks it against them."""
+    """A sweep reads each entry's topology and attractive inventory off
+    closed forms and one Newton solve per off-axis cell; a certified sweep
+    checks them with the chart's window count and the seed residual bound,
+    and traces nothing either."""
 
     @given(_sweep_depths())
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_the_certified_sweep(self, well):
         m, a, channel, U = well
-        fast = depth_sweep(channel, [U], m, a)
-        traced = depth_sweep(channel, [U], m, a, certify=True)
-        (entry,), (ref,) = fast.entries, traced.entries
-        codes = [w.code for w in ref.warnings]
-        # a curve that stalls or a chart that fails its certificate is the
-        # tracer's error, which the certified sweep reports (see
-        # test_certified_entry_reports_a_stalled_chart)
-        assume(not {"trace_stalled", "phase_guard", "incomplete", "count_failed"} & set(codes))
+        (entry,) = depth_sweep(channel, [U], m, a).entries
+        (ref,) = depth_sweep(channel, [U], m, a, certify=True).entries
         assert entry.U_used == ref.U_used
+        assert entry.nudged == ref.nudged
         assert entry.topology == ref.topology
-        assert len(entry.attractive_poles) == len(ref.attractive_poles)
-        for k, k_ref in zip(entry.attractive_poles, ref.attractive_poles):
-            assert a * abs(k - k_ref) <= 1e-10 * (1.0 + a * abs(k_ref))
-        assert "closed_form_mismatch" not in codes
+        assert entry.attractive_poles == ref.attractive_poles
+        # and the certificate holds
+        assert ref.warnings == entry.warnings
 
     def test_builds_and_traces_no_chart(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the default sweep marched")
+            raise AssertionError("the sweep marched")
 
         for name in ("build_chart", "trace", "trace_branch"):
             monkeypatch.setattr(chart_module, name, refuse)
-        sweep = depth_sweep(Channel.PLUS, [0.09, 1.95, U_STAR_PLUS_ATT, 3.0], M, A)
-        assert [e.topology for e in sweep.entries] == [
-            {"open": 1, "closed_2pi": 1}, {"open": 1}, {"open": 1, "closed_4pi": 1},
-            {"open": 1, "closed_4pi": 1},
-        ]
-        assert [tr.critical.U for tr in sweep.transitions] == [
-            pytest.approx(U_STAR_PLUS_REP), pytest.approx(U_STAR_PLUS_ATT)]
+        for certify in (False, True):
+            sweep = depth_sweep(Channel.PLUS, [0.09, 1.95, U_STAR_PLUS_ATT, 3.0], M, A,
+                                certify=certify)
+            assert [e.topology for e in sweep.entries] == [
+                {"open": 1, "closed_2pi": 1}, {"open": 1}, {"open": 1, "closed_4pi": 1},
+                {"open": 1, "closed_4pi": 1},
+            ]
+            assert [tr.critical.U for tr in sweep.transitions] == [
+                pytest.approx(U_STAR_PLUS_REP), pytest.approx(U_STAR_PLUS_ATT)]
+            # the nudged entry next to U* warns of it, and no entry of more
+            assert [[w.code for w in e.warnings] for e in sweep.entries] == [
+                [], [], ["critical_proximity"], []]
 
     def test_default_entry_warns_only_of_a_collision(self):
         # 0.0976 is the four-digit rounding of the repulsive collision depth
@@ -1531,31 +1531,69 @@ class TestMarchFreeSweep:
         monkeypatch.setattr(chart_module, "_closed_form_inventory",
                             lambda *args: inventory(*args)[1:])
         (entry,) = depth_sweep(Channel.MINUS, [5.0], M, A, certify=True).entries
-        assert [w.code for w in entry.warnings] == ["closed_form_mismatch"]
-        traced = build_chart(PotentialSpec(m=M, a=A, U=5.0), Channel.MINUS)
-        window = working_window(traced.spec)
-        assert entry.attractive_poles == traced.anchor_poles(0, window)
+        # the entry keeps the values it has
+        spec = PotentialSpec(m=M, a=A, U=5.0)
+        assert entry.attractive_poles == inventory(spec, Channel.MINUS, working_window(spec))[1:]
         n = len(entry.attractive_poles)
-        assert entry.warnings[0].message == (
-            f"{n} traced attractive poles against {n - 1} in closed form")
+        assert [(w.code, w.message) for w in entry.warnings] == [(
+            "incomplete", f"window contour count {n + 1} against {n} closed-form poles")]
 
-    def test_certified_entry_reports_a_stalled_chart(self):
+    def test_certified_entry_reports_a_repeated_pole(self, monkeypatch):
+        # a pole replaced by a copy of another keeps the number of poles,
+        # but the copy merges into its original
+        inventory = chart_module._closed_form_inventory
+
+        def repeated(*args):
+            poles = inventory(*args)
+            return poles[1:2] + poles[1:]
+
+        monkeypatch.setattr(chart_module, "_closed_form_inventory", repeated)
+        (entry,) = depth_sweep(Channel.MINUS, [5.0], M, A, certify=True).entries
+        n = len(entry.attractive_poles)
+        assert [(w.code, w.message) for w in entry.warnings] == [(
+            "incomplete", f"window contour count {n} against {n - 1} closed-form poles")]
+
+    def test_certified_entry_where_the_chart_stalls(self):
         # c = 464.8, where the contour count finds 667 window poles. Four
-        # curves stall there, and the traced chart has lost two of its 147
-        # loops and four of the poles; the certified entry says so
+        # curves of the traced chart stall there, and it loses two of its
+        # 147 loops and four of the poles; the certified entry traces none
+        # of them and is whole
         (entry,) = depth_sweep(Channel.PLUS, [300.0], 10.0, 6.0).entries
         (ref,) = depth_sweep(Channel.PLUS, [300.0], 10.0, 6.0, certify=True).entries
-        assert entry.topology == {"open": 1, "closed_4pi": 147}
-        assert len(entry.attractive_poles) == 667
-        lost = ref.topology != entry.topology or len(ref.attractive_poles) != 667
-        assert lost == ("closed_form_mismatch" in [w.code for w in ref.warnings])
+        assert ref.warnings == []
+        assert ref.topology == entry.topology == {"open": 1, "closed_4pi": 147}
+        assert len(ref.attractive_poles) == 667
+        assert ref.attractive_poles == entry.attractive_poles
 
     def test_certified_entry_reports_a_moved_pole(self, monkeypatch):
+        # a relative move of 1e-9 puts every pole of the well above the
+        # residual bound; one warning names the worst and counts them
         inventory = chart_module._closed_form_inventory
         monkeypatch.setattr(chart_module, "_closed_form_inventory",
                             lambda *args: [k * (1.0 + 1e-9) for k in inventory(*args)])
         (entry,) = depth_sweep(Channel.PLUS, [2.0], M, A, certify=True).entries
-        assert [w.code for w in entry.warnings] == ["closed_form_mismatch"]
+        (warning,) = entry.warnings
+        assert warning.code == "pole_residual"
+        c = PotentialSpec(m=M, a=A, U=2.0).c
+        ratios = [rootfinder.residual_ratio(A * k, c * c, Channel.PLUS)
+                  for k in entry.attractive_poles]
+        assert min(ratios) > 1.0
+        worst = entry.attractive_poles[ratios.index(max(ratios))]
+        n = len(ratios)
+        assert warning.message.startswith(
+            f"{n} of {n} closed-form poles miss the residual bound; the worst, k={worst!r}, ")
+
+    def test_descending_sweep_attributes_its_collision(self):
+        # the paper's direction, deep to shallow: between the two depths a
+        # virtual pair coalesces at k = -i/a, at U* = 1.962, and leaves the
+        # axis as a resonance pair
+        sweep = depth_sweep(Channel.PLUS, [2.94, 0.98], M, A)
+        (tr,) = sweep.transitions
+        assert (tr.u_below, tr.u_above) == (0.98, 2.94)
+        assert tr.critical is not None and tr.critical.U == pytest.approx(U_STAR_PLUS_ATT)
+        assert tr.description.startswith("pair collision at U=1.96243")
+        # reversed, the sweep finds the same transition
+        assert depth_sweep(Channel.PLUS, [0.98, 2.94], M, A).transitions == [tr]
 
 
 class TestTraceWindow:

@@ -88,9 +88,9 @@ _GOLDEN_OUTPUT = {
     ("threshold", "--channel", "plus", "--n", "2", "--check"):
         "3cf7005c6d8de1dfacb1b7c21cae6a7dbe547dbaedcb0e7536c7d7e8660b4982",
     ("sweep", "--channel", "plus", "--depths", "1,3,5,8"):
-        "3184f0413e15cc68d857b0e1280c63cadf881021a6a900162c7acb4a4ba516c0",
+        "c085cddb31a54cfa69808dde0bb8da5587c8c46b4d93b0987c6cff1047d4d085",
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
-        "1fe75d53bf7bd4cdab89e0f8002d2428e40da14ba102aa4fd716c58a4ff792d6",
+        "2b1651c9c8ba1f050a16c4c2fc11b92530eedfd2cc518daa1873da9ec7ec93a4",
     ("verify", "--samples", "60", "--seed", "7"):
         "f44c759cd467c184d14b7578443c2714312625382ea055dfc99c4d2318c86906",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
@@ -330,6 +330,21 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1
         error = json.loads(err)["error"]
         assert error["type"] == kind and error["message"]
+
+    @pytest.mark.parametrize("argv,named", [
+        (("sweep", "--depths", "inf"), "got inf"),
+        (("sweep", "--depths", "1e308"), "U=1e+308"),
+        (("chart", "--U", "1e308"), "U=1e+308"),
+        (("sweep", "--depths", "nan"), "got nan"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_depth_beyond_the_floats(self, capsys, argv, named):
+        # a depth that is not finite, or whose strength c = a*sqrt(2 m U) is
+        # not, is refused by name before a collision lookup overflows on it
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and named in error["message"]
 
     def test_help_prints_help(self, capsys):
         code, out, err = run(capsys, "chart", "--help")

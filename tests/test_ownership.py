@@ -9,7 +9,9 @@ public names. The anchor phases n*(pi/2) and their exact test
 live in ``smatrix``. The trig blocks are stated by ``_kernels.trig_scaled``,
 which the winding grid calls. The working window's extents, the margin past its corners
 at which a march stops and the runaway phase guard (40 + 2c)*pi live in
-``trajectory``, which ``chart`` imports.
+``trajectory``, which ``chart`` imports. ``rootfinder.residual_ratio``
+alone states the residual bound a pole meets, and ``chart`` takes its
+window contour count in one place, for a chart and a certified sweep alike.
 These checks read the package source, so a second copy of any of these
 rules fails here before it drifts from the first.
 """
@@ -251,3 +253,19 @@ def test_only_rootfinder_walks_the_off_axis_cells():
     (walk,) = [node for node in _tree("rootfinder.py").body
                if isinstance(node, ast.FunctionDef) and node.name == "off_axis_poles"]
     assert cell_rules <= _names(walk)
+
+
+def test_chart_takes_the_window_count_once():
+    calls = [node for node in ast.walk(_tree("chart.py"))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "count_zeros_padded"]
+    assert len(calls) == 1
+
+
+def test_only_rootfinder_states_the_residual_bound():
+    # the bound that a traced seed and each pole of a certified sweep meet
+    owners = sorted(p.name for p in SRC.glob("*.py") if "RESIDUAL_TOL" in _names(_tree(p.name)))
+    assert owners == ["rootfinder.py"]
+    readers = [node.name for node in _tree("rootfinder.py").body
+               if isinstance(node, ast.FunctionDef) and "RESIDUAL_TOL" in _names(node)]
+    assert readers == ["residual_ratio"]
