@@ -93,6 +93,10 @@ _G_CUT = 0.1
 # of the terms whose difference it is
 _ROUNDOFF = 16.0 * 2.0 ** -52
 
+# the longest previous step, in q, after which newton_pole's quadratic
+# model may exit: the pole functions vary on a scale of order 1 in q
+_MODEL_STEP = 0.1
+
 # the tangent newton_pole returns when it does not converge, and the trig
 # blocks at an infinite real part
 _NAN = complex(math.nan, math.nan)
@@ -199,13 +203,12 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
     stops at the first n where one of three exits passes:
 
     - the step test, |t_n| < step_tol*(1+|q_{n+1}|); it returns q_{n+1};
-    - from the second iteration on, Newton's quadratic error model puts the
-      next step under that bound: |t_n|^3 < step_tol*(1+|q_{n+1}|)*|t_{n-1}|^2.
-      This saves the iteration that would only confirm a converged step.
-      From the third iteration on it needs the previous step to have
-      contracted, |t_{n-1}| < |t_{n-2}|: after a step that grew, Newton is
-      not yet in its quadratic regime and the model's constant means
-      nothing. It returns q_{n+1};
+    - after a previous step |t_{n-1}| < _MODEL_STEP = 0.1, Newton's
+      quadratic error model puts the next step under that bound:
+      |t_n|^3 < step_tol*(1+|q_{n+1}|)*|t_{n-1}|^2, which saves the
+      iteration that would only confirm a converged step. The model's
+      constant |t_n|/|t_{n-1}|^2 holds only in the quadratic regime, which
+      a step of order 1 in q has not reached. It returns q_{n+1};
     - from the second iteration on, d = p - r is a rounding residue of its
       two terms (q*C and i*w*Z in the even channel, C and i*q*Z in the
       odd one): |d| < 16*eps*(|p| + |r|). Then q_n is a root to working
@@ -282,10 +285,10 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
         q1 = q - step
         size = abs(step)
         bound = step_tol * (1.0 + abs(q1))
-        # the step passes the test, or, from the second iteration on,
+        # the step passes the test, or, after a step below _MODEL_STEP,
         # Newton's quadratic model puts the next one under it:
-        # |t_{n+1}| ~ |t_n|^2 / |t_{n-1}|, after a step that contracted
-        if size < bound or (it and contracted
+        # |t_{n+1}| ~ |t_n|^2 / |t_{n-1}|
+        if size < bound or (size_prev < _MODEL_STEP
                             and size * size * size < bound * size_prev * size_prev):
             q_root = q1
         elif it and abs(d) < _ROUNDOFF * (abs(p) + abs(r)):
@@ -294,7 +297,6 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
             q_root = q
         else:
             q = q1
-            contracted = size < size_prev
             size_prev = size
             continue
         if E == 0.0:

@@ -478,11 +478,6 @@ def axis_poles_csv(channel: str, poles) -> str:
     return "".join(rows)
 
 
-def poles_csv(chart: PoleChart) -> str:
-    """Seed pole inventory as CSV."""
-    return axis_poles_csv(chart.channel.value, chart.seeds)
-
-
 def trajectories_csv(chart: PoleChart) -> str:
     """All trajectory samples as CSV, one row per (trajectory, sample)."""
     parts = ["trajectory,closure,alpha,re_k,im_k\n"]

@@ -1,8 +1,8 @@
 """Locating S-matrix poles: axis poles, Newton polish, winding counts.
 
-Poles are zeros of the channel pole function (``pole_function``): the even
-denominator, or the reduced odd form for the odd channel. Both are entire in
-k, so the argument principle applies on any rectangle.
+Poles are zeros of the channel pole function: ``smatrix.denom_plus``, or
+the reduced odd form ``denom_minus_reduced`` in the odd channel. Both are
+entire in k, so the argument principle applies on any rectangle.
 
 Below the public functions everything runs in q = k*a at the strength
 c = a sqrt(2 m U) (see ``_kernels``), with every tolerance in q: TOL_AXIS

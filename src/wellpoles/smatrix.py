@@ -5,8 +5,8 @@ complex coupling gamma = e^{i alpha} rotating the well from attractive
 (alpha = 0) to repulsive (alpha = pi). Units: hbar = 1, energy = k^2/(2m).
 
 Parity decouples the 2x2 S-matrix into even ('plus') and odd ('minus')
-channels; the similarity transform between the plane-wave basis and the
-parity basis is exposed for testing. Channel poles are zeros of the channel
+channels; ``verify_relations`` checks the similarity transform between the
+plane-wave basis and the parity basis. Channel poles are zeros of the channel
 denominators, tracked everywhere through the kernels in ``_kernels``.
 """
 
@@ -21,6 +21,9 @@ from . import _kernels as _k
 from .errors import PoleHit
 
 POLE_HIT_SCALE = 1e-13
+# the deepest well, in c = a*sqrt(2 m U): the axis scan walks about c/pi
+# cells, and a certified sweep at c = 1e4 counts them in about 16 s
+C_LIMIT = 1e4
 
 
 class Channel(enum.Enum):
@@ -54,9 +57,9 @@ class PotentialSpec:
             raise ValueError(f"half-width must be positive and finite, got {self.a}")
         if not (self.U >= 0.0 and math.isfinite(self.U)):
             raise ValueError(f"depth must be nonnegative and finite, got {self.U}")
-        if not math.isfinite(self.c):
-            raise ValueError(
-                f"strength c = a*sqrt(2 m U) overflows at m={self.m}, a={self.a}, U={self.U}")
+        if not self.c <= C_LIMIT:
+            raise ValueError(f"strength c = a*sqrt(2 m U) = {self.c:g} exceeds its limit "
+                             f"{C_LIMIT:g} at m={self.m}, a={self.a}, U={self.U}")
 
     @property
     def c(self) -> float:
@@ -119,22 +122,9 @@ class ComplexCoupling:
         return cls(math.pi)
 
 
-@dataclass(frozen=True)
-class InteriorMomentum:
-    """Interior momentum K with its square w = k^2 + 2 m gamma U."""
-
-    K: complex
-    w: complex
-
-    @property
-    def is_branch_point(self) -> bool:
-        return self.w == 0.0
-
-
-def interior_momentum(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> InteriorMomentum:
+def interior_momentum(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> complex:
     """Principal-branch interior momentum K = sqrt(k^2 + 2 m gamma U)."""
-    w = complex(k) * complex(k) + 2.0 * spec.m * coupling.gamma * spec.U
-    return InteriorMomentum(K=cmath.sqrt(w), w=w)
+    return cmath.sqrt(complex(k) * complex(k) + 2.0 * spec.m * coupling.gamma * spec.U)
 
 
 def denom_plus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> complex:
@@ -164,15 +154,7 @@ def denom_minus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> c
     Odd under K -> -K; vanishes at K = 0 where the odd S stays finite
     (the numerator shares that zero). Use denom_minus_reduced for roots.
     """
-    Ki = interior_momentum(k, coupling, spec)
-    return Ki.K * denom_minus_reduced(k, coupling, spec)
-
-
-def pole_function(k: complex, coupling: ComplexCoupling, spec: PotentialSpec, channel: Channel) -> complex:
-    """The channel function whose zeros are the S-matrix poles."""
-    if channel is Channel.PLUS:
-        return denom_plus(k, coupling, spec)
-    return denom_minus_reduced(k, coupling, spec)
+    return interior_momentum(k, coupling, spec) * denom_minus_reduced(k, coupling, spec)
 
 
 def denom_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> complex:
@@ -182,10 +164,9 @@ def denom_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> co
     denominators, so the factorization identity stays an honest check.
     """
     kc = complex(k)
-    Ki = interior_momentum(kc, coupling, spec)
-    z2 = 2.0 * spec.a * Ki.K
-    C, S, Z, G, E = _k.trig_scaled(z2)
-    return _k.unscale(2.0 * kc * Ki.K * C - 1j * (kc * kc + Ki.K * Ki.K) * S, E)
+    K = interior_momentum(kc, coupling, spec)
+    C, S, Z, G, E = _k.trig_scaled(2.0 * spec.a * K)
+    return _k.unscale(2.0 * kc * K * C - 1j * (kc * kc + K * K) * S, E)
 
 
 def _exp(z: complex) -> complex:
@@ -268,19 +249,18 @@ def s_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> SMatri
         # raises PoleHit at a pole of either channel
         _channel_s(k, coupling, spec, channel, "full")
     kc = complex(k)
-    Ki = interior_momentum(kc, coupling, spec)
-    z2 = 2.0 * spec.a * Ki.K
-    C, S, Z, G, E = _k.trig_scaled(z2)
+    K = interior_momentum(kc, coupling, spec)
+    C, S, Z, G, E = _k.trig_scaled(2.0 * spec.a * K)
     # F = D_full / (2K): regular in K, scaled by E like the trig blocks
-    F = kc * C - 1j * (kc * kc + Ki.K * Ki.K) * spec.a * Z
+    F = kc * C - 1j * (kc * kc + K * K) * spec.a * Z
     phase = _exp(-2j * kc * spec.a)
     F_true = _k.unscale(F, E)
     if cmath.isfinite(F_true):
         s11 = kc * phase / F_true
-        s12 = -1j * (kc * kc - Ki.K * Ki.K) * spec.a * _k.unscale(Z, E) * phase / F_true
+        s12 = -1j * (kc * kc - K * K) * spec.a * _k.unscale(Z, E) * phase / F_true
     else:
         s11 = kc * phase * E / F
-        s12 = -1j * (kc * kc - Ki.K * Ki.K) * spec.a * Z * phase / F
+        s12 = -1j * (kc * kc - K * K) * spec.a * Z * phase / F
     return SMatrixValue(k=kc, s11=s11, s12=s12)
 
 
@@ -354,31 +334,67 @@ def transfer_matrix_s(
     return SMatrixValue(k=kc, s11=s11, s12=s12)
 
 
+def _nanmax(values) -> float:
+    """The largest of values; nan when any is nan, which max() may skip."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _deviation(A, B) -> float:
-    """Largest |A_ij - B_ij| of two 2x2 matrices; nan when any is nan,
-    which max() would skip."""
-    devs = [abs(x - y) for ra, rb in zip(A, B) for x, y in zip(ra, rb)]
-    return math.nan if any(map(math.isnan, devs)) else max(devs)
+    """Largest |A_ij - B_ij| of two 2x2 matrices, nan when any is nan."""
+    return _nanmax(abs(x - y) for ra, rb in zip(A, B) for x, y in zip(ra, rb))
 
 
 def verify_relations(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> dict[str, float]:
-    """Residuals of the three analytic S-matrix relations at (k, coupling).
-
-    Returns max-norm residuals of: transpose-inverse S^T(k) S(-k) = 1,
-    hermitian-adjoint S^dag(k, gamma) S(k*, gamma*) = 1, and conjugation
-    S*(-k*, gamma*) = S(k, gamma).
+    """Residuals of the five identities that ``wellpoles verify`` checks at a
+    complex sample: the max-norm residuals of transpose-inverse
+    S^T(k) S(-k) = 1, hermitian-adjoint S^dag(k, gamma) S(k*, gamma*) = 1 and
+    conjugation S*(-k*, gamma*) = S(k, gamma); the parity diagonalization of
+    S(k) against s_plus and s_minus, relative to 1 + |s|; and the
+    factorization D_full = 2*D_plus*D_minus, relative to the size of its
+    terms, e^{2|Im aK|}*(1 + 2|k||K| + |k|^2 + |K|^2). The first three, and
+    the last two, read nan as a group where their arithmetic overflows.
+    Raises PoleHit where S has a pole at k, -k, k* or -k*.
     """
     kc = complex(k)
+    value = s_full(kc, coupling, spec)
+    S = value.matrix
     conj = coupling.conjugate()
-    S = s_full(kc, coupling, spec).matrix
-    S_mk = s_full(-kc, coupling, spec).matrix
-    S_cc = s_full(kc.conjugate(), conj, spec).matrix
-    S_rc = s_full(-kc.conjugate(), conj, spec).matrix
-    S_T = tuple(zip(*S))
-    S_dag = tuple(zip(*((z.conjugate() for z in row) for row in S)))
-    S_rc_conj = tuple(tuple(z.conjugate() for z in row) for row in S_rc)
-    return {
-        "transpose_inverse": _deviation(_matmul(S_T, S_mk), _EYE),
-        "hermitian_adjoint": _deviation(_matmul(S_dag, S_cc), _EYE),
-        "conjugation": _deviation(S_rc_conj, S),
-    }
+    try:
+        S_mk = s_full(-kc, coupling, spec).matrix
+        S_cc = s_full(kc.conjugate(), conj, spec).matrix
+        S_rc = s_full(-kc.conjugate(), conj, spec).matrix
+        S_T = tuple(zip(*S))
+        S_dag = tuple(zip(*((z.conjugate() for z in row) for row in S)))
+        S_rc_conj = tuple(tuple(z.conjugate() for z in row) for row in S_rc)
+        rel = {
+            "transpose_inverse": _deviation(_matmul(S_T, S_mk), _EYE),
+            "hermitian_adjoint": _deviation(_matmul(S_dag, S_cc), _EYE),
+            "conjugation": _deviation(S_rc_conj, S),
+        }
+    except OverflowError:
+        rel = dict.fromkeys(("transpose_inverse", "hermitian_adjoint", "conjugation"), math.nan)
+    try:
+        sp, sm = s_plus(kc, coupling, spec), s_minus(kc, coupling, spec)
+        hat_p, hat_m = parity_channels(value)
+        diag = _nanmax((abs(hat_p - sp) / (1.0 + abs(sp)), abs(hat_m - sm) / (1.0 + abs(sm))))
+        K = interior_momentum(kc, coupling, spec)
+        defect = (denom_full(kc, coupling, spec)
+                  - 2 * denom_plus(kc, coupling, spec) * denom_minus(kc, coupling, spec))
+        term_scale = 1.0 + 2 * abs(kc) * abs(K) + abs(kc) ** 2 + abs(K) ** 2
+        # an underflowed exp leaves errno at ERANGE, on which CPython's abs()
+        # of a nan complex raises OverflowError: e2 comes first, as it did
+        e2 = math.exp(-2.0 * abs((spec.a * K).imag))
+        fact = abs(defect) * e2 / term_scale
+    except OverflowError:
+        diag = fact = math.nan
+    return {**rel, "diagonalization": diag, "factorization": fact}
+
+
+def unitarity_residual(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> float:
+    """Largest ||s| - 1| of s_plus and s_minus, 0 where S is unitary (real k
+    and coupling); nan where the arithmetic overflows; PoleHit at a pole."""
+    try:
+        return _nanmax(abs(abs(s(k, coupling, spec)) - 1.0) for s in (s_plus, s_minus))
+    except OverflowError:
+        return math.nan

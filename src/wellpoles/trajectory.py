@@ -23,15 +23,10 @@ tol*(1 + |q0|); the next h is then 0.9*h*(tol*(1 + m)/e)^(1/3), at most
 2h, where m is the smaller of |q1| and the tangent's estimate of |q| where
 the step grown by the plain factor 0.9*(tol*(1 + |q0|)/e)^(1/3) would end,
 so a curve that turns inward does not outgrow its tolerance; a rejected h
-is halved. Before the first step and after every accepted step, clipped or
-not, h is also capped so that the tangent's predicted move h*|v| stays
-within 0.9 of the displacement bound at its start, though not below the
-minimum step: a step grown into that bound would only be rejected and
-halved. A march that starts within _DOUBLE_ZERO_RADIUS*|z_c| of the
-coalesced pair at q = -i, z_c = sqrt(-1 + c^2 gamma) at the seed's anchor,
-as at a sweep depth nudged next to a collision, moves as the square root
-of the phase from a branch point |q + i|^2/|z_c|^2 away, so its first
-step is also capped at half that phase scale. The test cannot see a swap
+is halved. Every step, the first included, is also capped so that the
+tangent's predicted move h*|v| stays within 0.9 of the displacement bound
+at its start, though not below the minimum step: a step grown into that
+bound would only be rejected and halved. The test cannot see a swap
 onto a neighbouring curve closer than tol*(1 + |q|); there only a check
 that each anchor pole lies on one curve can. Steps are clipped so the
 trace lands exactly on every quarter-turn anchor alpha = n*(pi/2), and a step that would end within rounding of one
@@ -116,9 +111,6 @@ _WINDOW_MARGIN = 1.2
 # which a stall is the loop meeting the coalesced pair there: it must exceed
 # the pair splitting scale x_c*sqrt(h_min) at the minimum step
 _DOUBLE_ZERO_RADIUS = 1e-2
-# the first step of a march that starts inside that radius, in units of
-# the pair's phase scale |q + i|^2/|z_c|^2
-_PAIR_STEP_FRACTION = 0.5
 
 
 def window_extents(c: float) -> tuple[float, float, float]:
@@ -350,20 +342,10 @@ def _trace_from_state(
 
     alpha = alpha_start
     v = _tangent(q, c2 * _phase_to_gamma(alpha), ch)
+    abs_q = abs(q)
     prev = None
     reach_factor = 0.9 * _DISPLACEMENT_FACTOR
-    # the first step obeys the tangent-reach cap every later step obeys
     h = _STEP_INITIAL
-    reach = reach_factor * (1.0 + abs(q))
-    if h * abs(v) > reach:
-        h = max(reach / abs(v), _STEP_MINIMUM)
-    # next to the coalesced pair at q = -i a pole moves as the square root
-    # of the phase from its branch point, which lies |q + i|^2/|z_c|^2
-    # away; a first step much longer than that would only be halved
-    zc2 = abs(-1.0 + c2 * seed.coupling.gamma)
-    w2 = abs(q + 1j) ** 2
-    if w2 < _DOUBLE_ZERO_RADIUS ** 2 * zc2:
-        h = max(min(h, _PAIR_STEP_FRACTION * w2 / zc2), _STEP_MINIMUM)
     n_star = None
     reason: ExitReason | None = None
     h_floor = _STEP_MINIMUM * (1.0 + 1e-12)
@@ -373,6 +355,12 @@ def _trace_from_state(
     t_anchor = next_anchor * HALF_PI
 
     while True:
+        # keep the tangent's predicted move inside the displacement bound
+        # that _step tests, with the growth rule's safety factor
+        reach = reach_factor * (1.0 + abs_q)
+        abs_v = abs(v)
+        if h * abs_v > reach:
+            h = max(reach / abs_v, _STEP_MINIMUM)
         # a step that would end within rounding of the anchor ends on it:
         # the sliver left over would be the next predictor's base H. Any
         # other target lies strictly between two anchors, where
@@ -410,12 +398,7 @@ def _trace_from_state(
             h *= _growth(r * ((1.0 + abs(q)) / (1.0 + min(abs(q1), abs(q_end)))))
         prev = (alpha, q, v)
         alpha, q, v = target, q1, v1
-        # keep the tangent's predicted move inside the displacement bound
-        # that _step tests, with the growth rule's safety factor
-        abs_q, abs_v = abs(q), abs(v)
-        reach = reach_factor * (1.0 + abs_q)
-        if h * abs_v > reach:
-            h = max(reach / abs_v, _STEP_MINIMUM)
+        abs_q = abs(q)
         alphas.append(alpha)
         qs.append(q)
 

@@ -1093,32 +1093,6 @@ class TestStepRejections:
         assert attempts > 100
         assert rejects <= share * attempts
 
-    @pytest.mark.parametrize("channel,attractive,side", [
-        (Channel.PLUS, True, 1.0 + 1e-6), (Channel.MINUS, True, 1.0 + 1e-6),
-        (Channel.PLUS, False, 1.0 - 1e-6)])
-    def test_first_step_next_to_the_pair(self, monkeypatch, channel, attractive, side):
-        # at a sweep's nudged depth U*(1 +- 1e-6) on the side where the pair
-        # lies on the axis, its axis seeds sit 1e-3*|z_c| from q = -i, and
-        # each pole moves as the square root of the phase over about 1e-6
-        # rad; a first step sized by the tangent alone was halved five
-        # times before one was accepted
-        first = []
-        step = trajectory._step
-
-        def counted(alpha, q, v, prev, *rest):
-            result = step(alpha, q, v, prev, *rest)
-            if prev is None and abs(q + 1j) < 0.05:
-                first.append(result is not None)
-            return result
-
-        monkeypatch.setattr(trajectory, "_step", counted)
-        u_star = critical_depth(channel, attractive, M, A).U
-        for m, a in ((M, A), (0.3, 40.0)):
-            build_chart(PotentialSpec(m=m, a=a, U=u_star * side * M * A * A / (m * a * a)),
-                        channel, certify=False)
-        assert first.count(False) == 0
-        assert first, "no march started next to the pair"
-
 
 class TestMarchWork:
     """The quarter-turn anchors are the only cap on a step. Far from the

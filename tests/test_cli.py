@@ -7,6 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -93,15 +94,22 @@ _GOLDEN_OUTPUT = {
         "2b1651c9c8ba1f050a16c4c2fc11b92530eedfd2cc518daa1873da9ec7ec93a4",
     ("verify", "--samples", "60", "--seed", "7"):
         "f44c759cd467c184d14b7578443c2714312625382ea055dfc99c4d2318c86906",
+    # most samples overflow at a = 300: their residuals are written as null
+    ("verify", "--a", "300", "--samples", "20"):
+        "67331c0546f2515394864ea7409b3aabdd6daf11563511d05f0bbded9a7abf8b",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
         "ebf6cf366dadb5cc3b9003c0642c63b60381bdbb26dac30eb5c2c212d885c921",
 }
 
 
+# the exit code of each golden command that does not exit 0
+_GOLDEN_EXIT = {("verify", "--a", "300", "--samples", "20"): 1}
+
+
 @pytest.mark.parametrize("argv", sorted(_GOLDEN_OUTPUT), ids=" ".join)
 def test_output_bytes_locked(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert code == 0 and err == ""
+    assert code == _GOLDEN_EXIT.get(argv, 0) and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_OUTPUT[argv]
 
 
@@ -345,6 +353,23 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and named in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("axis", "--U", "1e30"),
+        ("sweep", "--depths", "1e12"),
+        ("sweep", "--depths", "1e13"),
+        ("sweep", "--depths", "1e16"),
+    ], ids=" ".join)
+    def test_depth_beyond_the_limit(self, capsys, argv):
+        # past c = 1e4 the axis scan and the sweep ran for many seconds, or
+        # failed as numerical errors; the well is refused by name at once
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "exceeds its limit 10000 at m=1.0, a=1.5, U=" in error["message"]
 
     def test_help_prints_help(self, capsys):
         code, out, err = run(capsys, "chart", "--help")

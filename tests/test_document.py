@@ -24,7 +24,6 @@ from wellpoles.document import (
     canonical_dumps,
     chart_document,
     parse_chart_document,
-    poles_csv,
     trajectories_csv,
 )
 from wellpoles.errors import DocumentError
@@ -566,7 +565,7 @@ class TestStrictParsing:
 class TestCsvExport:
     def test_poles_csv_shape(self):
         chart = _chart("plus", 2.0)
-        lines = poles_csv(chart).splitlines()
+        lines = axis_poles_csv(chart.channel.value, chart.seeds).splitlines()
         assert lines[0] == "channel,alpha,re_k,im_k,kind,multiplicity"
         assert len(lines) == 1 + len(chart.seeds)
         cells = lines[1].split(",")

@@ -191,10 +191,10 @@ def _terms(k, s, ch):
 def _reference_newton(k0, s, ch, step_tol, max_iter, new_exits=True):
     """Newton on denom_scaled: the loop newton_pole must equal bit for bit.
 
-    It stops on the step test or, with new_exits and from the second
-    iteration on, where the quadratic model puts the next step under it
-    after a step that contracted or d is a rounding residue of its terms;
-    without, on the step test alone.
+    It stops on the step test or, with new_exits, where the quadratic model
+    puts the next step under it after a step below _MODEL_STEP or, from the
+    second iteration on, d is a rounding residue of its terms; without, on
+    the step test alone.
     """
     k = k0
     s_prev = math.inf
@@ -206,13 +206,12 @@ def _reference_newton(k0, s, ch, step_tol, max_iter, new_exits=True):
         k1 = k - step
         size = abs(step)
         bound = step_tol * (1.0 + abs(k1))
-        if size < bound or (new_exits and it and contracted
+        if size < bound or (new_exits and s_prev < K._MODEL_STEP
                             and size * size * size < bound * s_prev * s_prev):
             return (k1, it + 1, True) if E != 0.0 else (k, it + 1, False)
         if new_exits and it and abs(d) < K._ROUNDOFF * _terms(k, s, ch):
             return (k, it + 1, E != 0.0)
         k = k1
-        contracted = size < s_prev
         s_prev = size
     return k, max_iter, False
 
@@ -329,6 +328,9 @@ class TestNewtonBitEquality:
     @example((np.complex128(A * 1.85j), _s(np.complex128(1.0), M, A, 2.0), K.CH_MINUS, 1e-12, 8))
     # a grown second step, after which the quadratic model may not exit
     @example((1.7402331821066375j, 21921.30814383263, K.CH_PLUS, 1e-12, 8))
+    # previous steps of 5.83 and 0.214, from which it may not exit either
+    @example((-0.1171875j, 10246.271216589628, K.CH_PLUS, 1e-12, 8))
+    @example((-1.7271252689964451j, 784.0322612920717, K.CH_PLUS, 1e-12, 50))
     def test_matches_reference_loop(self, args):
         self._check(args)
 
@@ -350,6 +352,13 @@ class TestNewtonStopRule:
     # the steps run 21.7, 122.8, 1.2e-4: after the grown second step the
     # model's constant means nothing, and its exit stopped 2e-9 early
     @example((1.7402331821066375j, 21921.30814383263, K.CH_PLUS, 1e-12, 8))
+    # the steps run 95.4, 5.83, 1.13e-3, 2.76e-6: the constant taken from
+    # the pair (5.83, 1.13e-3) predicted a next step of 4.2e-11, and the
+    # model's exit stopped 2.76e-6 from the root
+    @example((-0.1171875j, 10246.271216589628, K.CH_PLUS, 1e-12, 8))
+    # the steps run 1.12, 0.214, 3.98e-5, 7.1e-11: after the step of 0.214
+    # the model's exit stopped 7.1e-11 from the root, past the slack
+    @example((-1.7271252689964451j, 784.0322612920717, K.CH_PLUS, 1e-12, 50))
     def test_agrees_with_step_test_alone(self, args):
         k_old, it_old, ok_old = _reference_newton(*args, new_exits=False)
         if not ok_old:

@@ -12,6 +12,8 @@ at which a march stops and the runaway phase guard (40 + 2c)*pi live in
 ``trajectory``, which ``chart`` imports. ``rootfinder.residual_ratio``
 alone states the residual bound a pole meets, and ``chart`` takes its
 window contour count in one place, for a chart and a certified sweep alike.
+``smatrix.verify_relations`` states the identities that ``wellpoles verify``
+checks, and ``cli`` names none of their parts.
 These checks read the package source, so a second copy of any of these
 rules fails here before it drifts from the first.
 """
@@ -269,3 +271,11 @@ def test_only_rootfinder_states_the_residual_bound():
     readers = [node.name for node in _tree("rootfinder.py").body
                if isinstance(node, ast.FunctionDef) and "RESIDUAL_TOL" in _names(node)]
     assert readers == ["residual_ratio"]
+
+
+def test_cli_states_no_scattering_identity():
+    # verify's identities are computed by smatrix.verify_relations; the CLI
+    # only samples, holds the tolerances and records
+    identity_parts = {"denom_full", "denom_plus", "denom_minus", "parity_channels",
+                      "interior_momentum", "s_full"}
+    assert _names(_tree("cli.py")).isdisjoint(identity_parts)

@@ -45,6 +45,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             ComplexCoupling(float("nan"))
 
+    def test_depth_limit(self):
+        # c = a*sqrt(2 m U) is exactly the limit here, and past it 1e-12 deeper
+        assert PotentialSpec(m=0.5, a=1.0, U=1e8).c == wp.smatrix.C_LIMIT
+        with pytest.raises(ValueError, match="exceeds its limit 10000 at m=0.5, a=1.0, U="):
+            PotentialSpec(m=0.5, a=1.0, U=1e8 * (1.0 + 1e-12))
+
     def test_coupling_snaps_at_axes(self):
         assert ComplexCoupling(0.0).gamma == 1.0 + 0.0j
         assert ComplexCoupling(np.pi).gamma == -1.0 + 0.0j
@@ -70,20 +76,18 @@ class TestTypes:
 
 class TestInteriorMomentum:
     def test_exact_at_origin(self):
-        Ki = wp.interior_momentum(0.0, ATT, SPEC)
-        assert Ki.K == 2.0 + 0.0j  # sqrt(2*m*U) with U=2
+        assert wp.interior_momentum(0.0, ATT, SPEC) == 2.0 + 0.0j  # sqrt(2*m*U) with U=2
 
     def test_branch_point(self):
         k = 1j * np.sqrt(2 * SPEC.m * SPEC.U)
-        Ki = wp.interior_momentum(k, ATT, SPEC)
-        assert abs(Ki.w) < 1e-15
-        assert Ki.is_branch_point or abs(Ki.K) < 1e-7
+        assert abs(wp.interior_momentum(k, ATT, SPEC)) ** 2 < 1e-15
 
     def test_principal_branch(self):
         for k, c, s in random_samples(50, 3):
-            Ki = wp.interior_momentum(k, c, s)
-            assert Ki.K.real >= 0.0 or (Ki.K.real == 0.0 and Ki.K.imag >= 0.0)
-            assert abs(Ki.K * Ki.K - Ki.w) < 1e-12 * (1 + abs(Ki.w))
+            K = wp.interior_momentum(k, c, s)
+            w = k * k + 2.0 * s.m * c.gamma * s.U
+            assert K.real >= 0.0 or (K.real == 0.0 and K.imag >= 0.0)
+            assert abs(K * K - w) < 1e-12 * (1 + abs(w))
 
 
 class TestDenominatorIdentities:
@@ -97,7 +101,7 @@ class TestDenominatorIdentities:
             Df = wp.denom_full(k, c, s)
             Dp = wp.denom_plus(k, c, s)
             Dm = wp.denom_minus(k, c, s)
-            Kv = wp.interior_momentum(k, c, s).K
+            Kv = wp.interior_momentum(k, c, s)
             E2 = np.exp(-2.0 * abs((s.a * Kv).imag))
             term_scale = 1.0 + 2 * abs(k) * abs(Kv) + abs(k) ** 2 + abs(Kv) ** 2
             assert abs(Df - 2.0 * Dp * Dm) * E2 <= 1e-12 * term_scale
@@ -105,7 +109,7 @@ class TestDenominatorIdentities:
     def test_plus_even_under_interior_sign_flip(self):
         # direct evaluation with +K and -K agrees with the library value
         for k, c, s in random_samples(80, 6):
-            Kv = wp.interior_momentum(k, c, s).K
+            Kv = wp.interior_momentum(k, c, s)
             lib = wp.denom_plus(k, c, s)
             for Ks in (Kv, -Kv):
                 direct = k * np.cos(Ks * s.a) - 1j * Ks * np.sin(Ks * s.a)
@@ -113,7 +117,7 @@ class TestDenominatorIdentities:
 
     def test_minus_literal_is_odd_under_interior_sign_flip(self):
         for k, c, s in random_samples(80, 7):
-            Kv = wp.interior_momentum(k, c, s).K
+            Kv = wp.interior_momentum(k, c, s)
             lib = wp.denom_minus(k, c, s)
             d_pos = Kv * np.cos(Kv * s.a) - 1j * k * np.sin(Kv * s.a)
             d_neg = (-Kv) * np.cos(Kv * s.a) - 1j * k * np.sin(-Kv * s.a)
@@ -125,10 +129,13 @@ class TestDenominatorIdentities:
         k = 1j * np.sqrt(2 * SPEC.m * SPEC.U)
         assert abs(wp.denom_minus(k, ATT, SPEC)) < 1e-7
         assert abs(wp.denom_minus_reduced(k, ATT, SPEC)) > 0.1
-        # so the odd channel's pole function is the reduced form
-        for kk, c, s in [(k, ATT, SPEC), *random_samples(20, 8)]:
-            assert wp.pole_function(kk, c, s, Channel.PLUS) == wp.denom_plus(kk, c, s)
-            assert wp.pole_function(kk, c, s, Channel.MINUS) == wp.denom_minus_reduced(kk, c, s)
+        # so the odd channel's poles are the reduced form's zeros
+        for channel, denom in ((Channel.PLUS, wp.denom_plus),
+                               (Channel.MINUS, wp.denom_minus_reduced)):
+            poles = wp.scan_axis(SPEC, ATT, channel)
+            assert poles
+            for pole in poles:
+                assert abs(denom(pole.k, ATT, SPEC)) < 1e-13
 
     def test_free_particle_plus_denominator(self):
         # at U=0 the even denominator is k*exp(-ika): zeros only at k=0
