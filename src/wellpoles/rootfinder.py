@@ -104,11 +104,12 @@ def on_axis(q: complex) -> bool:
 
 
 def residual_ratio(q: complex, s: complex, channel: Channel) -> float:
-    """|d(q)| of the pole function at q = k*a and coupling s = c^2*gamma,
-    over the pole residual bound RESIDUAL_TOL*(1 + |q|): below 1 on a pole.
-    A traced seed and every pole of a certified sweep must meet it."""
-    d, _ = _k.denom_plain(q, s, channel.code)
-    return abs(d) / (RESIDUAL_TOL * (1.0 + abs(q)))
+    """|d(q)| of the pole function at q = k*a and coupling s = c^2*gamma over
+    the pole residual bound RESIDUAL_TOL*(1 + |q|) + 2^-52*|q|*|d'(q)|, the
+    last term the |d| that rounding q leaves (|d'| ~ c^2 near q = +-ic):
+    below 1 on a pole. Traced seeds and certified sweep poles must meet it."""
+    d, dq = _k.denom_plain(q, s, channel.code)
+    return abs(d) / (RESIDUAL_TOL * (1.0 + abs(q)) + 2.0 ** -52 * abs(q) * abs(dq))
 
 
 def _pole(q: complex, s: complex, coupling: ComplexCoupling, channel: Channel,

@@ -8,6 +8,11 @@ Parity decouples the 2x2 S-matrix into even ('plus') and odd ('minus')
 channels; ``verify_relations`` checks the similarity transform between the
 plane-wave basis and the parity basis. Channel poles are zeros of the channel
 denominators, tracked everywhere through the kernels in ``_kernels``.
+
+The S functions keep the kernels' non-finite contract: past the float range
+an element or a residual reads inf or nan (magnitudes from ``_abs``, nan
+where a denominator is 0 in floats); ``PoleHit``, where the pole test holds,
+is the only exception they raise.
 """
 
 from __future__ import annotations
@@ -133,8 +138,7 @@ def denom_plus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> co
     Even under K -> -K, entire in k. Its zeros are the even-channel S poles.
     """
     c = spec.c
-    d, dq = _k.denom_plain(spec.a * k, c * c * coupling.gamma, _k.CH_PLUS)
-    return d / spec.a
+    return _k.denom_plain(spec.a * k, c * c * coupling.gamma, _k.CH_PLUS)[0] / spec.a
 
 
 def denom_minus_reduced(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> complex:
@@ -144,8 +148,7 @@ def denom_minus_reduced(k: complex, coupling: ComplexCoupling, spec: PotentialSp
     free of the spurious K = 0 zero. All odd-channel root finding uses this.
     """
     c = spec.c
-    d, dq = _k.denom_plain(spec.a * k, c * c * coupling.gamma, _k.CH_MINUS)
-    return d
+    return _k.denom_plain(spec.a * k, c * c * coupling.gamma, _k.CH_MINUS)[0]
 
 
 def denom_minus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> complex:
@@ -169,6 +172,12 @@ def denom_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> co
     return _k.unscale(2.0 * kc * K * C - 1j * (kc * kc + K * K) * S, E)
 
 
+def _abs(z: complex) -> float:
+    """abs(z) where |Re z| + |Im z| is finite, bit-equal; else math.hypot's inf
+    or nan, where abs() raises: past the float range, or at a nan part."""
+    return abs(z) if abs(z.real) + abs(z.imag) < math.inf else math.hypot(z.real, z.imag)
+
+
 def _exp(z: complex) -> complex:
     """e^z; past the float range its nonzero parts are +-inf, as IEEE
     arithmetic gives (see ``_kernels.unscale``), where cmath.exp raises."""
@@ -187,7 +196,7 @@ def _channel_s(
     d is even in K, so d(k) and d(-k), taken in q = +-ka, share the trig
     blocks at z = aK, scaled by E = exp(-|Im z|). The pole test compares the
     scaled |d| with (1 + |q| + |z|)*E: the true |d| overflows past
-    |Im z| ~ 709 where d is no zero.
+    |Im z| ~ 709 where d is no zero. A d of 0 where E underflowed gives nan.
     """
     kc = complex(k)
     q = spec.a * kc
@@ -196,10 +205,10 @@ def _channel_s(
     z = cmath.sqrt(w)
     C, S, Z, G, E = _k.trig_scaled(z)
     d, _, _ = _k._channel_terms(q, w, C, Z, G, channel.code)
-    if abs(d) < POLE_HIT_SCALE * (1.0 + abs(q) + abs(z)) * E:
+    if _abs(d) < POLE_HIT_SCALE * (1.0 + _abs(q) + _abs(z)) * E:
         raise PoleHit(kc, label)
     d_neg, _, _ = _k._channel_terms(-q, w, C, Z, G, channel.code)
-    s = _exp(-2j * q) * d_neg / d
+    s = _exp(-2j * q) * d_neg / d if d else _k._NAN
     return -s if channel is Channel.PLUS else s
 
 
@@ -243,7 +252,7 @@ def s_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> SMatri
     Where the unscaled F = D_full/(2K) is not finite (E = exp(-|Im 2aK|)
     underflows past |Im 2aK| ~ 745), the elements are taken from ratios of
     the scaled blocks instead, s11 = k*phase*E/F and s12 from Z/F, which
-    stay finite.
+    stay finite. Where F is 0 in floats, both elements are nan.
     """
     for channel in Channel:
         # raises PoleHit at a pole of either channel
@@ -255,7 +264,9 @@ def s_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> SMatri
     F = kc * C - 1j * (kc * kc + K * K) * spec.a * Z
     phase = _exp(-2j * kc * spec.a)
     F_true = _k.unscale(F, E)
-    if cmath.isfinite(F_true):
+    if not F:
+        s11 = s12 = _k._NAN
+    elif cmath.isfinite(F_true):
         s11 = kc * phase / F_true
         s12 = -1j * (kc * kc - K * K) * spec.a * _k.unscale(Z, E) * phase / F_true
     else:
@@ -283,7 +294,7 @@ def parity_channels(value: SMatrixValue) -> tuple[complex, complex]:
 
 
 def _msinc(z: complex) -> complex:
-    if abs(z) < 1e-4:
+    if _abs(z) < 1e-4:
         z2 = z * z
         return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
     return cmath.sin(z) / z
@@ -342,7 +353,7 @@ def _nanmax(values) -> float:
 
 def _deviation(A, B) -> float:
     """Largest |A_ij - B_ij| of two 2x2 matrices, nan when any is nan."""
-    return _nanmax(abs(x - y) for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+    return _nanmax(_abs(x - y) for ra, rb in zip(A, B) for x, y in zip(ra, rb))
 
 
 def verify_relations(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> dict[str, float]:
@@ -352,49 +363,37 @@ def verify_relations(k: complex, coupling: ComplexCoupling, spec: PotentialSpec)
     conjugation S*(-k*, gamma*) = S(k, gamma); the parity diagonalization of
     S(k) against s_plus and s_minus, relative to 1 + |s|; and the
     factorization D_full = 2*D_plus*D_minus, relative to the size of its
-    terms, e^{2|Im aK|}*(1 + 2|k||K| + |k|^2 + |K|^2). The first three, and
-    the last two, read nan as a group where their arithmetic overflows.
-    Raises PoleHit where S has a pole at k, -k, k* or -k*.
+    terms, e^{2|Im aK|}*(1 + 2|k||K| + |k|^2 + |K|^2). Each reads inf or nan
+    where its own arithmetic leaves the float range. Raises PoleHit where S
+    has a pole at k, -k, k* or -k*.
     """
     kc = complex(k)
     value = s_full(kc, coupling, spec)
     S = value.matrix
-    conj = coupling.conjugate()
-    try:
-        S_mk = s_full(-kc, coupling, spec).matrix
-        S_cc = s_full(kc.conjugate(), conj, spec).matrix
-        S_rc = s_full(-kc.conjugate(), conj, spec).matrix
-        S_T = tuple(zip(*S))
-        S_dag = tuple(zip(*((z.conjugate() for z in row) for row in S)))
-        S_rc_conj = tuple(tuple(z.conjugate() for z in row) for row in S_rc)
-        rel = {
-            "transpose_inverse": _deviation(_matmul(S_T, S_mk), _EYE),
-            "hermitian_adjoint": _deviation(_matmul(S_dag, S_cc), _EYE),
-            "conjugation": _deviation(S_rc_conj, S),
-        }
-    except OverflowError:
-        rel = dict.fromkeys(("transpose_inverse", "hermitian_adjoint", "conjugation"), math.nan)
-    try:
-        sp, sm = s_plus(kc, coupling, spec), s_minus(kc, coupling, spec)
-        hat_p, hat_m = parity_channels(value)
-        diag = _nanmax((abs(hat_p - sp) / (1.0 + abs(sp)), abs(hat_m - sm) / (1.0 + abs(sm))))
-        K = interior_momentum(kc, coupling, spec)
-        defect = (denom_full(kc, coupling, spec)
-                  - 2 * denom_plus(kc, coupling, spec) * denom_minus(kc, coupling, spec))
-        term_scale = 1.0 + 2 * abs(kc) * abs(K) + abs(kc) ** 2 + abs(K) ** 2
-        # an underflowed exp leaves errno at ERANGE, on which CPython's abs()
-        # of a nan complex raises OverflowError: e2 comes first, as it did
-        e2 = math.exp(-2.0 * abs((spec.a * K).imag))
-        fact = abs(defect) * e2 / term_scale
-    except OverflowError:
-        diag = fact = math.nan
-    return {**rel, "diagonalization": diag, "factorization": fact}
+    S_mk = s_full(-kc, coupling, spec).matrix
+    S_cc = s_full(kc.conjugate(), coupling.conjugate(), spec).matrix
+    S_rc = s_full(-kc.conjugate(), coupling.conjugate(), spec).matrix
+    S_T = tuple(zip(*S))
+    S_dag = tuple(zip(*((z.conjugate() for z in row) for row in S)))
+    S_rc_conj = tuple(tuple(z.conjugate() for z in row) for row in S_rc)
+    sp, sm = s_plus(kc, coupling, spec), s_minus(kc, coupling, spec)
+    hat_p, hat_m = parity_channels(value)
+    K = interior_momentum(kc, coupling, spec)
+    defect = (denom_full(kc, coupling, spec)
+              - 2 * denom_plus(kc, coupling, spec) * denom_minus(kc, coupling, spec))
+    ak, aK = _abs(kc), _abs(K)  # squared by *, since float ** raises on overflow
+    term_scale = 1.0 + 2 * ak * aK + ak * ak + aK * aK
+    return {
+        "transpose_inverse": _deviation(_matmul(S_T, S_mk), _EYE),
+        "hermitian_adjoint": _deviation(_matmul(S_dag, S_cc), _EYE),
+        "conjugation": _deviation(S_rc_conj, S),
+        "diagonalization": _nanmax((_abs(hat_p - sp) / (1.0 + _abs(sp)),
+                                    _abs(hat_m - sm) / (1.0 + _abs(sm)))),
+        "factorization": _abs(defect) * math.exp(-2.0 * abs((spec.a * K).imag)) / term_scale,
+    }
 
 
 def unitarity_residual(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> float:
     """Largest ||s| - 1| of s_plus and s_minus, 0 where S is unitary (real k
-    and coupling); nan where the arithmetic overflows; PoleHit at a pole."""
-    try:
-        return _nanmax(abs(abs(s(k, coupling, spec)) - 1.0) for s in (s_plus, s_minus))
-    except OverflowError:
-        return math.nan
+    and coupling), inf or nan past the float range; PoleHit at a pole."""
+    return _nanmax(abs(_abs(s(k, coupling, spec)) - 1.0) for s in (s_plus, s_minus))

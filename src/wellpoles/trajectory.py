@@ -475,8 +475,7 @@ def trace(
     march from the mirrored seed -conj(k) and so needs alpha a multiple of
     pi (ValueError otherwise). The seed must sit on a quarter-turn anchor,
     alpha a multiple of pi/2 (ValueError otherwise), and meet the pole
-    residual bound |d(q)| < RESIDUAL_TOL*(1 + |q|), q = k*a, of
-    ``residual_ratio``; a coalesced-pair seed cannot be continued as a
+    residual bound of ``residual_ratio`` at q = k*a; a coalesced-pair seed cannot be continued as a
     single branch and raises StallAtDoubleZero immediately (split it with
     branch_at_double_zero instead).
 

@@ -96,7 +96,7 @@ _GOLDEN_OUTPUT = {
         "f44c759cd467c184d14b7578443c2714312625382ea055dfc99c4d2318c86906",
     # most samples overflow at a = 300: their residuals are written as null
     ("verify", "--a", "300", "--samples", "20"):
-        "67331c0546f2515394864ea7409b3aabdd6daf11563511d05f0bbded9a7abf8b",
+        "49f7f2a3ecedff1b77e4e26f4a4a4fa2bd375f8cdb96429bc4a6d25a1f0d6296",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
         "ebf6cf366dadb5cc3b9003c0642c63b60381bdbb26dac30eb5c2c212d885c921",
 }
@@ -287,6 +287,14 @@ class TestVerify:
         doc = json.loads(proc.stdout)
         assert doc["passed"] is False
         assert any(f["residual"] is None for f in doc["failures"])
+
+    def test_no_sample_ends_the_run(self, capsys):
+        # some samples of this shallow well have a full denominator of 0
+        # in floats: their residuals are null and the run writes its document
+        code, out, err = run(capsys, "verify", "--a", "10", "--U", "1e-8",
+                             "--samples", "200", "--seed", "5")
+        assert code == 1 and err == ""
+        assert json.loads(out)["passed"] is False
 
     def test_seed_changes_samples_not_verdict(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--samples", "40", "--seed", "1")

@@ -13,7 +13,8 @@ at which a march stops and the runaway phase guard (40 + 2c)*pi live in
 alone states the residual bound a pole meets, and ``chart`` takes its
 window contour count in one place, for a chart and a certified sweep alike.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
-checks, and ``cli`` names none of their parts.
+checks, and ``cli`` names none of their parts. ``smatrix._exp`` alone
+catches OverflowError, to give cmath.exp the kernels' non-finite contract.
 These checks read the package source, so a second copy of any of these
 rules fails here before it drifts from the first.
 """
@@ -279,3 +280,23 @@ def test_cli_states_no_scattering_identity():
     identity_parts = {"denom_full", "denom_plus", "denom_minus", "parity_channels",
                       "interior_momentum", "s_full"}
     assert _names(_tree("cli.py")).isdisjoint(identity_parts)
+
+
+def test_only_exp_catches_overflow():
+    # the package keeps the kernels' non-finite contract: past the float
+    # range a value reads inf or nan, and only smatrix._exp, which gives
+    # cmath.exp that contract, catches the OverflowError it raises
+    broad = {"OverflowError", "ArithmeticError", "Exception", "BaseException"}
+    catchers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and (
+                    handler.type is None or broad & _names(handler.type)):
+                owners = [f.name for f in functions if handler in ast.walk(f)]
+                catchers.append((path.name, owners[-1] if owners else None))
+    assert catchers == [("smatrix.py", "_exp")]
+    smatrix = {f.name: f for f in _tree("smatrix.py").body if isinstance(f, ast.FunctionDef)}
+    for name in ("verify_relations", "unitarity_residual"):
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(smatrix[name]))

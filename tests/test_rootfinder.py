@@ -39,6 +39,7 @@ from wellpoles.rootfinder import (
     count_zeros_padded,
     multiplicity_at,
     newton_refine,
+    residual_ratio,
     scan_axis,
 )
 
@@ -814,6 +815,15 @@ def _axis_span(m, a, U):
 
 class TestClosedFormScan:
     """The K-cell enumeration against independent pole counts."""
+
+    @pytest.mark.parametrize("U", [1e6, 2.2e7])
+    def test_deep_axis_poles_meet_the_residual_bound(self, U):
+        # |d'| grows as c^2 near q = +-ic, so rounding q alone leaves
+        # |d| ~ |d'|*ulp(|q|): at c = 2121 and 9950 the worst pole read 2.0
+        # and 54.8 times RESIDUAL_TOL*(1 + |q|)
+        sp = spec(U)
+        poles = scan_axis(sp, ATT, Channel.PLUS)
+        assert max(residual_ratio(sp.a * p.k, sp.c * sp.c, Channel.PLUS) for p in poles) < 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(

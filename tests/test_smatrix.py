@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -285,6 +286,25 @@ class TestAnalyticRelations:
                 continue
             worst = max(worst, max(r.values()))
         assert worst < 1e-10
+
+    def test_each_identity_reads_its_own_arithmetic(self):
+        # at a = 300 the factorization leaves the float range at this
+        # sample; the diagonalization and the conjugation stay finite
+        k = 4.287116956668552 - 1.278890758326907j
+        r = wp.verify_relations(k, ComplexCoupling(4.667746449385366), PotentialSpec(1.0, 300.0, 1.0))
+        assert r["diagonalization"] == 0.0 and r["conjugation"] == 0.0
+        assert math.isnan(r["factorization"])
+
+    def test_zero_denominator_gives_nan(self):
+        # F of s_full, and d of s_plus where E underflowed, are 0 in
+        # floats at these samples: the elements read nan, as the kernels'
+        # values do past the float range
+        v = wp.s_full(-5.598771747806346 - 2.362450065458871j, ComplexCoupling(1.877346012943804),
+                      PotentialSpec(1.0, 10.0, 1e-8))
+        assert cmath.isnan(v.s11) and cmath.isnan(v.s12)
+        s = wp.s_plus(3.7418764873046353 - 2.589484122426766j, ComplexCoupling(1.4452536251456958),
+                      PotentialSpec(1.0, 300.0, 1e-300))
+        assert cmath.isnan(s)
 
     def test_real_coupling_specializations(self):
         # for real gamma and real k the S matrix is unitary and symmetric
