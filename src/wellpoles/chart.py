@@ -81,10 +81,20 @@ def _distinct(poles, a: float) -> list[complex]:
     """The poles k with those within _DEDUP_TOL of an earlier one in q
     merged into it, sorted by (Re, Im), with an axis pole (|Re q| <
     _DEDUP_TOL) taken at Re = 0 so that the sign of its roundoff real part
-    does not decide its place."""
+    does not decide its place.
+
+    Each kept pole is filed in a cell of side 2*_DEDUP_TOL in q, so a pole
+    is compared only with those kept in the 3x3 cells about its own; a pole
+    in no such cell is farther than the tolerance."""
+    side = 2.0 * _DEDUP_TOL
+    cells: dict[tuple[int, int], list[complex]] = {}
     found: list[complex] = []
     for k in poles:
-        if all(a * abs(k - p) >= _DEDUP_TOL for p in found):
+        i, j = math.floor(a * k.real / side), math.floor(a * k.imag / side)
+        near = (p for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                for p in cells.get((i + di, j + dj), ()))
+        if all(a * abs(k - p) >= _DEDUP_TOL for p in near):
+            cells.setdefault((i, j), []).append(k)
             found.append(k)
     return sorted(found, key=lambda k: _inventory_key(a * k))
 

@@ -8,6 +8,8 @@ Parity decouples the 2x2 S-matrix into even ('plus') and odd ('minus')
 channels; ``verify_relations`` checks the similarity transform between the
 plane-wave basis and the parity basis. Channel poles are zeros of the channel
 denominators, tracked everywhere through the kernels in ``_kernels``.
+``s_full`` rests on D_full = 2*D_plus*D_minus, which ``verify_relations``
+checks against the double-angle ``denom_full``.
 
 The S functions keep the kernels' non-finite contract: past the float range
 an element or a residual reads inf or nan (magnitudes from ``_abs``, nan
@@ -27,7 +29,7 @@ from .errors import PoleHit
 
 POLE_HIT_SCALE = 1e-13
 # the deepest well, in c = a*sqrt(2 m U): the axis scan walks about c/pi
-# cells, and a certified sweep at c = 1e4 counts them in about 16 s
+# cells, and a certified sweep at c = 1e4 counts them in about 1.5 s
 C_LIMIT = 1e4
 
 
@@ -187,6 +189,26 @@ def _exp(z: complex) -> complex:
         return _k.unscale(complex(math.cos(z.imag), math.sin(z.imag)), 0.0)
 
 
+def _pole_functions(k: complex, coupling: ComplexCoupling, spec: PotentialSpec,
+                    channels: tuple[Channel, ...], label: str):
+    """The scaled pole functions d(q) of channels, q = ka, s = c^2*gamma,
+    w = q^2 + s, z = aK = sqrt(w) and the trig blocks (C, Z, G) at z, scaled
+    by E = exp(-|Im z|) like each d; PoleHit, labeled label, where one d is
+    at a zero. The test compares the scaled |d| with (1 + |q| + |z|)*E: the
+    true |d| overflows past |Im z| ~ 709 where d is no zero.
+    """
+    q = spec.a * complex(k)
+    c = spec.c
+    s = c * c * coupling.gamma
+    w = q * q + s
+    z = cmath.sqrt(w)
+    C, _, Z, G, E = _k.trig_scaled(z)
+    ds = [_k._channel_terms(q, w, C, Z, G, channel.code)[0] for channel in channels]
+    if any(_abs(d) < POLE_HIT_SCALE * (1.0 + _abs(q) + _abs(z)) * E for d in ds):
+        raise PoleHit(complex(k), label)
+    return ds, q, s, w, z, (C, Z, G)
+
+
 def _channel_s(
     k: complex, coupling: ComplexCoupling, spec: PotentialSpec, channel: Channel, label: str
 ) -> complex:
@@ -194,19 +216,9 @@ def _channel_s(
     even channel; PoleHit, labeled label, where d(k) is at a zero.
 
     d is even in K, so d(k) and d(-k), taken in q = +-ka, share the trig
-    blocks at z = aK, scaled by E = exp(-|Im z|). The pole test compares the
-    scaled |d| with (1 + |q| + |z|)*E: the true |d| overflows past
-    |Im z| ~ 709 where d is no zero. A d of 0 where E underflowed gives nan.
+    blocks at z = aK. A d of 0 where E underflowed gives nan.
     """
-    kc = complex(k)
-    q = spec.a * kc
-    c = spec.c
-    w = q * q + c * c * coupling.gamma
-    z = cmath.sqrt(w)
-    C, S, Z, G, E = _k.trig_scaled(z)
-    d, _, _ = _k._channel_terms(q, w, C, Z, G, channel.code)
-    if _abs(d) < POLE_HIT_SCALE * (1.0 + _abs(q) + _abs(z)) * E:
-        raise PoleHit(kc, label)
+    (d,), q, _, w, _, (C, Z, G) = _pole_functions(k, coupling, spec, (channel,), label)
     d_neg, _, _ = _k._channel_terms(-q, w, C, Z, G, channel.code)
     s = _exp(-2j * q) * d_neg / d if d else _k._NAN
     return -s if channel is Channel.PLUS else s
@@ -247,32 +259,19 @@ class SMatrixValue:
 def s_full(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> SMatrixValue:
     """Full 2x2 S-matrix (transmission/reflection) of the well.
 
-    Regular at the interior branch point K = 0: elements are computed from
-    reduced forms that strip the spurious K factor of the raw denominator.
-    Where the unscaled F = D_full/(2K) is not finite (E = exp(-|Im 2aK|)
-    underflows past |Im 2aK| ~ 745), the elements are taken from ratios of
-    the scaled blocks instead, s11 = k*phase*E/F and s12 from Z/F, which
-    stay finite. Where F is 0 in floats, both elements are nan.
+    From D_full = 2*D_plus*D_minus and the scaled d+, d- of
+    ``_pole_functions``: s11 = (s_plus + s_minus)/2 = q*e^{-2iq}*E^2/(d+*d-)
+    and s12 = (s_plus - s_minus)/2 = i*s*cos(z)*sinc(z)*e^{-2iq}/(d+*d-),
+    cos and sinc scaled by E. E^2 goes into the exponent, so s11 is finite
+    wherever its true value is. Regular at K = 0 (d- is the reduced odd
+    form); PoleHit at a pole of either channel; nan where d+*d- is 0.
     """
-    for channel in Channel:
-        # raises PoleHit at a pole of either channel
-        _channel_s(k, coupling, spec, channel, "full")
-    kc = complex(k)
-    K = interior_momentum(kc, coupling, spec)
-    C, S, Z, G, E = _k.trig_scaled(2.0 * spec.a * K)
-    # F = D_full / (2K): regular in K, scaled by E like the trig blocks
-    F = kc * C - 1j * (kc * kc + K * K) * spec.a * Z
-    phase = _exp(-2j * kc * spec.a)
-    F_true = _k.unscale(F, E)
-    if not F:
-        s11 = s12 = _k._NAN
-    elif cmath.isfinite(F_true):
-        s11 = kc * phase / F_true
-        s12 = -1j * (kc * kc - K * K) * spec.a * _k.unscale(Z, E) * phase / F_true
-    else:
-        s11 = kc * phase * E / F
-        s12 = -1j * (kc * kc - K * K) * spec.a * Z * phase / F
-    return SMatrixValue(k=kc, s11=s11, s12=s12)
+    (d_plus, d_minus), q, s, _, z, (C, Z, _) = _pole_functions(
+        k, coupling, spec, tuple(Channel), "full")
+    dd = d_plus * d_minus or _k._NAN  # 0 in floats only where E underflowed
+    s11 = q * _exp(-2j * q - 2.0 * abs(z.imag)) / dd
+    s12 = 1j * s * C * Z * _exp(-2j * q) / dd
+    return SMatrixValue(k=complex(k), s11=s11, s12=s12)
 
 
 def _matmul(A, B):

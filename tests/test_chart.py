@@ -1,6 +1,7 @@
 """Chart assembly, depth transitions, completeness certificates."""
 
 import math
+import time
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -1753,3 +1754,48 @@ class TestScaleInvariance:
     def test_critical_pair_count_at_any_width(self, channel, attractive, a):
         # the counting box is 1e-3 about q = -i, not about k = -i/a
         assert critical_depth(channel, attractive, 1.0, a).pair_count == 2
+
+
+def _distinct_greedy(poles, a):
+    """The merge rule of ``chart._distinct`` as a plain scan: each pole is
+    compared with every pole kept before it."""
+    found = []
+    for k in poles:
+        if all(a * abs(k - p) >= chart_module._DEDUP_TOL for p in found):
+            found.append(k)
+    return sorted(found, key=lambda k: chart_module._inventory_key(a * k))
+
+
+@st.composite
+def _clustered_poles_in_q(draw):
+    # a few centers, each with copies at the merge tolerance to a rounding
+    # either way, and points between
+    tol = chart_module._DEDUP_TOL
+    part = st.floats(-8 * tol, 8 * tol)
+    centers = draw(st.lists(st.builds(complex, part, part), min_size=1, max_size=12))
+    qs = []
+    for q in centers:
+        qs.append(q)
+        for _ in range(draw(st.integers(0, 3))):
+            scale = draw(st.sampled_from([1 - 2.0 ** -52, 1.0, 1 + 2.0 ** -52, 0.5, 1.9]))
+            phase = draw(st.sampled_from([0.0, math.pi / 2, math.pi, 1.0, -2.0]))
+            qs.append(q + tol * scale * complex(math.cos(phase), math.sin(phase)))
+    return draw(st.permutations(qs))
+
+
+class TestDistinct:
+    @settings(max_examples=300, deadline=None)
+    @given(qs=_clustered_poles_in_q(), a=st.sampled_from([1.0, 1.5, 3e-4, 7e5]),
+           offset=st.sampled_from([0j, 3.25 - 2j, 1e4j]))
+    def test_matches_the_greedy_rule(self, qs, a, offset):
+        poles = [(q + offset) / a for q in qs]
+        assert chart_module._distinct(poles, a) == _distinct_greedy(poles, a)
+
+    def test_many_poles_take_linear_time(self):
+        # 30 000 distinct poles: the greedy scan makes ~4.5e8 comparisons
+        rng = np.random.default_rng(3)
+        poles = [complex(x, y) for x, y in rng.uniform(-100.0, 100.0, size=(30000, 2))]
+        start = time.perf_counter()
+        found = chart_module._distinct(poles, 1.5)
+        assert time.perf_counter() - start < 2.0
+        assert len(found) == len(poles)

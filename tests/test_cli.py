@@ -93,10 +93,10 @@ _GOLDEN_OUTPUT = {
     ("sweep", "--channel", "minus", "--depths", "1,3,5,8"):
         "2b1651c9c8ba1f050a16c4c2fc11b92530eedfd2cc518daa1873da9ec7ec93a4",
     ("verify", "--samples", "60", "--seed", "7"):
-        "f44c759cd467c184d14b7578443c2714312625382ea055dfc99c4d2318c86906",
+        "c609acbb237413fd0afe848afcd5f5b3f0a873acc180536411c544153975e912",
     # most samples overflow at a = 300: their residuals are written as null
     ("verify", "--a", "300", "--samples", "20"):
-        "49f7f2a3ecedff1b77e4e26f4a4a4fa2bd375f8cdb96429bc4a6d25a1f0d6296",
+        "292b2214c0ea77854169ae3baec7f4fe2e0e2d6accd3a6a578b981487357e874",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
         "ebf6cf366dadb5cc3b9003c0642c63b60381bdbb26dac30eb5c2c212d885c921",
 }
@@ -289,12 +289,21 @@ class TestVerify:
         assert any(f["residual"] is None for f in doc["failures"])
 
     def test_no_sample_ends_the_run(self, capsys):
-        # some samples of this shallow well have a full denominator of 0
-        # in floats: their residuals are null and the run writes its document
+        # the channel pole functions of this shallow well lose digits at
+        # many samples: the run lists their failures and writes its document
         code, out, err = run(capsys, "verify", "--a", "10", "--U", "1e-8",
                              "--samples", "200", "--seed", "5")
         assert code == 1 and err == ""
         assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("U", ["1e-300", "1e-8", "1e-2"])
+    def test_passes_in_shallow_wells_at_the_default_width(self, capsys, U):
+        # the full S-matrix from the channel factorization holds every
+        # identity where a double-angle formula for it loses its digits
+        code, out, err = run(capsys, "verify", "--a", "1.5", "--U", U,
+                             "--samples", "200", "--seed", "5")
+        assert code == 0 and err == ""
+        assert json.loads(out)["failures"] == []
 
     def test_seed_changes_samples_not_verdict(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--samples", "40", "--seed", "1")

@@ -662,7 +662,9 @@ class TestNonFinite:
         c = ComplexCoupling(alpha)
         assert not np.isfinite(denom_full(self.K_FAR, c, sp))
         s = s_full(self.K_FAR, c, sp)
-        assert not np.isfinite(s.s11) and not np.isfinite(s.s12)
+        # the true s12 overflows (|s12| ~ 2e906), the true s11 is near 1 and
+        # s_full keeps it finite (its digits are checked in test_smatrix)
+        assert abs(s.s11 - 1.0) < 0.01 and not np.isfinite(s.s12)
 
     def test_second_derivative_differences(self):
         # the repulsive E underflows at k = -i/a at this depth; the split

@@ -14,7 +14,8 @@ alone states the residual bound a pole meets, and ``chart`` takes its
 window contour count in one place, for a chart and a certified sweep alike.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
 checks, and ``cli`` names none of their parts. ``smatrix._exp`` alone
-catches OverflowError, to give cmath.exp the kernels' non-finite contract.
+catches OverflowError, to give cmath.exp the kernels' non-finite contract,
+and ``smatrix._pole_functions`` alone applies the S functions' pole test.
 These checks read the package source, so a second copy of any of these
 rules fails here before it drifts from the first.
 """
@@ -300,3 +301,13 @@ def test_only_exp_catches_overflow():
     smatrix = {f.name: f for f in _tree("smatrix.py").body if isinstance(f, ast.FunctionDef)}
     for name in ("verify_relations", "unitarity_residual"):
         assert not any(isinstance(node, ast.Try) for node in ast.walk(smatrix[name]))
+
+
+def test_s_full_rests_on_the_channel_pole_functions():
+    # s_full takes its elements from the two channel pole functions at
+    # z = aK, not from a second, double-angle formula at 2aK; one helper
+    # applies the pole test for it and for the channel eigenvalues
+    smatrix = {f.name: f for f in _tree("smatrix.py").body if isinstance(f, ast.FunctionDef)}
+    assert _names(smatrix["s_full"]).isdisjoint({"interior_momentum", "_channel_s"})
+    readers = [name for name, f in smatrix.items() if "POLE_HIT_SCALE" in _names(f)]
+    assert readers == ["_pole_functions"]

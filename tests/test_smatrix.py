@@ -196,8 +196,8 @@ class TestChannelValues:
             assert abs(abs(value) - 1.0) < 1e-12
 
     def test_full_matrix_past_the_double_angle_range(self):
-        # |Im 2aK| = 1420.9: E = exp(-|Im 2aK|) underflows to 0, so the
-        # unscaled F is not finite and the elements come from scaled ratios
+        # |Im 2aK| = 1420.9, where a double-angle e^{-|Im 2aK|} underflows
+        # to 0; s_full's E^2 = e^{-2|Im aK|} sits inside the exponent of s11
         c = ComplexCoupling(np.pi)
         s = PotentialSpec(1.0, 105.25285033893887, 27.54481086393272)
         k = 3.086597848979629
@@ -295,16 +295,34 @@ class TestAnalyticRelations:
         assert r["diagonalization"] == 0.0 and r["conjugation"] == 0.0
         assert math.isnan(r["factorization"])
 
-    def test_zero_denominator_gives_nan(self):
-        # F of s_full, and d of s_plus where E underflowed, are 0 in
-        # floats at these samples: the elements read nan, as the kernels'
-        # values do past the float range
+    def test_shallow_sample_is_finite_and_accurate(self):
+        # a double-angle F = D_full/(2K) is 0 in floats at this sample; from
+        # the channel factorization s11 agrees with mpmath
+        # (1.52271428307e-22 - 4.73628332179e-22j, 80 digits) to about 5e-7,
+        # the error of the channel pole functions themselves
         v = wp.s_full(-5.598771747806346 - 2.362450065458871j, ComplexCoupling(1.877346012943804),
                       PotentialSpec(1.0, 10.0, 1e-8))
-        assert cmath.isnan(v.s11) and cmath.isnan(v.s12)
-        s = wp.s_plus(3.7418764873046353 - 2.589484122426766j, ComplexCoupling(1.4452536251456958),
+        ref = 1.52271428307e-22 - 4.73628332179e-22j
+        assert abs(v.s11 - ref) < 1e-6 * abs(ref)
+
+    def test_zero_denominator_gives_nan(self):
+        # d of s_plus, and d_plus*d_minus of s_full, are 0 in floats at this
+        # sample, where E underflowed: the elements read nan, as the
+        # kernels' values do past the float range
+        k, c, spec = (3.7418764873046353 - 2.589484122426766j, ComplexCoupling(1.4452536251456958),
                       PotentialSpec(1.0, 300.0, 1e-300))
-        assert cmath.isnan(s)
+        assert cmath.isnan(wp.s_plus(k, c, spec))
+        v = wp.s_full(k, c, spec)
+        assert cmath.isnan(v.s11) and cmath.isnan(v.s12)
+
+    @pytest.mark.parametrize("alpha, s11", [(0.0, 1.0086082860860314),
+                                            (math.pi, 0.99146521872991666)])
+    def test_s11_finite_where_its_scale_underflows(self, alpha, s11):
+        # at k = 700i, E = exp(-|Im aK|) underflows; s11 (mpmath, 80 digits)
+        # is near 1 and s_full keeps it, while s12 (~2e906) overflows
+        v = wp.s_full(700j, ComplexCoupling(alpha), SPEC)
+        assert abs(v.s11 - s11) < 1e-12 * abs(s11)
+        assert not cmath.isfinite(v.s12)
 
     def test_real_coupling_specializations(self):
         # for real gamma and real k the S matrix is unitary and symmetric
