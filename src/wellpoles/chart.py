@@ -77,24 +77,27 @@ def _inventory_key(q: complex) -> tuple[float, float]:
     return (0.0 if abs(q.real) < _DEDUP_TOL else q.real, q.imag)
 
 
+def _dedup_cells(q: complex) -> list[tuple[int, int]]:
+    """The cell of side 2*_DEDUP_TOL in q holding q, then the eight about it."""
+    side = 2.0 * _DEDUP_TOL
+    i, j = math.floor(q.real / side), math.floor(q.imag / side)
+    return [(i + di, j + dj) for di in (0, -1, 1) for dj in (0, -1, 1)]
+
+
 def _distinct(poles, a: float) -> list[complex]:
     """The poles k with those within _DEDUP_TOL of an earlier one in q
     merged into it, sorted by (Re, Im), with an axis pole (|Re q| <
     _DEDUP_TOL) taken at Re = 0 so that the sign of its roundoff real part
     does not decide its place.
 
-    Each kept pole is filed in a cell of side 2*_DEDUP_TOL in q, so a pole
-    is compared only with those kept in the 3x3 cells about its own; a pole
-    in no such cell is farther than the tolerance."""
-    side = 2.0 * _DEDUP_TOL
-    cells: dict[tuple[int, int], list[complex]] = {}
+    Each kept pole is filed in its cell of ``_dedup_cells``, so a pole is
+    compared only with those kept in the 3x3 cells about its own."""
+    filed: dict[tuple[int, int], list[complex]] = {}
     found: list[complex] = []
     for k in poles:
-        i, j = math.floor(a * k.real / side), math.floor(a * k.imag / side)
-        near = (p for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                for p in cells.get((i + di, j + dj), ()))
-        if all(a * abs(k - p) >= _DEDUP_TOL for p in near):
-            cells.setdefault((i, j), []).append(k)
+        cells = _dedup_cells(a * k)
+        if all(a * abs(k - p) >= _DEDUP_TOL for cell in cells for p in filed.get(cell, ())):
+            filed.setdefault(cells[0], []).append(k)
             found.append(k)
     return sorted(found, key=lambda k: _inventory_key(a * k))
 
@@ -194,21 +197,28 @@ def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarn
     return warnings
 
 
-def _claimed(kept: list[Trajectory], seed: Pole, n: int, k: complex) -> bool:
-    """List seed with the kept curve that delivers pole k at an anchor of
-    index n (mod 4), within _DEDUP_TOL in q; False when no kept curve does.
+def _file_anchors(filed: dict, traj: Trajectory, order: int, a: float) -> None:
+    """File the anchors (n, k) of the order-th kept curve by n mod 4 and cell."""
+    for n, p in traj.anchors:
+        filed.setdefault((n % 4, _dedup_cells(a * p)[0]), []).append((order, traj, p))
+
+
+def _claimed(filed: dict, seed: Pole, n: int, k: complex) -> bool:
+    """List seed with the first kept curve that delivers pole k at an
+    anchor of index n (mod 4), within _DEDUP_TOL in q, comparing only the
+    anchors ``_file_anchors`` filed about a*k; False when no kept curve does.
 
     Away from the double point k = -i/a, a pole at a quarter-turn anchor
     lies on exactly one curve, so it names that curve; the coupling is
     periodic in the phase, so anchors a whole number of turns apart match.
     """
     a = seed.a
-    for traj in kept:
-        for m, p in traj.anchors:
-            if (m - n) % 4 == 0 and a * abs(p - k) < _DEDUP_TOL:
-                traj.merged_seeds.append(seed)
-                return True
-    return False
+    hits = [(order, traj) for cell in _dedup_cells(a * k)
+            for order, traj, p in filed.get((n % 4, cell), ()) if a * abs(p - k) < _DEDUP_TOL]
+    if not hits:
+        return False
+    min(hits, key=lambda hit: hit[0])[1].merged_seeds.append(seed)
+    return True
 
 
 def _near_contacts(trajectories: list[Trajectory], a: float) -> list[NearContact]:
@@ -260,6 +270,7 @@ def build_chart(
 
     trajectories: list[Trajectory] = []
     collisions: list[CollisionEvent] = []
+    anchors: dict = {}
 
     def keep(start: str, march) -> None:
         try:
@@ -269,10 +280,11 @@ def build_chart(
             return
         # a curve is known by its first anchor, which for a branch lies off
         # the double point
-        if traj.anchors and _claimed(trajectories, traj.seed, *traj.anchors[0]):
+        if traj.anchors and _claimed(anchors, traj.seed, *traj.anchors[0]):
             return
         if not traj.closure.is_closed:
             traj = _join(traj, mirror(traj), ClosureKind.OPEN)
+        _file_anchors(anchors, traj, len(trajectories), spec.a)
         trajectories.append(traj)
 
     for seed in seeds:
@@ -283,7 +295,7 @@ def build_chart(
             for _, kb in event.branches:
                 keep(f"split branch k={kb!r}", lambda kb=kb: trace_branch(
                     seed, kb, alpha + _SPLIT_STEP, spec))
-        elif not _claimed(trajectories, seed, _anchor_index(alpha), seed.k):
+        elif not _claimed(anchors, seed, _anchor_index(alpha), seed.k):
             keep(f"axis pole k={seed.k!r}", lambda: trace(seed, +1, spec))
 
     chart = PoleChart(
@@ -486,8 +498,9 @@ def threshold_flip(
     Each count places most cells in closed form (``bound_count``). On a
     final bracket next to the threshold the entering state's root lies
     within bound_count's reach of its cell's threshold point, so each of
-    the two certifying counts solves that one root as ``scan_axis`` does,
-    and the certificate rests on the scan's own polished kappa.
+    the two certifying counts solves that one root as ``scan_axis`` does
+    (Newton on its cell's fixed-point form, then a polish in q), and the
+    certificate rests on the scan's own polished kappa.
 
     Raises NoRootInBracket when the counts at u_lo and u_hi agree, and
     ValueError unless tol > 0 and u_lo < u_hi.

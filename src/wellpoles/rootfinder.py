@@ -13,10 +13,13 @@ On the imaginary axis at a real coupling the poles are known in closed
 form: with x = aK the interior momentum, each solves x/|cos x| = c or
 x/|sin x| = c (y/cosh y or y/sinh y for imaginary K).
 ``scan_axis`` enumerates them cell by cell with exact brackets; nothing
-is sampled. The bound states enter at k = 0 at closed-form threshold
-points of the same cells (``bound_threshold``), and ``bound_count`` reads
-most cells' bound roots off those points without a solve, drawing the one
-root it cannot place from the scan's own per-cell solver, ``_cell_roots``;
+is sampled: ``_bracketed_newton`` solves each root on its cell's
+fixed-point form x - c|cos x| (x - c|sin x|, y - c cosh y, y - c sinh y),
+which has no pole at a cell end. The bound states enter at k = 0 at
+closed-form threshold points of the same cells (``bound_threshold``),
+and ``bound_count`` reads most cells' bound roots off those points
+without a solve, drawing the one root it cannot place from the scan's
+own per-cell solver, ``_cell_roots``;
 the scan shows a new state a TOL_AXIS band past its threshold
 (``count_step_depth``). The pairs collide at q = -i at closed-form
 strengths c*^2 = x_c^2 +- 1 (``collision_x``, ``collision_depth``, and in
@@ -146,79 +149,38 @@ def newton_refine(
     return pole
 
 
-def _brentq(
-    f, xa: float, xb: float, xtol: float = 1e-13, rtol: float = 1e-15, maxiter: int = 100,
-    fa: float | None = None, fb: float | None = None,
-) -> float:
-    """Root of f in the sign-change bracket [xa, xb] by Brent's method.
+def _bracketed_newton(g, x: float, end: float) -> float:
+    """Root of g in the sign-change bracket between x and end by Newton's
+    method from x; g(x) returns (g, g'), or both times one positive factor.
 
-    A statement-for-statement port of ``scipy.optimize.brentq`` (Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 4): the same
-    interpolate, extrapolate and bisect rules and the same stopping test, so
-    it returns the same float bit for bit. Division by an underflowed zero
-    yields inf there, which always fails the short-step test and bisects.
-    fa and fb, when given, are f(xa) and f(xb) as the caller already has
-    them; f is then not called at that end, and since f is a function of x
-    alone the iterates are the same. Raises ValueError on a NaN value (a
-    given end value included) or a same-sign bracket, RuntimeError when
-    maxiter iterations do not converge.
+    From the end where g and g'' share a sign, Newton on a convex or concave
+    g moves monotonically to the root. A step that would leave the bracket
+    all the same, or that is not below half the step before last (creeping,
+    as where a pair coalesces and g' -> 0), is a bisection (rtsafe, Press et
+    al., *Numerical Recipes* 9.4). The solve stops at Brent's tolerance, a
+    step below (1e-13 + 1e-15|x|)/2; it raises RuntimeError after 100 steps.
     """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre) if fa is None else fa
-    fcur = f(xcur) if fb is None else fb
-    for x, fx in ((xpre, fpre), (xcur, fcur)):
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    # signs are compared as (f < 0) on values that are neither zero nor
-    # nan, where that is scipy's copysign test
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2*delta
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        abis = abs(sbis)
-        if fcur == 0.0 or abis < delta:
-            return xcur
-        aspre = abs(spre)
-        if aspre > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
-            reach = 3 * abis - delta
-            if 2 * abs(stry) < (reach if reach < aspre else aspre):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    fx, dfx = g(x)
+    side = fx > 0.0
+    near, far = x, float(end)
+    last = before = 2.0 * abs(far - near)  # the first two steps are free
+    for _ in range(100):
+        if fx == 0.0:
+            return x
+        t = 0.5 * (near + far)
+        if abs(2.0 * fx) <= abs(before * dfx):
+            newton = x - fx / dfx
+            # on an end too: a step that rounds to nothing has converged,
+            # and one onto end (x - c cos x from pi/2 at 1 + c == 1) is taken
+            if (newton - near) * (newton - far) <= 0.0:
+                t = newton
+        before, last = last, abs(t - x)
+        if last <= 0.5 * (1e-13 + 1e-15 * abs(t)):
+            return t
+        x = t
+        fx, dfx = g(x)
+        near, far = (x, far) if (fx > 0.0) == side else (near, x)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,17 +198,21 @@ def collision_x(channel: Channel, attractive: bool, index: int) -> float:
     rising depth. The even repulsive collision is the only one (index 1);
     the odd repulsive coupling has none. Both raise NoRootInBracket.
 
+    ``_bracketed_newton`` solves each with its derivative x cos x, x sin x
+    or -y cosh y from the upper end, where value and curvature share a sign.
+
     A pure function of its arguments, so each root is solved once per
     process and cached.
     """
     if attractive:
         if channel is Channel.PLUS:
-            return _brentq(lambda t: math.cos(t) + t * math.sin(t),
-                           (index - 0.5) * math.pi, index * math.pi)
-        return _brentq(lambda t: math.sin(t) - t * math.cos(t),
-                       index * math.pi, (index + 0.5) * math.pi)
+            return _bracketed_newton(lambda t: (math.cos(t) + t * math.sin(t), t * math.cos(t)),
+                                     index * math.pi, (index - 0.5) * math.pi)
+        return _bracketed_newton(lambda t: (math.sin(t) - t * math.cos(t), t * math.sin(t)),
+                                 (index + 0.5) * math.pi, index * math.pi)
     if channel is Channel.PLUS and index == 1:
-        return _brentq(lambda t: math.cosh(t) - t * math.sinh(t), 1.0, 2.0)
+        return _bracketed_newton(lambda t: (math.cosh(t) - t * math.sinh(t), -t * math.cosh(t)),
+                                 2.0, 1.0)
     raise NoRootInBracket(f"no pair collision of index {index} at gamma = -1")
 
 
@@ -339,6 +305,31 @@ def _y_csch(y: float) -> float:
     return 2.0 * y * math.exp(-y) / -math.expm1(-2.0 * y) if y else 1.0
 
 
+# the fixed-point forms of the axis ratios as (g, g') on a cell [lo, hi]:
+# x - c|cos x|, x - c|sin x| (real K, convex), y - c cosh y, y - c sinh y
+# (imaginary K, concave), with the roots of ratio = c (the odd ones 0 too)
+# and no pole at a cell end. There cos x or sin x rounds to +-6e-17 of either
+# sign, so its sign is the cell's; the hyperbolic ones come times exp(-y)
+def _x_cos_form(c: float, lo: float, hi: float):
+    cc = math.copysign(c, math.cos(0.5 * (lo + hi)))
+    return lambda x: (x - cc * math.cos(x), 1.0 + cc * math.sin(x))
+
+
+def _x_sin_form(c: float, lo: float, hi: float):
+    cs = math.copysign(c, math.sin(0.5 * (lo + hi)))
+    return lambda x: (x - cs * math.sin(x), 1.0 - cs * math.cos(x))
+
+
+def _y_cosh_form(c: float, lo: float, hi: float):
+    return lambda y: (y * math.exp(-y) - 0.5 * c * (1.0 + math.exp(-2.0 * y)),
+                      math.exp(-y) + 0.5 * c * math.expm1(-2.0 * y))
+
+
+def _y_sinh_form(c: float, lo: float, hi: float):
+    return lambda y: (y * math.exp(-y) + 0.5 * c * math.expm1(-2.0 * y),
+                      math.exp(-y) - 0.5 * c * (1.0 + math.exp(-2.0 * y)))
+
+
 # a*kappa at a root x of each ratio: k = i K tan(aK) (even), -i K cot(aK) (odd)
 def _x_tan(x: float) -> float:
     return x * math.tan(x)
@@ -359,10 +350,11 @@ def _neg_y_coth(y: float) -> float:
 def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
     """Every cell of x = a|K| that holds axis poles at c = a sqrt(2 m U).
 
-    Entries are (ratio, a_kappa, lo, x_c, hi). The cell's poles solve
-    ratio(x) = c on [lo, hi] and sit at q = i a_kappa(x). x_c is the
-    cell's one stationary point of ratio, where its pair collides; with
-    x_c None, ratio is monotone on the cell and crosses c exactly once.
+    Entries are (ratio, form, a_kappa, lo, x_c, hi). The cell's poles solve
+    ratio(x) = c on [lo, hi], or form(c, lo, hi) = 0, and sit at
+    q = i a_kappa(x). x_c is the cell's one stationary point of ratio, where
+    its pair collides; with x_c None, ratio is monotone on the cell and
+    crosses c exactly once.
 
         even, attractive:  x/|cos x|, cell [0, pi/2], then ((n - 1/2) pi, (n + 1/2) pi)
         odd, attractive:   y/sinh y for c < 1, else x/|sin x| on [0, pi];
@@ -380,12 +372,12 @@ def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
         hi = 2.0 * yc
         while _y_sech(hi) >= c:
             hi *= 2.0
-        return [(_y_sech, _neg_y_tanh, 0.0, yc, hi)]
+        return [(_y_sech, _y_cosh_form, _neg_y_tanh, 0.0, yc, hi)]
     if not odd:
-        cells = [(_x_sec, _x_tan, 0.0, None, 0.5 * math.pi)]
+        cells = [(_x_sec, _x_cos_form, _x_tan, 0.0, None, 0.5 * math.pi)]
         n = 1
         while (n - 0.5) * math.pi < c:
-            cells.append((_x_sec, _x_tan, (n - 0.5) * math.pi,
+            cells.append((_x_sec, _x_cos_form, _x_tan, (n - 0.5) * math.pi,
                           collision_x(Channel.PLUS, True, n), (n + 0.5) * math.pi))
             n += 1
         return cells
@@ -393,12 +385,12 @@ def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
         hi = 1.0
         while _y_csch(hi) >= c:
             hi *= 2.0
-        cells = [(_y_csch, _neg_y_coth, 0.0, None, hi)]
+        cells = [(_y_csch, _y_sinh_form, _neg_y_coth, 0.0, None, hi)]
     else:
-        cells = [(_x_csc, _neg_x_cot, 0.0, None, math.pi)]
+        cells = [(_x_csc, _x_sin_form, _neg_x_cot, 0.0, None, math.pi)]
     n = 1
     while n * math.pi < c:
-        cells.append((_x_csc, _neg_x_cot, n * math.pi,
+        cells.append((_x_csc, _x_sin_form, _neg_x_cot, n * math.pi,
                       collision_x(Channel.MINUS, True, n), (n + 1) * math.pi))
         n += 1
     return cells
@@ -425,24 +417,23 @@ def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[floa
     ``bound_count`` draws no other.
 
     A cell with x_c holds 0, 1 or 2 roots, split at x_c, so every root has
-    an exact Brent bracket, and Brent reuses the ratio values at lo and x_c
-    that decide the split. Each root is mapped to a*kappa and
-    Newton-polished in q; the polished a*kappa is Im q. When the cell's pair
-    lies within _PAIR_BALL*x_c of its collision point q = -i
-    (``_pair_offset``), the cell gives one coalesced pair there instead,
-    as a*kappa = -1 with multiplicity 2.
+    an exact bracket. ``_bracketed_newton`` solves each on the cell's
+    fixed-point form g, which unlike the ratio has no pole at a cell end:
+    the root above x_c (or the one root) from hi, the one below from lo,
+    where g and g'' share a sign (g = x > 0 on a convex real-K cell, g < 0
+    on a concave imaginary-K one). Each root is mapped to a*kappa and
+    Newton-polished in q; the polished a*kappa is Im q. When the cell's
+    pair lies within _PAIR_BALL*x_c of its collision point q = -i
+    (``_pair_offset``), the cell gives one coalesced pair there instead, as
+    a*kappa = -1 with multiplicity 2.
     """
-    ratio, a_kappa, lo, xc, hi = cell
-
-    def f(x: float) -> float:
-        return ratio(x) - c
+    ratio, form, a_kappa, lo, xc, hi = cell
 
     def polished(x: float) -> tuple[float, int]:
         kappa = a_kappa(x)
         q, _, ok, _ = _k.newton_pole(1j * kappa, s, ch, STEP_TOL, MAX_NEWTON)
         # without convergence, where d's slope is tiny against its terms
-        # (a pair next to its collision) and Newton stalls, the bracketed
-        # root is the better value
+        # (a pair next to its collision), the bracketed root is the better value
         if ok:
             if abs(q - 1j * kappa) > 0.5:
                 raise ConvergedElsewhere(q, 1j * kappa, 0.5)
@@ -450,20 +441,15 @@ def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[floa
         return kappa, 1
 
     if xc is None:
-        yield polished(_brentq(f, lo, hi))
+        yield polished(_bracketed_newton(form(c, lo, hi), hi, lo))
         return
     rc = ratio(xc)
     if _pair_offset(rc, c) < _PAIR_BALL:
         yield -1.0, 2
         return
-    fc = rc - c
-    if fc == 0.0:
-        yield polished(xc)
-        return
-    flo = f(lo)
-    if (fc > 0.0) != (flo > 0.0):
-        yield polished(_brentq(f, xc, hi, fa=fc))
-        yield polished(_brentq(f, lo, xc, fa=flo, fb=fc))
+    if (rc > c) != (ratio(lo) > c):
+        yield polished(_bracketed_newton(form(c, lo, hi), hi, xc))
+        yield polished(_bracketed_newton(form(c, lo, hi), lo, xc))
 
 
 def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) -> list[Pole]:
@@ -583,10 +569,10 @@ def bound_count(spec: PotentialSpec, channel: Channel) -> int:
       not count.
 
     Only a cell between the two, in practice the top cell next to a
-    threshold, has its rising-branch root Brent-solved and
-    Newton-polished by the scan's own ``_cell_roots``. A root with
-    a*kappa within TOL_AXIS of 0 is a threshold, not a bound state, so at a
-    closed-form threshold depth the count is still the one below it.
+    threshold, has its rising-branch root solved and polished in q by the
+    scan's own ``_cell_roots``. A root with a*kappa within TOL_AXIS of 0
+    is a threshold, not a bound state, so at a closed-form threshold depth
+    the count is still the one below it.
     Imaginary-K cells (a*kappa = -y coth y) and coalesced pairs
     (a*kappa = -1) hold no bound state.
     """
@@ -596,7 +582,7 @@ def bound_count(spec: PotentialSpec, channel: Channel) -> int:
     odd = channel is Channel.MINUS
     count = 0
     for n, cell in enumerate(_axis_cells(c, True, odd)):
-        ratio, a_kappa, lo, xc, _ = cell
+        ratio, _, a_kappa, lo, xc, _ = cell
         if a_kappa is _neg_y_coth:
             continue
         x_n = _threshold_x(odd, n)
@@ -800,7 +786,7 @@ def multiplicity_at(
     if not coupling.is_real or c == 0.0:
         return 1
     q = spec.a * k
-    for ratio, _, _, xc, _ in _axis_cells(c, coupling.gamma.real > 0, channel is Channel.MINUS):
+    for ratio, _, _, _, xc, _ in _axis_cells(c, coupling.gamma.real > 0, channel is Channel.MINUS):
         if xc is not None:
             if abs(q + 1j) < _PAIR_BALL * xc and _pair_offset(ratio(xc), c) < _PAIR_BALL:
                 return 2

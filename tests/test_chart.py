@@ -492,17 +492,17 @@ def _count_scans(monkeypatch, limit=200):
 
 
 def _count_solves(monkeypatch):
-    """Record every Brent solve from here on. ``collision_x`` solves each
-    collision point once per process, so a test scans its well before it
-    counts."""
+    """Record every axis-root solve of ``rootfinder._bracketed_newton`` from
+    here on. ``collision_x`` solves each collision point once per process,
+    so a test scans its well before it counts."""
     calls = []
-    real_brentq = rootfinder._brentq
+    real_solve = rootfinder._bracketed_newton
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return real_brentq(*args, **kwargs)
+        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(rootfinder, "_brentq", counted)
+    monkeypatch.setattr(rootfinder, "_bracketed_newton", counted)
     return calls
 
 
@@ -834,13 +834,13 @@ class TestSteeredFlip:
         span = max(0.2 * u_n, 0.05)
         solves = []
         with pytest.MonkeyPatch.context() as mp:
-            brent = _count_solves(mp)
+            solved = _count_solves(mp)
             real_count = chart_module.bound_count
 
             def counted(*args):
-                before = len(brent)
+                before = len(solved)
                 result = real_count(*args)
-                solves.append(len(brent) - before)
+                solves.append(len(solved) - before)
                 return result
 
             mp.setattr(chart_module, "bound_count", counted)
@@ -1231,7 +1231,7 @@ class TestCriticalChart:
         # the minimum step; the attribution radius scales with max(1, |K_c|)
         # and reaches it
         U = critical_depth(Channel.PLUS, False, 1.0, 0.12).U
-        assert U == 15.251001385091708
+        assert U == 15.25100138509184
         chart = build_chart(PotentialSpec(m=1.0, a=0.12, U=U), Channel.PLUS)
         assert not any(w.code == "trace_stalled" for w in chart.warnings)
         assert chart.topology == {"closed_2pi": 1, "open": 1}
@@ -1799,3 +1799,53 @@ class TestDistinct:
         found = chart_module._distinct(poles, 1.5)
         assert time.perf_counter() - start < 2.0
         assert len(found) == len(poles)
+
+
+class _Curve:
+    """The two fields of a kept ``Trajectory`` that ``_claimed`` reads."""
+
+    def __init__(self, anchors):
+        self.anchors = anchors
+        self.merged_seeds = []
+
+
+class _Seed:
+    def __init__(self, a):
+        self.a = a
+
+
+def _claimed_plain(kept, seed, n, k):
+    """The rule of ``chart._claimed`` as a plain scan over every anchor of
+    every kept curve, in kept order."""
+    for traj in kept:
+        for m, p in traj.anchors:
+            if (m - n) % 4 == 0 and seed.a * abs(p - k) < chart_module._DEDUP_TOL:
+                traj.merged_seeds.append(seed)
+                return True
+    return False
+
+
+class TestClaimed:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), a=st.sampled_from([1.0, 1.5, 3e-4, 7e5]),
+           offset=st.sampled_from([0j, 3.25 - 2j, 1e4j]))
+    def test_matches_the_plain_scan(self, data, a, offset):
+        # kept curves whose anchors cluster about a few points in q, at the
+        # merge tolerance to a rounding either way, under indices that
+        # match mod 4 or do not; then seeds drawn from the same clusters
+        qs = data.draw(_clustered_poles_in_q())
+        index = st.integers(-9, 9)
+        kept = [[(data.draw(index), (q + offset) / a) for q in
+                 data.draw(st.lists(st.sampled_from(qs), min_size=1, max_size=6))]
+                for _ in range(data.draw(st.integers(1, 5)))]
+        seeds = [(data.draw(index), (data.draw(st.sampled_from(qs)) + offset) / a)
+                 for _ in range(data.draw(st.integers(1, 8)))]
+        plain = [_Curve(anchors) for anchors in kept]
+        filed_curves = [_Curve(anchors) for anchors in kept]
+        filed = {}
+        for order, traj in enumerate(filed_curves):
+            chart_module._file_anchors(filed, traj, order, a)
+        for n, k in seeds:
+            seed = _Seed(a)
+            assert chart_module._claimed(filed, seed, n, k) == _claimed_plain(plain, seed, n, k)
+        assert [t.merged_seeds for t in filed_curves] == [t.merged_seeds for t in plain]

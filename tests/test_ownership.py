@@ -10,7 +10,8 @@ live in ``smatrix``. The trig blocks are stated by ``_kernels.trig_scaled``,
 which the winding grid calls. The working window's extents, the margin past its corners
 at which a march stops and the runaway phase guard (40 + 2c)*pi live in
 ``trajectory``, which ``chart`` imports. ``rootfinder.residual_ratio``
-alone states the residual bound a pole meets, and ``chart`` takes its
+alone states the residual bound a pole meets, ``rootfinder._bracketed_newton``
+is the one bracketed root solver, and ``chart`` takes its
 window contour count in one place, for a chart and a certified sweep alike.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
 checks, and ``cli`` names none of their parts. ``smatrix._exp`` alone
@@ -257,6 +258,24 @@ def test_only_rootfinder_walks_the_off_axis_cells():
     (walk,) = [node for node in _tree("rootfinder.py").body
                if isinstance(node, ast.FunctionDef) and node.name == "off_axis_poles"]
     assert cell_rules <= _names(walk)
+
+
+def test_rootfinder_holds_the_one_bracketed_solver():
+    # the axis roots and the collision points are solved by Newton on a
+    # kept sign-change bracket; no second root solver sits beside it
+    solvers = sorted(p.name for p in SRC.glob("*.py")
+                     if "_bracketed_newton" in {node.name for node in ast.walk(_tree(p.name))
+                                                if isinstance(node, ast.FunctionDef)})
+    assert solvers == ["rootfinder.py"]
+    callers = sorted(
+        (p.name, node.name) for p in SRC.glob("*.py")
+        for node in ast.walk(_tree(p.name))
+        if isinstance(node, ast.FunctionDef) and node.name != "_bracketed_newton"
+        and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "_bracketed_newton" for call in ast.walk(node))
+    )
+    assert callers == [("rootfinder.py", "_cell_roots"), ("rootfinder.py", "collision_x")]
+    assert all("_brentq" not in _names(_tree(p.name)) for p in SRC.glob("*.py"))
 
 
 def test_chart_takes_the_window_count_once():
