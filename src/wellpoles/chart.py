@@ -77,27 +77,26 @@ def _inventory_key(q: complex) -> tuple[float, float]:
     return (0.0 if abs(q.real) < _DEDUP_TOL else q.real, q.imag)
 
 
-def _dedup_cells(q: complex) -> list[tuple[int, int]]:
-    """The cell of side 2*_DEDUP_TOL in q holding q, then the eight about it."""
+def _dedup_cell(q: complex) -> tuple[int, int]:
+    """The cell of side 2*_DEDUP_TOL in q holding q; q's 3x3 cells hold its ball."""
     side = 2.0 * _DEDUP_TOL
-    i, j = math.floor(q.real / side), math.floor(q.imag / side)
-    return [(i + di, j + dj) for di in (0, -1, 1) for dj in (0, -1, 1)]
+    return math.floor(q.real / side), math.floor(q.imag / side)
 
 
 def _distinct(poles, a: float) -> list[complex]:
     """The poles k with those within _DEDUP_TOL of an earlier one in q
     merged into it, sorted by (Re, Im), with an axis pole (|Re q| <
     _DEDUP_TOL) taken at Re = 0 so that the sign of its roundoff real part
-    does not decide its place.
-
-    Each kept pole is filed in its cell of ``_dedup_cells``, so a pole is
-    compared only with those kept in the 3x3 cells about its own."""
+    does not decide its place. Each kept pole is filed by its
+    ``_dedup_cell``, so a pole is compared only with those in the 3x3
+    cells about its own."""
     filed: dict[tuple[int, int], list[complex]] = {}
     found: list[complex] = []
     for k in poles:
-        cells = _dedup_cells(a * k)
-        if all(a * abs(k - p) >= _DEDUP_TOL for cell in cells for p in filed.get(cell, ())):
-            filed.setdefault(cells[0], []).append(k)
+        i, j = _dedup_cell(a * k)
+        if all(a * abs(k - p) >= _DEDUP_TOL for di in (-1, 0, 1) for dj in (-1, 0, 1)
+               for p in filed.get((i + di, j + dj), ())):
+            filed.setdefault((i, j), []).append(k)
             found.append(k)
     return sorted(found, key=lambda k: _inventory_key(a * k))
 
@@ -197,24 +196,31 @@ def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarn
     return warnings
 
 
-def _file_anchors(filed: dict, traj: Trajectory, order: int, a: float) -> None:
-    """File the anchors (n, k) of the order-th kept curve by n mod 4 and cell."""
-    for n, p in traj.anchors:
-        filed.setdefault((n % 4, _dedup_cells(a * p)[0]), []).append((order, traj, p))
-
-
-def _claimed(filed: dict, seed: Pole, n: int, k: complex) -> bool:
+def _claimed(kept: list[Trajectory], filed: dict, seed: Pole, n: int, k: complex) -> bool:
     """List seed with the first kept curve that delivers pole k at an
-    anchor of index n (mod 4), within _DEDUP_TOL in q, comparing only the
-    anchors ``_file_anchors`` filed about a*k; False when no kept curve does.
+    anchor of index n (mod 4), within _DEDUP_TOL in q; False when none
+    does. Only anchors at an even n within _DEDUP_TOL of the axis can match
+    an axis pole at an even n (a simple seed): ``filed`` keeps them by n mod
+    4 and ``_dedup_cell`` row, and the count of curves filed under None, and
+    three rows are compared. A branch's first anchor meets every anchor.
 
     Away from the double point k = -i/a, a pole at a quarter-turn anchor
     lies on exactly one curve, so it names that curve; the coupling is
     periodic in the phase, so anchors a whole number of turns apart match.
     """
     a = seed.a
-    hits = [(order, traj) for cell in _dedup_cells(a * k)
-            for order, traj, p in filed.get((n % 4, cell), ()) if a * abs(p - k) < _DEDUP_TOL]
+    for order in range(filed.get(None, 0), len(kept)):
+        for m, p in kept[order].anchors:
+            if not m % 2 and a * abs(p.real) < _DEDUP_TOL:
+                filed.setdefault((m % 4, _dedup_cell(a * p)[1]), []).append((order, kept[order], p))
+    filed[None] = len(kept)
+    if n % 2 or k.real:
+        near = ((order, traj, p) for order, traj in enumerate(kept) for m, p in traj.anchors
+                if (m - n) % 4 == 0)
+    else:
+        j = _dedup_cell(a * k)[1]
+        near = (hit for dj in (-1, 0, 1) for hit in filed.get((n % 4, j + dj), ()))
+    hits = [(order, traj) for order, traj, p in near if a * abs(p - k) < _DEDUP_TOL]
     if not hits:
         return False
     min(hits, key=lambda hit: hit[0])[1].merged_seeds.append(seed)
@@ -280,11 +286,10 @@ def build_chart(
             return
         # a curve is known by its first anchor, which for a branch lies off
         # the double point
-        if traj.anchors and _claimed(anchors, traj.seed, *traj.anchors[0]):
+        if traj.anchors and _claimed(trajectories, anchors, traj.seed, *traj.anchors[0]):
             return
         if not traj.closure.is_closed:
             traj = _join(traj, mirror(traj), ClosureKind.OPEN)
-        _file_anchors(anchors, traj, len(trajectories), spec.a)
         trajectories.append(traj)
 
     for seed in seeds:
@@ -295,7 +300,7 @@ def build_chart(
             for _, kb in event.branches:
                 keep(f"split branch k={kb!r}", lambda kb=kb: trace_branch(
                     seed, kb, alpha + _SPLIT_STEP, spec))
-        elif not _claimed(anchors, seed, _anchor_index(alpha), seed.k):
+        elif not _claimed(trajectories, anchors, seed, _anchor_index(alpha), seed.k):
             keep(f"axis pole k={seed.k!r}", lambda: trace(seed, +1, spec))
 
     chart = PoleChart(

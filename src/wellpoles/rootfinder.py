@@ -154,11 +154,11 @@ def _bracketed_newton(g, x: float, end: float) -> float:
     method from x; g(x) returns (g, g'), or both times one positive factor.
 
     From the end where g and g'' share a sign, Newton on a convex or concave
-    g moves monotonically to the root. A step that would leave the bracket
-    all the same, or that is not below half the step before last (creeping,
-    as where a pair coalesces and g' -> 0), is a bisection (rtsafe, Press et
-    al., *Numerical Recipes* 9.4). The solve stops at Brent's tolerance, a
-    step below (1e-13 + 1e-15|x|)/2; it raises RuntimeError after 100 steps.
+    g moves monotonically to the root. A step that would leave the bracket,
+    or that is not below half the step before last (creeping, as where g' ->
+    0), is a bisection (rtsafe, Press et al., *Numerical Recipes* 9.4). It
+    stops at Brent's tolerance, a step below (1e-13 + 1e-15|x|)/2, and
+    raises RuntimeError after 100 steps.
     """
     fx, dfx = g(x)
     side = fx > 0.0
@@ -200,7 +200,6 @@ def collision_x(channel: Channel, attractive: bool, index: int) -> float:
 
     ``_bracketed_newton`` solves each with its derivative x cos x, x sin x
     or -y cosh y from the upper end, where value and curvature share a sign.
-
     A pure function of its arguments, so each root is solved once per
     process and cached.
     """
@@ -305,11 +304,9 @@ def _y_csch(y: float) -> float:
     return 2.0 * y * math.exp(-y) / -math.expm1(-2.0 * y) if y else 1.0
 
 
-# the fixed-point forms of the axis ratios as (g, g') on a cell [lo, hi]:
-# x - c|cos x|, x - c|sin x| (real K, convex), y - c cosh y, y - c sinh y
-# (imaginary K, concave), with the roots of ratio = c (the odd ones 0 too)
-# and no pole at a cell end. There cos x or sin x rounds to +-6e-17 of either
-# sign, so its sign is the cell's; the hyperbolic ones come times exp(-y)
+# the fixed-point forms of the axis ratios, as (g, g') on a cell [lo, hi]: x - c|cos x| and
+# x - c|sin x| (real K, convex; cos x or sin x takes the cell's sign, as at a cell end it rounds
+# to +-6e-17 of either), y - c cosh y and y - c sinh y (imaginary K, concave, times exp(-y))
 def _x_cos_form(c: float, lo: float, hi: float):
     cc = math.copysign(c, math.cos(0.5 * (lo + hi)))
     return lambda x: (x - cc * math.cos(x), 1.0 + cc * math.sin(x))
@@ -418,14 +415,12 @@ def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[floa
 
     A cell with x_c holds 0, 1 or 2 roots, split at x_c, so every root has
     an exact bracket. ``_bracketed_newton`` solves each on the cell's
-    fixed-point form g, which unlike the ratio has no pole at a cell end:
-    the root above x_c (or the one root) from hi, the one below from lo,
-    where g and g'' share a sign (g = x > 0 on a convex real-K cell, g < 0
-    on a concave imaginary-K one). Each root is mapped to a*kappa and
-    Newton-polished in q; the polished a*kappa is Im q. When the cell's
-    pair lies within _PAIR_BALL*x_c of its collision point q = -i
-    (``_pair_offset``), the cell gives one coalesced pair there instead, as
-    a*kappa = -1 with multiplicity 2.
+    fixed-point form g, which has no pole at a cell end, from the end where
+    g and g'' share a sign: hi for the root above x_c (or the one root), lo
+    for the one below. Each is mapped to a*kappa and Newton-polished in q
+    to Im q. When the cell's pair lies within _PAIR_BALL*x_c of its
+    collision point q = -i (``_pair_offset``), the cell gives one coalesced
+    pair there instead, as a*kappa = -1 with multiplicity 2.
     """
     ratio, form, a_kappa, lo, xc, hi = cell
 
