@@ -78,7 +78,7 @@ def _inventory_key(q: complex) -> tuple[float, float]:
 
 
 def _dedup_cell(q: complex) -> tuple[int, int]:
-    """The cell of side 2*_DEDUP_TOL in q holding q; q's 3x3 cells hold its ball."""
+    """The cell of side 2*_DEDUP_TOL holding q; the 3x3 about it hold q's ball."""
     side = 2.0 * _DEDUP_TOL
     return math.floor(q.real / side), math.floor(q.imag / side)
 
@@ -200,9 +200,9 @@ def _claimed(kept: list[Trajectory], filed: dict, seed: Pole, n: int, k: complex
     """List seed with the first kept curve that delivers pole k at an
     anchor of index n (mod 4), within _DEDUP_TOL in q; False when none
     does. Only anchors at an even n within _DEDUP_TOL of the axis can match
-    an axis pole at an even n (a simple seed): ``filed`` keeps them by n mod
-    4 and ``_dedup_cell`` row, and the count of curves filed under None, and
-    three rows are compared. A branch's first anchor meets every anchor.
+    an axis pole at an even n (a simple seed): ``filed`` holds them by n mod
+    4 and ``_dedup_cell`` row as curves are kept (under None, how many are),
+    and three rows are compared. A branch's first anchor meets every anchor.
 
     Away from the double point k = -i/a, a pole at a quarter-turn anchor
     lies on exactly one curve, so it names that curve; the coupling is

@@ -162,7 +162,7 @@ def _bracketed_newton(g, x: float, end: float) -> float:
     """
     fx, dfx = g(x)
     side = fx > 0.0
-    near, far = x, float(end)
+    near, far = x, end
     last = before = 2.0 * abs(far - near)  # the first two steps are free
     for _ in range(100):
         if fx == 0.0:
