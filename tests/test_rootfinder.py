@@ -578,16 +578,17 @@ class TestAxisRootOracle:
             ref = _mp_axis_root(p.k, c, coupling is ATT, channel is Channel.MINUS)
             assert abs(float(ref) - p.k.imag) <= 1e-12 * (1.0 + abs(p.k))
 
-    def test_collision_points_match_mpmath(self):
+    @pytest.mark.parametrize("channel,attractive,indices", [
+        (Channel.PLUS, True, range(1, 21)),
+        (Channel.MINUS, True, range(1, 21)),
+        (Channel.PLUS, False, [1]),
+    ], ids=["plus-attractive", "minus-attractive", "plus-repulsive"])
+    def test_collision_points_match_mpmath(self, channel, attractive, indices):
         pytest.importorskip("mpmath")
-        keys = [(Channel.PLUS, False, 1)] + [
-            (channel, True, index) for channel in (Channel.PLUS, Channel.MINUS)
-            for index in range(1, 21)
-        ]
-        for channel, attractive, index in keys:
+        for index in indices:
             ref = _mp_collision_x(channel is Channel.MINUS, attractive, index)
             x = collision_x(channel, attractive, index)
-            assert abs(x - ref) <= 1e-15 * ref, (channel, attractive, index)
+            assert abs(x - ref) <= 1e-15 * ref, index
 
 
 class TestBracketedNewton:
