@@ -591,6 +591,35 @@ class TestAxisRootOracle:
             assert abs(x - ref) <= 1e-15 * ref, index
 
 
+class TestBrentPort:
+    """The collision equations of ``collision_x`` against scipy's brentq.
+
+    Newton on each equation's closed-form derivative rounds the root
+    correctly, so ``collision_x`` equals the mpmath root rounded to a float,
+    bit for bit; scipy's brentq on the same bracket stops within its stated
+    tolerance of that root, which is what a bracket solver guarantees.
+    """
+
+    @pytest.mark.parametrize("index", [1, 2, 7, 40])
+    def test_collision_brackets_match_scipy_exactly(self, index):
+        pytest.importorskip("mpmath")
+        equations = [
+            (Channel.PLUS, True, lambda t: math.cos(t) + t * math.sin(t),
+             (index - 0.5) * math.pi, index * math.pi),
+            (Channel.MINUS, True, lambda t: math.sin(t) - t * math.cos(t),
+             index * math.pi, (index + 0.5) * math.pi),
+        ]
+        if index == 1:
+            equations.append(
+                (Channel.PLUS, False, lambda t: math.cosh(t) - t * math.sinh(t), 1.0, 2.0))
+        for channel, attractive, f, lo, hi in equations:
+            x = collision_x(channel, attractive, index)
+            assert x == float(_mp_collision_x(channel is Channel.MINUS, attractive, index))
+            ref = brentq(f, lo, hi, xtol=1e-13, rtol=1e-15)
+            # scipy's contract: np.allclose(root, ref, atol=xtol, rtol=rtol)
+            assert abs(ref - x) <= 1e-13 + 1e-15 * abs(ref), (channel, attractive)
+
+
 class TestBracketedNewton:
     """The axis-root solver where plain Newton from the bracket end fails."""
 
