@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
 from .rootfinder import (
     CountRegion,
@@ -101,11 +101,11 @@ def _distinct(poles, a: float) -> list[complex]:
     return sorted(found, key=lambda k: _inventory_key(a * k))
 
 
-@dataclass(frozen=True)
-class WorkingWindow:
-    re_max: float
-    im_min: float
-    im_max: float
+class WorkingWindow(Record):
+    __slots__ = ("re_max", "im_min", "im_max")
+
+    def __init__(self, re_max: float, im_min: float, im_max: float):
+        self.re_max, self.im_min, self.im_max = re_max, im_min, im_max
 
     def contains(self, k: complex) -> bool:
         return (
@@ -122,32 +122,34 @@ def working_window(spec: PotentialSpec) -> WorkingWindow:
     return WorkingWindow(re_max=re_max / a, im_min=-im_depth / a, im_max=im_max / a)
 
 
-@dataclass(frozen=True)
-class ChartWarning:
-    code: str
-    message: str
+class ChartWarning(Record):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        self.code, self.message = code, message
 
 
-@dataclass(frozen=True)
-class NearContact:
-    alpha_index: int
-    k_first: complex
-    k_second: complex
-    distance: float
+class NearContact(Record):
+    __slots__ = ("alpha_index", "k_first", "k_second", "distance")
+
+    def __init__(self, alpha_index: int, k_first: complex, k_second: complex, distance: float):
+        self.alpha_index, self.k_first, self.k_second, self.distance = (
+            alpha_index, k_first, k_second, distance)
 
 
-@dataclass
-class PoleChart:
+class PoleChart(Record):
     """What tracing one well and channel found; the topology and the near
     contacts are read off the curves."""
 
-    spec: PotentialSpec
-    channel: Channel
-    seeds: list[Pole]
-    trajectories: list[Trajectory]
-    collisions: list[CollisionEvent]
-    warnings: list[ChartWarning]
-    completeness: dict | None
+    __slots__ = ("spec", "channel", "seeds", "trajectories", "collisions", "warnings",
+                 "completeness")
+
+    def __init__(self, spec: PotentialSpec, channel: Channel, seeds: list[Pole],
+                 trajectories: list[Trajectory], collisions: list[CollisionEvent],
+                 warnings: list[ChartWarning], completeness: dict | None):
+        self.spec, self.channel, self.seeds, self.trajectories = (
+            spec, channel, seeds, trajectories)
+        self.collisions, self.warnings, self.completeness = collisions, warnings, completeness
 
     @property
     def topology(self) -> dict[str, int]:
@@ -377,19 +379,18 @@ def _certify(chart: PoleChart) -> dict:
 # -- depth analysis ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriticalDepth:
+class CriticalDepth(Record):
     """A pair collision at k = -i/a; its transition, the way the pair moves
-    as U increases, is read off the coupling (see critical_depth)."""
+    as U increases, is read off the coupling (see critical_depth). Its
+    pair_count is the contour count around k in a small box, which should
+    be 2; None when the count fails."""
 
-    U: float
-    k: complex
-    channel: Channel
-    attractive: bool
-    index: int
-    # contour count around k in a small box, should be 2; None when the
-    # count fails
-    pair_count: int | None
+    __slots__ = ("U", "k", "channel", "attractive", "index", "pair_count")
+
+    def __init__(self, U: float, k: complex, channel: Channel, attractive: bool, index: int,
+                 pair_count: int | None):
+        self.U, self.k, self.channel = U, k, channel
+        self.attractive, self.index, self.pair_count = attractive, index, pair_count
 
     @property
     def transition(self) -> str:
@@ -537,25 +538,24 @@ def threshold_flip(
 # -- depth sweeps ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    U_requested: float
-    U_used: float
-    nudged: bool
-    topology: dict[str, int]
-    attractive_poles: list[complex]
-    warnings: list[ChartWarning]
+class SweepEntry(Record):
+    __slots__ = ("U_requested", "U_used", "nudged", "topology", "attractive_poles", "warnings")
+
+    def __init__(self, U_requested: float, U_used: float, nudged: bool, topology: dict[str, int],
+                 attractive_poles: list[complex], warnings: list[ChartWarning]):
+        self.U_requested, self.U_used, self.nudged = U_requested, U_used, nudged
+        self.topology, self.attractive_poles, self.warnings = topology, attractive_poles, warnings
 
 
-@dataclass(frozen=True)
-class SweepTransition:
+class SweepTransition(Record):
     """A topology change between two consecutive sweep depths, the lower
     and the upper, and the collision they bracket, if any; the description
     is read off that collision."""
 
-    u_below: float
-    u_above: float
-    critical: CriticalDepth | None
+    __slots__ = ("u_below", "u_above", "critical")
+
+    def __init__(self, u_below: float, u_above: float, critical: CriticalDepth | None):
+        self.u_below, self.u_above, self.critical = u_below, u_above, critical
 
     @property
     def description(self) -> str:
@@ -566,11 +566,12 @@ class SweepTransition:
         return f"pair collision at U={crit.U:.9g} ({side}, {crit.transition})"
 
 
-@dataclass
-class SweepResult:
-    channel: Channel
-    entries: list[SweepEntry]
-    transitions: list[SweepTransition]
+class SweepResult(Record):
+    __slots__ = ("channel", "entries", "transitions")
+
+    def __init__(self, channel: Channel, entries: list[SweepEntry],
+                 transitions: list[SweepTransition]):
+        self.channel, self.entries, self.transitions = channel, entries, transitions
 
 
 def _closed_form_topology(spec: PotentialSpec, channel: Channel) -> dict[str, int]:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 
+from ._record import Record
 from .errors import DocumentError
 
 
@@ -21,35 +21,25 @@ def _fits(value, annotation: str) -> bool:
     return isinstance(value, kind) and isinstance(value, bool) == (annotation == "bool")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything a run needs, resolvable from defaults, file and flags.
 
     The effective values of the keys a command reads are embedded verbatim
     in its output document, so a result can be reproduced from its own
-    provenance block.
+    provenance block. The keys and their types are the annotations of
+    ``__init__``.
     """
 
-    m: float = 1.0
-    a: float = 1.5
-    U: float = 1.0
-    channel: str = "plus"
-    gamma: int = 1
-    index: int = 1
-    n: int = 1
-    depths: tuple[float, ...] = ()
-    samples: int = 200
-    seed: int = 20260816
-    certify: bool = True
-    out: str | None = None
-    format: str = "json"
-    svg: str | None = None
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _fits(value, f.type):
-                raise ValueError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+    def __init__(self, m: float = 1.0, a: float = 1.5, U: float = 1.0, channel: str = "plus",
+                 gamma: int = 1, index: int = 1, n: int = 1, depths: tuple[float, ...] = (),
+                 samples: int = 200, seed: int = 20260816, certify: bool = True,
+                 out: str | None = None, format: str = "json", svg: str | None = None):
+        given = locals()
+        for name, annotation in _FIELD_TYPES.items():
+            value = given[name]
+            if not _fits(value, annotation):
+                raise ValueError(f"config key {name!r} must be {annotation}, got {value!r}")
+            setattr(self, name, value)
         if self.m <= 0 or self.a <= 0:
             raise ValueError("mass and half width must be positive")
         if self.U < 0:
@@ -63,6 +53,8 @@ class RunConfig:
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 
+    __slots__ = tuple(__init__.__annotations__)
+
     @property
     def alpha(self) -> float:
         return 0.0 if self.gamma == 1 else math.pi
@@ -72,7 +64,8 @@ class RunConfig:
         return {key: list(self.depths) if key == "depths" else getattr(self, key) for key in keys}
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_FIELD_TYPES = RunConfig.__init__.__annotations__
+_FIELD_NAMES = set(_FIELD_TYPES)
 
 
 def load_config_file(path: str | Path) -> dict:

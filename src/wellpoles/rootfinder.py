@@ -37,9 +37,9 @@ import enum
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
 
 from . import _kernels as _k
+from ._record import Record
 from .errors import ConvergedElsewhere, EdgeTooClose, NoConvergence, NoRootInBracket
 from .smatrix import Channel, ComplexCoupling, PotentialSpec
 
@@ -63,20 +63,17 @@ class PoleKind(enum.Enum):
     DOUBLE_ZERO = "double_zero"
 
 
-@dataclass(frozen=True)
-class Pole:
+class Pole(Record):
     """A refined zero k of a channel pole function in a well of half-width a;
     its kind is ``classify``'s reading of a*k and its multiplicity, and its
     residual |d| that of ``_kernels``' pole function."""
 
-    k: complex
-    channel: Channel
-    coupling: ComplexCoupling
-    multiplicity: int
-    residual: float
-    a: float
+    __slots__ = ("k", "channel", "coupling", "multiplicity", "residual", "a")
 
-    def __post_init__(self):
+    def __init__(self, k: complex, channel: Channel, coupling: ComplexCoupling,
+                 multiplicity: int, residual: float, a: float):
+        self.k, self.channel, self.coupling = k, channel, coupling
+        self.multiplicity, self.residual, self.a = multiplicity, residual, a
         if self.multiplicity not in (1, 2):
             raise ValueError(f"multiplicity must be 1 or 2, got {self.multiplicity}")
 
@@ -615,16 +612,13 @@ def count_step_depth(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) -
     return (0.5 * TOL_AXIS + TOL_AXIS * TOL_AXIS / 3.0) / ma2
 
 
-@dataclass(frozen=True)
-class CountRegion:
+class CountRegion(Record):
     """Axis-aligned rectangle [lo, hi] in the k plane with evaluation context."""
 
-    lo: complex
-    hi: complex
-    coupling: ComplexCoupling
-    channel: Channel
+    __slots__ = ("lo", "hi", "coupling", "channel")
 
-    def __post_init__(self):
+    def __init__(self, lo: complex, hi: complex, coupling: ComplexCoupling, channel: Channel):
+        self.lo, self.hi, self.coupling, self.channel = lo, hi, coupling, channel
         if not (self.hi.real > self.lo.real and self.hi.imag > self.lo.imag):
             raise ValueError("region corners must satisfy hi > lo componentwise")
 
@@ -762,7 +756,7 @@ def count_zeros_padded(
             if attempt == tries - 1:
                 raise
             bump = step * (attempt + 1) * (1 + 1j)
-            r = replace(r, lo=r.lo - bump, hi=r.hi + bump)
+            r = CountRegion(r.lo - bump, r.hi + bump, r.coupling, r.channel)
     raise AssertionError("unreachable")
 
 

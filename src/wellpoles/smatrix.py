@@ -22,9 +22,9 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 
 from . import _kernels as _k
+from ._record import Record
 from .errors import PoleHit
 
 POLE_HIT_SCALE = 1e-13
@@ -49,15 +49,13 @@ class Channel(enum.Enum):
         return _k.CH_PLUS if self is Channel.PLUS else _k.CH_MINUS
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(Record):
     """Rectangular well parameters: mass m, half-width a, depth scale U >= 0."""
 
-    m: float = 1.0
-    a: float = 1.5
-    U: float = 1.0
+    __slots__ = ("m", "a", "U")
 
-    def __post_init__(self):
+    def __init__(self, m: float = 1.0, a: float = 1.5, U: float = 1.0):
+        self.m, self.a, self.U = m, a, U
         if not (self.m > 0.0 and math.isfinite(self.m)):
             raise ValueError(f"mass must be positive and finite, got {self.m}")
         if not (self.a > 0.0 and math.isfinite(self.a)):
@@ -99,13 +97,13 @@ def _phase_to_gamma(alpha: float) -> complex:
     return _ANCHOR_GAMMA[n % 4]
 
 
-@dataclass(frozen=True)
-class ComplexCoupling:
+class ComplexCoupling(Record):
     """Coupling phase alpha; the multiplicative coupling is gamma = e^{i alpha}."""
 
-    alpha: float = 0.0
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
+    def __init__(self, alpha: float = 0.0):
+        self.alpha = alpha
         if not math.isfinite(self.alpha):
             raise ValueError(f"coupling phase must be finite, got {self.alpha}")
 
@@ -238,17 +236,17 @@ def s_minus(k: complex, coupling: ComplexCoupling, spec: PotentialSpec) -> compl
     return _channel_s(k, coupling, spec, Channel.MINUS, "minus")
 
 
-@dataclass(frozen=True)
-class SMatrixValue:
+class SMatrixValue(Record):
     """Full 2x2 S-matrix value in the plane-wave basis.
 
     Built from (s11, s12) with the symmetric structure S11 = S22 and
     S12 = S21, which the rectangular well obeys identically.
     """
 
-    k: complex
-    s11: complex
-    s12: complex
+    __slots__ = ("k", "s11", "s12")
+
+    def __init__(self, k: complex, s11: complex, s12: complex):
+        self.k, self.s11, self.s12 = k, s11, s12
 
     @property
     def matrix(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:

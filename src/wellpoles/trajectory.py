@@ -78,10 +78,9 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 from . import _kernels as _k
+from ._record import Record
 from .errors import ModelInvalid, SeedNotOnPole, StallAtDoubleZero
 from .rootfinder import STEP_TOL, Pole, multiplicity_at, on_axis, residual_ratio
 from .smatrix import (
@@ -148,44 +147,46 @@ class ExitReason(enum.Enum):
     K_WINDOW = "k_window"
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(Record):
     """How a curve ends. An open curve carries the reason its march stopped,
     which is its mirrored half's too (see mirror); a closed one carries None."""
 
-    kind: ClosureKind
-    reason: ExitReason | None = None
+    __slots__ = ("kind", "reason")
+
+    def __init__(self, kind: ClosureKind, reason: ExitReason | None = None):
+        self.kind, self.reason = kind, reason
 
     @property
     def is_closed(self) -> bool:
         return self.kind is not ClosureKind.OPEN
 
 
-@dataclass(frozen=True)
-class CollisionEvent:
+class CollisionEvent(Record):
     """A pole pair coalescing at k = -i/a while alpha passes the event, with
     its two labelled branches; they always leave the axis."""
 
-    alpha: float
-    k: complex
-    branches: tuple[tuple[str, complex], ...]
-    kind: ClassVar[str] = "axis_pair_to_plane_pair"
+    __slots__ = ("alpha", "k", "branches")
+    kind = "axis_pair_to_plane_pair"
+
+    def __init__(self, alpha: float, k: complex, branches: tuple[tuple[str, complex], ...]):
+        self.alpha, self.k, self.branches = alpha, k, branches
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """A continued pole path: samples (alphas[i], ks[i]) with alpha ascending.
 
     Its channel is the seed's, and its axis crossings are its on-axis
     anchors: a curve meets the imaginary axis only at a real coupling.
     """
 
-    seed: Pole
-    alphas: list[float]
-    ks: list[complex]
-    anchors: list[tuple[int, complex]]
-    closure: Closure
-    merged_seeds: list[Pole] = field(default_factory=list)
+    __slots__ = ("seed", "alphas", "ks", "anchors", "closure", "merged_seeds")
+
+    def __init__(self, seed: Pole, alphas: list[float], ks: list[complex],
+                 anchors: list[tuple[int, complex]], closure: Closure,
+                 merged_seeds: list[Pole] | None = None):
+        self.seed, self.alphas, self.ks, self.anchors, self.closure = (
+            seed, alphas, ks, anchors, closure)
+        self.merged_seeds = [] if merged_seeds is None else merged_seeds
 
     @property
     def channel(self) -> Channel:
@@ -533,8 +534,9 @@ def _reflect(alpha: float, n0: int) -> float:
 
 
 def _mirror_pole(pole: Pole, n0: int) -> Pole:
-    return replace(pole, k=-pole.k.conjugate(),
-                   coupling=ComplexCoupling(_reflect(pole.coupling.alpha, n0)))
+    coupling = ComplexCoupling(_reflect(pole.coupling.alpha, n0))
+    return Pole(-pole.k.conjugate(), pole.channel, coupling, pole.multiplicity, pole.residual,
+                pole.a)
 
 
 def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:

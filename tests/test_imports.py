@@ -52,3 +52,16 @@ def test_import_leaves_the_command_line_unloaded():
     # wellpoles` is what a library caller pays for at start-up
     assert "wellpoles.cli" not in _loaded("import wellpoles", "wellpoles")
     assert _loaded("import wellpoles", "argparse") == "[]"
+
+
+@pytest.mark.parametrize("code", [
+    "import wellpoles",
+    "import wellpoles.cli",
+    "from wellpoles import cli\n"
+    "assert cli.main(['chart', '--U', '2', '--svg', 'c.svg', '--out', 'c.json']) == 0",
+], ids=["wellpoles", "wellpoles.cli", "chart"])
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_runtime_leaves_dataclasses_unloaded(code, module, tmp_path):
+    # the records are plain slots classes: importing dataclasses, and the
+    # inspect, ast and dis it loads, took most of a cold start
+    assert _loaded(code, module, cwd=tmp_path) == "[]"

@@ -3,7 +3,6 @@
 import cmath
 import math
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -379,7 +378,8 @@ class TestSeedValidation:
     def test_off_manifold_seed_rejected(self):
         spec = _spec(0.09)
         good = _seed(0.09, ATT, Channel.PLUS, SHALLOW_BOUND)
-        bad = replace(good, k=good.k + 0.05)
+        bad = Pole(good.k + 0.05, good.channel, good.coupling, good.multiplicity,
+                   good.residual, good.a)
         with pytest.raises(SeedNotOnPole):
             trace(bad, +1, spec)
 
