@@ -21,7 +21,7 @@ from wellpoles.chart import (
 from wellpoles.config import RunConfig
 from wellpoles.rootfinder import CountRegion, Pole
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec, SMatrixValue
-from wellpoles.trajectory import ClosureKind, Closure, CollisionEvent, ExitReason, Trajectory
+from wellpoles.trajectory import Closure, ClosureKind, CollisionEvent, ExitReason, Trajectory
 
 _COUPLING = ComplexCoupling(0.0)
 _POLE = Pole(1j, Channel.PLUS, _COUPLING, 1, 1e-14, 1.5)
@@ -124,7 +124,8 @@ def test_collision_kind_is_a_class_constant():
     event = CollisionEvent(0.0, -1j, (("resonance_side", 0.1 - 1j),))
     assert event.kind == CollisionEvent.kind == "axis_pair_to_plane_pair"
     assert "kind" not in CollisionEvent.__slots__
-    assert repr(event) == "CollisionEvent(alpha=0.0, k=(-0-1j), branches=(('resonance_side', (0.1-1j)),))"
+    assert repr(event) == ("CollisionEvent(alpha=0.0, k=(-0-1j), "
+                           "branches=(('resonance_side', (0.1-1j)),))")
     assert event == CollisionEvent(0.0, -1j, (("resonance_side", 0.1 - 1j),))
 
 
