@@ -17,8 +17,8 @@ steered by ``count_step_depth``; and sweeps that attribute topology
 changes between consecutive depths to the collision they bracket, found
 by ``collisions_between``, with the same cached count. A sweep traces no
 curve: each entry's topology is the closed-form count of
-``collisions_between``, and its attractive poles are ``scan_axis``'s and
-``off_axis_poles``' inside the working window. A certified sweep checks
+``collisions_between``, and its attractive poles are ``axis_momenta``'s
+and ``off_axis_poles``' inside the working window, with no record built. A certified sweep checks
 them with the chart's own window count and the residual bound a traced
 seed must meet.
 
@@ -37,6 +37,7 @@ from .errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
 from .rootfinder import (
     CountRegion,
     Pole,
+    axis_momenta,
     bound_count,
     bound_threshold,
     collision_depth,
@@ -48,7 +49,7 @@ from .rootfinder import (
     residual_ratio,
     scan_axis,
 )
-from .smatrix import Channel, ComplexCoupling, PotentialSpec, _anchor_index
+from .smatrix import Channel, ComplexCoupling, PotentialSpec, _anchor_index, _check_well
 from .trajectory import (
     _SPLIT_STEP,
     ClosureKind,
@@ -452,9 +453,13 @@ def critical_depth(
     'plane_to_axis'. The repulsive G = y^2/(s cosh^2 y) rises from 0 at
     y = 0 and decays to 0, so its one critical point is a maximum:
     'axis_to_plane'.
+
+    Raises ValueError for an index below 1, or an m or a that no
+    ``PotentialSpec`` takes.
     """
     if index < 1:
         raise ValueError("index counts from 1")
+    _check_well(m, a)
     u_star = collision_depth(channel, attractive, m, a, index)
     return _verified_critical(channel, attractive, index, u_star, m, a)
 
@@ -594,9 +599,10 @@ def _closed_form_topology(spec: PotentialSpec, channel: Channel) -> dict[str, in
 def _closed_form_inventory(spec: PotentialSpec, channel: Channel,
                            window: WorkingWindow) -> list[complex]:
     """A chart's anchor_poles(0, window) without a curve: the attractive
-    coupling's axis poles (``scan_axis``) and plane pairs
-    (``off_axis_poles``) inside the window, in anchor_poles' order."""
-    poles = [p.k for p in scan_axis(spec, ComplexCoupling(0.0), channel)]
+    coupling's axis poles, the k of ``scan_axis``'s records read without
+    them (``axis_momenta``), and plane pairs (``off_axis_poles``) inside
+    the window, in anchor_poles' order."""
+    poles = axis_momenta(spec, ComplexCoupling(0.0), channel)
     poles += off_axis_poles(spec, channel, window.re_max)
     a = spec.a
     return sorted((k for k in poles if window.contains(k)), key=lambda k: _inventory_key(a * k))
@@ -640,7 +646,7 @@ def depth_sweep(
     working window, in closed form: one open curve, a closed_4pi loop per
     attractive collision below the depth and, in the even channel, a
     closed_2pi loop while the depth is below the repulsive one; the axis
-    poles of ``scan_axis`` and one Newton solve per cell whose pair is off
+    poles of ``axis_momenta`` and one Newton solve per cell whose pair is off
     the axis (``off_axis_poles``). No curve is traced. Between consecutive
     depths whose topology differs, in either order, the collision depth
     they bracket is attached, with the pair count ``critical_depth`` reads

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from ._record import Record
 from .errors import DocumentError
+from .smatrix import _check_well
 
 
 def _fits(value, annotation: str) -> bool:
@@ -44,6 +45,8 @@ class RunConfig(Record):
             raise ValueError("mass and half width must be positive")
         if self.U < 0:
             raise ValueError("depth must be nonnegative")
+        # nan passes both tests above; it and inf fail here as in PotentialSpec
+        _check_well(self.m, self.a, self.U)
         if self.channel not in ("plus", "minus"):
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.gamma not in (1, -1):

@@ -12,8 +12,9 @@ The public functions take and return k.
 On the imaginary axis at a real coupling the poles are known in closed
 form: with x = aK the interior momentum, each solves x/|cos x| = c or
 x/|sin x| = c (y/cosh y or y/sinh y for imaginary K).
-``scan_axis`` enumerates them cell by cell with exact brackets; nothing
-is sampled: ``_bracketed_newton`` solves each root on its cell's
+``_axis_roots`` enumerates them cell by cell with exact brackets, for
+``scan_axis``'s records and ``axis_momenta``'s bare k; nothing is sampled:
+``_bracketed_newton`` solves each root on its cell's
 fixed-point form x - c|cos x| (x - c|sin x|, y - c cosh y, y - c sinh y),
 which has no pole at a cell end. The bound states enter at k = 0 at
 closed-form threshold points of the same cells (``bound_threshold``),
@@ -41,7 +42,7 @@ from collections.abc import Iterator
 from . import _kernels as _k
 from ._record import Record
 from .errors import ConvergedElsewhere, EdgeTooClose, NoConvergence, NoRootInBracket
-from .smatrix import Channel, ComplexCoupling, PotentialSpec
+from .smatrix import Channel, ComplexCoupling, PotentialSpec, _check_well
 
 TOL_AXIS = 1e-9
 RESIDUAL_TOL = 1e-10
@@ -444,6 +445,21 @@ def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[floa
         yield polished(_bracketed_newton(form(c, lo, hi), lo, xc))
 
 
+def _axis_roots(spec: PotentialSpec, coupling: ComplexCoupling,
+                channel: Channel) -> tuple[float, list[tuple[float, int]]]:
+    """s = c^2*gamma and the (a*kappa, multiplicity) of every pole on the
+    imaginary axis at a real coupling, cell by cell of ``_axis_cells`` and
+    each cell's by ``_cell_roots``: the one enumeration that ``scan_axis``
+    and ``axis_momenta`` read. U = 0 has none."""
+    if not coupling.is_real:
+        raise ValueError("axis scan requires a real coupling (alpha a multiple of pi)")
+    c = spec.c
+    s = c * c * coupling.gamma.real
+    cells = _axis_cells(c, s > 0.0, channel is Channel.MINUS) if c else []
+    ch = channel.code
+    return s, [root for cell in cells for root in _cell_roots(cell, c, s, ch)]
+
+
 def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) -> list[Pole]:
     """All poles on the imaginary k axis (k = i*kappa) for a real coupling.
 
@@ -457,15 +473,19 @@ def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) 
     pole function degenerates to q*exp(-iq), whose q = 0 zero is removable
     in S).
     """
-    if not coupling.is_real:
-        raise ValueError("axis scan requires a real coupling (alpha a multiple of pi)")
-    c = spec.c
-    s = c * c * coupling.gamma.real
-    cells = _axis_cells(c, s > 0.0, channel is Channel.MINUS) if c else []
-    poles = [_pole(1j * kappa, s, coupling, channel, spec.a, mult)
-             for cell in cells for kappa, mult in _cell_roots(cell, c, s, channel.code)]
+    s, roots = _axis_roots(spec, coupling, channel)
+    poles = [_pole(1j * kappa, s, coupling, channel, spec.a, mult) for kappa, mult in roots]
     poles.sort(key=lambda p: p.k.imag)
     return poles
+
+
+def axis_momenta(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) -> list[complex]:
+    """The momenta k of ``scan_axis``'s poles, bit for bit and in its order,
+    without a record or a residual: a coalesced pair is one k = -i/a."""
+    a = spec.a
+    momenta = [1j * kappa / a for kappa, _ in _axis_roots(spec, coupling, channel)[1]]
+    momenta.sort(key=lambda k: k.imag)
+    return momenta
 
 
 def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list[complex]:
@@ -530,9 +550,13 @@ def bound_threshold(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) ->
     state at (n*pi)^2/(2 m a^2); the odd channel needs
     ((2n-1)*pi/2)^2/(2 m a^2). Both are x_j^2/(2 m a^2) at the threshold
     point x_j of ``_threshold_x``, j = n (even) or n - 1 (odd).
+
+    Raises ValueError for an n below 1, or an m or a that no
+    ``PotentialSpec`` takes.
     """
     if n < 1:
         raise ValueError("threshold index counts from 1")
+    _check_well(m, a)
     odd = channel is Channel.MINUS
     x = _threshold_x(odd, n - odd)
     return x * x / (2.0 * m * a * a)

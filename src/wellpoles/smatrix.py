@@ -37,6 +37,10 @@ class Channel(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
 
+    # members are singletons that compare by identity, so the identity hash
+    # keeps equality and lets the cache keys hash in C, not in Enum.__hash__
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, name: str) -> "Channel":
         try:
@@ -49,6 +53,18 @@ class Channel(enum.Enum):
         return _k.CH_PLUS if self is Channel.PLUS else _k.CH_MINUS
 
 
+def _check_well(m: float, a: float, U: float = 0.0) -> None:
+    """Raise ValueError unless the mass m and half-width a are positive and
+    the depth U nonnegative, all finite: the rule of ``PotentialSpec``, for
+    a caller that takes (m, a) or (m, a, U) and builds no record."""
+    if not (m > 0.0 and math.isfinite(m)):
+        raise ValueError(f"mass must be positive and finite, got {m}")
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"half-width must be positive and finite, got {a}")
+    if not (U >= 0.0 and math.isfinite(U)):
+        raise ValueError(f"depth must be nonnegative and finite, got {U}")
+
+
 class PotentialSpec(Record):
     """Rectangular well parameters: mass m, half-width a, depth scale U >= 0."""
 
@@ -56,12 +72,7 @@ class PotentialSpec(Record):
 
     def __init__(self, m: float = 1.0, a: float = 1.5, U: float = 1.0):
         self.m, self.a, self.U = m, a, U
-        if not (self.m > 0.0 and math.isfinite(self.m)):
-            raise ValueError(f"mass must be positive and finite, got {self.m}")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"half-width must be positive and finite, got {self.a}")
-        if not (self.U >= 0.0 and math.isfinite(self.U)):
-            raise ValueError(f"depth must be nonnegative and finite, got {self.U}")
+        _check_well(m, a, U)
         if not self.c <= C_LIMIT:
             raise ValueError(f"strength c = a*sqrt(2 m U) = {self.c:g} exceeds its limit "
                              f"{C_LIMIT:g} at m={self.m}, a={self.a}, U={self.U}")

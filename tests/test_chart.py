@@ -411,6 +411,34 @@ class TestCriticalDepths:
         assert calls == {"grid_denom_dk": 3 * len(cases)}
 
 
+# (m, a) that no PotentialSpec takes, with its message
+_BAD_WELLS = [
+    (-1.0, 1.0, "mass must be positive and finite, got -1.0"),
+    (0.0, A, "mass must be positive and finite, got 0.0"),
+    (math.nan, A, "mass must be positive and finite, got nan"),
+    (M, 0.0, "half-width must be positive and finite, got 0.0"),
+    (M, math.inf, "half-width must be positive and finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("m,a,message", _BAD_WELLS)
+@pytest.mark.parametrize("call", [
+    lambda m, a: bound_threshold(Channel.PLUS, 1, m=m, a=a),
+    lambda m, a: bound_threshold(Channel.MINUS, 1, m=m, a=a),
+    lambda m, a: critical_depth(Channel.PLUS, True, m=m, a=a),
+    lambda m, a: critical_depth(Channel.PLUS, False, m=m, a=a),
+    lambda m, a: critical_depth(Channel.MINUS, True, m=m, a=a),
+    lambda m, a: PotentialSpec(m=m, a=a),
+], ids=["threshold_plus", "threshold_minus", "critical_plus", "critical_plus_rep",
+        "critical_minus", "spec"])
+def test_closed_forms_refuse_a_well_no_spec_takes(call, m, a, message):
+    # a negative mass once gave a negative threshold, and a zero mass or
+    # width a ZeroDivisionError; each now raises PotentialSpec's message
+    with pytest.raises(ValueError) as exc:
+        call(m, a)
+    assert str(exc.value) == message
+
+
 class TestThresholds:
     def test_odd_closed_form(self):
         assert bound_threshold(Channel.MINUS, 1, M, A) == pytest.approx(
@@ -894,6 +922,25 @@ class TestDepthSweep:
         sweep = depth_sweep(Channel.PLUS, [1.0], M, A)
         assert not sweep.entries[0].nudged
         assert sweep.entries[0].U_used == 1.0
+
+    @pytest.mark.parametrize("channel,u_star", [
+        (Channel.PLUS, U_STAR_PLUS_ATT), (Channel.MINUS, U_STAR_MINUS_ATT),
+    ])
+    def test_no_scalar_kernel_calls(self, monkeypatch, channel, u_star):
+        # three depths about the first collision, the middle one nudged: a
+        # default sweep reads its axis poles as bare k, with no residual, so
+        # the scalar kernel runs only inside the Newton solves
+        calls = Counter()
+        for name in ("denom_plain", "denom_scaled"):
+            def counted(*args, _name=name, _kernel=getattr(_k, name)):
+                calls[_name] += 1
+                return _kernel(*args)
+            monkeypatch.setattr(_k, name, counted)
+        sweep = depth_sweep(channel, [0.8 * u_star, u_star * (1.0 + 5e-8), 1.2 * u_star], M, A)
+        assert [e.nudged for e in sweep.entries] == [False, True, False]
+        assert all(e.attractive_poles for e in sweep.entries)
+        assert len(sweep.transitions) == 1
+        assert calls == {}
 
     def test_certified_entry_keeps_the_verdict(self, monkeypatch):
         # a window count one above the poles, with no count failure: the

@@ -371,6 +371,22 @@ class TestUsageErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and named in error["message"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (("threshold", "--m", "nan"), "mass must be positive and finite, got nan"),
+        (("threshold", "--m", "inf"), "mass must be positive and finite, got inf"),
+        (("threshold", "--a", "inf"), "half-width must be positive and finite, got inf"),
+        (("critical", "--a", "nan"), "half-width must be positive and finite, got nan"),
+        (("axis", "--U", "inf"), "depth must be nonnegative and finite, got inf"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_well_beyond_the_floats(self, capsys, argv, message):
+        # a mass, width or depth that is not finite is refused by name, in
+        # PotentialSpec's words, before a command computes with it: a nan
+        # mass once reached the output writer, and an infinite width gave
+        # a threshold of 0
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
     @pytest.mark.parametrize("argv", [
         ("axis", "--U", "1e30"),
         ("sweep", "--depths", "1e12"),

@@ -278,6 +278,29 @@ def test_rootfinder_holds_the_one_bracketed_solver():
     assert all("_brentq" not in _names(_tree(p.name)) for p in SRC.glob("*.py"))
 
 
+def test_rootfinder_enumerates_the_axis_roots_once():
+    # one function walks _cell_roots over every cell of _axis_cells; the
+    # scan's records and the sweep's bare momenta both read that walk, and
+    # bound_count draws single roots without iterating a cell
+    functions = {p.name: [node for node in ast.walk(_tree(p.name))
+                          if isinstance(node, ast.FunctionDef)] for p in SRC.glob("*.py")}
+
+    def iterates_cell_roots(node):
+        return any(isinstance(loop, (ast.For, ast.comprehension))
+                   and isinstance(loop.iter, ast.Call) and isinstance(loop.iter.func, ast.Name)
+                   and loop.iter.func.id == "_cell_roots" for loop in ast.walk(node))
+
+    walkers = [(name, f.name) for name, fs in functions.items() for f in fs
+               if iterates_cell_roots(f)]
+    assert walkers == [("rootfinder.py", "_axis_roots")]
+    rootfinder = {f.name: f for f in functions["rootfinder.py"]}
+    assert "_axis_cells" in _names(rootfinder["_axis_roots"])
+    for reader in ("scan_axis", "axis_momenta"):
+        named = _names(rootfinder[reader])
+        assert "_axis_roots" in named
+        assert named.isdisjoint({"_axis_cells", "_cell_roots"})
+
+
 def test_chart_takes_the_window_count_once():
     calls = [node for node in ast.walk(_tree("chart.py"))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)

@@ -146,6 +146,9 @@ def test_collision_kind_is_a_class_constant():
     (lambda: RunConfig(out=3), "config key 'out' must be str | None, got 3"),
     (lambda: RunConfig(m=-1.0), "mass and half width must be positive"),
     (lambda: RunConfig(U=-1), "depth must be nonnegative"),
+    (lambda: RunConfig(m=math.nan), "mass must be positive and finite, got nan"),
+    (lambda: RunConfig(a=math.nan), "half-width must be positive and finite, got nan"),
+    (lambda: RunConfig(U=math.nan), "depth must be nonnegative and finite, got nan"),
     (lambda: RunConfig(channel="x"), "unknown channel 'x'"),
     (lambda: RunConfig(gamma=2), "gamma selects a real coupling, +1 or -1"),
     (lambda: RunConfig(format="xml"), "unknown format 'xml'"),

@@ -32,6 +32,7 @@ from wellpoles.rootfinder import (
     CountRegion,
     Pole,
     PoleKind,
+    axis_momenta,
     classify,
     collision_depth,
     collision_pair_count,
@@ -530,6 +531,35 @@ def _mp_axis_root(q: complex, c: float, attractive: bool, odd: bool):
         if f(ends[0]) * f(ends[1]) >= 0:
             return None
         return a_kappa(mp.findroot(f, ends, solver="anderson"))
+
+
+class TestAxisMomenta:
+    """``axis_momenta`` is ``scan_axis`` without its records: the same k,
+    bit for bit, in the same order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.floats(0.2, 10.0),
+        a=st.floats(0.1, 6.0),
+        c=st.one_of(st.just(0.0),
+                    st.floats(math.log(1e-6), math.log(C_LIMIT)).map(math.exp)),
+        channel=st.sampled_from([Channel.PLUS, Channel.MINUS]),
+        coupling=st.sampled_from([ATT, REP]),
+    )
+    @example(m=M, a=A, c=0.0, channel=Channel.PLUS, coupling=ATT)
+    @example(m=M, a=A, c=C_LIMIT, channel=Channel.MINUS, coupling=ATT)
+    def test_equals_the_scan_bit_for_bit(self, m, a, c, channel, coupling):
+        try:
+            sp = PotentialSpec(m, a, c * c / (2.0 * m * a * a))
+        except ValueError:  # c rounded past C_LIMIT
+            assume(False)
+        bits = lambda ks: [(k.real.hex(), k.imag.hex()) for k in ks]
+        assert bits(axis_momenta(sp, coupling, channel)) == bits(
+            p.k for p in scan_axis(sp, coupling, channel))
+
+    def test_refuses_a_complex_coupling(self):
+        with pytest.raises(ValueError, match="real coupling"):
+            axis_momenta(spec(1.0), ComplexCoupling(0.3), Channel.PLUS)
 
 
 class TestAxisRootOracle:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import enum
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -67,6 +69,49 @@ class TestTypes:
         assert Channel.parse("minus") is Channel.MINUS
         with pytest.raises(ValueError):
             Channel.parse("even")
+
+
+class TestChannelHash:
+    """A channel hashes by identity, in C: its members are singletons that
+    compare by identity, so equal channels still hash equal."""
+
+    def test_hash_is_identity_consistent(self):
+        assert Channel.__hash__ is object.__hash__
+        table = {Channel.PLUS: "even", Channel.MINUS: "odd"}
+        for name, label in (("plus", "even"), (" MINUS", "odd")):
+            channel = Channel.parse(name)
+            assert hash(channel) == hash(Channel(name.strip().lower()))
+            assert table[channel] == label
+            copy = pickle.loads(pickle.dumps(channel))
+            assert copy is channel and hash(copy) == hash(channel)
+        assert Channel.PLUS != Channel.MINUS and Channel.PLUS != "plus"
+
+    def test_collision_caches_find_a_parsed_channel(self):
+        wp.rootfinder.collision_x(Channel.MINUS, True, 2)
+        hits = wp.rootfinder.collision_x.cache_info().hits
+        wp.rootfinder.collision_x(Channel.parse("minus"), True, 2)
+        assert wp.rootfinder.collision_x.cache_info().hits == hits + 1
+        wp.rootfinder.collision_pair_count(Channel.PLUS, True, 1)
+        hits = wp.rootfinder.collision_pair_count.cache_info().hits
+        wp.rootfinder.collision_pair_count(Channel.parse("plus"), True, 1)
+        assert wp.rootfinder.collision_pair_count.cache_info().hits == hits + 1
+
+    def test_depth_analysis_calls_no_enum_hash(self, monkeypatch):
+        # the collision caches and walks key on a channel; none of them
+        # reaches the Python-level Enum.__hash__
+        reference = [wp.critical_depth(Channel.PLUS, True),
+                     wp.critical_depth(Channel.PLUS, False),
+                     wp.critical_depth(Channel.MINUS, True, index=2),
+                     wp.depth_sweep(Channel.MINUS, [2.0, 4.0, 9.0])]
+
+        def refuse(self):
+            raise AssertionError(f"Enum.__hash__ called on {self!r}")
+
+        monkeypatch.setattr(enum.Enum, "__hash__", refuse)
+        assert [wp.critical_depth(Channel.PLUS, True),
+                wp.critical_depth(Channel.PLUS, False),
+                wp.critical_depth(Channel.MINUS, True, index=2),
+                wp.depth_sweep(Channel.MINUS, [2.0, 4.0, 9.0])] == reference
 
     def test_full_value_is_symmetric(self):
         v = wp.s_full(1.3 + 0.2j, ATT, SPEC)
