@@ -18,9 +18,9 @@ changes between consecutive depths to the collision they bracket, found
 by ``collisions_between``, with the same cached count. A sweep traces no
 curve: each entry's topology is the closed-form count of
 ``collisions_between``, and its attractive poles are ``axis_momenta``'s
-and ``off_axis_poles``' inside the working window, with no record built. A certified sweep checks
-them with the chart's own window count and the residual bound a traced
-seed must meet.
+and ``off_axis_poles``' inside the working window, with no record built.
+A certified sweep checks them with the chart's own window count and the
+residual bound a traced seed must meet.
 
 A chart in q = k*a depends on c = a sqrt(2 m U) alone (see _kernels), so
 every tolerance here is stated in q or c, and every depth tolerance relative

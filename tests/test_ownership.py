@@ -11,7 +11,8 @@ which the winding grid calls. The working window's extents, the margin past its 
 at which a march stops and the runaway phase guard (40 + 2c)*pi live in
 ``trajectory``, which ``chart`` imports. ``rootfinder.residual_ratio``
 alone states the residual bound a pole meets, ``rootfinder._bracketed_newton``
-is the one bracketed root solver, and ``chart`` takes its
+is the one bracketed root solver, ``rootfinder._axis_roots`` the one walk
+of the axis roots that the scan and the sweep read, and ``chart`` takes its
 window contour count in one place, for a chart and a certified sweep alike.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
 checks, and ``cli`` names none of their parts. ``smatrix._exp`` alone
