@@ -70,6 +70,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             Channel.parse("even")
 
+    def test_full_value_is_symmetric(self):
+        v = wp.s_full(1.3 + 0.2j, ATT, SPEC)
+        mat = np.asarray(v.matrix)
+        assert mat[0, 0] == mat[1, 1]
+        assert mat[0, 1] == mat[1, 0]
+
 
 class TestChannelHash:
     """A channel hashes by identity, in C: its members are singletons that
@@ -112,12 +118,6 @@ class TestChannelHash:
                 wp.critical_depth(Channel.PLUS, False),
                 wp.critical_depth(Channel.MINUS, True, index=2),
                 wp.depth_sweep(Channel.MINUS, [2.0, 4.0, 9.0])] == reference
-
-    def test_full_value_is_symmetric(self):
-        v = wp.s_full(1.3 + 0.2j, ATT, SPEC)
-        mat = np.asarray(v.matrix)
-        assert mat[0, 0] == mat[1, 1]
-        assert mat[0, 1] == mat[1, 0]
 
 
 class TestInteriorMomentum:
