@@ -49,7 +49,7 @@ from .rootfinder import (
     residual_ratio,
     scan_axis,
 )
-from .smatrix import Channel, ComplexCoupling, PotentialSpec, _anchor_index, _check_well
+from .smatrix import Channel, ComplexCoupling, PotentialSpec, _anchor_index
 from .trajectory import (
     _SPLIT_STEP,
     ClosureKind,
@@ -401,7 +401,7 @@ class CriticalDepth(Record):
 def _verified_critical(channel, attractive, index, u_star, m, a) -> CriticalDepth:
     """The collision with its pair count, the one ``collision_pair_count``
     takes once per collision and process (None if uncountable)."""
-    # a depth that overflows to inf raises here, as for any well
+    # a collision whose strength exceeds C_LIMIT raises here, as for any well
     PotentialSpec(m=m, a=a, U=u_star)
     return CriticalDepth(
         U=u_star,
@@ -455,11 +455,10 @@ def critical_depth(
     'axis_to_plane'.
 
     Raises ValueError for an index below 1, or an m or a that no
-    ``PotentialSpec`` takes.
+    ``PotentialSpec`` takes or at which U* is not finite.
     """
     if index < 1:
         raise ValueError("index counts from 1")
-    _check_well(m, a)
     u_star = collision_depth(channel, attractive, m, a, index)
     return _verified_critical(channel, attractive, index, u_star, m, a)
 

@@ -10,25 +10,26 @@ bounds a*kappa and a*|Re k| (``on_axis``), and no other module reads it.
 The public functions take and return k.
 
 On the imaginary axis at a real coupling the poles are known in closed
-form: with x = aK the interior momentum, each solves x/|cos x| = c or
-x/|sin x| = c (y/cosh y or y/sinh y for imaginary K).
-``_axis_roots`` enumerates them cell by cell with exact brackets, for
-``scan_axis``'s records and ``axis_momenta``'s bare k; nothing is sampled:
-``_bracketed_newton`` solves each root on its cell's
-fixed-point form x - c|cos x| (x - c|sin x|, y - c cosh y, y - c sinh y),
-which has no pole at a cell end. The bound states enter at k = 0 at
-closed-form threshold points of the same cells (``bound_threshold``),
-and ``bound_count`` reads most cells' bound roots off those points
-without a solve, drawing the one root it cannot place from the scan's
-own per-cell solver, ``_cell_roots``;
-the scan shows a new state a TOL_AXIS band past its threshold
-(``count_step_depth``). The pairs collide at q = -i at closed-form
-strengths c*^2 = x_c^2 +- 1 (``collision_x``, ``collision_depth``, and in
-a depth band ``collisions_between``), so each collision's pair count
-depends on (channel, coupling, index) alone and is counted once per
-process (``collision_pair_count``). Below its collision strength a cell's
-pair lies off the axis, and ``off_axis_poles`` finds it at the attractive
-coupling with one Newton solve per cell.
+form: with x = aK the interior momentum, each solves x = c|cos x| or
+x = c|sin x| (y = c cosh y or y = c sinh y for imaginary K).
+``_axis_roots`` enumerates them cell by cell of ``_axis_cells`` with exact
+brackets, for ``scan_axis``'s records and ``axis_momenta``'s bare k;
+nothing is sampled: ``_bracketed_newton`` solves each root on its cell's
+fixed-point form, which has no pole at a cell end. The bound states enter
+at k = 0 at closed-form threshold points of the same cells
+(``bound_threshold``), and ``bound_count`` reads most cells' bound roots
+off those points without a solve, drawing the one root it cannot place
+from the scan's own per-cell solver, ``_cell_roots``; the scan shows a new
+state a TOL_AXIS band past its threshold (``count_step_depth``). The pairs
+collide at q = -i at the closed-form strengths c*^2 = x_c^2 +- 1 of
+``_collision_c2`` (``collision_x``, ``collision_depth``, and in a depth
+band ``collisions_between``), so each collision's pair count depends on
+(channel, coupling, index) alone and is counted once per process
+(``collision_pair_count``). Below its collision strength a cell's pair
+lies off the axis, and ``off_axis_poles`` finds it at the attractive
+coupling with one Newton solve per cell. A closed-form depth
+U = c^2/(2 m a^2) that is not a finite float raises ValueError
+(``_depth``).
 """
 
 from __future__ import annotations
@@ -181,20 +182,30 @@ def _bracketed_newton(g, x: float, end: float) -> float:
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
+def _threshold_x(odd: bool, j: int) -> float:
+    """x_j = j*pi (even) or (j + 1/2)*pi (odd), j >= 0: the threshold point
+    of the j-th real-K cell of ``_axis_cells``, where its rising root
+    passes a*kappa = 0 and a bound state enters at k = 0; the other
+    channel's cells end there, where |sin x| (even) or |cos x| (odd) is 0."""
+    return (j + 0.5) * math.pi if odd else j * math.pi
+
+
 @functools.lru_cache(maxsize=None)
 def collision_x(channel: Channel, attractive: bool, index: int) -> float:
     """x_c = a|K_c| of the index-th pair collision on the imaginary k axis.
 
-    A pair collides at k = -i/a where the axis ratio of ``_axis_cells`` is
-    stationary. The index-th stationary point solves
+    A pair collides at k = -i/a where the axis ratio x/|cos x|, x/|sin x|
+    or y/cosh y is stationary. The index-th stationary point solves
 
         even, attractive:  x tan x = -1 on ((i - 1/2) pi, i pi), as cos x + x sin x = 0
         odd, attractive:   tan x = x    on (i pi, (i + 1/2) pi), as sin x - x cos x = 0
         even, repulsive:   y tanh y = 1 on (1, 2), as cosh y - y sinh y = 0
 
-    Each interval holds exactly one root, so the index counts collisions by
-    rising depth. The even repulsive collision is the only one (index 1);
-    the odd repulsive coupling has none. Both raise NoRootInBracket.
+    An attractive interval runs from the index-th cell's lower end to its
+    threshold point (``_threshold_x``). Each holds exactly one root, so the
+    index counts collisions by rising depth. The even repulsive collision is
+    the only one (index 1); the odd repulsive coupling has none. Both raise
+    NoRootInBracket.
 
     ``_bracketed_newton`` solves each with its derivative x cos x, x sin x
     or -y cosh y from the upper end, where value and curvature share a sign.
@@ -202,24 +213,46 @@ def collision_x(channel: Channel, attractive: bool, index: int) -> float:
     process and cached.
     """
     if attractive:
-        if channel is Channel.PLUS:
-            return _bracketed_newton(lambda t: (math.cos(t) + t * math.sin(t), t * math.cos(t)),
-                                     index * math.pi, (index - 0.5) * math.pi)
-        return _bracketed_newton(lambda t: (math.sin(t) - t * math.cos(t), t * math.sin(t)),
-                                 (index + 0.5) * math.pi, index * math.pi)
+        odd = channel is Channel.MINUS
+        g = ((lambda t: (math.sin(t) - t * math.cos(t), t * math.sin(t))) if odd
+             else (lambda t: (math.cos(t) + t * math.sin(t), t * math.cos(t))))
+        return _bracketed_newton(g, _threshold_x(odd, index),
+                                 _threshold_x(not odd, index - 1 + odd))
     if channel is Channel.PLUS and index == 1:
         return _bracketed_newton(lambda t: (math.cosh(t) - t * math.sinh(t), -t * math.cosh(t)),
                                  2.0, 1.0)
     raise NoRootInBracket(f"no pair collision of index {index} at gamma = -1")
 
 
+def _collision_c2(xc: float, attractive: bool) -> float:
+    """c*^2 = x_c^2 + 1 (attractive) or x_c^2 - 1 (repulsive), the squared
+    axis ratio at a cell's collision point x_c: the strength at which its
+    pair coalesces at q = -i."""
+    return xc * xc + (1.0 if attractive else -1.0)
+
+
+def _depth(c2: float, m: float, a: float) -> float:
+    """U = c2/(2 m a^2), the depth at which the well (m, a) reaches the
+    strength c^2 = c2. Raises ValueError, naming m and a, where U is not a
+    finite float: where 2 m a^2 underflows to 0 or below c2/(float max)."""
+    two_ma2 = 2.0 * m * a * a
+    u = c2 / two_ma2 if two_ma2 else math.inf
+    if u == math.inf:
+        raise ValueError(f"depth c^2/(2 m a^2) = {c2:g}/{two_ma2:g} is not finite "
+                         f"at m={m}, a={a}")
+    return u
+
+
 def collision_depth(channel: Channel, attractive: bool, m: float, a: float, index: int) -> float:
-    """U* of the index-th pair collision: (x_c^2 + 1)/(2 m a^2) attractive,
-    (x_c^2 - 1)/(2 m a^2) repulsive, with x_c from ``collision_x``; so
-    c*^2 = 2 m a^2 U* = x_c^2 +- 1 depends on (channel, attractive, index)
-    alone (see ``chart.critical_depth``)."""
-    x = collision_x(channel, attractive, index)
-    return (x * x + (1.0 if attractive else -1.0)) / (2.0 * m * a * a)
+    """U* = c*^2/(2 m a^2) of the index-th pair collision, with c*^2 =
+    x_c^2 +- 1 of ``_collision_c2`` at x_c from ``collision_x``; so c*
+    depends on (channel, attractive, index) alone (see
+    ``chart.critical_depth``).
+
+    Raises ValueError for an m or a that no ``PotentialSpec`` takes, or one
+    at which U* is not finite (``_depth``)."""
+    _check_well(m, a)
+    return _depth(_collision_c2(collision_x(channel, attractive, index), attractive), m, a)
 
 
 def collisions_between(
@@ -232,22 +265,30 @@ def collisions_between(
     U* >= u_lo needs x_c >= x0 = sqrt(2 m a^2 u_lo - 1), and the index-th
     attractive x_c lies in its bracket of ``collision_x``, below the
     threshold point ``_threshold_x(odd, index)``. The walk starts at the
-    first index whose threshold point lies above x0.
+    first index whose threshold point lies above x0, and stops at the first
+    U* above u_hi or past the float range, which no band reaches.
+
+    Raises ValueError for an m or a that no ``PotentialSpec`` takes, or at
+    which 2 m a^2 underflows to 0, where no U* is finite.
     """
+    _check_well(m, a)
+    two_ma2 = 2.0 * m * a * a
+    if not two_ma2:
+        raise ValueError(f"2 m a^2 underflows to 0 at m={m}, a={a}: no collision depth is finite")
     odd = channel is Channel.MINUS
     x0 = math.sqrt(max(2.0 * m * a * a * u_lo - 1.0, 0.0))
     index = max(1, math.floor(x0 / math.pi - 0.5 * odd) + 1)
     found = []
     while True:
-        u_star = collision_depth(channel, True, m, a, index)
-        if u_star > u_hi:
+        u_star = _collision_c2(collision_x(channel, True, index), True) / two_ma2
+        if u_star > u_hi or u_star == math.inf:
             break
         if u_star >= u_lo:
             found.append((True, index, u_star))
         index += 1
     if not odd:
-        u_star = collision_depth(channel, False, m, a, 1)
-        if u_lo <= u_star <= u_hi:
+        u_star = _collision_c2(collision_x(channel, False, 1), False) / two_ma2
+        if u_lo <= u_star <= u_hi and u_star != math.inf:
             found.append((False, 1, u_star))
     return found
 
@@ -283,26 +324,7 @@ def collision_pair_count(channel: Channel, attractive: bool, index: int) -> int 
         return None
 
 
-# axis ratios x/|cos x|, x/|sin x| (real K) and y/cosh y, y/sinh y (imaginary
-# K), the last two in exp(-y) form so that they never overflow
-def _x_sec(x: float) -> float:
-    return x / abs(math.cos(x))
-
-
-def _x_csc(x: float) -> float:
-    return x / abs(math.sin(x)) if x else 1.0
-
-
-def _y_sech(y: float) -> float:
-    e = math.exp(-y)
-    return 2.0 * y * e / (1.0 + e * e)
-
-
-def _y_csch(y: float) -> float:
-    return 2.0 * y * math.exp(-y) / -math.expm1(-2.0 * y) if y else 1.0
-
-
-# the fixed-point forms of the axis ratios, as (g, g') on a cell [lo, hi]: x - c|cos x| and
+# the fixed-point forms of the cell equations, as (g, g') on a cell [lo, hi]: x - c|cos x| and
 # x - c|sin x| (real K, convex; cos x or sin x takes the cell's sign, as at a cell end it rounds
 # to +-6e-17 of either), y - c cosh y and y - c sinh y (imaginary K, concave, times exp(-y))
 def _x_cos_form(c: float, lo: float, hi: float):
@@ -325,7 +347,7 @@ def _y_sinh_form(c: float, lo: float, hi: float):
                       math.exp(-y) - 0.5 * c * (1.0 + math.exp(-2.0 * y)))
 
 
-# a*kappa at a root x of each ratio: k = i K tan(aK) (even), -i K cot(aK) (odd)
+# a*kappa at a root x of each cell equation: k = i K tan(aK) (even), -i K cot(aK) (odd)
 def _x_tan(x: float) -> float:
     return x * math.tan(x)
 
@@ -345,82 +367,79 @@ def _neg_y_coth(y: float) -> float:
 def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
     """Every cell of x = a|K| that holds axis poles at c = a sqrt(2 m U).
 
-    Entries are (ratio, form, a_kappa, lo, x_c, hi). The cell's poles solve
-    ratio(x) = c on [lo, hi], or form(c, lo, hi) = 0, and sit at
-    q = i a_kappa(x). x_c is the cell's one stationary point of ratio, where
-    its pair collides; with x_c None, ratio is monotone on the cell and
-    crosses c exactly once.
+    Entries are (form, a_kappa, lo, x_c, hi). The cell's poles solve
+    form(c, lo, hi) = 0 on [lo, hi] and sit at q = i a_kappa(x). x_c is the
+    cell's collision point (``_collision_c2``), which splits its 0 or 2
+    roots; with x_c None the cell holds exactly one root.
 
-        even, attractive:  x/|cos x|, cell [0, pi/2], then ((n - 1/2) pi, (n + 1/2) pi)
-        odd, attractive:   y/sinh y for c < 1, else x/|sin x| on [0, pi];
+        even, attractive:  x = c|cos x| on [0, pi/2], then ((n - 1/2) pi, (n + 1/2) pi)
+        odd, attractive:   y = c sinh y for c < 1, else x = c|sin x| on [0, pi];
                            then (n pi, (n + 1) pi)
-        even, repulsive:   y/cosh y, rising to y_c and falling after
+        even, repulsive:   y = c cosh y, on [0, hi] past its roots, x_c = y_c
         odd, repulsive:    no cells
 
-    In a cell with a stationary point an attractive ratio stays above
-    sqrt(x_c^2 + 1) > x_c > lo, so the cells stop once lo reaches c.
+    Each real-K cell ends where the next begins. A root has x <= c, so the
+    cells stop once lo reaches c; an imaginary-K cell ends at the first
+    doubling of y where its form is negative.
     """
     if not attractive:
         if odd:
             return []
         yc = collision_x(Channel.PLUS, False, 1)
-        hi = 2.0 * yc
-        while _y_sech(hi) >= c:
+        g, hi = _y_cosh_form(c, 0.0, 0.0), 2.0 * yc
+        while g(hi)[0] >= 0.0:
             hi *= 2.0
-        return [(_y_sech, _y_cosh_form, _neg_y_tanh, 0.0, yc, hi)]
-    if not odd:
-        cells = [(_x_sec, _x_cos_form, _x_tan, 0.0, None, 0.5 * math.pi)]
-        n = 1
-        while (n - 0.5) * math.pi < c:
-            cells.append((_x_sec, _x_cos_form, _x_tan, (n - 0.5) * math.pi,
-                          collision_x(Channel.PLUS, True, n), (n + 0.5) * math.pi))
-            n += 1
-        return cells
-    if c < 1.0:
-        hi = 1.0
-        while _y_csch(hi) >= c:
-            hi *= 2.0
-        cells = [(_y_csch, _y_sinh_form, _neg_y_coth, 0.0, None, hi)]
+        return [(_y_cosh_form, _neg_y_tanh, 0.0, yc, hi)]
+    channel, form, a_kappa = ((Channel.MINUS, _x_sin_form, _neg_x_cot) if odd
+                              else (Channel.PLUS, _x_cos_form, _x_tan))
+    h = 0.0 if odd else 0.5
+    hi = (1.0 - h) * math.pi
+    if odd and c < 1.0:
+        g, end = _y_sinh_form(c, 0.0, 0.0), 1.0
+        while g(end)[0] >= 0.0:
+            end *= 2.0
+        cells = [(_y_sinh_form, _neg_y_coth, 0.0, None, end)]
     else:
-        cells = [(_x_csc, _x_sin_form, _neg_x_cot, 0.0, None, math.pi)]
+        cells = [(form, a_kappa, 0.0, None, hi)]
     n = 1
-    while n * math.pi < c:
-        cells.append((_x_csc, _x_sin_form, _neg_x_cot, n * math.pi,
-                      collision_x(Channel.MINUS, True, n), (n + 1) * math.pi))
+    while hi < c:
+        lo, hi = hi, (n + 1 - h) * math.pi
+        cells.append((form, a_kappa, lo, collision_x(channel, True, n), hi))
         n += 1
     return cells
 
 
-def _pair_offset(rc: float, c: float) -> float:
+def _pair_offset(xc: float, attractive: bool, c: float) -> float:
     """Distance from q = -i, in units of x_c, of the pair of a cell with
-    collision point x_c.
+    collision point x_c, signed as c* - c, c* = sqrt(``_collision_c2``).
 
-    rc is the cell's ratio at x_c. There the ratio's second derivative is rc
-    and |d(a kappa)/dx| is x_c, so the pair sits x_c * sqrt(2|rc - c|/rc)
-    from q = -i: on the axis when c passes rc, mirrored off it otherwise.
+    At x_c the axis ratio is c*, its second derivative +-c* and
+    |d(a kappa)/dx| is x_c, so the pair sits x_c * sqrt(2|c* - c|/c*) from
+    q = -i: on the axis when c passes c*, mirrored off it otherwise.
     """
-    return math.sqrt(2.0 * abs(rc - c) / rc)
+    rc = math.sqrt(_collision_c2(xc, attractive))
+    return math.copysign(math.sqrt(2.0 * abs(rc - c) / rc), rc - c)
 
 
 def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[float, int]]:
     """(a*kappa, multiplicity) of the poles of one cell of ``_axis_cells``
     at c and s = +-c^2, each solved only when it is drawn: the root above
     the collision point x_c first (the cell's one root when x_c is None),
-    then the one below it. Above x_c an attractive ratio rises toward hi and
-    a*kappa rises through 0; below x_c a*kappa < -1. So the first root is
-    the only one of an attractive cell that can be bound, and
-    ``bound_count`` draws no other.
+    then the one below it. Above x_c an attractive cell's a*kappa rises
+    through 0 toward hi; below x_c a*kappa < -1. So the first root is the
+    only one of an attractive cell that can be bound, and ``bound_count``
+    draws no other.
 
-    A cell with x_c holds 0, 1 or 2 roots, split at x_c, so every root has
-    an exact bracket. ``_bracketed_newton`` solves each on the cell's
-    fixed-point form g, which has no pole at a cell end, from the end where
-    g and g'' share a sign: hi for the root above x_c (or the one root), lo
-    for the one below. Each is mapped to a*kappa and Newton-polished in q
-    to Im q. When the cell's pair lies within _PAIR_BALL*x_c of its
-    collision point q = -i (``_pair_offset``), the cell gives one coalesced
-    pair there instead, as a*kappa = -1 with multiplicity 2.
+    A cell with x_c holds 2 roots, split at x_c, where c has passed its c*
+    (``_pair_offset``): upward at the attractive coupling, downward at the
+    repulsive one. ``_bracketed_newton`` solves each on the cell's form g
+    from the end where g and g'' share a sign: hi for the root above x_c
+    (or the one root), lo for the one below. Each is mapped to a*kappa and
+    Newton-polished in q to Im q. When the cell's pair lies within
+    _PAIR_BALL*x_c of its collision point q = -i, the cell gives one
+    coalesced pair there instead, as a*kappa = -1 with multiplicity 2.
     """
-    ratio, form, a_kappa, lo, xc, hi = cell
+    form, a_kappa, lo, xc, hi = cell
 
     def polished(x: float) -> tuple[float, int]:
         kappa = a_kappa(x)
@@ -436,11 +455,12 @@ def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[floa
     if xc is None:
         yield polished(_bracketed_newton(form(c, lo, hi), hi, lo))
         return
-    rc = ratio(xc)
-    if _pair_offset(rc, c) < _PAIR_BALL:
+    attractive = s > 0.0
+    offset = _pair_offset(xc, attractive, c)
+    if abs(offset) < _PAIR_BALL:
         yield -1.0, 2
         return
-    if (rc > c) != (ratio(lo) > c):
+    if (offset > 0.0) != attractive:
         yield polished(_bracketed_newton(form(c, lo, hi), hi, xc))
         yield polished(_bracketed_newton(form(c, lo, hi), lo, xc))
 
@@ -493,17 +513,17 @@ def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list
     the first pair past |Re k| = re_max: the mirrored pair k, -conj(k) of
     every collision cell whose pair has left the axis.
 
-    The n-th cell's pair collides at x_c = ``collision_x`` (n), where the
-    axis ratio is r_c = sqrt(x_c^2 + 1); below it, c < r_c, the pair lies
-    off the axis, unless it sits within _PAIR_BALL*x_c of q = -i
-    (``_pair_offset``), where ``scan_axis`` gives it as one coalesced pair.
+    The n-th cell's pair collides at x_c = ``collision_x`` (n), at c* =
+    sqrt(x_c^2 + 1); below it, c < c*, the pair lies off the axis, unless
+    it sits within _PAIR_BALL*x_c of q = -i (``_pair_offset``), where
+    ``scan_axis`` gives it as one coalesced pair.
     One Newton solve in q finds one pole of each such pair, seeded at
     q0 = i x0 tan x0 (even) or -i x0 cot x0 (odd) with the interior phase
     x0 = x_c + i w, w = max(pair offset, acosh(max(1, x_c/c))): the first
     places a pair near its collision, the second one the far plane poles
     of a shallow well, whose interior phase runs off by acosh(x_c/c). The
     walk stops at the first pole with |Re q| > a*re_max whose cell lies
-    past x_c = a*re_max + pi. The cells with x_c below c hold axis poles,
+    past x_c = a*re_max + pi. The cells with c* <= c hold axis poles,
     which ``scan_axis`` gives, and so do the cells without a collision.
 
     Raises NoConvergence when a solve does not converge. U = 0 has no
@@ -519,10 +539,8 @@ def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list
     while True:
         xc = collision_x(channel, True, n)
         n += 1
-        rc = math.sqrt(xc * xc + 1.0)
-        if rc <= c:
-            continue
-        offset = _pair_offset(rc, c)
+        # past c* (offset <= 0) the pair is on the axis
+        offset = _pair_offset(xc, True, c)
         if offset < _PAIR_BALL:
             continue
         x0 = complex(xc, max(offset, math.acosh(max(1.0, xc / c))))
@@ -535,13 +553,6 @@ def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list
         poles.extend((q / a, -q.conjugate() / a))
 
 
-def _threshold_x(odd: bool, j: int) -> float:
-    """x_j = j*pi (even) or (j + 1/2)*pi (odd), j >= 0: the threshold point
-    of the j-th real-K cell of ``_axis_cells``, where its rising root
-    passes a*kappa = 0 and a bound state enters at k = 0."""
-    return (j + 0.5) * math.pi if odd else j * math.pi
-
-
 def bound_threshold(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) -> float:
     """Depth at which the n-th bound state of a channel appears (n >= 1).
 
@@ -552,14 +563,15 @@ def bound_threshold(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) ->
     point x_j of ``_threshold_x``, j = n (even) or n - 1 (odd).
 
     Raises ValueError for an n below 1, or an m or a that no
-    ``PotentialSpec`` takes.
+    ``PotentialSpec`` takes or at which the depth is not finite
+    (``_depth``).
     """
     if n < 1:
         raise ValueError("threshold index counts from 1")
     _check_well(m, a)
     odd = channel is Channel.MINUS
     x = _threshold_x(odd, n - odd)
-    return x * x / (2.0 * m * a * a)
+    return _depth(x * x, m, a)
 
 
 # bound_count's reach in x on either side of a cell's threshold point
@@ -575,14 +587,15 @@ def bound_count(spec: PotentialSpec, channel: Channel) -> int:
     bound, on its rising branch, where a*kappa rises through 0 at the
     cell's threshold point x_n (``_threshold_x``, with the cells numbered
     from n = 0): where the states of ``bound_threshold`` enter at k = 0
-    (the even channel's first at U = 0). The ratio is evaluated once on
-    each side of x_n, at x = x_n -/+ _THRESHOLD_DX:
+    (the even channel's first at U = 0). The axis ratio x/|cos x| or
+    x/|sin x| is read on each side of x_n, at x_n -/+ dx (dx =
+    _THRESHOLD_DX), as (x_n -/+ dx)/cos(dx):
 
-    - ratio(x_n + dx) < c: the root lies above x_n + dx, where a*kappa is
-      at least 1e-4, far above TOL_AXIS, so it counts unsolved;
-    - ratio(x_n - dx) > c, with x_n - dx above the cell's collision point:
-      any rising-branch root lies below x_n - dx, at kappa < 0, and does
-      not count.
+    - (x_n + dx)/cos(dx) < c: the root lies above x_n + dx, where a*kappa
+      is at least 1e-4, far above TOL_AXIS, so it counts unsolved;
+    - (x_n - dx)/cos(dx) > c, with x_n - dx above the cell's collision
+      point: any rising-branch root lies below x_n - dx, at kappa < 0, and
+      does not count.
 
     Only a cell between the two, in practice the top cell next to a
     threshold, has its rising-branch root solved and polished in q by the
@@ -596,17 +609,19 @@ def bound_count(spec: PotentialSpec, channel: Channel) -> int:
     if c == 0.0:
         return 0
     odd = channel is Channel.MINUS
+    dx = _THRESHOLD_DX
+    cos_dx = math.cos(dx)
     count = 0
     for n, cell in enumerate(_axis_cells(c, True, odd)):
-        ratio, _, a_kappa, lo, xc, _ = cell
+        _, a_kappa, lo, xc, _ = cell
         if a_kappa is _neg_y_coth:
             continue
         x_n = _threshold_x(odd, n)
-        if ratio(x_n + _THRESHOLD_DX) < c:
+        if (x_n + dx) / cos_dx < c:
             count += 1
             continue
-        below = x_n - _THRESHOLD_DX
-        if below > (lo if xc is None else xc) and ratio(below) > c:
+        below = x_n - dx
+        if below > (lo if xc is None else xc) and below / cos_dx > c:
             continue
         kappa, mult = next(_cell_roots(cell, c, c * c, channel.code), (0.0, 0))
         if mult == 1 and kappa >= TOL_AXIS:
@@ -628,12 +643,15 @@ def count_step_depth(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) -
     Roundoff in the polished kappa moves the count's own step: over 800
     random wells (m in [0.2, 10], a in [0.1, 6], n = 0...8, either channel)
     it lay from 3 float spacings below this depth to 4 above it.
+
+    Raises ValueError for an m or a that no ``PotentialSpec`` takes, or at
+    which the depth is not finite (``_depth``).
     """
-    ma2 = m * a * a
     odd = channel is Channel.MINUS
     if odd or n:
-        return bound_threshold(channel, n + odd, m, a) + TOL_AXIS / ma2
-    return (0.5 * TOL_AXIS + TOL_AXIS * TOL_AXIS / 3.0) / ma2
+        return bound_threshold(channel, n + odd, m, a) + TOL_AXIS / (m * a * a)
+    _check_well(m, a)
+    return _depth(TOL_AXIS + 2.0 * TOL_AXIS * TOL_AXIS / 3.0, m, a)
 
 
 class CountRegion(Record):
@@ -799,8 +817,9 @@ def multiplicity_at(
     if not coupling.is_real or c == 0.0:
         return 1
     q = spec.a * k
-    for ratio, _, _, _, xc, _ in _axis_cells(c, coupling.gamma.real > 0, channel is Channel.MINUS):
+    attractive = coupling.gamma.real > 0
+    for _, _, _, xc, _ in _axis_cells(c, attractive, channel is Channel.MINUS):
         if xc is not None:
-            if abs(q + 1j) < _PAIR_BALL * xc and _pair_offset(ratio(xc), c) < _PAIR_BALL:
+            if abs(q + 1j) < _PAIR_BALL * xc and abs(_pair_offset(xc, attractive, c)) < _PAIR_BALL:
                 return 2
     return 1

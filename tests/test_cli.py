@@ -388,6 +388,37 @@ class TestUsageErrors:
         assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
 
     @pytest.mark.parametrize("argv", [
+        ("threshold", "--a", "1e-200"),
+        ("critical", "--a", "1e-200"),
+        ("sweep", "--a", "1e-200", "--depths", "1"),
+        ("threshold", "--a", "1e-160"),
+        ("threshold", "--a", "1e-160", "--check"),
+        ("critical", "--a", "1e-160"),
+    ], ids=" ".join)
+    def test_width_whose_depths_leave_the_floats(self, capsys, argv):
+        # 2 m a^2 underflows to 0 at a = 1e-200, where a ZeroDivisionError
+        # once ended these commands with a traceback, and to 2e-320 at
+        # a = 1e-160, where every closed-form depth overflows: the width is
+        # named, in one JSON line
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert f"at m=1.0, a={argv[2]}" in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("axis", "--a", "1e-200"),
+        ("axis", "--a", "1e-160"),
+        ("chart", "--a", "1e-160"),
+    ], ids=" ".join)
+    def test_width_whose_depths_leave_the_floats_still_charts(self, capsys, argv):
+        # a chart or scan at one depth needs no closed-form depth
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["potential"]["a"] == float(argv[2])
+
+    @pytest.mark.parametrize("argv", [
         ("axis", "--U", "1e30"),
         ("sweep", "--depths", "1e12"),
         ("sweep", "--depths", "1e13"),

@@ -2,9 +2,10 @@
 
 The bound-state thresholds and counts live in ``rootfinder``, next to the
 axis cells they read, and so do the axis band TOL_AXIS, the depth at which
-the scan's count steps, a pair collision's depth U* in both directions,
-the box its pair is counted in and the walk that solves the pair of each
-cell off the axis; ``chart`` and ``trajectory`` reach them only through
+the scan's count steps, a pair collision's strength c*^2 = x_c^2 +- 1 (one
+helper, which its depth U* and every pair-ball test read) and the inverse
+of U*, the box its pair is counted in and the walk that solves the pair of
+each cell off the axis; ``chart`` and ``trajectory`` reach them only through
 public names. The anchor phases n*(pi/2) and their exact test
 live in ``smatrix``. The trig blocks are stated by ``_kernels.trig_scaled``,
 which the winding grid calls. The working window's extents, the margin past its corners
@@ -151,9 +152,11 @@ def _states_pair_box(tree: ast.Module) -> bool:
     )
 
 
-def _states_collision_depth(tree: ast.Module) -> bool:
-    """Whether the module divides a square plus or minus 1 by a product of
-    m and a, as U* = (x^2 +- 1)/(2 m a^2) does."""
+def _collision_strength_owners(tree: ast.Module) -> list[str | None]:
+    """The functions that add 1 to or subtract 1 from a square, as the
+    collision strength c*^2 = x_c^2 +- 1 and every depth (x_c^2 +- 1)/(2 m
+    a^2) built on it do: the innermost enclosing function of each such
+    expression, None at module level."""
     def is_unit(node):
         if isinstance(node, ast.IfExp):
             return is_unit(node.body) and is_unit(node.orelse)
@@ -168,17 +171,15 @@ def _states_collision_depth(tree: ast.Module) -> bool:
             return isinstance(node.right, ast.Constant) and node.right.value == 2
         return isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right)
 
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    owners = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
-            continue
-        num, den = node.left, node.right
-        if {n.id for n in ast.walk(den) if isinstance(n, ast.Name)} != {"m", "a"}:
-            continue
-        if isinstance(num, ast.BinOp) and isinstance(num.op, (ast.Add, ast.Sub)) and any(
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)) and any(
                 is_unit(one) and is_square(sq)
-                for one, sq in ((num.left, num.right), (num.right, num.left))):
-            return True
-    return False
+                for one, sq in ((node.left, node.right), (node.right, node.left))):
+            enclosing = [f.name for f in functions if node in ast.walk(f)]
+            owners.append(enclosing[-1] if enclosing else None)
+    return owners
 
 
 def _states_inverse_collision_depth(tree: ast.Module) -> bool:
@@ -202,11 +203,34 @@ def test_only_rootfinder_states_the_collision_rules():
     trees = {p.name: _tree(p.name) for p in SRC.glob("*.py")}
     assert sorted(name for name, tree in trees.items() if _states_pair_box(tree)) == [
         "rootfinder.py"]
-    assert sorted(name for name, tree in trees.items() if _states_collision_depth(tree)) == [
-        "rootfinder.py"]
+    # c*^2 = x_c^2 +- 1 is stated once, and every collision depth divides it
+    assert sorted((name, owner) for name, tree in trees.items()
+                  for owner in _collision_strength_owners(tree)) == [
+        ("rootfinder.py", "_collision_c2")]
     assert sorted(
         name for name, tree in trees.items() if _states_inverse_collision_depth(tree)
     ) == ["rootfinder.py"]
+
+
+def test_collision_rules_reach_the_strength_helper():
+    # the collision depth, the scan's coalesced-pair and root tests, the
+    # off-axis walk and the multiplicity test all read c*^2 from its helper
+    functions = {f.name: f for f in _tree("rootfinder.py").body if isinstance(f, ast.FunctionDef)}
+    calls = {name: {node.func.id for node in ast.walk(f)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+             for name, f in functions.items()}
+
+    def reached(name):
+        seen, todo = set(), [name]
+        while todo:
+            for callee in calls.get(todo.pop(), ()):
+                if callee not in seen:
+                    seen.add(callee)
+                    todo.append(callee)
+        return seen
+
+    for reader in ("collision_depth", "_cell_roots", "off_axis_poles", "multiplicity_at"):
+        assert "_collision_c2" in reached(reader), reader
 
 
 def _reads_tol_axis(tree: ast.Module) -> bool:
