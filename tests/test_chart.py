@@ -804,12 +804,9 @@ class TestRatioDecisions:
     depths and the decisions' own boundaries, with c up to C_LIMIT."""
 
     @staticmethod
-    def _ratio(odd, attractive, xc):
-        if not attractive:
-            return _y_sech
-        if xc is None and odd:
-            return None  # the first odd cell is imaginary-K below c = 1
-        return _x_csc if odd else _x_sec
+    def _ratio(odd, attractive):
+        """The ratio of the cells that hold a collision point."""
+        return (_x_csc if odd else _x_sec) if attractive else _y_sech
 
     @pytest.mark.parametrize("site", ["threshold", "collision", "step_up", "step_down",
                                       "ball_above", "ball_below", "anywhere"])
@@ -843,7 +840,7 @@ class TestRatioDecisions:
             u = _depth_of(ratio(x) + t * band, m, a)
         elif site.startswith("ball"):
             xc = rootfinder.collision_x(channel, attractive, index if attractive else 1)
-            rc = (self._ratio(odd, attractive, xc))(xc)
+            rc = self._ratio(odd, attractive)(xc)
             edge = rc * (1.0 + (0.5 if site == "ball_above" else -0.5) * ball * ball)
             u = _depth_of(edge + t * 32.0 * math.ulp(edge), m, a)
         else:
@@ -861,11 +858,11 @@ class TestRatioDecisions:
         # a collision cell's roots: a coalesced pair in the pair ball, else
         # two roots where ratio(x_c) and ratio(lo) lie on either side of c
         coalesced = False
+        ratio = self._ratio(odd, attractive)
         for cell in cells:
             _, _, lo, xc, hi = cell
             if xc is None:
                 continue
-            ratio = self._ratio(odd, attractive, xc)
             rc = ratio(xc)
             edges = (rc * (1.0 - 0.5 * ball * ball), rc * (1.0 + 0.5 * ball * ball))
             if not all(_clear_of(c, edge, 8.0) for edge in edges):
