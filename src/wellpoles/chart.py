@@ -84,20 +84,24 @@ def _dedup_cell(q: complex) -> tuple[int, int]:
     return math.floor(q.real / side), math.floor(q.imag / side)
 
 
+def _near(filed: dict, q: complex):
+    """What ``filed`` holds in the 3x3 ``_dedup_cell``s about q's: among it,
+    everything filed under a point within _DEDUP_TOL of q."""
+    i, j = _dedup_cell(q)
+    return (x for di in (-1, 0, 1) for dj in (-1, 0, 1) for x in filed.get((i + di, j + dj), ()))
+
+
 def _distinct(poles, a: float) -> list[complex]:
     """The poles k with those within _DEDUP_TOL of an earlier one in q
     merged into it, sorted by (Re, Im), with an axis pole (|Re q| <
     _DEDUP_TOL) taken at Re = 0 so that the sign of its roundoff real part
     does not decide its place. Each kept pole is filed by its
-    ``_dedup_cell``, so a pole is compared only with those in the 3x3
-    cells about its own."""
+    ``_dedup_cell``, and a pole is compared only with those ``_near`` it."""
     filed: dict[tuple[int, int], list[complex]] = {}
     found: list[complex] = []
     for k in poles:
-        i, j = _dedup_cell(a * k)
-        if all(a * abs(k - p) >= _DEDUP_TOL for di in (-1, 0, 1) for dj in (-1, 0, 1)
-               for p in filed.get((i + di, j + dj), ())):
-            filed.setdefault((i, j), []).append(k)
+        if all(a * abs(k - p) >= _DEDUP_TOL for p in _near(filed, a * k)):
+            filed.setdefault(_dedup_cell(a * k), []).append(k)
             found.append(k)
     return sorted(found, key=lambda k: _inventory_key(a * k))
 
@@ -199,31 +203,20 @@ def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarn
     return warnings
 
 
-def _claimed(kept: list[Trajectory], filed: dict, seed: Pole, n: int, k: complex) -> bool:
+def _claimed(filed: tuple[dict, ...], seed: Pole, n: int, k: complex) -> bool:
     """List seed with the first kept curve that delivers pole k at an
     anchor of index n (mod 4), within _DEDUP_TOL in q; False when none
-    does. Only anchors at an even n within _DEDUP_TOL of the axis can match
-    an axis pole at an even n (a simple seed): ``filed`` holds them by n mod
-    4 and ``_dedup_cell`` row as curves are kept (under None, how many are),
-    and three rows are compared. A branch's first anchor meets every anchor.
+    does. ``filed[n % 4]`` holds each anchor of index n (mod 4) of the kept
+    curves as (order kept, curve, pole) under its ``_dedup_cell``, and only
+    those ``_near`` k are compared.
 
     Away from the double point k = -i/a, a pole at a quarter-turn anchor
     lies on exactly one curve, so it names that curve; the coupling is
     periodic in the phase, so anchors a whole number of turns apart match.
     """
     a = seed.a
-    for order in range(filed.get(None, 0), len(kept)):
-        for m, p in kept[order].anchors:
-            if not m % 2 and a * abs(p.real) < _DEDUP_TOL:
-                filed.setdefault((m % 4, _dedup_cell(a * p)[1]), []).append((order, kept[order], p))
-    filed[None] = len(kept)
-    if n % 2 or k.real:
-        near = ((order, traj, p) for order, traj in enumerate(kept) for m, p in traj.anchors
-                if (m - n) % 4 == 0)
-    else:
-        j = _dedup_cell(a * k)[1]
-        near = (hit for dj in (-1, 0, 1) for hit in filed.get((n % 4, j + dj), ()))
-    hits = [(order, traj) for order, traj, p in near if a * abs(p - k) < _DEDUP_TOL]
+    hits = [(order, traj) for order, traj, p in _near(filed[n % 4], a * k)
+            if a * abs(p - k) < _DEDUP_TOL]
     if not hits:
         return False
     min(hits, key=lambda hit: hit[0])[1].merged_seeds.append(seed)
@@ -231,17 +224,40 @@ def _claimed(kept: list[Trajectory], filed: dict, seed: Pole, n: int, k: complex
 
 
 def _near_contacts(trajectories: list[Trajectory], a: float) -> list[NearContact]:
-    contacts = []
+    """Pairs of curves closer than _NEAR_CONTACT in q at a shared anchor
+    index, nearest first. The anchors at an index two curves hold are filed
+    by index and by the cell of side 2*_NEAR_CONTACT in q, and only pairs
+    filed in one cell or in two cells that touch are compared. They are
+    compared in order, as every pair once was, so that contacts at equal
+    distances (mirrored anchors give them) keep that order."""
+    side = 2.0 * _NEAR_CONTACT
     maps = [t.anchor_index_map() for t in trajectories]
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for amap in maps:
+        shared |= seen & amap.keys()
+        seen |= amap.keys()
+    cells: dict[tuple[int, int, int], list[int]] = {}
     for i, amap in enumerate(maps):
-        for bmap in maps[i + 1:]:
-            for n in set(amap) & set(bmap):
-                dist = abs(amap[n] - bmap[n])
-                if a * dist < _NEAR_CONTACT:
-                    contacts.append(NearContact(
-                        alpha_index=n, k_first=amap[n],
-                        k_second=bmap[n], distance=dist,
-                    ))
+        for n in shared & amap.keys():
+            q = a * amap[n]
+            cells.setdefault((n, math.floor(q.real / side), math.floor(q.imag / side)),
+                             []).append(i)
+    pairs = set()
+    for (n, x, y), here in cells.items():
+        for dx, dy in ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1)):
+            for j in cells.get((n, x + dx, y + dy), ()):
+                pairs.update((min(i, j), max(i, j)) for i in here if i != j)
+    contacts = []
+    for i, j in sorted(pairs):
+        amap, bmap = maps[i], maps[j]
+        for n in set(amap) & set(bmap):
+            dist = abs(amap[n] - bmap[n])
+            if a * dist < _NEAR_CONTACT:
+                contacts.append(NearContact(
+                    alpha_index=n, k_first=amap[n],
+                    k_second=bmap[n], distance=dist,
+                ))
     contacts.sort(key=lambda c: c.distance)
     return contacts
 
@@ -265,10 +281,11 @@ def build_chart(
     each traced forward as a seed is. Each curve is traced once: a seed that
     a kept curve already delivers at an anchor of its phase, or a branch whose
     first anchor one does, is listed in that curve's merged_seeds and not
-    kept. The backward half of an open curve is the mirror image of its
-    forward march about the seed (across the pair, for a branch). With
-    certify=True the chart carries a completeness certificate comparing a
-    contour count over the working window against the poles the
+    kept (``_claimed`` reads each kept anchor, filed once by its index mod 4
+    and ``_dedup_cell``). The backward half of an open curve is the mirror
+    image of its forward march about the seed (across the pair, for a
+    branch). With certify=True the chart carries a completeness certificate
+    comparing a contour count over the working window against the poles the
     trajectories return at the attractive coupling.
     """
     warnings = _critical_proximity(spec, channel)
@@ -279,7 +296,7 @@ def build_chart(
 
     trajectories: list[Trajectory] = []
     collisions: list[CollisionEvent] = []
-    anchors: dict = {}
+    filed: tuple[dict, ...] = ({}, {}, {}, {})
 
     def keep(start: str, march) -> None:
         try:
@@ -289,10 +306,12 @@ def build_chart(
             return
         # a curve is known by its first anchor, which for a branch lies off
         # the double point
-        if traj.anchors and _claimed(trajectories, anchors, traj.seed, *traj.anchors[0]):
+        if traj.anchors and _claimed(filed, traj.seed, *traj.anchors[0]):
             return
         if not traj.closure.is_closed:
             traj = _join(traj, mirror(traj), ClosureKind.OPEN)
+        for n, p in traj.anchors:
+            filed[n % 4].setdefault(_dedup_cell(spec.a * p), []).append((len(trajectories), traj, p))
         trajectories.append(traj)
 
     for seed in seeds:
@@ -303,7 +322,7 @@ def build_chart(
             for _, kb in event.branches:
                 keep(f"split branch k={kb!r}", lambda kb=kb: trace_branch(
                     seed, kb, alpha + _SPLIT_STEP, spec))
-        elif not _claimed(trajectories, anchors, seed, _anchor_index(alpha), seed.k):
+        elif not _claimed(filed, seed, _anchor_index(alpha), seed.k):
             keep(f"axis pole k={seed.k!r}", lambda: trace(seed, +1, spec))
 
     chart = PoleChart(

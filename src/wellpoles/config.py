@@ -41,11 +41,6 @@ class RunConfig(Record):
             if not _fits(value, annotation):
                 raise ValueError(f"config key {name!r} must be {annotation}, got {value!r}")
             setattr(self, name, value)
-        if self.m <= 0 or self.a <= 0:
-            raise ValueError("mass and half width must be positive")
-        if self.U < 0:
-            raise ValueError("depth must be nonnegative")
-        # nan passes both tests above; it and inf fail here as in PotentialSpec
         _check_well(self.m, self.a, self.U)
         if self.channel not in ("plus", "minus"):
             raise ValueError(f"unknown channel {self.channel!r}")

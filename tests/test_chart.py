@@ -1,5 +1,6 @@
 """Chart assembly, depth transitions, completeness certificates."""
 
+import cmath
 import math
 import time
 from collections import Counter
@@ -2119,12 +2120,89 @@ class TestClaimed:
                  for _ in range(data.draw(st.integers(1, 8)))]
         plain = [_Curve(anchors) for anchors in kept]
         filed_curves = [_Curve(anchors) for anchors in kept]
-        filed = {}
-        # the curves kept so far at each claim, as build_chart keeps them
+        filed = ({}, {}, {}, {})
+        # the curves kept so far at each claim, each anchor filed once as
+        # build_chart files it when it keeps the curve
         counts = sorted(data.draw(st.lists(st.integers(0, len(kept)),
                                            min_size=len(seeds), max_size=len(seeds))))
+        done = 0
         for (n, k), count in zip(seeds, counts):
+            for order in range(done, count):
+                for m, p in filed_curves[order].anchors:
+                    filed[m % 4].setdefault(chart_module._dedup_cell(a * p), []).append(
+                        (order, filed_curves[order], p))
+            done = count
             seed = _Seed(a)
-            assert (chart_module._claimed(filed_curves[:count], filed, seed, n, k)
+            assert (chart_module._claimed(filed, seed, n, k)
                     == _claimed_plain(plain[:count], seed, n, k))
         assert [t.merged_seeds for t in filed_curves] == [t.merged_seeds for t in plain]
+
+
+class _Anchored:
+    """The one method of a ``Trajectory`` that ``_near_contacts`` reads."""
+
+    def __init__(self, amap):
+        self.amap = amap
+
+    def anchor_index_map(self):
+        return self.amap
+
+
+def _near_contacts_all_pairs(trajectories, a):
+    """The rule of ``chart._near_contacts`` as a scan over every pair of
+    curves, in order."""
+    contacts = []
+    maps = [t.anchor_index_map() for t in trajectories]
+    for i, amap in enumerate(maps):
+        for bmap in maps[i + 1:]:
+            for n in set(amap) & set(bmap):
+                dist = abs(amap[n] - bmap[n])
+                if a * dist < chart_module._NEAR_CONTACT:
+                    contacts.append(chart_module.NearContact(
+                        alpha_index=n, k_first=amap[n], k_second=bmap[n], distance=dist))
+    contacts.sort(key=lambda c: c.distance)
+    return contacts
+
+
+class TestNearContacts:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), a=st.sampled_from([1.0, 1.5, 3e-4, 7e5]),
+           offset=st.sampled_from([0j, -2j, 1e4j]))
+    def test_matches_the_all_pairs_rule(self, data, a, offset):
+        # anchors about a few points in q, at the contact distance to a
+        # rounding either way and at a few multiples of it; each curve is
+        # mirrored about one anchor index shared by all, as open curves are
+        # about their seeds, so that mirrored pairs meet at equal distances
+        near = chart_module._NEAR_CONTACT
+        part = st.floats(-4 * near, 4 * near)
+        centres = data.draw(st.lists(st.builds(complex, part, part), min_size=1, max_size=5))
+        scale = st.sampled_from([0.0, 1 - 2.0 ** -52, 1.0, 1 + 2.0 ** -52, 0.5, 1.9, 3.0])
+        phase = st.sampled_from([0.0, math.pi / 2, math.pi, 1.0, -2.0])
+        n0 = data.draw(st.integers(-2, 2))
+        curves = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            amap = {}
+            for n in data.draw(st.lists(st.integers(-5, 5), max_size=5, unique=True)):
+                q = data.draw(st.sampled_from(centres)) + near * data.draw(scale) * cmath.exp(
+                    1j * data.draw(phase))
+                amap[n] = (q + offset) / a
+            if data.draw(st.booleans()):
+                for n, k in list(amap.items()):
+                    amap.setdefault(2 * n0 - n, -k.conjugate())
+            curves.append(_Anchored(amap))
+        assert (repr(chart_module._near_contacts(curves, a))
+                == repr(_near_contacts_all_pairs(curves, a)))
+
+    def test_many_curves_take_linear_time(self):
+        # 3001 curves: the all-pairs rule compares ~4.5e6 pairs. Each
+        # curve's four anchors sit on a lattice of spacing 1 in q, and one
+        # more curve copies the first 0.01 away, so the contacts are its four
+        a = 1.5
+        curves = [_Anchored({n: complex(i % 50, i // 50 + 0.2 * n) / a for n in range(4)})
+                  for i in range(3000)]
+        curves.append(_Anchored({n: k + 0.01 / a for n, k in curves[0].amap.items()}))
+        start = time.perf_counter()
+        found = chart_module._near_contacts(curves, a)
+        assert time.perf_counter() - start < 1.0
+        assert sorted(c.alpha_index for c in found) == [0, 1, 2, 3]
+        assert all(c.k_first == curves[0].amap[c.alpha_index] for c in found)

@@ -15,6 +15,9 @@ alone states the residual bound a pole meets, ``rootfinder._bracketed_newton``
 is the one bracketed root solver, ``rootfinder._axis_roots`` the one walk
 of the axis roots that the scan and the sweep read, and ``chart`` takes its
 window contour count in one place, for a chart and a certified sweep alike.
+One ``chart`` function walks the 3x3 cells about a pole in q, for the pole
+merge and the seed claim alike, and the near contacts compare no pair of
+curves outside the cells in q that can hold a contact.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
 checks, and ``cli`` names none of their parts. ``smatrix._exp`` alone
 catches OverflowError, to give cmath.exp the kernels' non-finite contract,
@@ -378,3 +381,53 @@ def test_s_full_rests_on_the_channel_pole_functions():
     assert _names(smatrix["s_full"]).isdisjoint({"interior_momentum", "_channel_s"})
     readers = [name for name, f in smatrix.items() if "POLE_HIT_SCALE" in _names(f)]
     assert readers == ["_pole_functions"]
+
+
+def _chart_functions() -> dict[str, ast.FunctionDef]:
+    return {f.name: f for f in _tree("chart.py").body if isinstance(f, ast.FunctionDef)}
+
+
+def _walks_cell_offsets(node: ast.AST) -> bool:
+    """Whether a loop under node runs over the offsets (-1, 0, 1), as a walk
+    over the 3x3 cells about a point does."""
+    def offsets(it):
+        try:
+            return ast.literal_eval(it) == (-1, 0, 1)
+        except ValueError:
+            return False
+
+    return any(isinstance(loop, (ast.For, ast.comprehension)) and offsets(loop.iter)
+               for loop in ast.walk(node))
+
+
+def _cell_walkers() -> list[str]:
+    return [name for name, f in _chart_functions().items() if _walks_cell_offsets(f)]
+
+
+def test_chart_walks_the_dedup_cells_once():
+    # the pole merge and the seed claim read one helper for the 3x3 cells
+    # of side 2*_DEDUP_TOL about a point in q
+    functions = _chart_functions()
+    (walker,) = _cell_walkers()
+    for reader in ("_distinct", "_claimed"):
+        assert walker in {node.func.id for node in ast.walk(functions[reader])
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_claimed_loops_over_no_kept_curve():
+    # a claim reads the anchors filed in the cells about its pole, and
+    # nothing else: every loop in it runs over the cell walk
+    walkers = set(_cell_walkers())
+    loops = [loop for loop in ast.walk(_chart_functions()["_claimed"])
+             if isinstance(loop, (ast.For, ast.While, ast.comprehension))]
+    assert loops
+    assert all(isinstance(loop, ast.comprehension) and isinstance(loop.iter, ast.Call)
+               and isinstance(loop.iter.func, ast.Name) and loop.iter.func.id in walkers
+               for loop in loops)
+
+
+def test_near_contacts_slices_no_curve_list():
+    # candidate pairs come from cells in q; a slice such as maps[i + 1:]
+    # pairs each curve with every later one
+    near = _chart_functions()["_near_contacts"]
+    assert not any(isinstance(node, ast.Slice) for node in ast.walk(near))

@@ -144,8 +144,8 @@ def test_collision_kind_is_a_class_constant():
     (lambda: RunConfig(depths=(1, "a")),
      "config key 'depths' must be tuple[float, ...], got (1, 'a')"),
     (lambda: RunConfig(out=3), "config key 'out' must be str | None, got 3"),
-    (lambda: RunConfig(m=-1.0), "mass and half width must be positive"),
-    (lambda: RunConfig(U=-1), "depth must be nonnegative"),
+    (lambda: RunConfig(m=-1.0), "mass must be positive and finite, got -1.0"),
+    (lambda: RunConfig(U=-1.0), "depth must be nonnegative and finite, got -1.0"),
     (lambda: RunConfig(m=math.nan), "mass must be positive and finite, got nan"),
     (lambda: RunConfig(a=math.nan), "half-width must be positive and finite, got nan"),
     (lambda: RunConfig(U=math.nan), "depth must be nonnegative and finite, got nan"),
