@@ -217,19 +217,18 @@ def _claimed(filed: tuple[dict, ...], seed: Pole, n: int, k: complex) -> bool:
     a = seed.a
     hits = [(order, traj) for order, traj, p in _near(filed[n % 4], a * k)
             if a * abs(p - k) < _DEDUP_TOL]
-    if not hits:
-        return False
-    min(hits, key=lambda hit: hit[0])[1].merged_seeds.append(seed)
-    return True
+    if hits:
+        min(hits, key=lambda hit: hit[0])[1].merged_seeds.append(seed)
+    return bool(hits)
 
 
 def _near_contacts(trajectories: list[Trajectory], a: float) -> list[NearContact]:
     """Pairs of curves closer than _NEAR_CONTACT in q at a shared anchor
     index, nearest first. The anchors at an index two curves hold are filed
     by index and by the cell of side 2*_NEAR_CONTACT in q, and only pairs
-    filed in one cell or in two cells that touch are compared. They are
-    compared in order, as every pair once was, so that contacts at equal
-    distances (mirrored anchors give them) keep that order."""
+    filed in one cell or in two cells that touch are compared, in the order
+    of the curves, so that contacts at equal distances (mirrored anchors
+    give them) come in the order of their pairs."""
     side = 2.0 * _NEAR_CONTACT
     maps = [t.anchor_index_map() for t in trajectories]
     seen: set[int] = set()
