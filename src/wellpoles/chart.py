@@ -45,6 +45,7 @@ from .rootfinder import (
     collisions_between,
     count_step_depth,
     count_zeros_padded,
+    level_set_components,
     off_axis_poles,
     residual_ratio,
     scan_axis,
@@ -84,24 +85,19 @@ def _dedup_cell(q: complex) -> tuple[int, int]:
     return math.floor(q.real / side), math.floor(q.imag / side)
 
 
-def _near(filed: dict, q: complex):
-    """What ``filed`` holds in the 3x3 ``_dedup_cell``s about q's: among it,
-    everything filed under a point within _DEDUP_TOL of q."""
-    i, j = _dedup_cell(q)
-    return (x for di in (-1, 0, 1) for dj in (-1, 0, 1) for x in filed.get((i + di, j + dj), ()))
-
-
 def _distinct(poles, a: float) -> list[complex]:
     """The poles k with those within _DEDUP_TOL of an earlier one in q
     merged into it, sorted by (Re, Im), with an axis pole (|Re q| <
     _DEDUP_TOL) taken at Re = 0 so that the sign of its roundoff real part
     does not decide its place. Each kept pole is filed by its
-    ``_dedup_cell``, and a pole is compared only with those ``_near`` it."""
+    ``_dedup_cell``, and a pole meets only those in the 3x3 cells about it."""
     filed: dict[tuple[int, int], list[complex]] = {}
     found: list[complex] = []
     for k in poles:
-        if all(a * abs(k - p) >= _DEDUP_TOL for p in _near(filed, a * k)):
-            filed.setdefault(_dedup_cell(a * k), []).append(k)
+        i, j = cell = _dedup_cell(a * k)
+        if all(a * abs(k - p) >= _DEDUP_TOL for di in (-1, 0, 1) for dj in (-1, 0, 1)
+               for p in filed.get((i + di, j + dj), ())):
+            filed.setdefault(cell, []).append(k)
             found.append(k)
     return sorted(found, key=lambda k: _inventory_key(a * k))
 
@@ -203,23 +199,14 @@ def _critical_proximity(spec: PotentialSpec, channel: Channel) -> list[ChartWarn
     return warnings
 
 
-def _claimed(filed: tuple[dict, ...], seed: Pole, n: int, k: complex) -> bool:
-    """List seed with the first kept curve that delivers pole k at an
-    anchor of index n (mod 4), within _DEDUP_TOL in q; False when none
-    does. ``filed[n % 4]`` holds each anchor of index n (mod 4) of the kept
-    curves as (order kept, curve, pole) under its ``_dedup_cell``, and only
-    those ``_near`` k are compared.
-
-    Away from the double point k = -i/a, a pole at a quarter-turn anchor
-    lies on exactly one curve, so it names that curve; the coupling is
-    periodic in the phase, so anchors a whole number of turns apart match.
-    """
-    a = seed.a
-    hits = [(order, traj) for order, traj, p in _near(filed[n % 4], a * k)
-            if a * abs(p - k) < _DEDUP_TOL]
-    if hits:
-        min(hits, key=lambda hit: hit[0])[1].merged_seeds.append(seed)
-    return bool(hits)
+def _claimed(traj: Trajectory | None, seed: Pole, n: int, k: complex) -> bool:
+    """List seed with traj, its component's first kept curve, if traj delivers
+    pole k at an anchor of index n (mod 4) within _DEDUP_TOL in q."""
+    if traj is None or not any((m - n) % 4 == 0 and seed.a * abs(p - k) < _DEDUP_TOL
+                              for m, p in traj.anchors):
+        return False
+    traj.merged_seeds.append(seed)
+    return True
 
 
 def _near_contacts(trajectories: list[Trajectory], a: float) -> list[NearContact]:
@@ -261,12 +248,6 @@ def _near_contacts(trajectories: list[Trajectory], a: float) -> list[NearContact
     return contacts
 
 
-def _stalled(start: str, exc: StallAtDoubleZero) -> ChartWarning:
-    # pairs next to a collision, which the march passes closer than it
-    # resolves at its minimum step
-    return ChartWarning(code="trace_stalled", message=f"curve from {start} not traced: {exc}")
-
-
 def build_chart(
     spec: PotentialSpec,
     channel: Channel,
@@ -278,13 +259,14 @@ def build_chart(
     split into a collision event, the chart's one event at its phase (a loop
     that reaches the pair closes there), whose two labelled branches are
     each traced forward as a seed is. Each curve is traced once: a seed that
-    a kept curve already delivers at an anchor of its phase, or a branch whose
-    first anchor one does, is listed in that curve's merged_seeds and not
-    kept (``_claimed`` reads each kept anchor, filed once by its index mod 4
-    and ``_dedup_cell``). The backward half of an open curve is the mirror
-    image of its forward march about the seed (across the pair, for a
-    branch). With certify=True the chart carries a completeness certificate
-    comparing a contour count over the working window against the poles the
+    the first kept curve of its level-set component
+    (``level_set_components``) delivers at an anchor of its phase, or a
+    branch, named by its start point, whose first anchor that curve
+    delivers, is listed in the curve's merged_seeds and not kept
+    (``_claimed``). The backward half of an open curve is the mirror image
+    of its forward march about the seed (across the pair, for a branch).
+    With certify=True the chart carries a completeness certificate comparing
+    a contour count over the working window against the poles the
     trajectories return at the attractive coupling.
     """
     warnings = _critical_proximity(spec, channel)
@@ -292,25 +274,26 @@ def build_chart(
     seeds: list[Pole] = []
     for alpha in (0.0, math.pi):
         seeds.extend(scan_axis(spec, ComplexCoupling(alpha), channel))
+    component_of = level_set_components(seeds, spec.c)
 
     trajectories: list[Trajectory] = []
     collisions: list[CollisionEvent] = []
-    filed: tuple[dict, ...] = ({}, {}, {}, {})
+    first: dict[int, Trajectory] = {}
 
-    def keep(start: str, march) -> None:
+    def keep(start: str, component: int, march) -> None:
         try:
             traj = march()
         except StallAtDoubleZero as exc:
-            warnings.append(_stalled(start, exc))
+            # pairs next to a collision, which the march passes closer than
+            # it resolves at its minimum step
+            warnings.append(ChartWarning("trace_stalled", f"curve from {start} not traced: {exc}"))
             return
-        # a curve is known by its first anchor, which for a branch lies off
-        # the double point
-        if traj.anchors and _claimed(filed, traj.seed, *traj.anchors[0]):
+        # a branch is checked at its first anchor, which lies off the pair
+        if traj.anchors and _claimed(first.get(component), traj.seed, *traj.anchors[0]):
             return
         if not traj.closure.is_closed:
             traj = _join(traj, mirror(traj), ClosureKind.OPEN)
-        for n, p in traj.anchors:
-            filed[n % 4].setdefault(_dedup_cell(spec.a * p), []).append((len(trajectories), traj, p))
+        first.setdefault(component, traj)
         trajectories.append(traj)
 
     for seed in seeds:
@@ -319,10 +302,12 @@ def build_chart(
             event = branch_at_double_zero(alpha, spec, channel, +1)
             collisions.append(event)
             for _, kb in event.branches:
-                keep(f"split branch k={kb!r}", lambda kb=kb: trace_branch(
-                    seed, kb, alpha + _SPLIT_STEP, spec))
-        elif not _claimed(filed, seed, _anchor_index(alpha), seed.k):
-            keep(f"axis pole k={seed.k!r}", lambda: trace(seed, +1, spec))
+                keep(f"split branch k={kb!r}", component_of(spec.a * kb, alpha + _SPLIT_STEP),
+                     lambda kb=kb: trace_branch(seed, kb, alpha + _SPLIT_STEP, spec))
+            continue
+        component = component_of(spec.a * seed.k, alpha)
+        if not _claimed(first.get(component), seed, _anchor_index(alpha), seed.k):
+            keep(f"axis pole k={seed.k!r}", component, lambda: trace(seed, +1, spec))
 
     chart = PoleChart(
         spec=spec,

@@ -34,16 +34,17 @@ U = c^2/(2 m a^2) that is not a finite float raises ValueError
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from . import _kernels as _k
 from ._record import Record
 from .errors import ConvergedElsewhere, EdgeTooClose, NoConvergence, NoRootInBracket
-from .smatrix import Channel, ComplexCoupling, PotentialSpec, _check_well
+from .smatrix import Channel, ComplexCoupling, PotentialSpec, _check_well, _phase_to_gamma
 
 TOL_AXIS = 1e-9
 RESIDUAL_TOL = 1e-10
@@ -508,6 +509,17 @@ def axis_momenta(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channe
     return momenta
 
 
+def level_set_components(seeds: list[Pole], c: float) -> Callable[[complex, float], int]:
+    """The function (q, alpha) -> its component of |g(z)| = c, z = sqrt(q^2 +
+    c^2 e^{i alpha}): with m of the axis seeds' |z| (a coalesced pair's twice)
+    strictly above the point's |z|, it is (m + 1) // 2; 0 is the open curve."""
+    def size(q: complex, alpha: float) -> float:
+        return abs(cmath.sqrt(q * q + c * c * _phase_to_gamma(alpha)))
+
+    ends = sorted(size(p.a * p.k, p.coupling.alpha) for p in seeds for _ in range(p.multiplicity))
+    return lambda q, alpha: (len(ends) - bisect.bisect_right(ends, size(q, alpha)) + 1) // 2
+
+
 def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list[complex]:
     """The poles k off the imaginary axis at the attractive coupling, up to
     the first pair past |Re k| = re_max: the mirrored pair k, -conj(k) of
@@ -689,8 +701,8 @@ def _edge_winding(
     samples stays below its larger sampled value. That is not a bound: a
     zero close to the middle of a cell, and far from both its ends, can
     still turn the argument by a whole turn unseen. The test itself makes
-    no kernel call, since ``grid_denom_dk`` returns d' with d. Raises EdgeTooClose, at q, when the Newton distance estimate |d/d'|
-    drops below the clearance at a sample q.
+    no kernel call, since ``grid_denom_dk`` returns d' with d. Raises
+    EdgeTooClose at a sample q whose Newton step |d/d'| is below the clearance.
     """
     dz = z1 - z0
     length = abs(dz)

@@ -29,10 +29,10 @@ at its start, though not below the minimum step: a step grown into that
 bound would only be rejected and halved. The test cannot see a swap
 onto a neighbouring curve closer than tol*(1 + |q|); there only a check
 that each anchor pole lies on one curve can. Steps are clipped so the
-trace lands exactly on every quarter-turn anchor alpha = n*(pi/2), and a step that would end within rounding of one
-ends on it; so no step is longer than pi/2, and there is no other cap on
-the step. In the far field, where
-|dq/dalpha| tends to 1/2, the error-sized step grows from about 0.4 of a
+trace lands exactly on every quarter-turn anchor alpha = n*(pi/2), and a
+step that would end within rounding of one ends on it; so no step is
+longer than pi/2, and there is no other cap on the step. In the far field,
+where |dq/dalpha| tends to 1/2, the error-sized step grows from about 0.4 of a
 quarter turn at |q| = 10 to 0.94 at |q| = 40, and the anchor clips the
 rest, about two steps per quarter turn. Anchors are tracked by the integer
 n, never by comparing accumulated floats against multiples of pi, so the

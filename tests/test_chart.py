@@ -23,9 +23,9 @@ from wellpoles.chart import (
     working_window,
 )
 from wellpoles.document import canonical_dumps, chart_document, parse_chart_document
-from wellpoles.errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
+from wellpoles.errors import EdgeTooClose, NoConvergence, NoRootInBracket, StallAtDoubleZero
 from wellpoles.rootfinder import TOL_AXIS, PoleKind, scan_axis
-from wellpoles.smatrix import C_LIMIT, Channel, ComplexCoupling, PotentialSpec
+from wellpoles.smatrix import C_LIMIT, Channel, ComplexCoupling, PotentialSpec, _anchor_index
 from wellpoles.trajectory import ClosureKind, ExitReason, branch_at_double_zero
 from wellpoles import _kernels as _k
 from wellpoles import chart as chart_module
@@ -1173,6 +1173,19 @@ class TestDepthSweep:
             assert [(w.code, w.message) for w in entry.warnings] == [(
                 "incomplete", f"window contour count {n + 1} against {n} closed-form poles")]
 
+    @pytest.mark.xfail(strict=True, raises=NoConvergence, reason=(
+        "Newton in off_axis_poles fails, probably where the channel pole functions "
+        "cancel (q ~ +-z at large |Im z|), which ROADMAP's exponential (Jost) form mends"))
+    def test_very_weak_well_sweeps(self):
+        # at U = 1e-30 (c = 2.1e-15) Newton in off_axis_poles fails after at
+        # most one iteration near q = -9.3 - 38i; U = 1e-100 and 1e-300 fail
+        # the same way, and `sweep --depths 1e-300,1e-200` exits 3. U = 1e-40
+        # sweeps to the one bound pole and the closed_2pi loop
+        sweep = depth_sweep(Channel.PLUS, [1e-30], m=1.0, a=1.5)
+        (entry,) = sweep.entries
+        assert entry.topology == {"open": 1, "closed_2pi": 1}
+        assert len(entry.attractive_poles) == 1
+
 
 class TestShallowNarrowWell:
     """Wells with c = a sqrt(2 m U) below 0.1. At c = 0.03 each channel has
@@ -2085,14 +2098,10 @@ class _Curve:
         self.merged_seeds = []
 
 
-class _Seed:
-    def __init__(self, a):
-        self.a = a
-
-
 def _claimed_plain(kept, seed, n, k):
-    """The rule of ``chart._claimed`` as a plain scan over every anchor of
-    every kept curve, in kept order."""
+    """A seed claim as a plain scan over every anchor of every kept curve,
+    in kept order: the first curve that delivers k at an anchor of index n
+    (mod 4) lists the seed."""
     for traj in kept:
         for m, p in traj.anchors:
             if (m - n) % 4 == 0 and seed.a * abs(p - k) < chart_module._DEDUP_TOL:
@@ -2101,41 +2110,91 @@ def _claimed_plain(kept, seed, n, k):
     return False
 
 
+def _delivers(traj, a, n, k):
+    return any((m - n) % 4 == 0 and a * abs(p - k) < chart_module._DEDUP_TOL
+               for m, p in traj.anchors)
+
+
+def _claims(chart):
+    """Each (curve, merged seed, anchor index, pole) of the chart: a seed is
+    claimed at its own anchor, and a split pair at the first anchor of one
+    of its branches, retraced here, that the curve delivers."""
+    spec, a = chart.spec, chart.spec.a
+    firsts = {}
+    for event in chart.collisions:
+        seed = next(p for p in chart.seeds if p.multiplicity == 2
+                    and p.coupling.alpha == event.alpha)
+        firsts[id(seed)] = [trajectory.trace_branch(
+            seed, kb, event.alpha + trajectory._SPLIT_STEP, spec).anchors[0]
+            for _, kb in event.branches]
+    claims = []
+    for traj in chart.trajectories:
+        for seed in traj.merged_seeds:
+            if seed.multiplicity == 2:
+                n, k = next(((n, k) for n, k in firsts[id(seed)] if _delivers(traj, a, n, k)),
+                            firsts[id(seed)][0])
+            else:
+                n, k = _anchor_index(seed.coupling.alpha), seed.k
+            claims.append((traj, seed, n, k))
+    return claims
+
+
+@st.composite
+def _claim_wells(draw):
+    """A well and channel of c in [0.05, 60], or at or a rounding off a
+    collision depth U*: attractive indices 1-3 in both channels and the
+    even repulsive collision."""
+    a = draw(st.sampled_from([0.8, 1.5, 2.3]))
+    if draw(st.booleans()):
+        channel = draw(st.sampled_from([Channel.PLUS, Channel.MINUS]))
+        return PotentialSpec(1.0, a, _depth_of(draw(st.floats(0.05, 60.0)), 1.0, a)), channel
+    channel, attractive, index = draw(st.sampled_from(
+        [(ch, True, i) for ch in (Channel.PLUS, Channel.MINUS) for i in (1, 2, 3)]
+        + [(Channel.PLUS, False, 1)]))
+    u_star = rootfinder.collision_depth(channel, attractive, 1.0, a, index)
+    eps = draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    return PotentialSpec(1.0, a, u_star * (1.0 + eps)), channel
+
+
 class TestClaimed:
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), a=st.sampled_from([1.0, 1.5, 3e-4, 7e5]),
-           offset=st.sampled_from([0j, -2j, 1e4j]))
-    def test_matches_the_plain_scan(self, data, a, offset):
-        # kept curves whose anchors cluster about a few points in q, at the
-        # merge tolerance to a rounding either way, under indices that
-        # match mod 4 or do not; then seeds drawn from the same clusters.
-        # Some points lie on the imaginary axis, as the axis seeds do
-        qs = [complex(0.0, q.imag) if data.draw(st.booleans()) else q
-              for q in data.draw(_clustered_poles_in_q())]
-        index = st.integers(-9, 9)
-        kept = [[(data.draw(index), (q + offset) / a) for q in
-                 data.draw(st.lists(st.sampled_from(qs), min_size=1, max_size=6))]
-                for _ in range(data.draw(st.integers(1, 5)))]
-        seeds = [(data.draw(index), (data.draw(st.sampled_from(qs)) + offset) / a)
-                 for _ in range(data.draw(st.integers(1, 8)))]
-        plain = [_Curve(anchors) for anchors in kept]
-        filed_curves = [_Curve(anchors) for anchors in kept]
-        filed = ({}, {}, {}, {})
-        # the curves kept so far at each claim, each anchor filed once as
-        # build_chart files it when it keeps the curve
-        counts = sorted(data.draw(st.lists(st.integers(0, len(kept)),
-                                           min_size=len(seeds), max_size=len(seeds))))
-        done = 0
-        for (n, k), count in zip(seeds, counts):
-            for order in range(done, count):
-                for m, p in filed_curves[order].anchors:
-                    filed[m % 4].setdefault(chart_module._dedup_cell(a * p), []).append(
-                        (order, filed_curves[order], p))
-            done = count
-            seed = _Seed(a)
-            assert (chart_module._claimed(filed, seed, n, k)
-                    == _claimed_plain(plain[:count], seed, n, k))
-        assert [t.merged_seeds for t in filed_curves] == [t.merged_seeds for t in plain]
+    """A merged seed is listed by the first kept curve of its level-set
+    component, and only when that curve delivers it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(well=_claim_wells())
+    def test_merged_seeds_lie_on_the_curve_that_lists_them(self, well):
+        spec, channel = well
+        chart = build_chart(spec, channel)
+        a = spec.a
+        order = {id(p): i for i, p in enumerate(chart.seeds)}
+        for traj, seed, n, k in _claims(chart):
+            assert _delivers(traj, a, n, k), (seed, n, k)
+            if not chart.completeness["complete"]:
+                continue
+            # the curves kept before the claim: those of earlier seeds, and
+            # for a split pair the curves of its own branches
+            kept = [t for t in chart.trajectories if order[id(t.seed)] <= order[id(seed)]]
+            plain = [_Curve(t.anchors) for t in kept]
+            assert _claimed_plain(plain, seed, n, k)
+            assert next(i for i, c in enumerate(plain) if c.merged_seeds) == kept.index(traj)
+
+    def test_a_seed_is_listed_by_its_own_loop_when_a_curve_swapped_onto_it(self):
+        # c = 1000, odd channel: the march of curve 0 swaps onto the loop
+        # through the bound seed 666.269...i and delivers it at alpha = 0;
+        # the seed is an end of the interval of u = Re z >= c|sin u| whose
+        # other end is the virtual seed -666.267...i, and that loop lists it
+        spec = PotentialSpec(1.0, 1.5, 1e6 / 4.5)
+        chart = build_chart(spec, Channel.MINUS)
+        (traj,) = [t for t in chart.trajectories
+                   if any(p.k == 666.2692692921986j for p in t.merged_seeds)]
+        assert traj.seed.k == -666.2676757239118j
+        assert traj.closure.kind is ClosureKind.CLOSED_4PI
+        assert _delivers(traj, spec.a, 0, 666.2692692921986j)
+        c = spec.c
+        u0, u1 = sorted(math.sqrt(c * c - (spec.a * k.imag) ** 2) for k in (
+            666.2692692921986j, traj.seed.k))
+        us = np.linspace(u0, u1, 2001)
+        assert np.all(us >= c * np.abs(np.sin(us)) - 1e-9 * c)
 
 
 class _Anchored:

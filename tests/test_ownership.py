@@ -15,9 +15,11 @@ alone states the residual bound a pole meets, ``rootfinder._bracketed_newton``
 is the one bracketed root solver, ``rootfinder._axis_roots`` the one walk
 of the axis roots that the scan and the sweep read, and ``chart`` takes its
 window contour count in one place, for a chart and a certified sweep alike.
-One ``chart`` function walks the 3x3 cells about a pole in q, for the pole
-merge and the seed claim alike, and the near contacts compare no pair of
-curves outside the cells in q that can hold a contact.
+``rootfinder.level_set_components`` alone states which level-set
+component a point lies on, and ``build_chart`` reads it to name the curve a
+seed may merge into: the claim checks that one curve's anchors and files
+none. The near contacts compare no pair of curves outside the cells in q
+that can hold a contact.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
 checks, and ``cli`` names none of their parts. ``smatrix._exp`` alone
 catches OverflowError, to give cmath.exp the kernels' non-finite contract,
@@ -387,43 +389,45 @@ def _chart_functions() -> dict[str, ast.FunctionDef]:
     return {f.name: f for f in _tree("chart.py").body if isinstance(f, ast.FunctionDef)}
 
 
-def _walks_cell_offsets(node: ast.AST) -> bool:
-    """Whether a loop under node runs over the offsets (-1, 0, 1), as a walk
-    over the 3x3 cells about a point does."""
-    def offsets(it):
-        try:
-            return ast.literal_eval(it) == (-1, 0, 1)
-        except ValueError:
-            return False
-
-    return any(isinstance(loop, (ast.For, ast.comprehension)) and offsets(loop.iter)
-               for loop in ast.walk(node))
+def _calls(node: ast.AST) -> set[str]:
+    return {sub.func.id for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
 
 
-def _cell_walkers() -> list[str]:
-    return [name for name, f in _chart_functions().items() if _walks_cell_offsets(f)]
+def test_chart_files_no_anchor():
+    # a seed's curve comes from its component, not from an index of the
+    # kept curves' anchors in the cells of side 2*_DEDUP_TOL
+    assert "_dedup_cell" not in _calls(_chart_functions()["build_chart"])
 
 
-def test_chart_walks_the_dedup_cells_once():
-    # the pole merge and the seed claim read one helper for the 3x3 cells
-    # of side 2*_DEDUP_TOL about a point in q
-    functions = _chart_functions()
-    (walker,) = _cell_walkers()
-    for reader in ("_distinct", "_claimed"):
-        assert walker in {node.func.id for node in ast.walk(functions[reader])
-                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-
-
-def test_claimed_loops_over_no_kept_curve():
-    # a claim reads the anchors filed in the cells about its pole, and
-    # nothing else: every loop in it runs over the cell walk
-    walkers = set(_cell_walkers())
+def test_claimed_loops_over_one_curve():
+    # a claim reads the anchors of the one curve its component names: its
+    # one loop runs over that curve's anchors, not over the kept curves
     loops = [loop for loop in ast.walk(_chart_functions()["_claimed"])
              if isinstance(loop, (ast.For, ast.While, ast.comprehension))]
-    assert loops
-    assert all(isinstance(loop, ast.comprehension) and isinstance(loop.iter, ast.Call)
-               and isinstance(loop.iter.func, ast.Name) and loop.iter.func.id in walkers
-               for loop in loops)
+    assert len(loops) == 1
+    (loop,) = loops
+    assert isinstance(loop, ast.comprehension) and isinstance(loop.iter, ast.Attribute)
+    assert loop.iter.attr == "anchors"
+
+
+def _states_component_rule(node: ast.AST) -> bool:
+    """Whether the code under node halves a count plus one, as the rule
+    (m + 1) // 2 of a point with m ends above it does."""
+    return any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.FloorDiv)
+               and isinstance(sub.right, ast.Constant) and sub.right.value == 2
+               and isinstance(sub.left, ast.BinOp) and isinstance(sub.left.op, ast.Add)
+               and any(isinstance(t, ast.Constant) and t.value == 1
+                       for t in (sub.left.left, sub.left.right))
+               for sub in ast.walk(node))
+
+
+def test_one_function_states_the_component_rule():
+    owners = [(path.name, f.name) for path in sorted(SRC.glob("*.py"))
+              for f in _tree(path.name).body
+              if isinstance(f, ast.FunctionDef) and _states_component_rule(f)]
+    assert owners == [("rootfinder.py", "level_set_components")]
+    assert "level_set_components" in _calls(_chart_functions()["build_chart"])
 
 
 def test_near_contacts_slices_no_curve_list():

@@ -41,6 +41,7 @@ from wellpoles.rootfinder import (
     count_step_depth,
     count_zeros,
     count_zeros_padded,
+    level_set_components,
     multiplicity_at,
     newton_refine,
     residual_ratio,
@@ -560,6 +561,27 @@ class TestAxisMomenta:
     def test_refuses_a_complex_coupling(self):
         with pytest.raises(ValueError, match="real coupling"):
             axis_momenta(spec(1.0), ComplexCoupling(0.3), Channel.PLUS)
+
+
+class TestLevelSetComponents:
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(1.0, 200.0), channel=st.sampled_from([Channel.PLUS, Channel.MINUS]))
+    def test_axis_seeds_of_one_interval_share_a_component(self, c, channel):
+        # for c >= 1 the alpha = 0 axis seeds end the intervals of
+        # u >= c|cos u| (|sin u| odd), u = Re z: two seeds next to each other
+        # in u share a component exactly when the midpoint between them lies
+        # in the set, and the seed of largest u ends the open curve
+        spec = PotentialSpec(1.0, 1.0, c * c / 2.0)
+        assert scan_axis(spec, REP, channel) == []
+        seeds = scan_axis(spec, ATT, channel)
+        assume(all(p.multiplicity == 1 for p in seeds))
+        component = level_set_components(seeds, c)
+        trig = math.sin if channel is Channel.MINUS else math.cos
+        ranked = sorted((math.sqrt(c * c + (p.k * p.k).real), component(p.k, 0.0)) for p in seeds)
+        assert ranked[-1][1] == 0
+        for (u0, n0), (u1, n1) in zip(ranked, ranked[1:]):
+            mid = 0.5 * (u0 + u1)
+            assert (n0 == n1) == (mid >= c * abs(trig(mid)))
 
 
 class TestAxisRootOracle:
