@@ -4,15 +4,16 @@ Every hot loop in the engine (Newton polishing, continuation correctors,
 winding contours) bottoms out in one scalar kernel: ``trig_scaled`` for the
 trig blocks and ``_channel_terms`` for the channel algebra, composed by
 ``denom_scaled``, which serves the continuation predictor and single
-evaluations. The rest repeat its float operations in the same order, so
-their values are bit-equal to it:
+evaluations. The rest give values bit-equal to it:
 
 - ``newton_pole``, the corrector, evaluates d and dd/dq inline, without
   dd/dw or the D_alpha product, and forms dd/dw once, after it converges,
   for the tangent dq/dalpha at its last iterate, which it returns. As the
-  corrector's hot loop, it alone repeats ``trig_scaled`` inline;
+  corrector's hot loop, it alone repeats ``trig_scaled`` and
+  ``_channel_terms`` inline, in their float operations and order; its
+  step tolerance STEP_TOL is stated here, and no caller sets it;
 - ``grid_denom_dk`` loops over a list of momenta for the winding contours,
-  with ``trig_scaled`` and the d and dd/dq of ``newton_pole``;
+  with ``trig_scaled`` and ``_channel_terms``;
 - ``axis_phi`` reads ``grid_denom_dk`` along the imaginary axis. The axis
   poles are enumerated in closed form (``rootfinder.scan_axis``), so it is
   only the sampled reference that tests count sign changes of.
@@ -88,6 +89,9 @@ CH_MINUS = 1
 # block G below 0.1 (series truncation error ~1e-14 relative)
 _SINC_CUT = 1e-4
 _G_CUT = 0.1
+
+# newton_pole's step tolerance, relative to 1 + |q|
+STEP_TOL = 1e-12
 
 # newton_pole's roundoff exit: d below this many units of double precision
 # of the terms whose difference it is
@@ -196,16 +200,16 @@ def unscale(v, E):
     return v / E
 
 
-def newton_pole(q0, s, ch, step_tol, max_iter):
+def newton_pole(q0, s, ch, max_iter):
     """Newton iteration on the channel pole function.
 
     With t_n = d/(dd/dq) at q_n the n-th step and q_{n+1} = q_n - t_n, it
     stops at the first n where one of three exits passes:
 
-    - the step test, |t_n| < step_tol*(1+|q_{n+1}|); it returns q_{n+1};
+    - the step test, |t_n| < STEP_TOL*(1+|q_{n+1}|); it returns q_{n+1};
     - after a previous step |t_{n-1}| < _MODEL_STEP = 0.1, Newton's
       quadratic error model puts the next step under that bound:
-      |t_n|^3 < step_tol*(1+|q_{n+1}|)*|t_{n-1}|^2, which saves the
+      |t_n|^3 < STEP_TOL*(1+|q_{n+1}|)*|t_{n-1}|^2, which saves the
       iteration that would only confirm a converged step. The model's
       constant |t_n|/|t_{n-1}|^2 holds only in the quadratic regime, which
       a step of order 1 in q has not reached. It returns q_{n+1};
@@ -230,13 +234,14 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
 
     The loop evaluates d and dd/dq only: ``trig_scaled`` inline (the two
     cmath calls below _CMATH_CUT, ``_half_angle`` above it) with G only in
-    the odd channel, then ``_channel_terms`` without dd/dw. Every
-    float operation, its order and its constants are those of
-    ``denom_scaled``, so each iterate is bit-equal to a loop on it. Only on
-    convergence does it form dd/dw, from q_n's trig blocks, for v. So v is
-    the tangent at q_n: at the returned q for the roundoff exit, |t_n| from
-    it for the others, which is under step_tol*(1+|q|) at the step test and
-    under (step_tol*(1+|q|)*|t_{n-1}|^2)^(1/3) at the model's exit; in the
+    the odd channel, then ``_channel_terms`` without dd/dw: the package's
+    one inline repeat of the algebra. Every float operation, its order and
+    its constants are those of ``denom_scaled``, so each iterate is
+    bit-equal to a loop on it. Only on convergence does it form dd/dw, from
+    q_n's trig blocks, for v. So v is the tangent at q_n: at the returned q
+    for the roundoff exit, |t_n| from it for the others, which is under
+    STEP_TOL*(1+|q|) at the step test and under
+    (STEP_TOL*(1+|q|)*|t_{n-1}|^2)^(1/3) at the model's exit; in the
     continuation corrector that reaches about 1.5e-6*(1+|q|).
     """
     odd = ch != CH_PLUS
@@ -284,7 +289,7 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
         step = d / dq
         q1 = q - step
         size = abs(step)
-        bound = step_tol * (1.0 + abs(q1))
+        bound = STEP_TOL * (1.0 + abs(q1))
         # the step passes the test, or, after a step below _MODEL_STEP,
         # Newton's quadratic model puts the next one under it:
         # |t_{n+1}| ~ |t_n|^2 / |t_{n-1}|
@@ -314,26 +319,19 @@ def newton_pole(q0, s, ch, step_tol, max_iter):
 def grid_denom_dk(ks, s, ch):
     """Scaled d and dd/dq at each scaled momentum q = k*a of ks, as two lists.
 
-    The trig blocks come from ``trig_scaled``, and the channel algebra
-    repeats ``_channel_terms`` without dd/dw, in the float operations and
-    order of ``denom_scaled``, so every pair is bit-equal to its (d, dq) at
-    the same q and s.
+    Each pair is ``denom_scaled``'s (d, dq) at the same q and s: the trig
+    blocks come from ``trig_scaled`` and the channel algebra from
+    ``_channel_terms``.
     """
     s = complex(s)
-    odd = ch != CH_PLUS
-    sqrt, trig = cmath.sqrt, trig_scaled
     ds, dqs = [], []
     for q in ks:
         q = complex(q)
-        qq = q * q
-        w = qq + s
-        C, _, Z, G, _ = trig(sqrt(w))
-        if odd:
-            ds.append(C - 1j * q * Z)
-            dqs.append(-1j * Z - q * Z - 1j * qq * G)
-        else:
-            ds.append(q * C - 1j * w * Z)
-            dqs.append(C - qq * Z - 1j * q * (Z + C))
+        w = q * q + s
+        C, _, Z, G, _ = trig_scaled(cmath.sqrt(w))
+        d, dq, _ = _channel_terms(q, w, C, Z, G, ch)
+        ds.append(d)
+        dqs.append(dq)
     return ds, dqs
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import islice, repeat
 
 from ._record import Record
 from .errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
@@ -211,29 +212,37 @@ def _claimed(traj: Trajectory | None, seed: Pole, n: int, k: complex) -> bool:
 
 def _near_contacts(trajectories: list[Trajectory], a: float) -> list[NearContact]:
     """Pairs of curves closer than _NEAR_CONTACT in q at a shared anchor
-    index, nearest first. The anchors at an index two curves hold are filed
-    by index and by the cell of side 2*_NEAR_CONTACT in q, and only pairs
-    filed in one cell or in two cells that touch are compared, in the order
-    of the curves, so that contacts at equal distances (mirrored anchors
-    give them) come in the order of their pairs."""
-    side = 2.0 * _NEAR_CONTACT
+    index, nearest first. The anchors at an index two curves hold are sorted
+    by (index, |k|), and each is compared with the later ones at its index
+    whose |k| is within 2*_NEAR_CONTACT/a of its own (|k| parts the anchors
+    that line up along an axis at a real coupling). Pairs that meet are then
+    compared at every shared index in the order of the curves, so contacts
+    at equal distances (mirrored anchors) come in the order of their pairs."""
     maps = [t.anchor_index_map() for t in trajectories]
     seen: set[int] = set()
     shared: set[int] = set()
     for amap in maps:
         shared |= seen & amap.keys()
         seen |= amap.keys()
-    cells: dict[tuple[int, int, int], list[int]] = {}
+    if not shared:
+        return []
+    rows: list[tuple[int, float, int]] = []
     for i, amap in enumerate(maps):
-        for n in shared & amap.keys():
-            q = a * amap[n]
-            cells.setdefault((n, math.floor(q.real / side), math.floor(q.imag / side)),
-                             []).append(i)
+        held = shared & amap.keys()
+        rows += zip(held, map(abs, map(amap.__getitem__, held)), repeat(i))
+    rows.sort()
+    window = 2.0 * _NEAR_CONTACT / a
     pairs = set()
-    for (n, x, y), here in cells.items():
-        for dx, dy in ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1)):
-            for j in cells.get((n, x + dx, y + dy), ()):
-                pairs.update((min(i, j), max(i, j)) for i in here if i != j)
+    # a row's window holds any row only if it holds the next one
+    for lo, ((n, r, i), (m, s, _)) in enumerate(zip(rows, islice(rows, 1, None))):
+        if m != n or s - r >= window:
+            continue
+        hi = lo + 1
+        while hi < len(rows) and rows[hi][0] == n and rows[hi][1] - r < window:
+            j = rows[hi][2]
+            if a * abs(maps[i][n] - maps[j][n]) < _NEAR_CONTACT:
+                pairs.add((min(i, j), max(i, j)))
+            hi += 1
     contacts = []
     for i, j in sorted(pairs):
         amap, bmap = maps[i], maps[j]
@@ -336,7 +345,7 @@ def _window_count(spec: PotentialSpec, channel: Channel,
     try:
         # zero depth has no poles; the even channel's one zero there is the
         # threshold at k = 0
-        n = 0 if spec.U == 0.0 else count_zeros_padded(region, spec)[0]
+        n = 0 if spec.U == 0.0 else count_zeros_padded(region, spec)
     except (EdgeTooClose, ValueError) as exc:
         failure = f"window contour count failed: {exc}"
     else:

@@ -7,7 +7,8 @@ entire in k, so the argument principle applies on any rectangle.
 Below the public functions everything runs in q = k*a at the strength
 c = a sqrt(2 m U) (see ``_kernels``), with every tolerance in q: TOL_AXIS
 bounds a*kappa and a*|Re k| (``on_axis``), and no other module reads it.
-The public functions take and return k.
+Each Newton polish is ``_kernels.newton_pole`` at its own step tolerance,
+within MAX_NEWTON. The public functions take and return k.
 
 On the imaginary axis at a real coupling the poles are known in closed
 form: with x = aK the interior momentum, each solves x = c|cos x| or
@@ -48,8 +49,11 @@ from .smatrix import Channel, ComplexCoupling, PotentialSpec, _check_well, _phas
 
 TOL_AXIS = 1e-9
 RESIDUAL_TOL = 1e-10
-STEP_TOL = 1e-12
 MAX_NEWTON = 50
+# count_zeros_padded's tries, and its outward nudge per try as a fraction
+# of the rectangle's longer side
+_PAD_TRIES = 6
+_PAD_FRACTION = 1e-4
 
 # an axis pair this close to its collision point q = -i, in units of x_c,
 # is one coalesced pair there: at a float collision depth the pair offset
@@ -140,7 +144,7 @@ def newton_refine(
     """
     a, c = spec.a, spec.c
     s = c * c * coupling.gamma
-    q, iters, ok, _ = _k.newton_pole(a * complex(k0), s, channel.code, STEP_TOL, max_iter)
+    q, iters, ok, _ = _k.newton_pole(a * complex(k0), s, channel.code, max_iter)
     if not ok:
         raise NoConvergence(q / a, iters)
     pole = _pole(q, s, coupling, channel, a)
@@ -320,7 +324,7 @@ def collision_pair_count(channel: Channel, attractive: bool, index: int) -> int 
         channel=channel,
     )
     try:
-        return count_zeros_padded(region, spec)[0]
+        return count_zeros_padded(region, spec)
     except EdgeTooClose:
         return None
 
@@ -444,7 +448,7 @@ def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[floa
 
     def polished(x: float) -> tuple[float, int]:
         kappa = a_kappa(x)
-        q, _, ok, _ = _k.newton_pole(1j * kappa, s, ch, STEP_TOL, MAX_NEWTON)
+        q, _, ok, _ = _k.newton_pole(1j * kappa, s, ch, MAX_NEWTON)
         # without convergence, where d's slope is tiny against its terms
         # (a pair next to its collision), the bracketed root is the better value
         if ok:
@@ -557,7 +561,7 @@ def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list
             continue
         x0 = complex(xc, max(offset, math.acosh(max(1.0, xc / c))))
         q0 = -1j * x0 / cmath.tan(x0) if odd else 1j * x0 * cmath.tan(x0)
-        q, iters, ok, _ = _k.newton_pole(q0, c * c, channel.code, STEP_TOL, MAX_NEWTON)
+        q, iters, ok, _ = _k.newton_pole(q0, c * c, channel.code, MAX_NEWTON)
         if not ok:
             raise NoConvergence(q / a, iters)
         if abs(q.real) > q_max and xc > q_max + math.pi:
@@ -791,23 +795,20 @@ def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
     return int(round(n))
 
 
-def count_zeros_padded(
-    region: CountRegion, spec: PotentialSpec, tries: int = 6, pad: float | None = None
-) -> tuple[int, CountRegion]:
+def count_zeros_padded(region: CountRegion, spec: PotentialSpec) -> int:
     """count_zeros with automatic outward nudging when an edge grazes a zero.
 
-    Returns (count, region actually used). The nudge grows the rectangle, so
-    the count can only gain zeros that sat on the original boundary.
+    The t-th retry grows the rectangle by t*_PAD_FRACTION of its longer
+    side on every edge, so the count can only gain zeros that sat on the
+    original boundary; the last of _PAD_TRIES tries raises EdgeTooClose.
     """
-    step = pad if pad is not None else 1e-4 * max(
-        region.hi.real - region.lo.real, region.hi.imag - region.lo.imag
-    )
+    step = _PAD_FRACTION * max(region.hi.real - region.lo.real, region.hi.imag - region.lo.imag)
     r = region
-    for attempt in range(tries):
+    for attempt in range(_PAD_TRIES):
         try:
-            return count_zeros(r, spec), r
+            return count_zeros(r, spec)
         except EdgeTooClose:
-            if attempt == tries - 1:
+            if attempt == _PAD_TRIES - 1:
                 raise
             bump = step * (attempt + 1) * (1 + 1j)
             r = CountRegion(r.lo - bump, r.hi + bump, r.coupling, r.channel)

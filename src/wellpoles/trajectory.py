@@ -82,7 +82,7 @@ import math
 from . import _kernels as _k
 from ._record import Record
 from .errors import ModelInvalid, SeedNotOnPole, StallAtDoubleZero
-from .rootfinder import STEP_TOL, Pole, multiplicity_at, on_axis, residual_ratio
+from .rootfinder import MAX_NEWTON, Pole, multiplicity_at, on_axis, residual_ratio
 from .smatrix import (
     HALF_PI,
     _ANCHOR_GAMMA,
@@ -237,7 +237,7 @@ def branch_at_double_zero(
     branches = []
     for sgn in (+1.0, -1.0):
         q_est = -1j + sgn * root
-        q, iters, ok, _ = _k.newton_pole(q_est, s_new, channel.code, STEP_TOL, 60)
+        q, iters, ok, _ = _k.newton_pole(q_est, s_new, channel.code, MAX_NEWTON)
         if not ok or abs(q - q_est) > 10.0 * abs(root) + 1e-6:
             raise ModelInvalid(
                 f"branch polish failed from {q_est / a!r} at alpha={alpha_new:.6f}"
@@ -288,7 +288,7 @@ def _step(alpha, q, v, prev, target, s, ch):
         c2 = (2.0 * v + v0 - 3.0 * slope) / H
         c3 = (v + v0 - 2.0 * slope) / (H * H)
         qp = q + dt * (v + dt * (c2 + dt * c3))
-    q1, iters, ok, v1 = _k.newton_pole(qp, s, ch, STEP_TOL, _CORRECTOR_ITERS)
+    q1, iters, ok, v1 = _k.newton_pole(qp, s, ch, _CORRECTOR_ITERS)
     if not ok:
         return None
     scale = 1.0 + abs(q)

@@ -495,8 +495,7 @@ def test_completeness_certificates():
             lo=KC - (1e-3 + 1e-3j), hi=KC + (1e-3 + 1e-3j),
             coupling=coup, channel=ch,
         )
-        n, _ = count_zeros_padded(region, PotentialSpec(M, A, u_star))
-        assert n == 2
+        assert count_zeros_padded(region, PotentialSpec(M, A, u_star)) == 2
 
 
 @criterion(8, "continuation robustness")

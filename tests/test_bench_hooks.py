@@ -71,7 +71,7 @@ def test_newton_pole_result_positions():
 
     for max_iter in (50, 1):
         # the well (m, a, U) = (1, 1.5, 2): q = 1.5 k, s = 2 m a^2 U = 9
-        result = _kernels.newton_pole(1.5 * 1.85j, 9.0 + 0j, _kernels.CH_PLUS, 1e-12, max_iter)
+        result = _kernels.newton_pole(1.5 * 1.85j, 9.0 + 0j, _kernels.CH_PLUS, max_iter)
         assert isinstance(result, tuple) and len(result) == 4
         assert type(result[1]) is int and 0 < result[1] <= max_iter
         assert type(result[2]) is bool

@@ -230,7 +230,7 @@ class TestCompleteness:
 
     def test_forced_negative_window_count_fails_loudly(self, monkeypatch):
         # the failure path itself, on a chart whose true count is sound
-        monkeypatch.setattr(chart_module, "count_zeros_padded", lambda region, spec: (-3, region))
+        monkeypatch.setattr(chart_module, "count_zeros_padded", lambda region, spec: -3)
         chart = build_chart(PotentialSpec(m=M, a=A, U=2.0), Channel.PLUS)
         cert = chart.completeness
         assert cert["window_count"] is None
@@ -1162,7 +1162,7 @@ class TestDepthSweep:
         # chart's count
         real_count = chart_module.count_zeros_padded
         monkeypatch.setattr(chart_module, "count_zeros_padded",
-                            lambda region, spec: (real_count(region, spec)[0] + 1, region))
+                            lambda region, spec: real_count(region, spec) + 1)
         sweep = depth_sweep(Channel.PLUS, [1.0, 3.0], M, A, certify=True)
         for entry in sweep.entries:
             chart = build_chart(PotentialSpec(m=M, a=A, U=entry.U_used), Channel.PLUS)

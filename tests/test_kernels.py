@@ -169,13 +169,13 @@ class TestDenomDerivatives:
 
 class TestNewton:
     def test_converges_to_known_zero(self):
-        q, it, ok, _ = K.newton_pole(A * 1.85j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 1e-12, 50)
+        q, it, ok, _ = K.newton_pole(A * 1.85j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 50)
         k = q / A
         assert ok and it <= 10
         assert abs(k - 1.841595559696953j) < 1e-12
 
     def test_reports_failure_on_tiny_budget(self):
-        k, it, ok, v = K.newton_pole(3.0 + 2.0j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 1e-15, 1)
+        k, it, ok, v = K.newton_pole(3.0 + 2.0j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 1)
         assert not ok and cmath.isnan(v)
 
 
@@ -186,6 +186,14 @@ def _terms(k, s, ch):
     if ch == K.CH_PLUS:
         return abs(k * C) + abs(1j * w * Z)
     return abs(C) + abs(1j * k * Z)
+
+
+def _newton(k0, s, ch, step_tol, max_iter):
+    """newton_pole with its step tolerance STEP_TOL set to step_tol, so that
+    the cases below run at the tolerance of the reference loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "STEP_TOL", step_tol)
+        return K.newton_pole(k0, s, ch, max_iter)
 
 
 def _reference_newton(k0, s, ch, step_tol, max_iter, new_exits=True):
@@ -295,7 +303,7 @@ class TestNewtonBitEquality:
 
     @staticmethod
     def _check(args):
-        assert repr(K.newton_pole(*args)[:3]) == repr(_reference_newton(*args))
+        assert repr(_newton(*args)[:3]) == repr(_reference_newton(*args))
 
     @pytest.mark.parametrize("kind", _STARTS)
     def test_each_start_kind(self, kind):
@@ -363,7 +371,7 @@ class TestNewtonStopRule:
         k_old, it_old, ok_old = _reference_newton(*args, new_exits=False)
         if not ok_old:
             return
-        k, it, ok, _ = K.newton_pole(*args)
+        k, it, ok, _ = _newton(*args)
         assert ok and it <= it_old
         k0, s, ch, step_tol, max_iter = args
         slack = 3.0 * step_tol * (1.0 + abs(k_old))
@@ -379,11 +387,11 @@ class TestNewtonStopRule:
         U = 0.005 ** 2 / 2.0
         s = _s(_phase_to_gamma(alpha), 1.0, 1.0, U)
         k0 = complex(-alpha / 2.0, -8.0)
-        k, it, ok, _ = K.newton_pole(k0, s, K.CH_PLUS, 1e-12, 50)
+        k, it, ok, _ = K.newton_pole(k0, s, K.CH_PLUS, 50)
         assert ok and -10.0 < k.imag < -8.0
         args = (k, s, K.CH_PLUS, 1e-12, 8)
         assert _reference_newton(*args, new_exits=False)[2] is False
-        result = K.newton_pole(*args)
+        result = _newton(*args)
         assert result[1:3] == (2, True)
         assert repr(result[:3]) == repr(_reference_newton(*args))
 
@@ -401,7 +409,7 @@ class TestNewtonStopRule:
         for dk in (3e-4, -3e-4, 3e-4j, -3e-4j):
             args = (a * (kc + dk), _s(-1.0 + 0j, m, a, U), K.CH_PLUS, 1e-12, 80)
             q_old, it_old, ok_old = _reference_newton(*args, new_exits=False)
-            q, it, ok, _ = K.newton_pole(*args)
+            q, it, ok, _ = _newton(*args)
             k_old, k = q_old / a, q / a
             assert ok_old and abs(k_old - kc) < 1e-7
             assert ok and it < it_old and abs(k - kc) < 1e-7
@@ -411,7 +419,7 @@ class TestNewtonStopRule:
         # one iteration before it
         args = (A * 1.85j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 1e-12, 50)
         k_old, it_old, _ = _reference_newton(*args, new_exits=False)
-        k, it, ok, _ = K.newton_pole(*args)
+        k, it, ok, _ = _newton(*args)
         assert ok and it == it_old - 1
         assert abs(k - k_old) < 1e-12 * (1.0 + abs(k))
 
@@ -474,19 +482,19 @@ class TestNewtonTangent:
         from wellpoles.trajectory import _tangent
 
         k0, s, ch = case
-        k, it, ok, v = K.newton_pole(k0, s, ch, 1e-12, 50)
+        k, it, ok, v = K.newton_pole(k0, s, ch, 50)
         if not ok:
             assert cmath.isnan(v)
             return
         # the same operations as denom_scaled at the last iterate
-        k_last = K.newton_pole(k0, s, ch, 1e-12, it - 1)[0]
+        k_last = K.newton_pole(k0, s, ch, it - 1)[0]
         assert v == _tangent(k_last, s, ch)
         # the last step is the one the stop rule accepted: under the step
         # test's bound or the quadratic model's (none at the roundoff exit)
         step = abs(k - k_last)
-        bound = 1e-12 * (1.0 + abs(k))
+        bound = K.STEP_TOL * (1.0 + abs(k))
         if it > 1:
-            s_prev = abs(k_last - K.newton_pole(k0, s, ch, 1e-12, it - 2)[0])
+            s_prev = abs(k_last - K.newton_pole(k0, s, ch, it - 2)[0])
             bound = max(bound, (bound * s_prev * s_prev) ** (1.0 / 3.0))
         assert step <= bound * (1.0 + 1e-12)
         # at the returned k the reference is no more accurate than the
@@ -526,7 +534,7 @@ class TestNewtonWork:
     def test_newton_pole_makes_no_denom_call(self, monkeypatch):
         calls = self._count(monkeypatch, "denom_scaled")
         for ch in (K.CH_PLUS, K.CH_MINUS):
-            assert K.newton_pole(A * 1.85j, _s(1.0 + 0j, M, A, 2.0), ch, 1e-12, 50)[1] > 0
+            assert K.newton_pole(A * 1.85j, _s(1.0 + 0j, M, A, 2.0), ch, 50)[1] > 0
         assert calls[0] == 0
 
     def test_trace_makes_no_denom_call_per_step(self, monkeypatch):
@@ -693,7 +701,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("k0", [1e200 + 0j, 1e155 + 1e155j, 1e300j, -1e300j])
     @pytest.mark.parametrize("ch", [K.CH_PLUS, K.CH_MINUS])
     def test_newton_iterate_overflow_is_not_converged(self, k0, ch):
-        k, it, ok, v = K.newton_pole(k0, _s(1.0 + 0j, M, A, self.U), ch, 1e-12, 50)
+        k, it, ok, v = K.newton_pole(k0, _s(1.0 + 0j, M, A, self.U), ch, 50)
         assert not ok and cmath.isnan(v)
 
     def test_newton_step_test_past_the_underflow_is_not_converged(self):
@@ -708,7 +716,7 @@ class TestNonFinite:
         m, a, U, gamma = 0.2, 0.4, 15.18, cmath.exp(-2j)
         s = _s(gamma, m, a, U)
         q0 = complex(0.0, math.nextafter(-1.0, -2.0))
-        q, it, ok, v = K.newton_pole(q0, s, K.CH_PLUS, 1e-12, 50)
+        q, it, ok, v = K.newton_pole(q0, s, K.CH_PLUS, 50)
         k = q / a
         assert not ok and cmath.isnan(v)
         assert it == 2 and abs(k) > 1e15

@@ -7,12 +7,15 @@ helper, which its depth U* and every pair-ball test read) and the inverse
 of U*, the box its pair is counted in and the walk that solves the pair of
 each cell off the axis; ``chart`` and ``trajectory`` reach them only through
 public names. The anchor phases n*(pi/2) and their exact test
-live in ``smatrix``. The trig blocks are stated by ``_kernels.trig_scaled``,
-which the winding grid calls. The working window's extents, the margin past its corners
-at which a march stops and the runaway phase guard (40 + 2c)*pi live in
-``trajectory``, which ``chart`` imports. ``rootfinder.residual_ratio``
-alone states the residual bound a pole meets, ``rootfinder._bracketed_newton``
-is the one bracketed root solver, ``rootfinder._axis_roots`` the one walk
+live in ``smatrix``. The trig blocks are stated by ``_kernels.trig_scaled``
+and the channel algebra by ``_kernels._channel_terms``, which the winding
+grid calls. ``_kernels`` alone states ``newton_pole``'s step tolerance, and
+every Newton budget is ``MAX_NEWTON`` or the corrector's. The working
+window's extents, the margin past its corners at which a march stops and
+the runaway phase guard (40 + 2c)*pi live in ``trajectory``, which
+``chart`` imports. ``rootfinder.residual_ratio`` alone states the residual
+bound a pole meets, ``rootfinder._bracketed_newton`` is the one bracketed
+root solver, ``rootfinder._axis_roots`` the one walk
 of the axis roots that the scan and the sweep read, and ``chart`` takes its
 window contour count in one place, for a chart and a certified sweep alike.
 ``rootfinder.level_set_components`` alone states which level-set
@@ -257,13 +260,87 @@ def test_only_rootfinder_reads_the_axis_band():
     assert owners == ["rootfinder.py"]
 
 
+def _kernel_function(name: str) -> ast.FunctionDef:
+    (function,) = [node for node in _tree("_kernels.py").body
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+    return function
+
+
 def test_winding_grid_states_no_trig_block():
-    (grid,) = [node for node in _tree("_kernels.py").body
-               if isinstance(node, ast.FunctionDef) and node.name == "grid_denom_dk"]
+    grid = _kernel_function("grid_denom_dk")
     named = {node.id for node in ast.walk(grid) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(grid) if isinstance(node, ast.Attribute)}
     assert "trig_scaled" in named
     assert named.isdisjoint({"cos", "sin", "exp", "_half_angle"})
+
+
+def test_winding_grid_states_no_channel_term():
+    # the grid's d and dd/dq come from _channel_terms; every term of the
+    # channel algebra carries a factor i, so a copy would hold a complex
+    # constant
+    grid = _kernel_function("grid_denom_dk")
+    assert "_channel_terms" in {sub.func.id for sub in ast.walk(grid)
+                                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+    assert not any(isinstance(node, ast.Constant) and isinstance(node.value, complex)
+                   for node in ast.walk(grid))
+
+
+def _own_nodes(function: ast.FunctionDef):
+    """The nodes of function's body outside any function nested in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _newton_calls() -> list[tuple[str, ast.FunctionDef, ast.Call]]:
+    """(module, innermost enclosing function, call) for every newton_pole
+    call in src."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for function in ast.walk(_tree(path.name)):
+            if isinstance(function, ast.FunctionDef):
+                found += [(path.name, function, call) for call in _own_nodes(function)
+                          if isinstance(call, ast.Call)
+                          and (getattr(call.func, "id", None) == "newton_pole"
+                               or getattr(call.func, "attr", None) == "newton_pole")]
+    return found
+
+
+def test_only_kernels_states_the_step_tolerance():
+    # newton_pole reads STEP_TOL itself; a call takes (q0, s, ch, max_iter)
+    owners = sorted(p.name for p in SRC.glob("*.py") if _assigns(_tree(p.name), "STEP_TOL"))
+    assert owners == ["_kernels.py"]
+    assert [arg.arg for arg in _kernel_function("newton_pole").args.args] == [
+        "q0", "s", "ch", "max_iter"]
+    calls = _newton_calls()
+    assert len(calls) == 5
+    assert all(len(call.args) == 4 and not call.keywords for _, _, call in calls)
+
+
+def _default_of(function: ast.FunctionDef, name: str) -> ast.AST | None:
+    """The default of the parameter name of function, or None."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += [(arg, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return next((default for arg, default in pairs if arg.arg == name), None)
+
+
+def test_newton_budgets_are_named():
+    # every budget is MAX_NEWTON or the corrector's _CORRECTOR_ITERS, or a
+    # parameter whose default is MAX_NEWTON (newton_refine's max_iter)
+    budgets = {"MAX_NEWTON", "_CORRECTOR_ITERS"}
+    for module, function, call in _newton_calls():
+        budget = call.args[-1]
+        assert isinstance(budget, ast.Name), (module, function.name)
+        if budget.id not in budgets:
+            default = _default_of(function, budget.id)
+            assert isinstance(default, ast.Name) and default.id == "MAX_NEWTON", (
+                module, function.name)
 
 
 def _names(node: ast.AST) -> set[str]:

@@ -639,8 +639,7 @@ class TestHalfTurn:
                 if n <= n_star:
                     continue
                 q, _, ok, _ = _k.newton_pole(
-                    a * k, spec.c * spec.c * ComplexCoupling(n * HALF_PI).gamma, channel.code,
-                    1e-12, 50,
+                    a * k, spec.c * spec.c * ComplexCoupling(n * HALF_PI).gamma, channel.code, 50
                 )
                 assert ok and abs(q / a - k) < 1e-10 * (1.0 + abs(k))
 

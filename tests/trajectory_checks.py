@@ -15,7 +15,7 @@ import math
 from wellpoles import _kernels as _k
 from wellpoles import trajectory
 from wellpoles.errors import NoConvergence
-from wellpoles.rootfinder import STEP_TOL, multiplicity_at
+from wellpoles.rootfinder import multiplicity_at
 from wellpoles.smatrix import ComplexCoupling, PotentialSpec, _phase_to_gamma
 from wellpoles.trajectory import Trajectory
 
@@ -68,7 +68,7 @@ def mirror_defect(traj: Trajectory, spec: PotentialSpec) -> float:
     for alpha, k in zip(traj.alphas, traj.ks):
         am = 2.0 * a0 - alpha
         km = -k.conjugate()
-        q, iters, ok, _ = _k.newton_pole(a * km, c2 * _phase_to_gamma(am), ch, STEP_TOL, 50)
+        q, iters, ok, _ = _k.newton_pole(a * km, c2 * _phase_to_gamma(am), ch, 50)
         if not ok:
             return math.inf
         worst = max(worst, abs(q / a - km))
