@@ -53,14 +53,10 @@ from .rootfinder import (
 )
 from .smatrix import Channel, ComplexCoupling, PotentialSpec, _anchor_index
 from .trajectory import (
-    _SPLIT_STEP,
-    ClosureKind,
     CollisionEvent,
     ExitReason,
     Trajectory,
-    _join,
     branch_at_double_zero,
-    mirror,
     trace,
     trace_branch,
     window_extents,
@@ -267,13 +263,12 @@ def build_chart(
     Seeds come from axis scans at both real couplings; a coalesced pair is
     split into a collision event, the chart's one event at its phase (a loop
     that reaches the pair closes there), whose two labelled branches are
-    each traced forward as a seed is. Each curve is traced once: a seed that
-    the first kept curve of its level-set component
-    (``level_set_components``) delivers at an anchor of its phase, or a
-    branch, named by its start point, whose first anchor that curve
-    delivers, is listed in the curve's merged_seeds and not kept
-    (``_claimed``). The backward half of an open curve is the mirror image
-    of its forward march about the seed (across the pair, for a branch).
+    each traced as a seed is; ``trace`` and ``trace_branch`` return whole
+    curves. Each curve is traced once: a seed that the first kept curve of
+    its level-set component (``level_set_components``) delivers at an
+    anchor of its phase is listed in the curve's merged_seeds and not
+    traced, and so is a branch, named by its start point, whose curve's
+    first anchor past the pair that curve delivers (``_claimed``).
     With certify=True the chart carries a completeness certificate comparing
     a contour count over the working window against the poles the
     trajectories return at the attractive coupling.
@@ -289,7 +284,7 @@ def build_chart(
     collisions: list[CollisionEvent] = []
     first: dict[int, Trajectory] = {}
 
-    def keep(start: str, component: int, march) -> None:
+    def keep(start: str, component: int, march, pair: int | None = None) -> None:
         try:
             traj = march()
         except StallAtDoubleZero as exc:
@@ -297,25 +292,26 @@ def build_chart(
             # it resolves at its minimum step
             warnings.append(ChartWarning("trace_stalled", f"curve from {start} not traced: {exc}"))
             return
-        # a branch is checked at its first anchor, which lies off the pair
-        if traj.anchors and _claimed(first.get(component), traj.seed, *traj.anchors[0]):
+        # a branch of the pair at anchor index pair is checked at its first
+        # anchor past the pair
+        past = None if pair is None else next(((m, k) for m, k in traj.anchors if m > pair), None)
+        if past and _claimed(first.get(component), traj.seed, *past):
             return
-        if not traj.closure.is_closed:
-            traj = _join(traj, mirror(traj), ClosureKind.OPEN)
         first.setdefault(component, traj)
         trajectories.append(traj)
 
     for seed in seeds:
         alpha = seed.coupling.alpha
+        n = _anchor_index(alpha)
         if seed.multiplicity == 2:
-            event = branch_at_double_zero(alpha, spec, channel, +1)
+            event = branch_at_double_zero(seed, spec)
             collisions.append(event)
             for _, kb in event.branches:
-                keep(f"split branch k={kb!r}", component_of(spec.a * kb, alpha + _SPLIT_STEP),
-                     lambda kb=kb: trace_branch(seed, kb, alpha + _SPLIT_STEP, spec))
+                keep(f"split branch k={kb!r}", component_of(spec.a * kb, event.branch_alpha),
+                     lambda kb=kb: trace_branch(seed, kb, spec), n)
             continue
         component = component_of(spec.a * seed.k, alpha)
-        if not _claimed(first.get(component), seed, _anchor_index(alpha), seed.k):
+        if not _claimed(first.get(component), seed, n, seed.k):
             keep(f"axis pole k={seed.k!r}", component, lambda: trace(seed, +1, spec))
 
     chart = PoleChart(

@@ -47,19 +47,20 @@ image of the forward march from the mirrored seed (see mirror). And a
 curve that meets the imaginary axis at a real coupling is its own mirror
 image about that point.
 
-That fixes the closed loops. A march from a seed on the imaginary axis at
-a real coupling, an axis pole or a coalesced pair split into its branches,
-stops at the half-turn anchor n* = n_seed + 2 or n_seed + 4 where its pole
-lies on the axis again (``on_axis``), or where it reaches the
-coalesced pair at q = -i and closes there (the chart lists the pair's
-collision event). The loop is the marched half plus its mirror image about
-alpha* = n*(pi/2), and it is closed_2pi or closed_4pi as n* - n_seed is 2
-or 4. An open curve meets the axis at a real coupling only at its seed, or
-it would be symmetric about two points and so periodic; the open component
-is unbounded, so the curve leaves every window, and it runs until |q|
-passes the trace window, _WINDOW_MARGIN = 1.2 times the corner radius of
-the chart's working window (window_extents). Its backward half is the
-mirror image of that march about the seed, which stops for the same reason.
+So every curve comes back whole from one march. A seed sits on the
+imaginary axis at a real coupling: an axis pole, or a coalesced pair split
+into its branches. A march from it stops at the half-turn anchor
+n* = n_seed + 2 or n_seed + 4 where its pole lies on the axis again
+(``on_axis``), or where it reaches the coalesced pair at q = -i and closes
+there (the chart lists the pair's collision event). The loop is the marched
+half plus its mirror image about alpha* = n*(pi/2), and it is closed_2pi or
+closed_4pi as n* - n_seed is 2 or 4. An open curve meets the axis at a real
+coupling only at its seed, or it would be symmetric about two points and so
+periodic; the open component is unbounded, so the curve leaves every
+window, and it runs until |q| passes the trace window, _WINDOW_MARGIN = 1.2
+times the corner radius of the chart's working window (window_extents). Its
+backward half is the mirror image of that march about the seed's anchor,
+which stops for the same reason; a branch's image lies across the pair.
 The window grows with c, so the loops of deep and wide wells, which reach
 past any fixed radius, close inside it, the open curve, which needs about
 1.5*c*pi of phase to leave it, is followed all the way across, and the
@@ -163,13 +164,18 @@ class Closure(Record):
 
 class CollisionEvent(Record):
     """A pole pair coalescing at k = -i/a while alpha passes the event, with
-    its two labelled branches; they always leave the axis."""
+    its two labelled branches at branch_alpha, a split step past it; they
+    always leave the axis."""
 
     __slots__ = ("alpha", "k", "branches")
     kind = "axis_pair_to_plane_pair"
 
     def __init__(self, alpha: float, k: complex, branches: tuple[tuple[str, complex], ...]):
         self.alpha, self.k, self.branches = alpha, k, branches
+
+    @property
+    def branch_alpha(self) -> float:
+        return self.alpha + _SPLIT_STEP
 
 
 class Trajectory(Record):
@@ -205,39 +211,34 @@ class Trajectory(Record):
         return dict(self.anchors)
 
 
-def branch_at_double_zero(
-    alpha_c: float,
-    spec: PotentialSpec,
-    channel: Channel,
-    direction: int,
-) -> CollisionEvent:
-    """Split a coalesced pair at k = -i/a into its two emerging branches.
+def branch_at_double_zero(seed: Pole, spec: PotentialSpec) -> CollisionEvent:
+    """Split the coalesced pair an axis scan found at k = -i/a into its two
+    branches, a split step delta = _SPLIT_STEP past its phase alpha_c.
 
-    Raises ModelInvalid unless ``multiplicity_at`` finds a coalesced pair
-    at k_c = -i/a and the coupling e^{i alpha_c}. There the pair sits at a
-    saddle z_c = aK_c of g (see ``chart.critical_depth``), where in both
-    channels, in q = k*a, g''(z_c) = g(z_c) and dq/dz = i z_c, so
-    g(z)^2 = c^2 e^{i alpha} puts the branches at
-    alpha = alpha_c + sigma*delta, delta = _SPLIT_STEP, at
-    q_c +- i z_c sqrt(i sigma delta), q_c = -i, z_c = sqrt(q_c^2 + c^2 gamma_c).
-    Each is Newton-polished at the stepped coupling. z_c is real or
-    imaginary, so both sit about |z_c| sqrt(delta/2) off the axis, and the
-    greater in (Re k, Im k) order is 'resonance_side', the event's first
-    branch. sigma is direction; build_chart splits axis seeds with +1.
+    The seed is the scan's pair: its multiplicity 2 is the scan's pair-ball
+    test (``scan_axis``), and any other seed raises ModelInvalid. The pair
+    sits at a saddle z_c = aK_c of g (see ``chart.critical_depth``), where
+    in both channels, in q = k*a, g''(z_c) = g(z_c) and dq/dz = i z_c, so
+    g(z)^2 = c^2 e^{i alpha} puts the branches at alpha = alpha_c + delta,
+    the event's branch_alpha, at q_c +- i z_c sqrt(i delta), q_c = -i,
+    z_c = sqrt(q_c^2 + c^2 gamma_c). Each is Newton-polished at the stepped
+    coupling. z_c is real or imaginary, so both sit about |z_c| sqrt(delta/2)
+    off the axis, and the greater in (Re k, Im k) order is 'resonance_side',
+    the event's first branch.
     """
+    alpha_c = seed.coupling.alpha
+    if seed.multiplicity != 2:
+        raise ModelInvalid(f"no coalesced pair at k=-i/a, alpha={alpha_c!r}")
     a, c = spec.a, spec.c
     kc = -1j / a
-    coupling = ComplexCoupling(alpha_c)
-    if multiplicity_at(kc, coupling, spec, channel) != 2:
-        raise ModelInvalid(f"no coalesced pair at k=-i/a, alpha={alpha_c!r}")
-    step = direction * _SPLIT_STEP
-    alpha_new = alpha_c + step
+    delta = _SPLIT_STEP
+    alpha_new = alpha_c + delta
     s_new = c * c * _phase_to_gamma(alpha_new)
-    root = 1j * cmath.sqrt(-1.0 + c * c * coupling.gamma) * cmath.sqrt(1j * step)
+    root = 1j * cmath.sqrt(-1.0 + c * c * seed.coupling.gamma) * cmath.sqrt(1j * delta)
     branches = []
     for sgn in (+1.0, -1.0):
         q_est = -1j + sgn * root
-        q, iters, ok, _ = _k.newton_pole(q_est, s_new, channel.code, MAX_NEWTON)
+        q, iters, ok, _ = _k.newton_pole(q_est, s_new, seed.channel.code, MAX_NEWTON)
         if not ok or abs(q - q_est) > 10.0 * abs(root) + 1e-6:
             raise ModelInvalid(
                 f"branch polish failed from {q_est / a!r} at alpha={alpha_new:.6f}"
@@ -299,37 +300,39 @@ def _step(alpha, q, v, prev, target, s, ch):
 
 
 def _trace_from_state(
-    k_start: complex,
+    q_start: complex,
     alpha_start: float,
     seed: Pole,
     spec: PotentialSpec,
 ) -> Trajectory:
-    """Predictor-corrector march in increasing alpha from (k_start, alpha_start).
+    """The whole curve of a predictor-corrector march in increasing alpha
+    from (q_start, alpha_start), q = k*a.
 
-    The seed sits on a quarter-turn anchor n_seed (ValueError otherwise).
-    A march from a seed on the axis at a real coupling, started at the seed
-    or on a branch of it, stops at its half-turn anchor, n_seed + 2 or
-    n_seed + 4, and returns the closed loop (see _close_loop). Any other
-    march stops where |q| passes _trace_window(c), or at the runaway guard
-    _alpha_guard(c), which counts from the seed's phase, not from
-    alpha_start. A stall ends the march only next to a coalesced pair at
-    its half-turn anchor. The march runs in q = k*a; its samples and
-    anchors are k = q/a.
+    The seed sits on the imaginary axis on a real-coupling anchor n_seed,
+    a multiple of pi (ValueError otherwise); the march starts at the seed or
+    on a branch of it. A march that reaches its half-turn anchor
+    n* = n_seed + 2 or n_seed + 4 on the axis again, or stalls next to the
+    coalesced pair there, is one half of a loop, and the loop is that half
+    joined with its mirror image about n*: closed_2pi or closed_4pi as
+    n* - n_seed is 2 or 4. Any other march stops where |q| passes
+    _trace_window(c), or at the runaway guard _alpha_guard(c), which counts
+    from the seed's phase, not from alpha_start; it is the forward half of
+    an open curve, joined with its mirror image about n_seed. A stall
+    anywhere else raises StallAtDoubleZero. Samples and anchors are
+    k = q/a.
     """
     ch = seed.channel.code
     alpha0 = seed.coupling.alpha
     n_seed = _anchor_index(alpha0)
-    if n_seed is None:
-        raise ValueError(f"a seed must sit on a quarter-turn anchor, got alpha={alpha0!r}")
     a, c = spec.a, spec.c
+    if n_seed is None or n_seed % 2 or not on_axis(a * seed.k):
+        raise ValueError(f"a seed must be an axis pole on a real-coupling quarter-turn "
+                         f"anchor, got k={seed.k!r} at alpha={alpha0!r}")
     c2 = c * c
-    # the anchors at which a loop through an axis seed meets the axis again
-    half_turns = (
-        (n_seed + 2, n_seed + 4)
-        if n_seed % 2 == 0 and on_axis(a * seed.k) else ()
-    )
+    # the anchors at which a loop through the seed meets the axis again
+    half_turns = (n_seed + 2, n_seed + 4)
 
-    q = a * complex(k_start)
+    q = complex(q_start)
     alphas = [float(alpha_start)]
     qs = [q]
     anchors: list[tuple[int, complex]] = []
@@ -418,23 +421,14 @@ def _trace_from_state(
             reason = ExitReason.ALPHA_CAP
             break
 
-    traj = Trajectory(
+    half = Trajectory(
         seed=seed, alphas=alphas, ks=[q / a for q in qs],
         anchors=[(n, q / a) for n, q in anchors],
         closure=Closure(ClosureKind.OPEN, reason),
     )
-    return traj if n_star is None else _close_loop(traj, n_star, n_star - n_seed)
-
-
-def _close_loop(half: Trajectory, n_star: int, turns: int) -> Trajectory:
-    """The loop of a march that ended at its half-turn anchor n_star, turns
-    quarter-turns past its seed: the march, then its mirror image about
-    n_star.
-
-    The march ends on the half-turn sample, its own image; a march that
-    stopped at the coalesced pair ends just short of it, with no sample there.
-    """
-    kind = ClosureKind.CLOSED_2PI if turns == 2 else ClosureKind.CLOSED_4PI
+    if n_star is None:
+        return _join(half, mirror(half), ClosureKind.OPEN)
+    kind = ClosureKind.CLOSED_2PI if n_star - n_seed == 2 else ClosureKind.CLOSED_4PI
     return _join(half, mirror(half, n_star), kind)
 
 
@@ -444,8 +438,10 @@ def _join(marched: Trajectory, image: Trajectory, kind: ClosureKind) -> Trajecto
     The image lies after the march (a loop about its half-turn) or before
     it (the backward half of an open curve). A sample or anchor that both
     hold at the joint is kept once, as marched: a mirrored axis pole
-    carries Re k = -0.0. The curve takes kind and the march's exit reason,
-    which is its image's too.
+    carries Re k = -0.0, and a loop's march ends on its half-turn sample,
+    its own image, or just short of the coalesced pair, with no sample
+    there. The curve takes kind and the march's exit reason, which is its
+    image's too.
     """
     before = image.alphas[-1] <= marched.alphas[0]
     first, second = (image, marched) if before else (marched, image)
@@ -470,51 +466,45 @@ def trace(
     direction: int,
     spec: PotentialSpec,
 ) -> Trajectory:
-    """Continue a refined pole in the coupling phase, one direction.
+    """The whole curve through an axis pole, in ascending alpha.
 
-    direction is +1 (increasing alpha) or -1, which mirrors the forward
-    march from the mirrored seed -conj(k) and so needs alpha a multiple of
-    pi (ValueError otherwise). The seed must sit on a quarter-turn anchor,
-    alpha a multiple of pi/2 (ValueError otherwise), and meet the pole
-    residual bound of ``residual_ratio`` at q = k*a; a coalesced-pair seed cannot be continued as a
-    single branch and raises StallAtDoubleZero immediately (split it with
-    branch_at_double_zero instead).
-
-    From a seed on the imaginary axis at a real coupling, a closed loop is
-    marched only to its half-turn anchor, where it meets the axis again,
-    and the rest is that half's mirror image; the loop comes back closed_2pi
-    or closed_4pi. A curve from any other seed comes back open.
+    The seed must lie on the imaginary axis at a real coupling, alpha a
+    multiple of pi (ValueError otherwise), and meet the pole residual bound
+    of ``residual_ratio`` at q = k*a; a coalesced-pair seed cannot be
+    continued as a single branch and raises StallAtDoubleZero immediately
+    (split it with branch_at_double_zero instead). The curve is marched
+    forward from the seed and completed by its mirror image (see
+    _trace_from_state): a loop comes back closed_2pi or closed_4pi, with
+    the seed its first sample, and the open curve comes back open, with
+    the seed in its middle. direction is +1, or -1 for that curve's mirror
+    image about the seed, which retraces an open curve and runs a loop
+    round to end on the seed; any other value raises ValueError.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
-    n0 = _mirror_index(seed.coupling.alpha) if direction < 0 else None
     c = spec.c
     if not residual_ratio(spec.a * seed.k, c * c * seed.coupling.gamma, seed.channel) < 1.0:
         raise SeedNotOnPole(f"seed residual too large at k={seed.k!r}")
     if seed.multiplicity == 2:
         raise StallAtDoubleZero(seed.coupling.alpha, seed.k)
-    start = seed if direction > 0 else _mirror_pole(seed, n0)
-    fwd = _trace_from_state(start.k, start.coupling.alpha, start, spec)
-    return fwd if direction > 0 else mirror(fwd)
+    curve = _trace_from_state(spec.a * seed.k, seed.coupling.alpha, seed, spec)
+    return curve if direction > 0 else mirror(curve)
 
 
-def trace_branch(
-    seed: Pole,
-    branch_k: complex,
-    branch_alpha: float,
-    spec: PotentialSpec,
-) -> Trajectory:
-    """Continue one emerging branch of a split coalesced pair forward.
+def trace_branch(seed: Pole, branch_k: complex, spec: PotentialSpec) -> Trajectory:
+    """The whole curve through one branch of a split coalesced pair.
 
-    The seed, the pair, sits on a quarter-turn anchor (ValueError
-    otherwise). A branch closes as a march from an axis seed does: one that
-    goes round a loop stops where it meets the axis again, at its half-turn,
-    and comes back closed with the rest mirrored (see _close_loop); a branch
-    of an open curve is marched to the window, or to the runaway guard,
-    and comes back open. The pair's collision event is the chart's, not
-    the branch's.
+    The seed is the pair, on the axis at a real coupling (ValueError
+    otherwise), and the branch's march starts at branch_k, at the split's
+    phase alpha + _SPLIT_STEP (``CollisionEvent.branch_alpha``). A branch
+    closes as a march from an axis seed does: one that goes round a loop
+    stops where it meets the axis again, at its half-turn, and comes back
+    closed with the rest mirrored; a branch of an open curve is marched to
+    the window, or to the runaway guard, and comes back open, its backward
+    half the image across the pair. The pair's collision event is the
+    chart's, not the branch's.
     """
-    return _trace_from_state(branch_k, branch_alpha, seed, spec)
+    return _trace_from_state(spec.a * branch_k, seed.coupling.alpha + _SPLIT_STEP, seed, spec)
 
 
 def _mirror_index(alpha: float) -> int:

@@ -24,9 +24,9 @@ from wellpoles.chart import (
 )
 from wellpoles.document import canonical_dumps, chart_document, parse_chart_document
 from wellpoles.errors import EdgeTooClose, NoConvergence, NoRootInBracket, StallAtDoubleZero
-from wellpoles.rootfinder import TOL_AXIS, PoleKind, scan_axis
+from wellpoles.rootfinder import TOL_AXIS, PoleKind, newton_refine, scan_axis
 from wellpoles.smatrix import C_LIMIT, Channel, ComplexCoupling, PotentialSpec, _anchor_index
-from wellpoles.trajectory import ClosureKind, ExitReason, branch_at_double_zero
+from wellpoles.trajectory import ClosureKind, ExitReason
 from wellpoles import _kernels as _k
 from wellpoles import chart as chart_module
 from wellpoles import rootfinder
@@ -1588,8 +1588,8 @@ class TestCriticalChart:
     def test_stalled_split_branch_is_reported(self, monkeypatch):
         # a split branch that stalls is reported as a stalled axis seed is,
         # and the chart is not certified
-        def stall(seed, branch_k, branch_alpha, spec):
-            raise StallAtDoubleZero(branch_alpha, branch_k)
+        def stall(seed, branch_k, spec):
+            raise StallAtDoubleZero(seed.coupling.alpha + trajectory._SPLIT_STEP, branch_k)
 
         monkeypatch.setattr(chart_module, "trace_branch", stall)
         U = critical_depth(Channel.PLUS, False, 1.0, 0.12).U
@@ -1657,17 +1657,20 @@ class TestForwardMarchesOnly:
     def test_split_seed_backward_halves_are_mirrors(self):
         # at a collision depth the pair splits forward only; the open curve's
         # part behind the seed phase is the mirror image of the part after
-        # it, and it ends on a backward split branch
+        # it, and it ends on a branch of the pair's split behind it: a pole
+        # next to the pair, a split step back
         spec = PotentialSpec(m=M, a=A, U=U_STAR_PLUS_ATT)
         chart = build_chart(spec, Channel.PLUS, certify=False)
-        bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1).branches
         (curve,) = [t for t in chart.trajectories if not t.closure.is_closed]
         i = int(np.searchsorted(curve.alphas, 0.0))
         assert len(curve.alphas) == 2 * i
         assert np.array_equal(curve.alphas[:i], -np.asarray(curve.alphas[i:])[::-1])
         assert np.array_equal(curve.ks[:i], -np.conj(curve.ks[i:])[::-1])
         assert curve.alphas[i - 1] == -1e-3
-        assert min(abs(curve.ks[i - 1] - kb) for _, kb in bwd) < 1e-10
+        k_back = curve.ks[i - 1]
+        assert 0.0 < abs(A * k_back + 1j) < 0.1
+        p = newton_refine(k_back, ComplexCoupling(-1e-3), spec, Channel.PLUS)
+        assert abs(p.k - k_back) < 1e-10
         # the pair's event is the chart's, held once
         assert [ev.alpha for ev in chart.collisions] == [0.0]
 
@@ -2124,9 +2127,10 @@ def _claims(chart):
     for event in chart.collisions:
         seed = next(p for p in chart.seeds if p.multiplicity == 2
                     and p.coupling.alpha == event.alpha)
-        firsts[id(seed)] = [trajectory.trace_branch(
-            seed, kb, event.alpha + trajectory._SPLIT_STEP, spec).anchors[0]
-            for _, kb in event.branches]
+        n_pair = _anchor_index(event.alpha)
+        firsts[id(seed)] = [next((n, k) for n, k in trajectory.trace_branch(seed, kb, spec).anchors
+                                 if n > n_pair)
+                            for _, kb in event.branches]
     claims = []
     for traj in chart.trajectories:
         for seed in traj.merged_seeds:

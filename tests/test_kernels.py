@@ -678,16 +678,20 @@ class TestNonFinite:
         # the repulsive E underflows at k = -i/a at this depth; the split
         # there is refused because U = 2e5 at alpha = pi is no pair
         # collision (the odd channel has none at gamma = -1, the even one
-        # only at U* ~ 0.098)
+        # only at U* ~ 0.098): the scan gives no pair, and a simple pole
+        # record at k = -i/a is no seed to split
         from wellpoles.errors import ModelInvalid
-        from wellpoles.smatrix import Channel, PotentialSpec
+        from wellpoles.rootfinder import Pole, scan_axis
+        from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
         from wellpoles.trajectory import branch_at_double_zero
 
         U = 2e5
         assert K.denom_scaled(-1j, _s(-1.0 + 0j, M, A, U), K.CH_PLUS)[3] == 0.0
+        spec, coupling = PotentialSpec(M, A, U), ComplexCoupling(np.pi)
         for ch in (Channel.PLUS, Channel.MINUS):
+            assert all(p.multiplicity == 1 for p in scan_axis(spec, coupling, ch))
             with pytest.raises(ModelInvalid):
-                branch_at_double_zero(np.pi, PotentialSpec(M, A, U), ch, +1)
+                branch_at_double_zero(Pole(-1j / A, ch, coupling, 1, 0.0, A), spec)
 
     @pytest.mark.parametrize(
         "z",

@@ -22,7 +22,10 @@ window contour count in one place, for a chart and a certified sweep alike.
 component a point lies on, and ``build_chart`` reads it to name the curve a
 seed may merge into: the claim checks that one curve's anchors and files
 none. The near contacts compare no pair of curves outside the cells in q
-that can hold a contact.
+that can hold a contact. ``trajectory`` alone completes a curve from its
+march, with its mirror image, and states the split step: ``chart`` imports
+no private name of it and joins no curve, and ``branch_at_double_zero``
+reads the scan's coalesced pair from its seed, walking no axis cell again.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
 checks, and ``cli`` names none of their parts. ``smatrix._exp`` alone
 catches OverflowError, to give cmath.exp the kernels' non-finite contract,
@@ -512,3 +515,27 @@ def test_near_contacts_slices_no_curve_list():
     # pairs each curve with every later one
     near = _chart_functions()["_near_contacts"]
     assert not any(isinstance(node, ast.Slice) for node in ast.walk(near))
+
+
+def test_trajectory_alone_completes_a_curve():
+    # trace and trace_branch return whole curves: chart neither joins a
+    # march with its mirror image nor reads the split step
+    tree = _tree("chart.py")
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "trajectory" and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    called = {getattr(sub.func, "id", getattr(sub.func, "attr", None))
+              for sub in ast.walk(tree) if isinstance(sub, ast.Call)}
+    assert called.isdisjoint({"mirror", "_join"})
+
+
+def test_split_reads_the_scanned_pair():
+    # a seed's multiplicity 2 is the scan's pair-ball test; the split does
+    # not walk the axis cells again to confirm it
+    functions = {f.name: f for f in _tree("trajectory.py").body if isinstance(f, ast.FunctionDef)}
+    assert "multiplicity_at" not in _calls(functions["branch_at_double_zero"])

@@ -17,7 +17,6 @@ from wellpoles.rootfinder import (
     Pole,
     PoleKind,
     collision_depth,
-    multiplicity_at,
     newton_refine,
     scan_axis,
 )
@@ -35,7 +34,6 @@ from wellpoles.trajectory import (
     ClosureKind,
     CollisionEvent,
     ExitReason,
-    _join,
     branch_at_double_zero,
     mirror,
     trace,
@@ -245,21 +243,22 @@ class TestStepControl:
 
 class TestCombine:
     def test_stitches_open_halves(self, monkeypatch):
-        # the join build_chart makes of an open curve's forward march and
-        # its mirror image about the seed
+        # trace joins an open curve's forward march and its mirror image
+        # about the seed
         monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 8 * math.pi)
         monkeypatch.setattr(trajectory, "_trace_window", lambda c: 40.0)
         spec = _spec(0.09)
         seed = _seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL)
-        f = trace(seed, +1, spec)
-        b = mirror(f)
-        c = _join(f, b, ClosureKind.OPEN)
-        # the backward half, then the forward one, in ascending alpha
+        c = trace(seed, +1, spec)
+        i = c.alphas.index(math.pi)
+        # the backward half, the seed once, then the forward one, in
+        # ascending alpha
         assert np.all(np.diff(c.alphas) > 0)
-        assert c.alphas[0] == b.alphas[0] and c.alphas[-1] == f.alphas[-1]
-        assert len(c.alphas) == len(f.alphas) + len(b.alphas) - 1
+        assert c.ks[i] == seed.k and len(c.alphas) == 2 * i + 1
+        assert np.array_equal(c.ks[:i], -np.conj(c.ks[i + 1:])[::-1])
         # both halves stop at the phase guard, one on either side of the seed
-        assert b.closure == c.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
+        assert c.alphas[0] == -7 * math.pi and c.alphas[-1] == 9 * math.pi
+        assert c.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
 
 
 class TestMirror:
@@ -297,35 +296,49 @@ class TestMirror:
         monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 1.5 * math.pi)
         spec = _spec(U_CRIT_PLUS_ATT)
         dz = [p for p in scan_axis(spec, ATT, Channel.PLUS) if p.multiplicity == 2][0]
-        branches = branch_at_double_zero(0.0, spec, Channel.PLUS, +1).branches
+        branches = branch_at_double_zero(dz, spec).branches
         assert branches[0][0] == "resonance_side"
-        t = trace_branch(dz, branches[0][1], 1e-3, spec)
-        m = mirror(t)
-        assert np.all(np.diff(m.alphas) > 0) and m.alphas[-1] == -1e-3
-        # the image stops at the guard on the far side, for the march's reason
-        assert m.closure == t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
+        kb = branches[0][1]
+        t = trace_branch(dz, kb, spec)
+        # the image is the curve's part behind the pair, in ascending alpha
+        i = t.alphas.index(1e-3)
+        assert np.all(np.diff(t.alphas) > 0) and t.alphas[i - 1] == -1e-3
+        # it stops at the guard on the far side, for the march's reason
+        assert t.alphas[0] == -1.5 * math.pi and t.alphas[-1] == 1.5 * math.pi
+        assert t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
         # k -> -conj(k) takes the resonance-side branch across the axis, onto
-        # the antiresonance-side branch of the backward split
-        bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1).branches
-        assert abs(m.ks[-1] - dict(bwd)["antiresonance_side"]) < 1e-10
+        # the antiresonance side of the pair's split behind it: a pole there
+        k_back = t.ks[i - 1]
+        assert k_back == -kb.conjugate() and k_back.real < 0.0
+        p = newton_refine(k_back, ComplexCoupling(-1e-3), spec, Channel.PLUS)
+        assert abs(p.k - k_back) < 1e-10
 
 
 class TestBackwardByMirror:
-    """Backward traces are mirrored forward marches from the mirrored seed."""
+    """The backward half of a curve is its forward march mirrored about the
+    seed, which only an axis seed at a real coupling makes exact."""
 
-    def test_off_axis_seed_backward_trace_lies_on_the_poles(self):
+    def test_backward_half_lies_on_the_poles(self):
         spec = _spec(2.0)
-        seed = newton_refine(3.5 - 1.0j, ATT, spec, Channel.PLUS)
-        assert seed.kind is PoleKind.RESONANCE
-        t = trace(seed, -1, spec)
-        # the mirrored forward march: it ends on the seed, and the exit it
-        # carries, the march's, lies behind the seed
+        seed = _seed(2.0, ATT, Channel.PLUS, DEEP_OPEN_VIRTUAL)
+        t = trace(seed, +1, spec)
+        # the open curve: the mirrored march, the seed, then the march; the
+        # exit the image carries, the march's, lies behind the seed
+        i = t.alphas.index(0.0)
         assert t.closure.kind is ClosureKind.OPEN and t.closure.reason is not None
-        assert t.seed.k == seed.k
-        assert t.alphas[-1] == 0.0 and t.ks[-1] == seed.k
+        assert t.ks[i] == seed.k and i > 0
         assert np.all(np.diff(t.alphas) > 0)
-        for alpha, k in zip(t.alphas, t.ks):
+        for alpha, k in zip(t.alphas[:i], t.ks[:i]):
             assert abs(point_at(t, alpha, spec) - k) < 1e-10 * (1.0 + abs(k))
+            q, _, ok, _ = _k.newton_pole(A * k, spec.c ** 2 * _phase_to_gamma(alpha),
+                                         Channel.PLUS.code, 50)
+            assert ok and abs(q / A - k) < 1e-10 * (1.0 + abs(k))
+        # an off-axis seed has no mirror image through itself
+        off = newton_refine(3.5 - 1.0j, ATT, spec, Channel.PLUS)
+        assert off.kind is PoleKind.RESONANCE
+        for direction in (+1, -1):
+            with pytest.raises(ValueError, match="axis pole"):
+                trace(off, direction, spec)
 
     def test_off_real_coupling_seed_refused(self):
         spec = _spec(2.0)
@@ -396,7 +409,7 @@ class TestSeedValidation:
         with pytest.raises(ValueError, match="quarter-turn"):
             trace(seed, +1, spec)
         with pytest.raises(ValueError, match="quarter-turn"):
-            trace_branch(seed, seed.k, 0.3, spec)
+            trace_branch(seed, seed.k, spec)
 
 
 class TestBranching:
@@ -409,7 +422,9 @@ class TestBranching:
 
     def test_split_produces_residual_clean_branches(self):
         spec = _spec(U_CRIT_PLUS_ATT)
-        event = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
+        dz = [p for p in scan_axis(spec, ATT, Channel.PLUS) if p.multiplicity == 2][0]
+        event = branch_at_double_zero(dz, spec)
+        assert event.branch_alpha == 1e-3
         branches = event.branches
         assert event.kind == CollisionEvent.kind == "axis_pair_to_plane_pair"
         assert [lbl for lbl, _ in branches] == ["resonance_side", "antiresonance_side"]
@@ -420,28 +435,21 @@ class TestBranching:
             p = newton_refine(kb, ComplexCoupling(1e-3), spec, Channel.PLUS)
             assert abs(p.k - kb) < 1e-10
 
-    def test_forward_backward_splits_mirror(self):
-        spec = _spec(U_CRIT_PLUS_ATT)
-        fwd = branch_at_double_zero(0.0, spec, Channel.PLUS, +1).branches
-        bwd = branch_at_double_zero(0.0, spec, Channel.PLUS, -1).branches
-        f = {lbl: k for lbl, k in fwd}
-        b = {lbl: k for lbl, k in bwd}
-        assert abs(b["resonance_side"] - (-f["antiresonance_side"].conjugate())) < 1e-10
-        assert abs(b["antiresonance_side"] - (-f["resonance_side"].conjugate())) < 1e-10
-
     def test_branches_continue_as_trajectories(self, monkeypatch):
         monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 1.5 * math.pi)
         spec = _spec(U_CRIT_PLUS_ATT)
         poles = scan_axis(spec, ATT, Channel.PLUS)
         dz = [p for p in poles if p.multiplicity == 2][0]
-        event = branch_at_double_zero(0.0, spec, Channel.PLUS, +1)
+        event = branch_at_double_zero(dz, spec)
         lbl, kb = event.branches[0]
-        t = trace_branch(dz, kb, 1e-3, spec)
-        # a split step past the pair, on to every anchor below the phase guard
-        assert t.seed is dz and (t.alphas[0], t.ks[0]) == (1e-3, kb)
-        assert [n for n, _ in t.anchors] == [1, 2, 3]
+        t = trace_branch(dz, kb, spec)
+        # a split step past the pair, on to every anchor below the phase
+        # guard, and the mirror image of that march behind the pair
+        i = t.alphas.index(1e-3)
+        assert t.seed is dz and t.ks[i] == kb
+        assert [n for n, _ in t.anchors] == [-3, -2, -1, 1, 2, 3]
         assert t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
-        assert len(t.alphas) > 20
+        assert len(t.alphas) == 2 * i and i > 20
         # the pair is the chart's one event
         chart = build_chart(spec, Channel.PLUS, certify=False)
         assert chart.collisions == [event]
@@ -475,10 +483,9 @@ class TestClosedFormBranches:
         collision=st.sampled_from([(Channel.PLUS, True), (Channel.MINUS, True),
                                    (Channel.PLUS, False)]),
         index=st.integers(1, 3),
-        direction=st.sampled_from([1, -1]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_polished_branches_sit_at_the_formula(self, m, a, collision, index, direction):
+    def test_polished_branches_sit_at_the_formula(self, m, a, collision, index):
         channel, attractive = collision
         if not attractive:
             index = 1
@@ -486,14 +493,15 @@ class TestClosedFormBranches:
         spec = PotentialSpec(m=m, a=a, U=(x * x + (1.0 if attractive else -1.0)) / (2 * m * a * a))
         alpha_c = 0.0 if attractive else math.pi
         kc = -1j / a
-        if multiplicity_at(kc, ComplexCoupling(alpha_c), spec, channel) != 2:
+        seed = min(scan_axis(spec, ComplexCoupling(alpha_c), channel), key=lambda p: abs(p.k - kc))
+        if seed.multiplicity != 2:
             # the float depth leaves the pair outside the coalescence ball
             with pytest.raises(ModelInvalid):
-                branch_at_double_zero(alpha_c, spec, channel, direction)
+                branch_at_double_zero(seed, spec)
             return
-        event = branch_at_double_zero(alpha_c, spec, channel, direction)
-        assert event.alpha == alpha_c
-        step = direction * trajectory._SPLIT_STEP
+        event = branch_at_double_zero(seed, spec)
+        assert event.alpha == alpha_c and event.k == kc
+        step = trajectory._SPLIT_STEP
         big_k = x / a if attractive else 1j * x / a
         root = 1j * big_k * cmath.sqrt(1j * step)
         stepped = ComplexCoupling(alpha_c + step)
@@ -506,13 +514,20 @@ class TestClosedFormBranches:
         assert matched[0] != matched[1]
 
     def test_no_split_off_a_collision(self):
-        # a real-coupling anchor without a coalesced pair, a pair ball
-        # away from the collision depth, and a quarter-turn anchor
+        # the poles of a real-coupling anchor without a coalesced pair, of
+        # one a pair ball away from the collision depth, and a pole at a
+        # quarter-turn anchor
         spec = _spec(U_CRIT_PLUS_ATT)
-        for alpha, sp in ((math.pi, spec), (0.0, _spec(U_CRIT_PLUS_ATT * (1 + 1e-9))),
-                          (HALF_PI, spec)):
+        off = _spec(U_CRIT_PLUS_ATT * (1 + 1e-9))
+        seeds = [(p, spec) for p in scan_axis(spec, REP, Channel.PLUS)]
+        seeds += [(p, off) for p in scan_axis(off, ATT, Channel.PLUS)]
+        assert any(abs(A * p.k + 1j) < 1e-3 for p, _ in seeds)
+        shallow = _spec(0.09)
+        quarter = newton_refine(SHALLOW_QUARTER, ComplexCoupling(HALF_PI), shallow, Channel.PLUS)
+        seeds.append((quarter, shallow))
+        for seed, sp in seeds:
             with pytest.raises(ModelInvalid, match="no coalesced pair"):
-                branch_at_double_zero(alpha, sp, Channel.PLUS, +1)
+                branch_at_double_zero(seed, sp)
 
 
 class TestWindowExit:
