@@ -310,7 +310,7 @@ def build_chart(
                 keep(f"split branch k={kb!r}", component_of(spec.a * kb, event.branch_alpha),
                      lambda kb=kb: trace_branch(seed, kb, spec), n)
             continue
-        component = component_of(spec.a * seed.k, alpha)
+        component = component_of(seed.q, alpha)
         if not _claimed(first.get(component), seed, n, seed.k):
             keep(f"axis pole k={seed.k!r}", component, lambda: trace(seed, +1, spec))
 

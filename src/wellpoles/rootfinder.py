@@ -71,22 +71,27 @@ class PoleKind(enum.Enum):
 
 
 class Pole(Record):
-    """A refined zero k of a channel pole function in a well of half-width a;
-    its kind is ``classify``'s reading of a*k and its multiplicity, and its
-    residual |d| that of ``_kernels``' pole function."""
+    """A refined zero q = k*a of a channel pole function in a well of
+    half-width a, kept as the solver gave it (k = q/a is derived); its kind
+    is ``classify``'s reading of q and its multiplicity, and its residual
+    |d| that of ``_kernels``' pole function."""
 
-    __slots__ = ("k", "channel", "coupling", "multiplicity", "residual", "a")
+    __slots__ = ("q", "channel", "coupling", "multiplicity", "residual", "a")
 
-    def __init__(self, k: complex, channel: Channel, coupling: ComplexCoupling,
+    def __init__(self, q: complex, channel: Channel, coupling: ComplexCoupling,
                  multiplicity: int, residual: float, a: float):
-        self.k, self.channel, self.coupling = k, channel, coupling
+        self.q, self.channel, self.coupling = q, channel, coupling
         self.multiplicity, self.residual, self.a = multiplicity, residual, a
         if self.multiplicity not in (1, 2):
             raise ValueError(f"multiplicity must be 1 or 2, got {self.multiplicity}")
 
     @property
+    def k(self) -> complex:
+        return self.q / self.a
+
+    @property
     def kind(self) -> PoleKind:
-        return classify(self.a * self.k, self.multiplicity)
+        return classify(self.q, self.multiplicity)
 
 
 def classify(q: complex, multiplicity: int = 1) -> PoleKind:
@@ -121,9 +126,9 @@ def residual_ratio(q: complex, s: complex, channel: Channel) -> float:
 
 def _pole(q: complex, s: complex, coupling: ComplexCoupling, channel: Channel,
           a: float, multiplicity: int = 1) -> Pole:
-    """The pole at scaled momentum q, as k = q/a, with its residual |d(q)|."""
+    """The pole at scaled momentum q, with its residual |d(q)|."""
     d, _ = _k.denom_plain(q, s, channel.code)
-    return Pole(k=q / a, channel=channel, coupling=coupling,
+    return Pole(q=q, channel=channel, coupling=coupling,
                 multiplicity=multiplicity, residual=abs(d), a=a)
 
 
@@ -520,7 +525,7 @@ def level_set_components(seeds: list[Pole], c: float) -> Callable[[complex, floa
     def size(q: complex, alpha: float) -> float:
         return abs(cmath.sqrt(q * q + c * c * _phase_to_gamma(alpha)))
 
-    ends = sorted(size(p.a * p.k, p.coupling.alpha) for p in seeds for _ in range(p.multiplicity))
+    ends = sorted(size(p.q, p.coupling.alpha) for p in seeds for _ in range(p.multiplicity))
     return lambda q, alpha: (len(ends) - bisect.bisect_right(ends, size(q, alpha)) + 1) // 2
 
 

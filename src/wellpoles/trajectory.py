@@ -325,7 +325,7 @@ def _trace_from_state(
     alpha0 = seed.coupling.alpha
     n_seed = _anchor_index(alpha0)
     a, c = spec.a, spec.c
-    if n_seed is None or n_seed % 2 or not on_axis(a * seed.k):
+    if n_seed is None or n_seed % 2 or not on_axis(seed.q):
         raise ValueError(f"a seed must be an axis pole on a real-coupling quarter-turn "
                          f"anchor, got k={seed.k!r} at alpha={alpha0!r}")
     c2 = c * c
@@ -470,24 +470,25 @@ def trace(
 
     The seed must lie on the imaginary axis at a real coupling, alpha a
     multiple of pi (ValueError otherwise), and meet the pole residual bound
-    of ``residual_ratio`` at q = k*a; a coalesced-pair seed cannot be
+    of ``residual_ratio`` at its q; a coalesced-pair seed cannot be
     continued as a single branch and raises StallAtDoubleZero immediately
     (split it with branch_at_double_zero instead). The curve is marched
-    forward from the seed and completed by its mirror image (see
-    _trace_from_state): a loop comes back closed_2pi or closed_4pi, with
-    the seed its first sample, and the open curve comes back open, with
-    the seed in its middle. direction is +1, or -1 for that curve's mirror
-    image about the seed, which retraces an open curve and runs a loop
-    round to end on the seed; any other value raises ValueError.
+    forward from the seed's q, the scan's own, and completed by its mirror
+    image (see _trace_from_state): a loop comes back closed_2pi or
+    closed_4pi, with the seed its first sample, and the open curve comes
+    back open, with the seed in its middle. direction is +1, or -1 for
+    that curve's mirror image about the seed, which retraces an open curve
+    and runs a loop round to end on the seed; any other value raises
+    ValueError.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
     c = spec.c
-    if not residual_ratio(spec.a * seed.k, c * c * seed.coupling.gamma, seed.channel) < 1.0:
+    if not residual_ratio(seed.q, c * c * seed.coupling.gamma, seed.channel) < 1.0:
         raise SeedNotOnPole(f"seed residual too large at k={seed.k!r}")
     if seed.multiplicity == 2:
         raise StallAtDoubleZero(seed.coupling.alpha, seed.k)
-    curve = _trace_from_state(spec.a * seed.k, seed.coupling.alpha, seed, spec)
+    curve = _trace_from_state(seed.q, seed.coupling.alpha, seed, spec)
     return curve if direction > 0 else mirror(curve)
 
 
@@ -495,14 +496,14 @@ def trace_branch(seed: Pole, branch_k: complex, spec: PotentialSpec) -> Trajecto
     """The whole curve through one branch of a split coalesced pair.
 
     The seed is the pair, on the axis at a real coupling (ValueError
-    otherwise), and the branch's march starts at branch_k, at the split's
-    phase alpha + _SPLIT_STEP (``CollisionEvent.branch_alpha``). A branch
-    closes as a march from an axis seed does: one that goes round a loop
-    stops where it meets the axis again, at its half-turn, and comes back
-    closed with the rest mirrored; a branch of an open curve is marched to
-    the window, or to the runaway guard, and comes back open, its backward
-    half the image across the pair. The pair's collision event is the
-    chart's, not the branch's.
+    otherwise), and the branch's march starts at q = a*branch_k, at the
+    split's phase alpha + _SPLIT_STEP (``CollisionEvent.branch_alpha``). A
+    branch closes as a march from an axis seed does: one that goes round a
+    loop stops where it meets the axis again, at its half-turn, and comes
+    back closed with the rest mirrored; a branch of an open curve is
+    marched to the window, or to the runaway guard, and comes back open,
+    its backward half the image across the pair. The pair's collision
+    event is the chart's, not the branch's.
     """
     return _trace_from_state(spec.a * branch_k, seed.coupling.alpha + _SPLIT_STEP, seed, spec)
 
@@ -525,7 +526,7 @@ def _reflect(alpha: float, n0: int) -> float:
 
 def _mirror_pole(pole: Pole, n0: int) -> Pole:
     coupling = ComplexCoupling(_reflect(pole.coupling.alpha, n0))
-    return Pole(-pole.k.conjugate(), pole.channel, coupling, pole.multiplicity, pole.residual,
+    return Pole(-pole.q.conjugate(), pole.channel, coupling, pole.multiplicity, pole.residual,
                 pole.a)
 
 

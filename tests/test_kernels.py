@@ -691,7 +691,7 @@ class TestNonFinite:
         for ch in (Channel.PLUS, Channel.MINUS):
             assert all(p.multiplicity == 1 for p in scan_axis(spec, coupling, ch))
             with pytest.raises(ModelInvalid):
-                branch_at_double_zero(Pole(-1j / A, ch, coupling, 1, 0.0, A), spec)
+                branch_at_double_zero(Pole(-1j, ch, coupling, 1, 0.0, A), spec)
 
     @pytest.mark.parametrize(
         "z",

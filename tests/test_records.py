@@ -42,7 +42,7 @@ RECORDS = [
     (PotentialSpec, lambda: {"m": 2.0, "a": 1.0, "U": 3.0}, ("U", 4.0)),
     (ComplexCoupling, lambda: {"alpha": 0.5}, ("alpha", -0.5)),
     (SMatrixValue, lambda: {"k": 1 + 0.5j, "s11": 0.3j, "s12": 0.9 + 0j}, ("s12", 0.8 + 0j)),
-    (Pole, lambda: {"k": 1j, "channel": Channel.PLUS, "coupling": _COUPLING,
+    (Pole, lambda: {"q": 1j, "channel": Channel.PLUS, "coupling": _COUPLING,
                     "multiplicity": 1, "residual": 1e-14, "a": 1.5}, ("multiplicity", 2)),
     (CountRegion, lambda: {"lo": -1 - 1j, "hi": 1 + 2j, "coupling": _COUPLING,
                            "channel": Channel.MINUS}, ("channel", Channel.PLUS)),

@@ -391,7 +391,7 @@ class TestSeedValidation:
     def test_off_manifold_seed_rejected(self):
         spec = _spec(0.09)
         good = _seed(0.09, ATT, Channel.PLUS, SHALLOW_BOUND)
-        bad = Pole(good.k + 0.05, good.channel, good.coupling, good.multiplicity,
+        bad = Pole(good.q + 0.05 * good.a, good.channel, good.coupling, good.multiplicity,
                    good.residual, good.a)
         with pytest.raises(SeedNotOnPole):
             trace(bad, +1, spec)
