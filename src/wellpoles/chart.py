@@ -589,8 +589,9 @@ class SweepResult(Record):
 def _closed_form_topology(spec: PotentialSpec, channel: Channel) -> dict[str, int]:
     """A chart's topology without a curve: one open curve, a closed_4pi loop
     per attractive collision at or below U, and in the even channel a
-    closed_2pi loop while U is below the repulsive collision. Zero depth
-    has no poles and no curves."""
+    closed_2pi loop while U is at or below the repulsive collision (at it,
+    the loop closes through the coalesced pair). Zero depth has no poles
+    and no curves."""
     if spec.c == 0.0:
         return {}
     hits = collisions_between(channel, spec.m, spec.a, 0.0, spec.U)
@@ -598,7 +599,7 @@ def _closed_form_topology(spec: PotentialSpec, channel: Channel) -> dict[str, in
     loops = sum(att for att, _, _ in hits)
     if loops:
         topology["closed_4pi"] = loops
-    if channel is Channel.PLUS and all(att for att, _, _ in hits):
+    if channel is Channel.PLUS and all(att or u_star >= spec.U for att, _, u_star in hits):
         topology["closed_2pi"] = 1
     return topology
 

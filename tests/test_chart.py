@@ -1676,14 +1676,15 @@ class TestForwardMarchesOnly:
 
 
 def _closed_form_topology(spec, channel):
-    """One open curve, a closed_4pi loop per attractive collision below U,
-    and in the even channel a closed_2pi loop below the repulsive one."""
+    """One open curve, a closed_4pi loop per attractive collision at or
+    below U, and in the even channel a closed_2pi loop at or below the
+    repulsive one."""
     expected = {"open": 1}
     loops = sum(att for att, _, _ in rootfinder.collisions_between(
         channel, spec.m, spec.a, 0.0, spec.U))
     if loops:
         expected["closed_4pi"] = loops
-    if channel is Channel.PLUS and spec.U < rootfinder.collision_depth(
+    if channel is Channel.PLUS and spec.U <= rootfinder.collision_depth(
             Channel.PLUS, False, spec.m, spec.a, 1):
         expected["closed_2pi"] = 1
     return expected
