@@ -292,8 +292,9 @@ def build_chart(
             # it resolves at its minimum step
             warnings.append(ChartWarning("trace_stalled", f"curve from {start} not traced: {exc}"))
             return
-        # a branch of the pair at anchor index pair is checked at its first
-        # anchor past the pair
+        # a split branch is named by its curve's first anchor past the pair
+        # at index pair, off the pair; an axis seed was checked before it
+        # was traced
         past = None if pair is None else next(((m, k) for m, k in traj.anchors if m > pair), None)
         if past and _claimed(first.get(component), traj.seed, *past):
             return
