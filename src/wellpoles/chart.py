@@ -36,7 +36,6 @@ from itertools import islice, repeat
 from ._record import Record
 from .errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
 from .rootfinder import (
-    CountRegion,
     Pole,
     axis_momenta,
     bound_count,
@@ -329,22 +328,19 @@ def build_chart(
     return chart
 
 
-def _window_count(spec: PotentialSpec, channel: Channel,
-                  window: WorkingWindow) -> tuple[int | None, list[ChartWarning]]:
+def _window_count(spec: PotentialSpec, channel: Channel) -> tuple[int | None, list[ChartWarning]]:
     """The contour count of the attractive coupling's poles in the working
-    window, or None with a ``count_failed`` warning that says why."""
-    region = CountRegion(
-        lo=complex(-window.re_max, window.im_min),
-        hi=complex(window.re_max, window.im_max),
-        coupling=ComplexCoupling(0.0),
-        channel=channel,
-    )
+    window, ``window_extents`` in q, or None with a ``count_failed`` warning
+    that says why."""
+    c = spec.c
+    re_max, im_depth, im_max = window_extents(c)
     try:
         # zero depth has no poles; the even channel's one zero there is the
         # threshold at k = 0
-        n = 0 if spec.U == 0.0 else count_zeros_padded(region, spec)
-    except (EdgeTooClose, ValueError) as exc:
-        failure = f"window contour count failed: {exc}"
+        n = 0 if spec.U == 0.0 else count_zeros_padded(re_max, -im_depth, im_max, c * c, channel)
+    except EdgeTooClose as exc:
+        # the walk runs in q; the warning names the place at its k
+        failure = f"window contour count failed near k={exc.where / spec.a!r}: {exc}"
     else:
         if n >= 0:
             return n, []
@@ -363,7 +359,7 @@ def _certify(chart: PoleChart) -> dict:
     if any(_anchor_index(ev.alpha) % 4 == 0 for ev in chart.collisions):
         a = spec.a
         traj_count += 2 - sum(abs(a * k + 1j) < _DEDUP_TOL for k in inventory)
-    window_count, failed = _window_count(spec, chart.channel, window)
+    window_count, failed = _window_count(spec, chart.channel)
     chart.warnings.extend(failed)
     # a curve stopped by the runaway guard never left the window, so it may
     # hold window poles that no anchor delivered
@@ -612,18 +608,18 @@ def _closed_form_inventory(spec: PotentialSpec, channel: Channel,
     them (``axis_momenta``), and plane pairs (``off_axis_poles``) inside
     the window, in anchor_poles' order."""
     poles = axis_momenta(spec, ComplexCoupling(0.0), channel)
-    poles += off_axis_poles(spec, channel, window.re_max)
+    poles += off_axis_poles(spec, channel, window_extents(spec.c)[0])
     a = spec.a
     return sorted((k for k in poles if window.contains(k)), key=lambda k: _inventory_key(a * k))
 
 
-def _closed_form_certificate(spec: PotentialSpec, channel: Channel, window: WorkingWindow,
+def _closed_form_certificate(spec: PotentialSpec, channel: Channel,
                               poles: list[complex]) -> list[ChartWarning]:
     """What keeps a sweep entry's closed-form poles from being certified:
     a window count that fails or differs from their number, merged as
     anchor_poles merges, or poles above the residual bound that a traced
     seed must meet (one ``pole_residual`` warning for all of them)."""
-    count, warnings = _window_count(spec, channel, window)
+    count, warnings = _window_count(spec, channel)
     distinct = len(_distinct(poles, spec.a))
     if count is not None and count != distinct:
         warnings.append(ChartWarning(
@@ -684,7 +680,7 @@ def depth_sweep(
         poles = _closed_form_inventory(spec, channel, window)
         warnings = _critical_proximity(spec, channel)
         if certify:
-            warnings += _closed_form_certificate(spec, channel, window, poles)
+            warnings += _closed_form_certificate(spec, channel, poles)
         entries.append(SweepEntry(
             U_requested=U_req,
             U_used=U_used,

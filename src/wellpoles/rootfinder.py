@@ -2,13 +2,14 @@
 
 Poles are zeros of the channel pole function: ``smatrix.denom_plus``, or
 the reduced odd form ``denom_minus_reduced`` in the odd channel. Both are
-entire in k, so the argument principle applies on any rectangle.
+entire in k, so the argument principle counts them (``count_zeros``).
 
 Below the public functions everything runs in q = k*a at the strength
 c = a sqrt(2 m U) (see ``_kernels``), with every tolerance in q: TOL_AXIS
 bounds a*kappa and a*|Re k| (``on_axis``), and no other module reads it.
 Each Newton polish is ``_kernels.newton_pole`` at its own step tolerance,
-within MAX_NEWTON. The public functions take and return k.
+within MAX_NEWTON. The public functions take and return k, except the
+contour count, which takes its rectangle in q and the coupling as s.
 
 On the imaginary axis at a real coupling the poles are known in closed
 form: with x = aK the interior momentum, each solves x = c|cos x| or
@@ -314,22 +315,16 @@ def collision_pair_count(channel: Channel, attractive: bool, index: int) -> int 
     q = -i at the index-th pair collision: 2, the coalesced pair; None when
     the walk fails (EdgeTooClose).
 
-    The count is taken at the collision's own strength c*, in the well
-    m = 1/2, a = 1, U = c*^2, where k = q, by the half walk of
-    ``count_zeros_padded``. In q the pole function depends on c alone, and
-    every well (m, a) at its collision depth has the same c*, so this is
-    every such well's count in the square about its k = -i/a. A pure
-    function of its arguments, cached per process like ``collision_x``.
+    The count is taken by ``count_zeros_padded`` at the collision's own
+    coupling s = +-c*^2 of ``_collision_c2``. In q the pole function
+    depends on s alone, so this is every well's count at its collision
+    depth in the square about its k = -i/a. A pure function of its
+    arguments, cached per process like ``collision_x``.
     """
-    spec = PotentialSpec(m=0.5, a=1.0, U=collision_depth(channel, attractive, 0.5, 1.0, index))
-    corner = _PAIR_BOX * (1 + 1j)
-    region = CountRegion(
-        lo=-1j - corner, hi=-1j + corner,
-        coupling=ComplexCoupling(0.0 if attractive else math.pi),
-        channel=channel,
-    )
+    c2 = _collision_c2(collision_x(channel, attractive, index), attractive)
     try:
-        return count_zeros_padded(region, spec)
+        return count_zeros_padded(_PAIR_BOX, -1.0 - _PAIR_BOX, -1.0 + _PAIR_BOX,
+                                  c2 if attractive else -c2, channel)
     except EdgeTooClose:
         return None
 
@@ -531,7 +526,7 @@ def level_set_components(seeds: list[Pole], c: float) -> Callable[[complex, floa
 
 def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list[complex]:
     """The poles k off the imaginary axis at the attractive coupling, up to
-    the first pair past |Re k| = re_max: the mirrored pair k, -conj(k) of
+    the first pair past |Re q| = re_max: the mirrored pair k, -conj(k) of
     every collision cell whose pair has left the axis.
 
     The n-th cell's pair collides at x_c = ``collision_x`` (n), at c* =
@@ -543,8 +538,8 @@ def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list
     x0 = x_c + i w, w = max(pair offset, acosh(max(1, x_c/c))): the first
     places a pair near its collision, the second one the far plane poles
     of a shallow well, whose interior phase runs off by acosh(x_c/c). The
-    walk stops at the first pole with |Re q| > a*re_max whose cell lies
-    past x_c = a*re_max + pi. The cells with c* <= c hold axis poles,
+    walk stops at the first pole with |Re q| > re_max whose cell lies
+    past x_c = re_max + pi. The cells with c* <= c hold axis poles,
     which ``scan_axis`` gives, and so do the cells without a collision.
 
     Raises NoConvergence when a solve does not converge. U = 0 has no
@@ -554,7 +549,6 @@ def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list
     if c == 0.0:
         return []
     odd = channel is Channel.MINUS
-    q_max = a * re_max
     poles = []
     n = 1
     while True:
@@ -569,7 +563,7 @@ def off_axis_poles(spec: PotentialSpec, channel: Channel, re_max: float) -> list
         q, iters, ok, _ = _k.newton_pole(q0, c * c, channel.code, MAX_NEWTON)
         if not ok:
             raise NoConvergence(q / a, iters)
-        if abs(q.real) > q_max and xc > q_max + math.pi:
+        if abs(q.real) > re_max and xc > re_max + math.pi:
             return poles
         poles.extend((q / a, -q.conjugate() / a))
 
@@ -675,17 +669,6 @@ def count_step_depth(channel: Channel, n: int, m: float = 1.0, a: float = 1.5) -
     return _depth(TOL_AXIS + 2.0 * TOL_AXIS * TOL_AXIS / 3.0, m, a)
 
 
-class CountRegion(Record):
-    """Axis-aligned rectangle [lo, hi] in the k plane with evaluation context."""
-
-    __slots__ = ("lo", "hi", "coupling", "channel")
-
-    def __init__(self, lo: complex, hi: complex, coupling: ComplexCoupling, channel: Channel):
-        self.lo, self.hi, self.coupling, self.channel = lo, hi, coupling, channel
-        if not (self.hi.real > self.lo.real and self.hi.imag > self.lo.imag):
-            raise ValueError("region corners must satisfy hi > lo componentwise")
-
-
 _EDGE_CLEARANCE = 1e-6
 _EDGE_MAX_POINTS = 20000
 # an edge's base samples, at t = i/32 along it; an odd count, so the half
@@ -700,11 +683,11 @@ def _edge_winding(
     in the q plane.
 
     The walk runs over t from base[0] to base[-1], starting from the base
-    samples: the whole segment by default, one half of it in the half walk
-    of ``count_zeros``. Subdivides a cell until its sampled increment, the
-    principal value of arg(d1/d0) between its two samples, is below pi/2,
-    and so is max(|d'/d|) over its two samples times its length |dq|: the
-    argument of d turns at most |d'/d| per unit length, so a cell that
+    samples: the whole segment by default, one half of it on the horizontal
+    edges of ``count_zeros``. Subdivides a cell until its sampled increment,
+    the principal value of arg(d1/d0) between its two samples, is below
+    pi/2, and so is max(|d'/d|) over its two samples times its length |dq|:
+    the argument of d turns at most |d'/d| per unit length, so a cell that
     passes both tests turns by its sampled increment, not by that plus
     whole turns. The second test assumes that |d'/d| between the two
     samples stays below its larger sampled value. That is not a bound: a
@@ -749,8 +732,10 @@ def _edge_winding(
         rates = [r for _, _, r in merged]
 
 
-def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
-    """Number of pole-function zeros inside the rectangle, with multiplicity.
+def count_zeros(re_max: float, im_lo: float, im_hi: float, s: float, channel: Channel) -> int:
+    """Number of pole-function zeros q = k*a, with multiplicity, in the
+    rectangle |Re q| <= re_max, im_lo <= Im q <= im_hi at the real coupling
+    s = +-c^2.
 
     Argument-principle winding along the boundary (Delves & Lyness, Math.
     Comp. 21 (1967) 543). The integrand is entire, so the true winding is
@@ -760,63 +745,50 @@ def count_zeros(region: CountRegion, spec: PotentialSpec) -> int:
     assumption it does not check: |d'/d| inside a cell stays below the
     larger of its two sampled values. Where that fails, whole turns drop
     out of the sum. An entire function has no negative zero count, so a
-    negative result proves such aliasing. The walk runs on the
-    rectangle's image in q = k*a, and raises EdgeTooClose when a zero sits
-    within ~1e-6 of it there.
+    negative result proves such aliasing. Raises EdgeTooClose, at q, when
+    a zero sits within ~1e-6 of the boundary.
 
-    At a real coupling the pole function obeys d(-conj k) = -conj d(k)
-    (even channel) or +conj d(k) (odd channel). On a rectangle symmetric
-    about the imaginary axis (lo.real == -hi.real) the left half of the
-    boundary is then the mirror image of the right half, walked backward,
-    and winds by exactly as much. So only the right half is walked, from
-    Re k = 0 on the bottom edge, up the right edge and back to Re k = 0 on
-    the top edge, on the right-half samples of the four-edge walk, and its
-    winding is doubled. Any other rectangle, or a complex coupling, is
-    walked along all four edges.
+    At a real coupling the pole function obeys d(-conj q) = -conj d(q)
+    (even channel) or +conj d(q) (odd channel), so the left half of the
+    boundary is the mirror image of the right half, walked backward, and
+    winds by exactly as much. Only the right half is walked, from Re q = 0
+    on the bottom edge, up the right edge and back to Re q = 0 on the top
+    edge, and its winding is doubled.
+
+    Raises ValueError for re_max <= 0, im_lo >= im_hi or a non-real s.
     """
-    a, c = spec.a, spec.c
-    s = c * c * region.coupling.gamma
-    c0 = a * region.lo
-    c2 = a * region.hi
-    c1 = complex(c2.real, c0.imag)
-    c3 = complex(c0.real, c2.imag)
-    base = _EDGE_TS
-    if region.coupling.is_real and c0.real == -c2.real:
-        mid = len(base) // 2
-        edges = ((c0, c1, base[mid:]), (c1, c2, base), (c2, c3, base[:mid + 1]))
-        copies = 2.0
-    else:
-        edges = ((c0, c1, base), (c1, c2, base), (c2, c3, base), (c3, c0, base))
-        copies = 1.0
-    total = 0.0
-    try:
-        for z0, z1, base in edges:
-            total += _edge_winding(z0, z1, s, region.channel.code, base)
-    except EdgeTooClose as exc:
-        raise EdgeTooClose(exc.where / a) from None
-    n = copies * total / (2.0 * math.pi)
+    if not (re_max > 0.0 and im_lo < im_hi):
+        raise ValueError(f"no rectangle |Re q| <= {re_max!r}, {im_lo!r} <= Im q <= {im_hi!r}")
+    if complex(s).imag != 0.0:
+        raise ValueError(f"the count takes a real coupling s = +-c^2, got s = {s!r}")
+    c0, c1 = complex(-re_max, im_lo), complex(re_max, im_lo)
+    c2, c3 = complex(re_max, im_hi), complex(-re_max, im_hi)
+    mid = len(_EDGE_TS) // 2
+    edges = ((c0, c1, _EDGE_TS[mid:]), (c1, c2, _EDGE_TS), (c2, c3, _EDGE_TS[:mid + 1]))
+    n = sum(_edge_winding(z0, z1, s, channel.code, base) for z0, z1, base in edges) / math.pi
     if abs(n - round(n)) > 0.05:
-        raise EdgeTooClose(region.lo, f"ambiguous winding {n:.6f} on {region}")
+        raise EdgeTooClose(c0, f"ambiguous winding {n:.6f} on |Re q| <= {re_max!r}, "
+                               f"{im_lo!r} <= Im q <= {im_hi!r}")
     return int(round(n))
 
 
-def count_zeros_padded(region: CountRegion, spec: PotentialSpec) -> int:
+def count_zeros_padded(re_max: float, im_lo: float, im_hi: float, s: float,
+                       channel: Channel) -> int:
     """count_zeros with automatic outward nudging when an edge grazes a zero.
 
     The t-th retry grows the rectangle by t*_PAD_FRACTION of its longer
     side on every edge, so the count can only gain zeros that sat on the
     original boundary; the last of _PAD_TRIES tries raises EdgeTooClose.
     """
-    step = _PAD_FRACTION * max(region.hi.real - region.lo.real, region.hi.imag - region.lo.imag)
-    r = region
+    step = _PAD_FRACTION * max(2.0 * re_max, im_hi - im_lo)
     for attempt in range(_PAD_TRIES):
         try:
-            return count_zeros(r, spec)
+            return count_zeros(re_max, im_lo, im_hi, s, channel)
         except EdgeTooClose:
             if attempt == _PAD_TRIES - 1:
                 raise
-            bump = step * (attempt + 1) * (1 + 1j)
-            r = CountRegion(r.lo - bump, r.hi + bump, r.coupling, r.channel)
+            bump = step * (attempt + 1)
+            re_max, im_lo, im_hi = re_max + bump, im_lo - bump, im_hi + bump
     raise AssertionError("unreachable")
 
 

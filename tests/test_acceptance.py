@@ -26,7 +26,7 @@ from wellpoles.chart import (
     working_window,
 )
 from wellpoles.errors import WellpolesError
-from wellpoles.rootfinder import CountRegion, count_zeros_padded, scan_axis
+from wellpoles.rootfinder import count_zeros_padded, scan_axis
 from wellpoles.smatrix import (
     Channel,
     ComplexCoupling,
@@ -490,12 +490,11 @@ def test_completeness_certificates():
         (u_plus_att, ATT, Channel.PLUS),
         (u_minus_att, ATT, Channel.MINUS),
     ]
+    # the square of half-side 1e-3 about k = KC, in q = k*A
+    h, y = 1e-3 * A, KC.imag * A
     for u_star, coup, ch in boxes:
-        region = CountRegion(
-            lo=KC - (1e-3 + 1e-3j), hi=KC + (1e-3 + 1e-3j),
-            coupling=coup, channel=ch,
-        )
-        assert count_zeros_padded(region, PotentialSpec(M, A, u_star)) == 2
+        s = PotentialSpec(M, A, u_star).c ** 2 * coup.gamma.real
+        assert count_zeros_padded(h, y - h, y + h, s, ch) == 2
 
 
 @criterion(8, "continuation robustness")

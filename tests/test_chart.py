@@ -214,7 +214,7 @@ class TestCompleteness:
     def test_certificate_walks_half_the_window(self, monkeypatch):
         # the window is symmetric about the imaginary axis and the coupling
         # real, so the count walks only its right half: 17 + 33 + 17 samples
-        # from Re k = 0 on the bottom edge to Re k = 0 on the top edge
+        # from Re q = 0 on the bottom edge to Re q = 0 on the top edge
         chart = build_chart(PotentialSpec(m=1.0, a=1.5, U=2.0), Channel.PLUS, certify=False)
         grids = []
         grid = _k.grid_denom_dk
@@ -230,7 +230,7 @@ class TestCompleteness:
 
     def test_forced_negative_window_count_fails_loudly(self, monkeypatch):
         # the failure path itself, on a chart whose true count is sound
-        monkeypatch.setattr(chart_module, "count_zeros_padded", lambda region, spec: -3)
+        monkeypatch.setattr(chart_module, "count_zeros_padded", lambda *rectangle: -3)
         chart = build_chart(PotentialSpec(m=M, a=A, U=2.0), Channel.PLUS)
         cert = chart.completeness
         assert cert["window_count"] is None
@@ -240,6 +240,18 @@ class TestCompleteness:
         doc = parse_chart_document(canonical_dumps(chart_document(chart)))
         assert doc["completeness"]["window_count"] is None
         assert doc["completeness"]["complete"] is False
+
+    def test_grazing_zero_is_named_at_its_k(self, monkeypatch):
+        # the walk runs in q and raises at q = 3i; the warning names k = q/a
+        def grazing(re_max, im_lo, im_hi, s, channel):
+            raise EdgeTooClose(3j)
+
+        monkeypatch.setattr(chart_module, "count_zeros_padded", grazing)
+        chart = build_chart(PotentialSpec(m=M, a=A, U=2.0), Channel.PLUS)
+        assert chart.completeness["window_count"] is None
+        failed = [w.message for w in chart.warnings if w.code == "count_failed"]
+        assert failed == [f"window contour count failed near k={3j / A!r}: "
+                          f"zero too close to contour near 3j"]
 
     def test_zero_depth_trivial(self):
         chart = build_chart(PotentialSpec(m=M, a=A, U=0.0), Channel.PLUS)
@@ -317,8 +329,8 @@ class TestCriticalDepths:
             critical_depth(Channel.PLUS, True, M, A, index=0)
 
     def test_failed_pair_count_is_none(self, monkeypatch):
-        def edge_too_close(region, spec):
-            raise EdgeTooClose(region.lo)
+        def edge_too_close(re_max, im_lo, im_hi, s, channel):
+            raise EdgeTooClose(complex(-re_max, im_lo))
 
         monkeypatch.setattr(rootfinder, "count_zeros_padded", edge_too_close)
         cd = critical_depth(Channel.PLUS, attractive=True, m=M, a=A)
@@ -1162,7 +1174,7 @@ class TestDepthSweep:
         # chart's count
         real_count = chart_module.count_zeros_padded
         monkeypatch.setattr(chart_module, "count_zeros_padded",
-                            lambda region, spec: real_count(region, spec) + 1)
+                            lambda *rectangle: real_count(*rectangle) + 1)
         sweep = depth_sweep(Channel.PLUS, [1.0, 3.0], M, A, certify=True)
         for entry in sweep.entries:
             chart = build_chart(PotentialSpec(m=M, a=A, U=entry.U_used), Channel.PLUS)

@@ -171,8 +171,8 @@ class TestCritical:
         assert doc["pair_count"] == 2
 
     def test_failed_pair_count_is_null(self, capsys, monkeypatch):
-        def edge_too_close(region, spec):
-            raise EdgeTooClose(region.lo)
+        def edge_too_close(re_max, im_lo, im_hi, s, channel):
+            raise EdgeTooClose(complex(-re_max, im_lo))
 
         monkeypatch.setattr(rootfinder, "count_zeros_padded", edge_too_close)
         code, out, err = run(capsys, "critical", "--channel", "plus", "--gamma", "+1")
@@ -182,9 +182,9 @@ class TestCritical:
     def test_counts_its_pair_once(self, capsys, monkeypatch):
         walks = []
 
-        def counted(region, spec, _walk=rootfinder.count_zeros_padded):
-            walks.append(region)
-            return _walk(region, spec)
+        def counted(*rectangle, _walk=rootfinder.count_zeros_padded):
+            walks.append(rectangle)
+            return _walk(*rectangle)
 
         monkeypatch.setattr(rootfinder, "count_zeros_padded", counted)
         code, out, _ = run(capsys, "critical", "--channel", "minus", "--gamma", "+1")

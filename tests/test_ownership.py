@@ -17,7 +17,10 @@ the runaway phase guard (40 + 2c)*pi live in ``trajectory``, which
 bound a pole meets, ``rootfinder._bracketed_newton`` is the one bracketed
 root solver, ``rootfinder._axis_roots`` the one walk
 of the axis roots that the scan and the sweep read, and ``chart`` takes its
-window contour count in one place, for a chart and a certified sweep alike.
+window contour count in one place, for a chart and a certified sweep alike,
+over ``window_extents`` in q. The count takes its rectangle in q as numbers
+(no module builds a region record), and a collision's pair is counted at
+its own s = +-c*^2, with no stand-in well.
 ``rootfinder.level_set_components`` alone states which level-set
 component a point lies on, and ``build_chart`` reads it to name the curve a
 seed may merge into: the claim checks that one curve's anchors and files
@@ -141,8 +144,9 @@ def _module_constants(tree: ast.Module) -> dict[str, object]:
 
 
 def _states_pair_box(tree: ast.Module) -> bool:
-    """Whether the module multiplies 1e-3, as a literal or a module constant,
-    by an expression holding 1j, as the pair box's corner 1e-3*(1 + 1j) is."""
+    """Whether the module adds 1e-3, as a literal or a module constant, to
+    -1 or subtracts it from -1, as the pair box's edges -1 +- _PAIR_BOX
+    about q = -i are."""
     consts = _module_constants(tree)
 
     def value(node):
@@ -150,15 +154,14 @@ def _states_pair_box(tree: ast.Module) -> bool:
             return node.value
         if isinstance(node, ast.Name):
             return consts.get(node.id)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            inner = value(node.operand)
+            return -inner if isinstance(inner, (int, float)) else None
         return None
 
-    def holds_1j(node):
-        return any(isinstance(n, ast.Constant) and n.value == 1j for n in ast.walk(node))
-
     return any(
-        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-        and any(value(side) == 1e-3 and holds_1j(other)
-                for side, other in ((node.left, node.right), (node.right, node.left)))
+        isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        and value(node.left) == -1 and value(node.right) == 1e-3
         for node in ast.walk(tree)
     )
 
@@ -416,6 +419,29 @@ def test_chart_takes_the_window_count_once():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "count_zeros_padded"]
     assert len(calls) == 1
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    (node,) = [f for f in ast.walk(_tree(module))
+               if isinstance(f, ast.FunctionDef) and f.name == name]
+    return node
+
+
+def test_no_module_builds_a_count_region():
+    # the count takes its rectangle in q as numbers
+    assert [p.name for p in SRC.glob("*.py") if "CountRegion" in _names(_tree(p.name))] == []
+
+
+def test_window_count_reads_the_window_extents():
+    # the window in q, as trajectory states it, with no round trip through k
+    named = _names(_function("chart.py", "_window_count"))
+    assert "window_extents" in named and "working_window" not in named
+
+
+def test_pair_count_builds_no_well():
+    # the count reads the collision's s = +-c*^2 itself, with no stand-in well
+    named = _names(_function("rootfinder.py", "collision_pair_count"))
+    assert "_collision_c2" in named and "PotentialSpec" not in named
 
 
 def test_only_rootfinder_states_the_residual_bound():

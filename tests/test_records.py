@@ -19,7 +19,7 @@ from wellpoles.chart import (
     WorkingWindow,
 )
 from wellpoles.config import RunConfig
-from wellpoles.rootfinder import CountRegion, Pole
+from wellpoles.rootfinder import Pole
 from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec, SMatrixValue
 from wellpoles.trajectory import Closure, ClosureKind, CollisionEvent, ExitReason, Trajectory
 
@@ -44,8 +44,6 @@ RECORDS = [
     (SMatrixValue, lambda: {"k": 1 + 0.5j, "s11": 0.3j, "s12": 0.9 + 0j}, ("s12", 0.8 + 0j)),
     (Pole, lambda: {"q": 1j, "channel": Channel.PLUS, "coupling": _COUPLING,
                     "multiplicity": 1, "residual": 1e-14, "a": 1.5}, ("multiplicity", 2)),
-    (CountRegion, lambda: {"lo": -1 - 1j, "hi": 1 + 2j, "coupling": _COUPLING,
-                           "channel": Channel.MINUS}, ("channel", Channel.PLUS)),
     (RunConfig, lambda: {"m": 2.0, "a": 1.5, "U": 1.0, "channel": "minus", "gamma": -1,
                          "index": 2, "n": 1, "depths": (0.5, 1.0), "samples": 50, "seed": 3,
                          "certify": False, "out": "o.json", "format": "csv", "svg": None},
@@ -103,15 +101,6 @@ def test_record_equality_hash_and_repr(cls, values, change):
     assert repr(record) == f"{cls.__name__}({shown})"
 
 
-def test_count_region_repr_is_the_dataclass_form():
-    # count_zeros writes the region into its "ambiguous winding" message,
-    # which reaches a chart's count_failed warnings
-    region = CountRegion(-1 - 1j, 1 + 2j, ComplexCoupling(0.0), Channel.MINUS)
-    assert repr(region) == ("CountRegion(lo=(-1-1j), hi=(1+2j), "
-                            "coupling=ComplexCoupling(alpha=0.0), "
-                            "channel=<Channel.MINUS: 'minus'>)")
-
-
 def test_each_trajectory_gets_its_own_merged_seeds():
     first = Trajectory(_POLE, [0.0], [1j], [(0, 1j)], _CLOSURE)
     second = Trajectory(_POLE, [0.0], [1j], [(0, 1j)], _CLOSURE)
@@ -136,8 +125,6 @@ def test_collision_kind_is_a_class_constant():
     (lambda: PotentialSpec(m=1, a=1, U=1e9),
      "strength c = a*sqrt(2 m U) = 44721.4 exceeds its limit 10000 at m=1, a=1, U=1000000000.0"),
     (lambda: ComplexCoupling(math.nan), "coupling phase must be finite, got nan"),
-    (lambda: CountRegion(1, 0, _COUPLING, Channel.PLUS),
-     "region corners must satisfy hi > lo componentwise"),
     (lambda: Pole(1j, Channel.PLUS, _COUPLING, 3, 0.0, 1.0), "multiplicity must be 1 or 2, got 3"),
     (lambda: RunConfig(m="1"), "config key 'm' must be float, got '1'"),
     (lambda: RunConfig(certify=1), "config key 'certify' must be bool, got 1"),

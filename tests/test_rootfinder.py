@@ -20,8 +20,8 @@ from wellpoles.chart import (
     bound_count,
     bound_threshold,
     threshold_flip,
-    working_window,
 )
+from wellpoles.trajectory import window_extents
 from wellpoles.rootfinder import (
     _PAIR_BALL,
     RESIDUAL_TOL,
@@ -29,7 +29,6 @@ from wellpoles.rootfinder import (
     _bracketed_newton,
     _y_sinh_form,
     _edge_winding,
-    CountRegion,
     Pole,
     PoleKind,
     axis_momenta,
@@ -210,17 +209,18 @@ def _box_and_restarts(k, coupling, spec, channel):
     converge).
     """
     r = 1e-3
-    region = CountRegion(lo=k - r * (1 + 1j), hi=k + r * (1 + 1j),
-                         coupling=coupling, channel=channel)
+    # the box in q about q = a*k on the imaginary axis, at s = c^2*gamma
+    a = spec.a
+    y, h = a * k.imag, a * r
+    s = spec.c ** 2 * coupling.gamma.real
     # four tries, each growing the box by 0.3*r more on every edge
     n = None
     for attempt in range(4):
         try:
-            n = count_zeros(region, spec)
+            n = count_zeros(h, y - h, y + h, s, channel)
             break
         except wp.EdgeTooClose:
-            bump = 0.3 * r * (attempt + 1) * (1 + 1j)
-            region = CountRegion(region.lo - bump, region.hi + bump, coupling, channel)
+            h += 0.3 * a * r * (attempt + 1)
     landings = []
     for dk in (r * 0.3, -r * 0.3, r * 0.3j, -r * 0.3j):
         q, _, ok, _ = _k.newton_pole(
@@ -349,69 +349,76 @@ class TestNewtonRefine:
         assert p.kind is PoleKind.VIRTUAL and p.multiplicity == 1
 
 
+def _s(U: float, coupling: ComplexCoupling = ATT) -> float:
+    """s = c^2*gamma of the test well at depth U and a real coupling."""
+    return spec(U).c ** 2 * coupling.gamma.real
+
+
 class TestCountZeros:
+    """Rectangles in q = k*a, stated as k times A."""
+
     def test_counts_axis_inventory(self):
-        # box enclosing all three U=2 even-channel axis poles
-        reg = CountRegion(lo=-3 - 3j, hi=3 + 3j, coupling=ATT, channel=Channel.PLUS)
-        assert count_zeros(reg, spec(2.0)) == 3
+        # |Re k|, |Im k| <= 3 holds all three U=2 even-channel axis poles
+        assert count_zeros(3 * A, -3 * A, 3 * A, _s(2.0), Channel.PLUS) == 3
 
     def test_single_pole_box(self):
-        reg = CountRegion(lo=-0.5 + 1.5j, hi=0.5 + 2.2j, coupling=ATT, channel=Channel.PLUS)
-        assert count_zeros(reg, spec(2.0)) == 1
+        assert count_zeros(0.5 * A, 1.5 * A, 2.2 * A, _s(2.0), Channel.PLUS) == 1
 
     def test_empty_box(self):
-        reg = CountRegion(lo=1.0 + 1.0j, hi=2.0 + 2.0j, coupling=ATT, channel=Channel.PLUS)
-        assert count_zeros(reg, spec(2.0)) == 0
+        # above the ground bound state at k = 1.85i the upper half plane
+        # holds no pole
+        assert count_zeros(2.0 * A, 2.0 * A, 3.0 * A, _s(2.0), Channel.PLUS) == 0
 
     def test_double_zero_box_counts_two(self):
-        kc = -1j / A
-        reg = CountRegion(
-            lo=kc - 1e-3 * (1 + 1j), hi=kc + 1e-3 * (1 + 1j), coupling=REP, channel=Channel.PLUS
-        )
-        assert count_zeros_padded(reg, spec(U_COLLIDE_PLUS_REP)) == 2
+        h = 1e-3 * A
+        s = _s(U_COLLIDE_PLUS_REP, REP)
+        assert count_zeros_padded(h, -1.0 - h, -1.0 + h, s, Channel.PLUS) == 2
 
     def test_edge_too_close_raised_and_nudged(self):
         # put the ground bound pole exactly on an edge
-        p = newton_refine(1.85j, ATT, spec(2.0), Channel.PLUS)
-        reg = CountRegion(
-            lo=complex(-1.0, p.k.imag), hi=complex(1.0, p.k.imag + 1.0),
-            coupling=ATT, channel=Channel.PLUS,
-        )
+        y = newton_refine(1.85j, ATT, spec(2.0), Channel.PLUS).q.imag
         with pytest.raises(wp.EdgeTooClose):
-            count_zeros(reg, spec(2.0))
-        assert count_zeros_padded(reg, spec(2.0)) >= 1
+            count_zeros(A, y, y + A, _s(2.0), Channel.PLUS)
+        assert count_zeros_padded(A, y, y + A, _s(2.0), Channel.PLUS) >= 1
 
     def test_invalid_region(self):
-        with pytest.raises(ValueError):
-            CountRegion(lo=1 + 1j, hi=0 + 2j, coupling=ATT, channel=Channel.PLUS)
+        for rectangle in ((0.0, -1.0, 1.0, 9.0), (-1.0, -1.0, 1.0, 9.0),
+                          (1.0, 1.0, 1.0, 9.0), (1.0, 2.0, 1.0, 9.0), (math.nan, -1.0, 1.0, 9.0),
+                          (1.0, -1.0, 1.0, 9.0 + 1e-9j), (1.0, -1.0, 1.0, 9.0j)):
+            with pytest.raises(ValueError):
+                count_zeros(*rectangle, Channel.PLUS)
+
+    def test_ambiguous_winding_names_the_rectangle(self, monkeypatch):
+        # three edges of pi/6 each, doubled: half a turn
+        monkeypatch.setattr(wp.rootfinder, "_edge_winding", lambda *args: math.pi / 6)
+        with pytest.raises(wp.EdgeTooClose) as exc:
+            count_zeros(3.0, -1.0, 2.0, 9.0, Channel.MINUS)
+        assert exc.value.where == -3 - 1j
+        assert str(exc.value) == "ambiguous winding 0.500000 on |Re q| <= 3.0, -1.0 <= Im q <= 2.0"
 
     def test_count_matches_scan_in_window(self):
         for U, c, ch in ((3.0, ATT, Channel.PLUS), (5.0, ATT, Channel.MINUS)):
             ps = scan_axis(spec(U), c, ch)
             lo = min(p.k.imag for p in ps) - 0.377
             hi = max(p.k.imag for p in ps) + 0.377
-            reg = CountRegion(
-                lo=complex(-1.1, lo), hi=complex(1.1, hi), coupling=c, channel=ch
-            )
-            assert count_zeros(reg, spec(U)) == len(ps)
+            assert count_zeros(1.1 * A, lo * A, hi * A, _s(U, c), ch) == len(ps)
 
 
-def _four_edge_count(region, sp):
-    """The winding over all four edges of the region, in turns."""
-    lo, hi = sp.a * region.lo, sp.a * region.hi
-    corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
-    s = sp.c ** 2 * region.coupling.gamma
+def _four_edge_count(re_max, im_lo, im_hi, s, channel):
+    """The winding over all four edges of the rectangle in q, in turns."""
+    corners = [complex(-re_max, im_lo), complex(re_max, im_lo),
+               complex(re_max, im_hi), complex(-re_max, im_hi)]
     total = sum(
-        _edge_winding(z0, z1, s, region.channel.code)
+        _edge_winding(z0, z1, s, channel.code)
         for z0, z1 in zip(corners, corners[1:] + corners[:1])
     )
     return total / (2.0 * math.pi)
 
 
 class TestHalfWalk:
-    """A region symmetric about the imaginary axis at a real coupling is
-    counted from the right half of its boundary; any other region, or a
-    complex coupling, from all four edges."""
+    """The count walks the right half of its rectangle, which is symmetric
+    about the imaginary axis, and doubles it; the four-edge walk is the
+    oracle. A complex coupling is refused."""
 
     @staticmethod
     def _grids(monkeypatch):
@@ -425,19 +432,25 @@ class TestHalfWalk:
         monkeypatch.setattr(_k, "grid_denom_dk", counted)
         return grids
 
-    @pytest.mark.parametrize("lo,hi,coupling,half", [
+    @pytest.mark.parametrize("lo,hi,coupling,walked", [
         (-3 - 3j, 3 + 3j, ATT, True),
         (-3 - 3j, 3 + 3j, REP, True),
-        (-2.5 - 3j, 3 + 3j, ATT, False),
         (-3 - 3j, 3 + 3j, ComplexCoupling(0.3), False),
     ])
-    def test_walk_follows_region_and_coupling(self, monkeypatch, lo, hi, coupling, half):
-        region = CountRegion(lo=lo, hi=hi, coupling=coupling, channel=Channel.PLUS)
-        ref = _four_edge_count(region, spec(2.0))
+    def test_walk_follows_region_and_coupling(self, monkeypatch, lo, hi, coupling, walked):
+        # the rectangle lo..hi in k of the U = 2 well
+        rectangle = (A * hi.real, A * lo.imag, A * hi.imag, spec(2.0).c ** 2 * coupling.gamma)
         grids = self._grids(monkeypatch)
-        assert count_zeros(region, spec(2.0)) == round(ref)
-        assert [len(ks) for ks in grids] == ([17, 33, 17] if half else [33] * 4)
-        assert (min(k.real for ks in grids for k in ks) == 0.0) == half
+        if not walked:
+            with pytest.raises(ValueError):
+                count_zeros(*rectangle, Channel.PLUS)
+            assert grids == []
+            return
+        ref = _four_edge_count(*rectangle, Channel.PLUS)
+        grids.clear()
+        assert count_zeros(*rectangle, Channel.PLUS) == round(ref)
+        assert [len(ks) for ks in grids] == [17, 33, 17]
+        assert min(k.real for ks in grids for k in ks) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -453,21 +466,17 @@ class TestHalfWalk:
     def test_symmetric_count_equals_four_edge_walk(
         self, m, a, log_U, channel, coupling, fx, f0, f1
     ):
-        # a part of the working window, which is the certificate's region
+        # a part of the working window, which is the certificate's rectangle
         sp = PotentialSpec(m, a, math.exp(log_U))
-        window = working_window(sp)
-        region = CountRegion(
-            lo=complex(-fx * window.re_max, f0 * window.im_min),
-            hi=complex(fx * window.re_max, f1 * window.im_max),
-            coupling=coupling, channel=channel,
-        )
+        re_max, im_depth, im_max = window_extents(sp.c)
+        rectangle = (fx * re_max, -f0 * im_depth, f1 * im_max, sp.c ** 2 * coupling.gamma.real)
         try:
-            ref = _four_edge_count(region, sp)
+            ref = _four_edge_count(*rectangle, channel)
         except wp.EdgeTooClose:
             ref = math.nan
         # a zero on the contour, or an ambiguous winding, is no count
         assume(abs(ref - round(ref)) <= 0.05 if ref == ref else False)
-        assert count_zeros(region, sp) == round(ref)
+        assert count_zeros(*rectangle, channel) == round(ref)
 
 
 @functools.lru_cache(maxsize=None)
@@ -735,18 +744,13 @@ _PAIR_COLLISIONS = [
 
 
 def _well_pair_count(channel, attractive, index, m, a):
-    """The pair count of one well at its collision depth, walked in the k
-    plane over the square of half-side 1e-3/a about k = -i/a; None when the
-    walk fails."""
-    kc = -1j / a
-    corner = 1e-3 * (1 + 1j) / a
-    region = CountRegion(
-        lo=kc - corner, hi=kc + corner,
-        coupling=ComplexCoupling(0.0 if attractive else math.pi), channel=channel,
-    )
-    u_star = collision_depth(channel, attractive, m, a, index)
+    """The pair count of one well at its collision depth, walked at the
+    well's own s = +-c^2 over the square of half-side 1e-3 about q = -i, its
+    k = -i/a; None when the walk fails."""
+    sp = PotentialSpec(m=m, a=a, U=collision_depth(channel, attractive, m, a, index))
+    s = sp.c ** 2 if attractive else -sp.c ** 2
     try:
-        return count_zeros_padded(region, PotentialSpec(m=m, a=a, U=u_star))
+        return count_zeros_padded(1e-3, -1.0 - 1e-3, -1.0 + 1e-3, s, channel)
     except wp.EdgeTooClose:
         return None
 
@@ -764,9 +768,9 @@ class TestCollisionPairCount:
     def test_counted_once_per_collision(self, monkeypatch):
         walks = []
 
-        def counted(region, sp, _walk=count_zeros_padded):
-            walks.append((region.channel, region.coupling.alpha))
-            return _walk(region, sp)
+        def counted(*rectangle, _walk=count_zeros_padded):
+            walks.append(rectangle)
+            return _walk(*rectangle)
 
         monkeypatch.setattr(wp.rootfinder, "count_zeros_padded", counted)
         for _ in range(3):
@@ -1032,14 +1036,10 @@ class TestClosedFormScan:
 
         # one thin box per pole, split at midpoints, so no contour edge
         # passes more than one pole between samples
-        w = 0.01 / a
         cuts = [lo] + [0.5 * (p + q) for p, q in zip(kappas, kappas[1:])] + [hi]
-        counts = []
-        for y0, y1 in zip(cuts, cuts[1:]):
-            region = CountRegion(
-                lo=complex(-w, y0), hi=complex(w, y1), coupling=coupling, channel=channel
-            )
-            counts.append(count_zeros_padded(region, sp))
+        s = sp.c ** 2 * coupling.gamma.real
+        counts = [count_zeros_padded(0.01, a * y0, a * y1, s, channel)
+                  for y0, y1 in zip(cuts, cuts[1:])]
         assert counts == ([p.multiplicity for p in poles] or [0])
 
         # sign changes of the sampled axis function on a grid 0.005/a apart
