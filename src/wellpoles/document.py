@@ -404,13 +404,14 @@ def _require(cond: bool, message: str) -> None:
 def parse_chart_document(text: str) -> dict:
     """Parse and validate a chart document.
 
-    Raises DocumentError on unknown or missing fields and on fields of the
+    Raises DocumentError on text that is not JSON, NaN and Infinity
+    included, on unknown or missing fields and on fields of the
     wrong type: the potential, the phases and the momentum pairs hold
     numbers (never bools), the topology maps to ints, every record list
     holds objects, and the completeness block is null or an object.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "document must be a JSON object")
@@ -453,6 +454,12 @@ def parse_chart_document(text: str) -> dict:
             _require(isinstance(k, list) and len(k) == 2 and all(map(_is_number, k)),
                      f"trajectory {i} momenta must be [re, im] pairs of numbers")
     return doc
+
+
+def _no_constant(name: str):
+    """json.loads' hook for NaN, Infinity and -Infinity, which it takes by
+    default though JSON has no such number and no document holds one."""
+    raise DocumentError(f"not valid JSON: {name} is not a JSON number")
 
 
 def _is_number(x) -> bool:

@@ -553,6 +553,14 @@ class TestStrictParsing:
         text = canonical_dumps(chart_document(_chart(channel, U)))
         assert parse_chart_document(text) == json.loads(text)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_json_constants_rejected(self, value):
+        # json.loads takes NaN, Infinity and -Infinity by default; a document
+        # holding one could not be written back by canonical_dumps
+        text = self._doc_text(lambda d: d["trajectories"][0]["alphas"].__setitem__(0, value))
+        with pytest.raises(DocumentError, match="is not a JSON number"):
+            parse_chart_document(text)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(DocumentError, match="not valid JSON"):
             parse_chart_document("{nope")
