@@ -43,24 +43,29 @@ S*(-k*, gamma*) = S(k, gamma), maps the pole at (alpha, k) to
 (-alpha, -conj(k)), and so, the coupling being 2pi-periodic in alpha, to
 (2*alpha0 - alpha, -conj(k)) for alpha0 any multiple of pi. About a seed
 at a real coupling the backward half of a curve is therefore the mirror
-image of the forward march from the mirrored seed (see mirror). And a
-curve that meets the imaginary axis at a real coupling is its own mirror
-image about that point.
+image of the forward march about the seed's anchor. And a curve that meets
+the imaginary axis at a real coupling is its own mirror image about that
+point. One helper, _image, states that reflection for the march and for
+mirror alike.
 
-So every curve comes back whole from one march. A seed sits on the
-imaginary axis at a real coupling: an axis pole, or a coalesced pair split
-into its branches. A march from it stops at the half-turn anchor
+So every curve comes back whole from one march and its image. A seed sits
+on the imaginary axis at a real coupling: an axis pole, or a coalesced pair
+split into its branches. A march from it stops at the half-turn anchor
 n* = n_seed + 2 or n_seed + 4 where its pole lies on the axis again
 (``on_axis``), or where it reaches the coalesced pair at q = -i and closes
-there (the chart lists the pair's collision event). The loop is the marched
-half plus its mirror image about alpha* = n*(pi/2), and it is closed_2pi or
+there (the chart lists the pair's collision event). The loop is the march
+and then its image about alpha* = n*(pi/2), and it is closed_2pi or
 closed_4pi as n* - n_seed is 2 or 4. An open curve meets the axis at a real
 coupling only at its seed, or it would be symmetric about two points and so
 periodic; the open component is unbounded, so the curve leaves every
 window, and it runs until |q| passes the trace window, _WINDOW_MARGIN = 1.2
-times the corner radius of the chart's working window (window_extents). Its
-backward half is the mirror image of that march about the seed's anchor,
-which stops for the same reason; a branch's image lies across the pair.
+times the corner radius of the chart's working window (window_extents). The
+open curve is the image of that march about the seed's anchor, which stops
+for the same reason, and then the march; a branch's image lies across the
+pair. The march knows both orders, so a sample or anchor the two halves
+share at the joint (the half-turn where a loop's march ends on it, the
+seed's where an open curve's march starts on it) is kept once, as marched:
+an axis seed keeps its Re k = +0.0, not the image's -0.0.
 The window grows with c, so the loops of deep and wide wells, which reach
 past any fixed radius, close inside it, the open curve, which needs about
 1.5*c*pi of phase to leave it, is followed all the way across, and the
@@ -150,7 +155,7 @@ class ExitReason(enum.Enum):
 
 class Closure(Record):
     """How a curve ends. An open curve carries the reason its march stopped,
-    which is its mirrored half's too (see mirror); a closed one carries None."""
+    which is its mirrored half's too (see _image); a closed one carries None."""
 
     __slots__ = ("kind", "reason")
 
@@ -313,11 +318,11 @@ def _trace_from_state(
     on a branch of it. A march that reaches its half-turn anchor
     n* = n_seed + 2 or n_seed + 4 on the axis again, or stalls next to the
     coalesced pair there, is one half of a loop, and the loop is that half
-    joined with its mirror image about n*: closed_2pi or closed_4pi as
+    followed by its image about n*: closed_2pi or closed_4pi as
     n* - n_seed is 2 or 4. Any other march stops where |q| passes
     _trace_window(c), or at the runaway guard _alpha_guard(c), which counts
     from the seed's phase, not from alpha_start; it is the forward half of
-    an open curve, joined with its mirror image about n_seed. A stall
+    an open curve, which is its image about n_seed followed by it. A stall
     anywhere else raises StallAtDoubleZero. Samples and anchors are
     k = q/a.
     """
@@ -421,44 +426,24 @@ def _trace_from_state(
             reason = ExitReason.ALPHA_CAP
             break
 
-    half = Trajectory(
-        seed=seed, alphas=alphas, ks=[q / a for q in qs],
-        anchors=[(n, q / a) for n, q in anchors],
-        closure=Closure(ClosureKind.OPEN, reason),
-    )
+    ks = [q / a for q in qs]
+    anchors = [(n, q / a) for n, q in anchors]
     if n_star is None:
-        return _join(half, mirror(half), ClosureKind.OPEN)
+        # the image about the seed's anchor, then the march: the seed's
+        # sample and anchor are held once, as marched, and a split branch's
+        # march shares neither with its image
+        j = 0 if n_start is None else 1
+        back_alphas, back_ks, back_anchors = _image(alphas[j:], ks[j:], anchors[j:], n_seed)
+        return Trajectory(seed, back_alphas + alphas, back_ks + ks, back_anchors + anchors,
+                          Closure(ClosureKind.OPEN, reason))
+    # the march, then its image about n*: the half-turn sample and anchor,
+    # where the march ends on them, are held once, as marched; a march that
+    # stops short of the coalesced pair shares neither with its image
+    j = -1 if anchors[-1][0] == n_star else None
+    rest_alphas, rest_ks, rest_anchors = _image(alphas[:j], ks[:j], anchors[:j], n_star)
     kind = ClosureKind.CLOSED_2PI if n_star - n_seed == 2 else ClosureKind.CLOSED_4PI
-    return _join(half, mirror(half, n_star), kind)
-
-
-def _join(marched: Trajectory, image: Trajectory, kind: ClosureKind) -> Trajectory:
-    """A forward march and its mirror image, joined into one curve.
-
-    The image lies after the march (a loop about its half-turn) or before
-    it (the backward half of an open curve). A sample or anchor that both
-    hold at the joint is kept once, as marched: a mirrored axis pole
-    carries Re k = -0.0, and a loop's march ends on its half-turn sample,
-    its own image, or just short of the coalesced pair, with no sample
-    there. The curve takes kind and the march's exit reason, which is its
-    image's too.
-    """
-    before = image.alphas[-1] <= marched.alphas[0]
-    first, second = (image, marched) if before else (marched, image)
-
-    anchors = first.anchors + second.anchors
-    if first.anchors and second.anchors and first.anchors[-1][0] == second.anchors[0][0]:
-        del anchors[len(first.anchors) - before]
-    cut = first.alphas[-1] == second.alphas[0]
-    head = len(first.alphas) - (cut and before)
-    tail = int(cut and not before)
-    return Trajectory(
-        seed=marched.seed,
-        alphas=first.alphas[:head] + second.alphas[tail:],
-        ks=first.ks[:head] + second.ks[tail:],
-        anchors=anchors,
-        closure=Closure(kind, marched.closure.reason),
-    )
+    return Trajectory(seed, alphas + rest_alphas, ks + rest_ks, anchors + rest_anchors,
+                      Closure(kind))
 
 
 def trace(
@@ -524,29 +509,35 @@ def _reflect(alpha: float, n0: int) -> float:
     return 2.0 * (n0 * HALF_PI) - alpha if n is None else (2 * n0 - n) * HALF_PI
 
 
-def _mirror_pole(pole: Pole, n0: int) -> Pole:
-    coupling = ComplexCoupling(_reflect(pole.coupling.alpha, n0))
-    return Pole(-pole.q.conjugate(), pole.channel, coupling, pole.multiplicity, pole.residual,
-                pole.a)
+def _image(alphas: list[float], ks: list[complex], anchors: list[tuple[int, complex]],
+           n0: int) -> tuple[list[float], list[complex], list[tuple[int, complex]]]:
+    """Samples and anchors reflected about the anchor n0, in ascending
+    phase: (alpha, k) -> (2*alpha0 - alpha, -conj(k)), alpha0 = n0*(pi/2),
+    with anchor phases mapped exactly (see _reflect) and the anchor n taken
+    to 2*n0 - n. n0 must be even, a multiple of pi."""
+    return ([_reflect(al, n0) for al in reversed(alphas)],
+            [-k.conjugate() for k in reversed(ks)],
+            [(2 * n0 - n, -k.conjugate()) for n, k in reversed(anchors)])
 
 
-def mirror(traj: Trajectory, about: int | None = None) -> Trajectory:
-    """Reflect a trajectory about the anchor n0 = about, by default the
-    seed's: (alpha, k) -> (2*alpha0 - alpha, -conj(k)), alpha0 = n0*(pi/2).
+def mirror(traj: Trajectory) -> Trajectory:
+    """Reflect a trajectory about its seed's phase alpha0:
+    (alpha, k) -> (2*alpha0 - alpha, -conj(k)), the seed going to
+    -conj(k_seed) at alpha0.
 
     The reflected path solves the same pole equation by the conjugation
     relation of the S-matrix, S*(-k*, gamma*) = S(k, gamma), but only when
     alpha0 is a multiple of pi; about any other phase this raises
     ValueError. Anchor phases map exactly onto the quarter-turn grid (see
-    _reflect). A forward trace becomes a backward one that stops, at its
-    other end, for the same reason, so the closure is unchanged. For a
-    self-symmetric trajectory it retraces the original curve.
+    _reflect). The image of a curve ends for the same reasons as the curve,
+    so the closure is unchanged; ``trace`` with direction -1 returns it.
+    For a self-symmetric trajectory it retraces the original curve.
     """
-    n0 = _mirror_index(traj.seed_alpha if about is None else about * HALF_PI)
+    n0 = _mirror_index(traj.seed_alpha)
+    seed = traj.seed
+    alphas, ks, anchors = _image(traj.alphas, traj.ks, traj.anchors, n0)
     return Trajectory(
-        seed=_mirror_pole(traj.seed, n0),
-        alphas=[_reflect(al, n0) for al in reversed(traj.alphas)],
-        ks=[-kk.conjugate() for kk in reversed(traj.ks)],
-        anchors=[(2 * n0 - n, -kk.conjugate()) for n, kk in reversed(traj.anchors)],
-        closure=traj.closure,
+        seed=Pole(-seed.q.conjugate(), seed.channel, seed.coupling, seed.multiplicity,
+                  seed.residual, seed.a),
+        alphas=alphas, ks=ks, anchors=anchors, closure=traj.closure,
     )

@@ -12,7 +12,9 @@ written as ``wellpoles chart --svg`` writes it):
   ``perfbench/workloads.py`` at its 15-second sizes (143 and 120 charts);
 - ``box``, ``grid``, ``below``: ``panels.box()``,
   ``panels.collision_grid()`` and the deep panel below c = 1000;
-- ``deep1000``: the deep panel at c = 1000 and 2121.3.
+- ``deep1000``: the deep panel at c = 1000 and 2121.3;
+- ``deep5000``: the deep panel at c = 5000 and 1e4 (about 1 to 2.5 s a
+  chart).
 
 A chart panel's line holds the chart count, the number complete, the
 number whose topology equals ``chart._closed_form_topology``, the count of
@@ -95,6 +97,7 @@ CHART_PANELS = {
     "grid": panels.collision_grid,
     "below": lambda: panels.deep_panel(panels.BELOW_DEEP_STRENGTHS),
     "deep1000": lambda: panels.deep_panel((1000.0, 2121.3)),
+    "deep5000": lambda: panels.deep_panel((5000.0, 1e4)),
 }
 
 

@@ -29,6 +29,8 @@ that can hold a contact. ``trajectory`` alone completes a curve from its
 march, with its mirror image, and states the split step: ``chart`` imports
 no private name of it and joins no curve, and ``branch_at_double_zero``
 reads the scan's coalesced pair from its seed, walking no axis cell again.
+One helper there states that image, which the march and ``mirror`` (about
+its seed alone) both call.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
 checks, and ``cli`` names none of their parts. ``smatrix._exp`` alone
 catches OverflowError, to give cmath.exp the kernels' non-finite contract,
@@ -565,3 +567,35 @@ def test_split_reads_the_scanned_pair():
     # not walk the axis cells again to confirm it
     functions = {f.name: f for f in _tree("trajectory.py").body if isinstance(f, ast.FunctionDef)}
     assert "multiplicity_at" not in _calls(functions["branch_at_double_zero"])
+
+
+def _states_the_image(node: ast.AST) -> bool:
+    """Whether the code under node negates conjugated momenta taken from
+    reversed(...), as the reflection (alpha, k) -> (2*alpha0 - alpha, -conj(k))
+    of a curve's samples in ascending phase does."""
+    for comp in ast.walk(node):
+        if not isinstance(comp, ast.ListComp):
+            continue
+        reversed_source = any(isinstance(gen.iter, ast.Call)
+                              and getattr(gen.iter.func, "id", None) == "reversed"
+                              for gen in comp.generators)
+        negated_conjugate = any(isinstance(sub, ast.UnaryOp) and isinstance(sub.op, ast.USub)
+                                and isinstance(sub.operand, ast.Call)
+                                and getattr(sub.operand.func, "attr", None) == "conjugate"
+                                for sub in ast.walk(comp.elt))
+        if reversed_source and negated_conjugate:
+            return True
+    return False
+
+
+def test_trajectory_states_the_image_once():
+    # the march completes a curve, and mirror reflects one, through one
+    # helper; nothing re-derives the joint from the halves' phases
+    functions = {f.name: f for f in _tree("trajectory.py").body if isinstance(f, ast.FunctionDef)}
+    owners = [name for name, f in functions.items() if _states_the_image(f)]
+    assert len(owners) == 1
+    assert owners[0] in _calls(functions["_trace_from_state"])
+    assert owners[0] in _calls(functions["mirror"])
+    assert "_join" not in functions
+    mirror_args = functions["mirror"].args
+    assert len(mirror_args.args + mirror_args.kwonlyargs) == 1 and not mirror_args.defaults

@@ -34,6 +34,7 @@ from wellpoles.trajectory import (
     ClosureKind,
     CollisionEvent,
     ExitReason,
+    Trajectory,
     branch_at_double_zero,
     mirror,
     trace,
@@ -700,7 +701,11 @@ class TestHalfTurn:
         assert [(ev.alpha, ev.k) for ev in chart.collisions] == [(math.pi, -1j / A)]
 
     def test_mirror_about_a_quarter_turn_refused(self):
+        # mirror reflects about its seed's phase, so a curve whose seed sits
+        # on a quarter-turn anchor, pi/2, has no image
         spec = _spec(2.0)
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        with pytest.raises(ValueError):
-            mirror(t, 3)
+        quarter = Pole(A * t.anchor_index_map()[1], Channel.PLUS, ComplexCoupling(HALF_PI), 1,
+                       0.0, A)
+        with pytest.raises(ValueError, match="multiple of pi"):
+            mirror(Trajectory(quarter, t.alphas, t.ks, t.anchors, t.closure))
