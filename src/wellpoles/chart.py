@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import islice, repeat
 
 from ._record import Record
 from .errors import EdgeTooClose, NoRootInBracket, StallAtDoubleZero
@@ -68,7 +67,6 @@ _DEDUP_TOL = 1e-6
 _CRITICAL_WARN = 1e-4
 # relative to U*: a sweep depth this close to it is nudged
 _NUDGE = 1e-6
-_NEAR_CONTACT = 0.05
 
 
 def _inventory_key(q: complex) -> tuple[float, float]:
@@ -126,17 +124,9 @@ class ChartWarning(Record):
         self.code, self.message = code, message
 
 
-class NearContact(Record):
-    __slots__ = ("alpha_index", "k_first", "k_second", "distance")
-
-    def __init__(self, alpha_index: int, k_first: complex, k_second: complex, distance: float):
-        self.alpha_index, self.k_first, self.k_second, self.distance = (
-            alpha_index, k_first, k_second, distance)
-
-
 class PoleChart(Record):
-    """What tracing one well and channel found; the topology and the near
-    contacts are read off the curves."""
+    """What tracing one well and channel found; the topology is read off
+    the curves."""
 
     __slots__ = ("spec", "channel", "seeds", "trajectories", "collisions", "warnings",
                  "completeness")
@@ -152,11 +142,6 @@ class PoleChart(Record):
     def topology(self) -> dict[str, int]:
         """The number of curves of each closure kind."""
         return dict(Counter(t.closure.kind.value for t in self.trajectories))
-
-    @property
-    def near_contacts(self) -> list[NearContact]:
-        """Pairs of curves closer than _NEAR_CONTACT in q at a shared anchor."""
-        return _near_contacts(self.trajectories, self.spec.a)
 
     def anchor_poles(self, phase_class: int = 0, window: WorkingWindow | None = None) -> list[complex]:
         """Distinct poles delivered at anchors with index = phase_class (mod 4).
@@ -203,53 +188,6 @@ def _claimed(traj: Trajectory | None, seed: Pole, n: int, k: complex) -> bool:
         return False
     traj.merged_seeds.append(seed)
     return True
-
-
-def _near_contacts(trajectories: list[Trajectory], a: float) -> list[NearContact]:
-    """Pairs of curves closer than _NEAR_CONTACT in q at a shared anchor
-    index, nearest first. The anchors at an index two curves hold are sorted
-    by (index, |k|), and each is compared with the later ones at its index
-    whose |k| is within 2*_NEAR_CONTACT/a of its own (|k| parts the anchors
-    that line up along an axis at a real coupling). Pairs that meet are then
-    compared at every shared index in the order of the curves, so contacts
-    at equal distances (mirrored anchors) come in the order of their pairs."""
-    maps = [t.anchor_index_map() for t in trajectories]
-    seen: set[int] = set()
-    shared: set[int] = set()
-    for amap in maps:
-        shared |= seen & amap.keys()
-        seen |= amap.keys()
-    if not shared:
-        return []
-    rows: list[tuple[int, float, int]] = []
-    for i, amap in enumerate(maps):
-        held = shared & amap.keys()
-        rows += zip(held, map(abs, map(amap.__getitem__, held)), repeat(i))
-    rows.sort()
-    window = 2.0 * _NEAR_CONTACT / a
-    pairs = set()
-    # a row's window holds any row only if it holds the next one
-    for lo, ((n, r, i), (m, s, _)) in enumerate(zip(rows, islice(rows, 1, None))):
-        if m != n or s - r >= window:
-            continue
-        hi = lo + 1
-        while hi < len(rows) and rows[hi][0] == n and rows[hi][1] - r < window:
-            j = rows[hi][2]
-            if a * abs(maps[i][n] - maps[j][n]) < _NEAR_CONTACT:
-                pairs.add((min(i, j), max(i, j)))
-            hi += 1
-    contacts = []
-    for i, j in sorted(pairs):
-        amap, bmap = maps[i], maps[j]
-        for n in set(amap) & set(bmap):
-            dist = abs(amap[n] - bmap[n])
-            if a * dist < _NEAR_CONTACT:
-                contacts.append(NearContact(
-                    alpha_index=n, k_first=amap[n],
-                    k_second=bmap[n], distance=dist,
-                ))
-    contacts.sort(key=lambda c: c.distance)
-    return contacts
 
 
 def build_chart(

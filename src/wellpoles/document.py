@@ -8,9 +8,9 @@ written in one %-template pass over its values, with the same bytes the
 per-value formatter gives: a list whose items are all floats or all
 complex numbers (the sample lists), and a list of records, dicts that
 share one key set with each field of one exact type int, float, complex
-or str (anchors, axis crossings, seeds, collision branches, near contacts,
-warnings). Scalars and any other list go value by value. The trajectory
-CSV goes through the same bulk formatter, so one rule writes every float.
+or str (anchors, axis crossings, seeds, collision branches, warnings).
+Scalars and any other list go value by value. The trajectory CSV goes
+through the same bulk formatter, so one rule writes every float.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .chart import CriticalDepth, PoleChart, SweepResult, WorkingWindow
 from .config import RunConfig
 from .errors import DocumentError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _fmt_float(x: float) -> str:
@@ -197,12 +197,10 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
     """The full chart as a plain dict ready for canonical serialization."""
     trajectories = []
     for traj in chart.trajectories:
-        # both ends of an open curve stop for the one reason its march did
-        reason = traj.closure.reason.value if traj.closure.reason else None
+        reason = traj.closure.reason
         trajectories.append({
             "closure": traj.closure.kind.value,
-            "exit_forward": reason,
-            "exit_backward": reason,
+            "exit": reason.value if reason else None,
             "seed": _pole_dict(traj.seed),
             "merged_seeds": [_pole_dict(p) for p in traj.merged_seeds],
             "alphas": traj.alphas,
@@ -243,15 +241,6 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
         ],
         "warnings": [
             {"code": w.code, "message": w.message} for w in chart.warnings
-        ],
-        "near_contacts": [
-            {
-                "alpha_index": c.alpha_index,
-                "k_first": complex(c.k_first),
-                "k_second": complex(c.k_second),
-                "distance": float(c.distance),
-            }
-            for c in chart.near_contacts
         ],
         "completeness": completeness,
         "provenance": _provenance("pole_chart", config),
@@ -387,12 +376,11 @@ def verification_document(
 
 _TOP_KEYS = {
     "schema_version", "kind", "potential", "channel", "topology", "seeds",
-    "trajectories", "collisions", "warnings", "near_contacts",
-    "completeness", "provenance",
+    "trajectories", "collisions", "warnings", "completeness", "provenance",
 }
 _TRAJ_KEYS = {
-    "closure", "exit_forward", "exit_backward", "seed", "merged_seeds",
-    "alphas", "ks", "anchors", "axis_crossings",
+    "closure", "exit", "seed", "merged_seeds", "alphas", "ks", "anchors",
+    "axis_crossings",
 }
 
 
@@ -431,7 +419,7 @@ def parse_chart_document(text: str) -> dict:
     topology = doc["topology"]
     _require(isinstance(topology, dict) and all(map(_is_int, topology.values())),
              "topology must be an object of ints")
-    for key in ("seeds", "collisions", "warnings", "near_contacts"):
+    for key in ("seeds", "collisions", "warnings"):
         _require(_is_object_list(doc[key]), f"{key} must be a list of objects")
     _require(doc["completeness"] is None or isinstance(doc["completeness"], dict),
              "completeness must be null or an object")

@@ -212,9 +212,6 @@ class Trajectory(Record):
         a = self.seed.a
         return [(n * HALF_PI, k) for n, k in self.anchors if on_axis(a * k)]
 
-    def anchor_index_map(self) -> dict[int, complex]:
-        return dict(self.anchors)
-
 
 def branch_at_double_zero(seed: Pole, spec: PotentialSpec) -> CollisionEvent:
     """Split the coalesced pair an axis scan found at k = -i/a into its two

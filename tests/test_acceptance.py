@@ -38,14 +38,13 @@ from wellpoles.smatrix import (
     s_full,
     s_minus,
     s_plus,
-    transfer_matrix_s,
     verify_relations,
-    well_layers,
 )
 from wellpoles import trajectory
 from wellpoles.trajectory import trace
 
 from trajectory_checks import mirror_defect, point_at
+from transfer_oracle import transfer_matrix_s, well_layers
 
 M, A = 1.0, 1.5
 ATT = ComplexCoupling.attractive()
@@ -517,8 +516,8 @@ def test_continuation_robustness():
                 mp.setattr(trajectory, "_STEP_INITIAL", 0.005)
                 mp.setattr(trajectory, "_LOCAL_ERROR_TOL", trajectory._LOCAL_ERROR_TOL / 4096)
                 fine = trace(traj.seed, +1, spec)
-            coarse_anchors = traj.anchor_index_map()
-            fine_anchors = fine.anchor_index_map()
+            coarse_anchors = dict(traj.anchors)
+            fine_anchors = dict(fine.anchors)
             common = set(coarse_anchors) & set(fine_anchors)
             assert common
             for n in common:

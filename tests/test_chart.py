@@ -1,6 +1,5 @@
 """Chart assembly, depth transitions, completeness certificates."""
 
-import cmath
 import math
 import time
 from collections import Counter
@@ -116,7 +115,7 @@ class TestEvenChannelSweep:
     def test_shallow_loop_membership(self):
         chart = _chart("plus", 0.09)
         loop = [t for t in chart.trajectories if t.closure.is_closed][0]
-        amap = loop.anchor_index_map()
+        amap = dict(loop.anchors)
         ks = sorted(amap.values(), key=lambda z: z.imag)
         assert abs(ks[0] - (-0.45793740602342864j)) < 1e-6
         assert abs(ks[-1] - 0.2197277744451186j) < 1e-6
@@ -1594,7 +1593,7 @@ class TestCriticalChart:
                 continue
             turns = 2 if t.closure.kind is ClosureKind.CLOSED_2PI else 4
             n_star = round(t.seed_alpha / (math.pi / 2)) + turns
-            if n_star not in t.anchor_index_map():
+            if n_star not in dict(t.anchors):
                 assert meets_pair(t, n_star, spec)
 
     def test_stalled_split_branch_is_reported(self, monkeypatch):
@@ -1629,12 +1628,6 @@ class TestCriticalChart:
         # the warning states the exact distance |U - U*|
         dist = f"{abs(0.0976 - U_STAR_PLUS_REP):.3e}"
         assert any(dist in w.message for w in chart.warnings)
-
-    def test_near_contact_recorded_above_collision(self):
-        spec = PotentialSpec(m=M, a=A, U=U_STAR_PLUS_ATT + 1e-4)
-        chart = build_chart(spec, Channel.PLUS, certify=False)
-        assert chart.near_contacts
-        assert chart.near_contacts[0].distance < 0.05
 
 
 class TestForwardMarchesOnly:
@@ -2213,73 +2206,3 @@ class TestClaimed:
             666.2692692921986j, traj.seed.k))
         us = np.linspace(u0, u1, 2001)
         assert np.all(us >= c * np.abs(np.sin(us)) - 1e-9 * c)
-
-
-class _Anchored:
-    """The one method of a ``Trajectory`` that ``_near_contacts`` reads."""
-
-    def __init__(self, amap):
-        self.amap = amap
-
-    def anchor_index_map(self):
-        return self.amap
-
-
-def _near_contacts_all_pairs(trajectories, a):
-    """The rule of ``chart._near_contacts`` as a scan over every pair of
-    curves, in order."""
-    contacts = []
-    maps = [t.anchor_index_map() for t in trajectories]
-    for i, amap in enumerate(maps):
-        for bmap in maps[i + 1:]:
-            for n in set(amap) & set(bmap):
-                dist = abs(amap[n] - bmap[n])
-                if a * dist < chart_module._NEAR_CONTACT:
-                    contacts.append(chart_module.NearContact(
-                        alpha_index=n, k_first=amap[n], k_second=bmap[n], distance=dist))
-    contacts.sort(key=lambda c: c.distance)
-    return contacts
-
-
-class TestNearContacts:
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), a=st.sampled_from([1.0, 1.5, 3e-4, 7e5]),
-           offset=st.sampled_from([0j, -2j, 1e4j]))
-    def test_matches_the_all_pairs_rule(self, data, a, offset):
-        # anchors about a few points in q, at the contact distance to a
-        # rounding either way and at a few multiples of it; each curve is
-        # mirrored about one anchor index shared by all, as open curves are
-        # about their seeds, so that mirrored pairs meet at equal distances
-        near = chart_module._NEAR_CONTACT
-        part = st.floats(-4 * near, 4 * near)
-        centres = data.draw(st.lists(st.builds(complex, part, part), min_size=1, max_size=5))
-        scale = st.sampled_from([0.0, 1 - 2.0 ** -52, 1.0, 1 + 2.0 ** -52, 0.5, 1.9, 3.0])
-        phase = st.sampled_from([0.0, math.pi / 2, math.pi, 1.0, -2.0])
-        n0 = data.draw(st.integers(-2, 2))
-        curves = []
-        for _ in range(data.draw(st.integers(0, 8))):
-            amap = {}
-            for n in data.draw(st.lists(st.integers(-5, 5), max_size=5, unique=True)):
-                q = data.draw(st.sampled_from(centres)) + near * data.draw(scale) * cmath.exp(
-                    1j * data.draw(phase))
-                amap[n] = (q + offset) / a
-            if data.draw(st.booleans()):
-                for n, k in list(amap.items()):
-                    amap.setdefault(2 * n0 - n, -k.conjugate())
-            curves.append(_Anchored(amap))
-        assert (repr(chart_module._near_contacts(curves, a))
-                == repr(_near_contacts_all_pairs(curves, a)))
-
-    def test_many_curves_take_linear_time(self):
-        # 3001 curves: the all-pairs rule compares ~4.5e6 pairs. Each
-        # curve's four anchors sit on a lattice of spacing 1 in q, and one
-        # more curve copies the first 0.01 away, so the contacts are its four
-        a = 1.5
-        curves = [_Anchored({n: complex(i % 50, i // 50 + 0.2 * n) / a for n in range(4)})
-                  for i in range(3000)]
-        curves.append(_Anchored({n: k + 0.01 / a for n, k in curves[0].amap.items()}))
-        start = time.perf_counter()
-        found = chart_module._near_contacts(curves, a)
-        assert time.perf_counter() - start < 1.0
-        assert sorted(c.alpha_index for c in found) == [0, 1, 2, 3]
-        assert all(c.k_first == curves[0].amap[c.alpha_index] for c in found)

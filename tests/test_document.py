@@ -313,22 +313,37 @@ class TestChartDocument:
         assert cert["complete"] is True
         assert cert["window_count"] == cert["trajectory_count"]
 
+    def test_schema_2_keys(self):
+        # schema 2 has no near contacts, and one stop reason per curve: an
+        # open curve's closure reason, null for a loop
+        chart = _chart("plus", 0.09)
+        doc = parse_chart_document(canonical_dumps(chart_document(chart)))
+        assert doc["schema_version"] == "2"
+        assert "near_contacts" not in doc
+        exits = [traj["exit"] for traj in doc["trajectories"]]
+        # the chart holds a loop and an open curve that left the k window
+        assert exits == [None, "k_window"]
+        assert exits == [t.closure.reason and t.closure.reason.value
+                         for t in chart.trajectories]
+        assert not any({"exit_forward", "exit_backward"} & set(traj)
+                       for traj in doc["trajectories"])
+
 
 # SHA-256 of the canonical chart documents at m = 1, a = 1.5, recorded on
 # x86-64 Linux with CPython 3.11 and numpy 2.4; a refactor of the chart
 # assembly must leave every byte of them unchanged. A platform whose libm
 # rounds differently may move the last float digits and so the digests.
 _GOLDEN = {
-    ("plus", 0.09): "dc5c32833bd1f8a49bef83045f4a258ff0d3b6d0bb708aa944b762d2c7342068",
-    ("plus", 2.0): "8b402b40ac2a472c05408f5a2e0cfe6b9db9fb9c753f38ef5c8fb9748fa45ab6",
-    ("minus", 5.0): "159378e22f7a66f350107b5d922a45150f89452895dc995fed54ece3e8e7e385",
+    ("plus", 0.09): "2b5fd980ff9202febcc385ee00d9ae348fa332d9d837488b0aca3ce6ab7bc800",
+    ("plus", 2.0): "370b2affd9b38d695618bdb458b6d509b1ba216d0d8bfee299d31987bbc6e5a8",
+    ("minus", 5.0): "c83dca694b4aeae8e27c4c8e3bedf7e920177bc488d600f36d83e1ae5486bf96",
 }
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "ddd68fd30f91856cb1830b53164444d7a9817d9d7c24b01459e2f706eb0c2688",
-    ("plus", False): "6312178fb61f34d81ba23279a1fee76573091180421cab440df4deaf91c1e7fd",
-    ("minus", True): "f6f596ed631d4d97aca81020f946265580d2bf5d43e39352649c7b64c7c31181",
+    ("plus", True): "e3b46cca44d1d4bdcfe095a72e0560c4e9f5203fdd1147df21bcc26bec34cb3c",
+    ("plus", False): "bf06176230f722414838e03ac7242d67dd19a811923f8c32c6fcbffb6e78f3d3",
+    ("minus", True): "4c5e357b464b4a95c2d137ba712391d8de3532fe0711381dfcf22eadf1129456",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
@@ -450,6 +465,16 @@ class TestStrictParsing:
         with pytest.raises(DocumentError, match="schema version"):
             parse_chart_document(text)
 
+    def test_schema_1_document_rejected(self):
+        text = self._doc_text(lambda d: d.__setitem__("schema_version", "1"))
+        with pytest.raises(DocumentError, match="unsupported schema version '1'"):
+            parse_chart_document(text)
+
+    def test_near_contacts_rejected(self):
+        text = self._doc_text(lambda d: d.__setitem__("near_contacts", []))
+        with pytest.raises(DocumentError, match="unknown fields: near_contacts"):
+            parse_chart_document(text)
+
     def test_wrong_kind_rejected(self):
         text = self._doc_text(lambda d: d.__setitem__("kind", "axis_poles"))
         with pytest.raises(DocumentError, match="not a pole chart"):
@@ -513,7 +538,7 @@ class TestStrictParsing:
         with pytest.raises(DocumentError, match="potential values must be numbers"):
             parse_chart_document(text)
 
-    @pytest.mark.parametrize("key", ["seeds", "collisions", "warnings", "near_contacts"])
+    @pytest.mark.parametrize("key", ["seeds", "collisions", "warnings"])
     @pytest.mark.parametrize("value", [None, 7, {"0": {}}, [1.0], [{}, "x"]])
     def test_record_lists_must_hold_objects(self, key, value):
         text = self._doc_text(lambda d: d.__setitem__(key, value))

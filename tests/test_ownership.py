@@ -24,11 +24,11 @@ its own s = +-c*^2, with no stand-in well.
 ``rootfinder.level_set_components`` alone states which level-set
 component a point lies on, and ``build_chart`` reads it to name the curve a
 seed may merge into: the claim checks that one curve's anchors and files
-none. The near contacts compare no pair of curves outside the cells in q
-that can hold a contact. ``trajectory`` alone completes a curve from its
-march, with its mirror image, and states the split step: ``chart`` imports
-no private name of it and joins no curve, and ``branch_at_double_zero``
-reads the scan's coalesced pair from its seed, walking no axis cell again.
+none. No module keeps a near-contact diagnostic. ``trajectory`` alone
+completes a curve from its march, with its mirror image, and states the
+split step: ``chart`` imports no private name of it and joins no curve, and
+``branch_at_double_zero`` reads the scan's coalesced pair from its seed,
+walking no axis cell again.
 One helper there states that image, which the march and ``mirror`` (about
 its seed alone) both call.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
@@ -538,11 +538,22 @@ def test_one_function_states_the_component_rule():
     assert "level_set_components" in _calls(_chart_functions()["build_chart"])
 
 
-def test_near_contacts_slices_no_curve_list():
-    # candidate pairs come from cells in q; a slice such as maps[i + 1:]
-    # pairs each curve with every later one
-    near = _chart_functions()["_near_contacts"]
-    assert not any(isinstance(node, ast.Slice) for node in ast.walk(near))
+def test_no_module_names_a_near_contact():
+    # near contacts marked sound charts, and every wrong chart they marked
+    # already fails its certificate with trace_stalled or phase_guard
+    # warnings, so the chart keeps no such record, key or rule
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        named = _names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)  # a document key
+        found += [(path.name, name) for name in sorted(named)
+                  if "nearcontact" in name.lower().replace("_", "")]
+    assert found == []
 
 
 def test_trajectory_alone_completes_a_curve():

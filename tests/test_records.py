@@ -11,7 +11,6 @@ from wellpoles._record import Record
 from wellpoles.chart import (
     ChartWarning,
     CriticalDepth,
-    NearContact,
     PoleChart,
     SweepEntry,
     SweepResult,
@@ -57,8 +56,6 @@ RECORDS = [
      ("merged_seeds", [_POLE])),
     (WorkingWindow, lambda: {"re_max": 5.0, "im_min": -2.0, "im_max": 3.0}, ("im_max", 4.0)),
     (ChartWarning, lambda: {"code": "incomplete", "message": "short by 1"}, ("code", "stall")),
-    (NearContact, lambda: {"alpha_index": 2, "k_first": 1 + 1j, "k_second": 1.1 + 1j,
-                           "distance": 0.1}, ("alpha_index", 3)),
     (PoleChart, lambda: {"spec": PotentialSpec(), "channel": Channel.PLUS, "seeds": [_POLE],
                          "trajectories": [_trajectory()], "collisions": [], "warnings": [],
                          "completeness": {"complete": True}}, ("completeness", None)),

@@ -13,6 +13,8 @@ import pytest
 import wellpoles as wp
 from wellpoles import Channel, ComplexCoupling, PotentialSpec
 
+from transfer_oracle import transfer_matrix_s, well_layers
+
 SPEC = PotentialSpec(m=1.0, a=1.5, U=2.0)
 ATT = ComplexCoupling.attractive()
 REP = ComplexCoupling.repulsive()
@@ -218,7 +220,7 @@ class TestChannelValues:
         k = 1j * np.sqrt(2 * SPEC.m * SPEC.U)
         v = wp.s_minus(k, ATT, SPEC)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
-        vt = wp.transfer_matrix_s(k, ATT, wp.well_layers(SPEC), m=SPEC.m)
+        vt = transfer_matrix_s(k, ATT, well_layers(SPEC), m=SPEC.m)
         hp, hm = wp.parity_channels(vt)
         assert abs(v - hm) < 1e-7 * (1.0 + abs(v))
 
@@ -269,7 +271,7 @@ class TestPoles:
     def test_transfer_oracle_confirms_pole(self):
         # 1/S must vanish at the closed-form pole for the independent oracle
         s3 = PotentialSpec(1.0, 1.5, 3.0)
-        vt = wp.transfer_matrix_s(GROUND_U3 + 1e-9, ATT, wp.well_layers(s3), m=s3.m)
+        vt = transfer_matrix_s(GROUND_U3 + 1e-9, ATT, well_layers(s3), m=s3.m)
         hp, hm = wp.parity_channels(vt)
         assert abs(1.0 / hp) < 1e-6
 
@@ -288,37 +290,37 @@ class TestTransferOracle:
                 va = wp.s_full(k, c, s)
             except wp.PoleHit:
                 continue
-            vt = wp.transfer_matrix_s(k, c, wp.well_layers(s), m=s.m)
+            vt = transfer_matrix_s(k, c, well_layers(s), m=s.m)
             scale = 1.0 + np.abs(va.matrix).max()
             worst = max(worst, np.abs(np.asarray(va.matrix) - vt.matrix).max() / scale)
         assert worst < RTOL_ORACLE
 
     def test_layer_splitting_invariance(self):
         k, c, s = 1.7 - 0.8j, ComplexCoupling(2.1), SPEC
-        one = wp.transfer_matrix_s(k, c, [(2 * s.a, -s.U)], m=s.m)
-        three = wp.transfer_matrix_s(
+        one = transfer_matrix_s(k, c, [(2 * s.a, -s.U)], m=s.m)
+        three = transfer_matrix_s(
             k, c, [(s.a / 2, -s.U), (s.a, -s.U), (s.a / 2, -s.U)], m=s.m
         )
         assert np.abs(np.asarray(one.matrix) - three.matrix).max() < 1e-10
 
     def test_zero_potential_layer_transparent(self):
-        v = wp.transfer_matrix_s(1.3, ATT, [(2.0, 0.0)], m=1.0)
+        v = transfer_matrix_s(1.3, ATT, [(2.0, 0.0)], m=1.0)
         assert abs(v.s11 - 1.0) < 1e-12 and abs(v.s12) < 1e-12
 
     def test_degenerate_layer_linear_limit(self):
         # layer tuned to zero interior momentum: k^2 = 2*m*gamma*V
         k = 1.0
         layers = [(1.0, 0.5)]
-        v0 = wp.transfer_matrix_s(k, ATT, layers, m=1.0)
-        v1 = wp.transfer_matrix_s(k * (1 + 1e-7), ATT, layers, m=1.0)
+        v0 = transfer_matrix_s(k, ATT, layers, m=1.0)
+        v1 = transfer_matrix_s(k * (1 + 1e-7), ATT, layers, m=1.0)
         assert np.isfinite(v0.matrix).all()
         assert np.abs(np.asarray(v0.matrix) - v1.matrix).max() < 1e-5
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            wp.transfer_matrix_s(0.0, ATT, [(1.0, 0.5)])
+            transfer_matrix_s(0.0, ATT, [(1.0, 0.5)])
         with pytest.raises(ValueError):
-            wp.transfer_matrix_s(1.0, ATT, [(-1.0, 0.5)])
+            transfer_matrix_s(1.0, ATT, [(-1.0, 0.5)])
 
 
 class TestAnalyticRelations:

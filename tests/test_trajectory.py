@@ -96,7 +96,7 @@ def _fine_trace(seed, spec):
 
 def classify_closure(traj, closure_tol: float = 1e-6) -> Closure:
     """Re-derive the closure label from the recorded anchors."""
-    amap = traj.anchor_index_map()
+    amap = dict(traj.anchors)
     n0 = _anchor_index(traj.seed_alpha)
     if n0 is not None and n0 in amap:
         k0 = amap[n0]
@@ -113,7 +113,7 @@ class TestClosureDetection:
         spec = _spec(0.09)
         t = trace(_seed(0.09, ATT, Channel.PLUS, SHALLOW_BOUND), +1, spec)
         assert t.closure.kind is ClosureKind.CLOSED_2PI
-        amap = t.anchor_index_map()
+        amap = dict(t.anchors)
         assert sorted(amap) == [0, 1, 2, 3, 4]
         assert abs(amap[0] - SHALLOW_BOUND) < 1e-8
         assert abs(amap[2] - SHALLOW_LOOP_VIRTUAL) < 1e-8
@@ -124,7 +124,7 @@ class TestClosureDetection:
         spec = _spec(0.09)
         t = trace(_seed(0.09, REP, Channel.PLUS, SHALLOW_LOOP_VIRTUAL), +1, spec)
         assert t.closure.kind is ClosureKind.CLOSED_2PI
-        amap = t.anchor_index_map()
+        amap = dict(t.anchors)
         # same loop, phase-shifted by pi: bound appears two anchors later
         assert abs(amap[2] - SHALLOW_LOOP_VIRTUAL) < 1e-8
         assert abs(amap[4] - SHALLOW_BOUND) < 1e-8
@@ -142,7 +142,7 @@ class TestClosureDetection:
         spec = _spec(2.0)
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
         assert t.closure.kind is ClosureKind.CLOSED_4PI
-        amap = t.anchor_index_map()
+        amap = dict(t.anchors)
         assert sorted(amap) == list(range(9))
         assert abs(amap[0] - DEEP_BOUND) < 1e-8
         assert abs(amap[2] - DEEP_ODD_PI) < 1e-8
@@ -153,7 +153,7 @@ class TestClosureDetection:
     def test_two_turn_loop_not_reported_closed_early(self):
         spec = _spec(2.0)
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        amap = t.anchor_index_map()
+        amap = dict(t.anchors)
         # after one full turn the pole sits on the partner sheet
         assert abs(amap[4] - amap[0]) > 1.0
 
@@ -166,7 +166,7 @@ class TestClosureDetection:
         spec = _spec(5.0)
         t = trace(_seed(5.0, ATT, Channel.MINUS, MINUS5_DEEP_BOUND), +1, spec)
         assert t.closure.kind is ClosureKind.CLOSED_4PI
-        amap = t.anchor_index_map()
+        amap = dict(t.anchors)
         assert abs(amap[2] - MINUS5_ODD_PI) < 1e-8
         assert abs(amap[4] - MINUS5_LOOP_VIRTUAL) < 1e-8
 
@@ -180,7 +180,7 @@ class TestClosureDetection:
         f = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
         b = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), -1, spec)
         assert b.closure.kind is ClosureKind.CLOSED_4PI
-        fmap, bmap = f.anchor_index_map(), b.anchor_index_map()
+        fmap, bmap = dict(f.anchors), dict(b.anchors)
         for n in range(0, 9):
             assert abs(bmap[-n] - (-fmap[n].conjugate())) < 1e-8
 
@@ -284,7 +284,7 @@ class TestMirror:
         spec = _spec(2.0)
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
         m = mirror(t)
-        tmap, mmap = t.anchor_index_map(), m.anchor_index_map()
+        tmap, mmap = dict(t.anchors), dict(m.anchors)
         for n, k in tmap.items():
             assert abs(mmap[-n] - (-k.conjugate())) < 1e-15
 
@@ -645,7 +645,7 @@ class TestHalfTurn:
             n_seed = _anchor_index(t.seed_alpha)
             n_star = n_seed + (2 if t.closure.kind is ClosureKind.CLOSED_2PI else 4)
             assert t.alphas[-1] == (2 * n_star - n_seed) * HALF_PI
-            amap = t.anchor_index_map()
+            amap = dict(t.anchors)
             if n_star in amap:
                 assert abs(a * amap[n_star].real) < TOL_AXIS
             else:
@@ -705,7 +705,7 @@ class TestHalfTurn:
         # on a quarter-turn anchor, pi/2, has no image
         spec = _spec(2.0)
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        quarter = Pole(A * t.anchor_index_map()[1], Channel.PLUS, ComplexCoupling(HALF_PI), 1,
+        quarter = Pole(A * dict(t.anchors)[1], Channel.PLUS, ComplexCoupling(HALF_PI), 1,
                        0.0, A)
         with pytest.raises(ValueError, match="multiple of pi"):
             mirror(Trajectory(quarter, t.alphas, t.ks, t.anchors, t.closure))
