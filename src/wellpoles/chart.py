@@ -38,7 +38,6 @@ from .rootfinder import (
     Pole,
     axis_momenta,
     bound_count,
-    bound_threshold,
     collision_depth,
     collision_pair_count,
     collisions_between,

@@ -18,14 +18,7 @@ import random
 import sys
 from pathlib import Path
 
-from .chart import (
-    bound_threshold,
-    build_chart,
-    critical_depth,
-    depth_sweep,
-    threshold_flip,
-    working_window,
-)
+from .chart import build_chart, critical_depth, depth_sweep, threshold_flip
 from .config import _FIELD_NAMES, RunConfig, load_config_file, merge_config
 from .document import (
     _READS,
@@ -40,7 +33,7 @@ from .document import (
     verification_document,
 )
 from .errors import DocumentError, WellpolesError
-from .rootfinder import scan_axis
+from .rootfinder import bound_threshold, scan_axis
 from .smatrix import (
     Channel,
     ComplexCoupling,

@@ -220,15 +220,14 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
             "complete": chart.completeness["complete"],
             "inventory": [complex(k) for k in chart.completeness["inventory"]],
         }
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "pole_chart",
-        "potential": {"m": chart.spec.m, "a": chart.spec.a, "U": chart.spec.U},
-        "channel": chart.channel.value,
-        "topology": dict(chart.topology),
-        "seeds": [_pole_dict(p) for p in chart.seeds],
-        "trajectories": trajectories,
-        "collisions": [
+    return _command_document(
+        "pole_chart", config,
+        potential={"m": chart.spec.m, "a": chart.spec.a, "U": chart.spec.U},
+        channel=chart.channel.value,
+        topology=dict(chart.topology),
+        seeds=[_pole_dict(p) for p in chart.seeds],
+        trajectories=trajectories,
+        collisions=[
             {
                 "alpha": float(ev.alpha),
                 "k": complex(ev.k),
@@ -239,13 +238,11 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
             }
             for ev in chart.collisions
         ],
-        "warnings": [
+        warnings=[
             {"code": w.code, "message": w.message} for w in chart.warnings
         ],
-        "completeness": completeness,
-        "provenance": _provenance("pole_chart", config),
-    }
-    return doc
+        completeness=completeness,
+    )
 
 
 # the config keys each kind of document's command reads; a key it ignores,
@@ -268,7 +265,7 @@ def _provenance(kind: str, config: RunConfig | None) -> dict:
     }
 
 
-def _command_document(kind: str, config: RunConfig, **fields) -> dict:
+def _command_document(kind: str, config: RunConfig | None, **fields) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,

@@ -36,7 +36,7 @@ where |dq/dalpha| tends to 1/2, the error-sized step grows from about 0.4 of a
 quarter turn at |q| = 10 to 0.94 at |q| = 40, and the anchor clips the
 rest, about two steps per quarter turn. Anchors are tracked by the integer
 n, never by comparing accumulated floats against multiples of pi, so the
-half-turn stop and the mirror below land exactly on them.
+half-turn stop and the image below land exactly on them.
 
 The march only ever runs forward. The conjugation relation of the S-matrix,
 S*(-k*, gamma*) = S(k, gamma), maps the pole at (alpha, k) to
@@ -45,8 +45,8 @@ S*(-k*, gamma*) = S(k, gamma), maps the pole at (alpha, k) to
 at a real coupling the backward half of a curve is therefore the mirror
 image of the forward march about the seed's anchor. And a curve that meets
 the imaginary axis at a real coupling is its own mirror image about that
-point. One helper, _image, states that reflection for the march and for
-mirror alike.
+point. One helper, _image, states that reflection, and the march alone
+calls it.
 
 So every curve comes back whole from one march and its image. A seed sits
 on the imaginary axis at a real coupling: an axis pole, or a coalesced pair
@@ -458,20 +458,18 @@ def trace(
     forward from the seed's q, the scan's own, and completed by its mirror
     image (see _trace_from_state): a loop comes back closed_2pi or
     closed_4pi, with the seed its first sample, and the open curve comes
-    back open, with the seed in its middle. direction is +1, or -1 for
-    that curve's mirror image about the seed, which retraces an open curve
-    and runs a loop round to end on the seed; any other value raises
-    ValueError.
+    back open, with the seed in its middle. direction must be +1: the
+    curve is its own image about the seed, so there is no other to trace;
+    any other value raises ValueError.
     """
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 or -1")
+    if direction != 1:
+        raise ValueError("direction must be +1")
     c = spec.c
     if not residual_ratio(seed.q, c * c * seed.coupling.gamma, seed.channel) < 1.0:
         raise SeedNotOnPole(f"seed residual too large at k={seed.k!r}")
     if seed.multiplicity == 2:
         raise StallAtDoubleZero(seed.coupling.alpha, seed.k)
-    curve = _trace_from_state(seed.q, seed.coupling.alpha, seed, spec)
-    return curve if direction > 0 else mirror(curve)
+    return _trace_from_state(seed.q, seed.coupling.alpha, seed, spec)
 
 
 def trace_branch(seed: Pole, branch_k: complex, spec: PotentialSpec) -> Trajectory:
@@ -490,15 +488,6 @@ def trace_branch(seed: Pole, branch_k: complex, spec: PotentialSpec) -> Trajecto
     return _trace_from_state(spec.a * branch_k, seed.coupling.alpha + _SPLIT_STEP, seed, spec)
 
 
-def _mirror_index(alpha: float) -> int:
-    """Anchor index of alpha; the symmetry alpha -> -alpha reflects only
-    about multiples of pi, so any other phase raises ValueError."""
-    n = _anchor_index(alpha)
-    if n is None or n % 2:
-        raise ValueError(f"mirroring needs alpha a multiple of pi, got {alpha!r}")
-    return n
-
-
 def _reflect(alpha: float, n0: int) -> float:
     """2*alpha0 - alpha about alpha0 = n0*(pi/2); an anchor phase n*(pi/2)
     goes exactly to the anchor phase (2*n0 - n)*(pi/2)."""
@@ -515,26 +504,3 @@ def _image(alphas: list[float], ks: list[complex], anchors: list[tuple[int, comp
     return ([_reflect(al, n0) for al in reversed(alphas)],
             [-k.conjugate() for k in reversed(ks)],
             [(2 * n0 - n, -k.conjugate()) for n, k in reversed(anchors)])
-
-
-def mirror(traj: Trajectory) -> Trajectory:
-    """Reflect a trajectory about its seed's phase alpha0:
-    (alpha, k) -> (2*alpha0 - alpha, -conj(k)), the seed going to
-    -conj(k_seed) at alpha0.
-
-    The reflected path solves the same pole equation by the conjugation
-    relation of the S-matrix, S*(-k*, gamma*) = S(k, gamma), but only when
-    alpha0 is a multiple of pi; about any other phase this raises
-    ValueError. Anchor phases map exactly onto the quarter-turn grid (see
-    _reflect). The image of a curve ends for the same reasons as the curve,
-    so the closure is unchanged; ``trace`` with direction -1 returns it.
-    For a self-symmetric trajectory it retraces the original curve.
-    """
-    n0 = _mirror_index(traj.seed_alpha)
-    seed = traj.seed
-    alphas, ks, anchors = _image(traj.alphas, traj.ks, traj.anchors, n0)
-    return Trajectory(
-        seed=Pole(-seed.q.conjugate(), seed.channel, seed.coupling, seed.multiplicity,
-                  seed.residual, seed.a),
-        alphas=alphas, ks=ks, anchors=anchors, closure=traj.closure,
-    )

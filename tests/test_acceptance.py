@@ -19,14 +19,13 @@ from scipy.optimize import brentq
 from wellpoles import cli
 from wellpoles.chart import (
     _inventory_key,
-    bound_threshold,
     build_chart,
     critical_depth,
     threshold_flip,
     working_window,
 )
 from wellpoles.errors import WellpolesError
-from wellpoles.rootfinder import count_zeros_padded, scan_axis
+from wellpoles.rootfinder import bound_threshold, count_zeros_padded, scan_axis
 from wellpoles.smatrix import (
     Channel,
     ComplexCoupling,

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wellpoles.chart import (
-    CriticalDepth,
     bound_count,
-    bound_threshold,
     build_chart,
     critical_depth,
     depth_sweep,
@@ -23,7 +21,7 @@ from wellpoles.chart import (
 )
 from wellpoles.document import canonical_dumps, chart_document, parse_chart_document
 from wellpoles.errors import EdgeTooClose, NoConvergence, NoRootInBracket, StallAtDoubleZero
-from wellpoles.rootfinder import TOL_AXIS, PoleKind, newton_refine, scan_axis
+from wellpoles.rootfinder import TOL_AXIS, PoleKind, bound_threshold, newton_refine, scan_axis
 from wellpoles.smatrix import C_LIMIT, Channel, ComplexCoupling, PotentialSpec, _anchor_index
 from wellpoles.trajectory import ClosureKind, ExitReason
 from wellpoles import _kernels as _k

@@ -1,10 +1,13 @@
-"""Cold-start guards: the package imports and runs without scipy or numpy."""
+"""Cold-start guards: the package imports and runs without scipy or numpy,
+and every module reads each name it imports."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +68,35 @@ def test_runtime_leaves_dataclasses_unloaded(code, module, tmp_path):
     # the records are plain slots classes: importing dataclasses, and the
     # inspect, ast and dis it loads, took most of a cold start
     assert _loaded(code, module, cwd=tmp_path) == "[]"
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """The names bound by path's top-level imports that the module never
+    reads, skipping an import whose line carries ``# noqa: F401``."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+                isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"):
+            continue
+        for alias in stmt.names:
+            name = alias.asname or alias.name.split(".")[0]
+            marked = any("# noqa: F401" in lines[n - 1] for n in (stmt.lineno, alias.lineno))
+            if name != "*" and name not in read and not marked:
+                unread.append(name)
+    return unread
+
+
+def test_every_import_is_read():
+    # no linter is a dependency, so this stands in for one; a package's
+    # __init__ imports its exports, which it need not read
+    src = Path(wellpoles.__file__).resolve().parent
+    tests = Path(__file__).resolve().parent
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    unread = [f"{path.parent.name}/{path.name}: {name}"
+              for path in paths + sorted(tests.glob("*.py")) for name in _unread_imports(path)]
+    assert unread == []

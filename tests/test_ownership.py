@@ -29,8 +29,8 @@ completes a curve from its march, with its mirror image, and states the
 split step: ``chart`` imports no private name of it and joins no curve, and
 ``branch_at_double_zero`` reads the scan's coalesced pair from its seed,
 walking no axis cell again.
-One helper there states that image, which the march and ``mirror`` (about
-its seed alone) both call.
+One helper there states that image, and the march alone calls it: a curve
+is its own image, so no second entry point reflects one.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
 checks, and ``cli`` names none of their parts. ``smatrix._exp`` alone
 catches OverflowError, to give cmath.exp the kernels' non-finite contract,
@@ -600,13 +600,11 @@ def _states_the_image(node: ast.AST) -> bool:
 
 
 def test_trajectory_states_the_image_once():
-    # the march completes a curve, and mirror reflects one, through one
-    # helper; nothing re-derives the joint from the halves' phases
+    # the march completes a curve through one helper, and nothing else
+    # reflects one: every traced curve is already its own mirror image
     functions = {f.name: f for f in _tree("trajectory.py").body if isinstance(f, ast.FunctionDef)}
     owners = [name for name, f in functions.items() if _states_the_image(f)]
     assert len(owners) == 1
-    assert owners[0] in _calls(functions["_trace_from_state"])
-    assert owners[0] in _calls(functions["mirror"])
-    assert "_join" not in functions
-    mirror_args = functions["mirror"].args
-    assert len(mirror_args.args + mirror_args.kwonlyargs) == 1 and not mirror_args.defaults
+    callers = [name for name, f in functions.items() if owners[0] in _calls(f)]
+    assert callers == ["_trace_from_state"]
+    assert functions.keys().isdisjoint({"mirror", "_mirror_index", "_join"})

@@ -16,22 +16,18 @@ from wellpoles import _kernels as _k
 from wellpoles import Channel, ComplexCoupling, PotentialSpec
 from wellpoles.errors import NoRootInBracket
 from wellpoles.smatrix import C_LIMIT
-from wellpoles.chart import (
-    bound_count,
-    bound_threshold,
-    threshold_flip,
-)
+from wellpoles.chart import bound_count, threshold_flip
 from wellpoles.trajectory import window_extents
 from wellpoles.rootfinder import (
     _PAIR_BALL,
     RESIDUAL_TOL,
-    _axis_cells,
     _bracketed_newton,
     _y_sinh_form,
     _edge_winding,
     Pole,
     PoleKind,
     axis_momenta,
+    bound_threshold,
     classify,
     collision_depth,
     collision_pair_count,

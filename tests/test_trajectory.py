@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wellpoles.chart import build_chart, critical_depth
-from wellpoles.errors import ModelInvalid, NoConvergence, SeedNotOnPole, StallAtDoubleZero
+from wellpoles.errors import ModelInvalid, SeedNotOnPole, StallAtDoubleZero
 from wellpoles.rootfinder import (
     TOL_AXIS,
     Pole,
@@ -20,6 +20,7 @@ from wellpoles.rootfinder import (
     newton_refine,
     scan_axis,
 )
+import wellpoles
 from wellpoles import _kernels as _k
 from wellpoles import trajectory
 from wellpoles.smatrix import (
@@ -34,9 +35,7 @@ from wellpoles.trajectory import (
     ClosureKind,
     CollisionEvent,
     ExitReason,
-    Trajectory,
     branch_at_double_zero,
-    mirror,
     trace,
     trace_branch,
 )
@@ -175,15 +174,6 @@ class TestClosureDetection:
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
         assert classify_closure(t).kind is t.closure.kind
 
-    def test_backward_direction_mirrors_forward_anchors(self):
-        spec = _spec(2.0)
-        f = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        b = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), -1, spec)
-        assert b.closure.kind is ClosureKind.CLOSED_4PI
-        fmap, bmap = dict(f.anchors), dict(b.anchors)
-        for n in range(0, 9):
-            assert abs(bmap[-n] - (-fmap[n].conjugate())) < 1e-8
-
 
 class TestStepControl:
     def test_alpha_strictly_monotone_and_bounded_steps(self):
@@ -273,26 +263,6 @@ class TestMirror:
         t = trace(_seed(0.09, REP, Channel.PLUS, SHALLOW_OPEN_VIRTUAL), +1, spec)
         assert mirror_defect(t, spec) < 1e-8
 
-    def test_involution(self):
-        spec = _spec(2.0)
-        t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        mm = mirror(mirror(t))
-        assert np.array_equal(mm.alphas, t.alphas)
-        assert np.array_equal(mm.ks, t.ks)
-
-    def test_anchor_map(self):
-        spec = _spec(2.0)
-        t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        m = mirror(t)
-        tmap, mmap = dict(t.anchors), dict(m.anchors)
-        for n, k in tmap.items():
-            assert abs(mmap[-n] - (-k.conjugate())) < 1e-15
-
-    def test_closure_preserved(self):
-        spec = _spec(2.0)
-        t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        assert mirror(t).closure.kind is t.closure.kind
-
     def test_split_branch_mirror_keeps_resonance_side(self, monkeypatch):
         monkeypatch.setattr(trajectory, "_alpha_guard", lambda c: 1.5 * math.pi)
         spec = _spec(U_CRIT_PLUS_ATT)
@@ -337,9 +307,8 @@ class TestBackwardByMirror:
         # an off-axis seed has no mirror image through itself
         off = newton_refine(3.5 - 1.0j, ATT, spec, Channel.PLUS)
         assert off.kind is PoleKind.RESONANCE
-        for direction in (+1, -1):
-            with pytest.raises(ValueError, match="axis pole"):
-                trace(off, direction, spec)
+        with pytest.raises(ValueError, match="axis pole"):
+            trace(off, +1, spec)
 
     def test_off_real_coupling_seed_refused(self):
         spec = _spec(2.0)
@@ -347,9 +316,11 @@ class TestBackwardByMirror:
         third = ComplexCoupling(math.pi / 3)
         seed = newton_refine(point_at(f, math.pi / 3, spec), third, spec, Channel.PLUS)
         with pytest.raises(ValueError):
-            trace(seed, -1, spec)
-        with pytest.raises(ValueError):
-            mirror(trace(seed, +1, spec))
+            trace(seed, +1, spec)
+
+    def test_no_mirror_entry_point(self):
+        assert not hasattr(trajectory, "mirror")
+        assert not hasattr(wellpoles, "mirror") and "mirror" not in wellpoles.__all__
 
 
 class TestPointAt:
@@ -400,8 +371,11 @@ class TestSeedValidation:
     def test_direction_validated(self):
         spec = _spec(0.09)
         seed = _seed(0.09, ATT, Channel.PLUS, SHALLOW_BOUND)
-        with pytest.raises(ValueError):
-            trace(seed, 2, spec)
+        # the curve through an axis seed is its own image about the seed, so
+        # a backward trace would only return it again
+        for direction in (2, -1):
+            with pytest.raises(ValueError, match="direction"):
+                trace(seed, direction, spec)
 
     def test_seed_off_the_quarter_turn_grid_rejected(self):
         # closure is decided at whole-turn anchors, so a seed must sit on one
@@ -700,12 +674,13 @@ class TestHalfTurn:
         chart = build_chart(spec, Channel.PLUS, certify=False)
         assert [(ev.alpha, ev.k) for ev in chart.collisions] == [(math.pi, -1j / A)]
 
-    def test_mirror_about_a_quarter_turn_refused(self):
-        # mirror reflects about its seed's phase, so a curve whose seed sits
-        # on a quarter-turn anchor, pi/2, has no image
+    def test_seed_on_a_quarter_turn_anchor_refused(self):
+        # a curve is its own image only about a multiple of pi, so a pole on
+        # the loop's pi/2 anchor, on the grid and on the pole set, seeds none
         spec = _spec(2.0)
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        quarter = Pole(A * dict(t.anchors)[1], Channel.PLUS, ComplexCoupling(HALF_PI), 1,
-                       0.0, A)
-        with pytest.raises(ValueError, match="multiple of pi"):
-            mirror(Trajectory(quarter, t.alphas, t.ks, t.anchors, t.closure))
+        quarter = newton_refine(dict(t.anchors)[1], ComplexCoupling(HALF_PI), spec,
+                                Channel.PLUS)
+        assert _anchor_index(quarter.coupling.alpha) == 1
+        with pytest.raises(ValueError, match="quarter-turn"):
+            trace(quarter, +1, spec)
