@@ -9,9 +9,9 @@ evaluations. The rest give values bit-equal to it:
 - ``newton_pole``, the corrector, evaluates d and dd/dq inline, without
   dd/dw or the D_alpha product, and forms dd/dw once, after it converges,
   for the tangent dq/dalpha at its last iterate, which it returns. As the
-  corrector's hot loop, it alone repeats ``trig_scaled`` and
-  ``_channel_terms`` inline, in their float operations and order; its
-  step tolerance STEP_TOL is stated here, and no caller sets it;
+  corrector's hot loop, it alone repeats ``_channel_terms`` inline, and of
+  ``trig_scaled`` only the common case, in their float operations and
+  order; its step tolerance STEP_TOL is stated here, and no caller sets it;
 - ``grid_denom_dk`` loops over a list of momenta for the winding contours,
   with ``trig_scaled`` and ``_channel_terms``;
 - ``axis_phi`` reads ``grid_denom_dk`` along the imaginary axis. The axis
@@ -44,10 +44,12 @@ next to the real axis. At and above 700 they come from the exact
 half-angle forms of ``_half_angle``, e.g. Re C_s = cos(x)*(1 + e^{-2|y|})/2,
 which never overflow; near the real axis those lose the imaginary parts to
 the cancellation in (1 - e^{-2|y|})/2, so they serve only where that
-cannot matter. The inline loop of ``newton_pole`` keeps the two cmath
-calls in its body and calls ``_half_angle`` only above the cut. The sinc
-and curvature blocks Z and G are S_s/z and (C_s - Z)/z^2, or their series
-times E inside the series windows |z| < _SINC_CUT and |z| < _G_CUT. Every returned
+cannot matter. The sinc and curvature blocks Z and G are S_s/z and
+(C_s - Z)/z^2, or their series times E inside the series windows
+|z| < _SINC_CUT and |z| < _G_CUT. ``newton_pole`` keeps inline only the
+common case, a finite z with |Im z| below the cut and |z| past both
+windows; the cut, the half-angle forms, the series windows and a
+non-finite z are ``trig_scaled``'s alone. Every returned
 denominator/derivative here is the true value times the same E, which
 cancels in Newton ratios and winding arguments. ``E`` is returned alongside
 so callers can unscale when the true magnitude is needed.
@@ -232,9 +234,11 @@ def newton_pole(q0, s, ch, max_iter):
     underflowed to 0: there the step is roundoff, and every exit passes at
     no pole; the iterate q_n is returned.
 
-    The loop evaluates d and dd/dq only: ``trig_scaled`` inline (the two
-    cmath calls below _CMATH_CUT, ``_half_angle`` above it) with G only in
-    the odd channel, then ``_channel_terms`` without dd/dw: the package's
+    The loop evaluates d and dd/dq only. Where z is finite, |Im z| <
+    _CMATH_CUT and |z| >= _G_CUT, it forms the trig blocks inline, the two
+    cmath calls times E with G only in the odd channel; every other z, at
+    or past the cut, inside a series window or non-finite, takes
+    ``trig_scaled``. Then ``_channel_terms`` without dd/dw: the package's
     one inline repeat of the algebra. Every float operation, its order and
     its constants are those of ``denom_scaled``, so each iterate is
     bit-equal to a loop on it. Only on convergence does it form dd/dw, from
@@ -245,37 +249,23 @@ def newton_pole(q0, s, ch, max_iter):
     continuation corrector that reaches about 1.5e-6*(1+|q|).
     """
     odd = ch != CH_PLUS
-    sqrt, exp, cos, sin = cmath.sqrt, math.exp, cmath.cos, cmath.sin
+    sqrt, exp, cos, sin, inf = cmath.sqrt, math.exp, cmath.cos, cmath.sin, math.inf
     q = q0
-    size_prev = math.inf
+    size_prev = inf
     for it in range(max_iter):
         qq = q * q
         w = qq + s
         z = sqrt(w)
         ay = abs(z.imag)
-        E = exp(-ay)
-        if ay < _CMATH_CUT:
-            try:
-                C = cos(z) * E
-                S = sin(z) * E
-            except ValueError:
-                C = S = _NAN
-        else:
-            C, S = _half_angle(z)
-        az = abs(z)
-        if az >= _SINC_CUT:
-            Z = S / z
-        else:
-            z2 = z * z
-            Z = (1.0 - z2 / 6.0 + z2 * z2 / 120.0) * E
-        if odd:
-            if az >= _G_CUT:
+        if ay < _CMATH_CUT and _G_CUT <= abs(z) < inf:
+            E = exp(-ay)
+            C = cos(z) * E
+            Z = sin(z) * E / z
+            if odd:
                 G = (C - Z) / (z * z)
-            else:
-                z2 = z * z
-                G = (
-                    -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0
-                ) * E
+        else:
+            C, _, Z, G, E = trig_scaled(z)
+        if odd:
             p = C
             r = 1j * q * Z
             dq = -1j * Z - q * Z - 1j * qq * G

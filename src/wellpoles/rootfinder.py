@@ -329,8 +329,8 @@ def collision_pair_count(channel: Channel, attractive: bool, index: int) -> int 
         return None
 
 
-# the fixed-point forms of the cell equations, as (g, g') on a cell [lo, hi]: x - c|cos x| and
-# x - c|sin x| (real K, convex; cos x or sin x takes the cell's sign, as at a cell end it rounds
+# the fixed-point forms of the cell equations, as (g, g'): x - c|cos x| and x - c|sin x| on a
+# cell [lo, hi] (real K, convex; cos x or sin x takes the cell's sign, as at a cell end it rounds
 # to +-6e-17 of either), y - c cosh y and y - c sinh y (imaginary K, concave, times exp(-y))
 def _x_cos_form(c: float, lo: float, hi: float):
     cc = math.copysign(c, math.cos(0.5 * (lo + hi)))
@@ -342,12 +342,12 @@ def _x_sin_form(c: float, lo: float, hi: float):
     return lambda x: (x - cs * math.sin(x), 1.0 - cs * math.cos(x))
 
 
-def _y_cosh_form(c: float, lo: float, hi: float):
+def _y_cosh_form(c: float):
     return lambda y: (y * math.exp(-y) - 0.5 * c * (1.0 + math.exp(-2.0 * y)),
                       math.exp(-y) + 0.5 * c * math.expm1(-2.0 * y))
 
 
-def _y_sinh_form(c: float, lo: float, hi: float):
+def _y_sinh_form(c: float):
     return lambda y: (y * math.exp(-y) + 0.5 * c * math.expm1(-2.0 * y),
                       math.exp(-y) - 0.5 * c * (1.0 + math.exp(-2.0 * y)))
 
@@ -372,8 +372,8 @@ def _neg_y_coth(y: float) -> float:
 def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
     """Every cell of x = a|K| that holds axis poles at c = a sqrt(2 m U).
 
-    Entries are (form, a_kappa, lo, x_c, hi). The cell's poles solve
-    form(c, lo, hi) = 0 on [lo, hi] and sit at q = i a_kappa(x). x_c is the
+    Entries are (g, a_kappa, lo, x_c, hi). The cell's poles solve its
+    form g(x) = 0 on [lo, hi] and sit at q = i a_kappa(x). x_c is the
     cell's collision point (``_collision_c2``), which splits its 0 or 2
     roots; with x_c None the cell holds exactly one root.
 
@@ -391,25 +391,25 @@ def _axis_cells(c: float, attractive: bool, odd: bool) -> list[tuple]:
         if odd:
             return []
         yc = collision_x(Channel.PLUS, False, 1)
-        g, hi = _y_cosh_form(c, 0.0, 0.0), 2.0 * yc
+        g, hi = _y_cosh_form(c), 2.0 * yc
         while g(hi)[0] >= 0.0:
             hi *= 2.0
-        return [(_y_cosh_form, _neg_y_tanh, 0.0, yc, hi)]
+        return [(g, _neg_y_tanh, 0.0, yc, hi)]
     channel, form, a_kappa = ((Channel.MINUS, _x_sin_form, _neg_x_cot) if odd
                               else (Channel.PLUS, _x_cos_form, _x_tan))
     h = 0.0 if odd else 0.5
     hi = (1.0 - h) * math.pi
     if odd and c < 1.0:
-        g, end = _y_sinh_form(c, 0.0, 0.0), 1.0
+        g, end = _y_sinh_form(c), 1.0
         while g(end)[0] >= 0.0:
             end *= 2.0
-        cells = [(_y_sinh_form, _neg_y_coth, 0.0, None, end)]
+        cells = [(g, _neg_y_coth, 0.0, None, end)]
     else:
-        cells = [(form, a_kappa, 0.0, None, hi)]
+        cells = [(form(c, 0.0, hi), a_kappa, 0.0, None, hi)]
     n = 1
     while hi < c:
         lo, hi = hi, (n + 1 - h) * math.pi
-        cells.append((form, a_kappa, lo, collision_x(channel, True, n), hi))
+        cells.append((form(c, lo, hi), a_kappa, lo, collision_x(channel, True, n), hi))
         n += 1
     return cells
 
@@ -426,25 +426,28 @@ def _pair_offset(xc: float, attractive: bool, c: float) -> float:
     return math.copysign(math.sqrt(2.0 * abs(rc - c) / rc), rc - c)
 
 
-def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[float, int]]:
+def _cell_roots(cell: tuple, c: float, s: float, ch: int,
+                a: float) -> Iterator[tuple[float, int]]:
     """(a*kappa, multiplicity) of the poles of one cell of ``_axis_cells``
-    at c and s = +-c^2, each solved only when it is drawn: the root above
-    the collision point x_c first (the cell's one root when x_c is None),
-    then the one below it. Above x_c an attractive cell's a*kappa rises
-    through 0 toward hi; below x_c a*kappa < -1. So the first root is the
-    only one of an attractive cell that can be bound, and ``bound_count``
-    draws no other.
+    at c and s = +-c^2 of a well of half-width a, each solved only when it
+    is drawn: the root above the collision point x_c first (the cell's one
+    root when x_c is None), then the one below it. Above x_c an attractive
+    cell's a*kappa rises through 0 toward hi; below x_c a*kappa < -1. So
+    the first root is the only one of an attractive cell that can be
+    bound, and ``bound_count`` draws no other.
 
     A cell with x_c holds 2 roots, split at x_c, where c has passed its c*
     (``_pair_offset``): upward at the attractive coupling, downward at the
     repulsive one. ``_bracketed_newton`` solves each on the cell's form g
     from the end where g and g'' share a sign: hi for the root above x_c
     (or the one root), lo for the one below. Each is mapped to a*kappa and
-    Newton-polished in q to Im q. When the cell's pair lies within
-    _PAIR_BALL*x_c of its collision point q = -i, the cell gives one
-    coalesced pair there instead, as a*kappa = -1 with multiplicity 2.
+    Newton-polished in q to Im q; a polish that lands more than 0.5 in q
+    from its start raises ConvergedElsewhere, in k. When the cell's pair
+    lies within _PAIR_BALL*x_c of its collision point q = -i, the cell
+    gives one coalesced pair there instead, as a*kappa = -1 with
+    multiplicity 2.
     """
-    form, a_kappa, lo, xc, hi = cell
+    g, a_kappa, lo, xc, hi = cell
 
     def polished(x: float) -> tuple[float, int]:
         kappa = a_kappa(x)
@@ -453,12 +456,12 @@ def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[floa
         # (a pair next to its collision), the bracketed root is the better value
         if ok:
             if abs(q - 1j * kappa) > 0.5:
-                raise ConvergedElsewhere(q, 1j * kappa, 0.5)
+                raise ConvergedElsewhere(q / a, 1j * kappa / a, 0.5 / a)
             kappa = q.imag
         return kappa, 1
 
     if xc is None:
-        yield polished(_bracketed_newton(form(c, lo, hi), hi, lo))
+        yield polished(_bracketed_newton(g, hi, lo))
         return
     attractive = s > 0.0
     offset = _pair_offset(xc, attractive, c)
@@ -466,8 +469,8 @@ def _cell_roots(cell: tuple, c: float, s: float, ch: int) -> Iterator[tuple[floa
         yield -1.0, 2
         return
     if (offset > 0.0) != attractive:
-        yield polished(_bracketed_newton(form(c, lo, hi), hi, xc))
-        yield polished(_bracketed_newton(form(c, lo, hi), lo, xc))
+        yield polished(_bracketed_newton(g, hi, xc))
+        yield polished(_bracketed_newton(g, lo, xc))
 
 
 def _axis_roots(spec: PotentialSpec, coupling: ComplexCoupling,
@@ -482,7 +485,7 @@ def _axis_roots(spec: PotentialSpec, coupling: ComplexCoupling,
     s = c * c * coupling.gamma.real
     cells = _axis_cells(c, s > 0.0, channel is Channel.MINUS) if c else []
     ch = channel.code
-    return s, [root for cell in cells for root in _cell_roots(cell, c, s, ch)]
+    return s, [root for cell in cells for root in _cell_roots(cell, c, s, ch, spec.a)]
 
 
 def scan_axis(spec: PotentialSpec, coupling: ComplexCoupling, channel: Channel) -> list[Pole]:
@@ -638,7 +641,7 @@ def bound_count(spec: PotentialSpec, channel: Channel) -> int:
         below = x_n - dx
         if below > (lo if xc is None else xc) and below / cos_dx > c:
             continue
-        kappa, mult = next(_cell_roots(cell, c, c * c, channel.code), (0.0, 0))
+        kappa, mult = next(_cell_roots(cell, c, c * c, channel.code, spec.a), (0.0, 0))
         if mult == 1 and kappa >= TOL_AXIS:
             count += 1
     return count
@@ -781,15 +784,13 @@ def count_zeros_padded(re_max: float, im_lo: float, im_hi: float, s: float,
     original boundary; the last of _PAD_TRIES tries raises EdgeTooClose.
     """
     step = _PAD_FRACTION * max(2.0 * re_max, im_hi - im_lo)
-    for attempt in range(_PAD_TRIES):
+    for attempt in range(_PAD_TRIES - 1):
         try:
             return count_zeros(re_max, im_lo, im_hi, s, channel)
         except EdgeTooClose:
-            if attempt == _PAD_TRIES - 1:
-                raise
             bump = step * (attempt + 1)
             re_max, im_lo, im_hi = re_max + bump, im_lo - bump, im_hi + bump
-    raise AssertionError("unreachable")
+    return count_zeros(re_max, im_lo, im_hi, s, channel)
 
 
 def multiplicity_at(

@@ -8,7 +8,10 @@ small triangles show the trace direction; collision points get crosses.
 
 Every point is mapped to the screen by one function of a list of points,
 with no call per point, and each polyline and each curve's set of anchor
-markers is written in one %-template pass.
+markers is written in one %-template pass. Each kind of mark has one
+template: every tick, coordinate axis and legend swatch is a line from one
+line template, every tick label, axis label and legend entry a text from
+one text template, and one tick loop serves both axes.
 """
 
 from __future__ import annotations
@@ -29,11 +32,9 @@ _WIDTH, _HEIGHT = 880, 680
 
 
 def _nice_step(span: float) -> float:
-    if span <= 0:
-        return 1.0
     raw = span / 8.0
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if raw <= mult * mag:
             return mult * mag
     return 10.0 * mag
@@ -71,79 +72,46 @@ def chart_svg(chart: PoleChart) -> str:
             [bottom - (z.imag - im_lo) / span_im * plot_h for z in points],
         )
 
-    parts: list[str] = []
-    parts.append(
+    line = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="%s" stroke-width="%s"%s/>'
+    text = (f'<text x="%.3f" y="%.3f" font-family="sans-serif" font-size="%s" '
+            f'fill="{_TEXT}"%s>%s</text>')
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    parts.append(
+        f'height="{height}" viewBox="0 0 {width} {height}">',
         f"<title>pole chart: {chart.channel.value} channel, "
-        f"U={chart.spec.U:g}, a={chart.spec.a:g}, m={chart.spec.m:g}</title>"
-    )
-    parts.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+        f"U={chart.spec.U:g}, a={chart.spec.a:g}, m={chart.spec.m:g}</title>",
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<rect x="{_f(margin)}" y="{_f(margin)}" width="{_f(plot_w)}" height="{_f(plot_h)}" '
+        f'fill="none" stroke="{_AXIS}" stroke-width="1"/>',
+    ]
 
-    # frame and grid ticks
-    parts.append(
-        f'<rect x="{_f(margin)}" y="{_f(margin)}" '
-        f'width="{_f(width - 2 * margin)}" height="{_f(height - 2 * margin)}" '
-        f'fill="none" stroke="{_AXIS}" stroke-width="1"/>'
-    )
-    step = _nice_step(re_hi - re_lo)
-    tick = math.ceil(re_lo / step) * step
-    while tick <= re_hi:
-        (x,), _ = screen([complex(tick, 0.0)])
-        parts.append(
-            f'<line x1="{_f(x)}" y1="{_f(height - margin)}" x2="{_f(x)}" '
-            f'y2="{_f(height - margin + 5)}" stroke="{_AXIS}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_f(x)}" y="{_f(height - margin + 18)}" '
-            f'font-family="sans-serif" font-size="11" fill="{_TEXT}" '
-            f'text-anchor="middle">{_tick_label(tick)}</text>'
-        )
-        tick += step
-    step = _nice_step(im_hi - im_lo)
-    tick = math.ceil(im_lo / step) * step
-    while tick <= im_hi:
-        _, (y,) = screen([complex(0.0, tick)])
-        parts.append(
-            f'<line x1="{_f(margin - 5)}" y1="{_f(y)}" x2="{_f(margin)}" '
-            f'y2="{_f(y)}" stroke="{_AXIS}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_f(margin - 8)}" y="{_f(y + 4)}" '
-            f'font-family="sans-serif" font-size="11" fill="{_TEXT}" '
-            f'text-anchor="end">{_tick_label(tick)}</text>'
-        )
-        tick += step
+    # grid ticks on the frame's bottom and left edges: each tick's point on
+    # its edge, then its mark's two ends and its label's place as offsets
+    edges = ((re_lo, re_hi, lambda t: complex(t, im_lo), (0, 0, 0, 5, 0, 18), "middle"),
+             (im_lo, im_hi, lambda t: complex(re_lo, t), (-5, 0, 0, 0, -8, 4), "end"))
+    for lo, hi, point, (dx1, dy1, dx2, dy2, dxt, dyt), anchor in edges:
+        step = _nice_step(hi - lo)
+        tick = math.ceil(lo / step) * step
+        while tick <= hi:
+            (x,), (y,) = screen([point(tick)])
+            parts.append(line % (x + dx1, y + dy1, x + dx2, y + dy2, _AXIS, 1, ""))
+            parts.append(text % (x + dxt, y + dyt, 11, f' text-anchor="{anchor}"',
+                                 _tick_label(tick)))
+            tick += step
 
     # coordinate axes where they cross the view
     (x0,), (y0,) = screen([0j])
+    dash = ' stroke-dasharray="4,4"'
     if re_lo < 0 < re_hi:
-        parts.append(
-            f'<line x1="{_f(x0)}" y1="{_f(margin)}" x2="{_f(x0)}" '
-            f'y2="{_f(height - margin)}" stroke="{_AXIS}" '
-            f'stroke-width="1" stroke-dasharray="4,4"/>'
-        )
+        parts.append(line % (x0, margin, x0, bottom, _AXIS, 1, dash))
     if im_lo < 0 < im_hi:
-        parts.append(
-            f'<line x1="{_f(margin)}" y1="{_f(y0)}" x2="{_f(width - margin)}" '
-            f'y2="{_f(y0)}" stroke="{_AXIS}" '
-            f'stroke-width="1" stroke-dasharray="4,4"/>'
-        )
-    parts.append(
-        f'<text x="{_f(width - margin)}" y="{_f(height - margin + 34)}" '
-        f'font-family="sans-serif" font-size="12" fill="{_TEXT}" '
-        f'text-anchor="end">Re k</text>'
-    )
-    parts.append(
-        f'<text x="{_f(margin - 38)}" y="{_f(margin - 10)}" '
-        f'font-family="sans-serif" font-size="12" fill="{_TEXT}">Im k</text>'
-    )
+        parts.append(line % (margin, y0, width - margin, y0, _AXIS, 1, dash))
+    parts.append(text % (width - margin, bottom + 34, 12, ' text-anchor="end"', "Re k"))
+    parts.append(text % (margin - 38, margin - 10, 12, "", "Im k"))
 
     # trajectories
     for traj in chart.trajectories:
-        color = _COLORS.get(traj.closure.kind.value, "#000000")
+        color = _COLORS[traj.closure.kind.value]
         n = len(traj.ks)
         xs, ys = screen(traj.ks)
         coords = ("%.3f,%.3f " * n)[:-1] % tuple(chain.from_iterable(zip(xs, ys)))
@@ -190,19 +158,10 @@ def chart_svg(chart: PoleChart) -> str:
     topology = chart.topology
     for kind in ("closed_2pi", "closed_4pi", "open"):
         count = topology.get(kind, 0)
-        if count == 0:
-            continue
-        parts.append(
-            f'<line x1="{_f(margin + 10)}" y1="{_f(ly)}" '
-            f'x2="{_f(margin + 34)}" y2="{_f(ly)}" '
-            f'stroke="{_COLORS[kind]}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_f(margin + 40)}" y="{_f(ly + 4)}" '
-            f'font-family="sans-serif" font-size="11" fill="{_TEXT}">'
-            f"{kind} ({count})</text>"
-        )
-        ly += 16
+        if count:
+            parts.append(line % (margin + 10, ly, margin + 34, ly, _COLORS[kind], 2, ""))
+            parts.append(text % (margin + 40, ly + 4, 11, "", f"{kind} ({count})"))
+            ly += 16
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

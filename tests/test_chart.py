@@ -639,6 +639,10 @@ class TestBoundCount:
     """bound_count counts, from the axis roots alone, the poles that
     scan_axis classifies as bound."""
 
+    @pytest.mark.parametrize("channel", [Channel.PLUS, Channel.MINUS])
+    def test_no_well_binds_nothing(self, channel):
+        assert bound_count(PotentialSpec(m=M, a=A, U=0.0), channel) == 0
+
     def test_chart_uses_the_rootfinder_count(self):
         import wellpoles
 
@@ -885,7 +889,7 @@ class TestRatioDecisions:
                 expected = "roots"
             else:
                 expected = "none"
-            first = next(rootfinder._cell_roots(cell, c, s, channel.code), None)
+            first = next(rootfinder._cell_roots(cell, c, s, channel.code, a), None)
             got = "none" if first is None else "pair" if first == (-1.0, 2) else "roots"
             assert got == expected, (lo, xc, hi)
 
@@ -1120,6 +1124,14 @@ class TestDepthSweep:
         assert crit is not None and crit.attractive
         assert crit.index == 2
         assert abs(crit.U - _u_star_plus_att(2)) < 1e-8
+
+    def test_transition_without_a_collision(self):
+        # from no well to the open curve no pair collides: the change is
+        # recorded with no critical depth
+        sweep = depth_sweep(Channel.MINUS, [0.0, 1.0])
+        (tr,) = sweep.transitions
+        assert (tr.u_below, tr.u_above, tr.critical) == (0.0, 1.0, None)
+        assert tr.description == "topology change without a bracketed pair collision"
 
     def test_no_transition_without_change(self):
         sweep = depth_sweep(Channel.PLUS, [1.0, 1.95], M, A)

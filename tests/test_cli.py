@@ -134,6 +134,14 @@ class TestChart:
         assert code == 0 and out == ""
         parse_chart_document(target.read_text())
 
+    def test_out_into_a_missing_directory(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "chart", "--U", "1", "--out", str(tmp_path / "missing" / "chart.json")
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
     def test_svg_render(self, capsys, tmp_path):
         target = tmp_path / "chart.svg"
         code, _, _ = run(
@@ -521,6 +529,13 @@ class TestConfigFlag:
         assert len(err.splitlines()) == 1
         [key] = values
         assert repr(key) in json.loads(err)["error"]["message"]
+
+    def test_depths_not_a_list(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"depths": 1.0}))
+        code, out, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == "config key 'depths' must be a list"
 
     def test_int_accepted_for_a_float(self, capsys, tmp_path):
         path = tmp_path / "run.json"

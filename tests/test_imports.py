@@ -1,5 +1,6 @@
 """Cold-start guards: the package imports and runs without scipy or numpy,
-and every module reads each name it imports."""
+every module reads each name it imports, and every function of the package
+reads each parameter it takes."""
 
 from __future__ import annotations
 
@@ -99,4 +100,39 @@ def test_every_import_is_read():
     paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
     unread = [f"{path.parent.name}/{path.name}: {name}"
               for path in paths + sorted(tests.glob("*.py")) for name in _unread_imports(path)]
+    assert unread == []
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """function.parameter for each parameter of a function or lambda in path
+    that its body never reads. A method's first parameter is exempt, and a
+    function that calls ``locals()`` reads all of its parameters."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)}
+    unread = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.Lambda)):
+            continue
+        body = function.body if isinstance(function.body, list) else [function.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if "locals" in read:
+            continue
+        args = function.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        if id(function) in methods:
+            params = params[1:]
+        name = getattr(function, "name", "<lambda>")
+        unread += [f"{name}.{arg.arg}" for arg in params if arg.arg not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter that no line reads asks every caller for a value that
+    # changes nothing
+    src = Path(wellpoles.__file__).resolve().parent
+    unread = [f"{path.name}: {name}"
+              for path in sorted(src.glob("*.py")) for name in _unread_parameters(path)]
     assert unread == []

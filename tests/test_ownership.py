@@ -9,7 +9,8 @@ each cell off the axis; ``chart`` and ``trajectory`` reach them only through
 public names. The anchor phases n*(pi/2) and their exact test
 live in ``smatrix``. The trig blocks are stated by ``_kernels.trig_scaled``
 and the channel algebra by ``_kernels._channel_terms``, which the winding
-grid calls. ``_kernels`` alone states ``newton_pole``'s step tolerance, and
+grid calls; ``newton_pole`` repeats only their common case and leaves the
+cut, the half-angle forms and the series to ``trig_scaled``. ``_kernels`` alone states ``newton_pole``'s step tolerance, and
 every Newton budget is ``MAX_NEWTON`` or the corrector's. The working
 window's extents, the margin past its corners at which a march stops and
 the runaway phase guard (40 + 2c)*pi live in ``trajectory``, which
@@ -31,6 +32,8 @@ split step: ``chart`` imports no private name of it and joins no curve, and
 walking no axis cell again.
 One helper there states that image, and the march alone calls it: a curve
 is its own image, so no second entry point reflects one.
+``svgplot`` writes every line and every text mark of a chart from one
+template each.
 ``smatrix.verify_relations`` states the identities that ``wellpoles verify``
 checks, and ``cli`` names none of their parts. ``smatrix._exp`` alone
 catches OverflowError, to give cmath.exp the kernels' non-finite contract,
@@ -291,6 +294,30 @@ def test_winding_grid_states_no_channel_term():
                                 if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
     assert not any(isinstance(node, ast.Constant) and isinstance(node.value, complex)
                    for node in ast.walk(grid))
+
+
+def test_newton_pole_leaves_the_rare_trig_cases_to_trig_scaled():
+    # the corrector forms the trig blocks inline only below the cut and past
+    # the series windows; the half-angle forms and the series are stated once
+    newton = _kernel_function("newton_pole")
+    named = {node.id for node in ast.walk(newton) if isinstance(node, ast.Name)}
+    assert "trig_scaled" in named
+    assert named.isdisjoint({"_half_angle", "_SINC_CUT"})
+
+    def numbers(function):
+        return {node.value for node in ast.walk(function)
+                if isinstance(node, ast.Constant) and type(node.value) is float}
+
+    coefficients = numbers(_kernel_function("trig_scaled")) - {1.0}
+    assert coefficients and numbers(newton).isdisjoint(coefficients)
+
+
+def test_svgplot_holds_one_template_per_mark():
+    # ticks, axes, axis labels and the legend are written from one <line>
+    # template and one <text> template
+    strings = [node.value for node in ast.walk(_tree("svgplot.py"))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert [sum(text.count(tag) for text in strings) for tag in ("<line ", "<text ")] == [1, 1]
 
 
 def _own_nodes(function: ast.FunctionDef):

@@ -693,7 +693,7 @@ class TestBracketedNewton:
 
         def g(y):
             calls.append(y)
-            return _y_sinh_form(c, 0.0, 512.0)(y)
+            return _y_sinh_form(c)(y)
 
         y = _bracketed_newton(g, 512.0, 0.0)
         with mp.workdps(40):
@@ -992,6 +992,18 @@ class TestClosedFormScan:
         sp = spec(U)
         poles = scan_axis(sp, ATT, Channel.PLUS)
         assert max(residual_ratio(sp.a * p.k, sp.c * sp.c, Channel.PLUS) for p in poles) < 1.0
+
+    @pytest.mark.parametrize("scan", [scan_axis, axis_momenta])
+    def test_a_polish_that_runs_off_reports_k(self, scan):
+        # the odd channel's one axis root at c = 1.4e-149 sits at
+        # a*kappa = -349.29, and its polish in q lands at -350.29j, 1 from
+        # its start: the error gives both in k = q/a and the radius 0.5/a
+        with pytest.raises(wp.ConvergedElsewhere) as info:
+            scan(PotentialSpec(0.01, 100.0, 1e-300), ComplexCoupling(0.0), Channel.MINUS)
+        error = info.value
+        assert error.k_found == -350.2876482361034j / 100.0
+        assert error.k_seed == complex(-0.0, -349.2876482361034) / 100.0
+        assert error.trust_radius == 0.005
 
     @settings(max_examples=60, deadline=None)
     @given(
