@@ -1,15 +1,17 @@
 """Numeric kernels for the channel pole functions.
 
-Every hot loop in the engine (Newton polishing, continuation correctors,
-winding contours) bottoms out in one scalar kernel: ``trig_scaled`` for the
-trig blocks and ``_channel_terms`` for the channel algebra, composed by
-``denom_scaled``, which serves the continuation predictor and single
-evaluations. The rest give values bit-equal to it:
+Every hot loop in the engine (Newton polishing, the continuation
+corrector, winding contours) bottoms out in one scalar kernel:
+``trig_scaled`` for the trig blocks, composed with ``_channel_terms`` for
+the channel algebra in q by ``denom_scaled``, which serves single
+evaluations, and with the x form of one curve by ``x_form``. The q-form
+kernels give values bit-equal to ``denom_scaled``:
 
-- ``newton_pole``, the corrector, evaluates d and dd/dq inline, without
-  dd/dw or the D_alpha product, and forms dd/dw once, after it converges,
-  for the tangent dq/dalpha at its last iterate, which it returns. As the
-  corrector's hot loop, it alone repeats ``_channel_terms`` inline, and of
+- ``newton_pole``, the q-form Newton of the pole solves and of the march's
+  anchor polish, evaluates d and dd/dq inline, without dd/dw or the
+  D_alpha product, and forms dd/dw once, after it converges, for the
+  tangent dq/dalpha at its last iterate, which it returns. As the pole
+  solves' hot loop, it alone repeats ``_channel_terms`` inline, and of
   ``trig_scaled`` only the common case, in their float operations and
   order; its step tolerance STEP_TOL is stated here, and no caller sets it;
 - ``grid_denom_dk`` loops over a list of momenta for the winding contours,
@@ -21,14 +23,29 @@ evaluations. The rest give values bit-equal to it:
 Tests in ``tests/test_kernels.py`` lock the bit-equality. Everything runs
 on ``math``/``cmath`` and Python ``float``/``complex`` values.
 
+The x form
+----------
+A continued pole keeps the sign sigma = +-1 of g(z) = z/cos z (even) or
+z/sin z (odd) against c*e^{i alpha/2}, so along one curve the pole
+condition is h(z) = z - e*cos z = 0 (even) or 1 - e*sinc z = 0 (odd),
+e = sigma*c*e^{i alpha/2}, with no square root and no q. ``x_form``
+returns h, h_z, h_zz and h_alpha = -(i/2)*e*cos z (sinc z odd) from
+``trig_scaled``'s blocks, all times E, and the pole's q = i*z*tan z (even)
+or -i*z*cot z (odd) from ``pole_momentum``, which writes the odd one as
+-i*C/Z so that z = 0 is finite. The tangent of the curve is
+dz/dalpha = -h_alpha/h_z, and h_z = 1 - iq (even) or (1 - iq)/z (odd) at
+a pole, so |dz/dalpha| tends to 1/2 far from the well; ``trajectory``
+marches in z on this form.
+
 Units
 -----
 The kernels see no mass, width or depth. A well of mass m, half-width a
 and depth U enters only through c = a*sqrt(2 m U): with the scaled
 momentum q = k*a, the scaled coupling s = c^2 * gamma and the interior
 phase z = a*K = sqrt(q^2 + s), the pole condition is (z/cos z)^2 = s in
-the even channel and (z/sin z)^2 = s in the odd one. Every kernel takes
-(q, s, ch) and returns values in q units; the caller forms k = q/a.
+the even channel and (z/sin z)^2 = s in the odd one. Every q-form kernel
+takes (q, s, ch) and returns values in q units, and ``x_form`` takes
+(z, e, ch); the caller forms k = q/a.
 
 Scaling convention
 ------------------
@@ -175,6 +192,32 @@ def _channel_terms(q, w, C, Z, G, ch):
         dq = -1j * Z - q * Z - 1j * (q * q) * G
         dw = -0.5 * (Z + 1j * q * G)
     return d, dq, dw
+
+
+def x_form(x, e, ch):
+    """The pole equation of one curve in x = z = aK, and q there.
+
+    e = sigma*c*e^{i alpha/2}, with sigma = +-1 fixed along the curve.
+    Returns (h, h_x, h_xx, h_alpha, q): h = x - e*cos x (even) or
+    1 - e*sinc x (odd), its first two x-derivatives and its
+    alpha-derivative, all four times E = exp(-|Im x|), and
+    q = ``pole_momentum(x)`` from the same trig blocks.
+    """
+    C, S, Z, G, E = trig_scaled(x)
+    q = pole_momentum(x, C, S, Z, ch)
+    if ch == CH_PLUS:
+        return x * E - e * C, E + e * S, e * C, -0.5j * e * C, q
+    # sinc'' = -sinc - 2G
+    return E - e * Z, -e * x * G, e * (Z + 2.0 * G), -0.5j * e * Z, q
+
+
+def pole_momentum(x, C, S, Z, ch):
+    """q = i*x*tan x (even) or -i*x*cot x (odd) at the interior phase x
+    of a pole, from ``trig_scaled``'s blocks at x; the odd one is -i*C/Z,
+    finite at x = 0."""
+    if ch == CH_PLUS:
+        return 1j * x * S / C
+    return -1j * C / Z
 
 
 def denom_scaled(q, s, ch):

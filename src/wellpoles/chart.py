@@ -243,9 +243,9 @@ def build_chart(
         if seed.multiplicity == 2:
             event = branch_at_double_zero(seed, spec)
             collisions.append(event)
-            for _, kb in event.branches:
-                keep(f"split branch k={kb!r}", component_of(spec.a * kb, event.branch_alpha),
-                     lambda kb=kb: trace_branch(seed, kb, spec), n)
+            for _, qb in event.branches:
+                keep(f"split branch k={qb / spec.a!r}", component_of(qb, event.branch_alpha),
+                     lambda qb=qb: trace_branch(seed, qb, spec), n)
             continue
         component = component_of(seed.q, alpha)
         if not _claimed(first.get(component), seed, n, seed.k):

@@ -233,7 +233,7 @@ def chart_document(chart: PoleChart, config: RunConfig | None = None) -> dict:
                 "k": complex(ev.k),
                 "kind": ev.kind,
                 "branches": [
-                    {"label": lbl, "k": complex(k)} for lbl, k in ev.branches
+                    {"label": lbl, "k": complex(q / chart.spec.a)} for lbl, q in ev.branches
                 ],
             }
             for ev in chart.collisions

@@ -86,6 +86,10 @@ class PotentialSpec(Record):
 HALF_PI = math.pi / 2.0
 # the coupling e^{i n pi/2} at the anchor n, by n % 4
 _ANCHOR_GAMMA = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
+# its square root e^{i n pi/4}, by n % 8
+_R = math.sqrt(0.5)
+_ANCHOR_ROOT = (1.0 + 0.0j, complex(_R, _R), 0.0 + 1.0j, complex(-_R, _R),
+                -1.0 + 0.0j, complex(-_R, -_R), 0.0 - 1.0j, complex(_R, -_R))
 
 
 def _anchor_index(alpha: float) -> int | None:
@@ -106,6 +110,16 @@ def _phase_to_gamma(alpha: float) -> complex:
     if n is None:
         return complex(math.cos(alpha), math.sin(alpha))
     return _ANCHOR_GAMMA[n % 4]
+
+
+def _phase_to_root(alpha: float) -> complex:
+    """e^{i alpha/2}, the square root of ``_phase_to_gamma(alpha)`` that
+    turns with alpha; exact at the real-coupling anchors, where it is one of
+    1, i, -1, -i, and correctly rounded at the others."""
+    n = _anchor_index(alpha)
+    if n is None:
+        return complex(math.cos(0.5 * alpha), math.sin(0.5 * alpha))
+    return _ANCHOR_ROOT[n % 8]
 
 
 class ComplexCoupling(Record):

@@ -1,42 +1,64 @@
 """Pole trajectories under rotation of the coupling phase.
 
-The march runs in q = k*a at the strength c = a sqrt(2 m U) (see _kernels),
-and every tolerance below is stated in q; samples, anchors and collision
+The march runs in the interior phase x = aK = sqrt(q^2 + s), q = k*a,
+s = c^2 e^{i alpha}, at the strength c = a sqrt(2 m U) (see _kernels), and
+every step tolerance below is stated in x. Each sample's q = q(x) is
+formed once (_kernels.pole_momentum), and every rule that reads the pole
+reads q: the window stop, ``on_axis``, the anchors, the half-turn, the
+image and the stall at the coalesced pair. Samples, anchors and collision
 events are given in k = q/a.
 
-A pole q(alpha) of a channel pole function D(q; s = c^2 e^{i alpha}) is
-continued in increasing alpha by a cubic Hermite predictor through the last
-two samples of (alpha, q, v = dq/dalpha = -D_alpha/D_q), Euler at a start,
-and a Newton corrector at the stepped phase, whose coupling the march
-supplies: the exact axis value at an anchor, cos + i sin at any other
-phase, which lies strictly between two anchors (both as _phase_to_gamma
-gives them). The corrector stops on its step test, on Newton's quadratic
-error model or at the roundoff of the pole function (see
-_kernels.newton_pole), so a sample holds the pole to 1e-12*(1 + |q|), or
-to roundoff where that is wider, in about two iterations. It returns the
-tangent v1 at its last iterate, up to about 1.5e-6*(1 + |q|) from the new
-pole, so a step makes no other kernel call.
-A step of length h is accepted when it moves q by at most
-0.1*(1 + |q0|) and its local error, the trapezoid defect
-e = |q1 - q0 - h(v0 + v1)/2| of the tangents at both ends, is at most
-tol*(1 + |q0|); the next h is then 0.9*h*(tol*(1 + m)/e)^(1/3), at most
-2h, where m is the smaller of |q1| and the tangent's estimate of |q| where
-the step grown by the plain factor 0.9*(tol*(1 + |q0|)/e)^(1/3) would end,
-so a curve that turns inward does not outgrow its tolerance; a rejected h
-is halved. Every step, the first included, is also capped so that the
-tangent's predicted move h*|v| stays within 0.9 of the displacement bound
-at its start, though not below the minimum step: a step grown into that
-bound would only be rejected and halved. The test cannot see a swap
-onto a neighbouring curve closer than tol*(1 + |q|); there only a check
-that each anchor pole lies on one curve can. Steps are clipped so the
-trace lands exactly on every quarter-turn anchor alpha = n*(pi/2), and a
-step that would end within rounding of one ends on it; so no step is
-longer than pi/2, and there is no other cap on the step. In the far field,
-where |dq/dalpha| tends to 1/2, the error-sized step grows from about 0.4 of a
-quarter turn at |q| = 10 to 0.94 at |q| = 40, and the anchor clips the
-rest, about two steps per quarter turn. Anchors are tracked by the integer
-n, never by comparing accumulated floats against multiples of pi, so the
-half-turn stop and the image below land exactly on them.
+Why x. Every curve lies on |g(x)| = c, g = x/cos x (even) or x/sin x
+(odd), which is A(u) + B(v) = 0 in x = u + iv. Its components are
+u-intervals with gaps of order pi between them, except at a saddle where a
+pair coalesces; the points of one curve at one phase lie about pi apart;
+and |dx/dalpha| = |x|/(2|1 - iq|) tends to 1/2 in the far field. So a
+tolerance fixed in x keeps the curves apart at every |x|. In q the loops
+crowd where x is small (0.17 apart next to |q| = c at c = 263), and the
+turns of the open curve, pi apart, fall inside any tolerance that grows
+with |q|.
+
+A pole on a curve solves the x form h(x) = x - e*cos x (even) or
+1 - e*sinc x (odd), e = sigma*c*e^{i alpha/2}, where the sign sigma is the
+one the start solves (_start) and stays fixed along the curve. It is
+continued in increasing alpha by a cubic Hermite predictor through the
+last two samples of (alpha, x, v = dx/dalpha = -h_alpha/h_x), Euler at a
+start, and a Newton corrector on the x form at the stepped phase (_correct),
+whose e the march supplies: the exact square root of the axis coupling at
+an anchor, cos + i sin of half the phase at any other phase, which lies
+strictly between two anchors (both as _phase_to_root gives them). The
+corrector stops on its step test |dx| < 4e-16*(1 + |x|), or where Newton's
+quadratic model puts the next step under it, and evaluates the x form once
+more at its root for v and q: about three Newton iterations a step.
+A step of length h is accepted when it moves x by at most
+0.1*(1 + min(|x0|, 10)) and its local error, the trapezoid defect
+e = |x1 - x0 - h(v0 + v1)/2| of the tangents at both ends, is at most
+tol*(1 + min(|x0|, 10)), tol = 1e-3; the next h is then
+0.9*h*(tol*(1 + min(|x0|, 10))/e)^(1/3), at most 2h (_growth), and a
+rejected h is halved. Every step, the first included, is also capped so
+that the tangent's predicted move h*|v| stays within 0.9 of the
+displacement bound at its start, though not below the minimum step: a
+step grown into that bound would only be rejected and halved. Both
+bounds stay below the pi between neighbouring curves at every |x|, so a
+step that lands on another curve fails them, except next to a saddle,
+where two curves pass closer. Steps are clipped so the trace lands
+exactly on every quarter-turn anchor alpha = n*(pi/2), and a step that
+would end within rounding of one ends on it; so no step is longer than
+pi/2, and there is no other cap on the step. In the far field, where
+|dx/dalpha| tends to 1/2 and the bounds no longer grow, about two steps
+cover a quarter turn. Anchors are tracked by the integer n, never by
+comparing accumulated floats against multiples of pi, so the half-turn
+stop and the image below land exactly on them.
+Each anchor's q is polished on the q form (_kernels.newton_pole) at the
+anchor's exact coupling: q(x) carries x's rounding times
+|dq/dx| ~ |q|^2/|x|, which on the innermost loops of a deep well, where
+|q| ~ c and |x| is small, reaches the 1e-9 band of ``on_axis`` (c = 2121
+in the deep panel). The march itself stays in x.
+Where the x form's quadratic term outweighs its linear one over a split
+step, x(alpha) turns about a branch point: the odd channel's x = 0, where
+x and -x are one pole (c = 1, q = -i), or the saddle of a pair next to its
+collision. There the first step is a split step long and starts from the
+root of the quadratic that leaves the start.
 
 The march only ever runs forward. The conjugation relation of the S-matrix,
 S*(-k*, gamma*) = S(k, gamma), maps the pole at (alpha, k) to
@@ -92,18 +114,27 @@ from .rootfinder import MAX_NEWTON, Pole, multiplicity_at, on_axis, residual_rat
 from .smatrix import (
     HALF_PI,
     _ANCHOR_GAMMA,
+    _ANCHOR_ROOT,
     Channel,
     ComplexCoupling,
     PotentialSpec,
     _anchor_index,
     _phase_to_gamma,
+    _phase_to_root,
 )
 
-# corrector budget, largest accepted |dq|/(1+|q|), and the largest accepted
-# local error e/(1+|q|) of a step
+# the corrector's budget, its step test relative to 1 + |x| (a few units
+# of rounding) and the longest previous step after which its quadratic
+# model may exit: the x form varies on a scale of order 1 in x
 _CORRECTOR_ITERS = 8
+_CORRECTOR_TOL = 4e-16
+_MODEL_STEP = 0.1
+# a step's largest accepted |dx| and local error, relative to 1 + |x| with
+# |x| capped at _SCALE_CAP: past it the points of neighbouring curves at one
+# phase lie about pi apart however far out they are
 _DISPLACEMENT_FACTOR = 0.1
 _LOCAL_ERROR_TOL = 1e-3
+_SCALE_CAP = 10.0
 # the step schedule in alpha: first and smallest step, and the phase
 # offset at which a split pair's branches start; the quarter-turn anchors
 # bound the step from above
@@ -170,7 +201,8 @@ class Closure(Record):
 class CollisionEvent(Record):
     """A pole pair coalescing at k = -i/a while alpha passes the event, with
     its two labelled branches at branch_alpha, a split step past it; they
-    always leave the axis."""
+    always leave the axis. A branch is held as its polished q = k*a, the
+    exact point its march starts from."""
 
     __slots__ = ("alpha", "k", "branches")
     kind = "axis_pair_to_plane_pair"
@@ -226,7 +258,7 @@ def branch_at_double_zero(seed: Pole, spec: PotentialSpec) -> CollisionEvent:
     z_c = sqrt(q_c^2 + c^2 gamma_c). Each is Newton-polished at the stepped
     coupling. z_c is real or imaginary, so both sit about |z_c| sqrt(delta/2)
     off the axis, and the greater in (Re k, Im k) order is 'resonance_side',
-    the event's first branch.
+    the event's first branch; each is held as its polished q.
     """
     alpha_c = seed.coupling.alpha
     if seed.multiplicity != 2:
@@ -250,19 +282,15 @@ def branch_at_double_zero(seed: Pole, spec: PotentialSpec) -> CollisionEvent:
     lo, hi = branches
     if abs(hi - lo) < 1e-12:
         raise ModelInvalid("branches did not separate; step too small")
-    return CollisionEvent(
-        alpha_c, kc, (("resonance_side", hi / a), ("antiresonance_side", lo / a))
-    )
+    return CollisionEvent(alpha_c, kc, (("resonance_side", hi), ("antiresonance_side", lo)))
 
 
-def _tangent(q: complex, s: complex, ch: int) -> complex:
-    """dq/dalpha = -D_alpha/D_q at a pole; nan where D_q vanishes.
-
-    Only where no corrector has just run, as at a trace start. A step
-    takes the tangent newton_pole returns.
-    """
-    d, dq, da, E = _k.denom_scaled(q, s, ch)
-    return -da / dq if dq != 0.0 else complex(math.nan, math.nan)
+def _start(q: complex, alpha: float, c: float, ch: int) -> tuple[complex, float]:
+    """(x, sigma*c) at the pole q = k*a, phase alpha: x = sqrt(q^2 + s) and
+    the sign sigma with which x solves the x form there."""
+    x = cmath.sqrt(q * q + c * c * _phase_to_gamma(alpha))
+    unit = _phase_to_root(alpha)
+    return x, min((c, -c), key=lambda sigma_c: abs(_k.x_form(x, sigma_c * unit, ch)[0]))
 
 
 def _growth(r: float) -> float:
@@ -271,34 +299,64 @@ def _growth(r: float) -> float:
     return 2.0 if r == 0.0 else min(0.9 * r ** (-1.0 / 3.0), 2.0)
 
 
-def _step(alpha, q, v, prev, target, s, ch):
-    """One checked continuation step from the pole q at alpha, tangent v.
+def _correct(x, e, ch):
+    """Newton on the x form at e = sigma*c*e^{i alpha/2} from x.
 
-    prev is the accepted sample (alpha, q, v) before this one, or None for
-    an Euler predictor. The caller supplies the corrector's coupling s, c^2
-    times _phase_to_gamma(target). Returns (q1, v1, r) at the target phase,
-    with r the local error over its bound, or None when the corrector fails,
-    the step moves q too far, or r exceeds 1 (nan counts as a failure).
+    With t_n = h/h_x at x_n and x_{n+1} = x_n - t_n, it stops at the first
+    n where |t_n| < _CORRECTOR_TOL*(1 + |x_{n+1}|), or, after a step
+    |t_{n-1}| < _MODEL_STEP, where Newton's quadratic model puts the next
+    step under that bound: |t_n|^3 < _CORRECTOR_TOL*(1 + |x_{n+1}|)*|t_{n-1}|^2.
+    Returns (x_{n+1}, v, q) with v = dx/dalpha = -h_alpha/h_x and q = q(x)
+    at x_{n+1}, or None when _CORRECTOR_ITERS steps do not converge (an
+    iterate that runs off turns nan and never does).
+    """
+    size_prev = math.inf
+    for _ in range(_CORRECTOR_ITERS):
+        h, hx, _, ha, q = _k.x_form(x, e, ch)
+        if hx == 0.0:
+            return None
+        t = h / hx
+        x -= t
+        size = abs(t)
+        bound = _CORRECTOR_TOL * (1.0 + abs(x))
+        if size < bound or (size_prev < _MODEL_STEP
+                            and size * size * size < bound * size_prev * size_prev):
+            h, hx, _, ha, q = _k.x_form(x, e, ch)
+            return (x, -ha / hx, q) if hx != 0.0 else None
+        size_prev = size
+    return None
+
+
+def _step(alpha, x, v, prev, target, e, ch):
+    """One checked continuation step from the pole at x = aK, phase alpha,
+    tangent v = dx/dalpha.
+
+    prev is the accepted sample (alpha, x, v) before this one, or None for
+    an Euler predictor. The caller supplies the corrector's e, sigma*c
+    times e^{i target/2}. Returns (x1, v1, q1, r) at the target phase, with
+    r the local error over its bound, or None when the corrector fails, the
+    step moves x too far, or r exceeds 1 (nan counts as a failure).
     """
     dt = target - alpha
     if prev is None:
-        qp = q + v * dt
+        xp = x + v * dt
     else:
-        # cubic Hermite through prev and (alpha, q, v), expanded about alpha
-        a0, q0, v0 = prev
+        # cubic Hermite through prev and (alpha, x, v), expanded about alpha
+        a0, x0, v0 = prev
         H = alpha - a0
-        slope = (q - q0) / H
+        slope = (x - x0) / H
         c2 = (2.0 * v + v0 - 3.0 * slope) / H
         c3 = (v + v0 - 2.0 * slope) / (H * H)
-        qp = q + dt * (v + dt * (c2 + dt * c3))
-    q1, iters, ok, v1 = _k.newton_pole(qp, s, ch, _CORRECTOR_ITERS)
-    if not ok:
+        xp = x + dt * (v + dt * (c2 + dt * c3))
+    found = _correct(xp, e, ch)
+    if found is None:
         return None
-    scale = 1.0 + abs(q)
-    r = abs(q1 - q - 0.5 * dt * (v + v1)) / (_LOCAL_ERROR_TOL * scale)
-    if not (abs(q1 - q) <= _DISPLACEMENT_FACTOR * scale and r <= 1.0):
+    x1, v1, q1 = found
+    scale = 1.0 + min(abs(x), _SCALE_CAP)
+    r = abs(x1 - x - 0.5 * dt * (v + v1)) / (_LOCAL_ERROR_TOL * scale)
+    if not (abs(x1 - x) <= _DISPLACEMENT_FACTOR * scale and r <= 1.0):
         return None
-    return q1, v1, r
+    return x1, v1, q1, r
 
 
 def _trace_from_state(
@@ -330,7 +388,6 @@ def _trace_from_state(
     if n_seed is None or n_seed % 2 or not on_axis(seed.q):
         raise ValueError(f"a seed must be an axis pole on a real-coupling quarter-turn "
                          f"anchor, got k={seed.k!r} at alpha={alpha0!r}")
-    c2 = c * c
     # the anchors at which a loop through the seed meets the axis again
     half_turns = (n_seed + 2, n_seed + 4)
 
@@ -347,8 +404,28 @@ def _trace_from_state(
         next_anchor = math.floor(alpha_start / HALF_PI) + 1
 
     alpha = alpha_start
-    v = _tangent(q, c2 * _phase_to_gamma(alpha), ch)
-    abs_q = abs(q)
+    x, sigma_c = _start(q, alpha, c, ch)
+    _, hx, hxx, ha, _ = _k.x_form(x, sigma_c * _phase_to_root(alpha), ch)
+    # over a split step delta the x form moves by h_x*dx + h_xx*dx^2/2 +
+    # h_alpha*delta = 0. Where the quadratic term outweighs the linear one,
+    # x(alpha) turns about a branch point (the odd channel's x = 0 at
+    # c = 1, a coalesced pair's saddle) on a phase scale below delta, so
+    # the first step is delta long and ends at the root of that quadratic
+    # that leaves the start
+    delta = _SPLIT_STEP
+    disc = hx * hx - 2.0 * hxx * ha * delta
+    if abs(hx * hx) < abs(disc - hx * hx):
+        w = cmath.sqrt(disc)
+        dx = -2.0 * ha * delta / (hx + w if abs(hx + w) >= abs(hx - w) else hx - w)
+        alpha += delta
+        found = _correct(x + dx, sigma_c * _phase_to_root(alpha), ch)
+        if found is None:
+            raise StallAtDoubleZero(alpha_start, q / a)
+        x, v, q = found
+        alphas.append(alpha)
+        qs.append(q)
+    else:
+        v = -ha / hx
     prev = None
     reach_factor = 0.9 * _DISPLACEMENT_FACTOR
     h = _STEP_INITIAL
@@ -363,27 +440,27 @@ def _trace_from_state(
     while True:
         # keep the tangent's predicted move inside the displacement bound
         # that _step tests, with the growth rule's safety factor
-        reach = reach_factor * (1.0 + abs_q)
+        reach = reach_factor * (1.0 + min(abs(x), _SCALE_CAP))
         abs_v = abs(v)
         if h * abs_v > reach:
             h = max(reach / abs_v, _STEP_MINIMUM)
         # a step that would end within rounding of the anchor ends on it:
         # the sliver left over would be the next predictor's base H. Any
         # other target lies strictly between two anchors, where
-        # _phase_to_gamma is cos + i sin
+        # _phase_to_root is cos + i sin of half the phase
         if t_anchor - (alpha + h) < 1e-9 * h:
-            target, gamma = t_anchor, _ANCHOR_GAMMA[next_anchor % 4]
+            target, unit = t_anchor, _ANCHOR_ROOT[next_anchor % 8]
         else:
             target = alpha + h
-            gamma = complex(cos(target), sin(target))
+            unit = complex(cos(0.5 * target), sin(0.5 * target))
 
-        step = _step(alpha, q, v, prev, target, c2 * gamma, ch)
+        step = _step(alpha, x, v, prev, target, sigma_c * unit, ch)
         if step is None:
             if h <= h_floor:
                 # a loop meets the coalesced pair at q = -i only at its
                 # half-turn: end the march there
                 anchor = ComplexCoupling(t_anchor)
-                zc = cmath.sqrt(-1.0 + c2 * anchor.gamma)
+                zc = cmath.sqrt(-1.0 + c * c * anchor.gamma)
                 if not (next_anchor in half_turns
                         and abs(q + 1j) < _DOUBLE_ZERO_RADIUS * abs(zc)
                         and multiplicity_at(-1j / a, anchor, spec, seed.channel) == 2):
@@ -393,26 +470,25 @@ def _trace_from_state(
             h = max(0.5 * min(h, target - alpha), _STEP_MINIMUM)
             continue
 
-        q1, v1, r = step
+        x1, v1, q, r = step
         # resize h only after a step that no anchor clipped; compare
-        # phases, since alpha + h - alpha need not equal h. r is the error
-        # over its bound at q0; measured against the bound at q1, or where
-        # the grown step would end when that lies nearer q = 0, a curve
-        # that turns inward does not outgrow its tolerance
+        # phases, since alpha + h - alpha need not equal h
         if not target < alpha + h:
-            q_end = q1 + v1 * h * _growth(r)
-            h *= _growth(r * ((1.0 + abs(q)) / (1.0 + min(abs(q1), abs(q_end)))))
-        prev = (alpha, q, v)
-        alpha, q, v = target, q1, v1
-        abs_q = abs(q)
+            h *= _growth(r)
+        prev = (alpha, x, v)
+        alpha, x, v = target, x1, v1
         alphas.append(alpha)
         qs.append(q)
 
         # before the anchor, so no curve carries an anchor past the window
-        if abs_q > window:
+        if abs(q) > window:
             reason = ExitReason.K_WINDOW
             break
         if alpha == t_anchor:
+            polished, _, ok, _ = _k.newton_pole(q, c * c * _ANCHOR_GAMMA[next_anchor % 4], ch,
+                                                _CORRECTOR_ITERS)
+            if ok:
+                q = qs[-1] = polished
             anchors.append((next_anchor, q))
             if next_anchor in half_turns and on_axis(q):
                 n_star = next_anchor
@@ -472,12 +548,13 @@ def trace(
     return _trace_from_state(seed.q, seed.coupling.alpha, seed, spec)
 
 
-def trace_branch(seed: Pole, branch_k: complex, spec: PotentialSpec) -> Trajectory:
+def trace_branch(seed: Pole, branch_q: complex, spec: PotentialSpec) -> Trajectory:
     """The whole curve through one branch of a split coalesced pair.
 
     The seed is the pair, on the axis at a real coupling (ValueError
-    otherwise), and the branch's march starts at q = a*branch_k, at the
-    split's phase alpha + _SPLIT_STEP (``CollisionEvent.branch_alpha``). A
+    otherwise), and the branch's march starts at its polished q = k*a, a
+    branch of ``CollisionEvent.branches``, at the split's phase
+    alpha + _SPLIT_STEP (``CollisionEvent.branch_alpha``). A
     branch closes as a march from an axis seed does: one that goes round a
     loop stops where it meets the axis again, at its half-turn, and comes
     back closed with the rest mirrored; a branch of an open curve is
@@ -485,7 +562,7 @@ def trace_branch(seed: Pole, branch_k: complex, spec: PotentialSpec) -> Trajecto
     its backward half the image across the pair. The pair's collision
     event is the chart's, not the branch's.
     """
-    return _trace_from_state(spec.a * branch_k, seed.coupling.alpha + _SPLIT_STEP, seed, spec)
+    return _trace_from_state(branch_q, seed.coupling.alpha + _SPLIT_STEP, seed, spec)
 
 
 def _reflect(alpha: float, n0: int) -> float:

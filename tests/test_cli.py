@@ -98,7 +98,7 @@ _GOLDEN_OUTPUT = {
     ("verify", "--a", "300", "--samples", "20"):
         "fbe805fbc5cbe5ad31c94e091fcaf6273a36c4f5b21fccbcfcecda93fef45604",
     ("chart", "--U", "2", "--channel", "plus", "--format", "csv"):
-        "6a0c9e66ba630d2c70ef0a538ae3d49f9c98c33bd9da6d549ec64161049f1af0",
+        "38c4613bcbdc2461bbcc14ee9de9e1eddd1ba18dbe62da549a7a5d0e64d778e6",
 }
 
 

@@ -334,26 +334,26 @@ class TestChartDocument:
 # assembly must leave every byte of them unchanged. A platform whose libm
 # rounds differently may move the last float digits and so the digests.
 _GOLDEN = {
-    ("plus", 0.09): "2b5fd980ff9202febcc385ee00d9ae348fa332d9d837488b0aca3ce6ab7bc800",
-    ("plus", 2.0): "370b2affd9b38d695618bdb458b6d509b1ba216d0d8bfee299d31987bbc6e5a8",
-    ("minus", 5.0): "c83dca694b4aeae8e27c4c8e3bedf7e920177bc488d600f36d83e1ae5486bf96",
+    ("plus", 0.09): "49579bf1c61ce12f035070b770d7e5ad14915956abe71ab966eda7eecb80c862",
+    ("plus", 2.0): "0f541cbb9f1e61548ee5ef65b7a4896ff66d63464cec333e9a80345c615717fa",
+    ("minus", 5.0): "a4407f8764de59f348331bf320845c3bf0ae8f9e1bd903ac226dcaad75b49f81",
 }
 # at the pair collision depths the axis scan returns a coalesced seed, so
 # these charts go through the branch split
 _GOLDEN_CRITICAL = {
-    ("plus", True): "e3b46cca44d1d4bdcfe095a72e0560c4e9f5203fdd1147df21bcc26bec34cb3c",
-    ("plus", False): "bf06176230f722414838e03ac7242d67dd19a811923f8c32c6fcbffb6e78f3d3",
-    ("minus", True): "4c5e357b464b4a95c2d137ba712391d8de3532fe0711381dfcf22eadf1129456",
+    ("plus", True): "fb80c8a14e4f380309718ba4461c5a2ea469d0432133c4cc9b76c1b20ad71b92",
+    ("plus", False): "76533a21b5223a1fd7bc2fe17bb59817d7baada35e717b6c02477fae3f1caee1",
+    ("minus", True): "67836211b0ec4073e9abfa331b1011870cb173403851791ef5f6d4f6d83d73c3",
 }
 # SHA-256 of chart_svg for the same six charts; a critical chart is keyed
 # by the side of the collision it sits at
 _GOLDEN_SVG = {
-    ("plus", 0.09): "d3c3bb084b161d9df2861e0a1fd7418cba1ed25bebc833edd8ceb3da9c032167",
-    ("plus", 2.0): "9faf00279d2aec07a858afa17a9b634db0e9e983ae9dec9c895c0f5fd7b8550d",
-    ("minus", 5.0): "17879940ec36e862860dce459675cc38ffdf179a5e405f80734f7dd595754aff",
-    ("plus", "attractive"): "f1587ce9e9b306fd0ab6f1fcda717f2a85688d083951c8b7017b71e53326fbb6",
-    ("plus", "repulsive"): "745f0fe2e982c2b54244da1901aa2e21a34fb694d3d60b07a08fa86c3c16901e",
-    ("minus", "attractive"): "77e302f4224500e76ce36b520ae4a6a729a9add49d4b566837720273d1aec6f7",
+    ("plus", 0.09): "47526dd1db8d78424d7b1c29a77e487e2f84006ba10d629168c7bf0df35c6b96",
+    ("plus", 2.0): "98cdb71723e23e09447c1c21e881b31e8cfe91d8a84ab8c9e7a9269f2cdba0b2",
+    ("minus", 5.0): "c79a70fb9a058c0fa904a62c8675d125f3a958ff5ee4ff8c7d32e65818f76631",
+    ("plus", "attractive"): "1a17a818d9dfa6e60ecaa71a635f139f5c9a9bf4a0f60ba8e38b33c124fb3c90",
+    ("plus", "repulsive"): "6191c38bc98b0c64b96fc440c0c764103635002b4fa54b90b4eb0196dea66285",
+    ("minus", "attractive"): "bd51ab3469accdc2cf1eb42f78ba3dbacf26864cdc669b02c34ebbf1d3d295b9",
 }
 
 

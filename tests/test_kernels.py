@@ -469,6 +469,12 @@ def _dk_roundoff(k, s, ch):
     return 2.0 ** -53 * sum(map(abs, terms)) / abs(dk)
 
 
+def _tangent(q, s, ch):
+    """dq/dalpha = -D_alpha/D_q from denom_scaled; nan where D_q vanishes."""
+    d, dq, da, E = K.denom_scaled(q, s, ch)
+    return -da / dq if dq != 0.0 else complex(math.nan, math.nan)
+
+
 class TestNewtonTangent:
     """newton_pole returns dk/dalpha at its last iterate k_n, which is the
     returned k at the roundoff exit and lies |s_n| from it otherwise: under
@@ -479,8 +485,6 @@ class TestNewtonTangent:
     @settings(max_examples=400, deadline=None)
     @given(_tangent_cases())
     def test_matches_denom_tangent(self, case):
-        from wellpoles.trajectory import _tangent
-
         k0, s, ch = case
         k, it, ok, v = K.newton_pole(k0, s, ch, 50)
         if not ok:
@@ -538,6 +542,9 @@ class TestNewtonWork:
         assert calls[0] == 0
 
     def test_trace_makes_no_denom_call_per_step(self, monkeypatch):
+        # the march corrects on the x form, which returns the tangent, and
+        # polishes each anchor it lands on with newton_pole; the q form is
+        # evaluated only by the seed's residual check
         from wellpoles.rootfinder import scan_axis
         from wellpoles.smatrix import Channel, ComplexCoupling, PotentialSpec
         from wellpoles.trajectory import trace
@@ -549,23 +556,16 @@ class TestNewtonWork:
         )
         denom = self._count(monkeypatch, "denom_scaled")
         plain = self._count(monkeypatch, "denom_plain")
-        converged = [0]
-        newton = K.newton_pole
-
-        def counted_newton(*args):
-            result = newton(*args)
-            converged[0] += result[2]
-            return result
-
-        monkeypatch.setattr(K, "newton_pole", counted_newton)
+        newton = self._count(monkeypatch, "newton_pole")
+        forms = self._count(monkeypatch, "x_form")
         t = trace(seed, +1, spec)
         # the loop is marched to its half-turn anchor at 2 pi and mirrored
-        # after it, so only the samples up to there are marched steps
+        # after it, so only the samples up to there are marched steps, and
+        # anchors 1 to 4 the anchors it landed on
         marched = int(np.searchsorted(t.alphas, 2.0 * np.pi, side="right"))
-        assert converged[0] >= marched - 1 > 25
-        # the tangent at the start, plus the seed residual check
-        assert denom[0] == 1 + plain[0]
-        assert plain[0] == 1
+        assert forms[0] >= 2 * (marched - 1) > 50
+        assert newton[0] == 4
+        assert denom[0] == plain[0] == 1
 
 
 class TestGridKernel:

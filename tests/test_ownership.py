@@ -10,7 +10,12 @@ public names. The anchor phases n*(pi/2) and their exact test
 live in ``smatrix``. The trig blocks are stated by ``_kernels.trig_scaled``
 and the channel algebra by ``_kernels._channel_terms``, which the winding
 grid calls; ``newton_pole`` repeats only their common case and leaves the
-cut, the half-angle forms and the series to ``trig_scaled``. ``_kernels`` alone states ``newton_pole``'s step tolerance, and
+cut, the half-angle forms and the series to ``trig_scaled``. The march's
+pole equation in x has one statement, ``_kernels.x_form``, and so has
+q(x), ``_kernels.pole_momentum``, which only ``x_form`` calls;
+``trajectory`` reaches the trig blocks through ``x_form`` alone, takes no
+q-form tangent, and its step tests scale with 1 + min(|x|, 10), not with
+1 + |q|. ``_kernels`` alone states ``newton_pole``'s step tolerance, and
 every Newton budget is ``MAX_NEWTON`` or the corrector's. The working
 window's extents, the margin past its corners at which a march stops and
 the runaway phase guard (40 + 2c)*pi live in ``trajectory``, which
@@ -635,3 +640,66 @@ def test_trajectory_states_the_image_once():
     callers = [name for name, f in functions.items() if owners[0] in _calls(f)]
     assert callers == ["_trace_from_state"]
     assert functions.keys().isdisjoint({"mirror", "_mirror_index", "_join"})
+
+
+def _functions() -> list[tuple[str, ast.FunctionDef]]:
+    """(module, function) for every function defined in src."""
+    return [(path.name, node) for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(_tree(path.name)) if isinstance(node, ast.FunctionDef)]
+
+
+def _divides_by_a_trig_block(function: ast.FunctionDef) -> bool:
+    # q = i*x*tan x and -i*x*cot x divide by the block C = cos(x)*E or
+    # Z = sinc(x)*E
+    return any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+               and isinstance(node.right, ast.Name) and node.right.id in ("C", "Z")
+               for node in ast.walk(function))
+
+
+def _forms_h_alpha(function: ast.FunctionDef) -> bool:
+    # the x form's h_alpha = -(i/2)*e*cos x (sinc x odd) takes the half-phase
+    # coupling e as a name; the q form's dd/dw multiplies -0.5j into a sum
+    for node in ast.walk(function):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and isinstance(node.right, ast.Name)
+                and isinstance(node.left, ast.UnaryOp) and isinstance(node.left.op, ast.USub)
+                and isinstance(node.left.operand, ast.Constant)
+                and node.left.operand.value == 0.5j):
+            return True
+    return False
+
+
+def test_x_form_and_its_momentum_are_stated_once():
+    # the march's pole equation in x and q(x) each have one home in
+    # _kernels, and trajectory reaches the trig blocks only through it
+    functions = _functions()
+    assert [f"{m}:{f.name}" for m, f in functions if _forms_h_alpha(f)] == ["_kernels.py:x_form"]
+    assert [f"{m}:{f.name}" for m, f in functions if _divides_by_a_trig_block(f)] == [
+        "_kernels.py:pole_momentum"]
+    assert [f"{m}:{f.name}" for m, f in functions if "pole_momentum" in _calls(f)] == [
+        "_kernels.py:x_form"]
+    tree = _tree("trajectory.py")
+    named = _names(tree)
+    assert "x_form" in named
+    assert named.isdisjoint({"trig_scaled", "pole_momentum", "denom_scaled", "_channel_terms",
+                             "tan"})
+    assert not any(isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cmath"
+                   and node.attr in ("cos", "sin", "tan") for node in ast.walk(tree))
+
+
+def _reads_one_plus_abs_q(node: ast.AST) -> bool:
+    return any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Add)
+               and isinstance(sub.left, ast.Constant) and sub.left.value == 1.0
+               and isinstance(sub.right, ast.Call) and getattr(sub.right.func, "id", None) == "abs"
+               and [getattr(arg, "id", None) for arg in sub.right.args] == ["q"]
+               for sub in ast.walk(node))
+
+
+def test_march_steps_in_x():
+    # the step tests and the step schedule scale with 1 + min(|x|, 10), not
+    # with 1 + |q|, and no tangent of the q form is taken at a start
+    functions = {f.name: f for f in _tree("trajectory.py").body if isinstance(f, ast.FunctionDef)}
+    assert "_tangent" not in functions
+    assert not any(_reads_one_plus_abs_q(f) for f in functions.values())
+    for name in ("_step", "_trace_from_state"):
+        assert "_SCALE_CAP" in _names(functions[name])

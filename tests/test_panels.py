@@ -1,8 +1,10 @@
 """A thin tier-1 slice of the panels (see ``panels``): the box's and the S
-check's draws are pinned, every 40th box well and the 9 exact collision
-depths of item 7's grid chart complete with the closed-form topology, and
-the charts, verify runs, S check and weak-well commands known to fail
-today are strict xfails that name the ROADMAP item meant to fix them."""
+check's draws are pinned; every 40th box well, box well 1871, the deep
+panel's c = 1000 pair, the heavy wide deep well (10, 6, 300) and the 9
+exact collision depths of item 7's grid chart complete with the
+closed-form topology; and the verify runs, S check and weak-well commands
+known to fail today are strict xfails that name the ROADMAP item meant to
+fix them."""
 
 from __future__ import annotations
 
@@ -49,9 +51,6 @@ def test_every_40th_box_well_is_complete(index):
     _assert_complete(*box()[index])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 19: a march step on well 1871 lands on a neighbouring "
-    "loop, and the chart carries a trace_stalled warning"))
 def test_box_well_1871_is_complete():
     _assert_complete(*box()[1871])
 
@@ -64,18 +63,11 @@ def test_exact_collision_depth_is_complete(well):
     _assert_complete(*well)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP items 19 and 30: at c = 1000 march steps land on neighbouring "
-    "loops and turns of the open curve, so the chart carries trace_stalled "
-    "and phase_guard warnings and misses six window poles"))
 @pytest.mark.parametrize("well", deep_panel((1000.0,)), ids=lambda w: w[3])
 def test_deep_panel_at_c_1000_is_complete(well):
     _assert_complete(*well)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 19: a march step of (m, a, U) = (10, 6, 300) lands on a "
-    "neighbouring loop, and the chart stalls with 663 of 667 poles"))
 def test_heavy_wide_deep_well_is_complete():
     _assert_complete(10.0, 6.0, 300.0, "plus")
 

@@ -29,6 +29,7 @@ from wellpoles.smatrix import (
     PotentialSpec,
     _anchor_index,
     _phase_to_gamma,
+    _phase_to_root,
 )
 from wellpoles.trajectory import (
     Closure,
@@ -225,11 +226,20 @@ class TestStepControl:
         assert np.array_equal(t1.ks, t2.ks)
 
     def test_displacement_bound_respected(self):
+        # the march moves x = aK = sqrt(q^2 + s) by at most
+        # 0.1*(1 + min(|x|, 10)) a step, |x| at the step's start; the
+        # march is the loop up to its half-turn at 2 pi
         spec = _spec(2.0)
         t = trace(_seed(2.0, ATT, Channel.PLUS, DEEP_BOUND), +1, spec)
-        dk = np.abs(np.diff(t.ks))
-        scale = 0.1 * (1.0 + np.abs(t.ks[:-1]))
-        assert np.all(dk <= scale + 1e-12)
+        c2 = spec.c ** 2
+        xs = [cmath.sqrt((A * k) ** 2 + c2 * _phase_to_gamma(alpha))
+              for alpha, k in zip(t.alphas, t.ks) if alpha <= 2.0 * math.pi]
+        assert len(xs) > 20
+        for x0, x1 in zip(xs, xs[1:]):
+            # the principal root may change sign between samples, and x and
+            # -x are one pole
+            dx = min(abs(x1 - x0), abs(x1 + x0))
+            assert dx <= 0.1 * (1.0 + min(abs(x0), 10.0)) + 1e-12
 
 
 class TestCombine:
@@ -269,8 +279,9 @@ class TestMirror:
         dz = [p for p in scan_axis(spec, ATT, Channel.PLUS) if p.multiplicity == 2][0]
         branches = branch_at_double_zero(dz, spec).branches
         assert branches[0][0] == "resonance_side"
-        kb = branches[0][1]
-        t = trace_branch(dz, kb, spec)
+        qb = branches[0][1]
+        kb = qb / A
+        t = trace_branch(dz, qb, spec)
         # the image is the curve's part behind the pair, in ascending alpha
         i = t.alphas.index(1e-3)
         assert np.all(np.diff(t.alphas) > 0) and t.alphas[i - 1] == -1e-3
@@ -403,9 +414,9 @@ class TestBranching:
         branches = event.branches
         assert event.kind == CollisionEvent.kind == "axis_pair_to_plane_pair"
         assert [lbl for lbl, _ in branches] == ["resonance_side", "antiresonance_side"]
-        ks = {lbl: k for lbl, k in branches}
+        ks = {lbl: q / A for lbl, q in branches}
         assert ks["resonance_side"].real > 0 > ks["antiresonance_side"].real
-        for _, kb in branches:
+        for kb in ks.values():
             assert abs(kb - (-1j / A)) < 0.1
             p = newton_refine(kb, ComplexCoupling(1e-3), spec, Channel.PLUS)
             assert abs(p.k - kb) < 1e-10
@@ -416,12 +427,12 @@ class TestBranching:
         poles = scan_axis(spec, ATT, Channel.PLUS)
         dz = [p for p in poles if p.multiplicity == 2][0]
         event = branch_at_double_zero(dz, spec)
-        lbl, kb = event.branches[0]
-        t = trace_branch(dz, kb, spec)
+        lbl, qb = event.branches[0]
+        t = trace_branch(dz, qb, spec)
         # a split step past the pair, on to every anchor below the phase
         # guard, and the mirror image of that march behind the pair
         i = t.alphas.index(1e-3)
-        assert t.seed is dz and t.ks[i] == kb
+        assert t.seed is dz and t.ks[i] == qb / A
         assert [n for n, _ in t.anchors] == [-3, -2, -1, 1, 2, 3]
         assert t.closure == Closure(ClosureKind.OPEN, ExitReason.ALPHA_CAP)
         assert len(t.alphas) == 2 * i and i > 20
@@ -435,6 +446,50 @@ class TestBranching:
         poles = scan_axis(spec, ATT, Channel.PLUS)
         dz = [p for p in poles if p.multiplicity == 2][0]
         assert abs(dz.k - (-1j / A)) < 1e-6
+
+    def test_branches_start_at_their_polished_point(self, monkeypatch):
+        # each branch's march starts at the q its split polished, not at
+        # a*(q/a), which may lie one rounding off it
+        from wellpoles import chart as chart_module
+
+        polished, marches, starts = [], [], []
+        split, branch, newton, march = (chart_module.branch_at_double_zero,
+                                        chart_module.trace_branch, _k.newton_pole,
+                                        trajectory._trace_from_state)
+
+        def newton_spy(*args):
+            result = newton(*args)
+            polished.append(result[0])
+            return result
+
+        def split_spy(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_k, "newton_pole", newton_spy)
+                return split(*args)
+
+        def branch_spy(*args):
+            marches.append(branch(*args))
+            return marches[-1]
+
+        def march_spy(q_start, alpha_start, *args):
+            starts.append((q_start, alpha_start))
+            return march(q_start, alpha_start, *args)
+
+        monkeypatch.setattr(chart_module, "branch_at_double_zero", split_spy)
+        monkeypatch.setattr(chart_module, "trace_branch", branch_spy)
+        monkeypatch.setattr(trajectory, "_trace_from_state", march_spy)
+        chart = build_chart(_spec(U_CRIT_PLUS_ATT), Channel.PLUS, certify=False)
+        (event,) = chart.collisions
+        assert len(polished) == len(marches) == 2
+
+        def bits(k):
+            return struct.pack("<dd", k.real, k.imag)
+
+        # the march's first sample in q, and as the curve holds it, in k
+        assert ({bits(q) for q, alpha in starts if alpha == event.branch_alpha}
+                == {bits(q) for q in polished})
+        assert ({bits(t.ks[t.alphas.index(event.branch_alpha)]) for t in marches}
+                == {bits(q / A) for q in polished})
 
 
 def _collision_x(channel, attractive, index):
@@ -481,7 +536,8 @@ class TestClosedFormBranches:
         root = 1j * big_k * cmath.sqrt(1j * step)
         stepped = ComplexCoupling(alpha_c + step)
         matched = []
-        for _, kb in event.branches:
+        for _, qb in event.branches:
+            kb = qb / a
             est = min((kc + root, kc - root), key=lambda e: abs(e - kb))
             matched.append(est)
             assert abs(kb - est) <= 0.02 * abs(kb - kc)
@@ -559,7 +615,10 @@ class TestAxisCrossings:
 
 class TestCorrectorCoupling:
     """The march hands each corrector call the coupling of its target
-    phase: the exact axis value at an anchor, cos + i sin between two."""
+    phase, sigma*c*e^{i alpha/2} on the x form: the exact square root of
+    the axis value at an anchor, cos + i sin of half the phase between
+    two; and it polishes each anchor on the q form at the anchor's exact
+    coupling."""
 
     @given(
         m=st.floats(0.2, 10.0),
@@ -569,35 +628,54 @@ class TestCorrectorCoupling:
     )
     @settings(max_examples=40, deadline=None)
     def test_coupling_is_phase_to_gamma_bit_for_bit(self, m, a, U, channel):
-        calls = []
-        targets = []
-        step, newton = trajectory._step, _k.newton_pole
+        calls, polishes = [], []
+        targets, marching = [], []
+        step, x_form, newton, march = (trajectory._step, _k.x_form, _k.newton_pole,
+                                       trajectory._trace_from_state)
 
-        def step_spy(alpha, k, v, prev, target, *rest):
+        def step_spy(alpha, x, v, prev, target, *rest):
             targets.append(target)
             try:
-                return step(alpha, k, v, prev, target, *rest)
+                return step(alpha, x, v, prev, target, *rest)
             finally:
                 targets.pop()
 
-        def newton_spy(k, s, *rest):
+        def x_form_spy(x, e, *rest):
             if targets:
-                calls.append((targets[-1], s))
-            return newton(k, s, *rest)
+                calls.append((targets[-1], e))
+            return x_form(x, e, *rest)
+
+        def newton_spy(q, s, *rest):
+            if marching and not targets:
+                polishes.append(s)
+            return newton(q, s, *rest)
+
+        def march_spy(*args):
+            marching.append(True)
+            try:
+                return march(*args)
+            finally:
+                marching.pop()
 
         spec = PotentialSpec(m=m, a=a, U=U)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trajectory, "_step", step_spy)
+            mp.setattr(trajectory, "_trace_from_state", march_spy)
+            mp.setattr(_k, "x_form", x_form_spy)
             mp.setattr(_k, "newton_pole", newton_spy)
             build_chart(spec, channel, certify=False)
-        assert calls
-        # the kernels take the coupling as s = c^2 gamma
+        assert calls and polishes
         c = spec.c
-        for target, gamma in calls:
-            ref = c * c * _phase_to_gamma(target)
-            assert struct.pack("<dd", gamma.real, gamma.imag) == struct.pack(
-                "<dd", ref.real, ref.imag
-            ), (target, gamma, ref)
+
+        def bits(z):
+            return struct.pack("<dd", z.real, z.imag)
+
+        for target, e in calls:
+            unit = _phase_to_root(target)
+            assert bits(e) in (bits(c * unit), bits(-c * unit)), (target, e)
+        # the kernels take the coupling as s = c^2 gamma
+        axis = {bits(c * c * _phase_to_gamma(n * HALF_PI)) for n in range(4)}
+        assert all(bits(s) in axis for s in polishes)
 
 
 class TestHalfTurn:

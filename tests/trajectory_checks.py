@@ -16,7 +16,7 @@ from wellpoles import _kernels as _k
 from wellpoles import trajectory
 from wellpoles.errors import NoConvergence
 from wellpoles.rootfinder import multiplicity_at
-from wellpoles.smatrix import ComplexCoupling, PotentialSpec, _phase_to_gamma
+from wellpoles.smatrix import ComplexCoupling, PotentialSpec, _phase_to_gamma, _phase_to_root
 from wellpoles.trajectory import Trajectory
 
 
@@ -33,24 +33,26 @@ def point_at(traj: Trajectory, alpha: float, spec: PotentialSpec) -> complex:
     a, k = traj.alphas[i], traj.ks[i]
     if a == alpha:
         return k
-    # the tracer steps in q = k*a with s = c^2 gamma
-    c2 = spec.c ** 2
+    # the tracer steps in x = sqrt(q^2 + s), q = k*a, on the x form of the
+    # sign the start solves
     q = spec.a * k
     ch = traj.channel.code
-    v = trajectory._tangent(q, c2 * _phase_to_gamma(a), ch)
+    x, sigma_c = trajectory._start(q, a, spec.c, ch)
+    _, hx, _, ha, _ = _k.x_form(x, sigma_c * _phase_to_root(a), ch)
+    v = -ha / hx
     prev = None
     h = alpha - a
     while a != alpha:
         target = alpha if abs(alpha - a) <= abs(h) else a + h
-        step = trajectory._step(a, q, v, prev, target, c2 * _phase_to_gamma(target), ch)
+        step = trajectory._step(a, x, v, prev, target, sigma_c * _phase_to_root(target), ch)
         if step is None:
             h *= 0.5
             if abs(h) < trajectory._STEP_MINIMUM:
                 raise NoConvergence(q / spec.a, trajectory._CORRECTOR_ITERS)
             continue
-        prev = (a, q, v)
+        prev = (a, x, v)
         a = target
-        q, v, _ = step
+        x, v, q, _ = step
     return q / spec.a
 
 
