@@ -1646,6 +1646,16 @@ class TestCriticalChart:
         chart = build_chart(spec, Channel.MINUS, certify=False)
         assert not any(w.code == "critical_proximity" for w in chart.warnings)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4])
+    def test_odd_simple_crossing_charts_complete(self, eps):
+        # at c = 1 the odd seed q = -i sits at x = 0, where x and -x are one
+        # pole and x(alpha) leaves as sqrt(3i*alpha): a march in x starts
+        # there, and within |c - 1| ~ 1e-8 of it, with a split step
+        spec = PotentialSpec(m=M, a=A, U=(1.0 + eps) ** 2 / (2 * M * A * A))
+        chart = build_chart(spec, Channel.MINUS)
+        assert chart.completeness["complete"] and chart.warnings == []
+        assert chart.topology == {"open": 1}
+
     def test_rounded_collision_depth_warns(self):
         # 0.0976 is the four-digit rounding of the repulsive collision depth
         chart = build_chart(PotentialSpec(m=M, a=A, U=0.0976), Channel.PLUS,
