@@ -388,6 +388,7 @@ def _trace_from_state(
     if n_seed is None or n_seed % 2 or not on_axis(seed.q):
         raise ValueError(f"a seed must be an axis pole on a real-coupling quarter-turn "
                          f"anchor, got k={seed.k!r} at alpha={alpha0!r}")
+    c2 = c * c
     # the anchors at which a loop through the seed meets the axis again
     half_turns = (n_seed + 2, n_seed + 4)
 
@@ -460,7 +461,7 @@ def _trace_from_state(
                 # a loop meets the coalesced pair at q = -i only at its
                 # half-turn: end the march there
                 anchor = ComplexCoupling(t_anchor)
-                zc = cmath.sqrt(-1.0 + c * c * anchor.gamma)
+                zc = cmath.sqrt(-1.0 + c2 * anchor.gamma)
                 if not (next_anchor in half_turns
                         and abs(q + 1j) < _DOUBLE_ZERO_RADIUS * abs(zc)
                         and multiplicity_at(-1j / a, anchor, spec, seed.channel) == 2):
@@ -485,7 +486,9 @@ def _trace_from_state(
             reason = ExitReason.K_WINDOW
             break
         if alpha == t_anchor:
-            polished, _, ok, _ = _k.newton_pole(q, c * c * _ANCHOR_GAMMA[next_anchor % 4], ch,
+            # on_axis and the chart read an anchor's q, which q(x) holds
+            # only to x's rounding times |dq/dx|
+            polished, _, ok, _ = _k.newton_pole(q, c2 * _ANCHOR_GAMMA[next_anchor % 4], ch,
                                                 _CORRECTOR_ITERS)
             if ok:
                 q = qs[-1] = polished
