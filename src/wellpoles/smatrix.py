@@ -114,8 +114,9 @@ def _phase_to_gamma(alpha: float) -> complex:
 
 def _phase_to_root(alpha: float) -> complex:
     """e^{i alpha/2}, the square root of ``_phase_to_gamma(alpha)`` that
-    turns with alpha; exact at the real-coupling anchors, where it is one of
-    1, i, -1, -i, and correctly rounded at the others."""
+    turns with alpha: at the anchors of ``_anchor_index`` it is read off
+    n % 8, exactly one of 1, i, -1, -i at a real coupling and (+-1 +- i)
+    times the rounded sqrt(1/2) at an imaginary one."""
     n = _anchor_index(alpha)
     if n is None:
         return complex(math.cos(0.5 * alpha), math.sin(0.5 * alpha))
