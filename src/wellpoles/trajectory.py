@@ -414,9 +414,9 @@ def _trace_from_state(
     # the first step is delta long and ends at the root of that quadratic
     # that leaves the start
     delta = _SPLIT_STEP
-    disc = hx * hx - 2.0 * hxx * ha * delta
-    if abs(hx * hx) < abs(disc - hx * hx):
-        w = cmath.sqrt(disc)
+    quad = 2.0 * hxx * ha * delta
+    if abs(hx * hx) < abs(quad):
+        w = cmath.sqrt(hx * hx - quad)
         dx = -2.0 * ha * delta / (hx + w if abs(hx + w) >= abs(hx - w) else hx - w)
         alpha += delta
         found = _correct(x + dx, sigma_c * _phase_to_root(alpha), ch)
