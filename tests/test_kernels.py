@@ -167,6 +167,60 @@ class TestDenomDerivatives:
             assert abs(dk) < 1e-13
 
 
+class TestXForm:
+    """The pole equation of one curve in x = aK, h = x - e cos x (even) or
+    1 - e sinc x (odd), e = sigma*c*e^{i alpha/2}, and q(x) at a pole."""
+
+    @pytest.mark.parametrize("ch", [K.CH_PLUS, K.CH_MINUS])
+    def test_derivatives_match_central_differences(self, ch):
+        rng = np.random.default_rng(21)
+        h = 1e-6
+
+        def form(x, alpha, c):
+            # unscaled, so that neighbouring points compare
+            return [v / math.exp(-abs(x.imag))
+                    for v in K.x_form(x, c * cmath.exp(0.5j * alpha), ch)[:4]]
+
+        for _ in range(60):
+            x = complex(rng.uniform(-8, 8), rng.uniform(-3, 3))
+            alpha, c = rng.uniform(-2 * np.pi, 2 * np.pi), rng.uniform(0.2, 20.0)
+            _, hx, hxx, ha = form(x, alpha, c)
+            pairs = [(form(x + h, alpha, c)[0] - form(x - h, alpha, c)[0], hx),
+                     (form(x + h, alpha, c)[1] - form(x - h, alpha, c)[1], hxx),
+                     (form(x, alpha + h, c)[0] - form(x, alpha - h, c)[0], ha)]
+            for difference, value in pairs:
+                assert abs(difference / (2 * h) - value) < RTOL_DERIV * (1.0 + abs(value))
+
+    @pytest.mark.parametrize("ch", [K.CH_PLUS, K.CH_MINUS])
+    def test_momentum_at_a_pole(self, ch):
+        # a pole of the channel pole function solves the x form of one sign
+        # at x = sqrt(q^2 + s), and q(x) gives it back
+        rng = np.random.default_rng(22)
+        checked = 0
+        for _ in range(60):
+            alpha, U = rng.uniform(-np.pi, np.pi), rng.uniform(0.05, 20.0)
+            s = _s(cmath.exp(1j * alpha), M, A, U)
+            q, _, ok, _ = K.newton_pole(complex(rng.uniform(-4, 4), rng.uniform(-3, 1)), s, ch, 50)
+            if not ok:
+                continue
+            x = cmath.sqrt(q * q + s)
+            e = math.sqrt(_s(1.0, M, A, U)) * cmath.exp(0.5j * alpha)
+            h, _, _, _, q_x = min((K.x_form(x, sign * e, ch) for sign in (1.0, -1.0)),
+                                  key=lambda f: abs(f[0]))
+            E = math.exp(-abs(x.imag))
+            assert abs(h) < 1e-10 * E * (1.0 + abs(x))
+            assert abs(q_x - q) < 1e-8 * (1.0 + abs(q))
+            checked += 1
+        assert checked > 40
+
+    def test_odd_form_is_finite_at_x_zero(self):
+        # q = -i x cot x is -i at x = 0, where the odd form has a double
+        # root in x at c = 1: x and -x are one pole
+        h, hx, hxx, ha, q = K.x_form(0j, 1.0 + 0j, K.CH_MINUS)
+        assert (h, hx, q) == (0.0, 0.0, -1j)
+        assert abs(hxx - 1.0 / 3.0) < 1e-15 and ha == -0.5j
+
+
 class TestNewton:
     def test_converges_to_known_zero(self):
         q, it, ok, _ = K.newton_pole(A * 1.85j, _s(1.0 + 0j, M, A, 2.0), K.CH_PLUS, 50)
