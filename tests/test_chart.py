@@ -1406,18 +1406,17 @@ class TestStepRejections:
 
 
 class TestMarchWork:
-    """The quarter-turn anchors are the only cap on a step. Far from the
-    well, where |dk/dalpha| tends to 1/(2a), the error-sized step grows
-    from about 0.4 of a quarter turn at |k|a = 10 to 0.94 at |k|a = 40, and
-    the anchor clips the rest, so an open curve takes about two steps per
-    quarter turn there; these wells' curves stop at |k|a = 22 and 28. The
-    corrector stops on Newton's quadratic model, about two iterations per
-    step."""
+    """The chart's Newton work on the q form. Since the march corrects in x
+    (``_kernels.x_form``), ``newton_pole`` runs in the axis scans and once
+    per anchor a march lands on, where it polishes the anchor's q, in one
+    iteration; the corrector's own work is counted in
+    ``tests/test_kernels.py::TestNewtonWork``."""
 
     @pytest.mark.parametrize("channel,U,most", [("plus", 2.0, 200), ("minus", 5.0, 215)])
     def test_newton_calls_per_chart(self, monkeypatch, channel, U, most):
-        # 242 and 240 calls under a 0.4 rad step cap, 168 and 187 without,
-        # 131 and 160 with curves stopped past the working window, not at 40
+        # when newton_pole was the q march's corrector: 242 and 240 calls
+        # under a 0.4 rad step cap, 168 and 187 without, 131 and 160 with
+        # curves stopped past the working window; 31 and 36 since the x march
         calls = 0
         newton = _k.newton_pole
 
@@ -1432,9 +1431,10 @@ class TestMarchWork:
 
     @pytest.mark.parametrize("channel,U,most", [("plus", 2.0, 360), ("minus", 5.0, 420)])
     def test_newton_iterations_per_chart(self, monkeypatch, channel, U, most):
-        # 506 and 580 iterations when the step test alone stops the
-        # corrector, 347 and 406 with the quadratic model's exit, 272 and
-        # 336 with curves stopped past the working window, not at 40
+        # for the q march's corrector: 506 and 580 iterations when the step
+        # test alone stopped it, 347 and 406 with the quadratic model's exit,
+        # 272 and 336 with curves stopped past the working window; 31 and 36
+        # since the x march
         iterations = 0
         newton = _k.newton_pole
 
